@@ -363,11 +363,8 @@ def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
     gamma_powers = [_powmod(Poly([0, 1]), i, f) for i in range(n)]
     rows = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            elem = _mulmod(_mulmod(lam_in_field, gamma_powers[i], f), conj_powers[j], f)
-            row.append(_trace_of(elem, traces))
-        rows.append(row)
+        lam_gamma = _mulmod(lam_in_field, gamma_powers[i], f)
+        rows.append([_trace_of(_mulmod(lam_gamma, c, f), traces) for c in conj_powers])
     return TraceForm(GramMatrix.from_rows(rows), lam)
 
 
@@ -412,9 +409,10 @@ def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
     raise DomainError(f"no trace form for extension kind {ext.kind!r}")
 
 
-def disc_identity_check(ext: ExtensionData, lam: Poly) -> CheckResult:
-    """det(q_lambda) = (-1)^d * disc(E) in square classes, with the field
-    discriminant read off the defining polynomial.
+def disc_identity_check(ext: ExtensionData, form: TraceForm) -> CheckResult:
+    """det(q_lambda) = (-1)^d * disc(E) in square classes, for the trace form
+    q_lambda = trace_form(ext, lambda) already built by the caller, with the
+    field discriminant read off the defining polynomial.
 
     Any defining polynomial of E differs from an integral basis by a rational
     change of basis, so its discriminant lies in the same square class as the
@@ -422,7 +420,7 @@ def disc_identity_check(ext: ExtensionData, lam: Poly) -> CheckResult:
     """
     if ext.absolute is None:
         return CheckResult(CheckStatus.NOT_APPLICABLE, {"reason": "no defining polynomial"})
-    gram_det = trace_form(ext, lam).gram.determinant()
+    gram_det = form.gram.determinant()
     if gram_det == 0:
         return CheckResult(CheckStatus.FAIL, {"reason": "degenerate trace form"})
     d = ext.degree // 2

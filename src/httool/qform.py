@@ -6,12 +6,20 @@ The Hasse invariant of a space is stored as the finite set of places where
 the symbol sum is nontrivial; the Hilbert product formula makes this set
 even, and set symmetric-difference realizes addition in Br(Q)[2].  The
 infinite place is represented by math.inf.
+
+For a diagonal <a_1, ..., a_n> the Hasse symbol at a place v is
+prod_{i<j} (a_i, a_j)_v.  By bilinearity of the Hilbert symbol this equals
+prod_{j>=2} (a_1...a_{j-1}, a_j)_v, so `invariants` evaluates n-1 symbols per
+place (each running prefix product against the next entry) instead of
+n(n-1)/2 (Cassels, Rational Quadratic Forms, ch. 4).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -262,11 +270,12 @@ def invariants(space: QSpace) -> QFormInvariants:
     r = sum(1 for d in diag if d > 0)
     s = n - r
     det = square_class(math.prod(diag, start=Fraction(1))) if n else SquareClass(1, 1)
+    prefixes = list(itertools.accumulate(diag[:-1], operator.mul))
     hasse = set()
     for place in _support_places(diag):
         total = 1
-        for i, j in itertools.combinations(range(n), 2):
-            total *= hilbert_symbol(diag[i], diag[j], place)
+        for prefix, a in zip(prefixes, diag[1:]):
+            total *= hilbert_symbol(prefix, a, place)
         if total == -1:
             hasse.add(place)
     return QFormInvariants(n, (r, s), det, frozenset(hasse))
@@ -482,5 +491,11 @@ def k3_lattice() -> GramMatrix:
     return GramMatrix(tuple(tuple(row) for row in out))
 
 
-def k3_invariants() -> QFormInvariants:
+@functools.cache
+def _k3_invariants_once() -> QFormInvariants:
     return invariants(diagonalize(k3_lattice()))
+
+
+def k3_invariants() -> QFormInvariants:
+    """Invariants of the K3 lattice, computed on the first call only."""
+    return _k3_invariants_once()

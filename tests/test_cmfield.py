@@ -124,7 +124,7 @@ FIXTURES = [GAUSSIAN, EISENSTEIN_FIELD, cyclotomic_poly(5), WEIL_QUARTIC]
 @pytest.mark.parametrize("defining", FIXTURES, ids=["Q(i)", "Q(zeta3)", "Q(zeta5)", "quartic"])
 def test_disc_identity_on_fixtures(defining):
     ext = trivial_ext(defining)
-    result = disc_identity_check(ext, Poly([1]))
+    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
     assert result.status is CheckStatus.PASS, result.witness
 
 
@@ -143,14 +143,14 @@ def test_signature_identity_on_fixtures(defining):
 def test_disc_identity_value_gaussian():
     # det diag(2,2) = 4 ~ 1; (-1)**1 * disc(T^2+1) = -(-4) = 4 ~ 1
     ext = trivial_ext(GAUSSIAN)
-    result = disc_identity_check(ext, Poly([1]))
+    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
     assert result.witness["expected_class"] == "1"
     assert result.witness["trace_form_det_class"] == "1"
 
 
 def test_disc_identity_value_eisenstein():
     ext = trivial_ext(EISENSTEIN_FIELD)
-    result = disc_identity_check(ext, Poly([1]))
+    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
     assert result.witness["expected_class"] == "3"
 
 

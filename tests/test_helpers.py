@@ -12,6 +12,9 @@ def test_is_prime_small():
 
 def test_is_prime_carmichael_and_strong_pseudoprimes():
     assert not _intfactor.is_prime(341550071728321)
+    # a strong pseudoprime to every prime base 2..37
+    assert not _intfactor.is_prime(318665857834031151167461)
+    assert _intfactor.factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
     assert _intfactor.is_prime(2**61 - 1)
 
 

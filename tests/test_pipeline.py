@@ -130,5 +130,8 @@ def test_tampered_certificate_is_detected():
 
 def test_telemetry_present_but_separate():
     outcome = run(QUARTIC)
-    assert "total" in outcome.telemetry["stage_seconds"]
+    assert outcome.status is RunStatus.CONSTRUCTED
+    stages = outcome.telemetry["stage_seconds"]
+    assert {"total", "signature_of", "k3_sum_identity"} <= stages.keys()
     assert "telemetry" not in outcome.certificate
+    assert "stage_seconds" not in json.dumps(outcome.certificate)

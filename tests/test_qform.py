@@ -2,11 +2,18 @@
 diagonalization, invariants, additivity, complements, constructive
 realization, the K3 lattice, and local hyperbolicity."""
 
+import itertools
+import json
+import math
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from httool import _intfactor
 from httool.exactpoly import DomainError, SquareClass, square_class
 from httool.qform import (
     INF,
@@ -27,6 +34,8 @@ from httool.qform import (
     k3_lattice,
     sum_invariants,
 )
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
 
 def hilbert_oracle(a: int, b: int, place) -> int:
@@ -243,6 +252,39 @@ def test_complement_inverts_sum_seeded():
         assert sum_invariants(iv, complement_invariants(iv, total)) == total
 
 
+def reference_invariants(diag) -> QFormInvariants:
+    """Invariants with the Hasse set taken from all n(n-1)/2 Hilbert symbols
+    (a_i, a_j) at each place dividing an entry, 2 and infinity."""
+    primes = {2}
+    for a in diag:
+        primes.update(_intfactor.factorize(abs(a.numerator)))
+        primes.update(_intfactor.factorize(a.denominator))
+    hasse = set()
+    for place in sorted(primes) + [INF]:
+        total = math.prod(hilbert_symbol(a, b, place) for a, b in itertools.combinations(diag, 2))
+        if total == -1:
+            hasse.add(place)
+    r = sum(1 for a in diag if a > 0)
+    det = square_class(math.prod(diag, start=F(1)))
+    return QFormInvariants(len(diag), (r, len(diag) - r), det, frozenset(hasse))
+
+
+# signed products of small prime powers (shared primes, powers of 2, negative
+# exponents for denominators) next to plain nonzero integers
+_SMOOTH_RATIONALS = st.builds(
+    lambda sign, exps: sign * math.prod((F(p) ** e for p, e in zip((2, 3, 5, 7, 11), exps)), start=F(1)),
+    st.sampled_from((1, -1)),
+    st.lists(st.integers(-3, 5), min_size=5, max_size=5),
+)
+_NONZERO_INTEGERS = st.integers(-60, 60).filter(bool).map(F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_SMOOTH_RATIONALS, _NONZERO_INTEGERS), min_size=1, max_size=8))
+def test_invariants_match_all_pairs_reference(diag):
+    assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
+
+
 # ---------------------------------------------------------------------------
 # admissibility and construction
 
@@ -340,6 +382,13 @@ def test_k3_invariants_match_expected():
     assert inv.signature == (3, 19)
     assert str(inv.det) == "-1"
     assert inv.sorted_hasse() == [2, INF]
+
+
+def test_k3_invariants_match_all_pairs_reference_and_golden():
+    reference = reference_invariants(diagonalize(k3_lattice()).diagonal)
+    assert k3_invariants() == reference
+    golden = json.loads((GOLDEN / "lattice.json").read_text())
+    assert golden["invariants"] == reference.to_json()
 
 
 def test_u_blocks_diagonalize_to_det_minus_one():
