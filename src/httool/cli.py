@@ -3,7 +3,7 @@
 Subcommands: check, enumerate, qform (invariants | equivalent | construct),
 lattice, construct, extend.  All input and output is JSON; output is
 deterministic.  Exit codes: 0 success/constructed, 1 rejected/inadmissible,
-2 unknown, 3 usage or input error.
+2 unknown, 3 usage or input error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,6 +261,10 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"httool: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 would read as "rejected"
+        print(f"httool: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from . import _gfp, _intfactor
 from .exactpoly import (
     DomainError,
     Poly,
+    SturmChain,
     discriminant,
     is_irreducible,
     isolate_real_roots,
@@ -22,7 +23,6 @@ from .exactpoly import (
     rat_to_str,
     resultant,
     square_class,
-    squarefree_part,
     sturm_count,
     trace_power_sums,
 )
@@ -167,9 +167,10 @@ def weil_field(Q: Poly) -> CMData:
         raise CMVerificationError(
             "real_subfield_degree", f"expected degree {half}, got {beta.degree()}"
         )
-    if sturm_count(beta) != half:
+    beta_chain = SturmChain(beta)
+    if beta_chain.count() != half:
         raise CMVerificationError("totally_real", "the fixed field is not totally real")
-    real_roots_in_range = sturm_count(beta, Fraction(-2), Fraction(2))
+    real_roots_in_range = beta_chain.count(Fraction(-2), Fraction(2))
     if real_roots_in_range != half or beta(Fraction(-2)) == 0:
         raise CMVerificationError("unit_circle", "some root lies off the unit circle")
     # gamma^{-1} = -(c_1 + c_2 gamma + ... + c_n gamma^{n-1}) / c_0
@@ -454,19 +455,12 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
         raise DomainError("lambda vanishes")
     if lam.degree() == 0:
         return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
-    lam_sqf = squarefree_part(lam)
+    g_chain = SturmChain(g)
+    lam_chain = SturmChain(lam)
     positives = 0
-    for lo, hi in isolate_real_roots(g):
-        while (
-            lam(lo) == 0
-            or lam(hi) == 0
-            or sturm_count(lam_sqf, lo, hi) != 0
-        ):
-            mid = (lo + hi) / 2
-            if sturm_count(g, lo, mid) == 1:
-                lo, hi = lo, mid
-            else:
-                lo, hi = mid, hi
+    for lo, hi in g_chain.isolate():
+        while lam(lo) == 0 or lam(hi) == 0 or lam_chain.count(lo, hi) != 0:
+            lo, hi = g_chain.halve(lo, hi)
         if lam((lo + hi) / 2) > 0:
             positives += 1
     return positives, field.degree - positives

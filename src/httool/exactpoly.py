@@ -565,32 +565,71 @@ def _sign_variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+class SturmChain:
+    """The Sturm chain of a nonzero f, built once and queried many times.
+
+    The chain runs on `squarefree`, the squarefree part of f made primitive
+    with positive leading coefficient, so repeated roots are counted once.
+    """
+
+    __slots__ = ("squarefree", "chain")
+
+    def __init__(self, f: Poly):
+        if f.is_zero:
+            raise DomainError("the zero polynomial has no root count")
+        _, g = squarefree_part(f).primitive_parts()
+        self.squarefree = g
+        self.chain = _sturm_chain(g) if g.degree() >= 1 else []
+
+    def _variations(self, point: Fraction | None, positive: bool) -> int:
+        if point is None:
+            return _sign_variations([sign_at_infinity(h, positive) for h in self.chain])
+        return _sign_variations([h(point) for h in self.chain])
+
+    def count(self, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+        """Number of distinct real roots in the half-open interval (lo, hi];
+        `None` endpoints mean -infinity / +infinity."""
+        return self._variations(lo, False) - self._variations(hi, True)
+
+    def halve(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+        """The half of (lo, hi] holding the root, for an interval known to
+        isolate exactly one root."""
+        mid = (lo + hi) / 2
+        if self.count(lo, mid) == 1:
+            return lo, mid
+        return mid, hi
+
+    def isolate(self) -> list[tuple[Fraction, Fraction]]:
+        """Disjoint rational intervals (lo, hi], one per distinct real root,
+        in increasing order."""
+        total = self.count()
+        if total == 0:
+            return []
+        b = cauchy_bound(self.squarefree)
+        stack = [(-b, b, total)]
+        found: list[tuple[Fraction, Fraction]] = []
+        while stack:
+            lo, hi, k = stack.pop()
+            if k == 1:
+                found.append((lo, hi))
+                continue
+            mid = (lo + hi) / 2
+            left = self.count(lo, mid)
+            if left:
+                stack.append((lo, mid, left))
+            if k - left:
+                stack.append((mid, hi, k - left))
+        found.sort()
+        return found
+
+
 def sturm_count(f: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots of f in the half-open interval (lo, hi].
 
     `None` endpoints mean -infinity / +infinity.  Repeated roots are counted
     once (the computation runs on the squarefree part).
     """
-    if f.is_zero:
-        raise DomainError("the zero polynomial has no root count")
-    g = squarefree_part(f)
-    if g.degree() < 1:
-        return 0
-    _, g = g.primitive_parts()
-    chain = _sturm_chain(g)
-
-    def variations(point: Fraction | None, positive: bool) -> int:
-        if point is None:
-            return _sign_variations([sign_at_infinity(h, positive) for h in chain])
-        return _sign_variations([h(point) for h in chain])
-
-    v_lo = variations(lo, False)
-    v_hi = variations(hi, True)
-    return v_lo - v_hi
-
-
-def count_real_roots(f: Poly) -> int:
-    return sturm_count(f, None, None)
+    return SturmChain(f).count(lo, hi)
 
 
 def cauchy_bound(f: Poly) -> Fraction:
@@ -602,34 +641,7 @@ def cauchy_bound(f: Poly) -> Fraction:
 def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals (lo, hi], one per distinct real root,
     in increasing order."""
-    g = squarefree_part(f)
-    total = sturm_count(g)
-    if total == 0:
-        return []
-    b = cauchy_bound(g)
-    stack = [(-b, b, total)]
-    found: list[tuple[Fraction, Fraction]] = []
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 1:
-            found.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        left = sturm_count(g, lo, mid)
-        if left:
-            stack.append((lo, mid, left))
-        if k - left:
-            stack.append((mid, hi, k - left))
-    found.sort()
-    return found
-
-
-def bisect_isolating_interval(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an interval known to isolate exactly one root of squarefree f."""
-    mid = (lo + hi) / 2
-    if sturm_count(f, lo, mid) == 1:
-        return lo, mid
-    return mid, hi
+    return SturmChain(f).isolate()
 
 
 # ---------------------------------------------------------------------------

@@ -28,15 +28,12 @@ from . import _intfactor
 from .exactpoly import (
     DomainError,
     Poly,
-    bisect_isolating_interval,
+    SturmChain,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
-    isolate_real_roots,
     power_sums_from_elementary,
     rat_to_str,
-    squarefree_part,
-    sturm_count,
 )
 from .padicpoly import SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
 
@@ -125,11 +122,11 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
             Status.FAIL,
             {"reason": "not self-inversive", "coefficient_index": defect},
         )
-    h = _reciprocal_transform(L)
-    hs = squarefree_part(h)
+    chain = SturmChain(_reciprocal_transform(L))
+    hs = chain.squarefree
     deg = hs.degree()
-    real_total = sturm_count(hs, None, None)
-    in_range = sturm_count(hs, Fraction(-2), Fraction(2)) + (1 if hs(Fraction(-2)) == 0 else 0)
+    real_total = chain.count()
+    in_range = chain.count(Fraction(-2), Fraction(2)) + (1 if hs(Fraction(-2)) == 0 else 0)
     if real_total == deg == in_range:
         return _PASS
     witness: dict = {
@@ -138,21 +135,24 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
         "real_roots": real_total,
         "real_roots_in_range": in_range,
     }
-    for lo, hi in isolate_real_roots(hs):
+    for lo, hi in chain.isolate():
         # refine until the interval clears the boundary (roots at +-2 are in range)
         for _ in range(64):
             if hi <= -2 or lo >= 2 or (-2 <= lo and hi <= 2):
                 break
-            lo, hi = bisect_isolating_interval(hs, lo, hi)
+            lo, hi = chain.halve(lo, hi)
         if hi <= -2 or lo >= 2:
             witness["offending_interval"] = [rat_to_str(lo), rat_to_str(hi)]
             break
     return PropertyVerdict(Status.FAIL, witness)
 
 
-def check_no_root_of_unity(c: WeilCandidate) -> PropertyVerdict:
-    """No irreducible factor of L is a cyclotomic polynomial."""
-    for factor, _mult in factor_with_unit(c.L)[1]:
+def check_no_root_of_unity(
+    c: WeilCandidate, factored: tuple[Fraction, list[tuple[Poly, int]]]
+) -> PropertyVerdict:
+    """No irreducible factor of L is a cyclotomic polynomial; `factored` is
+    `factor_with_unit(c.L)`."""
+    for factor, _mult in factored[1]:
         n = is_cyclotomic(factor)
         if n is not None:
             return PropertyVerdict(
@@ -215,11 +215,12 @@ def check_newton_shape(c: WeilCandidate) -> tuple[PropertyVerdict, int | None, i
 
 
 def check_power_structure(
-    c: WeilCandidate,
+    c: WeilCandidate, factored: tuple[Fraction, list[tuple[Poly, int]]]
 ) -> tuple[PropertyVerdict, Poly | None, int | None, SlopeVerdict | None]:
     """L = Q**e with Q irreducible over Q, and the negative-slope part of Q
-    over Q_p irreducible (three-valued; Unknown propagates)."""
-    _unit, factors = factor_with_unit(c.L)
+    over Q_p irreducible (three-valued; Unknown propagates); `factored` is
+    `factor_with_unit(c.L)`."""
+    _unit, factors = factored
     if len(factors) != 1:
         return (
             PropertyVerdict(
@@ -310,12 +311,14 @@ class WeilReport:
 
 
 def check_all(c: WeilCandidate) -> WeilReport:
-    """Aggregate all five property checks into a report with witnesses."""
+    """Aggregate all five property checks into a report with witnesses; L is
+    factored once, for both the root-of-unity and the power-structure check."""
+    factored = factor_with_unit(c.L)
     unit_circle = check_unit_circle(c)
-    no_rou = check_no_root_of_unity(c)
+    no_rou = check_no_root_of_unity(c, factored)
     integrality = check_l_integrality(c)
     shape, h, d = check_newton_shape(c)
-    power, q_poly, e, slope = check_power_structure(c)
+    power, q_poly, e, slope = check_power_structure(c, factored)
     return WeilReport(
         candidate=c,
         unit_circle=unit_circle,
@@ -329,16 +332,6 @@ def check_all(c: WeilCandidate) -> WeilReport:
         Q=q_poly,
         slope=slope,
     )
-
-
-def _quick_inadmissible(c: WeilCandidate) -> bool:
-    """Cheap short-circuit used by the enumerator (order: polygon, circle)."""
-    shape, _h, _d = check_newton_shape(c)
-    if shape.status is not Status.PASS:
-        return True
-    if check_unit_circle(c).status is not Status.PASS:
-        return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +397,10 @@ def enumerate_candidates(
     Search space: palindromic L with constant term 1 and coefficients
     c_i = m / p**a bounded by |c_i| <= binom(2d, i) (forced by roots on the
     unit circle); subtrees are pruned through the power-sum bound
-    |sum gamma**k| <= 2d.  The optional value filters carry no semantics of
-    their own.  Output is sorted by coefficient tuple.
+    |sum gamma**k| <= 2d, checked on each complete L for k up to 6d.  Each
+    survivor of that prune (and of the optional value filters, which carry
+    no semantics of their own) goes through `check_all` exactly once.
+    Output is sorted by coefficient tuple.
     """
     if two_d % 2 != 0 or two_d < 2:
         raise DomainError("degree must be even and >= 2")
@@ -448,8 +443,6 @@ def enumerate_candidates(
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:
             return
         cand = WeilCandidate(L, p, a)
-        if _quick_inadmissible(cand):
-            return
         if check_all(cand).admissible:
             results.append(cand)
 

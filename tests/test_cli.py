@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+from httool import cli, weilcheck
+
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
 
@@ -34,6 +36,21 @@ def test_check_fail_exit_one():
     proc = run_cli(["check"], CYCLOTOMIC_JSON)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["admissible"] is False
+
+
+def test_internal_error_exit_four_without_traceback(monkeypatch, tmp_path, capsys):
+    def broken(_candidate):
+        raise ArithmeticError("factorization reconstruction failed")
+
+    monkeypatch.setattr(weilcheck, "check_all", broken)
+    source = tmp_path / "candidate.json"
+    source.write_text(QUARTIC_JSON)
+    assert cli.main(["check", "--input", str(source)]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "httool: internal error: ArithmeticError: factorization reconstruction failed\n"
+    )
 
 
 def test_malformed_json_exit_three_with_position():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from httool.exactpoly import (
     DomainError,
     Poly,
+    SturmChain,
     cyclotomic_poly,
     euler_phi,
     factor_over_Q,
@@ -216,6 +217,43 @@ def test_sturm_agrees_with_numeric_isolation(cs):
     if f.degree() < 1:
         return
     assert sturm_count(f) == numeric_real_root_count(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=4), st.integers(1, 3)),
+        min_size=1,
+        max_size=4,
+    ),
+    st.booleans(),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=4),
+)
+def test_sturm_chain_matches_sturm_count_and_exact_roots(roots, complex_pair, points):
+    # f = -3/2 * prod (T - r)**m [* (T**2 + 1)]: repeated roots, a non-primitive
+    # scale and an optional pair of non-real roots; the roots themselves are
+    # among the endpoints, so the half-open convention is exercised
+    f = Poly([F(-3, 2)])
+    for r, m in roots:
+        f = f * Poly([-r, 1]) ** m
+    if complex_pair:
+        f = f * Poly([1, 0, 1])
+    distinct = sorted({r for r, _ in roots})
+    chain = SturmChain(f)
+    endpoints = [None] + sorted(set(points) | set(distinct))
+    for lo in endpoints:
+        for hi in endpoints[1:] + [None]:
+            if lo is not None and hi is not None and lo >= hi:
+                continue
+            exact = sum(1 for r in distinct if (lo is None or lo < r) and (hi is None or r <= hi))
+            assert chain.count(lo, hi) == sturm_count(f, lo, hi) == exact, (lo, hi)
+    intervals = chain.isolate()
+    assert intervals == isolate_real_roots(f)
+    assert len(intervals) == len(distinct)
+    for (lo, hi), r in zip(intervals, distinct):
+        assert lo < r <= hi
+        half_lo, half_hi = chain.halve(lo, hi)
+        assert half_lo < r <= half_hi and half_hi - half_lo == (hi - lo) / 2
 
 
 def test_isolate_real_roots_brackets():

@@ -10,11 +10,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from httool.exactpoly import DomainError, Poly
+from httool.exactpoly import DomainError, Poly, factor_with_unit, squarefree_part
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
     WeilCandidate,
+    _reciprocal_transform,
     base_extend,
     check_all,
     check_l_integrality,
@@ -32,17 +33,25 @@ WEIL_QUADRATIC = Poly([1, -HALF, 1])
 WEIL_QUARTIC = Poly([1, 0, HALF, 0, 1])
 
 
-def all_roots_on_unit_circle(L: Poly, digits: int = 60) -> bool:
-    from httool.exactpoly import squarefree_part
-
-    reduced = squarefree_part(L)  # multiple roots stall the numeric solver
+def numeric_roots(f: Poly, digits: int):
     mpmath.mp.dps = digits
-    coeffs = [
-        mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(reduced.coeffs)
-    ]
-    roots = mpmath.polyroots(coeffs, maxsteps=500, extraprec=500)
+    coeffs = [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in reversed(f.coeffs)]
+    return mpmath.polyroots(coeffs, maxsteps=500, extraprec=500)
+
+
+def all_roots_on_unit_circle(L: Poly, digits: int = 60) -> bool:
+    roots = numeric_roots(squarefree_part(L), digits)  # multiple roots stall the solver
     tol = mpmath.mpf(10) ** (-digits // 3)
     return all(abs(abs(r) - 1) < tol for r in roots)
+
+
+def transform_real_root_counts(L: Poly, digits: int = 60) -> tuple[int, int]:
+    """Real roots of the squarefree part of H, where L(T) = T**d H(T + 1/T),
+    in all and in [-2, 2], located numerically."""
+    roots = numeric_roots(squarefree_part(_reciprocal_transform(L)), digits)
+    tol = mpmath.mpf(10) ** (-digits // 3)
+    real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < tol]
+    return len(real), sum(1 for x in real if -2 - tol <= x <= 2 + tol)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +97,7 @@ def test_unit_circle_odd_symmetry_case():
 
 def test_unit_circle_against_numeric_oracle_seeded():
     rng = random.Random(20240601)
-    agreements = 0
+    agreements = witnessed = 0
     for _ in range(1000):
         two_d = rng.choice([2, 4, 6])
         d = two_d // 2
@@ -105,17 +114,25 @@ def test_unit_circle_against_numeric_oracle_seeded():
             continue
         candidate = WeilCandidate(L, 2, 1)
         expected = all_roots_on_unit_circle(L)
-        got = check_unit_circle(candidate).status is Status.PASS
-        assert got == expected, L
+        verdict = check_unit_circle(candidate)
+        assert (verdict.status is Status.PASS) == expected, L
+        if verdict.witness.get("reason") == "a root lies off the unit circle":
+            counts = (verdict.witness["real_roots"], verdict.witness["real_roots_in_range"])
+            assert counts == transform_real_root_counts(L), L
+            witnessed += 1
         agreements += 1
     assert agreements > 900
+    assert witnessed > 100
 
 
 def test_no_root_of_unity_examples():
-    fail = check_no_root_of_unity(WeilCandidate(Poly([1, 1, 1]), 2, 1))
+    L = Poly([1, 1, 1])
+    fail = check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L))
     assert fail.status is Status.FAIL and fail.witness["cyclotomic_index"] == 3
-    assert check_no_root_of_unity(WeilCandidate(WEIL_QUADRATIC, 2, 1)).status is Status.PASS
-    assert check_no_root_of_unity(WeilCandidate(WEIL_QUARTIC, 2, 1)).status is Status.PASS
+    L = WEIL_QUADRATIC
+    assert check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L)).status is Status.PASS
+    L = WEIL_QUARTIC
+    assert check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L)).status is Status.PASS
 
 
 def test_integrality_examples():
@@ -142,13 +159,15 @@ def test_newton_shape_four_vertices():
 
 
 def test_power_structure_examples():
-    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(WEIL_QUADRATIC, 2, 1))
+    L = WEIL_QUADRATIC
+    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 1
-    square = WeilCandidate(WEIL_QUADRATIC**2, 2, 1)
-    verdict, q_poly, e, slope = check_power_structure(square)
+    L = WEIL_QUADRATIC**2
+    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 2
     assert slope.value is SlopeOutcome.IRREDUCIBLE
-    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(Poly([1, 0, 1, 0, 1]), 2, 1))
+    L = Poly([1, 0, 1, 0, 1])
+    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
     assert verdict.status is Status.FAIL
     assert "factors" in verdict.witness
 
@@ -262,6 +281,21 @@ def test_census_members_have_symmetric_slope_multisets():
     for member in enumerate_candidates(2, 1, 4):
         slopes = newton_polygon(member.L, member.p).slopes_with_multiplicity()
         assert sorted(slopes) == sorted(-s for s in slopes)
+
+
+def test_census_q2_degree4_matches_brute_force_box():
+    # every palindromic quartic with coefficients m/2 in the box
+    # |c_i| <= binom(4, i) that roots on the unit circle force, with no prune
+    admissible = []
+    for m1 in range(-8, 9):
+        for m2 in range(-12, 13):
+            c1, c2 = F(m1, 2), F(m2, 2)
+            candidate = WeilCandidate(Poly([1, c1, c2, c1, 1]), 2, 1)
+            if check_all(candidate).admissible:
+                admissible.append(candidate.L.coeffs)
+    found = [c.L.coeffs for c in enumerate_candidates(2, 1, 4)]
+    assert sorted(admissible) == found
+    assert len(found) == 18
 
 
 def test_census_rejects_bad_degrees():
