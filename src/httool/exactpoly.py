@@ -2,8 +2,11 @@
 Sturm counts, cyclotomic detection, resultants and square classes.
 
 Everything here is pure and deterministic.  Polynomials are stored dense in
-ascending degree; no floating point enters any code path.  Rational numbers
-are `fractions.Fraction` throughout (re-exported as `Rat`).
+ascending degree; no floating point enters any code path.  `Poly` holds
+`fractions.Fraction` coefficients (re-exported as `Rat`) and is the type at
+every public boundary.  The exact kernels behind it (gcd, Yun's squarefree
+decomposition, Hensel lifting and Zassenhaus recombination, Sturm chains and
+their sign evaluations) run on primitive integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -17,6 +20,10 @@ from . import _gfp, _intfactor
 from ._linalg import bareiss_determinant
 
 Rat = Fraction
+
+# Process-wide call tallies of the two costly entry points; `pipeline.run`
+# reports their growth over one run as telemetry counters.
+COUNTERS = {"factor_with_unit_calls": 0, "sturm_chain_builds": 0}
 
 
 class DomainError(ValueError):
@@ -187,26 +194,6 @@ class Poly:
         """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
         return Poly(reversed(self.coeffs))
 
-    def content(self) -> Fraction:
-        """Positive rational content; content of 0 is 0."""
-        if self.is_zero:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
-
-    def primitive_parts(self) -> tuple[Fraction, "Poly"]:
-        """Write f = c * g with g primitive integral and positive leading."""
-        if self.is_zero:
-            return Fraction(0), Poly()
-        c = self.content()
-        if self.leading() < 0:
-            c = -c
-        return c, self * (1 / c)
-
     def has_integer_coeffs(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -226,73 +213,8 @@ class Poly:
 X = Poly([0, 1])
 
 
-def sign_at_infinity(f: Poly, positive: bool) -> int:
-    if f.is_zero:
-        return 0
-    lead = f.leading()
-    if positive:
-        return 1 if lead > 0 else -1
-    s = 1 if lead > 0 else -1
-    return s if f.degree() % 2 == 0 else -s
-
-
 # ---------------------------------------------------------------------------
-# gcd, squarefree machinery
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            # content stripping keeps coefficient sizes in check
-            b = b * (1 / b.content())
-    return a.monic() if not a.is_zero else Poly()
-
-
-def squarefree_part(f: Poly) -> Poly:
-    if f.is_zero:
-        raise DomainError("squarefree part of the zero polynomial")
-    if f.degree() < 1:
-        return Poly([1])
-    return (f // poly_gcd(f, f.derivative())).monic()
-
-
-def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Yun's algorithm: f = unit * prod g_i**i with g_i primitive integral,
-    positive leading, squarefree and pairwise coprime."""
-    if f.is_zero:
-        raise DomainError("cannot decompose the zero polynomial")
-    unit, prim = f.primitive_parts()
-    if prim.degree() < 1:
-        return unit, []
-    parts: list[tuple[Poly, int]] = []
-    d = prim.derivative()
-    g = poly_gcd(prim, d)
-    w = prim // g
-    y = d // g
-    z = y - w.derivative()
-    i = 1
-    while w.degree() > 0:
-        h = poly_gcd(w, z)
-        if h.degree() > 0:
-            parts.append((h, i))
-        w = w // h
-        y = z // h
-        z = y - w.derivative()
-        i += 1
-    norm: list[tuple[Poly, int]] = []
-    lead = f.leading()
-    for g_i, mult in parts:
-        _, prim_i = g_i.primitive_parts()
-        lead /= prim_i.leading() ** mult
-        norm.append((prim_i, mult))
-    return lead, norm
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers for Zassenhaus factorization
+# integer coefficient lists (ascending, no trailing zeros)
 
 _IntPoly = list
 
@@ -301,6 +223,39 @@ def _zz_trim(f):
     while f and f[-1] == 0:
         f.pop()
     return f
+
+
+def _zz_content(f):
+    c = 0
+    for a in f:
+        c = math.gcd(c, abs(a))
+    return c
+
+
+def _zz_primitive(f):
+    c = _zz_content(f)
+    if c == 0:
+        return []
+    return [a // c for a in f]
+
+
+def _zz_primitive_parts(f: Poly) -> tuple[Fraction, _IntPoly]:
+    """f = c * g with g a primitive integer list of positive leading
+    coefficient; the zero polynomial gives (0, [])."""
+    if f.is_zero:
+        return Fraction(0), []
+    den = 1
+    for c in f.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    g = _zz_content(ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, den), [a // g for a in ints]
+
+
+def _zz_derivative(f):
+    return [i * a for i, a in enumerate(f) if i > 0]
 
 
 def _zz_mul(f, g):
@@ -345,26 +300,130 @@ def _zz_trunc(f, m):
 
 
 def _zz_divmod(f, g):
-    """Integer quotient and remainder; valid because every divisor used in
-    the lifting is monic."""
-    q, r = divmod(Poly(f), Poly(g))
-    if any(c.denominator != 1 for c in q.coeffs) or any(c.denominator != 1 for c in r.coeffs):
-        raise ArithmeticError("non-integral division in Hensel lifting")
-    return [int(c) for c in q.coeffs], [int(c) for c in r.coeffs]
+    """Integer long division f = q*g + r with deg r < deg g.
+
+    Raises ArithmeticError at the first quotient coefficient that is not an
+    integer; that never happens when g is monic, or when g is primitive and
+    divides f over Q (Gauss's lemma).
+    """
+    dg = len(g) - 1
+    lead = g[-1]
+    rem = list(f)
+    if len(rem) <= dg:
+        return [], rem
+    quo = [0] * (len(rem) - dg)
+    for shift in range(len(rem) - 1 - dg, -1, -1):
+        c, frac = divmod(rem[shift + dg], lead)
+        if frac:
+            raise ArithmeticError("non-integral quotient in integer division")
+        quo[shift] = c
+        if c:
+            for i, b in enumerate(g):
+                rem[shift + i] -= c * b
+    return quo, _zz_trim(rem[:dg])
 
 
-def _zz_content(f):
-    c = 0
-    for a in f:
-        c = math.gcd(c, abs(a))
-    return c
+def _zz_exact_quotient(f, g):
+    """f / g for a g known to divide f in Z[x]."""
+    q, r = _zz_divmod(f, g)
+    if r:
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
-def _zz_primitive(f):
-    c = _zz_content(f)
-    if c == 0:
-        return []
-    return [a // c for a in f]
+def _zz_prem(f, g):
+    """Pseudo-remainder: the remainder of |lc(g)|**(deg f - deg g + 1) * f on
+    division by g, hence a positive multiple of the remainder over Q."""
+    dg = len(g) - 1
+    scale = abs(g[-1])
+    sign = 1 if g[-1] > 0 else -1
+    rem = list(f)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = sign * rem[top]
+        shift = top - dg
+        if scale != 1:
+            rem[:top] = [scale * a for a in rem[:top]]
+        if c:
+            for i in range(dg):
+                rem[shift + i] -= c * g[i]
+    return _zz_trim(rem[:dg])
+
+
+def _zz_gcd(f, g):
+    """Primitive gcd in Z[x] with positive leading coefficient, by the
+    primitive polynomial remainder sequence; gcd(f, 0) is f's primitive
+    part and gcd(0, 0) is []."""
+    a, b = _zz_primitive(f), _zz_primitive(g)
+    while b:
+        a, b = b, _zz_primitive(_zz_prem(a, b))
+    if a and a[-1] < 0:
+        a = [-c for c in a]
+    return a
+
+
+def _zz_squarefree(f):
+    """The squarefree part of a primitive f with positive leading
+    coefficient, itself primitive with positive leading coefficient."""
+    if len(f) < 2:
+        return [1]
+    return _zz_exact_quotient(f, _zz_gcd(f, _zz_derivative(f)))
+
+
+# ---------------------------------------------------------------------------
+# gcd, squarefree machinery
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
+    h = _zz_gcd(_zz_primitive_parts(f)[1], _zz_primitive_parts(g)[1])
+    return Poly(h).monic() if h else Poly()
+
+
+def squarefree_part(f: Poly) -> Poly:
+    if f.is_zero:
+        raise DomainError("squarefree part of the zero polynomial")
+    return Poly(_zz_squarefree(_zz_primitive_parts(f)[1])).monic()
+
+
+def _zz_yun(f) -> list[tuple[_IntPoly, int]]:
+    """Yun's algorithm on a primitive f with positive leading coefficient:
+    the nonconstant g_i with f = prod g_i**i, ascending i.
+
+    Every gcd is primitive with positive leading coefficient, so every
+    quotient below is exact in Z[x] and the g_i come out primitive with
+    positive leading coefficient.
+    """
+    parts: list[tuple[_IntPoly, int]] = []
+    if len(f) < 2:
+        return parts
+    d = _zz_derivative(f)
+    g = _zz_gcd(f, d)
+    w = _zz_exact_quotient(f, g)
+    y = _zz_exact_quotient(d, g)
+    z = _zz_sub(y, _zz_derivative(w))
+    i = 1
+    while len(w) > 1:
+        h = _zz_gcd(w, z)
+        if len(h) > 1:
+            parts.append((h, i))
+        w = _zz_exact_quotient(w, h)
+        y = _zz_exact_quotient(z, h)
+        z = _zz_sub(y, _zz_derivative(w))
+        i += 1
+    return parts
+
+
+def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
+    """Yun's algorithm: f = unit * prod g_i**i with g_i primitive integral,
+    positive leading, squarefree and pairwise coprime."""
+    if f.is_zero:
+        raise DomainError("cannot decompose the zero polynomial")
+    unit, prim = _zz_primitive_parts(f)
+    return unit, [(Poly(h), mult) for h, mult in _zz_yun(prim)]
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting and Zassenhaus factorization over Z
 
 
 def _zz_l1(f):
@@ -488,14 +547,16 @@ def _zassenhaus(f):
                 if i not in combo:
                     rest = _zz_trunc(_zz_mul(rest, lifted[i]), pl)
             if _zz_l1(trial) * _zz_l1(rest) <= bound:
-                q, r = divmod(Poly(current), Poly(trial_prim))
-                if not r.is_zero:
+                # Gauss: a primitive factor leaves an integral quotient, so a
+                # non-integral step or a remainder means no factor
+                try:
+                    q, r = _zz_divmod(current, trial_prim)
+                except ArithmeticError:
                     continue
-                # Gauss: the quotient of primitive polynomials is integral
-                if any(c.denominator != 1 for c in q.coeffs):
+                if r:
                     continue
                 factors.append(trial_prim)
-                current = _zz_primitive([int(c) for c in q.coeffs])
+                current = _zz_primitive(q)
                 active = [i for i in active if i not in combo]
                 b = current[-1] if current else 1
                 fc = current[0] if current else 1
@@ -522,11 +583,11 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     positive leading coefficient; deterministic order."""
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    unit, parts = squarefree_decomposition(f)
+    COUNTERS["factor_with_unit_calls"] += 1
+    unit, prim = _zz_primitive_parts(f)
     factors: list[tuple[Poly, int]] = []
-    for g, mult in parts:
-        ints = [int(c) for c in g.coeffs]
-        for irr in _zassenhaus(ints):
+    for g, mult in _zz_yun(prim):
+        for irr in _zassenhaus(g):
             factors.append((Poly(irr), mult))
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
     return unit, factors
@@ -549,15 +610,32 @@ def is_irreducible(f: Poly) -> bool:
 # Sturm sequences and real-root isolation
 
 
-def _sturm_chain(f: Poly) -> list[Poly]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree() > 0:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero:
+def _zz_sturm_chain(f):
+    """The Sturm chain of a squarefree integer f of degree >= 1.
+
+    Each member after f' is the negated pseudo-remainder divided by its
+    positive content: a positive multiple of the negated remainder over Q,
+    so every sign, and hence every count, is that of the classical chain.
+    """
+    chain = [f, _zz_derivative(f)]
+    while len(chain[-1]) > 1:
+        r = _zz_prem(chain[-2], chain[-1])
+        if not r:
             break
-        # strip the positive content only, so signs are preserved
-        chain.append(r * (1 / r.content()))
-    return [g for g in chain if not g.is_zero]
+        c = _zz_content(r)
+        chain.append([-a // c for a in r])
+    return chain
+
+
+def _zz_eval_scaled(f, num, den):
+    """den**deg(f) * f(num/den) by homogeneous Horner; for den > 0 it has
+    the sign of f(num/den)."""
+    acc = f[-1]
+    scale = 1
+    for c in reversed(f[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
 
 
 def _sign_variations(values) -> int:
@@ -569,7 +647,8 @@ class SturmChain:
     """The Sturm chain of a nonzero f, built once and queried many times.
 
     The chain runs on `squarefree`, the squarefree part of f made primitive
-    with positive leading coefficient, so repeated roots are counted once.
+    with positive leading coefficient, so repeated roots are counted once;
+    its members are integer coefficient lists.
     """
 
     __slots__ = ("squarefree", "chain")
@@ -577,14 +656,20 @@ class SturmChain:
     def __init__(self, f: Poly):
         if f.is_zero:
             raise DomainError("the zero polynomial has no root count")
-        _, g = squarefree_part(f).primitive_parts()
-        self.squarefree = g
-        self.chain = _sturm_chain(g) if g.degree() >= 1 else []
+        COUNTERS["sturm_chain_builds"] += 1
+        g = _zz_squarefree(_zz_primitive_parts(f)[1])
+        self.squarefree = Poly(g)
+        self.chain = _zz_sturm_chain(g) if len(g) > 1 else []
 
     def _variations(self, point: Fraction | None, positive: bool) -> int:
         if point is None:
-            return _sign_variations([sign_at_infinity(h, positive) for h in self.chain])
-        return _sign_variations([h(point) for h in self.chain])
+            # sign at +-infinity: the leading coefficient's, flipped at
+            # -infinity for odd degree (len(h) even)
+            values = [h[-1] if positive or len(h) % 2 else -h[-1] for h in self.chain]
+        else:
+            num, den = point.numerator, point.denominator
+            values = [_zz_eval_scaled(h, num, den) for h in self.chain]
+        return _sign_variations(values)
 
     def count(self, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
         """Number of distinct real roots in the half-open interval (lo, hi];

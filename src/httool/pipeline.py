@@ -22,7 +22,7 @@ from .cmfield import (
     signature_of,
     weil_field,
 )
-from .exactpoly import DomainError, Poly, rat_from_str
+from .exactpoly import COUNTERS, DomainError, Poly, rat_from_str
 from .qform import (
     GramMatrix,
     QFormInvariants,
@@ -85,9 +85,15 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     config = config or PipelineConfig()
     telemetry: dict = {"stage_seconds": {}, "counters": {}}
     started = time.monotonic()
+    counts_before = dict(COUNTERS)
 
     def mark(stage: str, t0: float) -> None:
         telemetry["stage_seconds"][stage] = round(time.monotonic() - t0, 6)
+
+    def finish(status: RunStatus) -> RunOutcome:
+        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
+        telemetry["counters"] = {k: n - counts_before[k] for k, n in COUNTERS.items()}
+        return RunOutcome(status, cert, telemetry)
 
     t0 = time.monotonic()
     report = check_all(candidate)
@@ -97,14 +103,12 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     if report.failures:
         cert["status"] = RunStatus.REJECTED.value
         cert["failed_properties"] = report.failures
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        return RunOutcome(RunStatus.REJECTED, cert, telemetry)
+        return finish(RunStatus.REJECTED)
     if not report.admissible:
         # no failure, so some verdict is Unknown (slope analysis)
         cert["status"] = RunStatus.UNKNOWN.value
         cert["reason"] = "a property verdict is Unknown"
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        return RunOutcome(RunStatus.UNKNOWN, cert, telemetry)
+        return finish(RunStatus.UNKNOWN)
 
     t0 = time.monotonic()
     cm = weil_field(report.Q)
@@ -127,8 +131,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         cert["status"] = RunStatus.EXISTENCE_ONLY.value
         cert["reason"] = ext.trace.get("reason", "construction regime unsupported")
         cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        return RunOutcome(RunStatus.EXISTENCE_ONLY, cert, telemetry)
+        return finish(RunStatus.EXISTENCE_ONLY)
 
     # expected completion degree scales with the extension beyond L = Q**e
     expected_h = (report.h // report.e) * ext.e
@@ -139,8 +142,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     if completion.status is CheckStatus.UNKNOWN:
         cert["status"] = RunStatus.UNKNOWN.value
         cert["reason"] = "completion degree undecided"
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        return RunOutcome(RunStatus.UNKNOWN, cert, telemetry)
+        return finish(RunStatus.UNKNOWN)
     if completion.status is CheckStatus.FAIL:
         raise ArithmeticError(f"completion degree check failed: {completion.witness}")
 
@@ -153,8 +155,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         cert["bayer"] = result.bayer
         cert["status"] = RunStatus.EXISTENCE_ONLY.value
         cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        return RunOutcome(RunStatus.EXISTENCE_ONLY, cert, telemetry)
+        return finish(RunStatus.EXISTENCE_ONLY)
 
     lam = result.lam
     t0 = time.monotonic()
@@ -199,8 +200,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     if failed_identities:
         raise ArithmeticError(f"certificate identities failed: {failed_identities}")
     cert["status"] = RunStatus.CONSTRUCTED.value
-    telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-    return RunOutcome(RunStatus.CONSTRUCTED, cert, telemetry)
+    return finish(RunStatus.CONSTRUCTED)
 
 
 def revalidate_certificate(cert: dict) -> list[str]:

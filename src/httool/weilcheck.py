@@ -20,6 +20,7 @@ exceptions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,23 +85,33 @@ class PropertyVerdict:
 _PASS = PropertyVerdict(Status.PASS, {})
 
 
-def _reciprocal_transform(L: Poly) -> Poly:
-    """H with L(T) = T**d * H(T + 1/T) for a palindromic L of degree 2d.
+@functools.cache
+def _chebyshev_v(d: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of V_0..V_d with T**k + T**-k = V_k(T + 1/T):
+    V_0 = 2, V_1 = x and V_{k+1} = x*V_k - V_{k-1}."""
+    vs = [(2,), (0, 1)]
+    while len(vs) <= d:
+        prev, cur = vs[-2], vs[-1]
+        nxt = [0] + list(cur)
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        vs.append(tuple(nxt))
+    return tuple(vs[: d + 1])
 
-    Uses T**k + T**-k = V_k(T + 1/T) with V_0 = 2, V_1 = x and
-    V_{k+1} = x*V_k - V_{k-1}.
-    """
+
+def _reciprocal_transform(L: Poly) -> Poly:
+    """H with L(T) = T**d * H(T + 1/T) for a palindromic L of degree 2d,
+    H = L_d + sum_{k=1..d} L_{d+k} * V_k."""
     d = L.degree() // 2
-    v_prev, v_cur = Poly([2]), Poly([0, 1])
-    h = Poly([L.coefficient(d)])
-    for k in range(1, d + 1):
-        if k == 1:
-            vk = v_cur
-        else:
-            vk = Poly([0, 1]) * v_cur - v_prev
-            v_prev, v_cur = v_cur, vk
-        h = h + L.coefficient(d + k) * vk
-    return h
+    h = [Fraction(0)] * (d + 1)
+    h[0] = L.coefficient(d)
+    for k, vk in enumerate(_chebyshev_v(d)[1:], start=1):
+        c = L.coefficient(d + k)
+        if c:
+            for j, v in enumerate(vk):
+                if v:
+                    h[j] += c * v
+    return Poly(h)
 
 
 def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:

@@ -3,7 +3,9 @@ detection, resultants, square classes.
 
 Derived expected values are frozen from independent oracles implemented in
 this file (exhaustive factor-shape search, exact arithmetic in a biquadratic
-field, high-precision numeric root isolation).
+field, high-precision numeric root isolation, and `Fraction` reference
+versions of Yun's algorithm and of the Sturm chain, against which the
+integer kernels are checked).
 """
 
 import math
@@ -18,6 +20,7 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _zz_divmod,
     cyclotomic_poly,
     euler_phi,
     factor_over_Q,
@@ -117,6 +120,82 @@ def numeric_real_root_count(f: Poly, digits: int = 50) -> int:
     return count
 
 
+def fraction_primitive_parts(f: Poly) -> tuple[F, Poly]:
+    """f = c * g over Q with g primitive integral, positive leading."""
+    num_gcd, den_lcm = 0, 1
+    for c in f.coeffs:
+        num_gcd = math.gcd(num_gcd, abs(c.numerator))
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    c = F(num_gcd, den_lcm) if f.leading() > 0 else -F(num_gcd, den_lcm)
+    return c, f * (1 / c)
+
+
+def fraction_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q by the Euclidean algorithm on `Fraction` coefficients."""
+    a, b = f, g
+    while not b.is_zero:
+        a, b = b, a % b
+        if not b.is_zero:
+            b = b * (1 / abs(fraction_primitive_parts(b)[0]))
+    return a.monic() if not a.is_zero else Poly()
+
+
+def fraction_yun(f: Poly) -> tuple[F, list[tuple[Poly, int]]]:
+    """Yun's algorithm over Q with `Fraction` gcds, parts made primitive with
+    positive leading coefficient."""
+    unit, prim = fraction_primitive_parts(f)
+    if prim.degree() < 1:
+        return unit, []
+    parts = []
+    d = prim.derivative()
+    g = fraction_gcd(prim, d)
+    w, y = prim // g, d // g
+    z = y - w.derivative()
+    i = 1
+    while w.degree() > 0:
+        h = fraction_gcd(w, z)
+        if h.degree() > 0:
+            parts.append((h, i))
+        w, y = w // h, z // h
+        z = y - w.derivative()
+        i += 1
+    lead = f.leading()
+    norm = []
+    for g_i, mult in parts:
+        prim_i = fraction_primitive_parts(g_i)[1]
+        lead /= prim_i.leading() ** mult
+        norm.append((prim_i, mult))
+    return lead, norm
+
+
+def fraction_sturm_chain(f: Poly) -> list[Poly]:
+    """The Sturm chain of the primitive squarefree part of f over Q: negated
+    `Fraction` remainders with their positive content stripped."""
+    g = fraction_primitive_parts(f // fraction_gcd(f, f.derivative()))[1]
+    chain = [g, g.derivative()]
+    while chain[-1].degree() > 0:
+        r = -(chain[-2] % chain[-1])
+        if r.is_zero:
+            break
+        chain.append(r * (1 / abs(fraction_primitive_parts(r)[0])))
+    return chain
+
+
+def fraction_sturm_count(chain: list[Poly], lo: F | None, hi: F | None) -> int:
+    def variations(point, positive):
+        signs = []
+        for h in chain:
+            if point is None:
+                v = h.leading() if positive or h.degree() % 2 == 0 else -h.leading()
+            else:
+                v = h(point)
+            if v != 0:
+                signs.append(v > 0)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo, False) - variations(hi, True)
+
+
 # ---------------------------------------------------------------------------
 # factorization
 
@@ -172,6 +251,66 @@ def test_squarefree_decomposition_multiplicities():
     unit, parts = squarefree_decomposition(f)
     assert parts == [(Poly([1, 1]), 1), (Poly([-1, 1]), 3)]
     assert unit == F(1, 2)
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(small_fractions, min_size=2, max_size=4), st.integers(1, 3)),
+        max_size=3,
+    ),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), max_size=2),
+    st.fractions(min_value=-30, max_value=30, max_denominator=35).filter(lambda c: c != 0),
+)
+def test_squarefree_decomposition_matches_fraction_yun(factors, cyclotomics, scale):
+    # f = c * prod g_i**m_i: rational and integer g_i, repeated cyclotomic
+    # factors (possibly equal to each other or to a g_i), any sign, and a
+    # rational scale with non-trivial content
+    f = Poly([scale])
+    for cs, m in factors:
+        g = Poly(cs)
+        if g.degree() >= 1:
+            f = f * g ** m
+    for n, m in cyclotomics:
+        f = f * cyclotomic_poly(n) ** m
+    unit, parts = squarefree_decomposition(f)
+    assert (unit, parts) == fraction_yun(f)
+    product = Poly([unit])
+    for g, m in parts:
+        assert g.has_integer_coeffs() and g.leading() > 0
+        product = product * g ** m
+    assert product == f
+    assert poly_gcd(f, f.derivative()) == fraction_gcd(f, f.derivative())
+    # factor_with_unit refines the decomposition multiplicity by multiplicity
+    f_unit, irreducibles = factor_with_unit(f)
+    assert f_unit == unit
+    for g, m in parts:
+        refined = Poly([1])
+        for irr, irr_m in irreducibles:
+            if irr_m == m:
+                refined = refined * irr
+        assert refined == g
+    assert {m for _, m in irreducibles} == {m for _, m in parts}
+
+
+def test_zz_divmod_integer_long_division():
+    # monic divisor: always integral, with the remainder of the division over Q
+    f, g = [5, -3, 0, 2, 7], [1, -2, 1]
+    q, r = _zz_divmod(f, g)
+    expected_q, expected_r = divmod(Poly(f), Poly(g))
+    assert (Poly(q), Poly(r)) == (expected_q, expected_r)
+    # a primitive non-monic factor divides exactly (Gauss's lemma)
+    assert _zz_divmod([-3, -1, 2], [-3, 2]) == ([1, 1], [])
+    # non-monic divisor whose quotient is not integral: x**2 + 1 by 2x + 1,
+    # and (2x + 1)(x + 1) by 4x + 2 (a divisor over Q, not over Z)
+    with pytest.raises(ArithmeticError):
+        _zz_divmod([1, 0, 1], [1, 2])
+    with pytest.raises(ArithmeticError):
+        _zz_divmod([1, 3, 2], [2, 4])
+    assert _zz_divmod([1, 2], [0, 0, 3]) == ([], [1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +393,59 @@ def test_sturm_chain_matches_sturm_count_and_exact_roots(roots, complex_pair, po
         assert lo < r <= hi
         half_lo, half_hi = chain.halve(lo, hi)
         assert half_lo < r <= half_hi and half_hi - half_lo == (hi - lo) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(2, 7)), min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(1, 4)), max_size=2),
+    st.lists(st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=5), st.integers(1, 2)), max_size=2),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=7), max_size=4),
+)
+def test_sturm_chain_matches_fraction_chain_on_integer_polys(
+    lead, quadratics, complex_pairs, rational_roots, points
+):
+    # integer f = lead * prod (a x**2 - b) * prod (a x**2 + b x + c) *
+    # prod (den x - num)**m: irrational roots +-sqrt(b/a) (b/a not a square),
+    # pairs of non-real roots (which give chain members with negative leading
+    # coefficients), a non-unit leading coefficient, rational roots with
+    # multiplicity, and those roots among the endpoints
+    f = Poly([lead])
+    for a, b in quadratics:
+        if math.isqrt(a * b) ** 2 == a * b:
+            b += 1 if math.isqrt(a * (b + 1)) ** 2 != a * (b + 1) else 2
+        f = f * Poly([-b, 0, a])
+    for a, b, c in complex_pairs:
+        c += b * b  # discriminant b**2 - 4ac < 0
+        f = f * Poly([c, b, a])
+    for r, m in rational_roots:
+        f = f * Poly([-r.numerator, r.denominator]) ** m
+    assert_chain_matches_fraction_chain(f, set(points) | {r for r, _ in rational_roots})
+
+
+@pytest.mark.parametrize("cs", [[3, 2, -3, -3, 3, -3, 1], [-3, 1, 0, 0, 0, -3, 1]])
+def test_sturm_chain_abnormal_remainder_sequence(cs):
+    # the remainders drop two degrees onto a member with negative leading
+    # coefficient, so the pseudo-remainder scale |lc|**3 must not be lc**3
+    assert_chain_matches_fraction_chain(Poly(cs), {F(k, 2) for k in range(-8, 9)})
+
+
+def assert_chain_matches_fraction_chain(f: Poly, points) -> None:
+    chain = SturmChain(f)
+    reference = fraction_sturm_chain(f)
+    assert chain.squarefree == reference[0]
+    assert len(chain.chain) == len(reference)
+    for member, ref in zip(chain.chain, reference):
+        # every integer member is a positive multiple of the Fraction member
+        assert member[-1] * ref.leading() > 0
+        assert Poly(member) * ref.leading() == ref * member[-1]
+    endpoints = [None] + sorted(points)
+    for lo in endpoints:
+        for hi in endpoints[1:] + [None]:
+            if lo is not None and hi is not None and lo >= hi:
+                continue
+            assert chain.count(lo, hi) == fraction_sturm_count(reference, lo, hi), (lo, hi)
 
 
 def test_isolate_real_roots_brackets():

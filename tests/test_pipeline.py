@@ -133,5 +133,10 @@ def test_telemetry_present_but_separate():
     assert outcome.status is RunStatus.CONSTRUCTED
     stages = outcome.telemetry["stage_seconds"]
     assert {"total", "signature_of", "k3_sum_identity"} <= stages.keys()
+    counters = outcome.telemetry["counters"]
+    assert counters["factor_with_unit_calls"] > 0
+    assert counters["sturm_chain_builds"] > 0
     assert "telemetry" not in outcome.certificate
-    assert "stage_seconds" not in json.dumps(outcome.certificate)
+    certificate_text = json.dumps(outcome.certificate)
+    assert "stage_seconds" not in certificate_text
+    assert "counters" not in certificate_text and "sturm_chain_builds" not in certificate_text
