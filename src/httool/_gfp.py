@@ -128,13 +128,6 @@ def derivative(f: list[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def eval_at(f: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def is_squarefree(f: list[int], p: int) -> bool:
     d = derivative(f, p)
     if not d:

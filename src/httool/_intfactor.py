@@ -93,14 +93,3 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             s *= p
     return s
-
-
-def prime_range(start: int, count: int) -> list[int]:
-    """The first `count` primes that are >= start, in increasing order."""
-    out: list[int] = []
-    n = max(2, start)
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return out

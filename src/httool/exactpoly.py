@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _gfp, _intfactor
-from ._linalg import bareiss_determinant
+from ._linalg import fraction_determinant
 
 Rat = Fraction
 
@@ -793,15 +793,7 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
     for i in range(m):
         rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    scale = 1
-    int_rows = []
-    for row in rows:
-        lcm = 1
-        for entry in row:
-            lcm = lcm * entry.denominator // math.gcd(lcm, entry.denominator)
-        scale *= lcm
-        int_rows.append([int(entry * lcm) for entry in row])
-    return Fraction(bareiss_determinant(int_rows), scale)
+    return fraction_determinant(rows)
 
 
 def discriminant(f: Poly) -> Fraction:

@@ -107,18 +107,9 @@ def residual_polynomial(f: Poly, p: int, segment: Segment) -> list[int]:
     first-order splitting of the slope factor over Q_p.
     """
     polygon = newton_polygon(f, p)
-    start = None
-    x = polygon.vertices[0][0]
-    y = polygon.vertices[0][1]
-    for seg in polygon.segments:
-        if seg == segment:
-            start = (x, y)
-            break
-        x += seg.length
-        y += seg.slope * seg.length
-    if start is None:
+    if segment not in polygon.segments:
         raise DomainError("segment does not belong to the Newton polygon of f")
-    i0, v0 = start
+    i0, v0 = polygon.vertices[polygon.segments.index(segment)]
     n = segment.slope.denominator
     u = segment.slope.numerator
     if segment.length % n != 0:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .cmfield import (
-    CheckStatus,
+    NumberField,
     build_extension,
     cm_to_k3,
     completion_degree_check,
@@ -32,7 +32,7 @@ from .qform import (
     k3_invariants,
     sum_invariants,
 )
-from .weilcheck import WeilCandidate, WeilReport, check_all
+from .weilcheck import Status, WeilCandidate, WeilReport, check_all
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +47,6 @@ class RunStatus(enum.Enum):
 @dataclass(frozen=True)
 class PipelineConfig:
     max_extension_degree: int | None = None
-    desk_degree_bound: int = 8
 
     def __post_init__(self):
         if self.max_extension_degree is not None:
@@ -139,11 +138,11 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     completion = completion_degree_check(ext, candidate.p, expected_h)
     mark("completion_degree", t0)
     cert["completion_degree"] = completion.to_json()
-    if completion.status is CheckStatus.UNKNOWN:
+    if completion.status is Status.UNKNOWN:
         cert["status"] = RunStatus.UNKNOWN.value
         cert["reason"] = "completion degree undecided"
         return finish(RunStatus.UNKNOWN)
-    if completion.status is CheckStatus.FAIL:
+    if completion.status is Status.FAIL:
         raise ArithmeticError(f"completion degree check failed: {completion.witness}")
 
     d = target // 2
@@ -158,9 +157,8 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         return finish(RunStatus.EXISTENCE_ONLY)
 
     lam = result.lam
-    t0 = time.monotonic()
-    sig = signature_of(lam, ext.real_subfield)
-    mark("signature_of", t0)
+    # find_lambda certifies this signature with signature_of before returning
+    sig = (1, d - 1)
     cert["lambda"] = {"coefficients": lam.to_strs(), "signature": list(sig)}
     cert["trace_form"] = result.trace.to_json()
     cert["trace_invariants"] = result.trace_invariants.to_json()
@@ -171,7 +169,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     cert["disc_identity"] = disc_check.to_json()
     sig_ok = result.trace_invariants.signature == (2 * sig[0], 2 * sig[1])
     cert["signature_identity"] = {
-        "status": (CheckStatus.PASS if sig_ok else CheckStatus.FAIL).value,
+        "status": (Status.PASS if sig_ok else Status.FAIL).value,
         "witness": {
             "lambda_signature": list(sig),
             "trace_form_signature": list(result.trace_invariants.signature),
@@ -182,20 +180,20 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         "diagonal": result.complement.to_json()["diagonal"],
     }
     t0 = time.monotonic()
-    total = sum_invariants(result.trace_invariants, invariants(result.complement))
+    total = sum_invariants(result.trace_invariants, result.complement_invariants)
     lattice = k3_invariants()
     mark("k3_sum_identity", t0)
     cert["k3_sum_identity"] = {
-        "status": (CheckStatus.PASS if total == lattice else CheckStatus.FAIL).value,
+        "status": (Status.PASS if total == lattice else Status.FAIL).value,
         "witness": {"sum": total.to_json(), "expected": lattice.to_json()},
     }
-    cert["bayer"] = {"status": CheckStatus.NOT_APPLICABLE.value, "reason": "d < 10"}
+    cert["bayer"] = {"status": Status.NOT_APPLICABLE.value, "reason": "d < 10"}
     cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
 
     failed_identities = [
         key
         for key in ("disc_identity", "signature_identity", "k3_sum_identity")
-        if cert[key]["status"] == CheckStatus.FAIL.value
+        if cert[key]["status"] == Status.FAIL.value
     ]
     if failed_identities:
         raise ArithmeticError(f"certificate identities failed: {failed_identities}")
@@ -229,12 +227,12 @@ def revalidate_certificate(cert: dict) -> list[str]:
     if cm.to_json() != cert["field"]:
         problems.append("field data changed on replay")
     lam = Poly.from_strs(cert["lambda"]["coefficients"])
-    sig = tuple(cert["lambda"]["signature"])
-    if cert["extension"]["kind"] == "trivial":
-        # for compositum extensions lambda lives in the extension's own
-        # real subfield, which is not reconstructed here
-        if tuple(signature_of(lam, cm.real_subfield)) != sig:
-            problems.append("lambda signature changed on replay")
+    real = cert["extension"]["real_subfield"]
+    real_subfield = NumberField(
+        Poly.from_strs(real["defining"]), real["degree"], real["real_embeddings"]
+    )
+    if list(signature_of(lam, real_subfield)) != cert["lambda"]["signature"]:
+        problems.append("lambda signature changed on replay")
     trace_inv = QFormInvariants.from_json(cert["trace_invariants"])
     comp = QSpace.from_json({"diagonal": cert["complement"]["diagonal"]})
     comp_inv = QFormInvariants.from_json(cert["complement"]["invariants"])

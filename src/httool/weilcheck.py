@@ -68,9 +68,13 @@ class WeilCandidate:
 
 
 class Status(enum.Enum):
+    """The verdict of every pass/fail check, in reports and certificates;
+    `not_applicable` marks a certificate check whose hypothesis is absent."""
+
     PASS = "pass"
     FAIL = "fail"
     UNKNOWN = "unknown"
+    NOT_APPLICABLE = "not_applicable"
 
 
 @dataclass(frozen=True)
@@ -262,6 +266,10 @@ def check_power_structure(
     return verdict, q_poly, e, slope
 
 
+# The five constraints in report order; each is a `WeilReport` field.
+PROPERTY_NAMES = ("unit_circle", "no_root_of_unity", "ell_integrality", "newton_shape", "power_structure")
+
+
 @dataclass(frozen=True)
 class WeilReport:
     candidate: WeilCandidate
@@ -277,40 +285,22 @@ class WeilReport:
     slope: SlopeVerdict | None
 
     @property
+    def properties(self) -> dict[str, PropertyVerdict]:
+        return {name: getattr(self, name) for name in PROPERTY_NAMES}
+
+    @property
     def admissible(self) -> bool:
-        return all(
-            v.status is Status.PASS
-            for v in (
-                self.unit_circle,
-                self.no_root_of_unity,
-                self.ell_integrality,
-                self.newton_shape,
-                self.power_structure,
-            )
-        )
+        return all(v.status is Status.PASS for v in self.properties.values())
 
     @property
     def failures(self) -> list[str]:
-        named = {
-            "unit_circle": self.unit_circle,
-            "no_root_of_unity": self.no_root_of_unity,
-            "ell_integrality": self.ell_integrality,
-            "newton_shape": self.newton_shape,
-            "power_structure": self.power_structure,
-        }
-        return [name for name, v in named.items() if v.status is Status.FAIL]
+        return [name for name, v in self.properties.items() if v.status is Status.FAIL]
 
     def to_json(self) -> dict:
         out = {
             "schema_version": 1,
             "candidate": self.candidate.to_json(),
-            "properties": {
-                "unit_circle": self.unit_circle.to_json(),
-                "no_root_of_unity": self.no_root_of_unity.to_json(),
-                "ell_integrality": self.ell_integrality.to_json(),
-                "newton_shape": self.newton_shape.to_json(),
-                "power_structure": self.power_structure.to_json(),
-            },
+            "properties": {name: v.to_json() for name, v in self.properties.items()},
             "admissible": self.admissible,
             "h": self.h,
             "d": self.d,

@@ -15,7 +15,6 @@ import mpmath
 import pytest
 
 from httool.cmfield import (
-    CheckStatus,
     build_extension,
     disc_identity_check,
     find_lambda,
@@ -25,7 +24,7 @@ from httool.cmfield import (
 )
 from httool.exactpoly import DomainError, Poly, cyclotomic_poly, square_class
 from httool.padicpoly import SlopeOutcome, negative_part_verdict
-from httool.pipeline import PipelineConfig, RunStatus, run
+from httool.pipeline import RunStatus, run
 from httool.qform import (
     INF,
     QFormInvariants,
@@ -39,7 +38,7 @@ from httool.qform import (
     k3_lattice,
     sum_invariants,
 )
-from httool.weilcheck import WeilCandidate, base_extend, check_all, enumerate_candidates
+from httool.weilcheck import Status, WeilCandidate, base_extend, check_all, enumerate_candidates
 
 HALF = F(1, 2)
 
@@ -184,8 +183,6 @@ def test_criterion_07_base_extension_coherence():
     # three-valued, and six n = 2 extensions of slope -1/2 members land on a
     # proper-power residual where first-order data cannot certify (5); those
     # must surface as the designated Unknown, never as Pass or Fail.
-    from httool.weilcheck import Status
-
     with criterion(7, "base extension by n in {2,3} never breaks a constraint", 60.0):
         members = enumerate_candidates(2, 1, 2) + enumerate_candidates(2, 1, 4)
         assert len(members) == 22
@@ -225,7 +222,7 @@ def test_criterion_08_trace_form_identities():
         for defining in fixtures:
             cm = weil_field(defining)
             ext = build_extension(cm, 2, cm.field.degree)
-            assert disc_identity_check(ext, trace_form(ext, Poly([1]))).status is CheckStatus.PASS
+            assert disc_identity_check(ext, trace_form(ext, Poly([1]))).status is Status.PASS
             d = ext.real_subfield.degree
             for target in {(d, 0), (1, d - 1)}:
                 lam = find_lambda(ext.real_subfield, target)
@@ -297,5 +294,3 @@ def test_criterion_10_degree20_census_declared_out_of_scope():
     with criterion(10, "degree-20 census declared out of desk scope", 1.0):
         with pytest.raises(DomainError):
             enumerate_candidates(2, 1, 20)
-        config = PipelineConfig()
-        assert config.desk_degree_bound == 8

@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from httool import cli, weilcheck
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
@@ -72,6 +74,26 @@ def test_unknown_subcommand_exit_three():
 def test_enumerate_desk_bound_respected():
     proc = run_cli(["enumerate", "--q", "2", "--degree", "20"])
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["extend", "--n", "0"], "extension degree must be positive"),
+        (["construct", "--max-extension-degree", "3"], "extension degree must be even and >= 2"),
+        (["enumerate", "--q", "2", "--degree", "20"], "degree 20 exceeds the desk bound 8"),
+        (["enumerate", "--q", "6", "--degree", "2"], "6 is not a prime power"),
+    ],
+)
+def test_domain_error_exit_three_with_one_line(args, message, tmp_path, capsys):
+    source = tmp_path / "candidate.json"
+    source.write_text(QUARTIC_JSON)
+    if args[0] != "enumerate":
+        args = [*args, "--input", str(source)]
+    assert cli.main(args) == cli.EXIT_USAGE == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"httool: {message}\n"
 
 
 def test_extend_matches_example():

@@ -11,7 +11,6 @@ import pytest
 
 from httool import _gfp
 from httool.cmfield import (
-    CheckStatus,
     CMVerificationError,
     SplitStatus,
     build_extension,
@@ -28,6 +27,7 @@ from httool.cmfield import (
 )
 from httool.exactpoly import DomainError, Poly, cyclotomic_poly, is_irreducible, resultant, sturm_count
 from httool.padicpoly import vp
+from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import check_all, enumerate_candidates
 
@@ -125,7 +125,7 @@ FIXTURES = [GAUSSIAN, EISENSTEIN_FIELD, cyclotomic_poly(5), WEIL_QUARTIC]
 def test_disc_identity_on_fixtures(defining):
     ext = trivial_ext(defining)
     result = disc_identity_check(ext, trace_form(ext, Poly([1])))
-    assert result.status is CheckStatus.PASS, result.witness
+    assert result.status is Status.PASS, result.witness
 
 
 @pytest.mark.parametrize("defining", FIXTURES, ids=["Q(i)", "Q(zeta3)", "Q(zeta5)", "quartic"])
@@ -242,18 +242,18 @@ def test_build_extension_rejects_non_integral():
 
 def test_completion_degree_quartic():
     ext = trivial_ext(WEIL_QUARTIC)
-    assert completion_degree_check(ext, 2, 2).status is CheckStatus.PASS
+    assert completion_degree_check(ext, 2, 2).status is Status.PASS
 
 
 def test_completion_degree_quadratic():
     ext = trivial_ext(WEIL_QUADRATIC)
-    assert completion_degree_check(ext, 2, 1).status is CheckStatus.PASS
+    assert completion_degree_check(ext, 2, 1).status is Status.PASS
 
 
 def test_completion_degree_mismatch():
     ext = trivial_ext(WEIL_QUARTIC)
     result = completion_degree_check(ext, 2, 3)
-    assert result.status is CheckStatus.FAIL
+    assert result.status is Status.FAIL
     assert result.witness["expected"] == 3
     assert result.witness["negative_degree"] == 2
 
@@ -261,7 +261,7 @@ def test_completion_degree_mismatch():
 def test_completion_degree_compositum():
     cm = weil_field(WEIL_QUADRATIC)
     ext = build_extension(cm, 2, 4)
-    assert completion_degree_check(ext, 2, 2).status is CheckStatus.PASS
+    assert completion_degree_check(ext, 2, 2).status is Status.PASS
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,20 @@ def test_tampered_certificate_is_detected():
     assert revalidate_certificate(cert) != []
 
 
+def test_tampered_lambda_signature_is_detected_for_compositum():
+    outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=4))
+    cert = json.loads(json.dumps(outcome.certificate))
+    assert cert["extension"]["kind"] == "eisenstein_compositum"
+    assert revalidate_certificate(cert) == []
+    cert["lambda"]["signature"] = [2, 0]
+    assert "lambda signature changed on replay" in revalidate_certificate(cert)
+
+
 def test_telemetry_present_but_separate():
     outcome = run(QUARTIC)
     assert outcome.status is RunStatus.CONSTRUCTED
     stages = outcome.telemetry["stage_seconds"]
-    assert {"total", "signature_of", "k3_sum_identity"} <= stages.keys()
+    assert {"total", "k3_sum_identity"} <= stages.keys()
     counters = outcome.telemetry["counters"]
     assert counters["factor_with_unit_calls"] > 0
     assert counters["sturm_chain_builds"] > 0
