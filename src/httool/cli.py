@@ -87,6 +87,8 @@ def _cmd_check(args) -> int:
 def _factor_prime_power(q: int) -> tuple[int, int]:
     from ._intfactor import factorize
 
+    if q < 2:
+        raise DomainError(f"{q} is not a prime power")
     factors = factorize(q)
     if len(factors) != 1:
         raise DomainError(f"{q} is not a prime power")

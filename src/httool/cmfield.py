@@ -19,8 +19,8 @@ from .exactpoly import (
     is_irreducible,
     isolate_real_roots,
     lagrange_interpolate,
-    minpoly_of_beta,
     rat_to_str,
+    reciprocal_transform,
     resultant,
     square_class,
     sturm_count,
@@ -141,12 +141,10 @@ def weil_field(Q: Poly) -> CMData:
         raise CMVerificationError("irreducible", "defining polynomial factors over Q")
     if sturm_count(f) != 0:
         raise CMVerificationError("totally_imaginary", "the field has a real embedding")
-    beta = minpoly_of_beta(f)
+    # f is monic and irreducible, so beta = gamma + 1/gamma has the monic
+    # minimal polynomial H of degree n/2 with f(T) = T**(n/2) * H(T + 1/T)
+    beta = reciprocal_transform(f)
     half = n // 2
-    if beta.degree() != half:
-        raise CMVerificationError(
-            "real_subfield_degree", f"expected degree {half}, got {beta.degree()}"
-        )
     beta_chain = SturmChain(beta)
     if beta_chain.count() != half:
         raise CMVerificationError("totally_real", "the fixed field is not totally real")

@@ -1,25 +1,26 @@
 """Exact arithmetic over Q: rationals, dense polynomials, factorization,
 Sturm counts, cyclotomic detection, resultants and square classes.
 
-Everything here is pure and deterministic.  Polynomials are stored dense in
-ascending degree; no floating point enters any code path.  `Poly` holds
-`fractions.Fraction` coefficients (re-exported as `Rat`) and is the type at
-every public boundary.  The exact kernels behind it (gcd, Yun's squarefree
+Everything here is pure and deterministic; no floating point enters any code
+path.  `Poly` is the type at every public boundary.  It stores a rational
+`content` times `prim`, a primitive integer coefficient tuple in ascending
+degree with positive leading coefficient, and every operation on it runs on
+`prim` through the integer-list kernels below: `+ - *`, pseudo-division,
+evaluation and the derivative, as well as gcd, Yun's squarefree
 decomposition, Hensel lifting and Zassenhaus recombination, Sturm chains and
-their sign evaluations) run on primitive integer coefficient lists.
+their sign evaluations and resultants.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _gfp, _intfactor
-from ._linalg import fraction_determinant
-
-Rat = Fraction
+from ._linalg import bareiss_determinant
 
 # Process-wide call tallies of the two costly entry points; `pipeline.run`
 # reports their growth over one run as telemetry counters.
@@ -53,78 +54,99 @@ def rat_from_str(s) -> Fraction:
 
 
 class Poly:
-    """A dense univariate polynomial over Q, coefficients ascending.
+    """A dense univariate polynomial over Q, stored as `content * prim`.
 
-    Immutable; the zero polynomial has an empty coefficient tuple and
-    degree -1.
+    `prim` is a primitive integer tuple in ascending degree with a positive
+    leading coefficient, and `content` a nonzero `Fraction` carrying the
+    sign; the zero polynomial is `((), Fraction(0))` with degree -1.  The
+    form is canonical, so equal polynomials have equal pairs.  Immutable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("content", "prim")
 
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = list(coeffs)
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls.from_ints([c.numerator * (den // c.denominator) for c in cs], Fraction(1, den))
+
+    @classmethod
+    def from_ints(cls, ints, scale) -> "Poly":
+        """scale * sum ints[i] * x**i, for an integer list or tuple."""
+        n = len(ints)
+        while n and not ints[n - 1]:
+            n -= 1
+        if not n or not scale:
+            return _make(Fraction(0), ())
+        g = math.gcd(*ints[:n])
+        if ints[n - 1] < 0:
+            g = -g
+        return _make(Fraction(scale * g), tuple(a // g for a in ints[:n]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     # -- basic structure ---------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(self.content * a for a in self.prim)
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def leading(self) -> Fraction:
         if self.is_zero:
             raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.content * self.prim[0] if self.prim else Fraction(0)
 
     def coefficient(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __repr__(self) -> str:
-        return f"Poly([{', '.join(rat_to_str(c) for c in self.coeffs)}])"
+        return f"Poly([{', '.join(self.to_strs())}])"
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0)))
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        a, b = self.content, other.content
+        den = math.lcm(a.denominator, b.denominator)
+        ka, kb = a.numerator * (den // a.denominator), b.numerator * (den // b.denominator)
+        total = _zz_add([ka * x for x in self.prim], [kb * y for y in other.prim])
+        return Poly.from_ints(total, Fraction(1, den))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0)))
+        return self + -other
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _make(-self.content, self.prim)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+            return _make(self.content * other, self.prim) if other else Poly()
+        # Gauss's lemma: a product of primitive polynomials is primitive
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return _make(self.content * other.content, tuple(_zz_mul(self.prim, other.prim)))
 
     __rmul__ = __mul__
 
@@ -143,19 +165,12 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn, dd = len(rem) - 1, other.degree()
-        if dn < dd:
+        k = len(self.prim) - len(other.prim) + 1
+        if k <= 0:
             return Poly(), self
-        inv = 1 / other.leading()
-        quo = [Fraction(0)] * (dn - dd + 1)
-        for shift in range(dn - dd, -1, -1):
-            c = rem[shift + dd] * inv
-            quo[shift] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] -= c * b
-        return Poly(quo), Poly(rem)
+        quo, rem = _zz_pdivmod(self.prim, other.prim)
+        scale = self.content / other.prim[-1] ** k
+        return Poly.from_ints(quo, scale / other.content), Poly.from_ints(rem, scale)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -163,42 +178,41 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    def divides(self, other: "Poly") -> bool:
-        return (other % self).is_zero
-
     # -- calculus and evaluation -------------------------------------------
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * Fraction(x) + c
-        return acc
+        if self.is_zero:
+            return Fraction(0)
+        x = Fraction(x)
+        value = _zz_eval_scaled(self.prim, x.numerator, x.denominator)
+        c = self.content
+        return Fraction(c.numerator * value, c.denominator * x.denominator ** self.degree())
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly.from_ints(_zz_derivative(self.prim), self.content)
 
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        for a in reversed(self.prim):
+            acc = acc * inner + Poly.from_ints([a], 1)
+        return acc * self.content
 
     # -- normal forms --------------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise DomainError("the zero polynomial cannot be made monic")
-        return self * (1 / self.leading())
+        return _make(Fraction(1, self.prim[-1]), self.prim)
 
     def reverse(self) -> "Poly":
         """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
-        return Poly(reversed(self.coeffs))
+        return Poly.from_ints(self.prim[::-1], self.content)
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.content.denominator == 1
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading() == 1
+        return bool(self.prim) and self.leading() == 1
 
     # -- serialization ---------------------------------------------------------
 
@@ -210,48 +224,22 @@ class Poly:
         return Poly([rat_from_str(s) for s in items])
 
 
-X = Poly([0, 1])
+def _make(content: Fraction, prim: tuple[int, ...]) -> Poly:
+    """The `Poly` with a (content, prim) pair already in canonical form."""
+    f = object.__new__(Poly)
+    object.__setattr__(f, "content", content)
+    object.__setattr__(f, "prim", prim)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # integer coefficient lists (ascending, no trailing zeros)
 
-_IntPoly = list
-
-
-def _zz_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _zz_content(f):
-    c = 0
-    for a in f:
-        c = math.gcd(c, abs(a))
-    return c
-
-
 def _zz_primitive(f):
-    c = _zz_content(f)
+    c = math.gcd(*f)
     if c == 0:
         return []
     return [a // c for a in f]
-
-
-def _zz_primitive_parts(f: Poly) -> tuple[Fraction, _IntPoly]:
-    """f = c * g with g a primitive integer list of positive leading
-    coefficient; the zero polynomial gives (0, [])."""
-    if f.is_zero:
-        return Fraction(0), []
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
-    g = _zz_content(ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, den), [a // g for a in ints]
 
 
 def _zz_derivative(f):
@@ -266,7 +254,7 @@ def _zz_mul(f, g):
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    return _zz_trim(out)
+    return _gfp.trim(out)
 
 
 def _zz_add(f, g):
@@ -275,16 +263,11 @@ def _zz_add(f, g):
         out[i] += a
     for i, b in enumerate(g):
         out[i] += b
-    return _zz_trim(out)
+    return _gfp.trim(out)
 
 
 def _zz_sub(f, g):
-    out = [0] * max(len(f), len(g))
-    for i, a in enumerate(f):
-        out[i] += a
-    for i, b in enumerate(g):
-        out[i] -= b
-    return _zz_trim(out)
+    return _zz_add(f, [-b for b in g])
 
 
 def _zz_trunc(f, m):
@@ -296,7 +279,18 @@ def _zz_trunc(f, m):
         if c > half:
             c -= m
         out.append(c)
-    return _zz_trim(out)
+    return _gfp.trim(out)
+
+
+def _zz_eval_scaled(f, num, den):
+    """den**deg(f) * f(num/den) by homogeneous Horner; for den > 0 it has
+    the sign of f(num/den)."""
+    acc = f[-1]
+    scale = 1
+    for c in reversed(f[:-1]):
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
 
 
 def _zz_divmod(f, g):
@@ -320,7 +314,7 @@ def _zz_divmod(f, g):
         if c:
             for i, b in enumerate(g):
                 rem[shift + i] -= c * b
-    return quo, _zz_trim(rem[:dg])
+    return quo, _gfp.trim(rem[:dg])
 
 
 def _zz_exact_quotient(f, g):
@@ -331,22 +325,33 @@ def _zz_exact_quotient(f, g):
     return q
 
 
-def _zz_prem(f, g):
-    """Pseudo-remainder: the remainder of |lc(g)|**(deg f - deg g + 1) * f on
-    division by g, hence a positive multiple of the remainder over Q."""
+def _zz_pdivmod(f, g):
+    """Pseudo-division: (quo, rem) with |lc(g)|**k * f = quo*g + rem, where
+    k = deg f - deg g + 1 and deg rem < deg g, for deg f >= deg g.
+
+    The quotient entry at shift s carries |lc(g)|**s, and rem is a positive
+    multiple of the remainder over Q.
+    """
     dg = len(g) - 1
     scale = abs(g[-1])
     sign = 1 if g[-1] > 0 else -1
     rem = list(f)
+    quo = [0] * (len(rem) - dg)
     for top in range(len(rem) - 1, dg - 1, -1):
         c = sign * rem[top]
         shift = top - dg
+        quo[shift] = c
         if scale != 1:
             rem[:top] = [scale * a for a in rem[:top]]
         if c:
             for i in range(dg):
                 rem[shift + i] -= c * g[i]
-    return _zz_trim(rem[:dg])
+    if scale != 1:
+        power = 1
+        for s in range(len(quo)):
+            quo[s] *= power
+            power *= scale
+    return quo, _gfp.trim(rem[:dg])
 
 
 def _zz_gcd(f, g):
@@ -355,7 +360,7 @@ def _zz_gcd(f, g):
     part and gcd(0, 0) is []."""
     a, b = _zz_primitive(f), _zz_primitive(g)
     while b:
-        a, b = b, _zz_primitive(_zz_prem(a, b))
+        a, b = b, _zz_primitive(_zz_pdivmod(a, b)[1])
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -375,17 +380,17 @@ def _zz_squarefree(f):
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
-    h = _zz_gcd(_zz_primitive_parts(f)[1], _zz_primitive_parts(g)[1])
-    return Poly(h).monic() if h else Poly()
+    h = _zz_gcd(f.prim, g.prim)
+    return Poly.from_ints(h, 1).monic() if h else Poly()
 
 
 def squarefree_part(f: Poly) -> Poly:
     if f.is_zero:
         raise DomainError("squarefree part of the zero polynomial")
-    return Poly(_zz_squarefree(_zz_primitive_parts(f)[1])).monic()
+    return Poly.from_ints(_zz_squarefree(f.prim), 1).monic()
 
 
-def _zz_yun(f) -> list[tuple[_IntPoly, int]]:
+def _zz_yun(f) -> list[tuple[list[int], int]]:
     """Yun's algorithm on a primitive f with positive leading coefficient:
     the nonconstant g_i with f = prod g_i**i, ascending i.
 
@@ -393,7 +398,7 @@ def _zz_yun(f) -> list[tuple[_IntPoly, int]]:
     quotient below is exact in Z[x] and the g_i come out primitive with
     positive leading coefficient.
     """
-    parts: list[tuple[_IntPoly, int]] = []
+    parts: list[tuple[list[int], int]] = []
     if len(f) < 2:
         return parts
     d = _zz_derivative(f)
@@ -415,11 +420,11 @@ def _zz_yun(f) -> list[tuple[_IntPoly, int]]:
 
 def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Yun's algorithm: f = unit * prod g_i**i with g_i primitive integral,
-    positive leading, squarefree and pairwise coprime."""
+    positive leading, squarefree and pairwise coprime; the unit is f's
+    content."""
     if f.is_zero:
         raise DomainError("cannot decompose the zero polynomial")
-    unit, prim = _zz_primitive_parts(f)
-    return unit, [(Poly(h), mult) for h, mult in _zz_yun(prim)]
+    return f.content, [(Poly.from_ints(h, 1), mult) for h, mult in _zz_yun(f.prim)]
 
 
 # ---------------------------------------------------------------------------
@@ -584,13 +589,12 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     COUNTERS["factor_with_unit_calls"] += 1
-    unit, prim = _zz_primitive_parts(f)
     factors: list[tuple[Poly, int]] = []
-    for g, mult in _zz_yun(prim):
+    for g, mult in _zz_yun(f.prim):
         for irr in _zassenhaus(g):
-            factors.append((Poly(irr), mult))
-    factors.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-    return unit, factors
+            factors.append((Poly.from_ints(irr, 1), mult))
+    factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
+    return f.content, factors
 
 
 def factor_over_Q(f: Poly) -> list[tuple[Poly, int]]:
@@ -619,23 +623,12 @@ def _zz_sturm_chain(f):
     """
     chain = [f, _zz_derivative(f)]
     while len(chain[-1]) > 1:
-        r = _zz_prem(chain[-2], chain[-1])
+        r = _zz_pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
-        c = _zz_content(r)
+        c = math.gcd(*r)
         chain.append([-a // c for a in r])
     return chain
-
-
-def _zz_eval_scaled(f, num, den):
-    """den**deg(f) * f(num/den) by homogeneous Horner; for den > 0 it has
-    the sign of f(num/den)."""
-    acc = f[-1]
-    scale = 1
-    for c in reversed(f[:-1]):
-        scale *= den
-        acc = acc * num + c * scale
-    return acc
 
 
 def _sign_variations(values) -> int:
@@ -657,8 +650,8 @@ class SturmChain:
         if f.is_zero:
             raise DomainError("the zero polynomial has no root count")
         COUNTERS["sturm_chain_builds"] += 1
-        g = _zz_squarefree(_zz_primitive_parts(f)[1])
-        self.squarefree = Poly(g)
+        g = _zz_squarefree(f.prim)
+        self.squarefree = Poly.from_ints(g, 1)
         self.chain = _zz_sturm_chain(g) if len(g) > 1 else []
 
     def _variations(self, point: Fraction | None, positive: bool) -> int:
@@ -719,8 +712,7 @@ def sturm_count(f: Poly, lo: Fraction | None = None, hi: Fraction | None = None)
 
 def cauchy_bound(f: Poly) -> Fraction:
     """B with every real root of f in (-B, B)."""
-    lead = abs(f.leading())
-    return 1 + max(abs(c) for c in f.coeffs) / lead
+    return 1 + Fraction(max(abs(a) for a in f.prim), f.prim[-1])
 
 
 def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
@@ -785,15 +777,13 @@ def resultant(f: Poly, g: Poly) -> Fraction:
         return f.leading() ** n
     if n == 0:
         return g.leading() ** m
+    # Res(c*f, d*g) = c**deg(g) * d**deg(f) * Res(f, g) for constants c, d
     size = m + n
-    rows: list[list[Fraction]] = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
-    return fraction_determinant(rows)
+    fc = list(reversed(f.prim))
+    gc = list(reversed(g.prim))
+    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
+    return f.content ** n * g.content ** m * bareiss_determinant(rows)
 
 
 def discriminant(f: Poly) -> Fraction:
@@ -817,35 +807,39 @@ def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
     return result
 
 
-def minpoly_of_beta(f: Poly) -> Poly:
-    """Minimal polynomial of gamma + 1/gamma, where gamma is a root of the
-    irreducible f with f(0) != 0.
+@functools.cache
+def _chebyshev_v(d: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficients of V_0..V_d with T**k + T**-k = V_k(T + 1/T):
+    V_0 = 2, V_1 = x and V_{k+1} = x*V_k - V_{k-1}."""
+    vs = [(2,), (0, 1)]
+    while len(vs) <= d:
+        prev, cur = vs[-2], vs[-1]
+        nxt = [0] + list(cur)
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        vs.append(tuple(nxt))
+    return tuple(vs[: d + 1])
 
-    Computed from Res_T(f(T), T**2 - x*T + 1) by evaluation/interpolation;
-    the resultant is a power of the minimal polynomial since all values
-    gamma_i + 1/gamma_i are conjugate.
+
+def reciprocal_transform(L: Poly) -> Poly:
+    """H with L(T) = T**d * H(T + 1/T) for a palindromic L of degree 2d,
+    H = L_d + sum_{k=1..d} L_{d+k} * V_k.
+
+    For an irreducible L the roots of H are the values gamma + 1/gamma over
+    the roots gamma of L, and H is irreducible (a factorization of H would
+    give one of L), so H is the minimal polynomial of gamma + 1/gamma up to
+    its leading coefficient L_2d.
     """
-    if f(Fraction(0)) == 0:
-        raise DomainError("f must not vanish at 0")
-    if not is_irreducible(f):
-        raise DomainError("f must be irreducible over Q")
-    n = f.degree()
-    points = []
-    for k in range(n + 1):
-        x0 = Fraction(k)
-        points.append((x0, resultant(f, Poly([1, -x0, 1]))))
-    res = lagrange_interpolate(points)
-    h = squarefree_part(res)
-    # sanity: h(T + 1/T), cleared of denominators, must be divisible by f
-    numerator = Poly()
-    m = h.degree()
-    for i, c in enumerate(h.coeffs):
-        # c * (T^2+1)^i * T^(m-i)
-        term = Poly([0] * (m - i) + [c]) * (Poly([1, 0, 1]) ** i)
-        numerator = numerator + term
-    if not (numerator % f).is_zero:
-        raise ArithmeticError("minimal polynomial verification failed")
-    return h.monic()
+    prim = L.prim
+    d = (len(prim) - 1) // 2
+    h = [0] * (d + 1)
+    h[0] = prim[d]
+    for k, vk in enumerate(_chebyshev_v(d)[1:], start=1):
+        c = prim[d + k]
+        if c:
+            for j, v in enumerate(vk):
+                h[j] += c * v
+    return Poly.from_ints(h, L.content)
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +870,6 @@ class SquareClass:
 
     def __str__(self) -> str:
         return str(self.sign * self.squarefree)
-
-
-SQUARE_CLASS_ONE = SquareClass(1, 1)
 
 
 def square_class(r: Fraction) -> SquareClass:

@@ -231,8 +231,11 @@ def revalidate_certificate(cert: dict) -> list[str]:
     real_subfield = NumberField(
         Poly.from_strs(real["defining"]), real["degree"], real["real_embeddings"]
     )
-    if list(signature_of(lam, real_subfield)) != cert["lambda"]["signature"]:
-        problems.append("lambda signature changed on replay")
+    try:
+        if list(signature_of(lam, real_subfield)) != cert["lambda"]["signature"]:
+            problems.append("lambda signature changed on replay")
+    except DomainError as exc:
+        problems.append(f"lambda signature cannot be replayed: {exc}")
     trace_inv = QFormInvariants.from_json(cert["trace_invariants"])
     comp = QSpace.from_json({"diagonal": cert["complement"]["diagonal"]})
     comp_inv = QFormInvariants.from_json(cert["complement"]["invariants"])

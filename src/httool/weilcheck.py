@@ -20,7 +20,6 @@ exceptions.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +34,7 @@ from .exactpoly import (
     is_cyclotomic,
     power_sums_from_elementary,
     rat_to_str,
+    reciprocal_transform,
 )
 from .padicpoly import SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
 
@@ -89,35 +89,6 @@ class PropertyVerdict:
 _PASS = PropertyVerdict(Status.PASS, {})
 
 
-@functools.cache
-def _chebyshev_v(d: int) -> tuple[tuple[int, ...], ...]:
-    """Integer coefficients of V_0..V_d with T**k + T**-k = V_k(T + 1/T):
-    V_0 = 2, V_1 = x and V_{k+1} = x*V_k - V_{k-1}."""
-    vs = [(2,), (0, 1)]
-    while len(vs) <= d:
-        prev, cur = vs[-2], vs[-1]
-        nxt = [0] + list(cur)
-        for j, c in enumerate(prev):
-            nxt[j] -= c
-        vs.append(tuple(nxt))
-    return tuple(vs[: d + 1])
-
-
-def _reciprocal_transform(L: Poly) -> Poly:
-    """H with L(T) = T**d * H(T + 1/T) for a palindromic L of degree 2d,
-    H = L_d + sum_{k=1..d} L_{d+k} * V_k."""
-    d = L.degree() // 2
-    h = [Fraction(0)] * (d + 1)
-    h[0] = L.coefficient(d)
-    for k, vk in enumerate(_chebyshev_v(d)[1:], start=1):
-        c = L.coefficient(d + k)
-        if c:
-            for j, v in enumerate(vk):
-                if v:
-                    h[j] += c * v
-    return Poly(h)
-
-
 def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
     """All complex roots on the unit circle, certified by Sturm counts on the
     transform H with L(T) = T**d * H(T + 1/T) (roots land in [-2, 2])."""
@@ -137,7 +108,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
             Status.FAIL,
             {"reason": "not self-inversive", "coefficient_index": defect},
         )
-    chain = SturmChain(_reciprocal_transform(L))
+    chain = SturmChain(reciprocal_transform(L))
     hs = chain.squarefree
     deg = hs.degree()
     real_total = chain.count()
@@ -438,7 +409,7 @@ def enumerate_candidates(
         ints = [den] + half_ints + list(reversed(half_ints[:-1])) + [den]
         if screened_out(ints):
             return
-        L = Poly([Fraction(m, den) for m in ints])
+        L = Poly.from_ints(ints, Fraction(1, den))
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:

@@ -83,6 +83,8 @@ def test_enumerate_desk_bound_respected():
         (["construct", "--max-extension-degree", "3"], "extension degree must be even and >= 2"),
         (["enumerate", "--q", "2", "--degree", "20"], "degree 20 exceeds the desk bound 8"),
         (["enumerate", "--q", "6", "--degree", "2"], "6 is not a prime power"),
+        (["enumerate", "--q", "0", "--degree", "2"], "0 is not a prime power"),
+        (["enumerate", "--q", "-4", "--degree", "2"], "-4 is not a prime power"),
     ],
 )
 def test_domain_error_exit_three_with_one_line(args, message, tmp_path, capsys):

@@ -3,11 +3,13 @@ detection, resultants, square classes.
 
 Derived expected values are frozen from independent oracles implemented in
 this file (exhaustive factor-shape search, exact arithmetic in a biquadratic
-field, high-precision numeric root isolation, and `Fraction` reference
-versions of Yun's algorithm and of the Sturm chain, against which the
-integer kernels are checked).
+field, high-precision numeric root isolation, `Fraction` reference
+versions of Yun's algorithm and of the Sturm chain, and a tuple-of-`Fraction`
+reference of the ring operations, against which the integer kernels behind
+`Poly` are checked).
 """
 
+import functools
 import math
 from fractions import Fraction as F
 
@@ -16,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from httool.cmfield import CMVerificationError, weil_field
 from httool.exactpoly import (
     DomainError,
     Poly,
     SturmChain,
     _zz_divmod,
+    _zz_pdivmod,
     cyclotomic_poly,
     euler_phi,
     factor_over_Q,
@@ -28,10 +32,10 @@ from httool.exactpoly import (
     is_cyclotomic,
     is_irreducible,
     isolate_real_roots,
-    minpoly_of_beta,
     poly_gcd,
     rat_from_str,
     rat_to_str,
+    reciprocal_transform,
     resultant,
     square_class,
     squarefree_decomposition,
@@ -194,6 +198,136 @@ def fraction_sturm_count(chain: list[Poly], lo: F | None, hi: F | None) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(lo, False) - variations(hi, True)
+
+
+# ---------------------------------------------------------------------------
+# the content * prim representation against tuple-of-Fraction arithmetic
+
+
+def ref_trim(cs) -> tuple:
+    cs = [F(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b, sign=1) -> tuple:
+    n = max(len(a), len(b))
+    return ref_trim(
+        (a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def ref_mul(a, b) -> tuple:
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a, b) -> tuple:
+    rem = list(a)
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + len(b) - 1] / b[-1]
+        quo[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] -= c * y
+    return ref_trim(quo), ref_trim(rem)
+
+
+def ref_eval(a, x) -> F:
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def ref_compose(a, b) -> tuple:
+    acc = ()
+    for c in reversed(a):
+        acc = ref_add(ref_mul(acc, b), (c,))
+    return acc
+
+
+def assert_canonical(p: Poly) -> None:
+    assert isinstance(p.content, F) and isinstance(p.prim, tuple)
+    assert all(type(a) is int for a in p.prim)
+    if p.is_zero:
+        assert (p.prim, p.content) == ((), 0)
+    else:
+        assert p.content != 0 and p.prim[-1] > 0 and math.gcd(*p.prim) == 1
+
+
+rational_coeffs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rational_coeffs,
+    rational_coeffs,
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    st.integers(0, 3),
+)
+def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
+    a, b = ref_trim(cs1), ref_trim(cs2)
+    f, g = Poly(cs1), Poly(cs2)
+    results = {
+        "coeffs": (f.coeffs, a),
+        "add": ((f + g).coeffs, ref_add(a, b)),
+        "sub": ((f - g).coeffs, ref_add(a, b, -1)),
+        "neg": ((-f).coeffs, ref_add((), a, -1)),
+        "mul": ((f * g).coeffs, ref_mul(a, b)),
+        "scalar": ((f * scalar).coeffs, ref_trim(c * scalar for c in a)),
+        "rscalar": ((scalar * f).coeffs, ref_trim(c * scalar for c in a)),
+        "pow": ((f ** power).coeffs, functools.reduce(ref_mul, [a] * power, (F(1),))),
+        "compose": (f.compose(g).coeffs, ref_compose(a, b)),
+        "eval": (f(x), ref_eval(a, x)),
+        "derivative": (f.derivative().coeffs, ref_trim(i * c for i, c in enumerate(a))[1:]),
+        "reverse": (f.reverse().coeffs, ref_trim(reversed(a))),
+    }
+    if b:
+        # g has rational content and, in general, a leading coefficient other
+        # than 1; the scaled copy is non-monic whenever scalar != 1
+        unit = scalar or 1
+        for divisor, ref_divisor in ((g, b), (g * unit, ref_trim(c * unit for c in b))):
+            q, r = divmod(f, divisor)
+            results[f"divmod by {divisor}"] = ((q.coeffs, r.coeffs), ref_divmod(a, ref_divisor))
+            results[f"floordiv, mod by {divisor}"] = ((f // divisor, f % divisor), (q, r))
+    if a:
+        results["monic"] = (f.monic().coeffs, ref_trim(c / a[-1] for c in a))
+        results["leading"] = ((f.leading(), f.constant()), (a[-1], a[0]))
+    for name, (got, expected) in results.items():
+        assert got == expected, name
+    derived = (f + g, f - g, f * g, f * scalar, f ** power, f.compose(g), f.derivative(), f.reverse())
+    for p in (f, g, *derived):
+        assert_canonical(p)
+        same = Poly.from_ints([c * 6 for c in p.prim], p.content / 6)
+        assert same == p and hash(same) == hash(p) and same == Poly(p.coeffs)
+    assert f.has_integer_coeffs() == all(c.denominator == 1 for c in a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), min_size=1, max_size=7).filter(lambda f: f[-1] != 0),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda g: g[-1] != 0),
+)
+def test_zz_pdivmod_identity(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    quo, rem = _zz_pdivmod(f, g)
+    k = len(f) - len(g) + 1
+    lead = abs(g[-1])
+    # |lc(g)|**k * f = quo * g + rem with deg rem < deg g
+    assert len(quo) == k and len(rem) < len(g)
+    assert Poly(f) * lead ** k == Poly(quo) * Poly(g) + Poly(rem)
+    # the quotient entry at shift s carries |lc(g)|**s, and rem is a positive
+    # multiple of the remainder over Q
+    assert all(c % lead ** s == 0 for s, c in enumerate(quo))
+    assert Poly(rem).coeffs == ref_trim(c * lead ** k for c in ref_divmod(ref_trim(f), ref_trim(g))[1])
+    assert not rem or rem[-1] != 0
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +612,7 @@ def test_non_cyclotomic_integer_poly():
 
 
 # ---------------------------------------------------------------------------
-# resultants and minimal polynomials
+# resultants and the reciprocal transform
 
 
 def test_resultant_linear():
@@ -500,7 +634,7 @@ def test_resultant_multiplicativity():
 
 
 def test_minpoly_of_beta_quartic():
-    beta = minpoly_of_beta(QUARTIC)
+    beta = reciprocal_transform(QUARTIC)
     assert beta == Poly([F(-3, 2), 0, 1])
     # oracle: beta evaluated at T + 1/T, cleared of denominators, kills f
     m = beta.degree()
@@ -511,16 +645,19 @@ def test_minpoly_of_beta_quartic():
 
 
 def test_minpoly_of_beta_gaussian():
-    assert minpoly_of_beta(Poly([1, 0, 1])) == Poly([0, 1])
+    assert reciprocal_transform(Poly([1, 0, 1])) == Poly([0, 1])
 
 
 def test_minpoly_of_beta_quadratic():
-    assert minpoly_of_beta(Poly([1, F(-1, 2), 1])) == Poly([F(-1, 2), 1])
+    assert reciprocal_transform(Poly([1, F(-1, 2), 1])) == Poly([F(-1, 2), 1])
 
 
 def test_minpoly_of_beta_rejects_reducible():
-    with pytest.raises(DomainError):
-        minpoly_of_beta(Poly([-1, 0, 1]))
+    # (T**2 + 1)(T**2 + T + 1): palindromic without roots at +-1, so only
+    # the irreducibility axiom of the CM field stops it
+    with pytest.raises(CMVerificationError) as info:
+        weil_field(Poly([1, 1, 2, 1, 1]))
+    assert info.value.axiom == "irreducible"
 
 
 @pytest.mark.parametrize(
@@ -534,7 +671,7 @@ def test_minpoly_of_beta_rejects_reducible():
 def test_minpoly_divisibility_invariant(f):
     if not is_irreducible(f):
         pytest.skip("fixture must be irreducible")
-    beta = minpoly_of_beta(f)
+    beta = reciprocal_transform(f)
     m = beta.degree()
     lifted = Poly()
     for i, c in enumerate(beta.coeffs):

@@ -137,6 +137,28 @@ def test_tampered_lambda_signature_is_detected_for_compositum():
     assert "lambda signature changed on replay" in revalidate_certificate(cert)
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (
+            ("extension", "real_subfield", "real_embeddings"),
+            1,
+            "signatures require a totally real field",
+        ),
+        (("lambda", "coefficients"), ["0"], "lambda vanishes"),
+    ],
+)
+def test_unreplayable_lambda_is_reported(path, value, message):
+    # a tamper that takes lambda out of signature_of's domain is reported as
+    # a discrepancy, not raised
+    cert = json.loads(json.dumps(run(QUARTIC).certificate))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert f"lambda signature cannot be replayed: {message}" in revalidate_certificate(cert)
+
+
 def test_telemetry_present_but_separate():
     outcome = run(QUARTIC)
     assert outcome.status is RunStatus.CONSTRUCTED

@@ -10,12 +10,11 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from httool.exactpoly import DomainError, Poly, factor_with_unit, squarefree_part
+from httool.exactpoly import DomainError, Poly, factor_with_unit, reciprocal_transform, squarefree_part
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
     WeilCandidate,
-    _reciprocal_transform,
     base_extend,
     check_all,
     check_l_integrality,
@@ -48,7 +47,7 @@ def all_roots_on_unit_circle(L: Poly, digits: int = 60) -> bool:
 def transform_real_root_counts(L: Poly, digits: int = 60) -> tuple[int, int]:
     """Real roots of the squarefree part of H, where L(T) = T**d H(T + 1/T),
     in all and in [-2, 2], located numerically."""
-    roots = numeric_roots(squarefree_part(_reciprocal_transform(L)), digits)
+    roots = numeric_roots(squarefree_part(reciprocal_transform(L)), digits)
     tol = mpmath.mpf(10) ** (-digits // 3)
     real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < tol]
     return len(real), sum(1 for x in real if -2 - tol <= x <= 2 + tol)
