@@ -85,11 +85,3 @@ def factorize(n: int) -> dict[int, int]:
         stack.extend([d, m // d])
     return out
 
-
-def squarefree_part(n: int) -> int:
-    """The squarefree integer s with n = s * t**2, for n >= 1."""
-    s = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            s *= p
-    return s

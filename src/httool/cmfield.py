@@ -26,7 +26,7 @@ from .exactpoly import (
     sturm_count,
     trace_power_sums,
 )
-from .padicpoly import SlopeOutcome, negative_part_verdict, vp
+from .padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon, vp
 from .qform import (
     GramMatrix,
     QFormInvariants,
@@ -298,7 +298,7 @@ def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> Prop
     the absolute defining polynomial."""
     if ext.absolute is None:
         return PropertyVerdict(Status.UNKNOWN, {"reason": "no absolute defining polynomial"})
-    verdict, negative_degree = negative_part_verdict(ext.absolute, p)
+    verdict, negative_degree = negative_part_verdict(ext.absolute, newton_polygon(ext.absolute, p))
     witness = {
         "expected": expected_h,
         "negative_degree": negative_degree,

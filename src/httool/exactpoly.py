@@ -9,6 +9,10 @@ degree with positive leading coefficient, and every operation on it runs on
 evaluation and the derivative, as well as gcd, Yun's squarefree
 decomposition, Hensel lifting and Zassenhaus recombination, Sturm chains and
 their sign evaluations and resultants.
+
+A square class in Q^x / (Q^x)^2 is stored as a sign and the set of primes of
+odd valuation.  `square_class` factors its rational once; products of
+classes are symmetric differences of prime sets and factor nothing.
 """
 
 from __future__ import annotations
@@ -848,37 +852,44 @@ def reciprocal_transform(L: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class SquareClass:
-    """An element of Q^x / (Q^x)^2 as a sign and a squarefree positive part."""
+    """An element of Q^x / (Q^x)^2: a sign and the frozenset of primes of odd
+    valuation, whose product is `squarefree`."""
 
     sign: int
-    squarefree: int
+    primes: frozenset
 
     def __post_init__(self):
-        if self.sign not in (1, -1) or self.squarefree < 1:
+        if self.sign not in (1, -1) or not isinstance(self.primes, frozenset):
             raise DomainError("invalid square class")
 
     def times(self, other: "SquareClass") -> "SquareClass":
-        prod = self.squarefree * other.squarefree
-        return SquareClass(self.sign * other.sign, _intfactor.squarefree_part(prod))
+        return SquareClass(self.sign * other.sign, self.primes ^ other.primes)
+
+    @property
+    def squarefree(self) -> int:
+        return math.prod(self.primes)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.sign * self.squarefree)
 
     @property
     def is_trivial(self) -> bool:
-        return self.sign == 1 and self.squarefree == 1
+        return self.sign == 1 and not self.primes
 
     def __str__(self) -> str:
         return str(self.sign * self.squarefree)
 
 
 def square_class(r: Fraction) -> SquareClass:
+    """The square class of a nonzero rational, from one factorization."""
     r = Fraction(r)
     if r == 0:
         raise DomainError("0 has no square class")
     sign = 1 if r > 0 else -1
-    n = abs(r.numerator) * r.denominator
-    return SquareClass(sign, _intfactor.squarefree_part(n))
+    # numerator and denominator are coprime and factored apart: their product
+    # could hide two large primes from the primality test
+    factors = _intfactor.factorize(abs(r.numerator)) | _intfactor.factorize(r.denominator)
+    return SquareClass(sign, frozenset(p for p, e in factors.items() if e % 2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,15 @@ from . import _gfp, _intfactor
 from .exactpoly import DomainError, Poly, rat_to_str
 
 
+def _int_vp(n: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def vp(r: Fraction, p: int) -> int | float:
     """The p-adic valuation of a rational; vp(0) is +infinity."""
     if not _intfactor.is_prime(p):
@@ -25,16 +34,7 @@ def vp(r: Fraction, p: int) -> int | float:
     r = Fraction(r)
     if r == 0:
         return math.inf
-    v = 0
-    num = abs(r.numerator)
-    while num % p == 0:
-        num //= p
-        v += 1
-    den = r.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_vp(r.numerator, p) - _int_vp(r.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,14 @@ class NewtonPolygon:
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
-    """Lower convex hull of {(i, v_p(c_i)) : c_i != 0}."""
+    """Lower convex hull of {(i, v_p(c_i)) : c_i != 0}, with
+    v_p(c_i) = v_p(content) + v_p(prim[i])."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no Newton polygon")
     if f.constant() == 0:
         raise DomainError("the constant term must be nonzero")
-    if not _intfactor.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    points = [(i, Fraction(vp(c, p))) for i, c in enumerate(f.coeffs) if c != 0]
+    base = vp(f.content, p)
+    points = [(i, Fraction(base + _int_vp(c, p))) for i, c in enumerate(f.prim) if c]
     hull: list[tuple[int, Fraction]] = []
     for pt in points:
         while len(hull) >= 2:
@@ -99,14 +99,15 @@ def _unit_residue(c: Fraction, p: int) -> int:
     return num * pow(den, -1, p) % p
 
 
-def residual_polynomial(f: Poly, p: int, segment: Segment) -> list[int]:
-    """The residual (associated) polynomial of a polygon segment, over F_p.
+def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> list[int]:
+    """The residual (associated) polynomial of a segment of `polygon`, the
+    Newton polygon of f, over F_p.
 
     For a segment of slope u/n in lowest terms running from vertex (i0, v0)
     over horizontal length l = k*n, the residual has degree k and encodes the
     first-order splitting of the slope factor over Q_p.
     """
-    polygon = newton_polygon(f, p)
+    p = polygon.prime
     if segment not in polygon.segments:
         raise DomainError("segment does not belong to the Newton polygon of f")
     i0, v0 = polygon.vertices[polygon.segments.index(segment)]
@@ -144,16 +145,16 @@ class SlopeVerdict:
         return {"value": self.value.value, "reason": self.reason}
 
 
-def negative_part_verdict(f: Poly, p: int) -> tuple[SlopeVerdict, int]:
+def negative_part_verdict(f: Poly, polygon: NewtonPolygon) -> tuple[SlopeVerdict, int]:
     """Decide whether the negative-slope part of f over Q_p comes from a
-    single irreducible factor.
+    single irreducible factor; `polygon` is the Newton polygon of f at p.
 
     The caller guarantees f is irreducible over Q.  The decision is purely
     combinatorial (polygon plus first-order residual polynomials); a residual
     that is a proper power of one irreducible is genuinely undecided at this
     order and yields UNKNOWN rather than a guess.
     """
-    polygon = newton_polygon(f, p)
+    p = polygon.prime
     negative = [seg for seg in polygon.segments if seg.slope < 0]
     negative_degree = sum(seg.length for seg in negative)
     if not negative:
@@ -180,7 +181,7 @@ def negative_part_verdict(f: Poly, p: int) -> tuple[SlopeVerdict, int]:
             ),
             negative_degree,
         )
-    residual = residual_polynomial(f, p, seg)
+    residual = residual_polynomial(f, polygon, seg)
     _, factors = _gfp.factor(residual, p)
     distinct = len(factors)
     if distinct >= 2:

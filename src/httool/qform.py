@@ -7,11 +7,15 @@ the symbol sum is nontrivial; the Hilbert product formula makes this set
 even, and set symmetric-difference realizes addition in Br(Q)[2].  The
 infinite place is represented by math.inf.
 
+Determinants are square classes (a sign and the primes of odd valuation):
+each rational is factored once, when its class is formed, and every later
+step reads the primes, since (x, y)_v = 1 at odd primes dividing neither.
+
 For a diagonal <a_1, ..., a_n> the Hasse symbol at a place v is
 prod_{i<j} (a_i, a_j)_v.  By bilinearity of the Hilbert symbol this equals
-prod_{j>=2} (a_1...a_{j-1}, a_j)_v, so `invariants` evaluates n-1 symbols per
-place (each running prefix product against the next entry) instead of
-n(n-1)/2 (Cassels, Rational Quadratic Forms, ch. 4).
+prod_{j>=2} (a_1...a_{j-1}, a_j)_v, so `invariants` pairs each running
+prefix class with the next entry instead of evaluating all n(n-1)/2 pairs
+(Cassels, Rational Quadratic Forms, ch. 4).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,7 +222,8 @@ class QFormInvariants:
         )
 
 
-NEUTRAL_INVARIANTS = QFormInvariants(0, (0, 0), SquareClass(1, 1), frozenset())
+TRIVIAL_CLASS = SquareClass(1, frozenset())
+NEUTRAL_INVARIANTS = QFormInvariants(0, (0, 0), TRIVIAL_CLASS, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
@@ -255,30 +259,24 @@ def diagonalize(gram: GramMatrix) -> QSpace:
     return QSpace(tuple(diag))
 
 
-def _support_places(values) -> list:
-    primes: set[int] = {2}
-    for v in values:
-        f = Fraction(v)
-        primes.update(_intfactor.factorize(abs(f.numerator)))
-        primes.update(_intfactor.factorize(f.denominator))
-    return sorted(primes) + [INF]
+def _ramified(x: SquareClass, y: SquareClass) -> set:
+    """The places v with (x, y)_v = -1, among 2, infinity and the primes of
+    x and y (the symbol is 1 at every other place)."""
+    a, b = x.as_fraction(), y.as_fraction()
+    places = {2, INF} | x.primes | y.primes
+    return {v for v in places if hilbert_symbol(a, b, v) == -1}
 
 
 def invariants(space: QSpace) -> QFormInvariants:
     diag = space.diagonal
-    n = len(diag)
     r = sum(1 for d in diag if d > 0)
-    s = n - r
-    det = square_class(math.prod(diag, start=Fraction(1))) if n else SquareClass(1, 1)
-    prefixes = list(itertools.accumulate(diag[:-1], operator.mul))
-    hasse = set()
-    for place in _support_places(diag):
-        total = 1
-        for prefix, a in zip(prefixes, diag[1:]):
-            total *= hilbert_symbol(prefix, a, place)
-        if total == -1:
-            hasse.add(place)
-    return QFormInvariants(n, (r, s), det, frozenset(hasse))
+    det = TRIVIAL_CLASS
+    hasse: set = set()
+    for d in diag:
+        entry = square_class(d)
+        hasse ^= _ramified(det, entry)
+        det = det.times(entry)
+    return QFormInvariants(len(diag), (r, len(diag) - r), det, frozenset(hasse))
 
 
 def equivalent(v: QSpace, w: QSpace) -> bool:
@@ -289,16 +287,11 @@ def equivalent(v: QSpace, w: QSpace) -> bool:
 def sum_invariants(a: QFormInvariants, b: QFormInvariants) -> QFormInvariants:
     """Invariants of the orthogonal sum, via the additivity law
     w(V + W) = w(V) + w(W) + (det V, det W)."""
-    det = a.det.times(b.det)
-    hasse = set(a.hasse) ^ set(b.hasse)
-    for place in _support_places([a.det.as_fraction(), b.det.as_fraction()]):
-        if hilbert_symbol(a.det.as_fraction(), b.det.as_fraction(), place) == -1:
-            hasse ^= {place}
     return QFormInvariants(
         a.dim + b.dim,
         (a.signature[0] + b.signature[0], a.signature[1] + b.signature[1]),
-        det,
-        frozenset(hasse),
+        a.det.times(b.det),
+        frozenset(a.hasse ^ b.hasse ^ _ramified(a.det, b.det)),
     )
 
 
@@ -315,11 +308,8 @@ def complement_invariants(sub: QFormInvariants, whole: QFormInvariants) -> QForm
     if r < 0 or s < 0:
         raise DomainError("signatures are incompatible")
     det = whole.det.times(sub.det)  # square classes have order 2
-    hasse = set(whole.hasse) ^ set(sub.hasse)
-    for place in _support_places([sub.det.as_fraction(), det.as_fraction()]):
-        if hilbert_symbol(sub.det.as_fraction(), det.as_fraction(), place) == -1:
-            hasse ^= {place}
-    return QFormInvariants(whole.dim - sub.dim, (r, s), det, frozenset(hasse))
+    hasse = frozenset(whole.hasse ^ sub.hasse ^ _ramified(sub.det, det))
+    return QFormInvariants(whole.dim - sub.dim, (r, s), det, hasse)
 
 
 # ---------------------------------------------------------------------------
@@ -357,41 +347,36 @@ class ConstructionError(ArithmeticError):
 
 
 def _scalar_candidates(pool: list[int], allowed_signs: tuple[int, ...]):
-    """Deterministic stream of squarefree scalars built from a prime pool."""
+    """Deterministic stream of the square classes of squarefree scalars built
+    from a prime pool."""
     for size in range(len(pool) + 1):
         for combo in itertools.combinations(pool, size):
-            value = math.prod(combo, start=1)
+            primes = frozenset(combo)
             for sign in allowed_signs:
-                yield Fraction(sign * value)
+                yield SquareClass(sign, primes)
 
 
 def _binary_pool(inv: QFormInvariants) -> list[int]:
-    primes = {2}
-    primes.update(_intfactor.factorize(inv.det.squarefree))
+    primes = {2} | inv.det.primes
     primes.update(int(v) for v in inv.hasse if v != INF)
     primes.update(_POOL_PRIMES[:8])
     return sorted(primes)
 
 
-def _construct_binary(inv: QFormInvariants) -> list[Fraction]:
-    r, s = inv.signature
-    delta = inv.det.as_fraction()
-    if r == 2:
-        sign_choices: tuple[int, ...] = (1,)
-    elif r == 0:
-        sign_choices = (-1,)
-    else:
-        sign_choices = (1, -1)
-    pool = _binary_pool(inv)
-    for x in _scalar_candidates(pool, sign_choices):
-        if x == 0:
-            continue
-        y = delta * x
-        if (1 if x > 0 else -1) + (1 if y > 0 else -1) != r - s:
-            continue
-        candidate = QSpace((x, y))
-        if invariants(candidate) == inv:
-            return [x, y]
+def _construct_binary(inv: QFormInvariants, signs: tuple[int, ...]) -> list[Fraction]:
+    """The first <x, delta x> in the scalar search with the Hasse set of inv,
+    for x of the given signs.
+
+    Its determinant class is delta and its Hasse symbol is
+    (x, delta x)_v = (x, -delta)_v, at 2, infinity and the primes of x and
+    delta (all in the pool).  Its signature is inv's, since an admissible
+    binary determinant has sign (-1)**s.
+    """
+    minus_delta = SquareClass(-inv.det.sign, inv.det.primes)
+    for c in _scalar_candidates(_binary_pool(inv), signs):
+        if _ramified(c, minus_delta) == inv.hasse:
+            x = c.as_fraction()
+            return [x, inv.det.as_fraction() * x]
     raise ConstructionError(f"no binary form found for {inv}")
 
 
@@ -401,25 +386,18 @@ def _construct_diagonal(inv: QFormInvariants) -> list[Fraction]:
         return []
     if inv.dim == 1:
         return [inv.det.as_fraction()]
+    signs = tuple(sign for sign, count in ((1, r), (-1, s)) if count)
     if inv.dim == 2:
-        return _construct_binary(inv)
-    if inv.dim == 3:
-        sign_choices = []
-        if r >= 1:
-            sign_choices.append(1)
-        if s >= 1:
-            sign_choices.append(-1)
-        pool = _binary_pool(inv)
-        for z in _scalar_candidates(pool, tuple(sign_choices)):
-            rest = complement_invariants(invariants(QSpace((z,))), inv)
-            if admissible(rest):
-                return [z] + _construct_binary(rest)
-        raise ConstructionError(f"no ternary split found for {inv}")
-    # dim >= 4: peel a unit entry; the complement conditions hold whenever the
-    # remaining dimension is >= 3 because the defect arithmetic is additive.
-    eps = Fraction(1) if r >= 1 else Fraction(-1)
-    rest = complement_invariants(invariants(QSpace((eps,))), inv)
-    return [eps] + _construct_diagonal(rest)
+        return _construct_binary(inv, signs)
+    # dim >= 3: peel the first scalar z whose complement is admissible.  For
+    # dim >= 4 that is the unit +-1 opening the search, as the complement
+    # conditions hold whenever the remaining dimension is >= 3.
+    for z in _scalar_candidates(_binary_pool(inv), signs):
+        unary = QFormInvariants(1, (1, 0) if z.sign == 1 else (0, 1), z, frozenset())
+        rest = complement_invariants(unary, inv)
+        if admissible(rest):
+            return [z.as_fraction()] + _construct_diagonal(rest)
+    raise ConstructionError(f"no diagonal split found for {inv}")
 
 
 def construct_with_invariants(inv: QFormInvariants) -> QSpace:

@@ -36,7 +36,7 @@ from .exactpoly import (
     rat_to_str,
     reciprocal_transform,
 )
-from .padicpoly import SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
+from .padicpoly import NewtonPolygon, SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
 
 
 @dataclass(frozen=True)
@@ -149,26 +149,30 @@ def check_no_root_of_unity(
 
 
 def check_l_integrality(c: WeilCandidate) -> PropertyVerdict:
-    """Every coefficient denominator is a power of p."""
-    for i, coeff in enumerate(c.L.coeffs):
-        den = coeff.denominator
-        while den % c.p == 0:
-            den //= c.p
-        if den != 1:
-            return PropertyVerdict(
-                Status.FAIL,
-                {"coefficient_index": i, "coefficient": rat_to_str(coeff)},
-            )
-    return _PASS
+    """Every coefficient denominator is a power of p.  As gcd(prim) = 1,
+    that holds iff it does for the content; else, with D the prime-to-p part
+    of its denominator, the witness is the first i with D not dividing prim[i]."""
+    den = c.L.content.denominator
+    while den % c.p == 0:
+        den //= c.p
+    if den == 1:
+        return _PASS
+    i = next(i for i, a in enumerate(c.L.prim) if a % den)
+    return PropertyVerdict(
+        Status.FAIL,
+        {"coefficient_index": i, "coefficient": rat_to_str(c.L.coefficient(i))},
+    )
 
 
-def check_newton_shape(c: WeilCandidate) -> tuple[PropertyVerdict, int | None, int | None]:
+def check_newton_shape(
+    c: WeilCandidate, polygon: NewtonPolygon
+) -> tuple[PropertyVerdict, int | None, int | None]:
     """Polygon vertices exactly (0,0), (h,-a), (2d-h,-a), (2d,0) with
-    1 <= h <= d <= 10 (the h = d case collapses the flat middle)."""
-    L, p, a = c.L, c.p, c.a
-    two_d = L.degree()
+    1 <= h <= d <= 10 (the h = d case collapses the flat middle); `polygon`
+    is `newton_polygon(c.L, c.p)`."""
+    a = c.a
+    two_d = c.L.degree()
     d = two_d // 2
-    polygon = newton_polygon(L, p)
     verts = list(polygon.vertices)
     witness = {"vertices": [[i, rat_to_str(v)] for i, v in verts]}
     h = None
@@ -201,11 +205,12 @@ def check_newton_shape(c: WeilCandidate) -> tuple[PropertyVerdict, int | None, i
 
 
 def check_power_structure(
-    c: WeilCandidate, factored: tuple[Fraction, list[tuple[Poly, int]]]
+    c: WeilCandidate, factored: tuple[Fraction, list[tuple[Poly, int]]], polygon: NewtonPolygon
 ) -> tuple[PropertyVerdict, Poly | None, int | None, SlopeVerdict | None]:
     """L = Q**e with Q irreducible over Q, and the negative-slope part of Q
     over Q_p irreducible (three-valued; Unknown propagates); `factored` is
-    `factor_with_unit(c.L)`."""
+    `factor_with_unit(c.L)` and `polygon` is `newton_polygon(c.L, c.p)`,
+    which is Q's own polygon when e = 1."""
     _unit, factors = factored
     if len(factors) != 1:
         return (
@@ -224,7 +229,8 @@ def check_power_structure(
     q_poly = base * (1 / base.constant())
     if q_poly ** e != c.L:
         raise ArithmeticError("factorization reconstruction failed")
-    slope, negative_degree = negative_part_verdict(q_poly, c.p)
+    q_polygon = polygon if e == 1 else newton_polygon(q_poly, c.p)
+    slope, negative_degree = negative_part_verdict(q_poly, q_polygon)
     if slope.value is SlopeOutcome.IRREDUCIBLE:
         verdict = _PASS
     elif slope.value is SlopeOutcome.UNKNOWN:
@@ -284,13 +290,16 @@ class WeilReport:
 
 def check_all(c: WeilCandidate) -> WeilReport:
     """Aggregate all five property checks into a report with witnesses; L is
-    factored once, for both the root-of-unity and the power-structure check."""
+    factored once, for both the root-of-unity and the power-structure check,
+    and its Newton polygon is built once, for the shape and the slope
+    verdict."""
     factored = factor_with_unit(c.L)
     unit_circle = check_unit_circle(c)
     no_rou = check_no_root_of_unity(c, factored)
     integrality = check_l_integrality(c)
-    shape, h, d = check_newton_shape(c)
-    power, q_poly, e, slope = check_power_structure(c, factored)
+    polygon = newton_polygon(c.L, c.p)
+    shape, h, d = check_newton_shape(c, polygon)
+    power, q_poly, e, slope = check_power_structure(c, factored, polygon)
     return WeilReport(
         candidate=c,
         unit_circle=unit_circle,

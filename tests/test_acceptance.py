@@ -23,7 +23,7 @@ from httool.cmfield import (
     weil_field,
 )
 from httool.exactpoly import DomainError, Poly, cyclotomic_poly, square_class
-from httool.padicpoly import SlopeOutcome, negative_part_verdict
+from httool.padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon
 from httool.pipeline import RunStatus, run
 from httool.qform import (
     INF,
@@ -278,7 +278,7 @@ def test_criterion_09_slope_verdict_soundness():
         corpus = slope_corpus()
         assert len(corpus) == 50
         for poly, true_count, designated in corpus:
-            verdict, negative_degree = negative_part_verdict(poly, 2)
+            verdict, negative_degree = negative_part_verdict(poly, newton_polygon(poly, 2))
             if verdict.value is SlopeOutcome.IRREDUCIBLE:
                 assert true_count == 1, poly
             elif verdict.value is SlopeOutcome.REDUCIBLE:

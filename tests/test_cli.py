@@ -24,6 +24,7 @@ def run_cli(args, stdin: str | None = None):
 
 QUARTIC_JSON = '{"L": ["1", "0", "1/2", "0", "1"], "p": 2, "a": 1}'
 CYCLOTOMIC_JSON = '{"L": ["1", "1", "1"], "p": 2, "a": 1}'
+QUADRATIC_JSON = '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}'
 
 
 def test_check_pass_exit_zero():
@@ -183,13 +184,21 @@ def test_golden_report():
     assert proc.stdout == (GOLDEN / "report_quartic.json").read_text()
 
 
-def test_golden_certificate_modulo_telemetry():
-    proc = run_cli(["construct", "--pretty"], QUARTIC_JSON)
+def replay_certificate(args, candidate: str, golden: str):
+    proc = run_cli(["construct", *args, "--pretty"], candidate)
     produced = json.loads(proc.stdout)
     del produced["telemetry"]
-    expected = json.loads((GOLDEN / "certificate_quartic.json").read_text())
+    expected = json.loads((GOLDEN / golden).read_text())
     assert produced == expected
     # byte-level determinism of two runs, telemetry aside
-    again = json.loads(run_cli(["construct", "--pretty"], QUARTIC_JSON).stdout)
+    again = json.loads(run_cli(["construct", *args, "--pretty"], candidate).stdout)
     del again["telemetry"]
     assert json.dumps(produced, sort_keys=False) == json.dumps(again, sort_keys=False)
+
+
+def test_golden_certificate_modulo_telemetry():
+    replay_certificate([], QUARTIC_JSON, "certificate_quartic.json")
+
+
+def test_golden_extension_certificate_modulo_telemetry():
+    replay_certificate(["--max-extension-degree", "8"], QUADRATIC_JSON, "certificate_extend8.json")

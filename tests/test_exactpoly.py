@@ -707,9 +707,22 @@ def test_square_class_constant_on_square_multiples(num, den, s_num, s_den):
     assert square_class(r) == square_class(r * s * s)
 
 
-def test_square_class_group_law():
-    a, b = square_class(F(-6)), square_class(F(10))
-    assert a.times(b) == square_class(F(-60))
+# nonzero rationals over a few shared small primes (so products cancel and
+# square up) next to unstructured ones
+_CLASS_RATIONALS = st.one_of(
+    st.builds(
+        lambda sign, exps: sign * math.prod((F(p) ** e for p, e in zip((2, 3, 5, 7), exps)), start=F(1)),
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    ),
+    st.builds(F, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**4)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CLASS_RATIONALS, _CLASS_RATIONALS)
+def test_square_class_group_law(a, b):
+    assert square_class(a).times(square_class(b)) == square_class(a * b)
 
 
 # ---------------------------------------------------------------------------

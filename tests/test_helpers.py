@@ -1,6 +1,9 @@
 """Integer factorization and F_p polynomial helpers."""
 
+from fractions import Fraction as F
+
 from httool import _gfp, _intfactor
+from httool.exactpoly import square_class
 
 
 def test_is_prime_small():
@@ -29,10 +32,10 @@ def test_factorize_round_trip():
 
 
 def test_squarefree_part():
-    assert _intfactor.squarefree_part(1) == 1
-    assert _intfactor.squarefree_part(18) == 2
-    assert _intfactor.squarefree_part(360) == 10
-    assert _intfactor.squarefree_part(225) == 1
+    assert square_class(F(1)).squarefree == 1
+    assert square_class(F(18)).squarefree == 2
+    assert square_class(F(360)).squarefree == 10
+    assert square_class(F(225)).squarefree == 1
 
 
 def test_gfp_divmod_and_gcd():

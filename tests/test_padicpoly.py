@@ -159,14 +159,14 @@ def test_slope_length_sum_identity():
 def test_residual_length_one_segment():
     f = Poly([1, -HALF, 1])
     polygon = newton_polygon(f, 2)
-    res = residual_polynomial(f, 2, polygon.segments[0])
+    res = residual_polynomial(f, polygon, polygon.segments[0])
     assert len(res) == 2  # degree 1
 
 
 def test_residual_fractional_slope():
     f = Poly([1, 0, HALF, 0, 1])
     polygon = newton_polygon(f, 2)
-    res = residual_polynomial(f, 2, polygon.segments[0])
+    res = residual_polynomial(f, polygon, polygon.segments[0])
     assert len(res) == 2  # lattice length 2 over denominator 2
 
 
@@ -176,14 +176,14 @@ def test_residual_unit_product_segment():
     assert f == Poly([1, -2, F(3, 4)])
     polygon = newton_polygon(f, 2)
     assert polygon.segments[0] == Segment(F(-1), 2)
-    res = residual_polynomial(f, 2, polygon.segments[0])
+    res = residual_polynomial(f, polygon, polygon.segments[0])
     assert res == [1, 0, 1]  # (z + 1)**2 over F_2
 
 
 def test_residual_rejects_foreign_segment():
     f = Poly([1, -HALF, 1])
     with pytest.raises(DomainError):
-        residual_polynomial(f, 2, Segment(F(-7), 3))
+        residual_polynomial(f, newton_polygon(f, 2), Segment(F(-7), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -191,32 +191,36 @@ def test_residual_rejects_foreign_segment():
 
 
 def test_verdict_single_short_segment():
-    verdict, deg = negative_part_verdict(Poly([1, -HALF, 1]), 2)
+    f = Poly([1, -HALF, 1])
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.IRREDUCIBLE
     assert deg == 1
 
 
 def test_verdict_fractional_slope_no_interior_points():
-    verdict, deg = negative_part_verdict(Poly([1, 0, HALF, 0, 1]), 2)
+    f = Poly([1, 0, HALF, 0, 1])
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.IRREDUCIBLE
     assert deg == 2
 
 
 def test_verdict_no_negative_slope():
-    verdict, deg = negative_part_verdict(Poly([1, 1, 1]), 2)
+    f = Poly([1, 1, 1])
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.NO_NEGATIVE_SLOPE
     assert deg == 0
 
 
 def test_verdict_two_segments_reducible():
     f = Poly([1, -HALF, 1]) * Poly([1, F(-1, 4), 1])
-    verdict, deg = negative_part_verdict(f, 2)
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.REDUCIBLE
     assert deg == 2
 
 
 def test_verdict_proper_power_residual_is_unknown():
-    verdict, deg = negative_part_verdict(Poly([1, -2, F(3, 4)]), 2)
+    f = Poly([1, -2, F(3, 4)])
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.UNKNOWN
     assert deg == 2
     assert verdict.reason
@@ -225,7 +229,7 @@ def test_verdict_proper_power_residual_is_unknown():
 def test_verdict_split_residual_reducible():
     # 1 + T**3/8 = (1 + T/2)(1 - T/2 + T**2/4): residual z**3+1 = (z+1)(z^2+z+1)
     f = Poly([1, 0, 0, F(1, 8)])
-    verdict, deg = negative_part_verdict(f, 2)
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.REDUCIBLE
     assert deg == 3
 
@@ -233,14 +237,14 @@ def test_verdict_split_residual_reducible():
 def test_verdict_irreducible_residual_with_interior_points():
     # residual z**2 + z + 1 over F_2 (Hensel: the factor is the unramified quadratic)
     f = Poly([1, HALF, F(1, 4)])
-    verdict, deg = negative_part_verdict(f, 2)
+    verdict, deg = negative_part_verdict(f, newton_polygon(f, 2))
     assert verdict.value is SlopeOutcome.IRREDUCIBLE
     assert deg == 2
 
 
 def test_verdict_never_claims_without_reason():
     for f in (Poly([1, -HALF, 1]), Poly([1, -2, F(3, 4)]), Poly([1, 1, 1])):
-        verdict, _ = negative_part_verdict(f, 2)
+        verdict, _ = negative_part_verdict(f, newton_polygon(f, 2))
         assert verdict.reason
 
 

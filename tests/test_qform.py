@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _intfactor
-from httool.exactpoly import DomainError, SquareClass, square_class
+from httool.exactpoly import DomainError, square_class
 from httool.qform import (
     INF,
     GramMatrix,
     NEUTRAL_INVARIANTS,
+    ConstructionError,
     QFormInvariants,
     QSpace,
     admissible,
@@ -290,33 +291,33 @@ def test_invariants_match_all_pairs_reference(diag):
 
 
 def test_admissible_examples():
-    ok = QFormInvariants(20, (1, 19), SquareClass(-1, 1), frozenset({2, INF}))
+    ok = QFormInvariants(20, (1, 19), square_class(F(-1)), frozenset({2, INF}))
     assert admissible(ok)
-    assert not admissible(QFormInvariants(3, (3, 0), SquareClass(-1, 1), frozenset()))
-    assert not admissible(QFormInvariants(2, (2, 0), SquareClass(-1, 1), frozenset()))
+    assert not admissible(QFormInvariants(3, (3, 0), square_class(F(-1)), frozenset()))
+    assert not admissible(QFormInvariants(2, (2, 0), square_class(F(-1)), frozenset()))
 
 
 def test_admissible_binary_special_case():
     # det -1 binary forms are hyperbolic; no finite ramification allowed
-    assert not admissible(QFormInvariants(2, (1, 1), SquareClass(-1, 1), frozenset({2, 3})))
-    assert admissible(QFormInvariants(2, (1, 1), SquareClass(-1, 2), frozenset({2, 3})))
+    assert not admissible(QFormInvariants(2, (1, 1), square_class(F(-1)), frozenset({2, 3})))
+    assert admissible(QFormInvariants(2, (1, 1), square_class(F(-2)), frozenset({2, 3})))
 
 
 def test_construct_examples():
     assert construct_with_invariants(
-        QFormInvariants(3, (3, 0), SquareClass(1, 1), frozenset())
+        QFormInvariants(3, (3, 0), square_class(F(1)), frozenset())
     ) == QSpace.of(1, 1, 1)
     assert construct_with_invariants(
-        QFormInvariants(2, (1, 1), SquareClass(-1, 1), frozenset())
+        QFormInvariants(2, (1, 1), square_class(F(-1)), frozenset())
     ) == QSpace.of(1, -1)
     assert construct_with_invariants(
-        QFormInvariants(2, (0, 2), SquareClass(1, 1), frozenset({2, INF}))
+        QFormInvariants(2, (0, 2), square_class(F(1)), frozenset({2, INF}))
     ) == QSpace.of(-1, -1)
 
 
 def test_construct_rejects_inadmissible():
     with pytest.raises(DomainError):
-        construct_with_invariants(QFormInvariants(3, (3, 0), SquareClass(-1, 1), frozenset()))
+        construct_with_invariants(QFormInvariants(3, (3, 0), square_class(F(-1)), frozenset()))
 
 
 def test_construct_round_trip_small_grid():
@@ -347,9 +348,75 @@ def test_construct_round_trip_small_grid():
 
 def test_construct_hard_ternary_case():
     # toggling the Hasse set at a prime p = 1 mod 4 with trivial determinant
-    inv = QFormInvariants(3, (3, 0), SquareClass(1, 1), frozenset({2, 5}))
+    inv = QFormInvariants(3, (3, 0), square_class(F(1)), frozenset({2, 5}))
     space = construct_with_invariants(inv)
     assert invariants(space) == inv
+
+
+def _reference_scalars(inv, signs):
+    """Signed squarefree scalars over the pool {2, first eight primes, primes
+    of det, finite Hasse places}: by pool size, then combination order."""
+    pool = {2, 3, 5, 7, 11, 13, 17, 19}
+    pool.update(_intfactor.factorize(inv.det.squarefree))
+    pool.update(v for v in inv.hasse if v != INF)
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(sorted(pool), size):
+            for sign in signs:
+                yield F(sign * math.prod(combo))
+
+
+def reference_construct(inv) -> list:
+    """The construction scanning scalars x with the test
+    `invariants(QSpace((x, delta * x))) == inv` for the binary block; a unit
+    is peeled above dimension 3."""
+    r, s = inv.signature
+    if inv.dim <= 1:
+        return [inv.det.as_fraction()] * inv.dim
+    signs = tuple(sign for sign, count in ((1, r), (-1, s)) if count)
+    if inv.dim == 2:
+        delta = inv.det.as_fraction()
+        for x in _reference_scalars(inv, signs):
+            if invariants(QSpace((x, delta * x))) == inv:
+                return [x, delta * x]
+        raise ConstructionError(f"no binary form for {inv}")
+    if inv.dim == 3:
+        for z in _reference_scalars(inv, signs):
+            rest = complement_invariants(invariants(QSpace((z,))), inv)
+            if admissible(rest):
+                return [z] + reference_construct(rest)
+        raise ConstructionError(f"no ternary split for {inv}")
+    eps = F(signs[0])
+    return [eps] + reference_construct(complement_invariants(invariants(QSpace((eps,))), inv))
+
+
+# one prime above 10**12 per example: the reference then meets it only as
+# P or P**2 and never has to split P * Q by Pollard rho
+_LARGE_PRIMES = (10**12 + 39, 10**13 + 37)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_LARGE_PRIMES),
+    st.lists(
+        st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-1, 2), min_size=5, max_size=5)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_construct_matches_reference_scan(large, entries):
+    diag = tuple(
+        sign * math.prod((F(p) ** e for p, e in zip((2, 3, 5, 7, large), exps)), start=F(1))
+        for sign, exps in entries
+    )
+    inv = invariants(QSpace(diag))
+    try:
+        expected = tuple(reference_construct(inv))
+    except ConstructionError:
+        # the pool holds no scalar for some binary block; both searches stop
+        with pytest.raises(ConstructionError):
+            construct_with_invariants(inv)
+        return
+    assert construct_with_invariants(inv).diagonal == expected
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +472,7 @@ def test_hyperbolic_examples():
     for p in (2, 3, 5, 7):
         assert is_hyperbolic_at_p(plane, p)
     assert not is_hyperbolic_at_p(invariants(QSpace.of(-1, -1)), 2)
-    big = QFormInvariants(20, (2, 18), SquareClass(1, 1), frozenset())
+    big = QFormInvariants(20, (2, 18), square_class(F(1)), frozenset())
     assert is_hyperbolic_at_p(big, 7)
     # cross-check against ten explicit planes
     ten_planes = invariants(QSpace(tuple([F(1), F(-1)] * 10)))

@@ -142,31 +142,38 @@ def test_integrality_examples():
 
 
 def test_newton_shape_examples():
-    verdict, h, d = check_newton_shape(WeilCandidate(WEIL_QUADRATIC, 2, 1))
+    verdict, h, d = check_newton_shape(WeilCandidate(WEIL_QUADRATIC, 2, 1), newton_polygon(WEIL_QUADRATIC, 2))
     assert verdict.status is Status.PASS and (h, d) == (1, 1)
-    verdict, h, d = check_newton_shape(WeilCandidate(WEIL_QUARTIC, 2, 1))
+    verdict, h, d = check_newton_shape(WeilCandidate(WEIL_QUARTIC, 2, 1), newton_polygon(WEIL_QUARTIC, 2))
     assert verdict.status is Status.PASS and (h, d) == (2, 2)
-    verdict, h, d = check_newton_shape(WeilCandidate(Poly([1, 1, 1]), 2, 1))
+    L = Poly([1, 1, 1])
+    verdict, h, d = check_newton_shape(WeilCandidate(L, 2, 1), newton_polygon(L, 2))
     assert verdict.status is Status.FAIL
 
 
 def test_newton_shape_four_vertices():
     # h = 1, d = 2 at a = 1: vertices (0,0), (1,-1), (3,-1), (4,0)
     L = Poly([1, HALF, F(1, 2), HALF, 1])
-    verdict, h, d = check_newton_shape(WeilCandidate(L, 2, 1))
+    verdict, h, d = check_newton_shape(WeilCandidate(L, 2, 1), newton_polygon(L, 2))
     assert verdict.status is Status.PASS and (h, d) == (1, 2)
 
 
 def test_power_structure_examples():
     L = WEIL_QUADRATIC
-    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
+    verdict, q_poly, e, slope = check_power_structure(
+        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+    )
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 1
     L = WEIL_QUADRATIC**2
-    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
+    verdict, q_poly, e, slope = check_power_structure(
+        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+    )
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 2
     assert slope.value is SlopeOutcome.IRREDUCIBLE
     L = Poly([1, 0, 1, 0, 1])
-    verdict, q_poly, e, slope = check_power_structure(WeilCandidate(L, 2, 1), factor_with_unit(L))
+    verdict, q_poly, e, slope = check_power_structure(
+        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+    )
     assert verdict.status is Status.FAIL
     assert "factors" in verdict.witness
 
@@ -175,9 +182,9 @@ def test_power_square_polygon_shape_at_a1_vs_a2():
     # the squared quadratic has polygon (0,0),(2,-2),(4,0); that is the
     # required shape for a = 2, not for a = 1
     square = WEIL_QUADRATIC**2
-    verdict_a1, _, _ = check_newton_shape(WeilCandidate(square, 2, 1))
+    verdict_a1, _, _ = check_newton_shape(WeilCandidate(square, 2, 1), newton_polygon(square, 2))
     assert verdict_a1.status is Status.FAIL
-    verdict_a2, h, d = check_newton_shape(WeilCandidate(square, 2, 2))
+    verdict_a2, h, d = check_newton_shape(WeilCandidate(square, 2, 2), newton_polygon(square, 2))
     assert verdict_a2.status is Status.PASS and (h, d) == (2, 2)
 
 
