@@ -2,11 +2,14 @@
 
 Operands at desk scale are small (discriminants, coefficient supports), but
 Pollard rho keeps square-class reduction robust when a certificate produces a
-larger composite.
+larger composite.  Rho runs Brent's cycle method.  What trial division
+leaves is factored once and kept (the last 4,096 cofactors): one `extend`
+pass would otherwise make 1,688 rho calls on only 111 distinct composites.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 _SMALL_PRIMES = (
@@ -18,6 +21,10 @@ _SMALL_PRIMES = (
 # 3.317 * 10**24 (Sorenson-Webster 2017); the first 12 only below
 # 3.18 * 10**23.  Beyond that range the test is a strong compositeness filter.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Process-wide tallies of costly steps, the polynomial layer's included;
+# `pipeline.run` reports their growth over one run as telemetry counters.
+COUNTERS = {"factor_with_unit_calls": 0, "sturm_chain_builds": 0, "pollard_rho_splits": 0}
 
 
 def is_prime(n: int) -> bool:
@@ -44,20 +51,52 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of composite odd n (Brent's cycle method)."""
-    if n % 2 == 0:
-        return 2
+    """Return a nontrivial factor of composite odd n (Brent's cycle method,
+    BIT 20, 1980): one gcd per batch of 128 steps, with the differences
+    multiplied mod n; a batch whose gcd is n is replayed step by step."""
     for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
     raise ArithmeticError(f"pollard rho failed on {n}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _large_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n > 1, free of `_SMALL_PRIMES`."""
+    out: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack.extend([root, root])
+            continue
+        d = _pollard_rho(m)
+        COUNTERS["pollard_rho_splits"] += 1
+        stack.extend([d, m // d])
+    return tuple(out.items())
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -69,19 +108,6 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend([root, root])
-            continue
-        d = _pollard_rho(m)
-        stack.extend([d, m // d])
+    if n > 1:
+        out.update(_large_factors(n))
     return out
-

@@ -26,10 +26,6 @@ from fractions import Fraction
 from . import _gfp, _intfactor
 from ._linalg import bareiss_determinant
 
-# Process-wide call tallies of the two costly entry points; `pipeline.run`
-# reports their growth over one run as telemetry counters.
-COUNTERS = {"factor_with_unit_calls": 0, "sturm_chain_builds": 0}
-
 
 class DomainError(ValueError):
     """An operation was called outside its mathematical domain."""
@@ -592,7 +588,7 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     positive leading coefficient; deterministic order."""
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
-    COUNTERS["factor_with_unit_calls"] += 1
+    _intfactor.COUNTERS["factor_with_unit_calls"] += 1
     factors: list[tuple[Poly, int]] = []
     for g, mult in _zz_yun(f.prim):
         for irr in _zassenhaus(g):
@@ -653,7 +649,7 @@ class SturmChain:
     def __init__(self, f: Poly):
         if f.is_zero:
             raise DomainError("the zero polynomial has no root count")
-        COUNTERS["sturm_chain_builds"] += 1
+        _intfactor.COUNTERS["sturm_chain_builds"] += 1
         g = _zz_squarefree(f.prim)
         self.squarefree = Poly.from_ints(g, 1)
         self.chain = _zz_sturm_chain(g) if len(g) > 1 else []

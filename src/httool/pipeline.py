@@ -13,6 +13,7 @@ import enum
 import time
 from dataclasses import dataclass, field
 
+from ._intfactor import COUNTERS
 from .cmfield import (
     NumberField,
     build_extension,
@@ -22,7 +23,7 @@ from .cmfield import (
     signature_of,
     weil_field,
 )
-from .exactpoly import COUNTERS, DomainError, Poly, rat_from_str
+from .exactpoly import DomainError, Poly, rat_from_str
 from .qform import (
     GramMatrix,
     QFormInvariants,

@@ -10,6 +10,8 @@ infinite place is represented by math.inf.
 Determinants are square classes (a sign and the primes of odd valuation):
 each rational is factored once, when its class is formed, and every later
 step reads the primes, since (x, y)_v = 1 at odd primes dividing neither.
+Symbols at those places are integer computations on the squarefree values,
+and the places, which come from factorizations, are not proved prime again.
 
 For a diagonal <a_1, ..., a_n> the Hasse symbol at a place v is
 prod_{i<j} (a_i, a_j)_v.  By bilinearity of the Hilbert symbol this equals
@@ -61,47 +63,30 @@ def _legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else 1
 
 
-def _split_unit(r: Fraction, p: int) -> tuple[int, Fraction]:
-    """r = p**v * u with u a p-adic unit."""
+def _split_unit(n: int, p: int) -> tuple[int, int]:
+    """n = p**v * u for a nonzero integer n, with p not dividing u."""
     v = 0
-    num, den = r.numerator, r.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    sign = 1 if num > 0 else -1
-    return v, Fraction(sign * abs(num), den)
+    return v, n
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    return u.numerator * pow(u.denominator, -1, m) % m
-
-
-def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
-    """The Hilbert symbol (a, b) at a finite prime or the infinite place."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise DomainError("Hilbert symbol arguments must be nonzero")
-    if place == INF:
-        return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if p != place or not _intfactor.is_prime(p):
-        raise DomainError(f"{place} is not a valid place")
+def _hilbert_at(a: int, b: int, p: int) -> int:
+    """(a, b)_p for nonzero integers a, b at a prime p, which is taken as
+    given: callers pass 2, a checked place or a prime from a factorization."""
     alpha, u = _split_unit(a, p)
     beta, v = _split_unit(b, p)
     if p != 2:
         result = 1
         if alpha % 2 and beta % 2 and p % 4 == 3:
             result = -result
-        if beta % 2 and _legendre(_unit_mod(u, p), p) == -1:
+        if beta % 2 and _legendre(u, p) == -1:
             result = -result
-        if alpha % 2 and _legendre(_unit_mod(v, p), p) == -1:
+        if alpha % 2 and _legendre(v, p) == -1:
             result = -result
         return result
-    u8 = _unit_mod(u, 8)
-    v8 = _unit_mod(v, 8)
+    u8, v8 = u % 8, v % 8
     eps_u = (u8 - 1) // 2 % 2
     eps_v = (v8 - 1) // 2 % 2
     omega_u = (u8 * u8 - 1) // 8 % 2
@@ -110,19 +95,38 @@ def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
     return -1 if exponent else 1
 
 
+def _checked_place(place):
+    """The place as an int prime or INF; DomainError for anything else."""
+    if place != INF and (place != int(place) or not _intfactor.is_prime(int(place))):
+        raise DomainError(f"{place} is not a valid place")
+    return place if place == INF else int(place)
+
+
+def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
+    """The Hilbert symbol (a, b) at a finite prime or the infinite place."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise DomainError("Hilbert symbol arguments must be nonzero")
+    place = _checked_place(place)
+    if place == INF:
+        return -1 if (a < 0 and b < 0) else 1
+    # num * den lies in the square class of num / den
+    return _hilbert_at(a.numerator * a.denominator, b.numerator * b.denominator, place)
+
+
 def is_square_in_Qp(r: Fraction, place) -> bool:
     r = Fraction(r)
     if r == 0:
         raise DomainError("0 is not in the unit group")
+    place = _checked_place(place)
     if place == INF:
         return r > 0
-    p = int(place)
-    v, u = _split_unit(r, p)
+    v, u = _split_unit(r.numerator * r.denominator, place)
     if v % 2:
         return False
-    if p == 2:
-        return _unit_mod(u, 8) == 1
-    return _legendre(_unit_mod(u, p), p) == 1
+    if place == 2:
+        return u % 8 == 1
+    return _legendre(u, place) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +266,9 @@ def diagonalize(gram: GramMatrix) -> QSpace:
 def _ramified(x: SquareClass, y: SquareClass) -> set:
     """The places v with (x, y)_v = -1, among 2, infinity and the primes of
     x and y (the symbol is 1 at every other place)."""
-    a, b = x.as_fraction(), y.as_fraction()
+    a, b = x.sign * x.squarefree, y.sign * y.squarefree
     places = {2, INF} | x.primes | y.primes
-    return {v for v in places if hilbert_symbol(a, b, v) == -1}
+    return {v for v in places if (a < 0 and b < 0 if v == INF else _hilbert_at(a, b, v) == -1)}
 
 
 def invariants(space: QSpace) -> QFormInvariants:
@@ -369,14 +373,18 @@ def _construct_binary(inv: QFormInvariants, signs: tuple[int, ...]) -> list[Frac
 
     Its determinant class is delta and its Hasse symbol is
     (x, delta x)_v = (x, -delta)_v, at 2, infinity and the primes of x and
-    delta (all in the pool).  Its signature is inv's, since an admissible
-    binary determinant has sign (-1)**s.
+    delta (all in the pool).  Its signature, hence its symbol at infinity,
+    is inv's, since an admissible binary determinant has sign (-1)**s.
     """
-    minus_delta = SquareClass(-inv.det.sign, inv.det.primes)
+    minus_delta = -inv.det.sign * inv.det.squarefree
+    finite = inv.hasse - {INF}
     for c in _scalar_candidates(_binary_pool(inv), signs):
-        if _ramified(c, minus_delta) == inv.hasse:
-            x = c.as_fraction()
-            return [x, inv.det.as_fraction() * x]
+        places = {2} | c.primes | inv.det.primes
+        x = c.sign * c.squarefree
+        # lazy: the test stops at the first place whose symbol disagrees with inv
+        wrong = ((_hilbert_at(x, minus_delta, p) == -1) != (p in inv.hasse) for p in places)
+        if finite <= places and not any(wrong):
+            return [Fraction(x), inv.det.as_fraction() * x]
     raise ConstructionError(f"no binary form found for {inv}")
 
 

@@ -99,6 +99,16 @@ def test_domain_error_exit_three_with_one_line(args, message, tmp_path, capsys):
     assert captured.err == f"httool: {message}\n"
 
 
+@pytest.mark.parametrize("place", ["1", "4"])
+def test_qform_construct_rejects_invalid_hasse_place(place, tmp_path, capsys):
+    # a binary admissibility test at place 1 once looped forever, and place 4
+    # was reported as inadmissible
+    source = tmp_path / "invariants.json"
+    source.write_text(json.dumps({"dim": 2, "signature": [1, 1], "det": "-2", "hasse": [place, "3"]}))
+    assert cli.main(["qform", "construct", "--input", str(source)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"httool: {place} is not a valid place\n"
+
+
 def test_extend_matches_example():
     proc = run_cli(["extend", "--n", "2"], '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}')
     assert proc.returncode == 0

@@ -1,6 +1,11 @@
 """Integer factorization and F_p polynomial helpers."""
 
+import math
+import operator
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
 from httool.exactpoly import square_class
@@ -29,6 +34,33 @@ def test_factorize_round_trip():
             assert _intfactor.is_prime(p)
             prod *= p**e
         assert prod == n
+    # the memo behind factorize is not shared with its callers
+    _intfactor.factorize(999983 * 999979)[999983] = 5
+    assert _intfactor.factorize(999983 * 999979) == {999979: 1, 999983: 1}
+
+
+def _prime_at_least(n: int) -> int:
+    while not _intfactor.is_prime(n):
+        n += 1
+    return n
+
+
+# 999,999,937 is the largest prime below 10**9
+_PRIMES = st.integers(10**5, 999_999_937).map(_prime_at_least)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(operator.mul, _PRIMES, _PRIMES),
+        _PRIMES.map(lambda p: p * p),
+        st.builds(pow, st.sampled_from((3, 101)) | _PRIMES, st.integers(1, 5)),
+    )
+)
+def test_factorize_semiprimes_squares_and_prime_powers(n):
+    factors = _intfactor.factorize(n)
+    assert all(_intfactor.is_prime(p) for p in factors)
+    assert math.prod(p**e for p, e in factors.items()) == n
 
 
 def test_squarefree_part():

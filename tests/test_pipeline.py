@@ -167,7 +167,9 @@ def test_telemetry_present_but_separate():
     counters = outcome.telemetry["counters"]
     assert counters["factor_with_unit_calls"] > 0
     assert counters["sturm_chain_builds"] > 0
+    assert counters["pollard_rho_splits"] >= 0
     assert "telemetry" not in outcome.certificate
     certificate_text = json.dumps(outcome.certificate)
     assert "stage_seconds" not in certificate_text
     assert "counters" not in certificate_text and "sturm_chain_builds" not in certificate_text
+    assert "pollard_rho_splits" not in certificate_text

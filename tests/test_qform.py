@@ -22,6 +22,7 @@ from httool.qform import (
     ConstructionError,
     QFormInvariants,
     QSpace,
+    _ramified,
     admissible,
     complement_invariants,
     construct_with_invariants,
@@ -127,6 +128,18 @@ def test_is_square_in_qp():
     assert not is_square_in_Qp(F(5), 2)
     assert is_square_in_Qp(F(-1), 5)
     assert not is_square_in_Qp(F(-1), INF)
+    assert not is_square_in_Qp(F(1, 3), 3)  # odd valuation from the denominator
+    assert not is_square_in_Qp(F(1, 2), 3)  # 1/2 = 2 mod 3, a non-residue
+    assert is_square_in_Qp(F(17, 4), 2)
+
+
+@pytest.mark.parametrize("place", [0, 1, 4, -3, 2.5])
+def test_invalid_places_are_rejected(place):
+    # is_square_in_Qp once accepted 4 and looped forever at 1
+    with pytest.raises(DomainError):
+        hilbert_symbol(F(2), F(3), place)
+    with pytest.raises(DomainError):
+        is_square_in_Qp(F(2), place)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +297,22 @@ _NONZERO_INTEGERS = st.integers(-60, 60).filter(bool).map(F)
 @given(st.lists(st.one_of(_SMOOTH_RATIONALS, _NONZERO_INTEGERS), min_size=1, max_size=8))
 def test_invariants_match_all_pairs_reference(diag):
     assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
+
+
+# square factors in numerator and denominator, and a prime above 10**12 met
+# as P or P**2 (never split by Pollard rho)
+_WITH_LARGE_PRIME = st.builds(lambda r, e: r * F(10**12 + 39) ** e, _SMOOTH_RATIONALS, st.integers(-2, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WITH_LARGE_PRIME, _WITH_LARGE_PRIME)
+def test_ramified_matches_public_hilbert_symbols(a, b):
+    places = {2, INF}
+    for r in (a, b):
+        places.update(_intfactor.factorize(abs(r.numerator)))
+        places.update(_intfactor.factorize(r.denominator))
+    expected = {v for v in places if hilbert_symbol(a, b, v) == -1}
+    assert _ramified(square_class(a), square_class(b)) == expected
 
 
 # ---------------------------------------------------------------------------
