@@ -3,8 +3,9 @@
 Operands at desk scale are small (discriminants, coefficient supports), but
 Pollard rho keeps square-class reduction robust when a certificate produces a
 larger composite.  Rho runs Brent's cycle method.  What trial division
-leaves is factored once and kept (the last 4,096 cofactors): one `extend`
-pass would otherwise make 1,688 rho calls on only 111 distinct composites.
+leaves is factored once and kept, and so is each part a split produces
+(the last 4,096 in all): one `extend` pass would otherwise make 1,688 rho
+calls on only 111 distinct composites.
 """
 
 from __future__ import annotations
@@ -81,21 +82,19 @@ def _pollard_rho(n: int) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _large_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, exponent) pairs of n > 1, free of `_SMALL_PRIMES`."""
-    out: dict[int, int] = {}
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        root = math.isqrt(m)
-        if root * root == m:
-            stack.extend([root, root])
-            continue
-        d = _pollard_rho(m)
-        COUNTERS["pollard_rho_splits"] += 1
-        stack.extend([d, m // d])
+    """(prime, exponent) pairs of n > 1, free of `_SMALL_PRIMES`.  The root
+    of a square and both parts of a split are factored, and kept, by calls
+    of their own, so no composite part is split twice."""
+    if is_prime(n):
+        return ((n, 1),)
+    root = math.isqrt(n)
+    if root * root == n:
+        return tuple((p, 2 * k) for p, k in _large_factors(root))
+    d = _pollard_rho(n)
+    COUNTERS["pollard_rho_splits"] += 1
+    out = dict(_large_factors(d))
+    for p, k in _large_factors(n // d):
+        out[p] = out.get(p, 0) + k
     return tuple(out.items())
 
 

@@ -18,7 +18,6 @@ from .exactpoly import (
     discriminant,
     is_irreducible,
     isolate_real_roots,
-    lagrange_interpolate,
     rat_to_str,
     reciprocal_transform,
     resultant,
@@ -77,25 +76,10 @@ def number_field(f: Poly) -> NumberField:
     return NumberField(f, f.degree(), sturm_count(f))
 
 
-def _mulmod(a: Poly, b: Poly, f: Poly) -> Poly:
-    return (a * b) % f
-
-
-def _powmod(a: Poly, k: int, f: Poly) -> Poly:
-    result = Poly([1])
-    base = a % f
-    while k:
-        if k & 1:
-            result = _mulmod(result, base, f)
-        base = _mulmod(base, base, f)
-        k >>= 1
-    return result
-
-
 def _compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
     acc = Poly()
     for c in reversed(outer.coeffs):
-        acc = _mulmod(acc, inner, f) + Poly([c])
+        acc = (acc * inner) % f + Poly([c])
     return acc % f
 
 
@@ -154,7 +138,7 @@ def weil_field(Q: Poly) -> CMData:
     # gamma^{-1} = -(c_1 + c_2 gamma + ... + c_n gamma^{n-1}) / c_0
     c0 = f.constant()
     conj = Poly(list(f.coeffs[1:])) * (-1 / c0)
-    if _mulmod(Poly([0, 1]), conj, f) != Poly([1]):
+    if (Poly([0, 1]) * conj) % f != Poly([1]):
         raise CMVerificationError("conjugation", "inverse residue is wrong")
     if _compose_mod(conj, conj, f) != Poly([0, 1]):
         raise CMVerificationError("conjugation", "conjugation is not an involution")
@@ -211,19 +195,23 @@ def _is_eisenstein(P: Poly, p: int) -> bool:
 
 
 def _absolute_defining(P: Poly, f: Poly) -> tuple[Poly, int]:
-    """Minimal polynomial of x + k*gamma over Q, for the first k >= 1 giving
-    a primitive element (x a root of P, gamma a root of f)."""
-    n = f.degree()
-    total = n * P.degree()
+    """Minimal polynomial of x + k*gamma over Q for the first k >= 1 that
+    makes it primitive (P(x) = 0, and gamma a root of f = T^2 + c1*T + c0).
+
+    Horner with gamma^2 = -c1*gamma - c0 gives P(Z - k*gamma) = A + B*gamma
+    over Q(gamma).  Its norm (A + B*gamma)(A + B*gamma') = A^2 - c1*A*B +
+    c0*B^2 is the characteristic polynomial of x + k*gamma, minimal when
+    irreducible."""
+    c0, c1, _ = f.coeffs
+    z = Poly([0, 1])
     for k in range(1, 16):
-        fk = Poly([c * Fraction(k) ** (n - i) for i, c in enumerate(f.coeffs)])
-        points = []
-        for t in range(total + 1):
-            z0 = Fraction(t)
-            points.append((z0, resultant(P, fk.compose(Poly([z0, -1])))))
-        g = lagrange_interpolate(points)
-        if g.degree() == total and is_irreducible(g):
-            return g.monic(), k
+        a, b = Poly(), Poly()
+        for c in reversed(P.coeffs):
+            # (a + b*gamma) * (Z - k*gamma) + c
+            a, b = a * z + b * (k * c0) + Poly([c]), b * z - a * k + b * (k * c1)
+        g = a * a - a * b * c1 + b * b * c0
+        if is_irreducible(g):
+            return g, k
     raise ArithmeticError("no primitive element found")
 
 
@@ -324,59 +312,52 @@ class TraceForm:
         return {"gram": self.gram.to_json(), "lambda": self.lam.to_strs()}
 
 
-def _trace_of(element: Poly, traces: list[Fraction]) -> Fraction:
-    return sum((c * traces[i] for i, c in enumerate(element.coeffs)), Fraction(0))
+def _power_traces(element: Poly, modulus: Poly, count: int) -> list[Fraction]:
+    """Tr(element * T^m) in Q[T]/(modulus) for m = 0..count-1; each power
+    is one multiplication by T from the last."""
+    power_sums = trace_power_sums(modulus, modulus.degree() - 1)
+    traces = []
+    for _ in range(count):
+        traces.append(sum((c * power_sums[i] for i, c in enumerate(element.coeffs)), Fraction(0)))
+        element = (element * Poly([0, 1])) % modulus
+    return traces
 
 
 def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
     """Gram matrix of (x, y) -> Tr_{E/Q}(lambda * x * conj(y)) on the power
-    basis 1, gamma, ..., gamma^(n-1) of E = Q[T]/(f)."""
+    basis 1, gamma, ..., gamma^(n-1) of E = Q[T]/(f).
+
+    It is Toeplitz: conj(gamma) = 1/gamma makes entry (i, j) equal to
+    Tr(lambda * gamma^(i-j)), and conj is an automorphism fixing lambda, so
+    that is t_|i-j| = Tr(lambda * gamma^|i-j|), one trace per distance."""
     f = cm.field.defining
     n = f.degree()
     if (lam % cm.beta_minpoly).is_zero:
         raise DomainError("lambda must be a nonzero element of the real subfield")
-    traces = trace_power_sums(f, n - 1)
     beta_poly = (Poly([0, 1]) + cm.conj) % f
-    lam_in_field = _compose_mod(lam, beta_poly, f)
-    conj_powers = [_powmod(cm.conj, j, f) for j in range(n)]
-    gamma_powers = [_powmod(Poly([0, 1]), i, f) for i in range(n)]
-    rows = []
-    for i in range(n):
-        lam_gamma = _mulmod(lam_in_field, gamma_powers[i], f)
-        rows.append([_trace_of(_mulmod(lam_gamma, c, f), traces) for c in conj_powers])
-    return TraceForm(GramMatrix.from_rows(rows), lam)
+    t = _power_traces(_compose_mod(lam, beta_poly, f), f, n)
+    return TraceForm(GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)]), lam)
 
 
 def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
     """Trace form on the tensor basis x^i * gamma^j of E = E0 * F.
 
-    Traces multiply across the linearly disjoint factors, so every entry is
-    Tr_{E0}(lambda * x^(i+k)) * Tr_F(gamma^j * conj(gamma)^l).
-    """
+    Traces multiply across the linearly disjoint factors and x is real, so
+    the Gram is a Kronecker product: entry (2i+j, 2k+l) is t[i+k] * U[j][l]
+    with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F."""
     P = ext.relative
-    f = ext.base.field.defining
     if P is None:
         raise DomainError("not a compositum extension")
     e = P.degree()
     if (lam % P).is_zero:
         raise DomainError("lambda must be a nonzero element of the real subfield")
-    traces_e0 = trace_power_sums(P, 2 * (e - 1))
-    traces_f = trace_power_sums(f, 2 * f.degree())
-    conj = ext.base.conj
-    f_parts = {}
-    for j in range(2):
-        for l in range(2):
-            w = _mulmod(_powmod(Poly([0, 1]), j, f), _powmod(conj, l, f), f)
-            f_parts[(j, l)] = _trace_of(w, traces_f)
-    dim = 2 * e
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(e):
-        for j in range(2):
-            for k in range(e):
-                for l in range(2):
-                    u = (lam * Poly([0] * (i + k) + [1])) % P
-                    t0 = _trace_of(u, traces_e0)
-                    rows[2 * i + j][2 * k + l] = t0 * f_parts[(j, l)]
+    t = _power_traces(lam % P, P, 2 * e - 1)
+    unit = trace_form_cm(ext.base, Poly([1])).gram.entries
+    rows = [
+        [t[i + k] * unit[j][l] for k in range(e) for l in range(2)]
+        for i in range(e)
+        for j in range(2)
+    ]
     return TraceForm(GramMatrix.from_rows(rows), lam)
 
 

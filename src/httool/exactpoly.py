@@ -794,19 +794,6 @@ def discriminant(f: Poly) -> Fraction:
     return sign * resultant(f, f.derivative()) / f.leading()
 
 
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
-    """The unique polynomial of degree < len(points) through the points."""
-    result = Poly()
-    for i, (xi, yi) in enumerate(points):
-        term = Poly([yi])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * Poly([-xj, 1]) * Fraction(1, xi - xj)
-        result = result + term
-    return result
-
-
 @functools.cache
 def _chebyshev_v(d: int) -> tuple[tuple[int, ...], ...]:
     """Integer coefficients of V_0..V_d with T**k + T**-k = V_k(T + 1/T):

@@ -96,10 +96,13 @@ def _hilbert_at(a: int, b: int, p: int) -> int:
 
 
 def _checked_place(place):
-    """The place as an int prime or INF; DomainError for anything else."""
-    if place != INF and (place != int(place) or not _intfactor.is_prime(int(place))):
+    """The place as an int prime or INF; DomainError for anything else, NaN
+    and -inf included (int() would raise a different error on them)."""
+    if place == INF:
+        return INF
+    if place != place or place == -INF or place != int(place) or not _intfactor.is_prime(int(place)):
         raise DomainError(f"{place} is not a valid place")
-    return place if place == INF else int(place)
+    return int(place)
 
 
 def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
@@ -231,7 +234,11 @@ NEUTRAL_INVARIANTS = QFormInvariants(0, (0, 0), TRIVIAL_CLASS, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
-    """A diagonal form congruent to the Gram matrix (symmetric elimination)."""
+    """A diagonal form congruent to the Gram matrix (symmetric elimination).
+
+    Clearing row and column k with the pivot p = m[k][k] leaves the Schur
+    complement m[i][j] - m[i][k] * m[k][j] / p for i, j > k; later steps
+    read nothing else, so only that trailing block is updated."""
     n = gram.dimension()
     m = [list(row) for row in gram.entries]
     diag: list[Fraction] = []
@@ -246,20 +253,17 @@ def diagonalize(gram: GramMatrix) -> QSpace:
                 other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
                 if other is None:
                     raise DomainError("degenerate Gram matrix")
-                for j in range(n):
+                for j in range(k, n):
                     m[k][j] += m[other][j]
-                for i in range(n):
+                for i in range(k, n):
                     m[i][k] += m[i][other]
         pivot = m[k][k]
         diag.append(pivot)
         for i in range(k + 1, n):
             factor = m[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(n):
-                m[i][j] -= factor * m[k][j]
-            for j in range(n):
-                m[j][i] -= factor * m[j][k]
+            if factor:
+                for j in range(k + 1, n):
+                    m[i][j] -= factor * m[k][j]
     return QSpace(tuple(diag))
 
 

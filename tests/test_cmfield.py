@@ -25,11 +25,21 @@ from httool.cmfield import (
     trace_form,
     weil_field,
 )
-from httool.exactpoly import DomainError, Poly, cyclotomic_poly, is_irreducible, resultant, sturm_count
+from httool.exactpoly import (
+    DomainError,
+    Poly,
+    cyclotomic_poly,
+    is_irreducible,
+    resultant,
+    sturm_count,
+    trace_power_sums,
+)
 from httool.padicpoly import vp
 from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import check_all, enumerate_candidates
+from test_helpers import lagrange_interpolate
+from test_qform import full_elimination_diagonal
 
 HALF = F(1, 2)
 WEIL_QUADRATIC = Poly([1, -HALF, 1])
@@ -113,6 +123,79 @@ def test_trace_form_rejects_zero_lambda():
     ext = trivial_ext(GAUSSIAN)
     with pytest.raises(DomainError):
         trace_form(ext, Poly())
+
+
+# ---------------------------------------------------------------------------
+# trace forms and absolute polynomials against their definitions
+
+
+def _trace(element: Poly, modulus: Poly) -> F:
+    power_sums = trace_power_sums(modulus, modulus.degree() - 1)
+    return sum((c * power_sums[i] for i, c in enumerate((element % modulus).coeffs)), F(0))
+
+
+def trace_form_by_definition(ext, lam: Poly) -> list[list[F]]:
+    """The Gram matrix entry by entry, one product per entry: on the power
+    basis gamma^i of a CM field, Tr(lambda * gamma^i * conj(gamma)^j); on
+    the tensor basis x^i * gamma^j of a compositum E0 * F, the product
+    Tr_{E0}(lambda * x^(i+k)) * Tr_F(gamma^j * conj(gamma)^l)."""
+    f, conj = ext.base.field.defining, ext.base.conj
+    T = Poly([0, 1])  # gamma in Q[T]/(f), and x in Q[T]/(P)
+    if ext.kind == "trivial":
+        n = f.degree()
+        lam_in_field = lam.compose(T + conj) % f
+        return [[_trace(lam_in_field * T**i * conj**j, f) for j in range(n)] for i in range(n)]
+    P, e = ext.relative, ext.e
+    return [
+        [
+            _trace(lam * T ** (i + k), P) * _trace(T**j * conj**l, f)
+            for k in range(e)
+            for l in range(2)
+        ]
+        for i in range(e)
+        for j in range(2)
+    ]
+
+
+def _composita():
+    for base in (GAUSSIAN, EISENSTEIN_FIELD):
+        cm = weil_field(base)
+        for p in (2, 3):
+            for e in range(2, 7):
+                yield build_extension(cm, p, 2 * e)
+
+
+def _targets(d: int):
+    return sorted({(d, 0), (d - 1, 1) if d > 1 else (d, 0), (1, d - 1), (0, d)})
+
+
+def test_trace_forms_match_their_definition():
+    extensions = [trivial_ext(defining) for defining in FIXTURES] + list(_composita())
+    assert sum(ext.kind == "eisenstein_compositum" for ext in extensions) == 20
+    for ext in extensions:
+        for target in _targets(ext.real_subfield.degree):
+            lam = find_lambda(ext.real_subfield, target)
+            expected = trace_form_by_definition(ext, lam)
+            form = trace_form(ext, lam)
+            assert [list(row) for row in form.gram.entries] == expected, (ext.absolute, target)
+            assert list(diagonalize(form.gram).diagonal) == full_elimination_diagonal(expected)
+
+
+def absolute_by_resultants(P: Poly, f: Poly, k: int) -> Poly:
+    """Res_X(P(X), f_k(z - X)) with f_k(T) = k^2 f(T/k), interpolated at
+    2e + 1 integer points and made monic: the polynomial of x + k*gamma."""
+    n = f.degree()
+    fk = Poly([c * F(k) ** (n - i) for i, c in enumerate(f.coeffs)])
+    points = [(F(t), resultant(P, fk.compose(Poly([t, -1])))) for t in range(n * P.degree() + 1)]
+    return lagrange_interpolate(points).monic()
+
+
+def test_absolute_polynomials_match_resultants():
+    for ext in _composita():
+        f, k = ext.base.field.defining, ext.trace["primitive_shift"]
+        assert ext.absolute == absolute_by_resultants(ext.relative, f, k)
+        # k is the first shift that gives a primitive element
+        assert not any(is_irreducible(absolute_by_resultants(ext.relative, f, j)) for j in range(1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +369,6 @@ def split_oracle(g0: Poly, rel: Poly, p: int):
     """Dedekind factor counting on the absolute defining polynomial
     r(z) = Res_X(g0(X), z**2 - rel(X)) of E0(sqrt(rel)); None when the
     oracle preconditions (squarefree reductions, full degree) fail."""
-    from httool.exactpoly import lagrange_interpolate
-
     degree = 2 * g0.degree()
     values = []
     for t in range(degree + 1):

@@ -1,4 +1,6 @@
-"""Integer factorization and F_p polynomial helpers."""
+"""Integer factorization and F_p polynomial helpers, and Lagrange
+interpolation, which other test modules use to build reference
+polynomials from their values."""
 
 import math
 import operator
@@ -8,7 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.exactpoly import square_class
+from httool.exactpoly import Poly, square_class
+
+
+def lagrange_interpolate(points: list[tuple[F, F]]) -> Poly:
+    """The unique polynomial of degree < len(points) through the points."""
+    result = Poly()
+    for i, (xi, yi) in enumerate(points):
+        term = Poly([yi])
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            term = term * Poly([-xj, 1]) * F(1, xi - xj)
+        result = result + term
+    return result
 
 
 def test_is_prime_small():
@@ -37,6 +52,11 @@ def test_factorize_round_trip():
     # the memo behind factorize is not shared with its callers
     _intfactor.factorize(999983 * 999979)[999983] = 5
     assert _intfactor.factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    # the root of a square is factored once, and so is each split part
+    _intfactor._large_factors.cache_clear()
+    splits = _intfactor.COUNTERS["pollard_rho_splits"]
+    assert _intfactor.factorize((1000000007 * 1000000009) ** 2) == {1000000007: 2, 1000000009: 2}
+    assert _intfactor.COUNTERS["pollard_rho_splits"] == splits + 1
 
 
 def _prime_at_least(n: int) -> int:

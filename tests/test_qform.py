@@ -10,7 +10,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from httool import _intfactor
@@ -133,7 +133,7 @@ def test_is_square_in_qp():
     assert is_square_in_Qp(F(17, 4), 2)
 
 
-@pytest.mark.parametrize("place", [0, 1, 4, -3, 2.5])
+@pytest.mark.parametrize("place", [0, 1, 4, -3, 2.5, -math.inf, math.nan])
 def test_invalid_places_are_rejected(place):
     # is_square_in_Qp once accepted 4 and looped forever at 1
     with pytest.raises(DomainError):
@@ -164,6 +164,69 @@ def test_diagonalize_shifted_basis():
 def test_diagonalize_rejects_degenerate():
     with pytest.raises(DomainError):
         diagonalize(GramMatrix.from_rows([[1, 1], [1, 1]]))
+
+
+def full_elimination_diagonal(rows) -> list[F]:
+    """Reference diagonalization: after each pivot, clear its row and column
+    with full-width row and column operations on the whole matrix."""
+    n = len(rows)
+    m = [[F(x) for x in row] for row in rows]
+    diag = []
+    for k in range(n):
+        if m[k][k] == 0:
+            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
+            if swap is not None:
+                m[k], m[swap] = m[swap], m[k]
+                for row in m:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
+                if other is None:
+                    raise DomainError("degenerate Gram matrix")
+                for j in range(n):
+                    m[k][j] += m[other][j]
+                for i in range(n):
+                    m[i][k] += m[i][other]
+        pivot = m[k][k]
+        diag.append(pivot)
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            for j in range(n):
+                m[i][j] -= factor * m[k][j]
+            for j in range(n):
+                m[j][i] -= factor * m[j][k]
+    return diag
+
+
+_ENTRIES = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 8 x 8; diagonal entries are often
+    zero, so that both the swap and the add repair of a zero pivot run."""
+    n = draw(st.integers(1, 8))
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.just(F(0)) | _ENTRIES)
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(_ENTRIES)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])  # zero pivot, no nonzero diagonal after it: add
+@example([[0, 1, 2], [1, 0, 0], [2, 0, 3]])  # zero pivot, later nonzero diagonal: swap
+@example([[1, 1], [1, 1]])  # degenerate
+def test_diagonalize_matches_full_elimination(rows):
+    try:
+        expected = full_elimination_diagonal(rows)
+    except DomainError:
+        with pytest.raises(DomainError):
+            diagonalize(GramMatrix.from_rows(rows))
+        return
+    assert list(diagonalize(GramMatrix.from_rows(rows)).diagonal) == expected
 
 
 def _random_unimodular(rng: random.Random, n: int):
