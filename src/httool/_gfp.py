@@ -3,7 +3,9 @@
 Polynomials are lists of ints reduced into [0, p), ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  The primes in play
 are small, so Berlekamp's algorithm with a deterministic splitting loop is
-both simple and fast, and avoids randomized Cantor-Zassenhaus.
+both simple and fast, and avoids randomized Cantor-Zassenhaus.  Where only
+the degrees of the factors matter, distinct-degree factorization gives them
+without splitting.  Products and remainders reduce mod p once, at the end.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ def mul(f: list[int], g: list[int], p: int) -> list[int]:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return trim([c % p for c in out])
 
 
 def scalar_mul(c: int, f: list[int], p: int) -> list[int]:
@@ -67,17 +68,20 @@ def scalar_mul(c: int, f: list[int], p: int) -> list[int]:
 def divmod_(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return [], list(f)
     inv = pow(g[-1], -1, p)
     rem = list(f)
-    quo = [0] * max(len(f) - len(g) + 1, 0)
-    while len(rem) >= len(g) and rem:
-        shift = len(rem) - len(g)
-        factor = rem[-1] * inv % p
-        quo[shift] = factor
-        for i, b in enumerate(g):
-            rem[shift + i] = (rem[shift + i] - factor * b) % p
-        trim(rem)
-    return trim(quo), rem
+    quo = [0] * (len(f) - dg)
+    # an entry is reduced mod p when read as a leading coefficient
+    for shift in range(len(f) - 1 - dg, -1, -1):
+        c = rem[shift + dg] * inv % p
+        if c:
+            quo[shift] = c
+            for i in range(dg):
+                rem[shift + i] -= c * g[i]
+    return trim(quo), trim([a % p for a in rem[:dg]])
 
 
 def rem(f: list[int], g: list[int], p: int) -> list[int]:
@@ -114,14 +118,17 @@ def gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], lis
 
 
 def pow_mod(f: list[int], e: int, modulus: list[int], p: int) -> list[int]:
-    result = [1]
+    """f**e mod modulus for e >= 0, squaring from the low bit; the first
+    power taken into the result is not multiplied by 1."""
+    result = None
     base = rem(f, modulus, p)
     while e > 0:
         if e & 1:
-            result = rem(mul(result, base, p), modulus, p)
-        base = rem(mul(base, base, p), modulus, p)
+            result = base if result is None else rem(mul(result, base, p), modulus, p)
         e >>= 1
-    return result
+        if e:
+            base = rem(mul(base, base, p), modulus, p)
+    return [1] if result is None else result
 
 
 def derivative(f: list[int], p: int) -> list[int]:
@@ -133,6 +140,32 @@ def is_squarefree(f: list[int], p: int) -> bool:
     if not d:
         return degree(f) <= 0
     return degree(gcd(f, d, p)) == 0
+
+
+def distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """Distinct-degree factorization of a monic squarefree f over F_p:
+    (k, monic product of the irreducible factors of degree k) for each k that
+    occurs, ascending.
+
+    After step k, h = x**(p**k) mod rest, and gcd(rest, h - x) is the product
+    of the factors of degree k, those of lower degree being gone from rest.
+    Once deg rest < 2(k + 1), rest is irreducible or 1.
+    """
+    out = []
+    rest = f
+    h = [0, 1]
+    k = 0
+    while 2 * (k + 1) <= degree(rest):
+        k += 1
+        h = pow_mod(h, p, rest, p)
+        g = gcd(rest, sub(h, [0, 1], p), p)
+        if degree(g) > 0:
+            out.append((k, g))
+            rest = divmod_(rest, g, p)[0]
+            h = rem(h, rest, p)
+    if degree(rest) > 0:
+        out.append((degree(rest), rest))
+    return out
 
 
 def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
@@ -264,11 +297,3 @@ def factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
             out.append((irr, mult))
     out.sort(key=lambda gm: (degree(gm[0]), gm[0]))
     return lead, out
-
-
-def is_irreducible(f: list[int], p: int) -> bool:
-    if degree(f) < 1:
-        return False
-    if not is_squarefree(f, p):
-        return False
-    return len(berlekamp(monic(f, p), p)) == 1

@@ -25,7 +25,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Process-wide tallies of costly steps, the polynomial layer's included;
 # `pipeline.run` reports their growth over one run as telemetry counters.
-COUNTERS = {"factor_with_unit_calls": 0, "sturm_chain_builds": 0, "pollard_rho_splits": 0}
+COUNTERS = {"factor_with_unit_calls": 0, "hensel_lifts": 0, "sturm_chain_builds": 0, "pollard_rho_splits": 0}
 
 
 def is_prime(n: int) -> bool:

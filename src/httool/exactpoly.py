@@ -191,12 +191,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.from_ints(_zz_derivative(self.prim), self.content)
 
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for a in reversed(self.prim):
-            acc = acc * inner + Poly.from_ints([a], 1)
-        return acc * self.content
-
     # -- normal forms --------------------------------------------------------
 
     def monic(self) -> "Poly":
@@ -494,41 +488,22 @@ def _hensel_lift(p, f, modular_factors, l):
     return _hensel_lift(p, g, modular_factors[:k], l) + _hensel_lift(p, h, modular_factors[k:], l)
 
 
-def _choose_factoring_prime(f):
-    """A small odd prime keeping f squarefree, preferring few modular factors."""
-    lc = f[-1]
-    found = []
-    p = 3
-    while len(found) < 3:
-        if _intfactor.is_prime(p) and lc % p != 0:
-            fp = _gfp.from_coeffs(f, p)
-            if _gfp.degree(fp) == len(f) - 1 and _gfp.is_squarefree(fp, p):
-                factors = _gfp.berlekamp(_gfp.monic(fp, p), p)
-                found.append((p, factors))
-                if len(factors) <= 2:
-                    break
-        p += 2
-        if p > 10_000:
-            raise ArithmeticError("no suitable factoring prime found")
-    return min(found, key=lambda pf: (len(pf[1]), pf[0]))
-
-
-def _zassenhaus(f):
-    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0."""
+def _zassenhaus(f, p, modular):
+    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0 and
+    deg f >= 2, from the monic irreducible factors `modular` of f mod p, at a
+    prime p not dividing lc(f) that keeps f squarefree."""
     n = len(f) - 1
-    if n == 1:
-        return [list(f)]
     lead = f[-1]
     const = f[0]
     a_norm = _zz_max_norm(f)
     # Knuth-Cohen style Mignotte bound on factor coefficients
     bound = (math.isqrt(n + 1) + 1) * (2 ** n) * a_norm * abs(lead)
-    p, modular = _choose_factoring_prime(f)
     l = 1
     pl = p
     while pl < 2 * bound + 1:
         pl *= p
         l += 1
+    _intfactor.COUNTERS["hensel_lifts"] += 1
     lifted = _hensel_lift(p, f, modular, l)
 
     active = list(range(len(lifted)))
@@ -583,16 +558,145 @@ def _zassenhaus(f):
 # factorization over Q
 
 
+def _reduction(f, start: int = 3):
+    """The least odd prime p >= start not dividing lc(f), and f mod p made
+    monic; f mod p keeps the degree of f."""
+    p = start
+    while not (_intfactor.is_prime(p) and f[-1] % p):
+        p += 2
+    return p, _gfp.monic(_gfp.from_coeffs(f, p), p)
+
+
+def _good_prime(f, start: int = 3):
+    """The least odd prime p >= start not dividing lc(f) at which f stays
+    squarefree, and f mod p made monic."""
+    p, fp = _reduction(f, start)
+    while not _gfp.is_squarefree(fp, p):
+        if p > 10_000:
+            raise ArithmeticError("no suitable factoring prime found")
+        p, fp = _reduction(f, p + 2)
+    return p, fp
+
+
+def _degree_counts(fp, p) -> dict[int, int]:
+    """k -> number of irreducible factors of degree k of a monic squarefree
+    f mod p, by distinct-degree factorization."""
+    return {k: (len(part) - 1) // k for k, part in _gfp.distinct_degree(fp, p)}
+
+
+def _degree_sums(counts: dict[int, int]) -> int:
+    """The degrees of the products of subsets of the factors, as a bit set."""
+    sums = 1
+    for k, c in counts.items():
+        for _ in range(c):
+            sums |= sums << k
+    return sums
+
+
+@functools.cache
+def _multiplicative_order(p: int, n: int) -> int:
+    """The order of p in (Z/n)^x, for p prime to n."""
+    k, x = 1, p % n
+    while x != 1 % n:
+        x = x * p % n
+        k += 1
+    return k
+
+
+def _split_parts(f):
+    """Steps 1 and 2 of `factor_with_unit` on a primitive f with lc(f) > 0:
+    for each squarefree part g**m, (m, the n with Phi_n | g ascending, the
+    cofactor h of g by those Phi_n, an odd prime p not dividing lc(g) that
+    keeps g squarefree, and k -> the number of factors of degree k of h
+    mod p)."""
+    if len(f) < 2:
+        return []
+    p, fp = _reduction(f)
+    if _gfp.is_squarefree(fp, p):
+        parts = [(f, 1, p, fp)]
+    else:
+        parts = [(g, m, *_good_prime(g)) for g, m in _zz_yun(f)]
+    out = []
+    for g, m, p, gp in parts:
+        counts = _degree_counts(gp, p)
+        indices = []
+        for n, phi, prim in _cyclotomic_table(len(g) - 1):
+            if phi >= len(g) or n % p == 0:
+                continue
+            k = _multiplicative_order(p, n)
+            if counts.get(k, 0) * k < phi:
+                continue
+            q, r = _zz_divmod(g, prim)
+            if not r:
+                g = q
+                indices.append(n)
+                counts[k] -= phi // k
+        out.append((m, indices, g, p, counts))
+    return out
+
+
+def _factor_cofactor(h, p, counts):
+    """Step 3 of `factor_with_unit`: the irreducible integer factors of a
+    cofactor h from `_split_parts`."""
+    full = 1 | 1 << (len(h) - 1)
+    sums = _degree_sums(counts)
+    found = [(sum(counts.values()), p)]
+    while sums != full and len(found) < 3:
+        p, hp = _good_prime(h, p + 2)
+        counts = _degree_counts(hp, p)
+        found.append((sum(counts.values()), p))
+        narrowed = sums & _degree_sums(counts)
+        if narrowed == sums:
+            break
+        sums = narrowed
+    if sums == full:
+        return [h]
+    p = min(found)[1]
+    modular = _gfp.berlekamp(_gfp.monic(_gfp.from_coeffs(h, p), p), p)
+    return _zassenhaus(h, p, modular)
+
+
+def cyclotomic_factors(f: Poly) -> list[tuple[int, int]]:
+    """(n, m) for each Phi_n dividing f exactly m times, ascending m, then n."""
+    if f.is_zero:
+        raise DomainError("cannot factor the zero polynomial")
+    return [(n, m) for m, indices, _h, _p, _counts in _split_parts(f.prim) for n in indices]
+
+
 def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
-    positive leading coefficient; deterministic order."""
+    positive leading coefficient; ordered by degree then coefficients.
+
+    1. Squarefree parts.  If f stays squarefree mod the first odd prime p
+       not dividing lc(f), it is squarefree: a square factor g**2 would
+       reduce to one of the same degree, as p does not divide lc(g).  Only
+       otherwise does Yun's algorithm run.
+    2. Cyclotomic factors.  Each part g sheds, by exact division, every
+       Phi_n dividing it with phi(n) <= deg g; each is irreducible.  With p
+       a prime keeping g squarefree, a Phi_n with p | n is skipped: mod p it
+       is a power of Phi_(n/p**a) with exponent phi(p**a) >= 2, so it cannot
+       divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
+       irreducibles of degree k = ord_n(p), so it is tried only if the
+       distinct-degree factorization of g mod p has that many.
+    3. The cofactor.  A factor over Z reduces mod such a prime to a product
+       of factors mod p of the same total degree, so its degree is a sum of
+       theirs.  If those sums, intersected over up to three primes, leave
+       only 0 and the full degree, the cofactor is irreducible (Musser's
+       degree-set test).  A prime that removes no sum ends the search: it
+       gives up an occasional proof for fewer reductions of cofactors that
+       no prime proves irreducible, reducible ones or x**4 - 10x**2 + 1.
+       Otherwise Berlekamp factors it mod the prime with the fewest
+       factors, and Hensel lifting and Zassenhaus recombination find the
+       factors over Z.
+    """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     _intfactor.COUNTERS["factor_with_unit_calls"] += 1
     factors: list[tuple[Poly, int]] = []
-    for g, mult in _zz_yun(f.prim):
-        for irr in _zassenhaus(g):
-            factors.append((Poly.from_ints(irr, 1), mult))
+    for mult, indices, h, p, counts in _split_parts(f.prim):
+        factors.extend((cyclotomic_poly(n), mult) for n in indices)
+        if len(h) > 1:
+            factors.extend((Poly.from_ints(irr, 1), mult) for irr in _factor_cofactor(h, p, counts))
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
 
@@ -727,13 +831,6 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
 _cyclotomic_cache: dict[int, Poly] = {}
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    for p in _intfactor.factorize(n):
-        result -= result // p
-    return result
-
-
 def cyclotomic_poly(n: int) -> Poly:
     if n < 1:
         raise DomainError("cyclotomic index must be positive")
@@ -747,20 +844,26 @@ def cyclotomic_poly(n: int) -> Poly:
     return f
 
 
-def is_cyclotomic(f: Poly) -> int | None:
-    """The index n with f equal to the n-th cyclotomic polynomial, else None.
+@functools.cache
+def _cyclotomic_table(max_degree: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(n, phi(n), Phi_n's coefficients) for every n with phi(n) <= max_degree,
+    ascending n.  As phi(n) >= sqrt(n/2), those n are at most
+    2 * max_degree**2; a sieve gives phi below that bound."""
+    bound = 2 * max_degree * max_degree
+    phi = list(range(bound + 1))
+    for k in range(2, bound + 1):
+        if phi[k] == k:
+            for m in range(k, bound + 1, k):
+                phi[m] -= phi[m] // k
+    return tuple((n, phi[n], cyclotomic_poly(n).prim) for n in range(1, bound + 1) if phi[n] <= max_degree)
 
-    Candidate indices satisfy phi(n) = deg f; since phi(n) >= sqrt(n/2), the
-    search bound 3 * deg**2 is conservative.
-    """
+
+def is_cyclotomic(f: Poly) -> int | None:
+    """The index n with f equal to the n-th cyclotomic polynomial, else None."""
     deg = f.degree()
-    if deg < 1 or not f.is_monic() or not f.has_integer_coeffs():
+    if deg < 1 or f.content != 1:
         return None
-    bound = 3 * deg * deg
-    for n in range(1, bound + 1):
-        if euler_phi(n) == deg and cyclotomic_poly(n) == f:
-            return n
-    return None
+    return next((n for n, _phi, prim in _cyclotomic_table(deg) if prim == f.prim), None)
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     cert["trace_invariants"] = result.trace_invariants.to_json()
 
     t0 = time.monotonic()
-    disc_check = disc_identity_check(ext, result.trace)
+    disc_check = disc_identity_check(ext, result.trace_invariants.det)
     mark("disc_identity", t0)
     cert["disc_identity"] = disc_check.to_json()
     sig_ok = result.trace_invariants.signature == (2 * sig[0], 2 * sig[1])

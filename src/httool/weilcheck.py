@@ -29,6 +29,8 @@ from .exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    cyclotomic_factors,
+    cyclotomic_poly,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -354,9 +356,9 @@ def split_alg_trc(L: Poly) -> tuple[Poly, Poly]:
     if L.constant() != 1:
         raise DomainError("expected constant term 1")
     alg = Poly([1])
-    for factor, mult in factor_with_unit(L)[1]:
-        if is_cyclotomic(factor) is not None:
-            alg = alg * (factor * (1 / factor.constant())) ** mult
+    for n, mult in cyclotomic_factors(L):
+        factor = cyclotomic_poly(n)
+        alg = alg * (factor * (1 / factor.constant())) ** mult
     trc = L // alg
     if alg * trc != L:
         raise ArithmeticError("algebraic/transcendental split failed")

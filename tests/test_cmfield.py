@@ -31,6 +31,7 @@ from httool.exactpoly import (
     cyclotomic_poly,
     is_irreducible,
     resultant,
+    square_class,
     sturm_count,
     trace_power_sums,
 )
@@ -38,7 +39,7 @@ from httool.padicpoly import vp
 from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import check_all, enumerate_candidates
-from test_helpers import lagrange_interpolate
+from test_helpers import compose, lagrange_interpolate
 from test_qform import full_elimination_diagonal
 
 HALF = F(1, 2)
@@ -143,7 +144,7 @@ def trace_form_by_definition(ext, lam: Poly) -> list[list[F]]:
     T = Poly([0, 1])  # gamma in Q[T]/(f), and x in Q[T]/(P)
     if ext.kind == "trivial":
         n = f.degree()
-        lam_in_field = lam.compose(T + conj) % f
+        lam_in_field = compose(lam, T + conj) % f
         return [[_trace(lam_in_field * T**i * conj**j, f) for j in range(n)] for i in range(n)]
     P, e = ext.relative, ext.e
     return [
@@ -186,7 +187,7 @@ def absolute_by_resultants(P: Poly, f: Poly, k: int) -> Poly:
     2e + 1 integer points and made monic: the polynomial of x + k*gamma."""
     n = f.degree()
     fk = Poly([c * F(k) ** (n - i) for i, c in enumerate(f.coeffs)])
-    points = [(F(t), resultant(P, fk.compose(Poly([t, -1])))) for t in range(n * P.degree() + 1)]
+    points = [(F(t), resultant(P, compose(fk, Poly([t, -1])))) for t in range(n * P.degree() + 1)]
     return lagrange_interpolate(points).monic()
 
 
@@ -204,11 +205,18 @@ def test_absolute_polynomials_match_resultants():
 FIXTURES = [GAUSSIAN, EISENSTEIN_FIELD, cyclotomic_poly(5), WEIL_QUARTIC]
 
 
+def trace_det_class(ext):
+    """The determinant class of the trace form of lambda = 1, from its diagonal."""
+    return invariants(diagonalize(trace_form(ext, Poly([1])).gram)).det
+
+
 @pytest.mark.parametrize("defining", FIXTURES, ids=["Q(i)", "Q(zeta3)", "Q(zeta5)", "quartic"])
 def test_disc_identity_on_fixtures(defining):
     ext = trivial_ext(defining)
-    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
+    result = disc_identity_check(ext, trace_det_class(ext))
     assert result.status is Status.PASS, result.witness
+    # the class read off the diagonal is that of the Gram determinant
+    assert trace_det_class(ext) == square_class(trace_form(ext, Poly([1])).gram.determinant())
 
 
 @pytest.mark.parametrize("defining", FIXTURES, ids=["Q(i)", "Q(zeta3)", "Q(zeta5)", "quartic"])
@@ -226,14 +234,14 @@ def test_signature_identity_on_fixtures(defining):
 def test_disc_identity_value_gaussian():
     # det diag(2,2) = 4 ~ 1; (-1)**1 * disc(T^2+1) = -(-4) = 4 ~ 1
     ext = trivial_ext(GAUSSIAN)
-    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
+    result = disc_identity_check(ext, trace_det_class(ext))
     assert result.witness["expected_class"] == "1"
     assert result.witness["trace_form_det_class"] == "1"
 
 
 def test_disc_identity_value_eisenstein():
     ext = trivial_ext(EISENSTEIN_FIELD)
-    result = disc_identity_check(ext, trace_form(ext, Poly([1])))
+    result = disc_identity_check(ext, trace_det_class(ext))
     assert result.witness["expected_class"] == "3"
 
 

@@ -6,11 +6,14 @@ this file (exhaustive factor-shape search, exact arithmetic in a biquadratic
 field, high-precision numeric root isolation, `Fraction` reference
 versions of Yun's algorithm and of the Sturm chain, and a tuple-of-`Fraction`
 reference of the ring operations, against which the integer kernels behind
-`Poly` are checked).
+`Poly` are checked).  Factorization is also compared with the Yun and
+Zassenhaus reference in `test_helpers`, which has none of the shortcuts.
 """
 
 import functools
+import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import mpmath
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from httool import _intfactor
 from httool.cmfield import CMVerificationError, weil_field
 from httool.exactpoly import (
     DomainError,
@@ -25,8 +29,8 @@ from httool.exactpoly import (
     SturmChain,
     _zz_divmod,
     _zz_pdivmod,
+    cyclotomic_factors,
     cyclotomic_poly,
-    euler_phi,
     factor_over_Q,
     factor_with_unit,
     is_cyclotomic,
@@ -42,6 +46,7 @@ from httool.exactpoly import (
     squarefree_part,
     sturm_count,
 )
+from test_helpers import compose, euler_phi, reference_factor_with_unit
 
 QUARTIC = Poly([1, 0, F(1, 2), 0, 1])
 
@@ -283,7 +288,7 @@ def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
         "scalar": ((f * scalar).coeffs, ref_trim(c * scalar for c in a)),
         "rscalar": ((scalar * f).coeffs, ref_trim(c * scalar for c in a)),
         "pow": ((f ** power).coeffs, functools.reduce(ref_mul, [a] * power, (F(1),))),
-        "compose": (f.compose(g).coeffs, ref_compose(a, b)),
+        "compose": (compose(f, g).coeffs, ref_compose(a, b)),
         "eval": (f(x), ref_eval(a, x)),
         "derivative": (f.derivative().coeffs, ref_trim(i * c for i, c in enumerate(a))[1:]),
         "reverse": (f.reverse().coeffs, ref_trim(reversed(a))),
@@ -301,7 +306,7 @@ def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
         results["leading"] = ((f.leading(), f.constant()), (a[-1], a[0]))
     for name, (got, expected) in results.items():
         assert got == expected, name
-    derived = (f + g, f - g, f * g, f * scalar, f ** power, f.compose(g), f.derivative(), f.reverse())
+    derived = (f + g, f - g, f * g, f * scalar, f ** power, compose(f, g), f.derivative(), f.reverse())
     for p in (f, g, *derived):
         assert_canonical(p)
         same = Poly.from_ints([c * 6 for c in p.prim], p.content / 6)
@@ -378,6 +383,125 @@ def test_factor_refines_products(cs1, cs2):
     for h, m in factor_over_Q(f) + factor_over_Q(g):
         combined[h] = combined.get(h, 0) + m
     assert dict(factor_over_Q(f * g)) == combined
+
+
+# ---------------------------------------------------------------------------
+# factorization by structure, against the Zassenhaus-only reference
+
+POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pools.json").read_text())
+POOL_MEMBERS = [Poly([F(c) for c in m]) for pool in POOLS["pools"] for m in pool["members"]]
+# every n with phi(n) <= 20 (all are at most 66)
+CYCLOTOMIC_INDICES = [n for n in range(1, 67) if euler_phi(n) <= 20]
+nonzero_scales = st.fractions(min_value=-30, max_value=30, max_denominator=35).filter(lambda c: c != 0)
+
+
+def lifts_during(call):
+    """The result of call() and the number of Hensel lifts it made."""
+    before = _intfactor.COUNTERS["hensel_lifts"]
+    result = call()
+    return result, _intfactor.COUNTERS["hensel_lifts"] - before
+
+
+def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
+    for n, m in cyclotomics:
+        f = f * cyclotomic_poly(n) ** m
+    return f
+
+
+def assert_matches_reference(f: Poly):
+    """factor_with_unit equals the reference, and cyclotomic_factors lists
+    exactly the cyclotomic factors it finds."""
+    unit, factors = factor_with_unit(f)
+    assert (unit, factors) == reference_factor_with_unit(f)
+    found = sorted((is_cyclotomic(g), m) for g, m in factors if is_cyclotomic(g) is not None)
+    assert sorted(cyclotomic_factors(f)) == found
+    return factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES), st.integers(1, 3)), min_size=1, max_size=3).filter(
+        lambda cs: sum(euler_phi(n) for n in {n for n, _ in cs}) <= 30
+    ),
+    nonzero_scales,
+)
+def test_factor_cyclotomic_products_by_division(cyclotomics, scale):
+    # products of Phi_n, repeated ones included: each factor is found by
+    # trial division, so no Hensel lift runs
+    f = with_cyclotomics(Poly([scale]), cyclotomics)
+    assert lifts_during(lambda: factor_with_unit(f))[1] == 0
+    expected: dict = {}
+    for n, m in cyclotomics:
+        expected[n] = expected.get(n, 0) + m
+    assert len(assert_matches_reference(f)) == len(expected)
+    assert sorted(cyclotomic_factors(f)) == sorted(expected.items())
+
+
+def test_factor_pool_members_match_reference():
+    for member in POOL_MEMBERS:
+        assert_matches_reference(member)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(POOL_MEMBERS),
+    st.integers(1, 2),
+    st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES[:20]), st.integers(1, 2)), max_size=2),
+)
+def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
+    # the shape of census candidates: a member or its square times roots of unity
+    assert_matches_reference(with_cyclotomics(member ** power, cyclotomics))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=5).filter(lambda c: c[-1] != 0), st.integers(1, 3)),
+        min_size=1,
+        max_size=3,
+    ),
+    nonzero_scales,
+)
+def test_factor_square_factors_match_reference(parts, scale):
+    f = Poly([scale])
+    for cs, m in parts:
+        f = f * Poly(cs) ** m
+    assert_matches_reference(f)
+
+
+SQUAREFREE = [-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SQUAREFREE),
+    st.sampled_from(SQUAREFREE),
+    st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES[:12]), st.integers(1, 2)), max_size=2),
+)
+def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
+    # the minimal polynomial of sqrt(a) + sqrt(b) has Galois group C2 x C2, so
+    # it splits into factors of degree <= 2 mod every prime: the degree sets
+    # never prove it irreducible, and Berlekamp and Zassenhaus must
+    if a == b:
+        return
+    h = Poly([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
+    f = with_cyclotomics(h, cyclotomics)
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert (h, 1) in factors[1]
+    assert factors == reference_factor_with_unit(f)
+    assert lifts >= 1
+
+
+def test_degree_sets_prove_irreducibility():
+    # x**n - 2 is Eisenstein at 2; for these n the degrees of its factors
+    # mod at most three primes leave no proper factor degree, so nothing is
+    # lifted
+    for n in (2, 3, 4, 6, 8, 9, 12):
+        f = Poly([-2] + [0] * (n - 1) + [1])
+        assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 0)
+    # x**4 - 10x**2 + 1 = minpoly(sqrt 2 + sqrt 3) needs a lift to be proved
+    f = Poly([1, 0, -10, 0, 1])
+    assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
 
 
 def test_squarefree_decomposition_multiplicities():

@@ -1,6 +1,6 @@
-"""Integer factorization and F_p polynomial helpers, and Lagrange
-interpolation, which other test modules use to build reference
-polynomials from their values."""
+"""Integer factorization and F_p polynomial helpers, and the references
+other test modules use: Lagrange interpolation, composition, Euler's
+totient and factorization over Q by Yun's algorithm and Zassenhaus alone."""
 
 import math
 import operator
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.exactpoly import Poly, square_class
+from httool.exactpoly import Poly, _zassenhaus, _zz_yun, square_class
 
 
 def lagrange_interpolate(points: list[tuple[F, F]]) -> Poly:
@@ -24,6 +24,51 @@ def lagrange_interpolate(points: list[tuple[F, F]]) -> Poly:
             term = term * Poly([-xj, 1]) * F(1, xi - xj)
         result = result + term
     return result
+
+
+def compose(f: Poly, g: Poly) -> Poly:
+    """f(g(x)), by Horner's rule in g."""
+    acc = Poly()
+    for a in reversed(f.prim):
+        acc = acc * g + Poly.from_ints([a], 1)
+    return acc * f.content
+
+
+def euler_phi(n: int) -> int:
+    result = n
+    for p in _intfactor.factorize(n):
+        result -= result // p
+    return result
+
+
+def _reference_factoring_prime(f):
+    """Among the first three odd primes p that keep f squarefree and its
+    degree, stopping early at one where f has at most two factors, the one
+    with the fewest factors mod p, and those factors by Berlekamp."""
+    found = []
+    p = 3
+    while len(found) < 3:
+        if _intfactor.is_prime(p) and f[-1] % p != 0:
+            fp = _gfp.from_coeffs(f, p)
+            if _gfp.is_squarefree(fp, p):
+                factors = _gfp.berlekamp(_gfp.monic(fp, p), p)
+                found.append((p, factors))
+                if len(factors) <= 2:
+                    break
+        p += 2
+    return min(found, key=lambda pf: (len(pf[1]), pf[0]))
+
+
+def reference_factor_with_unit(f: Poly):
+    """`factor_with_unit` with no shortcut: Yun's algorithm, then Berlekamp,
+    Hensel lifting and Zassenhaus recombination on every squarefree part
+    of degree 2 or more, cyclotomic or not."""
+    factors = []
+    for g, mult in _zz_yun(f.prim):
+        irreducibles = [g] if len(g) == 2 else _zassenhaus(g, *_reference_factoring_prime(g))
+        factors.extend((Poly.from_ints(irr, 1), mult) for irr in irreducibles)
+    factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
+    return f.content, factors
 
 
 def test_is_prime_small():

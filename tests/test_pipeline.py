@@ -166,10 +166,14 @@ def test_telemetry_present_but_separate():
     assert {"total", "k3_sum_identity"} <= stages.keys()
     counters = outcome.telemetry["counters"]
     assert counters["factor_with_unit_calls"] > 0
+    # L (factored by check_all and weil_field) has Galois group C2 x C2, so it
+    # is reducible mod every prime: no degree set proves it irreducible, and
+    # each of the two factorizations lifts
+    assert counters["hensel_lifts"] == 2
     assert counters["sturm_chain_builds"] > 0
     assert counters["pollard_rho_splits"] >= 0
     assert "telemetry" not in outcome.certificate
     certificate_text = json.dumps(outcome.certificate)
     assert "stage_seconds" not in certificate_text
     assert "counters" not in certificate_text and "sturm_chain_builds" not in certificate_text
-    assert "pollard_rho_splits" not in certificate_text
+    assert "pollard_rho_splits" not in certificate_text and "hensel_lifts" not in certificate_text
