@@ -29,16 +29,6 @@ def is_zero(f: list[int]) -> bool:
     return not f
 
 
-def add(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a + b) % p
-    return trim(out)
-
-
 def sub(f: list[int], g: list[int], p: int) -> list[int]:
     n = max(len(f), len(g))
     out = [0] * n

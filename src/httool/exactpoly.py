@@ -202,9 +202,6 @@ class Poly:
         """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
         return Poly.from_ints(self.prim[::-1], self.content)
 
-    def has_integer_coeffs(self) -> bool:
-        return self.content.denominator == 1
-
     def is_monic(self) -> bool:
         return bool(self.prim) and self.leading() == 1
 
@@ -369,19 +366,7 @@ def _zz_squarefree(f):
 
 
 # ---------------------------------------------------------------------------
-# gcd, squarefree machinery
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
-    h = _zz_gcd(f.prim, g.prim)
-    return Poly.from_ints(h, 1).monic() if h else Poly()
-
-
-def squarefree_part(f: Poly) -> Poly:
-    if f.is_zero:
-        raise DomainError("squarefree part of the zero polynomial")
-    return Poly.from_ints(_zz_squarefree(f.prim), 1).monic()
+# squarefree decomposition
 
 
 def _zz_yun(f) -> list[tuple[list[int], int]]:
@@ -410,15 +395,6 @@ def _zz_yun(f) -> list[tuple[list[int], int]]:
         z = _zz_sub(y, _zz_derivative(w))
         i += 1
     return parts
-
-
-def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """Yun's algorithm: f = unit * prod g_i**i with g_i primitive integral,
-    positive leading, squarefree and pairwise coprime; the unit is f's
-    content."""
-    if f.is_zero:
-        raise DomainError("cannot decompose the zero polynomial")
-    return f.content, [(Poly.from_ints(h, 1), mult) for h, mult in _zz_yun(f.prim)]
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +614,13 @@ def _split_parts(f):
 def _factor_cofactor(h, p, counts):
     """Step 3 of `factor_with_unit`: the irreducible integer factors of a
     cofactor h from `_split_parts`."""
+    if len(h) == 3:
+        c, b, a = h
+        disc = b * b - 4 * a * c
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r != disc:
+            return [h]
+        return [_zz_primitive([b - r, 2 * a]), _zz_primitive([b + r, 2 * a])]
     full = 1 | 1 << (len(h) - 1)
     sums = _degree_sums(counts)
     found = [(sum(counts.values()), p)]
@@ -656,13 +639,6 @@ def _factor_cofactor(h, p, counts):
     return _zassenhaus(h, p, modular)
 
 
-def cyclotomic_factors(f: Poly) -> list[tuple[int, int]]:
-    """(n, m) for each Phi_n dividing f exactly m times, ascending m, then n."""
-    if f.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
-    return [(n, m) for m, indices, _h, _p, _counts in _split_parts(f.prim) for n in indices]
-
-
 def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
     positive leading coefficient; ordered by degree then coefficients.
@@ -678,11 +654,14 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
        irreducibles of degree k = ord_n(p), so it is tried only if the
        distinct-degree factorization of g mod p has that many.
-    3. The cofactor.  A factor over Z reduces mod such a prime to a product
-       of factors mod p of the same total degree, so its degree is a sum of
-       theirs.  If those sums, intersected over up to three primes, leave
-       only 0 and the full degree, the cofactor is irreducible (Musser's
-       degree-set test).  A prime that removes no sum ends the search: it
+    3. The cofactor.  A quadratic a*x**2 + b*x + c is irreducible exactly
+       when b**2 - 4ac is not a square r**2; otherwise its factors are the
+       primitive parts of 2a*x + b - r and 2a*x + b + r, whose product is
+       4a times it.  Of a cofactor of higher degree, a factor over Z
+       reduces mod such a prime to a product of factors mod p of the same
+       total degree, so its degree is a sum of theirs.  If those sums,
+       intersected over up to three primes, leave only 0 and the full
+       degree, the cofactor is irreducible (Musser's degree-set test).  A prime that removes no sum ends the search: it
        gives up an occasional proof for fewer reductions of cofactors that
        no prime proves irreducible, reducible ones or x**4 - 10x**2 + 1.
        Otherwise Berlekamp factors it mod the prime with the fewest

@@ -59,12 +59,6 @@ class NewtonPolygon:
             "segments": [s.to_json() for s in self.segments],
         }
 
-    def slopes_with_multiplicity(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for seg in self.segments:
-            out.extend([seg.slope] * seg.length)
-        return out
-
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
     """Lower convex hull of {(i, v_p(c_i)) : c_i != 0}, with

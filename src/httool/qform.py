@@ -174,15 +174,8 @@ class QSpace:
         if any(d == 0 for d in self.diagonal):
             raise DomainError("diagonal entries must be nonzero")
 
-    @staticmethod
-    def of(*entries) -> "QSpace":
-        return QSpace(tuple(Fraction(e) for e in entries))
-
     def dimension(self) -> int:
         return len(self.diagonal)
-
-    def concat(self, other: "QSpace") -> "QSpace":
-        return QSpace(self.diagonal + other.diagonal)
 
     def to_json(self) -> dict:
         return {"diagonal": [rat_to_str(d) for d in self.diagonal]}
@@ -230,7 +223,6 @@ class QFormInvariants:
 
 
 TRIVIAL_CLASS = SquareClass(1, frozenset())
-NEUTRAL_INVARIANTS = QFormInvariants(0, (0, 0), TRIVIAL_CLASS, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
@@ -371,25 +363,40 @@ def _binary_pool(inv: QFormInvariants) -> list[int]:
     return sorted(primes)
 
 
+def _binary_scalars(pool: list[int], signs: tuple[int, ...]):
+    """The pool's scalars, then each of them times one auxiliary prime q
+    outside the pool, q ascending."""
+    yield from _scalar_candidates(pool, signs)
+    for q in itertools.count(3, 2):
+        if q not in pool and _intfactor.is_prime(q):
+            for c in _scalar_candidates(pool, signs):
+                yield SquareClass(c.sign, c.primes | {q})
+
+
 def _construct_binary(inv: QFormInvariants, signs: tuple[int, ...]) -> list[Fraction]:
     """The first <x, delta x> in the scalar search with the Hasse set of inv,
     for x of the given signs.
 
     Its determinant class is delta and its Hasse symbol is
     (x, delta x)_v = (x, -delta)_v, at 2, infinity and the primes of x and
-    delta (all in the pool).  Its signature, hence its symbol at infinity,
-    is inv's, since an admissible binary determinant has sign (-1)**s.
+    delta.  Its signature, hence its symbol at infinity, is inv's, since an
+    admissible binary determinant has sign (-1)**s.
+
+    The pool holds 2, the primes of delta and the finite Hasse places.  When
+    none of its scalars fits, one auxiliary prime outside it always
+    suffices: the proof of Serre, A Course in Arithmetic, ch. III, Thm. 4,
+    gives an x = a*q with a a signed product of those primes and q a prime
+    outside any given finite set (Dirichlet), so the search ends.
     """
     minus_delta = -inv.det.sign * inv.det.squarefree
     finite = inv.hasse - {INF}
-    for c in _scalar_candidates(_binary_pool(inv), signs):
+    for c in _binary_scalars(_binary_pool(inv), signs):
         places = {2} | c.primes | inv.det.primes
         x = c.sign * c.squarefree
         # lazy: the test stops at the first place whose symbol disagrees with inv
         wrong = ((_hilbert_at(x, minus_delta, p) == -1) != (p in inv.hasse) for p in places)
         if finite <= places and not any(wrong):
             return [Fraction(x), inv.det.as_fraction() * x]
-    raise ConstructionError(f"no binary form found for {inv}")
 
 
 def _construct_diagonal(inv: QFormInvariants) -> list[Fraction]:
@@ -426,22 +433,6 @@ def construct_with_invariants(inv: QFormInvariants) -> QSpace:
     if invariants(space) != inv:
         raise ConstructionError(f"round trip failed for {inv}")
     return space
-
-
-def is_hyperbolic_at_p(inv: QFormInvariants, p: int) -> bool:
-    """Whether the localization at p matches an orthogonal sum of dim/2
-    hyperbolic planes (determinant and Hasse compared locally)."""
-    if inv.dim % 2 != 0:
-        raise DomainError("hyperbolic comparison needs even dimension")
-    k = inv.dim // 2
-    plane = invariants(QSpace.of(1, -1))
-    hk = NEUTRAL_INVARIANTS
-    for _ in range(k):
-        hk = sum_invariants(hk, plane)
-    ratio = inv.det.as_fraction() * hk.det.as_fraction()
-    if not is_square_in_Qp(ratio, p):
-        return False
-    return (p in inv.hasse) == (p in hk.hasse)
 
 
 # ---------------------------------------------------------------------------

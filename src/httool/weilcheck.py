@@ -29,8 +29,6 @@ from .exactpoly import (
     DomainError,
     Poly,
     SturmChain,
-    cyclotomic_factors,
-    cyclotomic_poly,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -348,21 +346,6 @@ def base_extend(c: WeilCandidate, n: int) -> WeilCandidate:
 
 # ---------------------------------------------------------------------------
 # the desk-scale enumerator
-
-
-def split_alg_trc(L: Poly) -> tuple[Poly, Poly]:
-    """Split L (constant term 1) into the product of its cyclotomic factors
-    and the rest, both normalized to constant term 1."""
-    if L.constant() != 1:
-        raise DomainError("expected constant term 1")
-    alg = Poly([1])
-    for n, mult in cyclotomic_factors(L):
-        factor = cyclotomic_poly(n)
-        alg = alg * (factor * (1 / factor.constant())) ** mult
-    trc = L // alg
-    if alg * trc != L:
-        raise ArithmeticError("algebraic/transcendental split failed")
-    return alg, trc
 
 
 def enumerate_candidates(

@@ -168,6 +168,14 @@ def test_qform_construct_inadmissible_exit_one():
     assert json.loads(proc.stdout) == {"admissible": False}
 
 
+def test_qform_construct_beyond_the_scalar_pool():
+    # admissible invariants whose binary block needs an auxiliary prime
+    payload = json.dumps({"dim": 4, "signature": [2, 2], "det": str(10 * (10**12 + 39)), "hasse": ["2", "inf"]})
+    proc = run_cli(["qform", "construct"], payload)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["admissible"] is True
+
+
 def test_output_file_option(tmp_path):
     target = tmp_path / "out.json"
     proc = run_cli(["lattice", "--output", str(target)])

@@ -4,6 +4,8 @@ The splitting test is cross-validated by Dedekind factor counting on the
 absolute defining polynomial of the relative quadratic extension.
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -18,7 +20,6 @@ from httool.cmfield import (
     completion_degree_check,
     disc_identity_check,
     find_lambda,
-    number_field,
     relative_quadratic_disc,
     signature_of,
     split_test,
@@ -38,8 +39,8 @@ from httool.exactpoly import (
 from httool.padicpoly import vp
 from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
-from httool.weilcheck import check_all, enumerate_candidates
-from test_helpers import compose, lagrange_interpolate
+from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
+from test_helpers import compose, lagrange_interpolate, number_field, reference_disc_identity
 from test_qform import full_elimination_diagonal
 
 HALF = F(1, 2)
@@ -47,6 +48,7 @@ WEIL_QUADRATIC = Poly([1, -HALF, 1])
 WEIL_QUARTIC = Poly([1, 0, HALF, 0, 1])
 GAUSSIAN = Poly([1, 0, 1])
 EISENSTEIN_FIELD = Poly([1, 1, 1])
+POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pools.json").read_text())
 
 
 def trivial_ext(defining: Poly):
@@ -182,21 +184,17 @@ def test_trace_forms_match_their_definition():
             assert list(diagonalize(form.gram).diagonal) == full_elimination_diagonal(expected)
 
 
-def absolute_by_resultants(P: Poly, f: Poly, k: int) -> Poly:
-    """Res_X(P(X), f_k(z - X)) with f_k(T) = k^2 f(T/k), interpolated at
-    2e + 1 integer points and made monic: the polynomial of x + k*gamma."""
-    n = f.degree()
-    fk = Poly([c * F(k) ** (n - i) for i, c in enumerate(f.coeffs)])
-    points = [(F(t), resultant(P, compose(fk, Poly([t, -1])))) for t in range(n * P.degree() + 1)]
+def absolute_by_resultants(P: Poly, f: Poly) -> Poly:
+    """Res_X(P(X), f(z - X)), interpolated at 2e + 1 integer points and made
+    monic: the polynomial of x + gamma."""
+    points = [(F(t), resultant(P, compose(f, Poly([t, -1])))) for t in range(f.degree() * P.degree() + 1)]
     return lagrange_interpolate(points).monic()
 
 
 def test_absolute_polynomials_match_resultants():
     for ext in _composita():
-        f, k = ext.base.field.defining, ext.trace["primitive_shift"]
-        assert ext.absolute == absolute_by_resultants(ext.relative, f, k)
-        # k is the first shift that gives a primitive element
-        assert not any(is_irreducible(absolute_by_resultants(ext.relative, f, j)) for j in range(1, k))
+        assert ext.trace["primitive_shift"] == 1
+        assert ext.absolute == absolute_by_resultants(ext.relative, ext.base.field.defining)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +227,25 @@ def test_signature_identity_on_fixtures(defining):
         assert (r, s) == target
         form = trace_form(ext, lam)
         assert invariants(diagonalize(form.gram)).signature == (2 * r, 2 * s)
+
+
+def test_disc_identity_matches_factoring_reference():
+    # the perfect-square test agrees with comparing factored square classes,
+    # on the fixtures, every pool field and the composita, and fails when
+    # the determinant class is off by the class of 3
+    fields = FIXTURES + [
+        check_all(WeilCandidate(Poly([F(c) for c in m]), pool["p"], pool["a"])).Q
+        for pool in POOLS["pools"]
+        for m in pool["members"]
+    ]
+    extensions = [trivial_ext(defining) for defining in fields] + list(_composita())
+    three = square_class(F(3))
+    for ext in extensions:
+        det = trace_det_class(ext)
+        for det_class, holds in ((det, True), (det.times(three), False)):
+            result = disc_identity_check(ext, det_class)
+            assert reference_disc_identity(ext, det_class) == (holds, result.witness["expected_class"])
+            assert result.status is (Status.PASS if holds else Status.FAIL)
 
 
 def test_disc_identity_value_gaussian():
@@ -302,16 +319,25 @@ def test_build_extension_eisenstein_example():
 
 
 def test_build_extension_invariants_on_every_call():
-    cm = weil_field(WEIL_QUADRATIC)
-    for p, e in [(2, 2), (2, 3), (3, 2), (5, 2), (5, 3)]:
-        ext = build_extension(cm, p, 2 * e)
-        P = ext.relative
-        assert P.is_monic()
-        assert vp(P.constant(), p) == 1
-        assert all(vp(c, p) >= 1 for c in P.coeffs[:-1])
-        assert sturm_count(P) == e
-        assert is_irreducible(ext.absolute)
-        assert ext.absolute.degree() == 2 * e
+    # every imaginary quadratic pool field at its p, for e = 2..10: P is
+    # Eisenstein with e real roots, and x + gamma is primitive
+    quadratics = [
+        (pool["p"], Poly([F(c) for c in m])) for pool in POOLS["pools"] if pool["degree"] == 2 for m in pool["members"]
+    ]
+    assert len(quadratics) == 12
+    for p, L in quadratics:
+        cm = weil_field(L)
+        for e in range(2, 11):
+            ext = build_extension(cm, p, 2 * e)
+            P = ext.relative
+            assert P.is_monic()
+            assert vp(P.constant(), p) == 1
+            assert all(vp(c, p) >= 1 for c in P.coeffs[:-1])
+            assert sturm_count(P) == e
+            assert ext.trace["primitive_shift"] == 1
+            assert ext.absolute.degree() == 2 * e
+            if e <= 6:
+                assert is_irreducible(ext.absolute)
 
 
 def test_build_extension_unsupported_regime():

@@ -29,24 +29,28 @@ from httool.exactpoly import (
     SturmChain,
     _zz_divmod,
     _zz_pdivmod,
-    cyclotomic_factors,
     cyclotomic_poly,
     factor_over_Q,
     factor_with_unit,
     is_cyclotomic,
     is_irreducible,
     isolate_real_roots,
-    poly_gcd,
     rat_from_str,
     rat_to_str,
     reciprocal_transform,
     resultant,
     square_class,
-    squarefree_decomposition,
-    squarefree_part,
     sturm_count,
 )
-from test_helpers import compose, euler_phi, reference_factor_with_unit
+from test_helpers import (
+    compose,
+    cyclotomic_factors,
+    euler_phi,
+    poly_gcd,
+    reference_factor_with_unit,
+    squarefree_decomposition,
+    squarefree_part,
+)
 
 QUARTIC = Poly([1, 0, F(1, 2), 0, 1])
 
@@ -311,7 +315,7 @@ def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
         assert_canonical(p)
         same = Poly.from_ints([c * 6 for c in p.prim], p.content / 6)
         assert same == p and hash(same) == hash(p) and same == Poly(p.coeffs)
-    assert f.has_integer_coeffs() == all(c.denominator == 1 for c in a)
+    assert (f.content.denominator == 1) == all(c.denominator == 1 for c in a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,6 +473,23 @@ def test_factor_square_factors_match_reference(parts, scale):
     assert_matches_reference(f)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(1, 12), st.integers(-40, 40), st.integers(-40, 40)).filter(lambda abc: abc[2] != 0),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES[:12]), st.integers(1, 2)), max_size=2),
+)
+def test_factor_quadratic_cofactor_by_discriminant(abc, split, cyclotomics):
+    # a x**2 + b x + c, or (a x + b)(x + c) when split: its discriminant
+    # decides it, with no Hensel lift and the reference's factors
+    a, b, c = abc
+    h = Poly([b, a]) * Poly([c, 1]) if split else Poly([c, b, a])
+    f = with_cyclotomics(h, cyclotomics)
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert factors == reference_factor_with_unit(f)
+    assert lifts == 0
+
+
 SQUAREFREE = [-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11]
 
 
@@ -538,7 +559,7 @@ def test_squarefree_decomposition_matches_fraction_yun(factors, cyclotomics, sca
     assert (unit, parts) == fraction_yun(f)
     product = Poly([unit])
     for g, m in parts:
-        assert g.has_integer_coeffs() and g.leading() > 0
+        assert g.content.denominator == 1 and g.leading() > 0
         product = product * g ** m
     assert product == f
     assert poly_gcd(f, f.derivative()) == fraction_gcd(f, f.derivative())

@@ -1,6 +1,8 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
-totient and factorization over Q by Yun's algorithm and Zassenhaus alone."""
+totient, factorization over Q by Yun's algorithm and Zassenhaus alone,
+the disc identity by factoring, and small wrappers over the program's
+kernels that only tests call."""
 
 import math
 import operator
@@ -10,7 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.exactpoly import Poly, _zassenhaus, _zz_yun, square_class
+from httool.cmfield import NumberField
+from httool.exactpoly import (
+    Poly,
+    _split_parts,
+    _zassenhaus,
+    _zz_gcd,
+    _zz_squarefree,
+    _zz_yun,
+    discriminant,
+    is_irreducible,
+    square_class,
+    sturm_count,
+)
 
 
 def lagrange_interpolate(points: list[tuple[F, F]]) -> Poly:
@@ -69,6 +83,51 @@ def reference_factor_with_unit(f: Poly):
         factors.extend((Poly.from_ints(irr, 1), mult) for irr in irreducibles)
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
+
+
+def reference_disc_identity(ext, det_class) -> tuple[bool, str]:
+    """Whether det_class is the class of (-1)^d * disc(E), and the expected
+    class, both from a factorization of that discriminant."""
+    expected = square_class((-1) ** (ext.degree // 2) * discriminant(ext.absolute))
+    return det_class == expected, str(expected)
+
+
+def number_field(f: Poly) -> NumberField:
+    """The field Q[T]/(f) of a monic irreducible f."""
+    assert f.is_monic() and is_irreducible(f)
+    return NumberField(f, f.degree(), sturm_count(f))
+
+
+def poly_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
+    h = _zz_gcd(f.prim, g.prim)
+    return Poly.from_ints(h, 1).monic() if h else Poly()
+
+
+def squarefree_part(f: Poly) -> Poly:
+    return Poly.from_ints(_zz_squarefree(f.prim), 1).monic()
+
+
+def squarefree_decomposition(f: Poly):
+    """Yun's algorithm: f = unit * prod g_i**i with g_i primitive integral,
+    positive leading, squarefree and pairwise coprime; the unit is f's
+    content."""
+    return f.content, [(Poly.from_ints(h, 1), mult) for h, mult in _zz_yun(f.prim)]
+
+
+def cyclotomic_factors(f: Poly) -> list[tuple[int, int]]:
+    """(n, m) for each Phi_n that `factor_with_unit` divides out of f, m
+    its multiplicity."""
+    return [(n, m) for m, indices, _h, _p, _counts in _split_parts(f.prim) for n in indices]
+
+
+def slopes_with_multiplicity(polygon) -> list[F]:
+    return [seg.slope for seg in polygon.segments for _ in range(seg.length)]
+
+
+def gfp_add(f: list[int], g: list[int], p: int) -> list[int]:
+    n = max(len(f), len(g))
+    return _gfp.trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)])
 
 
 def test_is_prime_small():
@@ -140,7 +199,7 @@ def test_gfp_divmod_and_gcd():
     f = _gfp.from_coeffs([1, 0, 4, 3], p)
     g = _gfp.from_coeffs([2, 1], p)
     q, r = _gfp.divmod_(f, g, p)
-    assert _gfp.add(_gfp.mul(q, g, p), r, p) == f
+    assert gfp_add(_gfp.mul(q, g, p), r, p) == f
     assert _gfp.degree(r) < _gfp.degree(g)
 
 
@@ -149,7 +208,7 @@ def test_gfp_gcdex_identity():
     f = _gfp.from_coeffs([1, 2, 3, 1], p)
     g = _gfp.from_coeffs([4, 0, 1], p)
     s, t, h = _gfp.gcdex(f, g, p)
-    lhs = _gfp.add(_gfp.mul(s, f, p), _gfp.mul(t, g, p), p)
+    lhs = gfp_add(_gfp.mul(s, f, p), _gfp.mul(t, g, p), p)
     assert lhs == h
 
 

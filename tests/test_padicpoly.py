@@ -21,6 +21,7 @@ from httool.padicpoly import (
     residual_polynomial,
     vp,
 )
+from test_helpers import slopes_with_multiplicity
 
 HALF = F(1, 2)
 
@@ -129,16 +130,16 @@ def test_polygon_additive_on_products(cs1, cs2):
         return
     p = 2
     combined = sorted(
-        newton_polygon(f, p).slopes_with_multiplicity()
-        + newton_polygon(g, p).slopes_with_multiplicity()
+        slopes_with_multiplicity(newton_polygon(f, p))
+        + slopes_with_multiplicity(newton_polygon(g, p))
     )
-    product = sorted(newton_polygon(f * g, p).slopes_with_multiplicity())
+    product = sorted(slopes_with_multiplicity(newton_polygon(f * g, p)))
     assert product == combined
 
 
 def test_polygon_symmetry_for_self_inversive():
     for f in (Poly([1, -HALF, 1]), Poly([1, 0, HALF, 0, 1]), Poly([1, HALF, F(9, 4), HALF, 1])):
-        slopes = newton_polygon(f, 2).slopes_with_multiplicity()
+        slopes = slopes_with_multiplicity(newton_polygon(f, 2))
         assert sorted(slopes) == sorted(-s for s in slopes)
 
 

@@ -84,6 +84,17 @@ def test_run_power_candidate_extends_through_eisenstein():
     assert cert["k3_sum_identity"]["status"] == "pass"
 
 
+def test_run_degree_14_compositum_constructs_and_revalidates():
+    # its 173-digit discriminant is never factored: the disc identity is a
+    # perfect-square test
+    outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=14))
+    assert outcome.status is RunStatus.CONSTRUCTED
+    cert = outcome.certificate
+    assert cert["extension"]["trace"]["primitive_shift"] == 1
+    assert cert["disc_identity"]["status"] == "pass"
+    assert revalidate_certificate(cert) == []
+
+
 def test_run_odd_extension_degree():
     outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=6))
     assert outcome.status is RunStatus.CONSTRUCTED

@@ -1,6 +1,6 @@
 """Quadratic spaces: Hilbert symbols against a lattice-point oracle,
 diagonalization, invariants, additivity, complements, constructive
-realization, the K3 lattice, and local hyperbolicity."""
+realization and the K3 lattice."""
 
 import itertools
 import json
@@ -18,7 +18,6 @@ from httool.exactpoly import DomainError, square_class
 from httool.qform import (
     INF,
     GramMatrix,
-    NEUTRAL_INVARIANTS,
     ConstructionError,
     QFormInvariants,
     QSpace,
@@ -30,7 +29,6 @@ from httool.qform import (
     equivalent,
     hilbert_symbol,
     invariants,
-    is_hyperbolic_at_p,
     is_square_in_Qp,
     k3_invariants,
     k3_lattice,
@@ -38,6 +36,14 @@ from httool.qform import (
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
+
+
+def qspace(*entries) -> QSpace:
+    return QSpace(tuple(F(e) for e in entries))
+
+
+# the invariants of the zero space, neutral for sum_invariants
+NEUTRAL = QFormInvariants(0, (0, 0), square_class(F(1)), frozenset())
 
 
 def hilbert_oracle(a: int, b: int, place) -> int:
@@ -147,17 +153,17 @@ def test_invalid_places_are_rejected(place):
 
 
 def test_diagonalize_identity():
-    assert diagonalize(GramMatrix.from_rows([[1, 0], [0, 1]])) == QSpace.of(1, 1)
+    assert diagonalize(GramMatrix.from_rows([[1, 0], [0, 1]])) == qspace(1, 1)
 
 
 def test_diagonalize_hyperbolic_plane():
     space = diagonalize(GramMatrix.from_rows([[0, 1], [1, 0]]))
-    assert equivalent(space, QSpace.of(1, -1))
+    assert equivalent(space, qspace(1, -1))
 
 
 def test_diagonalize_shifted_basis():
     space = diagonalize(GramMatrix.from_rows([[2, -1], [-1, 2]]))
-    assert space == QSpace.of(2, F(3, 2))
+    assert space == qspace(2, F(3, 2))
     assert str(invariants(space).det) == "3"
 
 
@@ -271,28 +277,28 @@ def test_diagonalize_invariants_are_basis_independent(base):
 
 
 def test_invariants_examples():
-    inv = invariants(QSpace.of(2, 2))
+    inv = invariants(qspace(2, 2))
     assert (inv.dim, inv.signature, str(inv.det), inv.sorted_hasse()) == (2, (2, 0), "1", [])
-    inv2 = invariants(QSpace.of(1, -1))
+    inv2 = invariants(qspace(1, -1))
     assert (inv2.signature, str(inv2.det), inv2.sorted_hasse()) == ((1, 1), "-1", [])
-    inv3 = invariants(QSpace.of(-1, -1))
+    inv3 = invariants(qspace(-1, -1))
     assert (inv3.signature, str(inv3.det), inv3.sorted_hasse()) == ((0, 2), "1", [2, INF])
     assert inv3.to_json()["hasse"] == ["2", "inf"]
 
 
 def test_equivalence_examples():
-    assert equivalent(QSpace.of(2, 2), QSpace.of(1, 1))
-    assert not equivalent(QSpace.of(1, 1), QSpace.of(1, -1))
+    assert equivalent(qspace(2, 2), qspace(1, 1))
+    assert not equivalent(qspace(1, 1), qspace(1, -1))
 
 
 def test_sum_examples():
-    a = invariants(QSpace.of(-1))
+    a = invariants(qspace(-1))
     total = sum_invariants(a, a)
     assert (total.dim, str(total.det), total.sorted_hasse()) == (2, "1", [2, INF])
-    assert sum_invariants(a, NEUTRAL_INVARIANTS) == a
-    b = invariants(QSpace.of(1, -1))
+    assert sum_invariants(a, NEUTRAL) == a
+    b = invariants(qspace(1, -1))
     doubled = sum_invariants(b, b)
-    assert doubled == invariants(QSpace.of(1, -1, 1, -1))
+    assert doubled == invariants(qspace(1, -1, 1, -1))
     assert doubled.sorted_hasse() == [2, INF]
 
 
@@ -302,19 +308,19 @@ def test_sum_matches_concatenation_seeded():
     for _ in range(80):
         v = QSpace(tuple(rng.choice(entries) for _ in range(rng.randint(1, 4))))
         w = QSpace(tuple(rng.choice(entries) for _ in range(rng.randint(1, 4))))
-        assert sum_invariants(invariants(v), invariants(w)) == invariants(v.concat(w))
+        assert sum_invariants(invariants(v), invariants(w)) == invariants(QSpace(v.diagonal + w.diagonal))
 
 
 def test_complement_examples():
     k3 = k3_invariants()
-    sub = invariants(QSpace.of(2, 2))
+    sub = invariants(qspace(2, 2))
     comp = complement_invariants(sub, k3)
     assert comp.dim == 20
     assert comp.signature == (1, 19)
     assert str(comp.det) == "-1"
     assert comp.sorted_hasse() == [2, INF]
-    assert complement_invariants(k3, k3) == NEUTRAL_INVARIANTS
-    assert complement_invariants(NEUTRAL_INVARIANTS, k3) == k3
+    assert complement_invariants(k3, k3) == NEUTRAL
+    assert complement_invariants(NEUTRAL, k3) == k3
 
 
 def test_complement_inverts_sum_seeded():
@@ -398,13 +404,13 @@ def test_admissible_binary_special_case():
 def test_construct_examples():
     assert construct_with_invariants(
         QFormInvariants(3, (3, 0), square_class(F(1)), frozenset())
-    ) == QSpace.of(1, 1, 1)
+    ) == qspace(1, 1, 1)
     assert construct_with_invariants(
         QFormInvariants(2, (1, 1), square_class(F(-1)), frozenset())
-    ) == QSpace.of(1, -1)
+    ) == qspace(1, -1)
     assert construct_with_invariants(
         QFormInvariants(2, (0, 2), square_class(F(1)), frozenset({2, INF}))
-    ) == QSpace.of(-1, -1)
+    ) == qspace(-1, -1)
 
 
 def test_construct_rejects_inadmissible():
@@ -443,6 +449,16 @@ def test_construct_hard_ternary_case():
     inv = QFormInvariants(3, (3, 0), square_class(F(1)), frozenset({2, 5}))
     space = construct_with_invariants(inv)
     assert invariants(space) == inv
+
+
+def test_construct_binary_block_beyond_the_pool():
+    # the binary block left after the peel (signature (0, 2), det 10P,
+    # Hasse {2, inf}) has no scalar over the pool {2, ..., 19, P}; the
+    # auxiliary prime 23 gives x = -46
+    inv = invariants(qspace(10**12 + 39, 10, -10, -10))
+    space = construct_with_invariants(inv)
+    assert invariants(space) == inv
+    assert space.diagonal[2] == -46
 
 
 def _reference_scalars(inv, signs):
@@ -504,9 +520,9 @@ def test_construct_matches_reference_scan(large, entries):
     try:
         expected = tuple(reference_construct(inv))
     except ConstructionError:
-        # the pool holds no scalar for some binary block; both searches stop
-        with pytest.raises(ConstructionError):
-            construct_with_invariants(inv)
+        # the pool holds no scalar for some binary block: the construction
+        # goes on to an auxiliary prime and must still round-trip
+        assert invariants(construct_with_invariants(inv)) == inv
         return
     assert construct_with_invariants(inv).diagonal == expected
 
@@ -553,25 +569,3 @@ def test_k3_invariants_match_all_pairs_reference_and_golden():
 def test_u_blocks_diagonalize_to_det_minus_one():
     u = GramMatrix.from_rows([[0, 1], [1, 0]])
     assert str(invariants(diagonalize(u)).det) == "-1"
-
-
-# ---------------------------------------------------------------------------
-# local hyperbolicity
-
-
-def test_hyperbolic_examples():
-    plane = invariants(QSpace.of(1, -1))
-    for p in (2, 3, 5, 7):
-        assert is_hyperbolic_at_p(plane, p)
-    assert not is_hyperbolic_at_p(invariants(QSpace.of(-1, -1)), 2)
-    big = QFormInvariants(20, (2, 18), square_class(F(1)), frozenset())
-    assert is_hyperbolic_at_p(big, 7)
-    # cross-check against ten explicit planes
-    ten_planes = invariants(QSpace(tuple([F(1), F(-1)] * 10)))
-    assert (7 in big.hasse) == (7 in ten_planes.hasse)
-    assert is_square_in_Qp(big.det.as_fraction() * ten_planes.det.as_fraction(), 7)
-
-
-def test_hyperbolic_rejects_odd_dim():
-    with pytest.raises(DomainError):
-        is_hyperbolic_at_p(invariants(QSpace.of(1, 1, 1)), 3)

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from httool.exactpoly import DomainError, Poly, factor_with_unit, reciprocal_transform, squarefree_part
+from httool.exactpoly import DomainError, Poly, factor_with_unit, reciprocal_transform
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
@@ -24,8 +24,8 @@ from httool.weilcheck import (
     check_unit_circle,
     enumerate_candidates,
     reciprocal_root_power_sums,
-    split_alg_trc,
 )
+from test_helpers import slopes_with_multiplicity, squarefree_part
 
 HALF = F(1, 2)
 WEIL_QUADRATIC = Poly([1, -HALF, 1])
@@ -285,7 +285,7 @@ def test_census_members_have_symmetric_slope_multisets():
     # anything passing the unit-circle check is self-inversive, so the slope
     # multiset of its polygon must be closed under negation
     for member in enumerate_candidates(2, 1, 4):
-        slopes = newton_polygon(member.L, member.p).slopes_with_multiplicity()
+        slopes = slopes_with_multiplicity(newton_polygon(member.L, member.p))
         assert sorted(slopes) == sorted(-s for s in slopes)
 
 
@@ -319,17 +319,3 @@ def test_census_value_filters():
     assert any(c.L(F(1)) != target for c in base)
     excluded = enumerate_candidates(2, 1, 2, value_at_minus_one_not=base[0].L(F(-1)))
     assert all(c.L(F(-1)) != base[0].L(F(-1)) for c in excluded)
-
-
-# ---------------------------------------------------------------------------
-# the algebraic/transcendental split helper
-
-
-def test_split_alg_trc():
-    L = Poly([1, 1, 1]) * WEIL_QUADRATIC  # cyclotomic factor times a Weil factor
-    alg, trc = split_alg_trc(L)
-    assert alg == Poly([1, 1, 1])
-    assert trc == WEIL_QUADRATIC
-    assert alg * trc == L
-    alg2, trc2 = split_alg_trc(WEIL_QUARTIC)
-    assert alg2 == Poly([1]) and trc2 == WEIL_QUARTIC
