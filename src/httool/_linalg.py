@@ -1,9 +1,6 @@
-"""Exact determinants for small dense matrices."""
+"""Exact determinants of small dense integer matrices."""
 
 from __future__ import annotations
-
-import math
-from fractions import Fraction
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:
@@ -28,18 +25,3 @@ def bareiss_determinant(matrix: list[list[int]]) -> int:
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
 
-
-def fraction_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (row-wise denominator clearing)."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    int_rows: list[list[int]] = []
-    for row in matrix:
-        lcm = 1
-        for entry in row:
-            lcm = lcm * entry.denominator // math.gcd(lcm, entry.denominator)
-        scale *= lcm
-        int_rows.append([int(entry * lcm) for entry in row])
-    return Fraction(bareiss_determinant(int_rows)) / scale

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import pipeline, qform, weilcheck
@@ -127,7 +128,9 @@ def _cmd_lattice(args) -> int:
     payload = {
         "schema_version": pipeline.SCHEMA_VERSION,
         "gram": [[int(x) for x in row] for row in gram.entries],
-        "determinant": int(gram.determinant()),
+        # diagonalize uses congruences of determinant +-1 only, so the
+        # product of its diagonal is det(gram)
+        "determinant": int(math.prod(qform.diagonalize(gram).diagonal)),
         "invariants": qform.k3_invariants().to_json(),
     }
     _emit(payload, args)
@@ -165,7 +168,7 @@ def _cmd_qform(args) -> int:
         space = qform.construct_with_invariants(inv)
         _emit({"admissible": True, "space": space.to_json()}, args)
         return EXIT_OK
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"httool: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -680,19 +680,6 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     return f.content, factors
 
 
-def factor_over_Q(f: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible factorization over Q; factors are primitive integral with
-    positive leading coefficient, ordered by degree then coefficients."""
-    return factor_with_unit(f)[1]
-
-
-def is_irreducible(f: Poly) -> bool:
-    if f.degree() < 1:
-        return False
-    factors = factor_over_Q(f)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == f.degree()
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences and real-root isolation
 

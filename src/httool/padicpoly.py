@@ -42,22 +42,12 @@ class Segment:
     slope: Fraction
     length: int  # horizontal lattice length
 
-    def to_json(self) -> dict:
-        return {"slope": rat_to_str(self.slope), "length": self.length}
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:
     prime: int
-    vertices: tuple[tuple[int, Fraction], ...]
+    vertices: tuple[tuple[int, int], ...]
     segments: tuple[Segment, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "vertices": [[i, rat_to_str(v)] for i, v in self.vertices],
-            "segments": [s.to_json() for s in self.segments],
-        }
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
@@ -68,8 +58,8 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
     if f.constant() == 0:
         raise DomainError("the constant term must be nonzero")
     base = vp(f.content, p)
-    points = [(i, Fraction(base + _int_vp(c, p))) for i, c in enumerate(f.prim) if c]
-    hull: list[tuple[int, Fraction]] = []
+    points = [(i, base + _int_vp(c, p)) for i, c in enumerate(f.prim) if c]
+    hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -116,7 +106,7 @@ def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> li
         target_val = v0 + j * u
         c = f.coefficient(idx)
         if c != 0 and vp(c, p) == target_val:
-            unit = c / Fraction(p) ** int(target_val)
+            unit = c / Fraction(p) ** target_val
             coeffs.append(_unit_residue(unit, p))
         else:
             coeffs.append(0)

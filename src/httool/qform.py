@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
-from ._linalg import fraction_determinant
 from .exactpoly import DomainError, SquareClass, rat_to_str, square_class
 
 INF = math.inf
@@ -156,9 +155,6 @@ class GramMatrix:
 
     def dimension(self) -> int:
         return len(self.entries)
-
-    def determinant(self) -> Fraction:
-        return fraction_determinant([list(row) for row in self.entries])
 
     def to_json(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in row] for row in self.entries]

@@ -174,12 +174,12 @@ def check_newton_shape(
     two_d = c.L.degree()
     d = two_d // 2
     verts = list(polygon.vertices)
-    witness = {"vertices": [[i, rat_to_str(v)] for i, v in verts]}
+    witness = {"vertices": [[i, str(v)] for i, v in verts]}
     h = None
     if (
         len(verts) == 3
         and verts[0] == (0, 0)
-        and verts[1] == (d, Fraction(-a))
+        and verts[1] == (d, -a)
         and verts[2] == (two_d, 0)
     ):
         h = d
@@ -187,8 +187,8 @@ def check_newton_shape(
         len(verts) == 4
         and verts[0] == (0, 0)
         and verts[3] == (two_d, 0)
-        and verts[1][1] == Fraction(-a)
-        and verts[2][1] == Fraction(-a)
+        and verts[1][1] == -a
+        and verts[2][1] == -a
         and verts[1][0] + verts[2][0] == two_d
     ):
         h = verts[1][0]

@@ -109,6 +109,26 @@ def test_qform_construct_rejects_invalid_hasse_place(place, tmp_path, capsys):
     assert capsys.readouterr().err == f"httool: {place} is not a valid place\n"
 
 
+@pytest.mark.parametrize(
+    "action, payload",
+    [
+        ("invariants", 5),
+        ("invariants", {"diagonal": 5}),
+        ("equivalent", {"first": 5, "second": {"diagonal": ["1"]}}),
+        ("construct", {"dim": 3, "signature": 5, "det": "1", "hasse": []}),
+        ("construct", {"dim": 3, "signature": [3, 0], "det": "1", "hasse": 7}),
+    ],
+)
+def test_qform_wrong_typed_json_exit_three(action, payload, tmp_path, capsys):
+    # well-formed JSON of the wrong type is an input error, not a fault
+    source = tmp_path / "qform.json"
+    source.write_text(json.dumps(payload))
+    assert cli.main(["qform", action, "--input", str(source)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("httool: ") and "internal error" not in captured.err
+
+
 def test_extend_matches_example():
     proc = run_cli(["extend", "--n", "2"], '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}')
     assert proc.returncode == 0
@@ -119,6 +139,14 @@ def test_construct_rejected_exit_one():
     proc = run_cli(["construct"], CYCLOTOMIC_JSON)
     assert proc.returncode == 1
     assert json.loads(proc.stdout)["status"] == "rejected"
+
+
+def test_construct_factors_the_quartic_once():
+    # check_all factors L, and weil_field builds the CM field from its
+    # verdicts without factoring Q again
+    proc = run_cli(["construct"], QUARTIC_JSON)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["telemetry"]["counters"]["factor_with_unit_calls"] == 1
 
 
 def test_construct_existence_only_exit_zero():

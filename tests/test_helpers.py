@@ -1,7 +1,8 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
 totient, factorization over Q by Yun's algorithm and Zassenhaus alone,
-the disc identity by factoring, and small wrappers over the program's
+the disc identity by factoring, the CM field with every axiom proved
+again, rational determinants, and small wrappers over the program's
 kernels that only tests call."""
 
 import math
@@ -12,16 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.cmfield import NumberField
+from httool._linalg import bareiss_determinant
+from httool.cmfield import CMData, NumberField, _compose_mod
 from httool.exactpoly import (
     Poly,
+    SturmChain,
     _split_parts,
     _zassenhaus,
     _zz_gcd,
     _zz_squarefree,
     _zz_yun,
     discriminant,
-    is_irreducible,
+    factor_with_unit,
+    reciprocal_transform,
     square_class,
     sturm_count,
 )
@@ -90,6 +94,54 @@ def reference_disc_identity(ext, det_class) -> tuple[bool, str]:
     class, both from a factorization of that discriminant."""
     expected = square_class((-1) ** (ext.degree // 2) * discriminant(ext.absolute))
     return det_class == expected, str(expected)
+
+
+def factor_over_Q(f: Poly) -> list[tuple[Poly, int]]:
+    """Irreducible factorization over Q; factors are primitive integral with
+    positive leading coefficient, ordered by degree then coefficients."""
+    return factor_with_unit(f)[1]
+
+
+def is_irreducible(f: Poly) -> bool:
+    if f.degree() < 1:
+        return False
+    factors = factor_over_Q(f)
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == f.degree()
+
+
+def verified_weil_field(Q: Poly) -> CMData:
+    """`weil_field` with each CM axiom proved again from Q alone; a failed
+    assertion names the axiom."""
+    assert not Q.is_zero and Q.degree() >= 2, "degree: expected degree >= 2"
+    f = Q.monic()
+    n = f.degree()
+    assert n % 2 == 0, "degree: expected even degree"
+    assert f.reverse() == f, "self_inversive: coefficients are not palindromic"
+    assert f(F(1)) != 0 and f(F(-1)) != 0, "unit_roots: +-1 must not be roots"
+    assert is_irreducible(f), "irreducible: defining polynomial factors over Q"
+    assert sturm_count(f) == 0, "totally_imaginary: the field has a real embedding"
+    beta = reciprocal_transform(f)
+    half = n // 2
+    beta_chain = SturmChain(beta)
+    assert beta_chain.count() == half, "totally_real: the fixed field is not totally real"
+    in_range = beta_chain.count(F(-2), F(2))
+    assert in_range == half and beta(F(-2)) != 0, "unit_circle: some root lies off the unit circle"
+    # gamma^{-1} = -(c_1 + c_2 gamma + ... + c_n gamma^{n-1}) / c_0
+    conj = Poly(list(f.coeffs[1:])) * (-1 / f.constant())
+    assert (Poly([0, 1]) * conj) % f == Poly([1]), "conjugation: inverse residue is wrong"
+    assert _compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
+    return CMData(NumberField(f, n, 0), NumberField(beta, half, half), beta, conj)
+
+
+def fraction_determinant(matrix) -> F:
+    """Exact determinant of a rational matrix (row-wise denominator clearing)."""
+    scale = F(1)
+    int_rows = []
+    for row in matrix:
+        lcm = math.lcm(*(F(x).denominator for x in row))
+        scale *= lcm
+        int_rows.append([int(x * lcm) for x in row])
+    return F(bareiss_determinant(int_rows)) / scale
 
 
 def number_field(f: Poly) -> NumberField:

@@ -248,10 +248,3 @@ def test_verdict_never_claims_without_reason():
         verdict, _ = negative_part_verdict(f, newton_polygon(f, 2))
         assert verdict.reason
 
-
-def test_polygon_json_shape():
-    np = newton_polygon(Poly([1, 0, HALF, 0, 1]), 2)
-    payload = np.to_json()
-    assert payload["prime"] == 2
-    assert payload["vertices"] == [[0, "0"], [2, "-1"], [4, "0"]]
-    assert payload["segments"][0] == {"slope": "-1/2", "length": 2}

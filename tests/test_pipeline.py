@@ -38,6 +38,26 @@ def test_run_rejected():
     assert "newton_shape" in outcome.certificate["failed_properties"]
 
 
+@pytest.mark.parametrize(
+    "candidate, failed",
+    [
+        # irreducible with the real roots (7 +- sqrt 33) / 4
+        (WeilCandidate(Poly([1, F(-7, 2), 1]), 2, 1), ["unit_circle"]),
+        # (1 - T/2 + T^2)(1 + T/2 + T^2): roots on the unit circle, none a
+        # root of unity, but Q is reducible
+        (WeilCandidate(Poly([1, 0, F(7, 4), 0, 1]), 2, 2), ["power_structure"]),
+    ],
+)
+def test_run_rejects_before_the_cm_field(candidate, failed):
+    # weil_field checks no CM axiom; check_all rejects real roots and a
+    # reducible Q, so the run ends before the field is built
+    outcome = run(candidate)
+    assert outcome.status is RunStatus.REJECTED
+    assert outcome.certificate["failed_properties"] == failed
+    assert "field" not in outcome.certificate
+    assert revalidate_certificate(outcome.certificate) == []
+
+
 def test_run_forced_extension():
     outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=4))
     assert outcome.status is RunStatus.CONSTRUCTED
@@ -177,10 +197,10 @@ def test_telemetry_present_but_separate():
     assert {"total", "k3_sum_identity"} <= stages.keys()
     counters = outcome.telemetry["counters"]
     assert counters["factor_with_unit_calls"] > 0
-    # L (factored by check_all and weil_field) has Galois group C2 x C2, so it
-    # is reducible mod every prime: no degree set proves it irreducible, and
-    # each of the two factorizations lifts
-    assert counters["hensel_lifts"] == 2
+    # L (factored once, by check_all) has Galois group C2 x C2, so it is
+    # reducible mod every prime: no degree set proves it irreducible, and
+    # its factorization lifts
+    assert counters["hensel_lifts"] == 1
     assert counters["sturm_chain_builds"] > 0
     assert counters["pollard_rho_splits"] >= 0
     assert "telemetry" not in outcome.certificate
