@@ -5,7 +5,9 @@ trailing zeros (the zero polynomial is the empty list).  The primes in play
 are small, so Berlekamp's algorithm with a deterministic splitting loop is
 both simple and fast, and avoids randomized Cantor-Zassenhaus.  Where only
 the degrees of the factors matter, distinct-degree factorization gives them
-without splitting.  Products and remainders reduce mod p once, at the end.
+without splitting, and where only their number matters, the dimension of
+Berlekamp's fixed space gives it.  Products and remainders reduce mod p once,
+at the end.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ def from_coeffs(coeffs, p: int) -> list[int]:
 
 def degree(f: list[int]) -> int:
     return len(f) - 1
-
-
-def is_zero(f: list[int]) -> bool:
-    return not f
 
 
 def sub(f: list[int], g: list[int], p: int) -> list[int]:
@@ -190,13 +188,24 @@ def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Factor a monic squarefree f over F_p into monic irreducibles, sorted."""
+def fixed_space(f: list[int], p: int) -> list[list[int]]:
+    """A basis of {v : v**p = v} in F_p[x]/(f) for a monic f of degree n >= 1:
+    the nullspace of Frobenius - I, as coefficient vectors of length n.
+
+    Its dimension is the number of distinct monic irreducible factors of f,
+    squarefree or not.  By the Chinese remainder theorem, F_p[x]/(f) is the
+    product of the F_p[x]/(phi**m) over the factors phi**m of f, and
+    v**p = v holds in the product iff it holds in each of them.  In
+    F_p[x]/(phi**m), take J with p**J >= m.  Since (u + phi*w)**(p**J) =
+    u**(p**J) + phi**(p**J) * w**(p**J) = u**(p**J), the power v**(p**J)
+    depends only on v mod phi.  A fixed v equals v**(p**J), so it is
+    determined by its residue mod phi, which is fixed by Frobenius in the
+    field F_p[x]/(phi) and hence lies in F_p.  So the fixed points of that
+    factor are the p constants, a space of dimension 1.
+    """
     n = degree(f)
-    if n <= 1:
-        return [list(f)]
-    # Row i of Q holds x**(i*p) mod f; the Berlekamp subalgebra is the left
-    # fixed space of Q, i.e. the nullspace of (Q^T - I).
+    # Row i of Q holds x**(i*p) mod f; the fixed space is the left fixed
+    # space of Q, i.e. the nullspace of (Q^T - I).
     frob_rows = []
     xp = pow_mod([0, 1], p, f, p)
     current = [1]
@@ -205,7 +214,28 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         frob_rows.append(row[:n])
         current = rem(mul(current, xp, p), f, p)
     mt = [[(frob_rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
-    basis = _nullspace_mod_p(mt, p)
+    return _nullspace_mod_p(mt, p)
+
+
+def single_factor_multiplicity(f: list[int], p: int) -> int:
+    """m for a monic f = phi**m with phi irreducible over F_p.
+
+    f' = m * phi**(m-1) * phi' and phi' != 0 (F_p is perfect), so f' = 0 iff
+    p | m, and then f = h(x**p) = h**p with h = phi**(m/p).  Once p does not
+    divide the exponent, gcd(f, f') = phi**(m-1), so deg phi is
+    deg f - deg gcd(f, f')."""
+    scale = 1
+    while not (d := derivative(f, p)):
+        f = f[::p]
+        scale *= p
+    return scale * degree(f) // (degree(f) - degree(gcd(f, d, p)))
+
+
+def berlekamp(f: list[int], p: int) -> list[list[int]]:
+    """Factor a monic squarefree f over F_p into monic irreducibles, sorted."""
+    if degree(f) <= 1:
+        return [list(f)]
+    basis = fixed_space(f, p)
     r = len(basis)
     if r == 1:
         return [list(f)]
@@ -235,55 +265,3 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         if len(factors) == r:
             break
     return sorted(factors, key=lambda g: (degree(g), g))
-
-
-def squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Monic squarefree decomposition over F_p, handling f' = 0 via p-th roots."""
-    f = monic(f, p)
-    if degree(f) < 1:
-        return []
-    out: list[tuple[list[int], int]] = []
-
-    def recurse(g: list[int], mult: int) -> None:
-        d = derivative(g, p)
-        if not d:
-            # g = h(x**p) = h(x)**p since the base field is F_p.
-            h = trim([g[i] for i in range(0, len(g), p)])
-            recurse(h, mult * p)
-            return
-        w = gcd(g, d, p)
-        v = divmod_(g, w, p)[0]
-        i = 1
-        while degree(v) > 0:
-            y = gcd(v, w, p)
-            z = divmod_(v, y, p)[0]
-            if degree(z) > 0:
-                out.append((z, mult * i))
-            v = y
-            w = divmod_(w, y, p)[0]
-            i += 1
-        if degree(w) > 0:
-            recurse(w, mult)
-
-    recurse(f, 1)
-    merged: dict[tuple[int, ...], tuple[list[int], int]] = {}
-    for g, m in out:
-        key = tuple(g)
-        if key in merged:
-            merged[key] = (g, merged[key][1] + m)
-        else:
-            merged[key] = (g, m)
-    return sorted(merged.values(), key=lambda gm: (degree(gm[0]), gm[0]))
-
-
-def factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
-    """Complete factorization over F_p: (lead unit, [(monic irreducible, mult)])."""
-    if not f:
-        raise ZeroDivisionError("cannot factor the zero polynomial")
-    lead = f[-1] % p
-    out: list[tuple[list[int], int]] = []
-    for g, mult in squarefree_decomposition(f, p):
-        for irr in berlekamp(g, p):
-            out.append((irr, mult))
-    out.sort(key=lambda gm: (degree(gm[0]), gm[0]))
-    return lead, out

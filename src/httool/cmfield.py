@@ -26,7 +26,7 @@ from .exactpoly import (
     sturm_count,
     trace_power_sums,
 )
-from .padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon, vp
+from .padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon, reduce_mod_p, vp
 from .qform import (
     GramMatrix,
     QFormInvariants,
@@ -403,29 +403,25 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
 
 
 def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
-    """A totally real element with prescribed signature, by separator-point
-    interpolation: lambda = sign * prod (x - m_j) over the separators where
-    the target sign pattern flips (pattern: s negative embeddings first)."""
+    """A totally real element of signature (r, s): negative at the s smallest
+    real embeddings and positive at the other r.
+
+    That pattern flips sign at most once, so lambda is the constant 1 (s = 0)
+    or -1 (r = 0), or else x - m with m the midpoint of the gap between the
+    isolating intervals (lo, hi] of the s-th and (s+1)-th roots.  Those
+    intervals are disjoint, so m lies between the two roots, and equals
+    neither: an irreducible defining polynomial of degree >= 2 has no rational
+    root.  So x - m is negative at the s smaller roots and positive at the
+    rest."""
     r, s = target
     if r < 0 or s < 0 or r + s != field.degree:
         raise DomainError("target signature incompatible with the field degree")
     if field.real_embeddings != field.degree:
         raise DomainError("lambda search requires a totally real field")
-    pattern = [-1] * s + [1] * r
+    if r == 0 or s == 0:
+        return Poly([1 if r else -1])
     intervals = isolate_real_roots(field.defining)
-    separators: list[Fraction] = []
-    for idx in range(len(intervals) - 1):
-        if pattern[idx] == pattern[idx + 1]:
-            continue
-        hi = intervals[idx][1]
-        lo_next = intervals[idx + 1][0]
-        separators.append((hi + lo_next) / 2)
-    lam = Poly([pattern[-1]]) if pattern else Poly([1])
-    for m in separators:
-        lam = lam * Poly([-m, 1])
-    if signature_of(lam, field) != (r, s):
-        raise ArithmeticError("separator interpolation missed the target signature")
-    return lam
+    return Poly([-(intervals[s - 1][1] + intervals[s][0]) / 2, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +449,12 @@ def split_test(field: NumberField, rel_disc: Poly, p: int) -> SplitResult:
     relative quadratic extension generated by a square root of rel_disc.
 
     Only odd primes away from the defining discriminant and the support of
-    rel_disc are decided (Euler's criterion in each residue field); everything
-    else is Unknown by policy.
+    rel_disc's norm are decided (Euler's criterion in each residue field);
+    everything else is Unknown by policy.  On the decided primes the defining
+    polynomial g is monic and p does not divide disc(g), so g mod p is
+    squarefree: each place has residue degree the degree of its factor h.
+    And p does not divide the norm Res(g, rel_disc), the product of rel_disc
+    over the roots of g, so rel_disc is nonzero mod every h.
     """
     if p == 2:
         return SplitResult(SplitStatus.UNKNOWN, {"reason": "p = 2 excluded by policy"})
@@ -469,20 +469,11 @@ def split_test(field: NumberField, rel_disc: Poly, p: int) -> SplitResult:
     norm = resultant(g, rel_disc) if rel_disc.degree() >= 0 else Fraction(0)
     if norm == 0 or vp(norm, p) != 0:
         return SplitResult(SplitStatus.UNKNOWN, {"reason": f"{p} meets the norm of the relative discriminant"})
-    g_mod = _gfp.from_coeffs([c.numerator * pow(c.denominator, -1, p) for c in g.coeffs], p)
-    d_mod = _gfp.from_coeffs(
-        [c.numerator * pow(c.denominator, -1, p) for c in rel_disc.coeffs], p
-    )
-    _, factors = _gfp.factor(g_mod, p)
+    d_mod = reduce_mod_p(rel_disc.coeffs, p)
     residues = []
-    for h, mult in factors:
-        if mult != 1:
-            return SplitResult(SplitStatus.UNKNOWN, {"reason": "repeated factor mod p"})
+    for h in _gfp.berlekamp(reduce_mod_p(g.coeffs, p), p):
         deg = _gfp.degree(h)
-        image = _gfp.rem(d_mod, h, p)
-        if _gfp.is_zero(image):
-            return SplitResult(SplitStatus.UNKNOWN, {"reason": "relative discriminant vanishes mod a place"})
-        euler = _gfp.pow_mod(image, (p ** deg - 1) // 2, h, p)
+        euler = _gfp.pow_mod(d_mod, (p ** deg - 1) // 2, h, p)
         is_square = euler == [1]
         residues.append({"residue_degree": deg, "square": is_square})
         if not is_square:

@@ -41,8 +41,15 @@ def rat_to_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def int_from_json(x, name: str) -> int:
+    """A JSON integer; bools and floats are refused."""
+    if type(x) is not int:  # bool is a subclass of int
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return x
+
+
 def rat_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise DomainError(f"expected a rational string, got {s!r}")

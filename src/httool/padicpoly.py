@@ -76,11 +76,9 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
     return NewtonPolygon(prime=p, vertices=tuple(hull), segments=segments)
 
 
-def _unit_residue(c: Fraction, p: int) -> int:
-    """Reduction mod p of a rational with v_p(c) = 0."""
-    num = c.numerator % p
-    den = c.denominator % p
-    return num * pow(den, -1, p) % p
+def reduce_mod_p(coeffs, p: int) -> list[int]:
+    """The images in F_p of p-integral rationals, as a polynomial over F_p."""
+    return _gfp.trim([c.numerator * pow(c.denominator, -1, p) % p for c in coeffs])
 
 
 def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> list[int]:
@@ -89,7 +87,9 @@ def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> li
 
     For a segment of slope u/n in lowest terms running from vertex (i0, v0)
     over horizontal length l = k*n, the residual has degree k and encodes the
-    first-order splitting of the slope factor over Q_p.
+    first-order splitting of the slope factor over Q_p.  Its j-th coefficient
+    is c_(i0 + j*n) / p**(v0 + j*u) mod p: every point lies on or above the
+    segment, so this is p-integral and nonzero exactly on the segment.
     """
     p = polygon.prime
     if segment not in polygon.segments:
@@ -100,17 +100,8 @@ def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> li
     if segment.length % n != 0:
         raise ArithmeticError("segment length incompatible with slope denominator")
     k = segment.length // n
-    coeffs = []
-    for j in range(k + 1):
-        idx = i0 + j * n
-        target_val = v0 + j * u
-        c = f.coefficient(idx)
-        if c != 0 and vp(c, p) == target_val:
-            unit = c / Fraction(p) ** target_val
-            coeffs.append(_unit_residue(unit, p))
-        else:
-            coeffs.append(0)
-    return _gfp.trim(coeffs)
+    scaled = [f.coefficient(i0 + j * n) / Fraction(p) ** (v0 + j * u) for j in range(k + 1)]
+    return reduce_mod_p(scaled, p)
 
 
 class SlopeOutcome(enum.Enum):
@@ -134,9 +125,11 @@ def negative_part_verdict(f: Poly, polygon: NewtonPolygon) -> tuple[SlopeVerdict
     single irreducible factor; `polygon` is the Newton polygon of f at p.
 
     The caller guarantees f is irreducible over Q.  The decision is purely
-    combinatorial (polygon plus first-order residual polynomials); a residual
-    that is a proper power of one irreducible is genuinely undecided at this
-    order and yields UNKNOWN rather than a guess.
+    combinatorial (polygon plus first-order residual polynomials).  Of the
+    residual it needs only the number of distinct irreducible factors (the
+    dimension of Berlekamp's fixed space) and, when that is one, the
+    multiplicity; a proper power of one irreducible is genuinely undecided at
+    this order and yields UNKNOWN rather than a guess.
     """
     p = polygon.prime
     negative = [seg for seg in polygon.segments if seg.slope < 0]
@@ -165,9 +158,8 @@ def negative_part_verdict(f: Poly, polygon: NewtonPolygon) -> tuple[SlopeVerdict
             ),
             negative_degree,
         )
-    residual = residual_polynomial(f, polygon, seg)
-    _, factors = _gfp.factor(residual, p)
-    distinct = len(factors)
+    residual = _gfp.monic(residual_polynomial(f, polygon, seg), p)
+    distinct = len(_gfp.fixed_space(residual, p))
     if distinct >= 2:
         return (
             SlopeVerdict(
@@ -176,7 +168,7 @@ def negative_part_verdict(f: Poly, polygon: NewtonPolygon) -> tuple[SlopeVerdict
             ),
             negative_degree,
         )
-    irr, mult = factors[0]
+    mult = _gfp.single_factor_multiplicity(residual, p)
     if mult == 1:
         return (
             SlopeVerdict(

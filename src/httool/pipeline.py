@@ -158,7 +158,9 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         return finish(RunStatus.EXISTENCE_ONLY)
 
     lam = result.lam
-    # find_lambda certifies this signature with signature_of before returning
+    # find_lambda's construction gives lambda this signature; the
+    # signature_identity below fails unless the trace form has (2, 2d - 2),
+    # and revalidate_certificate replays signature_of
     sig = (1, d - 1)
     cert["lambda"] = {"coefficients": lam.to_strs(), "signature": list(sig)}
     cert["trace_form"] = result.trace.to_json()

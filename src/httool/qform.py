@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
-from .exactpoly import DomainError, SquareClass, rat_to_str, square_class
+from .exactpoly import DomainError, SquareClass, int_from_json, rat_from_str, rat_to_str, square_class
 
 INF = math.inf
 
@@ -45,9 +45,7 @@ def place_to_json(v) -> str:
 
 
 def place_from_json(s) -> Place:
-    if s == "inf":
-        return INF
-    return int(s)
+    return INF if s == "inf" else _checked_place(int(s) if isinstance(s, str) else s)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +176,6 @@ class QSpace:
 
     @staticmethod
     def from_json(obj) -> "QSpace":
-        from .exactpoly import rat_from_str
-
         return QSpace(tuple(rat_from_str(s) for s in obj["diagonal"]))
 
 
@@ -208,13 +204,12 @@ class QFormInvariants:
 
     @staticmethod
     def from_json(obj) -> "QFormInvariants":
-        det = square_class(Fraction(obj["det"]))
-        hasse = frozenset(place_from_json(s) for s in obj["hasse"])
+        r, s = obj["signature"]
         return QFormInvariants(
-            dim=int(obj["dim"]),
-            signature=(int(obj["signature"][0]), int(obj["signature"][1])),
-            det=det,
-            hasse=hasse,
+            dim=int_from_json(obj["dim"], "dim"),
+            signature=(int_from_json(r, "signature"), int_from_json(s, "signature")),
+            det=square_class(rat_from_str(obj["det"])),
+            hasse=frozenset(place_from_json(v) for v in obj["hasse"]),
         )
 
 

@@ -31,6 +31,7 @@ from .exactpoly import (
     SturmChain,
     elementary_from_power_sums,
     factor_with_unit,
+    int_from_json,
     is_cyclotomic,
     power_sums_from_elementary,
     rat_to_str,
@@ -64,7 +65,8 @@ class WeilCandidate:
 
     @staticmethod
     def from_json(obj) -> "WeilCandidate":
-        return WeilCandidate(Poly.from_strs(obj["L"]), int(obj["p"]), int(obj["a"]))
+        p, a = int_from_json(obj["p"], "p"), int_from_json(obj["a"], "a")
+        return WeilCandidate(Poly.from_strs(obj["L"]), p, a)
 
 
 class Status(enum.Enum):

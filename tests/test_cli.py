@@ -1,7 +1,9 @@
 """CLI surface: subcommands, exit codes, deterministic JSON, golden files."""
 
+import io
 import json
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -127,6 +129,59 @@ def test_qform_wrong_typed_json_exit_three(action, payload, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("httool: ") and "internal error" not in captured.err
+
+
+def exit_code(args) -> int:
+    """`cli.main`'s exit code, also when it leaves by `SystemExit`."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "args, payload",
+    [
+        (["check"], {"L": ["1", "0", "1"], "p": 2.5, "a": 1}),
+        (["check"], {"L": ["1", "0", "1"], "p": 2, "a": 1.9}),
+        (["check"], {"L": [True, "0", True], "p": 2, "a": 1}),
+        (["qform", "invariants"], {"diagonal": [True, 2]}),
+        (["qform", "construct"], {"dim": 2.5, "signature": [1, 1], "det": "-1", "hasse": []}),
+        (["qform", "construct"], {"dim": 2, "signature": [1, 1.5], "det": "-1", "hasse": []}),
+        (["qform", "construct"], {"dim": 2, "signature": [1, 1], "det": True, "hasse": []}),
+        (["qform", "construct"], {"dim": 3, "signature": [2, 1], "det": "-1", "hasse": ["4", "inf"]}),
+    ],
+)
+def test_json_integers_rationals_and_places_are_validated(args, payload, monkeypatch, capsys):
+    # floats and bools once passed as integers or rationals (int(2.5) == 2,
+    # True == 1), and "4" as a place, so each of these ran to exit 0 or 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert exit_code(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("httool: ") and "internal error" not in captured.err
+
+
+def readme_cli_examples() -> list[tuple[str | None, list[str]]]:
+    """(stdin, arguments) of each command in the README's CLI block."""
+    readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            stdin = words[1] if words[:1] == ["echo"] and words[2] == "|" else None
+            examples.append((stdin, words[words.index("httool") + 1 :]))
+    return examples
+
+
+def test_readme_cli_examples_exit_zero(monkeypatch, capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 9
+    for stdin, args in examples:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        assert exit_code(args) == cli.EXIT_OK, args
+        json.loads(capsys.readouterr().out)
 
 
 def test_extend_matches_example():

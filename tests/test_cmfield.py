@@ -41,6 +41,7 @@ from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
 from test_helpers import (
     compose,
     fraction_determinant,
+    gfp_factor,
     is_irreducible,
     lagrange_interpolate,
     number_field,
@@ -444,8 +445,8 @@ def split_oracle(g0: Poly, rel: Poly, p: int):
         return None
     if not _gfp.is_squarefree(r_mod, p) or not _gfp.is_squarefree(g_mod, p):
         return None
-    _, r_factors = _gfp.factor(r_mod, p)
-    _, g_factors = _gfp.factor(g_mod, p)
+    _, r_factors = gfp_factor(r_mod, p)
+    _, g_factors = gfp_factor(g_mod, p)
     r_degs = sorted(_gfp.degree(h) for h, _ in r_factors)
     g_degs = sorted(_gfp.degree(h) for h, _ in g_factors)
     doubled = sorted(g_degs + g_degs)

@@ -1,6 +1,7 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
-totient, factorization over Q by Yun's algorithm and Zassenhaus alone,
+totient, factorization over Q by Yun's algorithm and Zassenhaus alone
+and over F_p by Yun's algorithm and Berlekamp,
 the disc identity by factoring, the CM field with every axiom proved
 again, rational determinants, and small wrappers over the program's
 kernels that only tests call."""
@@ -182,6 +183,69 @@ def gfp_add(f: list[int], g: list[int], p: int) -> list[int]:
     return _gfp.trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p for i in range(n)])
 
 
+def gfp_squarefree_decomposition(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Monic squarefree decomposition over F_p, handling f' = 0 via p-th roots."""
+    f = _gfp.monic(f, p)
+    if _gfp.degree(f) < 1:
+        return []
+    out: list[tuple[list[int], int]] = []
+
+    def recurse(g: list[int], mult: int) -> None:
+        d = _gfp.derivative(g, p)
+        if not d:
+            # g = h(x**p) = h(x)**p since the base field is F_p.
+            h = _gfp.trim([g[i] for i in range(0, len(g), p)])
+            recurse(h, mult * p)
+            return
+        w = _gfp.gcd(g, d, p)
+        v = _gfp.divmod_(g, w, p)[0]
+        i = 1
+        while _gfp.degree(v) > 0:
+            y = _gfp.gcd(v, w, p)
+            z = _gfp.divmod_(v, y, p)[0]
+            if _gfp.degree(z) > 0:
+                out.append((z, mult * i))
+            v = y
+            w = _gfp.divmod_(w, y, p)[0]
+            i += 1
+        if _gfp.degree(w) > 0:
+            recurse(w, mult)
+
+    recurse(f, 1)
+    merged: dict[tuple[int, ...], tuple[list[int], int]] = {}
+    for g, m in out:
+        key = tuple(g)
+        if key in merged:
+            merged[key] = (g, merged[key][1] + m)
+        else:
+            merged[key] = (g, m)
+    return sorted(merged.values(), key=lambda gm: (_gfp.degree(gm[0]), gm[0]))
+
+
+def gfp_factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
+    """Complete factorization over F_p by Yun's algorithm and Berlekamp:
+    (lead unit, [(monic irreducible, mult)])."""
+    if not f:
+        raise ZeroDivisionError("cannot factor the zero polynomial")
+    lead = f[-1] % p
+    out: list[tuple[list[int], int]] = []
+    for g, mult in gfp_squarefree_decomposition(f, p):
+        for irr in _gfp.berlekamp(g, p):
+            out.append((irr, mult))
+    out.sort(key=lambda gm: (_gfp.degree(gm[0]), gm[0]))
+    return lead, out
+
+
+def monic_polys_mod_p(p: int, degree: int):
+    """Every monic polynomial of the given degree over F_p."""
+    for encoded in range(p**degree):
+        coeffs = []
+        for _ in range(degree):
+            coeffs.append(encoded % p)
+            encoded //= p
+        yield coeffs + [1]
+
+
 def test_is_prime_small():
     primes = [2, 3, 5, 7, 11, 13, 97, 101, 7919]
     composites = [0, 1, 4, 9, 91, 561, 1105, 2047 * 3]
@@ -269,22 +333,9 @@ def brute_force_irreducible(f, p):
     n = _gfp.degree(f)
     if n < 1:
         return False
-
-    def monics(d):
-        if d == 0:
-            yield [1]
-            return
-        for tail in range(p**d):
-            coeffs = []
-            value = tail
-            for _ in range(d):
-                coeffs.append(value % p)
-                value //= p
-            yield coeffs + [1]
-
     for d in range(1, n // 2 + 1):
-        for g in monics(d):
-            if _gfp.is_zero(_gfp.rem(f, g, p)):
+        for g in monic_polys_mod_p(p, d):
+            if not _gfp.rem(f, g, p):
                 return False
     return True
 
@@ -315,7 +366,7 @@ def test_gfp_factor_with_multiplicities():
         [1, 0, 1],  # x^2 + 1, irreducible mod 3
         p,
     )
-    lead, factors = _gfp.factor(f, p)
+    lead, factors = gfp_factor(f, p)
     rebuilt = [lead]
     for g, m in factors:
         for _ in range(m):
@@ -328,5 +379,40 @@ def test_gfp_frobenius_power_decomposition():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2
     p = 2
     f = [1, 0, 1, 0, 1]
-    parts = _gfp.squarefree_decomposition(f, p)
+    parts = gfp_squarefree_decomposition(f, p)
     assert parts == [([1, 1, 1], 2)]
+
+
+def gfp_power(f: list[int], m: int, p: int) -> list[int]:
+    out = [1]
+    for _ in range(m):
+        out = _gfp.mul(out, f, p)
+    return out
+
+
+def test_fixed_space_counts_distinct_factors_and_multiplicity():
+    """For every monic f of small degree, the fixed space has one dimension
+    per distinct irreducible factor, and a power of one irreducible has the
+    multiplicity of the reference factorization, p | m included."""
+    cases = [
+        (f, p)
+        for p, top in ((2, 6), (3, 4), (5, 4))
+        for n in range(1, top + 1)
+        for f in monic_polys_mod_p(p, n)
+    ]
+    cases += [
+        (gfp_power([1, 1, 1], 2, 2), 2),  # (x^2 + x + 1)^2, m = p
+        (gfp_power([1, 1, 1], 4, 2), 2),  # m = p^2
+        (gfp_power([1, 1, 0, 1], 6, 2), 2),  # m = 2 * 3
+        (gfp_power([1, 0, 1], 3, 3), 3),  # (x^2 + 1)^3, m = p
+        (gfp_power([1, 0, 1], 6, 3), 3),  # m = 2 * p
+        (gfp_power([2, 1], 5, 5), 5),  # (x + 2)^5, m = p
+    ]
+    powers = 0
+    for f, p in cases:
+        _, factors = gfp_factor(f, p)
+        assert len(_gfp.fixed_space(f, p)) == len(factors), (f, p)
+        if len(factors) == 1:
+            assert _gfp.single_factor_multiplicity(f, p) == factors[0][1], (f, p)
+            powers += factors[0][1] % p == 0
+    assert powers >= 10
