@@ -434,54 +434,40 @@ class SplitStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    status: SplitStatus
-    detail: dict
-
-
 def _denominators_coprime_to(f: Poly, p: int) -> bool:
     return all(c.denominator % p != 0 for c in f.coeffs)
 
 
-def split_test(field: NumberField, rel_disc: Poly, p: int) -> SplitResult:
+def split_test(
+    field: NumberField, rel_disc: Poly, p: int, disc: Fraction, norm: Fraction
+) -> SplitStatus:
     """Whether every place of the totally real field above p splits in the
-    relative quadratic extension generated by a square root of rel_disc.
+    relative quadratic extension generated by a square root of rel_disc;
+    `disc` is disc(g) of the defining polynomial g and `norm` is
+    Res(g, rel_disc), neither of which depends on p.
 
-    Only odd primes away from the defining discriminant and the support of
-    rel_disc's norm are decided (Euler's criterion in each residue field);
-    everything else is Unknown by policy.  On the decided primes the defining
-    polynomial g is monic and p does not divide disc(g), so g mod p is
+    Only odd primes away from disc and norm are decided (Euler's criterion
+    in each residue field); everything else is Unknown by policy.  On the
+    decided primes g is monic and p does not divide disc(g), so g mod p is
     squarefree: each place has residue degree the degree of its factor h.
-    And p does not divide the norm Res(g, rel_disc), the product of rel_disc
-    over the roots of g, so rel_disc is nonzero mod every h.
+    And p does not divide the norm, the product of rel_disc over the roots
+    of g, so rel_disc is nonzero mod every h.
     """
     if p == 2:
-        return SplitResult(SplitStatus.UNKNOWN, {"reason": "p = 2 excluded by policy"})
-    if not _intfactor.is_prime(p):
-        raise DomainError(f"{p} is not prime")
+        return SplitStatus.UNKNOWN
     g = field.defining
-    if not _denominators_coprime_to(g, p) or not _denominators_coprime_to(rel_disc, p):
-        return SplitResult(SplitStatus.UNKNOWN, {"reason": f"denominators not coprime to {p}"})
-    disc = discriminant(g)
-    if vp(disc, p) != 0:
-        return SplitResult(SplitStatus.UNKNOWN, {"reason": f"{p} divides the defining discriminant"})
-    norm = resultant(g, rel_disc) if rel_disc.degree() >= 0 else Fraction(0)
-    if norm == 0 or vp(norm, p) != 0:
-        return SplitResult(SplitStatus.UNKNOWN, {"reason": f"{p} meets the norm of the relative discriminant"})
+    if (
+        vp(disc, p) != 0
+        or vp(norm, p) != 0
+        or not _denominators_coprime_to(g, p)
+        or not _denominators_coprime_to(rel_disc, p)
+    ):
+        return SplitStatus.UNKNOWN
     d_mod = reduce_mod_p(rel_disc.coeffs, p)
-    residues = []
     for h in _gfp.berlekamp(reduce_mod_p(g.coeffs, p), p):
-        deg = _gfp.degree(h)
-        euler = _gfp.pow_mod(d_mod, (p ** deg - 1) // 2, h, p)
-        is_square = euler == [1]
-        residues.append({"residue_degree": deg, "square": is_square})
-        if not is_square:
-            return SplitResult(
-                SplitStatus.NOT_ALL_SPLIT,
-                {"witness_factor_degree": deg, "places": residues},
-            )
-    return SplitResult(SplitStatus.ALL_SPLIT, {"places": residues})
+        if _gfp.pow_mod(d_mod, (p ** _gfp.degree(h) - 1) // 2, h, p) != [1]:
+            return SplitStatus.NOT_ALL_SPLIT
+    return SplitStatus.ALL_SPLIT
 
 
 def relative_quadratic_disc(ext: ExtensionData) -> Poly:
@@ -575,19 +561,16 @@ def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
     conditions["disc_identity_note"] = "det W = (-1) * (-delta) by the additivity law"
     conditions["decomposition_identity"] = Status.PASS.value
     rel = relative_quadratic_disc(ext)
-    support = _small_support(
-        [discriminant(ext.real_subfield.defining), resultant(ext.real_subfield.defining, rel)]
-    )
+    g = ext.real_subfield.defining
+    disc_g, norm = discriminant(g), resultant(g, rel)
+    support = _small_support([disc_g, norm])
     sample = [p for p in range(3, 60, 2) if _intfactor.is_prime(p)]
     per_prime = []
     hyperbolic_ok = True
     for p in sorted(set(support) | set(sample)):
-        if p == 2:
-            per_prime.append({"p": 2, "split": SplitStatus.UNKNOWN.value, "hyperbolic": None})
-            continue
-        split = split_test(ext.real_subfield, rel, p)
-        entry = {"p": p, "split": split.status.value, "hyperbolic": None}
-        if split.status is SplitStatus.ALL_SPLIT:
+        split = split_test(ext.real_subfield, rel, p, disc_g, norm)
+        entry = {"p": p, "split": split.value, "hyperbolic": None}
+        if split is SplitStatus.ALL_SPLIT:
             # W is locally hyperbolic iff delta is a local square and the
             # Hasse part matches ten planes: w(W)_p = w(K3)_p + (-1, delta)_p
             # (the cross term (-delta, delta)_p always vanishes)

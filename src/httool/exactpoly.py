@@ -53,7 +53,10 @@ def rat_from_str(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise DomainError(f"expected a rational string, got {s!r}")
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"invalid rational {s!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -955,17 +958,27 @@ def square_class(r: Fraction) -> SquareClass:
 # symmetric-function utilities (Newton's identities)
 
 
+def _newton_step(elem: list, sums: list):
+    """p_k for k = len(sums) + 1 from e_1..e_n and p_1..p_(k-1), by Newton's
+    identity p_k = sum_(i<k) (-1)**(i-1) e_i p_(k-i) + (-1)**(k-1) k e_k
+    with e_i = 0 for i > n; on ints or `Fraction`s alike."""
+    k = len(sums) + 1
+    acc = 0
+    for i in range(1, min(k - 1, len(elem)) + 1):
+        term = elem[i - 1] * sums[k - i - 1]
+        acc += term if i % 2 else -term
+    if k <= len(elem):
+        tail = k * elem[k - 1]
+        acc += tail if k % 2 else -tail
+    return acc
+
+
 def power_sums_from_elementary(elem: list[Fraction], count: int) -> list[Fraction]:
     """p_1..p_count from elementary symmetric values e_1..e_k (e_i = 0 beyond)."""
     e = [Fraction(c) for c in elem]
     p: list[Fraction] = []
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, min(k - 1, len(e)) + 1):
-            acc += (-1) ** (i - 1) * e[i - 1] * p[k - i - 1]
-        if k <= len(e):
-            acc += (-1) ** (k - 1) * k * e[k - 1]
-        p.append(acc)
+    for _ in range(count):
+        p.append(Fraction(_newton_step(e, p)))
     return p
 
 

@@ -208,47 +208,54 @@ def revalidate_certificate(cert: dict) -> list[str]:
     """Re-run every embedded verdict from the certificate's own data.
 
     Returns the list of discrepancies (empty means the certificate
-    self-validates)."""
+    self-validates).  Data outside its domain (a wrong JSON type, a zero
+    denominator, an invalid place, lambda outside `signature_of`'s domain)
+    is one discrepancy naming the part that cannot be replayed; the replay
+    stops there."""
     problems: list[str] = []
-    candidate = WeilCandidate.from_json(cert["input"])
-    report = check_all(candidate)
-    recorded = cert["report"]["properties"]
-    fresh = report.to_json()["properties"]
-    for name in recorded:
-        if recorded[name]["status"] != fresh[name]["status"]:
-            problems.append(f"property {name} status changed on replay")
-    if cert["status"] == RunStatus.REJECTED.value:
-        if not report.failures:
-            problems.append("rejection not reproduced")
-        return problems
-    if cert["status"] != RunStatus.CONSTRUCTED.value:
-        return problems
-    if not report.admissible:
-        problems.append("admissibility not reproduced")
-        return problems
-    cm = weil_field(report.Q)
-    if cm.to_json() != cert["field"]:
-        problems.append("field data changed on replay")
-    lam = Poly.from_strs(cert["lambda"]["coefficients"])
-    real = cert["extension"]["real_subfield"]
-    real_subfield = NumberField(
-        Poly.from_strs(real["defining"]), real["degree"], real["real_embeddings"]
-    )
+    part = "input"
     try:
+        candidate = WeilCandidate.from_json(cert["input"])
+        report = check_all(candidate)
+        recorded = cert["report"]["properties"]
+        fresh = report.to_json()["properties"]
+        for name in recorded:
+            if recorded[name]["status"] != fresh[name]["status"]:
+                problems.append(f"property {name} status changed on replay")
+        if cert["status"] == RunStatus.REJECTED.value:
+            if not report.failures:
+                problems.append("rejection not reproduced")
+            return problems
+        if cert["status"] != RunStatus.CONSTRUCTED.value:
+            return problems
+        if not report.admissible:
+            problems.append("admissibility not reproduced")
+            return problems
+        cm = weil_field(report.Q)
+        if cm.to_json() != cert["field"]:
+            problems.append("field data changed on replay")
+        part = "lambda signature"
+        lam = Poly.from_strs(cert["lambda"]["coefficients"])
+        real = cert["extension"]["real_subfield"]
+        real_subfield = NumberField(
+            Poly.from_strs(real["defining"]), real["degree"], real["real_embeddings"]
+        )
         if list(signature_of(lam, real_subfield)) != cert["lambda"]["signature"]:
             problems.append("lambda signature changed on replay")
+        part = "invariants"
+        trace_inv = QFormInvariants.from_json(cert["trace_invariants"])
+        comp = QSpace.from_json({"diagonal": cert["complement"]["diagonal"]})
+        comp_inv = QFormInvariants.from_json(cert["complement"]["invariants"])
+        if invariants(comp) != comp_inv:
+            problems.append("complement invariants changed on replay")
+        if sum_invariants(trace_inv, comp_inv) != k3_invariants():
+            problems.append("K3 sum identity fails on replay")
+        part = "trace form"
+        gram = GramMatrix.from_rows(
+            [[rat_from_str(x) for x in row] for row in cert["trace_form"]["gram"]]
+        )
+        if invariants(diagonalize(gram)) != trace_inv:
+            problems.append("trace form invariants changed on replay")
     except DomainError as exc:
-        problems.append(f"lambda signature cannot be replayed: {exc}")
-    trace_inv = QFormInvariants.from_json(cert["trace_invariants"])
-    comp = QSpace.from_json({"diagonal": cert["complement"]["diagonal"]})
-    comp_inv = QFormInvariants.from_json(cert["complement"]["invariants"])
-    if invariants(comp) != comp_inv:
-        problems.append("complement invariants changed on replay")
-    if sum_invariants(trace_inv, comp_inv) != k3_invariants():
-        problems.append("K3 sum identity fails on replay")
-    gram = GramMatrix.from_rows(
-        [[rat_from_str(x) for x in row] for row in cert["trace_form"]["gram"]]
-    )
-    if invariants(diagonalize(gram)) != trace_inv:
-        problems.append("trace form invariants changed on replay")
+        problems.append(f"{part} cannot be replayed: {exc}")
     return problems

@@ -29,6 +29,7 @@ from .exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _newton_step,
     elementary_from_power_sums,
     factor_with_unit,
     int_from_json,
@@ -363,12 +364,20 @@ def enumerate_candidates(
     """All admissible candidates of degree two_d for q = p**a.
 
     Search space: palindromic L with constant term 1 and coefficients
-    c_i = m / p**a bounded by |c_i| <= binom(2d, i) (forced by roots on the
-    unit circle); subtrees are pruned through the power-sum bound
-    |sum gamma**k| <= 2d, checked on each complete L for k up to 6d.  Each
-    survivor of that prune (and of the optional value filters, which carry
-    no semantics of their own) goes through `check_all` exactly once.
-    Output is sorted by coefficient tuple.
+    c_i = m_i / den (den = p**a, or 1 with `integer_only`) bounded by
+    |c_i| <= binom(2d, i), as roots on the unit circle force.  Those roots
+    also force |s_k| <= 2d for every power sum s_k = sum gamma**k.  The
+    search runs on integers: with E_i = e_i * den**i = (-1)**i m_i den**(i-1)
+    and S_k = s_k * den**k, Newton's identity reads S_i = base - c*m_i with
+    c = i * den**(i-1) and base the part of the recurrence without e_i, so
+    level i tries only ceil((base - B)/c) <= m_i <= floor((base + B)/c),
+    B = 2d * den**i, inside the binomial box.  The descent thus bounds
+    S_1..S_d; a complete L continues the recurrence over its mirrored
+    coefficients from k = d + 1 up to 6d, where off-circle roots make the
+    sums grow geometrically, under the same bound.  Each survivor of these
+    bounds (and of the optional value filters, which carry no semantics of
+    their own) goes through `check_all` exactly once.  Output is sorted by
+    coefficient tuple.
     """
     if two_d % 2 != 0 or two_d < 2:
         raise DomainError("degree must be even and >= 2")
@@ -378,34 +387,21 @@ def enumerate_candidates(
         raise DomainError("invalid prime power")
     d = two_d // 2
     den = 1 if integer_only else p ** a
+    bound = [two_d * den ** k for k in range(6 * d + 1)]
     results: list[WeilCandidate] = []
 
-    # The search runs on integers: m_i = c_i * den, and the power-sum prune
-    # uses S_k = s_k * den**k (Newton's identities scale cleanly).
-
-    def screened_out(ints: list[int]) -> bool:
-        """Necessary condition |s_k| <= 2d for all k; checked for k up to 6d,
-        where off-circle roots make the sums grow geometrically."""
-        scaled_elem = [(-1) ** i * ints[i] * den ** (i - 1) for i in range(1, two_d + 1)]
-        scaled_sums: list[int] = []
-        for k in range(1, 6 * d + 1):
-            acc = 0
-            for j in range(1, min(k - 1, two_d) + 1):
-                term = scaled_elem[j - 1] * scaled_sums[k - j - 1]
-                acc += term if j % 2 else -term
-            if k <= two_d:
-                tail = k * scaled_elem[k - 1]
-                acc += tail if k % 2 else -tail
-            if abs(acc) > two_d * den ** k:
-                return True
-            scaled_sums.append(acc)
-        return False
-
-    def finalize(half_ints: list[int]) -> None:
-        ints = [den] + half_ints + list(reversed(half_ints[:-1])) + [den]
-        if screened_out(ints):
-            return
-        L = Poly.from_ints(ints, Fraction(1, den))
+    def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
+        mirrored = half_ints[-2::-1] + [den]  # m_(d+1)..m_2d
+        elem = scaled_elem + [
+            (m if i % 2 == 0 else -m) * den ** (i - 1) for i, m in enumerate(mirrored, d + 1)
+        ]
+        sums = list(scaled_sums)
+        for k in range(d + 1, 6 * d + 1):
+            s = _newton_step(elem, sums)
+            if abs(s) > bound[k]:
+                return
+            sums.append(s)
+        L = Poly.from_ints([den] + half_ints + mirrored, Fraction(1, den))
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:
@@ -416,21 +412,15 @@ def enumerate_candidates(
 
     def descend(i: int, half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
         if i > d:
-            finalize(half_ints)
+            finalize(half_ints, scaled_elem, scaled_sums)
             return
-        limit = math.comb(two_d, i) * den
+        base = _newton_step(scaled_elem, scaled_sums)
         den_pow = den ** (i - 1)
-        for m in range(-limit, limit + 1):
+        c = i * den_pow
+        limit = math.comb(two_d, i) * den
+        for m in range(max(-limit, -((bound[i] - base) // c)), min(limit, (base + bound[i]) // c) + 1):
             e_scaled = (m if i % 2 == 0 else -m) * den_pow
-            acc = 0
-            for j in range(1, i):
-                term = scaled_elem[j - 1] * scaled_sums[i - j - 1]
-                acc += term if j % 2 else -term
-            tail = i * e_scaled
-            acc += tail if i % 2 else -tail
-            if abs(acc) > two_d * den ** i:
-                continue
-            descend(i + 1, half_ints + [m], scaled_elem + [e_scaled], scaled_sums + [acc])
+            descend(i + 1, half_ints + [m], scaled_elem + [e_scaled], scaled_sums + [base - c * m])
 
     descend(1, [], [], [])
     results.sort(key=lambda cand: cand.L.coeffs)

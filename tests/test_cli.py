@@ -150,11 +150,20 @@ def exit_code(args) -> int:
         (["qform", "construct"], {"dim": 2, "signature": [1, 1.5], "det": "-1", "hasse": []}),
         (["qform", "construct"], {"dim": 2, "signature": [1, 1], "det": True, "hasse": []}),
         (["qform", "construct"], {"dim": 3, "signature": [2, 1], "det": "-1", "hasse": ["4", "inf"]}),
+        (["check"], {"L": ["1", "1/0", "1"], "p": 2, "a": 1}),
+        (["construct"], {"L": ["1", "1/0", "1"], "p": 2, "a": 1}),
+        (["extend", "--n", "2"], {"L": ["1", "1/0", "1"], "p": 2, "a": 1}),
+        (["qform", "invariants"], {"diagonal": ["1/0", "1"]}),
+        (["qform", "invariants"], {"gram": [["1/0", "0"], ["0", "1"]]}),
+        (["qform", "construct"], {"dim": 2, "signature": [1, 1], "det": "1/0", "hasse": []}),
+        (["enumerate", "--q", "2", "--degree", "2", "--l1", "1/0"], None),
+        (["enumerate", "--q", "2", "--degree", "2", "--not-lm1", "1/0"], None),
     ],
 )
 def test_json_integers_rationals_and_places_are_validated(args, payload, monkeypatch, capsys):
     # floats and bools once passed as integers or rationals (int(2.5) == 2,
-    # True == 1), and "4" as a place, so each of these ran to exit 0 or 1
+    # True == 1), and "4" as a place, so each of these ran to exit 0 or 1;
+    # a zero denominator ("1/0") left Fraction's ZeroDivisionError as exit 4
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
     assert exit_code(args) == cli.EXIT_USAGE
     captured = capsys.readouterr()

@@ -11,6 +11,7 @@ Zassenhaus reference in `test_helpers`, which has none of the shortcuts.
 """
 
 import functools
+import itertools
 import json
 import math
 import pathlib
@@ -26,12 +27,15 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _newton_step,
     _zz_divmod,
     _zz_pdivmod,
     cyclotomic_poly,
+    elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
     isolate_real_roots,
+    power_sums_from_elementary,
     rat_from_str,
     rat_to_str,
     reciprocal_transform,
@@ -862,6 +866,37 @@ def test_square_class_group_law(a, b):
 
 
 # ---------------------------------------------------------------------------
+# symmetric functions
+
+
+_ROOTS = st.one_of(
+    st.lists(st.integers(-5, 5).map(F), max_size=6),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=7), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ROOTS, st.integers(0, 8))
+def test_power_sums_from_elementary_match_roots(roots, extra):
+    n = len(roots)
+    elem = [
+        sum((math.prod(c, start=F(1)) for c in itertools.combinations(roots, k)), F(0))
+        for k in range(1, n + 1)
+    ]
+    sums = power_sums_from_elementary(elem, n + extra)
+    assert sums == [sum((r**k for r in roots), F(0)) for k in range(1, n + extra + 1)]
+    assert all(type(s) is F for s in sums)
+    assert elementary_from_power_sums(sums, n) == elem
+    # the step is exact on ints as well: integer roots give integer sums
+    if all(r.denominator == 1 for r in roots):
+        int_elem = [int(e) for e in elem]
+        int_sums: list[int] = []
+        for _ in range(n + extra):
+            int_sums.append(_newton_step(int_elem, int_sums))
+        assert all(type(s) is int for s in int_sums) and int_sums == sums
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -870,6 +905,9 @@ def test_rational_round_trip():
     assert rat_to_str(F(5)) == "5"
     assert rat_from_str("-3/4") == F(-3, 4)
     assert rat_from_str("5") == F(5)
+    for bad in ("1/0", "1/", "x"):
+        with pytest.raises(DomainError):
+            rat_from_str(bad)
     assert Poly.from_strs(["1", "-1/2", "1"]) == Poly([1, F(-1, 2), 1])
 
 

@@ -190,6 +190,29 @@ def test_unreplayable_lambda_is_reported(path, value, message):
     assert f"lambda signature cannot be replayed: {message}" in revalidate_certificate(cert)
 
 
+@pytest.mark.parametrize(
+    "path, value, part",
+    [
+        (("trace_invariants", "hasse"), ["4", "inf"], "invariants"),
+        (("trace_invariants", "dim"), 4.0, "invariants"),
+        (("trace_invariants", "det"), True, "invariants"),
+        (("input", "p"), 2.0, "input"),
+        (("complement", "diagonal"), [True] * 18, "invariants"),
+        (("trace_form", "gram"), [["1/0", "3", "0", "-9/2"]] + [["0"] * 4] * 3, "trace form"),
+        (("input", "L"), ["1", "0", "1/0", "0", "1"], "input"),
+    ],
+)
+def test_out_of_domain_certificate_data_is_reported(path, value, part):
+    # each of these once raised DomainError out of the verifier
+    cert = json.loads(json.dumps(run(QUARTIC).certificate))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    problems = revalidate_certificate(cert)
+    assert len(problems) == 1 and problems[0].startswith(f"{part} cannot be replayed: ")
+
+
 def test_telemetry_present_but_separate():
     outcome = run(QUARTIC)
     assert outcome.status is RunStatus.CONSTRUCTED

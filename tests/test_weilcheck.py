@@ -4,6 +4,8 @@ The unit-circle checker is cross-validated against a high-precision numeric
 root-modulus oracle (mpmath at 60 digits, test-only).
 """
 
+import json
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -302,6 +304,23 @@ def test_census_q2_degree4_matches_brute_force_box():
     found = [c.L.coeffs for c in enumerate_candidates(2, 1, 4)]
     assert sorted(admissible) == found
     assert len(found) == 18
+
+
+POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pools.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [pool for pool in POOLS["pools"] if pool["degree"] <= 6],
+    ids=lambda pool: f"q{pool['p'] ** pool['a']}-deg{pool['degree']}",
+)
+def test_census_matches_frozen_pools(pool):
+    found = enumerate_candidates(pool["p"], pool["a"], pool["degree"])
+    assert [c.L.to_strs() for c in found] == pool["members"]
+
+
+def test_census_q2_degree8_count():
+    assert len(enumerate_candidates(2, 1, 8)) == 200
 
 
 def test_census_rejects_bad_degrees():
