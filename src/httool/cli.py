@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import pipeline, qform, weilcheck
-from .exactpoly import DomainError, rat_from_str
+from .exactpoly import DomainError, json_field, rat_from_str
 from .pipeline import PipelineConfig, RunStatus
 from .qform import GramMatrix, QFormInvariants, QSpace
 from .weilcheck import WeilCandidate
@@ -66,16 +66,8 @@ def _emit(payload: dict, args) -> None:
         print(text)
 
 
-def _parse_candidate(obj) -> WeilCandidate:
-    try:
-        return WeilCandidate.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"httool: invalid candidate: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
 def _cmd_check(args) -> int:
-    candidate = _parse_candidate(_read_json(args.input))
+    candidate = WeilCandidate.from_json(_read_json(args.input))
     report = weilcheck.check_all(candidate)
     _emit(report.to_json(), args)
     if report.admissible:
@@ -138,43 +130,33 @@ def _cmd_lattice(args) -> int:
 
 
 def _parse_space(obj) -> QSpace:
-    if "diagonal" in obj:
-        return QSpace.from_json(obj)
-    if "gram" in obj:
-        gram = GramMatrix.from_rows(
-            [[rat_from_str(x) for x in row] for row in obj["gram"]]
-        )
-        return qform.diagonalize(gram)
-    raise DomainError("expected a 'diagonal' or 'gram' key")
+    """A space from {"diagonal": [...]} or, failing that key, {"gram": [[...]]}."""
+    if isinstance(obj, dict) and "diagonal" not in obj and "gram" in obj:
+        return qform.diagonalize(GramMatrix.from_json(obj))
+    return QSpace.from_json(obj)
 
 
 def _cmd_qform(args) -> int:
     obj = _read_json(args.input)
-    try:
-        if args.action == "invariants":
-            space = _parse_space(obj)
-            _emit(qform.invariants(space).to_json(), args)
-            return EXIT_OK
-        if args.action == "equivalent":
-            first = _parse_space(obj["first"])
-            second = _parse_space(obj["second"])
-            same = qform.equivalent(first, second)
-            _emit({"equivalent": same}, args)
-            return EXIT_OK
-        inv = QFormInvariants.from_json(obj)
-        if not qform.admissible(inv):
-            _emit({"admissible": False}, args)
-            return EXIT_REJECTED
-        space = qform.construct_with_invariants(inv)
-        _emit({"admissible": True, "space": space.to_json()}, args)
+    if args.action == "invariants":
+        _emit(qform.invariants(_parse_space(obj)).to_json(), args)
         return EXIT_OK
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"httool: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.action == "equivalent":
+        first = _parse_space(json_field(obj, "first"))
+        second = _parse_space(json_field(obj, "second"))
+        _emit({"equivalent": qform.equivalent(first, second)}, args)
+        return EXIT_OK
+    inv = QFormInvariants.from_json(obj)
+    if not qform.admissible(inv):
+        _emit({"admissible": False}, args)
+        return EXIT_REJECTED
+    space = qform.construct_with_invariants(inv)
+    _emit({"admissible": True, "space": space.to_json()}, args)
+    return EXIT_OK
 
 
 def _cmd_construct(args) -> int:
-    candidate = _parse_candidate(_read_json(args.input))
+    candidate = WeilCandidate.from_json(_read_json(args.input))
     config = PipelineConfig(max_extension_degree=args.max_extension_degree)
     outcome = pipeline.run(candidate, config)
     _emit(outcome.to_json(), args)
@@ -186,7 +168,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    candidate = _parse_candidate(_read_json(args.input))
+    candidate = WeilCandidate.from_json(_read_json(args.input))
     extended = weilcheck.base_extend(candidate, args.n)
     _emit(extended.to_json(), args)
     return EXIT_OK

@@ -6,9 +6,9 @@ path.  `Poly` is the type at every public boundary.  It stores a rational
 `content` times `prim`, a primitive integer coefficient tuple in ascending
 degree with positive leading coefficient, and every operation on it runs on
 `prim` through the integer-list kernels below: `+ - *`, pseudo-division,
-evaluation and the derivative, as well as gcd, Yun's squarefree
-decomposition, Hensel lifting and Zassenhaus recombination, Sturm chains and
-their sign evaluations and resultants.
+evaluation and the derivative, as well as gcd, the squarefree part, Hensel
+lifting and Zassenhaus recombination, Sturm chains and their sign
+evaluations and resultants.
 
 A square class in Q^x / (Q^x)^2 is stored as a sign and the set of primes of
 odd valuation.  `square_class` factors its rational once; products of
@@ -46,6 +46,21 @@ def int_from_json(x, name: str) -> int:
     if type(x) is not int:  # bool is a subclass of int
         raise DomainError(f"{name} must be an integer, got {x!r}")
     return x
+
+
+def json_field(obj, key: str, kind: type = object):
+    """obj[key] of a JSON object obj, checked to be a `kind` (an int as by
+    `int_from_json`); DomainError for an obj that is no object, a missing
+    key or a wrong type."""
+    if not isinstance(obj, dict):
+        raise DomainError(f"expected an object with key {key!r}, got {type(obj).__name__}")
+    if key not in obj:
+        raise DomainError(f"missing key {key!r}")
+    if kind is int:
+        return int_from_json(obj[key], key)
+    if not isinstance(obj[key], kind):
+        raise DomainError(f"{key!r} must be a {kind.__name__}, got {type(obj[key]).__name__}")
+    return obj[key]
 
 
 def rat_from_str(s) -> Fraction:
@@ -376,38 +391,6 @@ def _zz_squarefree(f):
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition
-
-
-def _zz_yun(f) -> list[tuple[list[int], int]]:
-    """Yun's algorithm on a primitive f with positive leading coefficient:
-    the nonconstant g_i with f = prod g_i**i, ascending i.
-
-    Every gcd is primitive with positive leading coefficient, so every
-    quotient below is exact in Z[x] and the g_i come out primitive with
-    positive leading coefficient.
-    """
-    parts: list[tuple[list[int], int]] = []
-    if len(f) < 2:
-        return parts
-    d = _zz_derivative(f)
-    g = _zz_gcd(f, d)
-    w = _zz_exact_quotient(f, g)
-    y = _zz_exact_quotient(d, g)
-    z = _zz_sub(y, _zz_derivative(w))
-    i = 1
-    while len(w) > 1:
-        h = _zz_gcd(w, z)
-        if len(h) > 1:
-            parts.append((h, i))
-        w = _zz_exact_quotient(w, h)
-        y = _zz_exact_quotient(z, h)
-        z = _zz_sub(y, _zz_derivative(w))
-        i += 1
-    return parts
-
-
-# ---------------------------------------------------------------------------
 # Hensel lifting and Zassenhaus factorization over Z
 
 
@@ -591,34 +574,43 @@ def _multiplicative_order(p: int, n: int) -> int:
 
 def _split_parts(f):
     """Steps 1 and 2 of `factor_with_unit` on a primitive f with lc(f) > 0:
-    for each squarefree part g**m, (m, the n with Phi_n | g ascending, the
+    (the squarefree part g of f, the n with Phi_n | g ascending, the
     cofactor h of g by those Phi_n, an odd prime p not dividing lc(g) that
     keeps g squarefree, and k -> the number of factors of degree k of h
     mod p)."""
-    if len(f) < 2:
-        return []
-    p, fp = _reduction(f)
-    if _gfp.is_squarefree(fp, p):
-        parts = [(f, 1, p, fp)]
-    else:
-        parts = [(g, m, *_good_prime(g)) for g, m in _zz_yun(f)]
-    out = []
-    for g, m, p, gp in parts:
-        counts = _degree_counts(gp, p)
-        indices = []
-        for n, phi, prim in _cyclotomic_table(len(g) - 1):
-            if phi >= len(g) or n % p == 0:
-                continue
-            k = _multiplicative_order(p, n)
-            if counts.get(k, 0) * k < phi:
-                continue
-            q, r = _zz_divmod(g, prim)
-            if not r:
-                g = q
-                indices.append(n)
-                counts[k] -= phi // k
-        out.append((m, indices, g, p, counts))
-    return out
+    p, gp = _reduction(f)
+    g = f
+    if not _gfp.is_squarefree(gp, p):
+        g = _zz_squarefree(f)
+        p, gp = _good_prime(g)
+    counts = _degree_counts(gp, p)
+    h = g
+    indices = []
+    for n, phi, prim in _cyclotomic_table(len(g) - 1):
+        if phi >= len(h) or n % p == 0:
+            continue
+        k = _multiplicative_order(p, n)
+        if counts.get(k, 0) * k < phi:
+            continue
+        q, r = _zz_divmod(h, prim)
+        if not r:
+            h = q
+            indices.append(n)
+            counts[k] -= phi // k
+    return g, indices, h, p, counts
+
+
+def _multiplicity(f, q) -> int:
+    """The largest m with q**m | f, for primitive f and q with q | f."""
+    m = 0
+    try:
+        while True:
+            f, r = _zz_divmod(f, q)
+            if r:
+                return m
+            m += 1
+    except ArithmeticError:
+        return m
 
 
 def _factor_cofactor(h, p, counts):
@@ -653,13 +645,17 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
     positive leading coefficient; ordered by degree then coefficients.
 
-    1. Squarefree parts.  If f stays squarefree mod the first odd prime p
-       not dividing lc(f), it is squarefree: a square factor g**2 would
-       reduce to one of the same degree, as p does not divide lc(g).  Only
-       otherwise does Yun's algorithm run.
-    2. Cyclotomic factors.  Each part g sheds, by exact division, every
-       Phi_n dividing it with phi(n) <= deg g; each is irreducible.  With p
-       a prime keeping g squarefree, a Phi_n with p | n is skipped: mod p it
+    1. The squarefree part g.  If f stays squarefree mod the first odd
+       prime p not dividing lc(f), it is squarefree, as a square factor
+       q**2 would reduce to one of the same degree, p not dividing lc(q);
+       then g = f.  Otherwise g = f / gcd(f, f'), whose irreducible factors
+       are those of f, each once.  Steps 2 and 3 factor g alone.  The
+       multiplicity of an irreducible factor q of g in f is the number of
+       times it divides f exactly: by Gauss's lemma a primitive q dividing
+       the primitive f leaves an integral quotient.
+    2. Cyclotomic factors.  g sheds, by exact division, every Phi_n
+       dividing it with phi(n) <= deg g; each is irreducible.  With p a
+       prime keeping g squarefree, a Phi_n with p | n is skipped: mod p it
        is a power of Phi_(n/p**a) with exponent phi(p**a) >= 2, so it cannot
        divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
        irreducibles of degree k = ord_n(p), so it is tried only if the
@@ -681,11 +677,12 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     _intfactor.COUNTERS["factor_with_unit_calls"] += 1
-    factors: list[tuple[Poly, int]] = []
-    for mult, indices, h, p, counts in _split_parts(f.prim):
-        factors.extend((cyclotomic_poly(n), mult) for n in indices)
-        if len(h) > 1:
-            factors.extend((Poly.from_ints(irr, 1), mult) for irr in _factor_cofactor(h, p, counts))
+    g, indices, h, p, counts = _split_parts(f.prim)
+    irreducibles = [cyclotomic_poly(n) for n in indices]
+    if len(h) > 1:
+        irreducibles += [Poly.from_ints(irr, 1) for irr in _factor_cofactor(h, p, counts)]
+    squarefree = len(g) == len(f.prim)
+    factors = [(q, 1 if squarefree else _multiplicity(f.prim, q.prim)) for q in irreducibles]
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
 
@@ -983,14 +980,11 @@ def power_sums_from_elementary(elem: list[Fraction], count: int) -> list[Fractio
 
 
 def elementary_from_power_sums(p: list[Fraction], count: int) -> list[Fraction]:
-    """e_1..e_count from power sums p_1..p_count."""
+    """e_1..e_count from power sums p_1..p_count, solving Newton's identity
+    for e_k: p_k = `_newton_step`(e_1..e_(k-1), p_1..p_(k-1)) + (-1)**(k-1) k e_k."""
     e: list[Fraction] = []
     for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            prev = e[k - i - 1] if k - i >= 1 else Fraction(1)
-            acc += (-1) ** (i - 1) * prev * p[i - 1]
-        e.append(acc / k)
+        e.append((-1) ** (k - 1) * (Fraction(p[k - 1]) - _newton_step(e, p[: k - 1])) / k)
     return e
 
 

@@ -23,7 +23,7 @@ from .cmfield import (
     signature_of,
     weil_field,
 )
-from .exactpoly import DomainError, Poly, rat_from_str
+from .exactpoly import DomainError, Poly, json_field
 from .qform import (
     GramMatrix,
     QFormInvariants,
@@ -215,45 +215,46 @@ def revalidate_certificate(cert: dict) -> list[str]:
     problems: list[str] = []
     part = "input"
     try:
-        candidate = WeilCandidate.from_json(cert["input"])
-        report = check_all(candidate)
-        recorded = cert["report"]["properties"]
-        fresh = report.to_json()["properties"]
-        for name in recorded:
-            if recorded[name]["status"] != fresh[name]["status"]:
+        report = check_all(WeilCandidate.from_json(json_field(cert, "input", dict)))
+        part = "report"
+        recorded = json_field(json_field(cert, "report", dict), "properties", dict)
+        for name, verdict in report.to_json()["properties"].items():
+            if json_field(json_field(recorded, name, dict), "status") != verdict["status"]:
                 problems.append(f"property {name} status changed on replay")
-        if cert["status"] == RunStatus.REJECTED.value:
+        status = json_field(cert, "status")
+        if status == RunStatus.REJECTED.value:
             if not report.failures:
                 problems.append("rejection not reproduced")
             return problems
-        if cert["status"] != RunStatus.CONSTRUCTED.value:
+        if status != RunStatus.CONSTRUCTED.value:
             return problems
         if not report.admissible:
             problems.append("admissibility not reproduced")
             return problems
-        cm = weil_field(report.Q)
-        if cm.to_json() != cert["field"]:
+        part = "field"
+        if weil_field(report.Q).to_json() != json_field(cert, "field"):
             problems.append("field data changed on replay")
         part = "lambda signature"
-        lam = Poly.from_strs(cert["lambda"]["coefficients"])
-        real = cert["extension"]["real_subfield"]
+        lam_json = json_field(cert, "lambda", dict)
+        lam = Poly.from_strs(json_field(lam_json, "coefficients", list))
+        real = json_field(json_field(cert, "extension", dict), "real_subfield", dict)
         real_subfield = NumberField(
-            Poly.from_strs(real["defining"]), real["degree"], real["real_embeddings"]
+            Poly.from_strs(json_field(real, "defining", list)),
+            json_field(real, "degree", int),
+            json_field(real, "real_embeddings", int),
         )
-        if list(signature_of(lam, real_subfield)) != cert["lambda"]["signature"]:
+        if list(signature_of(lam, real_subfield)) != json_field(lam_json, "signature"):
             problems.append("lambda signature changed on replay")
         part = "invariants"
-        trace_inv = QFormInvariants.from_json(cert["trace_invariants"])
-        comp = QSpace.from_json({"diagonal": cert["complement"]["diagonal"]})
-        comp_inv = QFormInvariants.from_json(cert["complement"]["invariants"])
-        if invariants(comp) != comp_inv:
+        trace_inv = QFormInvariants.from_json(json_field(cert, "trace_invariants"))
+        complement = json_field(cert, "complement", dict)
+        comp_inv = QFormInvariants.from_json(json_field(complement, "invariants"))
+        if invariants(QSpace.from_json(complement)) != comp_inv:
             problems.append("complement invariants changed on replay")
         if sum_invariants(trace_inv, comp_inv) != k3_invariants():
             problems.append("K3 sum identity fails on replay")
         part = "trace form"
-        gram = GramMatrix.from_rows(
-            [[rat_from_str(x) for x in row] for row in cert["trace_form"]["gram"]]
-        )
+        gram = GramMatrix.from_json(json_field(cert, "trace_form", dict))
         if invariants(diagonalize(gram)) != trace_inv:
             problems.append("trace form invariants changed on replay")
     except DomainError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
-from .exactpoly import DomainError, SquareClass, int_from_json, rat_from_str, rat_to_str, square_class
+from .exactpoly import DomainError, SquareClass, int_from_json, json_field, rat_from_str, rat_to_str, square_class
 
 INF = math.inf
 
@@ -45,7 +45,12 @@ def place_to_json(v) -> str:
 
 
 def place_from_json(s) -> Place:
-    return INF if s == "inf" else _checked_place(int(s) if isinstance(s, str) else s)
+    """A place from JSON: "inf", or a prime as an integer or a decimal string."""
+    if s == "inf":
+        return INF
+    if isinstance(s, str) and s.isdecimal():
+        s = int(s)
+    return _checked_place(int_from_json(s, "place"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,13 @@ class GramMatrix:
     def from_rows(rows) -> "GramMatrix":
         return GramMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
+    @staticmethod
+    def from_json(obj) -> "GramMatrix":
+        rows = json_field(obj, "gram", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise DomainError("'gram' must be a list of lists")
+        return GramMatrix.from_rows([[rat_from_str(x) for x in row] for row in rows])
+
     def dimension(self) -> int:
         return len(self.entries)
 
@@ -176,7 +188,7 @@ class QSpace:
 
     @staticmethod
     def from_json(obj) -> "QSpace":
-        return QSpace(tuple(rat_from_str(s) for s in obj["diagonal"]))
+        return QSpace(tuple(rat_from_str(s) for s in json_field(obj, "diagonal", list)))
 
 
 @dataclass(frozen=True)
@@ -204,12 +216,14 @@ class QFormInvariants:
 
     @staticmethod
     def from_json(obj) -> "QFormInvariants":
-        r, s = obj["signature"]
+        signature = json_field(obj, "signature", list)
+        if len(signature) != 2:
+            raise DomainError(f"'signature' must be a pair, got {signature!r}")
         return QFormInvariants(
-            dim=int_from_json(obj["dim"], "dim"),
-            signature=(int_from_json(r, "signature"), int_from_json(s, "signature")),
-            det=square_class(rat_from_str(obj["det"])),
-            hasse=frozenset(place_from_json(v) for v in obj["hasse"]),
+            dim=json_field(obj, "dim", int),
+            signature=tuple(int_from_json(x, "signature") for x in signature),
+            det=square_class(rat_from_str(json_field(obj, "det"))),
+            hasse=frozenset(place_from_json(v) for v in json_field(obj, "hasse", list)),
         )
 
 

@@ -32,8 +32,8 @@ from .exactpoly import (
     _newton_step,
     elementary_from_power_sums,
     factor_with_unit,
-    int_from_json,
     is_cyclotomic,
+    json_field,
     power_sums_from_elementary,
     rat_to_str,
     reciprocal_transform,
@@ -66,8 +66,8 @@ class WeilCandidate:
 
     @staticmethod
     def from_json(obj) -> "WeilCandidate":
-        p, a = int_from_json(obj["p"], "p"), int_from_json(obj["a"], "a")
-        return WeilCandidate(Poly.from_strs(obj["L"]), p, a)
+        L = Poly.from_strs(json_field(obj, "L", list))
+        return WeilCandidate(L, json_field(obj, "p", int), json_field(obj, "a", int))
 
 
 class Status(enum.Enum):

@@ -171,6 +171,45 @@ def test_json_integers_rationals_and_places_are_validated(args, payload, monkeyp
     assert captured.err.startswith("httool: ") and "internal error" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, payload, message",
+    [
+        (["check"], [], "expected an object with key 'L', got list"),
+        (["check"], {"L": 5, "p": 2, "a": 1}, "'L' must be a list, got int"),
+        (["check"], {"L": ["1", "0", "1"], "a": 1}, "missing key 'p'"),
+        (["check"], {"L": ["1", "0", "1"], "p": "2", "a": 1}, "p must be an integer, got '2'"),
+        (["qform", "invariants"], [], "expected an object with key 'diagonal', got list"),
+        (["qform", "invariants"], {"diagonal": 5}, "'diagonal' must be a list, got int"),
+        (["qform", "invariants"], {"gram": [["1"], 5]}, "'gram' must be a list of lists"),
+        (["qform", "equivalent"], {"first": {"diagonal": ["1"]}}, "missing key 'second'"),
+        (["qform", "equivalent"], {"second": {"diagonal": ["1"]}}, "missing key 'first'"),
+        (
+            ["qform", "construct"],
+            {"dim": 1, "signature": [1], "det": "1", "hasse": []},
+            "'signature' must be a pair, got [1]",
+        ),
+        (
+            ["qform", "construct"],
+            {"dim": 1, "signature": [1, 0], "det": "1", "hasse": ["abc"]},
+            "place must be an integer, got 'abc'",
+        ),
+        (
+            ["qform", "construct"],
+            {"dim": 1, "signature": [1, 0], "det": "1", "hasse": 5},
+            "'hasse' must be a list, got int",
+        ),
+    ],
+)
+def test_malformed_json_structure_exits_three_naming_the_key(args, payload, message, monkeypatch, capsys):
+    # each of these once reached a handler of KeyError, TypeError and
+    # ValueError, whose message could be just the missing key
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert exit_code(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"httool: {message}\n"
+
+
 def readme_cli_examples() -> list[tuple[str | None, list[str]]]:
     """(stdin, arguments) of each command in the README's CLI block."""
     readme = (GOLDEN.parent.parent / "README.md").read_text(encoding="utf-8")

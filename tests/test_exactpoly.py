@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httool import _intfactor
+from httool import _gfp, _intfactor
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -409,6 +409,24 @@ def lifts_during(call):
     return result, _intfactor.COUNTERS["hensel_lifts"] - before
 
 
+def ddf_calls(f: Poly) -> list[tuple[int, int]]:
+    """(p, degree) of each distinct-degree factorization that
+    factor_with_unit(f) runs, in order."""
+    calls = []
+    inner = _gfp.distinct_degree
+
+    def record(fp, p):
+        calls.append((p, len(fp) - 1))
+        return inner(fp, p)
+
+    _gfp.distinct_degree = record
+    try:
+        factor_with_unit(f)
+    finally:
+        _gfp.distinct_degree = inner
+    return calls
+
+
 def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
     for n, m in cyclotomics:
         f = f * cyclotomic_poly(n) ** m
@@ -420,8 +438,8 @@ def assert_matches_reference(f: Poly):
     exactly the cyclotomic factors it finds."""
     unit, factors = factor_with_unit(f)
     assert (unit, factors) == reference_factor_with_unit(f)
-    found = sorted((is_cyclotomic(g), m) for g, m in factors if is_cyclotomic(g) is not None)
-    assert sorted(cyclotomic_factors(f)) == found
+    found = sorted(is_cyclotomic(g) for g, _m in factors if is_cyclotomic(g) is not None)
+    assert cyclotomic_factors(f) == found
     return factors
 
 
@@ -441,7 +459,7 @@ def test_factor_cyclotomic_products_by_division(cyclotomics, scale):
     for n, m in cyclotomics:
         expected[n] = expected.get(n, 0) + m
     assert len(assert_matches_reference(f)) == len(expected)
-    assert sorted(cyclotomic_factors(f)) == sorted(expected.items())
+    assert cyclotomic_factors(f) == sorted(expected)
 
 
 def test_factor_pool_members_match_reference():
@@ -456,8 +474,21 @@ def test_factor_pool_members_match_reference():
     st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES[:20]), st.integers(1, 2)), max_size=2),
 )
 def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
-    # the shape of census candidates: a member or its square times roots of unity
-    assert_matches_reference(with_cyclotomics(member ** power, cyclotomics))
+    # the shape of census candidates: a member or its square times roots of
+    # unity, factored with at most one distinct-degree factorization per prime
+    f = with_cyclotomics(member ** power, cyclotomics)
+    assert_matches_reference(f)
+    primes = [p for p, _degree in ddf_calls(f)]
+    assert len(set(primes)) == len(primes) <= 3
+
+
+@pytest.mark.parametrize("cyclotomics", [[(5, 2)], [(3, 2), (4, 1)]])
+def test_non_squarefree_input_factors_its_squarefree_part_once(cyclotomics):
+    # one distinct-degree factorization of the degree-8 squarefree part and
+    # one more proving Q irreducible; splitting the square apart first would
+    # run one per part
+    calls = ddf_calls(with_cyclotomics(Poly([1, 0, F(1, 2), 0, 1]), cyclotomics))
+    assert len(calls) == 2 and calls[0][1] == 8
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,9 +21,11 @@ from httool.exactpoly import (
     SturmChain,
     _split_parts,
     _zassenhaus,
+    _zz_derivative,
+    _zz_exact_quotient,
     _zz_gcd,
     _zz_squarefree,
-    _zz_yun,
+    _zz_sub,
     discriminant,
     factor_with_unit,
     reciprocal_transform,
@@ -76,6 +78,34 @@ def _reference_factoring_prime(f):
                     break
         p += 2
     return min(found, key=lambda pf: (len(pf[1]), pf[0]))
+
+
+def _zz_yun(f) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on a primitive f with positive leading coefficient:
+    the nonconstant g_i with f = prod g_i**i, ascending i.
+
+    Every gcd is primitive with positive leading coefficient, so every
+    quotient below is exact in Z[x] and the g_i come out primitive with
+    positive leading coefficient.
+    """
+    parts: list[tuple[list[int], int]] = []
+    if len(f) < 2:
+        return parts
+    d = _zz_derivative(f)
+    g = _zz_gcd(f, d)
+    w = _zz_exact_quotient(f, g)
+    y = _zz_exact_quotient(d, g)
+    z = _zz_sub(y, _zz_derivative(w))
+    i = 1
+    while len(w) > 1:
+        h = _zz_gcd(w, z)
+        if len(h) > 1:
+            parts.append((h, i))
+        w = _zz_exact_quotient(w, h)
+        y = _zz_exact_quotient(z, h)
+        z = _zz_sub(y, _zz_derivative(w))
+        i += 1
+    return parts
 
 
 def reference_factor_with_unit(f: Poly):
@@ -168,10 +198,10 @@ def squarefree_decomposition(f: Poly):
     return f.content, [(Poly.from_ints(h, 1), mult) for h, mult in _zz_yun(f.prim)]
 
 
-def cyclotomic_factors(f: Poly) -> list[tuple[int, int]]:
-    """(n, m) for each Phi_n that `factor_with_unit` divides out of f, m
-    its multiplicity."""
-    return [(n, m) for m, indices, _h, _p, _counts in _split_parts(f.prim) for n in indices]
+def cyclotomic_factors(f: Poly) -> list[int]:
+    """The n of each Phi_n that `factor_with_unit` divides out of f's
+    squarefree part, ascending."""
+    return _split_parts(f.prim)[1]
 
 
 def slopes_with_multiplicity(polygon) -> list[F]:

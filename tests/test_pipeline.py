@@ -213,6 +213,31 @@ def test_out_of_domain_certificate_data_is_reported(path, value, part):
     assert len(problems) == 1 and problems[0].startswith(f"{part} cannot be replayed: ")
 
 
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("trace_form", "gram"), 5, "trace form cannot be replayed: 'gram' must be a list, got int"),
+        (("lambda",), None, "lambda signature cannot be replayed: missing key 'lambda'"),
+        (("complement",), "x", "invariants cannot be replayed: 'complement' must be a dict, got str"),
+        (("report",), None, "report cannot be replayed: missing key 'report'"),
+        (("input",), [], "input cannot be replayed: 'input' must be a dict, got list"),
+        (("input", "L"), 5, "input cannot be replayed: 'L' must be a list, got int"),
+    ],
+)
+def test_malformed_certificate_structure_is_reported(path, value, problem):
+    # each of these once raised TypeError or KeyError out of the verifier;
+    # a value of None deletes the key
+    cert = json.loads(json.dumps(run(QUADRATIC).certificate))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    assert revalidate_certificate(cert) == [problem]
+
+
 def test_telemetry_present_but_separate():
     outcome = run(QUARTIC)
     assert outcome.status is RunStatus.CONSTRUCTED
