@@ -29,7 +29,9 @@ from .exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _cyclotomic_table,
     _newton_step,
+    _zz_divmod,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -374,10 +376,11 @@ def enumerate_candidates(
     B = 2d * den**i, inside the binomial box.  The descent thus bounds
     S_1..S_d; a complete L continues the recurrence over its mirrored
     coefficients from k = d + 1 up to 6d, where off-circle roots make the
-    sums grow geometrically, under the same bound.  Each survivor of these
-    bounds (and of the optional value filters, which carry no semantics of
-    their own) goes through `check_all` exactly once.  Output is sorted by
-    coefficient tuple.
+    sums grow geometrically, under the same bound.  Then L is dropped when a
+    Phi_n with phi(n) <= 2d (no other fits) divides it: a root of unity among
+    its reciprocal roots fails constraint (2) in `check_all`.  Each survivor
+    (also of the optional value filters, which carry no semantics of their
+    own) goes through `check_all` once.  Output is sorted by coefficients.
     """
     if two_d % 2 != 0 or two_d < 2:
         raise DomainError("degree must be even and >= 2")
@@ -391,9 +394,9 @@ def enumerate_candidates(
     results: list[WeilCandidate] = []
 
     def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
-        mirrored = half_ints[-2::-1] + [den]  # m_(d+1)..m_2d
+        ints = [den] + half_ints + half_ints[-2::-1] + [den]  # den * L, palindromic
         elem = scaled_elem + [
-            (m if i % 2 == 0 else -m) * den ** (i - 1) for i, m in enumerate(mirrored, d + 1)
+            (m if i % 2 == 0 else -m) * den ** (i - 1) for i, m in enumerate(ints[d + 1 :], d + 1)
         ]
         sums = list(scaled_sums)
         for k in range(d + 1, 6 * d + 1):
@@ -401,7 +404,9 @@ def enumerate_candidates(
             if abs(s) > bound[k]:
                 return
             sums.append(s)
-        L = Poly.from_ints([den] + half_ints + mirrored, Fraction(1, den))
+        if any(not _zz_divmod(ints, prim)[1] for _n, _phi, prim in _cyclotomic_table(two_d)):
+            return
+        L = Poly.from_ints(ints, Fraction(1, den))
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:

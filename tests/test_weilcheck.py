@@ -4,6 +4,7 @@ The unit-circle checker is cross-validated against a high-precision numeric
 root-modulus oracle (mpmath at 60 digits, test-only).
 """
 
+import hashlib
 import json
 import pathlib
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from httool.exactpoly import DomainError, Poly, factor_with_unit, reciprocal_transform
+from httool.exactpoly import DomainError, Poly, cyclotomic_poly, factor_with_unit, reciprocal_transform
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
@@ -291,19 +292,36 @@ def test_census_members_have_symmetric_slope_multisets():
         assert sorted(slopes) == sorted(-s for s in slopes)
 
 
-def test_census_q2_degree4_matches_brute_force_box():
-    # every palindromic quartic with coefficients m/2 in the box
-    # |c_i| <= binom(4, i) that roots on the unit circle force, with no prune
+# n with phi(n) <= 4: the only cyclotomic polynomials that can divide a quartic
+QUARTIC_CYCLOTOMIC_INDICES = (1, 2, 3, 4, 5, 6, 8, 10, 12)
+
+
+@pytest.mark.parametrize(
+    "p, a, count", [(2, 1, 18), (3, 1, 56), (2, 2, 80), (5, 1, 196)], ids=["q2", "q3", "q4", "q5"]
+)
+def test_census_degree4_matches_brute_force_box(p, a, count):
+    # every palindromic quartic with coefficients m/q in the box
+    # |c_i| <= binom(4, i) that roots on the unit circle force, with neither
+    # the power-sum prune nor the cyclotomic screen
+    q = p**a
+    cyclotomics = [cyclotomic_poly(n) for n in QUARTIC_CYCLOTOMIC_INDICES]
     admissible = []
-    for m1 in range(-8, 9):
-        for m2 in range(-12, 13):
-            c1, c2 = F(m1, 2), F(m2, 2)
-            candidate = WeilCandidate(Poly([1, c1, c2, c1, 1]), 2, 1)
-            if check_all(candidate).admissible:
+    screened = 0
+    for m1 in range(-4 * q, 4 * q + 1):
+        for m2 in range(-6 * q, 6 * q + 1):
+            c1, c2 = F(m1, q), F(m2, q)
+            candidate = WeilCandidate(Poly([1, c1, c2, c1, 1]), p, a)
+            report = check_all(candidate)
+            if any((candidate.L % phi).is_zero for phi in cyclotomics):
+                # the screen drops only what check_all rejects on constraint (2)
+                assert report.no_root_of_unity.status is Status.FAIL
+                screened += 1
+            if report.admissible:
                 admissible.append(candidate.L.coeffs)
-    found = [c.L.coeffs for c in enumerate_candidates(2, 1, 4)]
+    found = [c.L.coeffs for c in enumerate_candidates(p, a, 4)]
     assert sorted(admissible) == found
-    assert len(found) == 18
+    assert len(found) == count
+    assert screened > 0
 
 
 POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pools.json").read_text())
@@ -320,7 +338,10 @@ def test_census_matches_frozen_pools(pool):
 
 
 def test_census_q2_degree8_count():
-    assert len(enumerate_candidates(2, 1, 8)) == 200
+    found = enumerate_candidates(2, 1, 8)
+    assert len(found) == 200
+    listing = json.dumps([c.L.to_strs() for c in found]).encode()
+    assert hashlib.sha256(listing).hexdigest() == "a5a1ac601f8be150a515d3fd1ea0e929c78336242e5a0d999d9590222c04faea"
 
 
 def test_census_rejects_bad_degrees():
