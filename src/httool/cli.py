@@ -98,7 +98,6 @@ def _cmd_enumerate(args) -> int:
         a,
         args.degree,
         desk_bound=args.desk_bound,
-        integer_only=args.integer_only,
         value_at_one=value_at_one,
         value_at_minus_one_not=not_at_minus_one,
     )
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--q", type=int, required=True, help="prime power q = p**a")
     p_enum.add_argument("--degree", type=int, required=True, help="candidate degree 2d")
     p_enum.add_argument("--desk-bound", type=int, default=8, help="maximal allowed degree")
-    p_enum.add_argument("--integer-only", action="store_true", help="restrict to integer coefficients")
     p_enum.add_argument("--l1", default=None, help="keep only candidates with L(1) equal to this rational")
     p_enum.add_argument(
         "--not-lm1", default=None, help="drop candidates with L(-1) equal to this rational"

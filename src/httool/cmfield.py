@@ -6,12 +6,10 @@ completion-degree certification and the CM-to-K3-lattice complement step.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _gfp, _intfactor
 from .exactpoly import (
     DomainError,
     Poly,
@@ -21,12 +19,11 @@ from .exactpoly import (
     isolate_real_roots,
     rat_to_str,
     reciprocal_transform,
-    resultant,
     square_class,
     sturm_count,
     trace_power_sums,
 )
-from .padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon, reduce_mod_p, vp
+from .padicpoly import SlopeOutcome, negative_part_verdict, newton_polygon
 from .qform import (
     GramMatrix,
     QFormInvariants,
@@ -35,9 +32,7 @@ from .qform import (
     complement_invariants,
     construct_with_invariants,
     diagonalize,
-    hilbert_symbol,
     invariants,
-    is_square_in_Qp,
     k3_invariants,
 )
 from .weilcheck import PropertyVerdict, Status
@@ -425,171 +420,39 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# relative splitting test
-
-
-class SplitStatus(enum.Enum):
-    ALL_SPLIT = "all_split"
-    NOT_ALL_SPLIT = "not_all_split"
-    UNKNOWN = "unknown"
-
-
-def _denominators_coprime_to(f: Poly, p: int) -> bool:
-    return all(c.denominator % p != 0 for c in f.coeffs)
-
-
-def split_test(
-    field: NumberField, rel_disc: Poly, p: int, disc: Fraction, norm: Fraction
-) -> SplitStatus:
-    """Whether every place of the totally real field above p splits in the
-    relative quadratic extension generated by a square root of rel_disc;
-    `disc` is disc(g) of the defining polynomial g and `norm` is
-    Res(g, rel_disc), neither of which depends on p.
-
-    Only odd primes away from disc and norm are decided (Euler's criterion
-    in each residue field); everything else is Unknown by policy.  On the
-    decided primes g is monic and p does not divide disc(g), so g mod p is
-    squarefree: each place has residue degree the degree of its factor h.
-    And p does not divide the norm, the product of rel_disc over the roots
-    of g, so rel_disc is nonzero mod every h.
-    """
-    if p == 2:
-        return SplitStatus.UNKNOWN
-    g = field.defining
-    if (
-        vp(disc, p) != 0
-        or vp(norm, p) != 0
-        or not _denominators_coprime_to(g, p)
-        or not _denominators_coprime_to(rel_disc, p)
-    ):
-        return SplitStatus.UNKNOWN
-    d_mod = reduce_mod_p(rel_disc.coeffs, p)
-    for h in _gfp.berlekamp(reduce_mod_p(g.coeffs, p), p):
-        if _gfp.pow_mod(d_mod, (p ** _gfp.degree(h) - 1) // 2, h, p) != [1]:
-            return SplitStatus.NOT_ALL_SPLIT
-    return SplitStatus.ALL_SPLIT
-
-
-def relative_quadratic_disc(ext: ExtensionData) -> Poly:
-    """D = beta**2 - 4 as an element of the real subfield (the relative
-    discriminant of gamma**2 - beta*gamma + 1 over it)."""
-    if ext.kind == "trivial":
-        return Poly([-4, 0, 1])  # x = beta generates the real subfield
-    if ext.kind == "eisenstein_compositum":
-        # the base is imaginary quadratic, so beta is the rational -c1
-        beta = -ext.base.field.defining.coefficient(1)
-        return Poly([beta * beta - 4])
-    raise DomainError(f"no relative discriminant for kind {ext.kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # the CM-to-K3 complement step
 
 
 @dataclass(frozen=True)
 class CMToK3Result:
-    kind: str  # "constructed" or "existence_only"
-    lam: Poly | None
-    trace: TraceForm | None
-    trace_invariants: QFormInvariants | None
-    complement: QSpace | None
-    complement_invariants: QFormInvariants | None
-    bayer: dict | None
-
-
-def _small_support(values, bound: int = 1000) -> list[int]:
-    """Primes below `bound` dividing a numerator or denominator of the given
-    rationals.  Discriminants of large extensions are far too big to factor
-    completely; primes above the bound are excluded places (the split test
-    reports Unknown there anyway)."""
-    ints = [n for v in values if v != 0 for n in (v.numerator, v.denominator)]
-    return [
-        p
-        for p in range(2, bound)
-        if _intfactor.is_prime(p) and (p == 2 or any(n % p == 0 for n in ints))
-    ]
+    lam: Poly
+    trace: TraceForm
+    trace_invariants: QFormInvariants
+    complement: QSpace
+    complement_invariants: QFormInvariants
 
 
 def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
-    """Realize the trace form inside the rational K3 lattice.
+    """Realize the trace form inside the rational K3 lattice: a scalar of
+    signature (1, d-1), its trace form and an explicit orthogonal complement.
 
-    For d < 10 a scalar of signature (1, d-1) is constructed and the
-    orthogonal complement is produced explicitly.  For d = 10 only the
-    existence conditions are verified (even signature, discriminant match,
-    hyperbolicity at every split prime of the finite bad set); no explicit
-    scalar is constructed.
+    d = 10 is refused: the paper gives no scalar there, and Bayer-Fluckiger's
+    local conditions matter only at 2 and the primes dividing disc(g) or
+    N(beta^2 - 4), g the real subfield's polynomial.  At any other odd prime
+    where every place of the real subfield splits in E, N(beta^2 - 4) is a
+    local square, and so is delta = disc(E): it is N(beta^2 - 4) * disc(g)^2
+    (trivial extension) or disc(P)^2 * disc(f)^e * R^2, R rational
+    (compositum).  There <-1, delta>^perp is hyperbolic, so a table of those
+    primes could only read `pass`; `pipeline.run` records `unknown` instead.
     """
-    if d > 10:
-        raise DomainError("d must be at most 10")
-    if ext.real_subfield is None:
-        raise DomainError("extension without an explicit real subfield")
-    if ext.real_subfield.degree != d:
-        raise DomainError(
-            f"real subfield degree {ext.real_subfield.degree} does not match d = {d}"
-        )
-    lattice = k3_invariants()
-    if d < 10:
-        lam = find_lambda(ext.real_subfield, (1, d - 1))
-        form = trace_form(ext, lam)
-        q_inv = invariants(diagonalize(form.gram))
-        comp_inv = complement_invariants(q_inv, lattice)
-        if not admissible(comp_inv):
-            raise ArithmeticError("complement invariants are inadmissible")
-        comp = construct_with_invariants(comp_inv)
-        return CMToK3Result(
-            kind="constructed",
-            lam=lam,
-            trace=form,
-            trace_invariants=q_inv,
-            complement=comp,
-            complement_invariants=comp_inv,
-            bayer=None,
-        )
-    # d = 10: dim q_lambda = 20 and the complement is <-1, delta>.  The
-    # discriminant of a degree-20 field is far too large to factor, so every
-    # check below is local (valuations, unit residues, Hilbert symbols on the
-    # raw rational) and no global square-class reduction is performed.
-    delta = discriminant(ext.absolute)  # sign is +: the degree is even
-    if delta <= 0:
-        raise ArithmeticError("a CM field of even degree has positive discriminant class")
-    conditions: dict = {}
-    # W := complement of <-1, delta>: signature (3,19) - (1,1) = (2,18)
-    conditions["signature"] = [2, 18]
-    conditions["signature_even"] = Status.PASS.value
-    # det W = det(K3) * det(aux) = (-1) * (-delta) = delta: holds identically
-    conditions["disc_matches_delta"] = Status.PASS.value
-    conditions["disc_identity_note"] = "det W = (-1) * (-delta) by the additivity law"
-    conditions["decomposition_identity"] = Status.PASS.value
-    rel = relative_quadratic_disc(ext)
-    g = ext.real_subfield.defining
-    disc_g, norm = discriminant(g), resultant(g, rel)
-    support = _small_support([disc_g, norm])
-    sample = [p for p in range(3, 60, 2) if _intfactor.is_prime(p)]
-    per_prime = []
-    hyperbolic_ok = True
-    for p in sorted(set(support) | set(sample)):
-        split = split_test(ext.real_subfield, rel, p, disc_g, norm)
-        entry = {"p": p, "split": split.value, "hyperbolic": None}
-        if split is SplitStatus.ALL_SPLIT:
-            # W is locally hyperbolic iff delta is a local square and the
-            # Hasse part matches ten planes: w(W)_p = w(K3)_p + (-1, delta)_p
-            # (the cross term (-delta, delta)_p always vanishes)
-            delta_square = is_square_in_Qp(delta, p)
-            hasse_w_nontrivial = hilbert_symbol(Fraction(-1), delta, p) == -1
-            entry["hyperbolic"] = delta_square and not hasse_w_nontrivial
-            hyperbolic_ok = hyperbolic_ok and entry["hyperbolic"]
-        per_prime.append(entry)
-    conditions["hyperbolic_at_split_primes"] = (
-        Status.PASS if hyperbolic_ok else Status.FAIL
-    ).value
-    conditions["per_prime"] = per_prime
-    conditions["verdict"] = "existence_only"
-    return CMToK3Result(
-        kind="existence_only",
-        lam=None,
-        trace=None,
-        trace_invariants=None,
-        complement=None,
-        complement_invariants=None,
-        bayer=conditions,
-    )
+    if d >= 10:
+        raise DomainError(f"no scalar is constructed at d = {d}; cm_to_k3 needs d < 10")
+    if ext.real_subfield is None or ext.real_subfield.degree != d:
+        raise DomainError(f"the extension has no explicit real subfield of degree d = {d}")
+    lam = find_lambda(ext.real_subfield, (1, d - 1))
+    form = trace_form(ext, lam)
+    q_inv = invariants(diagonalize(form.gram))
+    comp_inv = complement_invariants(q_inv, k3_invariants())
+    if not admissible(comp_inv):
+        raise ArithmeticError("complement invariants are inadmissible")
+    return CMToK3Result(lam, form, q_inv, construct_with_invariants(comp_inv), comp_inv)

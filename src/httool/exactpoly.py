@@ -801,19 +801,15 @@ def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-_cyclotomic_cache: dict[int, Poly] = {}
 
-
+@functools.cache
 def cyclotomic_poly(n: int) -> Poly:
     if n < 1:
         raise DomainError("cyclotomic index must be positive")
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
     f = Poly([-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             f = f // cyclotomic_poly(d)
-    _cyclotomic_cache[n] = f
     return f
 
 

@@ -33,7 +33,7 @@ from .qform import (
     k3_invariants,
     sum_invariants,
 )
-from .weilcheck import Status, WeilCandidate, WeilReport, check_all
+from .weilcheck import PropertyVerdict, Status, WeilCandidate, WeilReport, check_all
 
 SCHEMA_VERSION = 1
 
@@ -77,6 +77,25 @@ def _base_certificate(candidate: WeilCandidate, report: WeilReport) -> dict:
         "schema_version": SCHEMA_VERSION,
         "input": candidate.to_json(),
         "report": report.to_json(),
+    }
+
+
+def _identity_blocks(sig: tuple, trace_inv: QFormInvariants, comp_inv: QFormInvariants) -> dict:
+    """The `signature_identity` and `k3_sum_identity` blocks, by key: the
+    trace form has twice the signature of lambda, and its sum with the
+    complement has the invariants of the K3 lattice."""
+    trace_sig = list(trace_inv.signature)
+    total, lattice = sum_invariants(trace_inv, comp_inv), k3_invariants()
+    checks = {
+        "signature_identity": (
+            trace_sig == [2 * sig[0], 2 * sig[1]],
+            {"lambda_signature": list(sig), "trace_form_signature": trace_sig},
+        ),
+        "k3_sum_identity": (total == lattice, {"sum": total.to_json(), "expected": lattice.to_json()}),
+    }
+    return {
+        key: PropertyVerdict(Status.PASS if holds else Status.FAIL, witness).to_json()
+        for key, (holds, witness) in checks.items()
     }
 
 
@@ -147,68 +166,75 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
         raise ArithmeticError(f"completion degree check failed: {completion.witness}")
 
     d = target // 2
-    t0 = time.monotonic()
-    result = cm_to_k3(ext, d)
-    mark("cm_to_k3", t0)
-
-    if result.kind == "existence_only":
-        cert["bayer"] = result.bayer
+    if d == 10:  # cm_to_k3's docstring says why no local condition is evaluated
+        reason = "no scalar is constructed at d = 10 and no local condition is evaluated"
+        cert["bayer"] = {"status": Status.UNKNOWN.value, "reason": reason}
         cert["status"] = RunStatus.EXISTENCE_ONLY.value
         cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
         return finish(RunStatus.EXISTENCE_ONLY)
 
-    lam = result.lam
+    t0 = time.monotonic()
+    result = cm_to_k3(ext, d)
+    mark("cm_to_k3", t0)
+
     # find_lambda's construction gives lambda this signature; the
     # signature_identity below fails unless the trace form has (2, 2d - 2),
     # and revalidate_certificate replays signature_of
     sig = (1, d - 1)
-    cert["lambda"] = {"coefficients": lam.to_strs(), "signature": list(sig)}
+    cert["lambda"] = {"coefficients": result.lam.to_strs(), "signature": list(sig)}
     cert["trace_form"] = result.trace.to_json()
     cert["trace_invariants"] = result.trace_invariants.to_json()
 
     t0 = time.monotonic()
-    disc_check = disc_identity_check(ext, result.trace_invariants.det)
+    cert["disc_identity"] = disc_identity_check(ext, result.trace_invariants.det).to_json()
     mark("disc_identity", t0)
-    cert["disc_identity"] = disc_check.to_json()
-    sig_ok = result.trace_invariants.signature == (2 * sig[0], 2 * sig[1])
-    cert["signature_identity"] = {
-        "status": (Status.PASS if sig_ok else Status.FAIL).value,
-        "witness": {
-            "lambda_signature": list(sig),
-            "trace_form_signature": list(result.trace_invariants.signature),
-        },
-    }
+    t0 = time.monotonic()
+    identities = _identity_blocks(sig, result.trace_invariants, result.complement_invariants)
+    mark("k3_sum_identity", t0)
+    cert["signature_identity"] = identities["signature_identity"]
     cert["complement"] = {
         "invariants": result.complement_invariants.to_json(),
         "diagonal": result.complement.to_json()["diagonal"],
     }
-    t0 = time.monotonic()
-    total = sum_invariants(result.trace_invariants, result.complement_invariants)
-    lattice = k3_invariants()
-    mark("k3_sum_identity", t0)
-    cert["k3_sum_identity"] = {
-        "status": (Status.PASS if total == lattice else Status.FAIL).value,
-        "witness": {"sum": total.to_json(), "expected": lattice.to_json()},
-    }
+    cert["k3_sum_identity"] = identities["k3_sum_identity"]
     cert["bayer"] = {"status": Status.NOT_APPLICABLE.value, "reason": "d < 10"}
     cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
 
-    failed_identities = [
-        key
-        for key in ("disc_identity", "signature_identity", "k3_sum_identity")
-        if cert[key]["status"] == Status.FAIL.value
-    ]
-    if failed_identities:
-        raise ArithmeticError(f"certificate identities failed: {failed_identities}")
+    failed = [key for key in ("disc_identity", *identities) if cert[key]["status"] == Status.FAIL.value]
+    if failed:
+        raise ArithmeticError(f"certificate identities failed: {failed}")
     cert["status"] = RunStatus.CONSTRUCTED.value
     return finish(RunStatus.CONSTRUCTED)
+
+
+def _leaf(obj: dict, key: str, field: str = "status", kind: type = object):
+    """obj[key][field], read through `json_field`."""
+    return json_field(json_field(obj, key, dict), field, kind)
+
+
+def _expected_status(report: WeilReport, cert: dict) -> str:
+    """The status `run` reaches with this report, reading the certificate's
+    extension kind, completion verdict and local block in `run`'s order."""
+    if report.failures:
+        return RunStatus.REJECTED.value
+    if not report.admissible:
+        return RunStatus.UNKNOWN.value
+    if _leaf(cert, "extension", "kind") == "unsupported":
+        return RunStatus.EXISTENCE_ONLY.value
+    if _leaf(cert, "completion_degree") == Status.UNKNOWN.value:
+        return RunStatus.UNKNOWN.value
+    if _leaf(cert, "bayer") == Status.UNKNOWN.value:
+        return RunStatus.EXISTENCE_ONLY.value
+    return RunStatus.CONSTRUCTED.value
 
 
 def revalidate_certificate(cert: dict) -> list[str]:
     """Re-run every embedded verdict from the certificate's own data.
 
     Returns the list of discrepancies (empty means the certificate
-    self-validates).  Data outside its domain (a wrong JSON type, a zero
+    self-validates).  The recorded status must be the one `run` reaches
+    from the replayed report; only a `constructed` certificate carries more
+    to replay.  Data outside its domain (a wrong JSON type, a zero
     denominator, an invalid place, lambda outside `signature_of`'s domain)
     is one discrepancy naming the part that cannot be replayed; the replay
     stops there."""
@@ -217,46 +243,50 @@ def revalidate_certificate(cert: dict) -> list[str]:
     try:
         report = check_all(WeilCandidate.from_json(json_field(cert, "input", dict)))
         part = "report"
-        recorded = json_field(json_field(cert, "report", dict), "properties", dict)
+        recorded = _leaf(cert, "report", "properties", dict)
         for name, verdict in report.to_json()["properties"].items():
-            if json_field(json_field(recorded, name, dict), "status") != verdict["status"]:
+            if _leaf(recorded, name) != verdict["status"]:
                 problems.append(f"property {name} status changed on replay")
-        status = json_field(cert, "status")
-        if status == RunStatus.REJECTED.value:
-            if not report.failures:
-                problems.append("rejection not reproduced")
+        part = "status"
+        status, expected = json_field(cert, "status"), _expected_status(report, cert)
+        if status != expected:
+            problems.append(f"status {status!r} does not replay: expected {expected!r}")
+        if status != expected or status != RunStatus.CONSTRUCTED.value:
             return problems
-        if status != RunStatus.CONSTRUCTED.value:
-            return problems
-        if not report.admissible:
-            problems.append("admissibility not reproduced")
-            return problems
+        for key in ("completion_degree", "disc_identity"):
+            if _leaf(cert, key) != Status.PASS.value:
+                problems.append(f"{key} status is not pass")
         part = "field"
         if weil_field(report.Q).to_json() != json_field(cert, "field"):
             problems.append("field data changed on replay")
         part = "lambda signature"
         lam_json = json_field(cert, "lambda", dict)
         lam = Poly.from_strs(json_field(lam_json, "coefficients", list))
-        real = json_field(json_field(cert, "extension", dict), "real_subfield", dict)
+        real = _leaf(cert, "extension", "real_subfield", dict)
         real_subfield = NumberField(
             Poly.from_strs(json_field(real, "defining", list)),
             json_field(real, "degree", int),
             json_field(real, "real_embeddings", int),
         )
-        if list(signature_of(lam, real_subfield)) != json_field(lam_json, "signature"):
+        sig = signature_of(lam, real_subfield)
+        if list(sig) != json_field(lam_json, "signature"):
             problems.append("lambda signature changed on replay")
         part = "invariants"
         trace_inv = QFormInvariants.from_json(json_field(cert, "trace_invariants"))
         complement = json_field(cert, "complement", dict)
-        comp_inv = QFormInvariants.from_json(json_field(complement, "invariants"))
-        if invariants(QSpace.from_json(complement)) != comp_inv:
+        comp_inv = invariants(QSpace.from_json(complement))
+        if comp_inv != QFormInvariants.from_json(json_field(complement, "invariants")):
             problems.append("complement invariants changed on replay")
-        if sum_invariants(trace_inv, comp_inv) != k3_invariants():
-            problems.append("K3 sum identity fails on replay")
         part = "trace form"
-        gram = GramMatrix.from_json(json_field(cert, "trace_form", dict))
-        if invariants(diagonalize(gram)) != trace_inv:
+        replayed = invariants(diagonalize(GramMatrix.from_json(json_field(cert, "trace_form", dict))))
+        if replayed != trace_inv:
             problems.append("trace form invariants changed on replay")
+        part = "identities"
+        for key, block in _identity_blocks(sig, replayed, comp_inv).items():
+            if block["status"] != Status.PASS.value:
+                problems.append(f"{key} fails on replay")
+            elif json_field(cert, key) != block:
+                problems.append(f"{key} changed on replay")
     except DomainError as exc:
         problems.append(f"{part} cannot be replayed: {exc}")
     return problems

@@ -109,10 +109,10 @@ def _checked_place(place):
 
 def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
     """The Hilbert symbol (a, b) at a finite prime or the infinite place."""
-    a, b = Fraction(a), Fraction(b)
+    if place != INF:
+        a, b, place = Fraction(a), Fraction(b), _checked_place(place)
     if a == 0 or b == 0:
         raise DomainError("Hilbert symbol arguments must be nonzero")
-    place = _checked_place(place)
     if place == INF:
         return -1 if (a < 0 and b < 0) else 1
     # num * den lies in the square class of num / den
@@ -269,7 +269,7 @@ def _ramified(x: SquareClass, y: SquareClass) -> set:
     x and y (the symbol is 1 at every other place)."""
     a, b = x.sign * x.squarefree, y.sign * y.squarefree
     places = {2, INF} | x.primes | y.primes
-    return {v for v in places if (a < 0 and b < 0 if v == INF else _hilbert_at(a, b, v) == -1)}
+    return {v for v in places if (hilbert_symbol(a, b, v) if v == INF else _hilbert_at(a, b, v)) == -1}
 
 
 def invariants(space: QSpace) -> QFormInvariants:

@@ -359,21 +359,20 @@ def enumerate_candidates(
     two_d: int,
     *,
     desk_bound: int = 8,
-    integer_only: bool = False,
     value_at_one: Fraction | None = None,
     value_at_minus_one_not: Fraction | None = None,
 ) -> list[WeilCandidate]:
     """All admissible candidates of degree two_d for q = p**a.
 
     Search space: palindromic L with constant term 1 and coefficients
-    c_i = m_i / den (den = p**a, or 1 with `integer_only`) bounded by
-    |c_i| <= binom(2d, i), as roots on the unit circle force.  Those roots
-    also force |s_k| <= 2d for every power sum s_k = sum gamma**k.  The
-    search runs on integers: with E_i = e_i * den**i = (-1)**i m_i den**(i-1)
-    and S_k = s_k * den**k, Newton's identity reads S_i = base - c*m_i with
-    c = i * den**(i-1) and base the part of the recurrence without e_i, so
-    level i tries only ceil((base - B)/c) <= m_i <= floor((base + B)/c),
-    B = 2d * den**i, inside the binomial box.  The descent thus bounds
+    c_i = m_i / den, den = p**a, bounded by |c_i| <= binom(2d, i), as roots
+    on the unit circle force.  Those roots also force |s_k| <= 2d for every
+    power sum s_k = sum gamma**k.  The search runs on integers: with
+    E_i = e_i * den**i = (-1)**i m_i den**(i-1) and S_k = s_k * den**k,
+    Newton's identity reads S_i = base - c*m_i with c = i * den**(i-1) and
+    base the part of the recurrence without e_i, so level i tries only
+    ceil((base - B)/c) <= m_i <= floor((base + B)/c), B = 2d * den**i,
+    inside the binomial box.  The descent thus bounds
     S_1..S_d; a complete L continues the recurrence over its mirrored
     coefficients from k = d + 1 up to 6d, where off-circle roots make the
     sums grow geometrically, under the same bound.  Then L is dropped when a
@@ -389,7 +388,7 @@ def enumerate_candidates(
     if not _intfactor.is_prime(p) or a < 1:
         raise DomainError("invalid prime power")
     d = two_d // 2
-    den = 1 if integer_only else p ** a
+    den = p ** a
     bound = [two_d * den ** k for k in range(6 * d + 1)]
     results: list[WeilCandidate] = []
 

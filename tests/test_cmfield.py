@@ -1,27 +1,18 @@
-"""CM fields, trace forms, extensions, splitting, and the K3 complement step.
-
-The splitting test is cross-validated by Dedekind factor counting on the
-absolute defining polynomial of the relative quadratic extension.
-"""
+"""CM fields, trace forms, extensions and the K3 complement step."""
 
 import json
 import pathlib
-import random
 from fractions import Fraction as F
 
 import pytest
 
-from httool import _gfp
 from httool.cmfield import (
-    SplitStatus,
     build_extension,
     cm_to_k3,
     completion_degree_check,
     disc_identity_check,
     find_lambda,
-    relative_quadratic_disc,
     signature_of,
-    split_test,
     trace_form,
     weil_field,
 )
@@ -29,7 +20,6 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     cyclotomic_poly,
-    discriminant,
     resultant,
     square_class,
     sturm_count,
@@ -42,7 +32,6 @@ from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
 from test_helpers import (
     compose,
     fraction_determinant,
-    gfp_factor,
     is_irreducible,
     lagrange_interpolate,
     number_field,
@@ -407,101 +396,12 @@ def test_completion_degree_compositum():
 
 
 # ---------------------------------------------------------------------------
-# splitting
-
-
-def split(field, rel: Poly, p: int) -> SplitStatus:
-    """`split_test` with the discriminant and the norm it takes from its caller."""
-    g = field.defining
-    return split_test(field, rel, p, discriminant(g), resultant(g, rel))
-
-
-def test_split_test_examples():
-    rational = number_field(Poly([0, 1]))
-    minus_four = Poly([-4])
-    assert split(rational, minus_four, 5) is SplitStatus.ALL_SPLIT
-    assert split(rational, minus_four, 3) is SplitStatus.NOT_ALL_SPLIT
-    assert split(rational, minus_four, 2) is SplitStatus.UNKNOWN
-
-
-def test_split_test_excluded_prime():
-    sqrt2 = number_field(Poly([-2, 0, 1]))
-    assert split(sqrt2, Poly([1, 1]), 2) is SplitStatus.UNKNOWN
-
-
-def split_oracle(g0: Poly, rel: Poly, p: int):
-    """Dedekind factor counting on the absolute defining polynomial
-    r(z) = Res_X(g0(X), z**2 - rel(X)) of E0(sqrt(rel)); None when the
-    oracle preconditions (squarefree reductions, full degree) fail."""
-    degree = 2 * g0.degree()
-    values = []
-    for t in range(degree + 1):
-        z0 = F(t)
-        values.append((z0, resultant(g0, Poly([z0 * z0]) - rel)))
-    r = lagrange_interpolate(values)
-    if r.degree() != degree:
-        return None
-    if any(c.denominator % p == 0 for c in r.coeffs) or any(
-        c.denominator % p == 0 for c in g0.coeffs
-    ):
-        return None
-    r_mod = _gfp.from_coeffs([c.numerator * pow(c.denominator, -1, p) for c in r.coeffs], p)
-    g_mod = _gfp.from_coeffs([c.numerator * pow(c.denominator, -1, p) for c in g0.coeffs], p)
-    if _gfp.degree(r_mod) != degree or _gfp.degree(g_mod) != g0.degree():
-        return None
-    if not _gfp.is_squarefree(r_mod, p) or not _gfp.is_squarefree(g_mod, p):
-        return None
-    _, r_factors = gfp_factor(r_mod, p)
-    _, g_factors = gfp_factor(g_mod, p)
-    r_degs = sorted(_gfp.degree(h) for h, _ in r_factors)
-    g_degs = sorted(_gfp.degree(h) for h, _ in g_factors)
-    doubled = sorted(g_degs + g_degs)
-    return r_degs == doubled
-
-
-def test_split_test_against_dedekind_oracle():
-    rng = random.Random(424242)
-    squarefree = [2, 3, 5, 6, 7, 10, 11, 13]
-    primes = [3, 5, 7, 11, 13]
-    decided = 0
-    for _ in range(200):
-        d0 = rng.choice(squarefree)
-        g0 = Poly([-d0, 0, 1])
-        rel = Poly([rng.randint(-6, 6), rng.randint(-6, 6)])
-        if rel.is_zero or (rel % g0).is_zero:
-            continue
-        p = rng.choice(primes)
-        result = split(number_field(g0), rel, p)
-        if result is SplitStatus.UNKNOWN:
-            continue
-        expected = split_oracle(g0, rel, p)
-        if expected is None:
-            continue
-        decided += 1
-        assert (result is SplitStatus.ALL_SPLIT) == expected, (d0, rel, p)
-    assert decided > 100
-
-
-# ---------------------------------------------------------------------------
-# relative discriminants
-
-
-def test_relative_quadratic_disc():
-    ext = trivial_ext(WEIL_QUARTIC)
-    assert relative_quadratic_disc(ext) == Poly([-4, 0, 1])
-    cm = weil_field(WEIL_QUADRATIC)
-    ext2 = build_extension(cm, 2, 4)
-    assert relative_quadratic_disc(ext2) == Poly([F(1, 4) - 4])
-
-
-# ---------------------------------------------------------------------------
 # cm_to_k3
 
 
 def test_cm_to_k3_gaussian_chain():
     ext = trivial_ext(GAUSSIAN)
     result = cm_to_k3(ext, 1)
-    assert result.kind == "constructed"
     assert result.lam == Poly([1])
     assert result.trace_invariants == invariants(diagonalize(trace_form(ext, Poly([1])).gram))
     comp_inv = result.complement_invariants
@@ -516,7 +416,6 @@ def test_cm_to_k3_gaussian_chain():
 def test_cm_to_k3_quartic():
     ext = trivial_ext(WEIL_QUARTIC)
     result = cm_to_k3(ext, 2)
-    assert result.kind == "constructed"
     assert signature_of(result.lam, ext.real_subfield) == (1, 1)
     assert result.complement_invariants.dim == 18
     assert sum_invariants(result.trace_invariants, invariants(result.complement)) == k3_invariants()
@@ -528,17 +427,11 @@ def test_cm_to_k3_rejects_large_d():
         cm_to_k3(ext, 11)
 
 
-def test_cm_to_k3_existence_only_at_d10():
-    # a CM field of degree 20: the 25th cyclotomic field
-    cm = weil_field(cyclotomic_poly(25))
-    ext = build_extension(cm, 2, 20)
-    result = cm_to_k3(ext, 10)
-    assert result.kind == "existence_only"
-    assert result.lam is None
-    report = result.bayer
-    assert report["signature_even"] == "pass"
-    assert report["signature"] == [2, 18]
-    assert report["disc_matches_delta"] == "pass"
-    assert report["decomposition_identity"] == "pass"
-    assert report["hyperbolic_at_split_primes"] == "pass"
-    assert {entry["p"] for entry in report["per_prime"]} >= {2, 5}
+def test_cm_to_k3_refuses_d10():
+    # the 25th cyclotomic field has degree 20: d = 10 has existence only, and
+    # cm_to_k3 builds no scalar or local table for it
+    ext = trivial_ext(cyclotomic_poly(25))
+    with pytest.raises(DomainError, match="d = 10"):
+        cm_to_k3(ext, 10)
+
+

@@ -83,12 +83,15 @@ def test_run_existence_only_when_regime_unsupported():
 
 
 def test_run_existence_only_at_d10():
+    # no scalar and no local condition at d = 10: the block claims nothing
     outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=20))
     assert outcome.status is RunStatus.EXISTENCE_ONLY
-    report = outcome.certificate["bayer"]
-    assert report["signature"] == [2, 18]
-    assert report["signature_even"] == "pass"
-    assert report["decomposition_identity"] == "pass"
+    cert = outcome.certificate
+    assert list(cert["bayer"]) == ["status", "reason"]
+    assert cert["bayer"]["status"] == "unknown"
+    assert "pass" not in json.dumps(cert["bayer"])
+    assert list(cert)[-3:] == ["bayer", "status", "base_change_exponent"]
+    assert revalidate_certificate(cert) == []
 
 
 def test_run_power_candidate_extends_through_eisenstein():
@@ -157,6 +160,70 @@ def test_tampered_certificate_is_detected():
     cert = json.loads(json.dumps(outcome.certificate))
     cert["complement"]["diagonal"][0] = "7"
     assert revalidate_certificate(cert) != []
+
+
+def _tampered(cert: dict, path: tuple, value) -> dict:
+    cert = json.loads(json.dumps(cert))
+    target = cert
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cert
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("status",), "unknown", "status 'unknown' does not replay: expected 'constructed'"),
+        (
+            ("status",),
+            "existence_only",
+            "status 'existence_only' does not replay: expected 'constructed'",
+        ),
+        (("disc_identity", "status"), "fail", "disc_identity status is not pass"),
+        (("completion_degree", "status"), "fail", "completion_degree status is not pass"),
+        (("k3_sum_identity",), 5, "k3_sum_identity changed on replay"),
+        (
+            ("signature_identity", "witness", "lambda_signature"),
+            [2, 0],
+            "signature_identity changed on replay",
+        ),
+        (
+            ("bayer", "status"),
+            "unknown",
+            "status 'constructed' does not replay: expected 'existence_only'",
+        ),
+    ],
+)
+def test_tampered_verdict_is_detected(path, value, problem):
+    # each of these once revalidated to []
+    cert = run(QUARTIC).certificate
+    assert revalidate_certificate(_tampered(cert, path, value)) == [problem]
+
+
+@pytest.mark.parametrize(
+    "candidate, degree, path, value, problem",
+    [
+        (
+            QUADRATIC,
+            20,
+            ("status",),
+            "constructed",
+            "status 'constructed' does not replay: expected 'existence_only'",
+        ),
+        (
+            QUADRATIC,
+            20,
+            ("bayer", "status"),
+            "not_applicable",
+            "status 'existence_only' does not replay: expected 'constructed'",
+        ),
+        (CYCLOTOMIC, None, ("status",), "unknown", "status 'unknown' does not replay: expected 'rejected'"),
+    ],
+)
+def test_tampered_status_of_other_outcomes_is_detected(candidate, degree, path, value, problem):
+    cert = run(candidate, PipelineConfig(max_extension_degree=degree)).certificate
+    assert revalidate_certificate(_tampered(cert, path, value)) == [problem]
 
 
 def test_tampered_lambda_signature_is_detected_for_compositum():

@@ -272,10 +272,6 @@ def test_census_q3_degree2():
     ]
 
 
-def test_census_integer_only_is_empty():
-    assert enumerate_candidates(2, 1, 2, integer_only=True) == []
-
-
 def test_census_closed_under_sign_involution():
     for found in (enumerate_candidates(2, 1, 2), enumerate_candidates(2, 1, 4)):
         coeff_sets = {c.L.coeffs for c in found}
