@@ -249,9 +249,8 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
 def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> PropertyVerdict:
     """Certify that the completion at the distinguished place has degree
     expected_h over Q_p, through the negative part of the Newton polygon of
-    the absolute defining polynomial."""
-    if ext.absolute is None:
-        return PropertyVerdict(Status.UNKNOWN, {"reason": "no absolute defining polynomial"})
+    the absolute defining polynomial (`pipeline.run` stops before this at
+    kind `unsupported`, the only kind without one)."""
     verdict, negative_degree = negative_part_verdict(ext.absolute, newton_polygon(ext.absolute, p))
     witness = {
         "expected": expected_h,
@@ -312,8 +311,6 @@ def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
     the Gram is a Kronecker product: entry (2i+j, 2k+l) is t[i+k] * U[j][l]
     with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F."""
     P = ext.relative
-    if P is None:
-        raise DomainError("not a compositum extension")
     e = P.degree()
     if (lam % P).is_zero:
         raise DomainError("lambda must be a nonzero element of the real subfield")
@@ -338,9 +335,10 @@ def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
 def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyVerdict:
     """det(q_lambda) = (-1)^d * disc(E) in square classes, for the
     determinant class of the trace form q_lambda.  `diagonalize` reaches its
-    diagonal by congruences of determinant one, so the class is that of the
+    diagonal by congruences of determinant +-1, so the class is that of the
     diagonal's product, which `invariants` already holds as `det`; no
-    determinant of the Gram matrix is computed here.
+    determinant of the Gram matrix is computed here.  `ext.absolute` is set:
+    `pipeline.run` stops before this at kind `unsupported`.
 
     Any defining polynomial of E differs from an integral basis by a rational
     change of basis, so its discriminant lies in the same square class as the
@@ -352,8 +350,6 @@ def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyV
     without factoring anything.  Then the expected class is det_class; only
     a failure factors (-1)^d * disc for its class, the witness.
     """
-    if ext.absolute is None:
-        return PropertyVerdict(Status.NOT_APPLICABLE, {"reason": "no defining polynomial"})
     d = ext.degree // 2
     disc = discriminant(ext.absolute)
     signed_disc = (-1) ** d * disc

@@ -232,12 +232,12 @@ def revalidate_certificate(cert: dict) -> list[str]:
     """Re-run every embedded verdict from the certificate's own data.
 
     Returns the list of discrepancies (empty means the certificate
-    self-validates).  The recorded status must be the one `run` reaches
-    from the replayed report; only a `constructed` certificate carries more
-    to replay.  Data outside its domain (a wrong JSON type, a zero
-    denominator, an invalid place, lambda outside `signature_of`'s domain)
-    is one discrepancy naming the part that cannot be replayed; the replay
-    stops there."""
+    self-validates).  The status and an admissible report's `field` block
+    must be what `run` reaches from the replayed report; only a
+    `constructed` certificate carries more to replay.  Data outside its
+    domain (a wrong JSON type, a zero denominator, an invalid place, lambda
+    outside `signature_of`'s domain) is one discrepancy naming the part
+    that cannot be replayed; the replay stops there."""
     problems: list[str] = []
     part = "input"
     try:
@@ -247,6 +247,9 @@ def revalidate_certificate(cert: dict) -> list[str]:
         for name, verdict in report.to_json()["properties"].items():
             if _leaf(recorded, name) != verdict["status"]:
                 problems.append(f"property {name} status changed on replay")
+        part = "field"
+        if report.admissible and weil_field(report.Q).to_json() != json_field(cert, "field"):
+            problems.append("field data changed on replay")
         part = "status"
         status, expected = json_field(cert, "status"), _expected_status(report, cert)
         if status != expected:
@@ -256,9 +259,6 @@ def revalidate_certificate(cert: dict) -> list[str]:
         for key in ("completion_degree", "disc_identity"):
             if _leaf(cert, key) != Status.PASS.value:
                 problems.append(f"{key} status is not pass")
-        part = "field"
-        if weil_field(report.Q).to_json() != json_field(cert, "field"):
-            problems.append("field data changed on replay")
         part = "lambda signature"
         lam_json = json_field(cert, "lambda", dict)
         lam = Poly.from_strs(json_field(lam_json, "coefficients", list))

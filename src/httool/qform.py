@@ -231,14 +231,23 @@ TRIVIAL_CLASS = SquareClass(1, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
-    """A diagonal form congruent to the Gram matrix (symmetric elimination).
+    """A diagonal form congruent to the Gram matrix G, by fraction-free
+    symmetric elimination (Bareiss, Math. Comp. 22, 1968) on m = den * G,
+    den the lcm of G's denominators.
 
-    Clearing row and column k with the pivot p = m[k][k] leaves the Schur
-    complement m[i][j] - m[i][k] * m[k][j] / p for i, j > k; later steps
-    read nothing else, so only that trailing block is updated."""
+    Step k pivots on p = m[k][k] and updates the trailing block, the only
+    part later steps read: m[i][j] = (p*m[i][j] - m[i][k]*m[k][j]) // prev,
+    prev the previous pivot (1 at first).  By Sylvester's identity the new
+    entry is a bordered leading minor of m, so the division is exact, and
+    p / (prev * den), a ratio of leading minors of G, is the k-th entry.  A
+    zero pivot is swapped with a later nonzero diagonal entry, or else row
+    and column k gain a later row and column with m[k][j] != 0: bordered
+    minors are linear in their border, so the integer block follows these
+    congruences of determinant +-1 exactly as G does."""
     n = gram.dimension()
-    m = [list(row) for row in gram.entries]
-    diag: list[Fraction] = []
+    den = math.lcm(*(x.denominator for row in gram.entries for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram.entries]
+    diag, prev = [], 1
     for k in range(n):
         if m[k][k] == 0:
             swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
@@ -255,12 +264,11 @@ def diagonalize(gram: GramMatrix) -> QSpace:
                 for i in range(k, n):
                     m[i][k] += m[i][other]
         pivot = m[k][k]
-        diag.append(pivot)
+        diag.append(Fraction(pivot, prev * den))
         for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                for j in range(k + 1, n):
-                    m[i][j] -= factor * m[k][j]
+            for j in range(k + 1, n):
+                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = pivot
     return QSpace(tuple(diag))
 
 
@@ -460,21 +468,15 @@ def _e8_gram() -> list[list[int]]:
 
 def k3_lattice() -> GramMatrix:
     """The 22x22 Gram matrix of (-E8) + (-E8) + U + U + U."""
-    blocks: list[list[list[int]]] = []
     minus_e8 = [[-x for x in row] for row in _e8_gram()]
-    blocks.append(minus_e8)
-    blocks.append(minus_e8)
     u = [[0, 1], [1, 0]]
-    blocks.extend([u, u, u])
-    size = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * size for _ in range(size)]
+    out = [[0] * 22 for _ in range(22)]
     offset = 0
-    for block in blocks:
+    for block in (minus_e8, minus_e8, u, u, u):
         for i, row in enumerate(block):
-            for j, val in enumerate(row):
-                out[offset + i][offset + j] = Fraction(val)
+            out[offset + i][offset : offset + len(row)] = row
         offset += len(block)
-    return GramMatrix(tuple(tuple(row) for row in out))
+    return GramMatrix.from_rows(out)
 
 
 @functools.cache

@@ -394,11 +394,11 @@ def enumerate_candidates(
 
     def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
         ints = [den] + half_ints + half_ints[-2::-1] + [den]  # den * L, palindromic
-        elem = scaled_elem + [
-            (m if i % 2 == 0 else -m) * den ** (i - 1) for i, m in enumerate(ints[d + 1 :], d + 1)
-        ]
-        sums = list(scaled_sums)
+        # E_k joins just before the first step to read it: most leaves stop early
+        elem, sums = list(scaled_elem), list(scaled_sums)
         for k in range(d + 1, 6 * d + 1):
+            if k <= two_d:
+                elem.append((ints[k] if k % 2 == 0 else -ints[k]) * den ** (k - 1))
             s = _newton_step(elem, sums)
             if abs(s) > bound[k]:
                 return

@@ -198,6 +198,19 @@ def test_trace_forms_match_their_definition():
             assert list(diagonalize(form.gram).diagonal) == full_elimination_diagonal(expected)
 
 
+@pytest.mark.parametrize(
+    "p, member",
+    [(2, ["1", "-1/2", "1"]), (3, ["1", "-1/3", "1"]), (3, ["1", "5/3", "1"])],
+)
+def test_extension_trace_forms_diagonalize_as_full_elimination(p, member):
+    # the trace forms of Eisenstein composita, as `construct` builds them at
+    # --max-extension-degree 8, 10 and 12
+    cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), p, 1)).Q)
+    for degree in (8, 10, 12):
+        gram = cm_to_k3(build_extension(cm, p, degree), degree // 2).trace.gram
+        assert list(diagonalize(gram).diagonal) == full_elimination_diagonal(gram.entries), degree
+
+
 def absolute_by_resultants(P: Poly, f: Poly) -> Poly:
     """Res_X(P(X), f(z - X)), interpolated at 2e + 1 integer points and made
     monic: the polynomial of x + gamma."""

@@ -219,6 +219,8 @@ def test_tampered_verdict_is_detected(path, value, problem):
             "status 'existence_only' does not replay: expected 'constructed'",
         ),
         (CYCLOTOMIC, None, ("status",), "unknown", "status 'unknown' does not replay: expected 'rejected'"),
+        # the field block of an existence_only certificate; once revalidated to []
+        (QUADRATIC, 20, ("field", "beta_minpoly"), ["7", "1"], "field data changed on replay"),
     ],
 )
 def test_tampered_status_of_other_outcomes_is_detected(candidate, degree, path, value, problem):

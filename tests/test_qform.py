@@ -226,6 +226,7 @@ def symmetric_matrices(draw):
 @example([[0, 1], [1, 0]])  # zero pivot, no nonzero diagonal after it: add
 @example([[0, 1, 2], [1, 0, 0], [2, 0, 3]])  # zero pivot, later nonzero diagonal: swap
 @example([[1, 1], [1, 1]])  # degenerate
+@example([[2, 2, 0], [2, 2, 1], [0, 1, 0]])  # pivot 2, then the add rule: 2, 2, -1/2
 def test_diagonalize_matches_full_elimination(rows):
     try:
         expected = full_elimination_diagonal(rows)
