@@ -15,6 +15,7 @@ from .exactpoly import (
     Poly,
     SquareClass,
     SturmChain,
+    _zz_gcd,
     discriminant,
     isolate_real_roots,
     rat_to_str,
@@ -373,7 +374,8 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
 
     The defining polynomial's real roots are isolated by Sturm bisection and
     each isolating interval is refined until lambda has no root inside and
-    certified constant sign."""
+    certified constant sign, which ends as gcd(lambda, g) = 1 (checked: a
+    g read from a certificate may share a root with lambda)."""
     g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
@@ -382,6 +384,8 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
         raise DomainError("lambda vanishes")
     if lam.degree() == 0:
         return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
+    if len(_zz_gcd(lam.prim, g.prim)) > 1:
+        raise DomainError("lambda vanishes at a real embedding")
     g_chain = SturmChain(g)
     lam_chain = SturmChain(lam)
     positives = 0

@@ -1,14 +1,14 @@
 """Exact arithmetic over Q: rationals, dense polynomials, factorization,
-Sturm counts, cyclotomic detection, resultants and square classes.
+Sturm counts, cyclotomic detection, discriminants and square classes.
 
 Everything here is pure and deterministic; no floating point enters any code
 path.  `Poly` is the type at every public boundary.  It stores a rational
 `content` times `prim`, a primitive integer coefficient tuple in ascending
 degree with positive leading coefficient, and every operation on it runs on
-`prim` through the integer-list kernels below: `+ - *`, pseudo-division,
-evaluation and the derivative, as well as gcd, the squarefree part, Hensel
-lifting and Zassenhaus recombination, Sturm chains and their sign
-evaluations and resultants.
+`prim` through the integer-list kernels below: `+ - *`, pseudo-division
+and evaluation, Hensel lifting and Zassenhaus recombination, Sturm sign
+evaluations, and gcds, Sturm chains and discriminants, all three read off
+one remainder sequence.
 
 A square class in Q^x / (Q^x)^2 is stored as a sign and the set of primes of
 odd valuation.  `square_class` factors its rational once; products of
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _gfp, _intfactor
-from ._linalg import bareiss_determinant
 
 
 class DomainError(ValueError):
@@ -203,7 +202,7 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    # -- calculus and evaluation -------------------------------------------
+    # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x: Fraction) -> Fraction:
         if self.is_zero:
@@ -212,9 +211,6 @@ class Poly:
         value = _zz_eval_scaled(self.prim, x.numerator, x.denominator)
         c = self.content
         return Fraction(c.numerator * value, c.denominator * x.denominator ** self.degree())
-
-    def derivative(self) -> "Poly":
-        return Poly.from_ints(_zz_derivative(self.prim), self.content)
 
     # -- normal forms --------------------------------------------------------
 
@@ -370,13 +366,28 @@ def _zz_pdivmod(f, g):
     return quo, _gfp.trim(rem[:dg])
 
 
+def _zz_remainder_sequence(f, g):
+    """The members f, g, s_2, ... of the remainder sequence of f and a
+    nonzero g in Z[x], s_(i+1) = -prem(s_(i-1), s_i) / c_i with prem from
+    `_zz_pdivmod` and c_i > 0 its content (so a positive multiple of the
+    negated remainder over Q), and the c_i.  It stops at a constant or at a
+    member dividing the one before, then gcd(f, g) up to a constant."""
+    seq, contents = [f, g], []
+    while len(seq[-1]) > 1:
+        r = _zz_pdivmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        c = math.gcd(*r)
+        contents.append(c)
+        seq.append([-a // c for a in r])
+    return seq, contents
+
+
 def _zz_gcd(f, g):
-    """Primitive gcd in Z[x] with positive leading coefficient, by the
-    primitive polynomial remainder sequence; gcd(f, 0) is f's primitive
+    """Primitive gcd in Z[x] with positive leading coefficient: the last
+    member of the remainder sequence, made so; gcd(f, 0) is f's primitive
     part and gcd(0, 0) is []."""
-    a, b = _zz_primitive(f), _zz_primitive(g)
-    while b:
-        a, b = b, _zz_primitive(_zz_pdivmod(a, b)[1])
+    a = _zz_primitive(_zz_remainder_sequence(f, g)[0][-1] if g else f)
     if a and a[-1] < 0:
         a = [-c for c in a]
     return a
@@ -691,23 +702,6 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
 # Sturm sequences and real-root isolation
 
 
-def _zz_sturm_chain(f):
-    """The Sturm chain of a squarefree integer f of degree >= 1.
-
-    Each member after f' is the negated pseudo-remainder divided by its
-    positive content: a positive multiple of the negated remainder over Q,
-    so every sign, and hence every count, is that of the classical chain.
-    """
-    chain = [f, _zz_derivative(f)]
-    while len(chain[-1]) > 1:
-        r = _zz_pdivmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        c = math.gcd(*r)
-        chain.append([-a // c for a in r])
-    return chain
-
-
 def _sign_variations(values) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
@@ -716,9 +710,12 @@ def _sign_variations(values) -> int:
 class SturmChain:
     """The Sturm chain of a nonzero f, built once and queried many times.
 
-    The chain runs on `squarefree`, the squarefree part of f made primitive
-    with positive leading coefficient, so repeated roots are counted once;
-    its members are integer coefficient lists.
+    The chain runs on `squarefree`, the squarefree part g of f made
+    primitive with positive leading coefficient, so repeated roots are
+    counted once.  It is the remainder sequence of (g, g'), with integer
+    members that are positive multiples of the classical chain's, so every
+    sign and count is the classical one.  That of (f, f') is the chain when
+    it ends in a constant; else its last member is gcd(f, f').
     """
 
     __slots__ = ("squarefree", "chain")
@@ -727,9 +724,13 @@ class SturmChain:
         if f.is_zero:
             raise DomainError("the zero polynomial has no root count")
         _intfactor.COUNTERS["sturm_chain_builds"] += 1
-        g = _zz_squarefree(f.prim)
+        g = list(f.prim)
+        chain = _zz_remainder_sequence(g, _zz_derivative(g))[0] if len(g) > 1 else []
+        if chain and len(chain[-1]) > 1:
+            g = _zz_exact_quotient(g, _zz_gcd(chain[-1], []))
+            chain = _zz_remainder_sequence(g, _zz_derivative(g))[0]
         self.squarefree = Poly.from_ints(g, 1)
-        self.chain = _zz_sturm_chain(g) if len(g) > 1 else []
+        self.chain = chain
 
     def _variations(self, point: Fraction | None, positive: bool) -> int:
         if point is None:
@@ -836,34 +837,41 @@ def is_cyclotomic(f: Poly) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# resultants, discriminants, interpolation
-
-
-def resultant(f: Poly, g: Poly) -> Fraction:
-    """Res(f, g) with the Sylvester-matrix determinant convention, so that
-    Res(f, g) = lc(f)**deg(g) * prod g(alpha) over the roots of f."""
-    if f.is_zero or g.is_zero:
-        raise DomainError("resultant of the zero polynomial")
-    m, n = f.degree(), g.degree()
-    if m == 0:
-        return f.leading() ** n
-    if n == 0:
-        return g.leading() ** m
-    # Res(c*f, d*g) = c**deg(g) * d**deg(f) * Res(f, g) for constants c, d
-    size = m + n
-    fc = list(reversed(f.prim))
-    gc = list(reversed(g.prim))
-    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
-    return f.content ** n * g.content ** m * bareiss_determinant(rows)
+# discriminants and the reciprocal transform
 
 
 def discriminant(f: Poly) -> Fraction:
-    if f.degree() < 1:
-        raise DomainError("discriminant needs degree >= 1")
+    """disc(f) = (-1)**(n(n-1)/2) * Res(f, f') / lc(f) for n = deg f >= 1,
+    with Res(a, b) = lc(a)**deg(b) * prod b(alpha) over the roots alpha of a
+    (the Sylvester determinant), read off the remainder sequence of (p, p'),
+    p = f.prim and f = c*p:
+
+    - Res(f, f') = c**(2n-1) * Res(p, p'), so disc(f) = c**(2n-2) * disc(p).
+    - Take consecutive members a, b, s of degrees m > k > l, a = q*b + r
+      over Q.  Res(a, b) = (-1)**(m*k) * Res(b, a) = (-1)**(m*k) * lc(b)**m
+      * prod r(beta) over the roots beta of b, as a(beta) = r(beta); that is
+      (-1)**(m*k) * lc(b)**(m-l) * Res(b, r).
+    - `_zz_pdivmod`'s remainder is |lc(b)|**(m-k+1) * r, and s is it negated
+      and divided by its content c > 0, so r = -c * s / |lc(b)|**(m-k+1).
+      As Res(b, t*s) = t**k * Res(b, s) for a rational t, each step gives
+      Res(a, b) = (-1)**(m*k) * lc(b)**(m-l) * (-c)**k / |lc(b)|**(k*(m-k+1))
+      * Res(b, s).
+    - The last member s is a constant, and Res(b, s) = s**deg(b); or else it
+      divides the member before, so p and p' share a root and disc(f) = 0.
+    """
     n = f.degree()
+    if n < 1:
+        raise DomainError("discriminant needs degree >= 1")
+    seq, contents = _zz_remainder_sequence(f.prim, _zz_derivative(f.prim))
+    if len(seq[-1]) > 1:
+        return Fraction(0)
+    num, den = seq[-1][0] ** (len(seq[-2]) - 1), f.prim[-1]
+    for a, b, s, c in zip(seq, seq[1:], seq[2:], contents):
+        m, k, l = len(a) - 1, len(b) - 1, len(s) - 1
+        num *= (-1) ** (m * k) * b[-1] ** (m - l) * (-c) ** k
+        den *= abs(b[-1]) ** (k * (m - k + 1))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative()) / f.leading()
+    return sign * f.content ** (2 * n - 2) * Fraction(num, den)
 
 
 @functools.cache

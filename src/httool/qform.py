@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
+from ._linalg import symmetric_pivots
 from .exactpoly import DomainError, SquareClass, int_from_json, json_field, rat_from_str, rat_to_str, square_class
 
 INF = math.inf
@@ -163,9 +164,6 @@ class GramMatrix:
             raise DomainError("'gram' must be a list of lists")
         return GramMatrix.from_rows([[rat_from_str(x) for x in row] for row in rows])
 
-    def dimension(self) -> int:
-        return len(self.entries)
-
     def to_json(self) -> list[list[str]]:
         return [[rat_to_str(x) for x in row] for row in self.entries]
 
@@ -179,9 +177,6 @@ class QSpace:
     def __post_init__(self):
         if any(d == 0 for d in self.diagonal):
             raise DomainError("diagonal entries must be nonzero")
-
-    def dimension(self) -> int:
-        return len(self.diagonal)
 
     def to_json(self) -> dict:
         return {"diagonal": [rat_to_str(d) for d in self.diagonal]}
@@ -231,45 +226,14 @@ TRIVIAL_CLASS = SquareClass(1, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
-    """A diagonal form congruent to the Gram matrix G, by fraction-free
-    symmetric elimination (Bareiss, Math. Comp. 22, 1968) on m = den * G,
-    den the lcm of G's denominators.
-
-    Step k pivots on p = m[k][k] and updates the trailing block, the only
-    part later steps read: m[i][j] = (p*m[i][j] - m[i][k]*m[k][j]) // prev,
-    prev the previous pivot (1 at first).  By Sylvester's identity the new
-    entry is a bordered leading minor of m, so the division is exact, and
-    p / (prev * den), a ratio of leading minors of G, is the k-th entry.  A
-    zero pivot is swapped with a later nonzero diagonal entry, or else row
-    and column k gain a later row and column with m[k][j] != 0: bordered
-    minors are linear in their border, so the integer block follows these
-    congruences of determinant +-1 exactly as G does."""
-    n = gram.dimension()
+    """A diagonal form congruent to the Gram matrix G, DomainError if G is
+    degenerate.  With den the lcm of G's denominators and D_k the pivots of
+    m = den * G (`symmetric_pivots`, fraction-free), the k-th entry is
+    D_k / (D_(k-1) * den): a ratio of leading minors of G, after congruences
+    of determinant +-1 that repair zero pivots."""
     den = math.lcm(*(x.denominator for row in gram.entries for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in gram.entries]
-    diag, prev = [], 1
-    for k in range(n):
-        if m[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if m[j][j] != 0), None)
-            if swap is not None:
-                m[k], m[swap] = m[swap], m[k]
-                for row in m:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                other = next((j for j in range(k + 1, n) if m[k][j] != 0), None)
-                if other is None:
-                    raise DomainError("degenerate Gram matrix")
-                for j in range(k, n):
-                    m[k][j] += m[other][j]
-                for i in range(k, n):
-                    m[i][k] += m[i][other]
-        pivot = m[k][k]
-        diag.append(Fraction(pivot, prev * den))
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (pivot * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return QSpace(tuple(diag))
+    pivots = symmetric_pivots([[x.numerator * (den // x.denominator) for x in row] for row in gram.entries])
+    return QSpace(tuple(Fraction(p, prev * den) for prev, p in zip([1] + pivots, pivots)))
 
 
 def _ramified(x: SquareClass, y: SquareClass) -> set:

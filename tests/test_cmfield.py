@@ -20,7 +20,7 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     cyclotomic_poly,
-    resultant,
+    rat_to_str,
     square_class,
     sturm_count,
     trace_power_sums,
@@ -36,6 +36,8 @@ from test_helpers import (
     lagrange_interpolate,
     number_field,
     reference_disc_identity,
+    resultant,
+    sylvester_discriminant,
     verified_weil_field,
 )
 from test_qform import full_elimination_diagonal
@@ -259,7 +261,8 @@ def test_signature_identity_on_fixtures(defining):
 def test_disc_identity_matches_factoring_reference():
     # the perfect-square test agrees with comparing factored square classes,
     # on the fixtures, every pool field and the composita, and fails when
-    # the determinant class is off by the class of 3
+    # the determinant class is off by the class of 3; the recorded
+    # discriminant is the Sylvester resultant's
     fields = FIXTURES + [
         check_all(WeilCandidate(Poly([F(c) for c in m]), pool["p"], pool["a"])).Q
         for pool in POOLS["pools"]
@@ -269,6 +272,8 @@ def test_disc_identity_matches_factoring_reference():
     three = square_class(F(3))
     for ext in extensions:
         det = trace_det_class(ext)
+        disc = rat_to_str(sylvester_discriminant(ext.absolute))
+        assert disc_identity_check(ext, det).witness["defining_disc"] == disc
         for det_class, holds in ((det, True), (det.times(three), False)):
             result = disc_identity_check(ext, det_class)
             assert reference_disc_identity(ext, det_class) == (holds, result.witness["expected_class"])
@@ -422,7 +427,7 @@ def test_cm_to_k3_gaussian_chain():
     assert comp_inv.signature == (1, 19)
     assert str(comp_inv.det) == "-1"
     assert comp_inv.sorted_hasse() == [2, float("inf")]
-    assert result.complement.dimension() == 20
+    assert len(result.complement.diagonal) == 20
     assert sum_invariants(result.trace_invariants, invariants(result.complement)) == k3_invariants()
 
 

@@ -31,6 +31,7 @@ from httool.exactpoly import (
     _zz_divmod,
     _zz_pdivmod,
     cyclotomic_poly,
+    discriminant,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -39,20 +40,22 @@ from httool.exactpoly import (
     rat_from_str,
     rat_to_str,
     reciprocal_transform,
-    resultant,
     square_class,
     sturm_count,
 )
 from test_helpers import (
     compose,
     cyclotomic_factors,
+    derivative,
     euler_phi,
     factor_over_Q,
     is_irreducible,
     poly_gcd,
     reference_factor_with_unit,
+    resultant,
     squarefree_decomposition,
     squarefree_part,
+    sylvester_discriminant,
 )
 
 QUARTIC = Poly([1, 0, F(1, 2), 0, 1])
@@ -163,17 +166,17 @@ def fraction_yun(f: Poly) -> tuple[F, list[tuple[Poly, int]]]:
     if prim.degree() < 1:
         return unit, []
     parts = []
-    d = prim.derivative()
+    d = derivative(prim)
     g = fraction_gcd(prim, d)
     w, y = prim // g, d // g
-    z = y - w.derivative()
+    z = y - derivative(w)
     i = 1
     while w.degree() > 0:
         h = fraction_gcd(w, z)
         if h.degree() > 0:
             parts.append((h, i))
         w, y = w // h, z // h
-        z = y - w.derivative()
+        z = y - derivative(w)
         i += 1
     lead = f.leading()
     norm = []
@@ -187,8 +190,8 @@ def fraction_yun(f: Poly) -> tuple[F, list[tuple[Poly, int]]]:
 def fraction_sturm_chain(f: Poly) -> list[Poly]:
     """The Sturm chain of the primitive squarefree part of f over Q: negated
     `Fraction` remainders with their positive content stripped."""
-    g = fraction_primitive_parts(f // fraction_gcd(f, f.derivative()))[1]
-    chain = [g, g.derivative()]
+    g = fraction_primitive_parts(f // fraction_gcd(f, derivative(f)))[1]
+    chain = [g, derivative(g)]
     while chain[-1].degree() > 0:
         r = -(chain[-2] % chain[-1])
         if r.is_zero:
@@ -297,7 +300,7 @@ def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
         "pow": ((f ** power).coeffs, functools.reduce(ref_mul, [a] * power, (F(1),))),
         "compose": (compose(f, g).coeffs, ref_compose(a, b)),
         "eval": (f(x), ref_eval(a, x)),
-        "derivative": (f.derivative().coeffs, ref_trim(i * c for i, c in enumerate(a))[1:]),
+        "derivative": (derivative(f).coeffs, ref_trim(i * c for i, c in enumerate(a))[1:]),
         "reverse": (f.reverse().coeffs, ref_trim(reversed(a))),
     }
     if b:
@@ -313,7 +316,7 @@ def test_poly_matches_fraction_tuple_reference(cs1, cs2, scalar, x, power):
         results["leading"] = ((f.leading(), f.constant()), (a[-1], a[0]))
     for name, (got, expected) in results.items():
         assert got == expected, name
-    derived = (f + g, f - g, f * g, f * scalar, f ** power, compose(f, g), f.derivative(), f.reverse())
+    derived = (f + g, f - g, f * g, f * scalar, f ** power, compose(f, g), derivative(f), f.reverse())
     for p in (f, g, *derived):
         assert_canonical(p)
         same = Poly.from_ints([c * 6 for c in p.prim], p.content / 6)
@@ -596,7 +599,7 @@ def test_squarefree_decomposition_matches_fraction_yun(factors, cyclotomics, sca
         assert g.content.denominator == 1 and g.leading() > 0
         product = product * g ** m
     assert product == f
-    assert poly_gcd(f, f.derivative()) == fraction_gcd(f, f.derivative())
+    assert poly_gcd(f, derivative(f)) == fraction_gcd(f, derivative(f))
     # factor_with_unit refines the decomposition multiplicity by multiplicity
     f_unit, irreducibles = factor_with_unit(f)
     assert f_unit == unit
@@ -791,7 +794,33 @@ def test_non_cyclotomic_integer_poly():
 
 
 # ---------------------------------------------------------------------------
-# resultants and the reciprocal transform
+# discriminants, the Sylvester resultant of test_helpers (their reference),
+# and the reciprocal transform
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=1, max_size=8),
+    st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=3),
+)
+def test_discriminant_matches_sylvester_reference(lower, lead, repeated):
+    # f = lead * (x**k + lower) * h**2: degrees 1 to 12, non-monic with
+    # rational coefficients, and repeated roots whenever h is nonconstant
+    f = Poly(lower + [lead]) * Poly(repeated or [1]) ** 2
+    if f.is_zero:
+        f = Poly([lead, 1])
+    disc = discriminant(f)
+    assert disc == sylvester_discriminant(f)
+    assert (disc == 0) == (squarefree_part(f).degree() < f.degree())
+
+
+def test_discriminant_examples():
+    assert discriminant(Poly([F(-3, 2), 5])) == 1
+    assert discriminant(Poly([3, F(1, 2), 2])) == F(1, 4) - 24
+    # x**3 + p*x + q: -4p**3 - 27q**2, times lc**4 after scaling by 2
+    assert discriminant(Poly([2, -2, 0, 1]) * 2) == 16 * (-4 * (-2) ** 3 - 27 * 2**2)
+    assert discriminant(Poly([-1, 1]) ** 2 * Poly([1, 0, 1])) == 0
 
 
 def test_resultant_linear():

@@ -3,8 +3,9 @@ other test modules use: Lagrange interpolation, composition, Euler's
 totient, factorization over Q by Yun's algorithm and Zassenhaus alone
 and over F_p by Yun's algorithm and Berlekamp,
 the disc identity by factoring, the CM field with every axiom proved
-again, rational determinants, and small wrappers over the program's
-kernels that only tests call."""
+again, determinants by Bareiss elimination, resultants and discriminants
+by Sylvester matrices, and small wrappers over the program's kernels that
+only tests call."""
 
 import math
 import operator
@@ -14,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool._linalg import bareiss_determinant
 from httool.cmfield import CMData, NumberField, _compose_mod
 from httool.exactpoly import (
+    DomainError,
     Poly,
     SturmChain,
     _split_parts,
@@ -26,7 +27,6 @@ from httool.exactpoly import (
     _zz_gcd,
     _zz_squarefree,
     _zz_sub,
-    discriminant,
     factor_with_unit,
     reciprocal_transform,
     square_class,
@@ -120,10 +120,66 @@ def reference_factor_with_unit(f: Poly):
     return f.content, factors
 
 
+def bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination with
+    row swaps."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def resultant(f: Poly, g: Poly) -> F:
+    """Res(f, g) as the determinant of the Sylvester matrix, so that
+    Res(f, g) = lc(f)**deg(g) * prod g(alpha) over the roots of f."""
+    if f.is_zero or g.is_zero:
+        raise DomainError("resultant of the zero polynomial")
+    m, n = f.degree(), g.degree()
+    if m == 0:
+        return f.leading() ** n
+    if n == 0:
+        return g.leading() ** m
+    # Res(c*f, d*g) = c**deg(g) * d**deg(f) * Res(f, g) for constants c, d
+    size = m + n
+    fc = list(reversed(f.prim))
+    gc = list(reversed(g.prim))
+    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
+    return f.content ** n * g.content ** m * bareiss_determinant(rows)
+
+
+def derivative(f: Poly) -> Poly:
+    """f' over Q, by the integer kernel on f's primitive part."""
+    return Poly.from_ints(_zz_derivative(f.prim), f.content)
+
+
+def sylvester_discriminant(f: Poly) -> F:
+    """disc(f) = (-1)**(n(n-1)/2) * Res(f, f') / lc(f), n = deg f >= 1, with
+    the Sylvester resultant."""
+    n = f.degree()
+    return (-1) ** (n * (n - 1) // 2) * resultant(f, derivative(f)) / f.leading()
+
+
 def reference_disc_identity(ext, det_class) -> tuple[bool, str]:
     """Whether det_class is the class of (-1)^d * disc(E), and the expected
-    class, both from a factorization of that discriminant."""
-    expected = square_class((-1) ** (ext.degree // 2) * discriminant(ext.absolute))
+    class, both from a factorization of that discriminant, which comes from
+    the Sylvester resultant."""
+    expected = square_class((-1) ** (ext.degree // 2) * sylvester_discriminant(ext.absolute))
     return det_class == expected, str(expected)
 
 

@@ -259,6 +259,16 @@ def test_unreplayable_lambda_is_reported(path, value, message):
     assert f"lambda signature cannot be replayed: {message}" in revalidate_certificate(cert)
 
 
+def test_lambda_vanishing_at_a_real_embedding_is_reported():
+    # the real subfield (x - 1)(x - 2) with lambda = x - 1: signature_of once
+    # halved the interval around the root 1 forever
+    cert = _tampered(run(QUARTIC).certificate, ("extension", "real_subfield", "defining"), ["2", "-3", "1"])
+    cert = _tampered(cert, ("lambda", "coefficients"), ["-1", "1"])
+    assert revalidate_certificate(cert) == [
+        "lambda signature cannot be replayed: lambda vanishes at a real embedding"
+    ]
+
+
 @pytest.mark.parametrize(
     "path, value, part",
     [

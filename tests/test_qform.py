@@ -259,7 +259,7 @@ def _random_unimodular(rng: random.Random, n: int):
 )
 def test_diagonalize_invariants_are_basis_independent(base):
     rng = random.Random(11)
-    n = base.dimension()
+    n = len(base.entries)
     expected = invariants(diagonalize(base))
     for _ in range(50):
         s = _random_unimodular(rng, n)
@@ -535,7 +535,7 @@ def test_construct_matches_reference_scan(large, entries):
 
 def test_k3_lattice_shape_and_determinant():
     gram = k3_lattice()
-    assert gram.dimension() == 22
+    assert len(gram.entries) == 22
     assert fraction_determinant(gram.entries) == -1
     assert all(x == int(x) for row in gram.entries for x in row)
 

@@ -1,7 +1,8 @@
 """The benchmark tracer wraps the public functions it reports by name; a
 function that stops being a plain public `def` of its own module (for
 example by decorating it with a cache) would silently drop out of the traced
-run.  The tracer is imported by path and not edited."""
+run.  It also imports every module of its `LAYERS`, so each must stay
+importable.  The tracer is imported by path and not edited."""
 
 import importlib
 import importlib.util
@@ -33,3 +34,10 @@ def test_reported_function_is_a_public_def_of_its_module(module_name, function_n
     assert not function_name.startswith("_")
     assert isinstance(value, types.FunctionType)
     assert value.__module__ == module.__name__
+
+
+@pytest.mark.parametrize("layer", tracer.LAYERS)
+def test_traced_layer_is_a_module_of_the_package(layer):
+    # the tracer imports every layer it names, so a deleted or renamed layer
+    # module would end the traced run with an ImportError
+    importlib.import_module(f"{tracer.Tracer().package}.{layer}")
