@@ -178,6 +178,20 @@ def _absolute_defining(P: Poly, f: Poly) -> Poly:
     return a * a - a * b * c1 + b * b * c0
 
 
+def eisenstein_real_subfield(p: int, e: int) -> tuple[NumberField, int, int]:
+    """(Q[X]/(P), M, u) for the first P = prod (X - p*M*i) + p*u, M = 1..256
+    and u = 1, -1, with e distinct real roots (Sturm)."""
+    for m in range(1, 257):
+        for u in (1, -1):
+            P = Poly([1])
+            for i in range(1, e + 1):
+                P = P * Poly([-p * m * i, 1])
+            P = P + Poly([p * u])
+            if sturm_count(P) == e:
+                return NumberField(P, e, e), m, u
+    raise ArithmeticError("no Eisenstein polynomial with all-real roots found")
+
+
 def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     """Extend the CM field to absolute degree target_degree, keeping a unique
     place of negative valuation.
@@ -212,30 +226,16 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
             trace={"note": "extension of degree 1"},
         )
     if base.real_subfield.degree == 1:
-        for m in range(1, 257):
-            for u in (1, -1):
-                P = Poly([1])
-                for i in range(1, e + 1):
-                    P = P * Poly([-p * m * i, 1])
-                P = P + Poly([p * u])
-                if sturm_count(P) != e:
-                    continue
-                return ExtensionData(
-                    kind="eisenstein_compositum",
-                    base=base,
-                    e=e,
-                    real_subfield=NumberField(P, e, e),
-                    relative=P,
-                    absolute=_absolute_defining(P, base.field.defining),
-                    trace={
-                        "M": m,
-                        "u": u,
-                        "primitive_shift": 1,
-                        "real_roots": e,
-                        "eisenstein_prime": p,
-                    },
-                )
-        raise ArithmeticError("no Eisenstein polynomial with all-real roots found")
+        real, m, u = eisenstein_real_subfield(p, e)
+        return ExtensionData(
+            kind="eisenstein_compositum",
+            base=base,
+            e=e,
+            real_subfield=real,
+            relative=real.defining,
+            absolute=_absolute_defining(real.defining, base.field.defining),
+            trace={"M": m, "u": u, "primitive_shift": 1, "real_roots": e, "eisenstein_prime": p},
+        )
     return ExtensionData(
         kind="unsupported",
         base=base,
@@ -375,10 +375,14 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     The defining polynomial's real roots are isolated by Sturm bisection and
     each isolating interval is refined until lambda has no root inside and
     certified constant sign, which ends as gcd(lambda, g) = 1 (checked: a
-    g read from a certificate may share a root with lambda)."""
+    g read from a certificate may share a root with lambda, or have fewer
+    real roots than the degree it claims)."""
     g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
+    g_chain = SturmChain(g)
+    if (real_roots := g_chain.count()) != field.degree:
+        raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
     lam = lam % g
     if lam.is_zero:
         raise DomainError("lambda vanishes")
@@ -386,7 +390,6 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
         return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
     if len(_zz_gcd(lam.prim, g.prim)) > 1:
         raise DomainError("lambda vanishes at a real embedding")
-    g_chain = SturmChain(g)
     lam_chain = SturmChain(lam)
     positives = 0
     for lo, hi in g_chain.isolate():

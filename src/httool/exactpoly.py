@@ -895,7 +895,8 @@ def reciprocal_transform(L: Poly) -> Poly:
     For an irreducible L the roots of H are the values gamma + 1/gamma over
     the roots gamma of L, and H is irreducible (a factorization of H would
     give one of L), so H is the minimal polynomial of gamma + 1/gamma up to
-    its leading coefficient L_2d.
+    its leading coefficient L_2d.  Conversely, when every root of H lies
+    in (-2, 2), `reciprocal_lift` maps H's factorization to L's.
     """
     prim = L.prim
     d = (len(prim) - 1) // 2
@@ -907,6 +908,26 @@ def reciprocal_transform(L: Poly) -> Poly:
             for j, v in enumerate(vk):
                 h[j] += c * v
     return Poly.from_ints(h, L.content)
+
+
+def reciprocal_lift(h: Poly) -> Poly:
+    """g = T**n * h(T + 1/T) = sum h_j * T**(n-j) * (T**2 + 1)**j for h of
+    degree n, the inverse of `reciprocal_transform`.  The map is
+    multiplicative and keeps h's leading coefficient (at T**2n) and so its
+    sign.  It keeps primitivity: if a prime l divided every coefficient of g, then
+    h(T + 1/T) = 0 mod l, and T + 1/T is transcendental over F_l.  The lift
+    of an irreducible h with a real root beta_0 in (-2, 2) is irreducible: a
+    root gamma of an irreducible factor A of g has gamma**2 - beta*gamma + 1
+    = 0 for a root beta of h.  If A had degree deg h, then Q(gamma) =
+    Q(beta) and gamma = r(beta).  The embedding beta -> beta_0 would send
+    gamma to a non-real root of x**2 - beta_0*x + 1, but r(beta_0) is real.
+    """
+    n = h.degree()
+    g = [0] * (2 * n + 1)
+    for j, c in enumerate(h.prim):
+        for i in range(j + 1):
+            g[n - j + 2 * i] += c * math.comb(j, i)
+    return Poly.from_ints(g, h.content)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .cmfield import (
     cm_to_k3,
     completion_degree_check,
     disc_identity_check,
+    eisenstein_real_subfield,
     signature_of,
     weil_field,
 )
@@ -234,10 +235,12 @@ def revalidate_certificate(cert: dict) -> list[str]:
     Returns the list of discrepancies (empty means the certificate
     self-validates).  The status and an admissible report's `field` block
     must be what `run` reaches from the replayed report; only a
-    `constructed` certificate carries more to replay.  Data outside its
-    domain (a wrong JSON type, a zero denominator, an invalid place, lambda
-    outside `signature_of`'s domain) is one discrepancy naming the part
-    that cannot be replayed; the replay stops there."""
+    `constructed` certificate carries more to replay, its real subfield
+    among it: that of the field block for e = 1, else the Eisenstein
+    search's.  Data outside its domain (a wrong JSON type, a zero
+    denominator, an invalid place, lambda outside `signature_of`'s domain)
+    is one discrepancy naming the part that cannot be replayed; the replay
+    stops there."""
     problems: list[str] = []
     part = "input"
     try:
@@ -248,7 +251,8 @@ def revalidate_certificate(cert: dict) -> list[str]:
             if _leaf(recorded, name) != verdict["status"]:
                 problems.append(f"property {name} status changed on replay")
         part = "field"
-        if report.admissible and weil_field(report.Q).to_json() != json_field(cert, "field"):
+        cm = weil_field(report.Q) if report.admissible else None
+        if cm is not None and cm.to_json() != json_field(cert, "field"):
             problems.append("field data changed on replay")
         part = "status"
         status, expected = json_field(cert, "status"), _expected_status(report, cert)
@@ -271,6 +275,12 @@ def revalidate_certificate(cert: dict) -> list[str]:
         sig = signature_of(lam, real_subfield)
         if list(sig) != json_field(lam_json, "signature"):
             problems.append("lambda signature changed on replay")
+        part = "real subfield"
+        e = _leaf(cert, "extension", "e", int)
+        PipelineConfig(cm.field.degree * e)  # bounds e before the search
+        replayed = cm.real_subfield if e == 1 else eisenstein_real_subfield(report.candidate.p, e)[0]
+        if replayed.to_json() != real:
+            problems.append("real subfield changed on replay")
         part = "invariants"
         trace_inv = QFormInvariants.from_json(json_field(cert, "trace_invariants"))
         complement = json_field(cert, "complement", dict)

@@ -20,6 +20,7 @@ exceptions.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,7 @@ from .exactpoly import (
     json_field,
     power_sums_from_elementary,
     rat_to_str,
+    reciprocal_lift,
     reciprocal_transform,
 )
 from .padicpoly import NewtonPolygon, SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
@@ -58,6 +60,11 @@ class WeilCandidate:
             raise DomainError("candidates must have constant term 1")
         if self.L.degree() < 2 or self.L.degree() % 2 != 0:
             raise DomainError("candidates must have even degree >= 2")
+
+    @functools.cached_property
+    def transform(self) -> Poly:
+        """H = `reciprocal_transform(L)`, built once for `check_all`."""
+        return reciprocal_transform(self.L)
 
     @property
     def q(self) -> int:
@@ -113,7 +120,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
             Status.FAIL,
             {"reason": "not self-inversive", "coefficient_index": defect},
         )
-    chain = SturmChain(reciprocal_transform(L))
+    chain = SturmChain(c.transform)
     hs = chain.squarefree
     deg = hs.degree()
     real_total = chain.count()
@@ -297,9 +304,20 @@ def check_all(c: WeilCandidate) -> WeilReport:
     """Aggregate all five property checks into a report with witnesses; L is
     factored once, for both the root-of-unity and the power-structure check,
     and its Newton polygon is built once, for the shape and the slope
-    verdict."""
-    factored = factor_with_unit(c.L)
+    verdict.
+
+    When the unit-circle verdict passes, every root of H is real and in
+    [-2, 2], and L(1) * L(-1) = +-H(2) * H(-2) != 0 keeps them off +-2.
+    Then L is factored through H, of half the degree: the lifts of H's
+    factors (`reciprocal_lift`) are L's, with the same multiplicities and
+    unit L.content."""
+    L = c.L
     unit_circle = check_unit_circle(c)
+    if unit_circle.status is Status.PASS and L(Fraction(1)) * L(Fraction(-1)):
+        lifted = [(reciprocal_lift(h), m) for h, m in factor_with_unit(c.transform)[1]]
+        factored = L.content, sorted(lifted, key=lambda fm: (fm[0].degree(), fm[0].prim))
+    else:
+        factored = factor_with_unit(L)
     no_rou = check_no_root_of_unity(c, factored)
     integrality = check_l_integrality(c)
     polygon = newton_polygon(c.L, c.p)

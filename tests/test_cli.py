@@ -27,6 +27,7 @@ def run_cli(args, stdin: str | None = None):
 QUARTIC_JSON = '{"L": ["1", "0", "1/2", "0", "1"], "p": 2, "a": 1}'
 CYCLOTOMIC_JSON = '{"L": ["1", "1", "1"], "p": 2, "a": 1}'
 QUADRATIC_JSON = '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}'
+PRODUCT_JSON = '{"L": ["1", "0", "7/4", "0", "1"], "p": 2, "a": 1}'
 
 
 def test_check_pass_exit_zero():
@@ -331,6 +332,14 @@ def test_golden_lattice():
 def test_golden_report():
     proc = run_cli(["check", "--pretty"], QUARTIC_JSON)
     assert proc.stdout == (GOLDEN / "report_quartic.json").read_text()
+
+
+def test_golden_report_of_a_product():
+    # (1 - T/2 + T**2)(1 + T/2 + T**2): check_all factors it through H,
+    # and the power_structure witness names both factors
+    proc = run_cli(["check", "--pretty"], PRODUCT_JSON)
+    assert proc.returncode == 1
+    assert proc.stdout == (GOLDEN / "report_product.json").read_text()
 
 
 def replay_certificate(args, candidate: str, golden: str):

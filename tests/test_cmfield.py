@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from httool.cmfield import (
+    NumberField,
     build_extension,
     cm_to_k3,
     completion_degree_check,
@@ -310,6 +311,17 @@ def test_signature_of_rejects_vanishing():
     sqrt6 = number_field(Poly([F(-3, 2), 0, 1]))
     with pytest.raises(DomainError):
         signature_of(Poly([F(-3, 2), 0, 1]), sqrt6)
+
+
+@pytest.mark.parametrize("defining", [Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([1, 0, 0, 1])])
+def test_signature_of_rejects_a_claimed_real_field_without_its_real_roots(defining):
+    # x**2 + 1 and (x - 1)**2 claimed as degree 2, x**3 + 1 as degree 2 (one
+    # real root): the claim is checked against the Sturm count, for a
+    # constant lambda too
+    field = NumberField(defining, 2, 2)
+    for lam in (Poly([1]), Poly([0, 1])):
+        with pytest.raises(DomainError, match="not totally real"):
+            signature_of(lam, field)
 
 
 def test_find_lambda_examples():

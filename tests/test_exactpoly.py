@@ -39,6 +39,7 @@ from httool.exactpoly import (
     power_sums_from_elementary,
     rat_from_str,
     rat_to_str,
+    reciprocal_lift,
     reciprocal_transform,
     square_class,
     sturm_count,
@@ -877,6 +878,28 @@ def test_minpoly_divisibility_invariant(f):
     for i, c in enumerate(beta.coeffs):
         lifted = lifted + Poly([0] * (m - i) + [c]) * (Poly([1, 0, 1]) ** i)
     assert (lifted % f).is_zero
+
+
+def lift_by_definition(h: Poly) -> Poly:
+    """T**m * h(T + 1/T) = sum h_i * T**(m - i) * (1 + T**2)**i, m = deg h."""
+    m = h.degree()
+    lifted = Poly()
+    for i, c in enumerate(h.coeffs):
+        lifted = lifted + Poly([0] * (m - i) + [c]) * (Poly([1, 0, 1]) ** i)
+    return lifted
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_coeffs.filter(any), rational_coeffs.filter(any))
+def test_reciprocal_lift_inverts_the_transform_and_is_multiplicative(cs1, cs2):
+    h, k = Poly(cs1), Poly(cs2)
+    g = reciprocal_lift(h)
+    assert g == lift_by_definition(h)
+    assert g.degree() == 2 * h.degree() and g.reverse() == g
+    assert reciprocal_transform(g) == h
+    assert reciprocal_lift(h * k) == g * reciprocal_lift(k)
+    # a primitive h with positive leading coefficient stays so
+    assert reciprocal_lift(Poly.from_ints(h.prim, 1)).content == 1
 
 
 # ---------------------------------------------------------------------------

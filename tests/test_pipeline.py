@@ -193,6 +193,8 @@ def _tampered(cert: dict, path: tuple, value) -> dict:
             "unknown",
             "status 'constructed' does not replay: expected 'existence_only'",
         ),
+        # x**2 - 3 keeps lambda = x at signature (1, 1)
+        (("extension", "real_subfield", "defining"), ["-3", "0", "1"], "real subfield changed on replay"),
     ],
 )
 def test_tampered_verdict_is_detected(path, value, problem):
@@ -221,6 +223,14 @@ def test_tampered_verdict_is_detected(path, value, problem):
         (CYCLOTOMIC, None, ("status",), "unknown", "status 'unknown' does not replay: expected 'rejected'"),
         # the field block of an existence_only certificate; once revalidated to []
         (QUADRATIC, 20, ("field", "beta_minpoly"), ["7", "1"], "field data changed on replay"),
+        # a compositum's real subfield is the Eisenstein search's; once revalidated to []
+        (
+            QUADRATIC,
+            8,
+            ("extension", "real_subfield", "defining"),
+            ["388", "-400", "140", "-20", "1"],
+            "real subfield changed on replay",
+        ),
     ],
 )
 def test_tampered_status_of_other_outcomes_is_detected(candidate, degree, path, value, problem):
@@ -246,17 +256,23 @@ def test_tampered_lambda_signature_is_detected_for_compositum():
             "signatures require a totally real field",
         ),
         (("lambda", "coefficients"), ["0"], "lambda vanishes"),
+        # no real root: signature_of once counted over an empty isolation
+        (
+            ("extension", "real_subfield", "defining"),
+            ["1", "0", "1"],
+            "the field is not totally real of degree 2: 0 real roots",
+        ),
     ],
 )
 def test_unreplayable_lambda_is_reported(path, value, message):
     # a tamper that takes lambda out of signature_of's domain is reported as
-    # a discrepancy, not raised
+    # one discrepancy, not raised
     cert = json.loads(json.dumps(run(QUARTIC).certificate))
     target = cert
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    assert f"lambda signature cannot be replayed: {message}" in revalidate_certificate(cert)
+    assert revalidate_certificate(cert) == [f"lambda signature cannot be replayed: {message}"]
 
 
 def test_lambda_vanishing_at_a_real_embedding_is_reported():
@@ -279,6 +295,8 @@ def test_lambda_vanishing_at_a_real_embedding_is_reported():
         (("complement", "diagonal"), [True] * 18, "invariants"),
         (("trace_form", "gram"), [["1/0", "3", "0", "-9/2"]] + [["0"] * 4] * 3, "trace form"),
         (("input", "L"), ["1", "0", "1/0", "0", "1"], "input"),
+        # an extension degree of 44 would start the Eisenstein search there
+        (("extension", "e"), 11, "real subfield"),
     ],
 )
 def test_out_of_domain_certificate_data_is_reported(path, value, part):
@@ -324,10 +342,11 @@ def test_telemetry_present_but_separate():
     assert {"total", "k3_sum_identity"} <= stages.keys()
     counters = outcome.telemetry["counters"]
     assert counters["factor_with_unit_calls"] > 0
-    # L (factored once, by check_all) has Galois group C2 x C2, so it is
-    # reducible mod every prime: no degree set proves it irreducible, and
-    # its factorization lifts
-    assert counters["hensel_lifts"] == 1
+    # check_all factors L through its transform H = x**2 - 3/2, a quadratic
+    # decided by its discriminant: nothing is Hensel lifted (L itself has
+    # Galois group C2 x C2, reducible mod every prime, so factoring it
+    # directly lifts once)
+    assert counters["hensel_lifts"] == 0
     assert counters["sturm_chain_builds"] > 0
     assert counters["pollard_rho_splits"] >= 0
     assert "telemetry" not in outcome.certificate

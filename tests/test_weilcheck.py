@@ -12,8 +12,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from httool.exactpoly import DomainError, Poly, cyclotomic_poly, factor_with_unit, reciprocal_transform
+from httool import weilcheck
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
@@ -355,3 +358,80 @@ def test_census_value_filters():
     assert any(c.L(F(1)) != target for c in base)
     excluded = enumerate_candidates(2, 1, 2, value_at_minus_one_not=base[0].L(F(-1)))
     assert all(c.L(F(-1)) != base[0].L(F(-1)) for c in excluded)
+
+
+# ---------------------------------------------------------------------------
+# check_all's factorization, through the transform H when it applies
+
+MEMBERS = {}
+for _pool in POOLS["pools"]:
+    MEMBERS.setdefault((_pool["p"], _pool["a"]), []).extend(Poly.from_strs(m) for m in _pool["members"])
+OFF_CIRCLE = Poly([1, F(-5, 2), 1])  # (1 - 2T)(1 - T/2), palindromic
+CYCLOTOMIC_FACTORS = [cyclotomic_poly(1) ** 2, cyclotomic_poly(2) ** 2] + [cyclotomic_poly(n) for n in range(3, 13)]
+
+
+def factored_by_check_all(c: WeilCandidate):
+    """The factorization `check_all` hands to the power-structure verdict."""
+    seen = []
+    original = weilcheck.check_power_structure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weilcheck, "check_power_structure", lambda c, f, polygon: seen.append(f) or original(c, f, polygon))
+        check_all(c)
+    return seen[0]
+
+
+@st.composite
+def weil_products(draw):
+    """L of degree <= 24 over one q: a product of powers of pool members, or
+    a base extension of one; times a cyclotomic factor, the off-circle
+    (1 - 2T)(1 - T/2), or (1 + T)(1 + 2T), which breaks the palindrome, or
+    none."""
+    (p, a), members = draw(st.sampled_from(sorted(MEMBERS.items())))
+    n = draw(st.sampled_from((1, 1, 2, 3)))
+    if n > 1:
+        member = draw(st.sampled_from([m for m in members if m.degree() <= 6]))
+        L, a = base_extend(WeilCandidate(member, p, a), n).L, a * n
+    else:
+        L = Poly([1])
+        for member in draw(st.lists(st.sampled_from(members), min_size=1, max_size=3)):
+            L = L * member ** draw(st.integers(1, 2))
+    extra = draw(st.sampled_from([None, OFF_CIRCLE, Poly([1, 3, 2])] + CYCLOTOMIC_FACTORS))
+    if extra is not None:
+        L = L * (extra * (1 / extra.constant()))
+    assume(L.degree() <= 24)
+    return WeilCandidate(L, p, a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weil_products())
+def test_check_all_factorization_matches_factor_with_unit(c):
+    assert factored_by_check_all(c) == factor_with_unit(c.L)
+
+
+@pytest.mark.parametrize(
+    "L",
+    [
+        Poly([1, 0, F(7, 4), 0, 1]) * cyclotomic_poly(1) ** 2,  # roots at 1: H(2) = 0
+        Poly([1, 0, F(7, 4), 0, 1]) * cyclotomic_poly(2) ** 2,  # roots at -1: H(-2) = 0
+        Poly([1, 0, F(7, 4), 0, 1]) ** 2 * cyclotomic_poly(12),
+        # H = (x + 1)(x - 1/2): the lifts sort in the other order
+        cyclotomic_poly(3) * Poly([1, -HALF, 1]),
+        Poly([1, 0, F(7, 4), 0, 1]) * OFF_CIRCLE,
+        Poly([1, 0, F(7, 4), 0, 1]) * Poly([1, 3, 2]),
+        Poly([1, 0, F(7, 4), 0, 1]) * Poly([1, 0, -1]),  # odd symmetry
+    ],
+)
+def test_check_all_factorization_examples(L):
+    assert factored_by_check_all(WeilCandidate(L, 2, 1)) == factor_with_unit(L)
+
+
+def test_product_is_factored_through_its_quadratic_transform():
+    # (1 - T/2 + T**2)(1 + T/2 + T**2) has H = x**2 - 1/4 = (x - 1/2)(x + 1/2)
+    L = Poly([1, 0, F(7, 4), 0, 1])
+    degrees = []
+    original = weilcheck.factor_with_unit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weilcheck, "factor_with_unit", lambda f: degrees.append(f.degree()) or original(f))
+        report = check_all(WeilCandidate(L, 2, 1))
+    assert degrees == [2]
+    assert report.power_structure.witness["factors"] == [[["2", "-1", "2"], 1], [["2", "1", "2"], 1]]
