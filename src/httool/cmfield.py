@@ -14,8 +14,6 @@ from .exactpoly import (
     DomainError,
     Poly,
     SquareClass,
-    SturmChain,
-    _zz_gcd,
     discriminant,
     isolate_real_roots,
     rat_to_str,
@@ -57,13 +55,6 @@ class NumberField:
         }
 
 
-def _compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
-    acc = Poly()
-    for c in reversed(outer.coeffs):
-        acc = (acc * inner) % f + Poly([c])
-    return acc % f
-
-
 # ---------------------------------------------------------------------------
 # the CM field of an admissible Q
 
@@ -89,10 +80,10 @@ def weil_field(Q: Poly) -> CMData:
     root gamma of Q, with its totally real subfield Q(beta), beta =
     gamma + 1/gamma, and complex conjugation gamma -> 1/gamma.
 
-    Q is the `Q` of a report whose five verdicts pass (`pipeline.run` and
-    `revalidate_certificate` call this only on an admissible report), so
-    nothing is checked here; each fact the construction uses holds for
-    that Q:
+    Q is the `Q` of a report whose five verdicts pass: `pipeline.run` and
+    `revalidate_certificate` derive the certificate through one function,
+    which calls this only on an admissible report.  So nothing is checked
+    here; each fact the construction uses holds for that Q:
 
     - `power_structure` makes Q irreducible, so f has n distinct roots.
     - `unit_circle` and `no_root_of_unity` put every root on the unit circle
@@ -278,15 +269,20 @@ class TraceForm:
         return {"gram": self.gram.to_json(), "lambda": self.lam.to_strs()}
 
 
-def _power_traces(element: Poly, modulus: Poly, count: int) -> list[Fraction]:
-    """Tr(element * T^m) in Q[T]/(modulus) for m = 0..count-1; each power
-    is one multiplication by T from the last."""
-    power_sums = trace_power_sums(modulus, modulus.degree() - 1)
-    traces = []
-    for _ in range(count):
-        traces.append(sum((c * power_sums[i] for i, c in enumerate(element.coeffs)), Fraction(0)))
-        element = (element * Poly([0, 1])) % modulus
-    return traces
+def _reduced(lam: Poly, g: Poly) -> tuple[Fraction, ...]:
+    """The coefficients of lambda mod g, DomainError if lambda is 0 there."""
+    coeffs = (lam % g).coeffs
+    if not coeffs:
+        raise DomainError("lambda must be a nonzero element of the real subfield")
+    return coeffs
+
+
+def _hankel_traces(coeffs: tuple[Fraction, ...], g: Poly, count: int) -> list[Fraction]:
+    """t_m = Tr(lambda * x^m) in Q[x]/(g) for m = 0..count-1, lambda =
+    sum_j l_j x^j with the given l_j: t_m = sum_j l_j p_(j+m), p_k the power
+    sums of the roots of monic g (integers when g is integral)."""
+    p = trace_power_sums(g, count + len(coeffs) - 2)
+    return [sum(c * p[j + m] for j, c in enumerate(coeffs)) for m in range(count)]
 
 
 def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
@@ -295,13 +291,17 @@ def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
 
     It is Toeplitz: conj(gamma) = 1/gamma makes entry (i, j) equal to
     Tr(lambda * gamma^(i-j)), and conj is an automorphism fixing lambda, so
-    that is t_|i-j| = Tr(lambda * gamma^|i-j|), one trace per distance."""
-    f = cm.field.defining
-    n = f.degree()
-    if (lam % cm.beta_minpoly).is_zero:
-        raise DomainError("lambda must be a nonzero element of the real subfield")
-    beta_poly = (Poly([0, 1]) + cm.conj) % f
-    t = _power_traces(_compose_mod(lam, beta_poly, f), f, n)
+    that is t_|i-j| = Tr(lambda * gamma^|i-j|), one trace per distance.
+    With lambda = sum_j l_j beta^j and beta^j = sum_i C(j, i) gamma^(j-2i),
+    t_k = sum_j l_j sum_i C(j, i) p_|k+j-2i|, since Tr(gamma^-m) is the
+    power sum p_m of the roots of f."""
+    f, n = cm.field.defining, cm.field.degree
+    coeffs = _reduced(lam, cm.beta_minpoly)
+    p = trace_power_sums(f, n + len(coeffs) - 2)
+    t = [
+        sum(c * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, c in enumerate(coeffs))
+        for k in range(n)
+    ]
     return TraceForm(GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)]), lam)
 
 
@@ -310,13 +310,13 @@ def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
 
     Traces multiply across the linearly disjoint factors and x is real, so
     the Gram is a Kronecker product: entry (2i+j, 2k+l) is t[i+k] * U[j][l]
-    with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F."""
+    with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F.  As
+    conj(gamma) = 1/gamma, U = [[2, p_1], [p_1, 2]] with p_1 = Tr(gamma)."""
     P = ext.relative
     e = P.degree()
-    if (lam % P).is_zero:
-        raise DomainError("lambda must be a nonzero element of the real subfield")
-    t = _power_traces(lam % P, P, 2 * e - 1)
-    unit = trace_form_cm(ext.base, Poly([1])).gram.entries
+    t = _hankel_traces(_reduced(lam, P), P, 2 * e - 1)
+    p1 = trace_power_sums(ext.base.field.defining, 1)[1]
+    unit = ((2, p1), (p1, 2))
     rows = [
         [t[i + k] * unit[j][l] for k in range(e) for l in range(2)]
         for i in range(e)
@@ -372,32 +372,27 @@ def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyV
 def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     """Exact counts of real embeddings where lambda is positive / negative.
 
-    The defining polynomial's real roots are isolated by Sturm bisection and
-    each isolating interval is refined until lambda has no root inside and
-    certified constant sign, which ends as gcd(lambda, g) = 1 (checked: a
-    g read from a certificate may share a root with lambda, or have fewer
-    real roots than the degree it claims)."""
+    One Sturm count checks that the defining polynomial g has deg g distinct
+    real roots (a g read from a certificate may have fewer).  Then, by
+    Hermite's theorem, the Hankel form Tr(lambda * x * y) on Q[x]/(g), the
+    sum of lambda(a) * x(a) * y(a) over the roots a, has exactly this
+    signature, and it is degenerate exactly when lambda vanishes at a root."""
     g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
-    g_chain = SturmChain(g)
-    if (real_roots := g_chain.count()) != field.degree:
+    if (real_roots := sturm_count(g)) != field.degree or g.degree() != field.degree:
         raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
-    lam = lam % g
-    if lam.is_zero:
+    coeffs = (lam % g).coeffs
+    if not coeffs:
         raise DomainError("lambda vanishes")
-    if lam.degree() == 0:
-        return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
-    if len(_zz_gcd(lam.prim, g.prim)) > 1:
-        raise DomainError("lambda vanishes at a real embedding")
-    lam_chain = SturmChain(lam)
-    positives = 0
-    for lo, hi in g_chain.isolate():
-        while lam(lo) == 0 or lam(hi) == 0 or lam_chain.count(lo, hi) != 0:
-            lo, hi = g_chain.halve(lo, hi)
-        if lam((lo + hi) / 2) > 0:
-            positives += 1
-    return positives, field.degree - positives
+    n = field.degree
+    t = _hankel_traces(coeffs, g, 2 * n - 1)
+    try:
+        diagonal = diagonalize(GramMatrix.from_rows([[t[i + k] for k in range(n)] for i in range(n)])).diagonal
+    except DomainError:
+        raise DomainError("lambda vanishes at a real embedding") from None
+    positives = sum(1 for x in diagonal if x > 0)
+    return positives, n - positives
 
 
 def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
@@ -435,9 +430,16 @@ class CMToK3Result:
     complement_invariants: QFormInvariants
 
 
-def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
+def cm_to_k3(
+    ext: ExtensionData, d: int, lam: Poly | None = None, complement: QSpace | None = None
+) -> CMToK3Result:
     """Realize the trace form inside the rational K3 lattice: a scalar of
     signature (1, d-1), its trace form and an explicit orthogonal complement.
+
+    Only what is not given is searched for.  A given lambda is checked with
+    `signature_of` (DomainError unless its signature is (1, d-1)); a given
+    complement is taken with its own invariants, and the K3 sum identity of
+    the certificate checks it.
 
     d = 10 is refused: the paper gives no scalar there, and Bayer-Fluckiger's
     local conditions matter only at 2 and the primes dividing disc(g) or
@@ -452,9 +454,15 @@ def cm_to_k3(ext: ExtensionData, d: int) -> CMToK3Result:
         raise DomainError(f"no scalar is constructed at d = {d}; cm_to_k3 needs d < 10")
     if ext.real_subfield is None or ext.real_subfield.degree != d:
         raise DomainError(f"the extension has no explicit real subfield of degree d = {d}")
-    lam = find_lambda(ext.real_subfield, (1, d - 1))
+    target = (1, d - 1)
+    if lam is None:
+        lam = find_lambda(ext.real_subfield, target)
+    elif (sig := signature_of(lam, ext.real_subfield)) != target:
+        raise DomainError(f"lambda has signature {sig}, not {target}")
     form = trace_form(ext, lam)
     q_inv = invariants(diagonalize(form.gram))
+    if complement is not None:
+        return CMToK3Result(lam, form, q_inv, complement, invariants(complement))
     comp_inv = complement_invariants(q_inv, k3_invariants())
     if not admissible(comp_inv):
         raise ArithmeticError("complement invariants are inadmissible")

@@ -33,8 +33,8 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # rational serialization ("num/den", denominator omitted when 1)
 
-def rat_to_str(r: Fraction) -> str:
-    r = Fraction(r)
+def rat_to_str(r: Fraction | int) -> str:
+    # an int has numerator itself and denominator 1
     if r.denominator == 1:
         return str(r.numerator)
     return f"{r.numerator}/{r.denominator}"
@@ -1014,9 +1014,17 @@ def elementary_from_power_sums(p: list[Fraction], count: int) -> list[Fraction]:
 
 
 def trace_power_sums(f: Poly, count: int) -> list[Fraction]:
-    """p_0..p_count for the roots of monic f (p_0 = deg f)."""
+    """p_0..p_count for the roots of monic f (p_0 = deg f).
+
+    f is its primitive part over a, the leading coefficient of that part, so
+    a times its roots are the roots of a^(n-1) * prim(x / a), monic and
+    integral: Newton's identities give their power sums in integers, and
+    p_k is the k-th over a^k."""
     if not f.is_monic():
         raise DomainError("trace power sums need a monic polynomial")
-    n = f.degree()
-    elem = [(-1) ** i * f.coefficient(n - i) for i in range(1, n + 1)]
-    return [Fraction(n)] + power_sums_from_elementary(elem, count)
+    n, a = f.degree(), f.prim[-1]
+    elem = [(-1) ** i * f.prim[n - i] * a ** (i - 1) for i in range(1, n + 1)]
+    sums: list[int] = []
+    for _ in range(count):
+        sums.append(_newton_step(elem, sums))
+    return [Fraction(n)] + [Fraction(p, a**k) for k, p in enumerate(sums, 1)]

@@ -10,31 +10,16 @@ never exceptions.
 from __future__ import annotations
 
 import enum
+import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from ._intfactor import COUNTERS
-from .cmfield import (
-    NumberField,
-    build_extension,
-    cm_to_k3,
-    completion_degree_check,
-    disc_identity_check,
-    eisenstein_real_subfield,
-    signature_of,
-    weil_field,
-)
+from .cmfield import build_extension, cm_to_k3, completion_degree_check, disc_identity_check, weil_field
 from .exactpoly import DomainError, Poly, json_field
-from .qform import (
-    GramMatrix,
-    QFormInvariants,
-    QSpace,
-    diagonalize,
-    invariants,
-    k3_invariants,
-    sum_invariants,
-)
-from .weilcheck import PropertyVerdict, Status, WeilCandidate, WeilReport, check_all
+from .qform import QSpace, k3_invariants, sum_invariants
+from .weilcheck import PropertyVerdict, Status, WeilCandidate, check_all
 
 SCHEMA_VERSION = 1
 
@@ -73,230 +58,178 @@ class RunOutcome:
         }
 
 
-def _base_certificate(candidate: WeilCandidate, report: WeilReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "input": candidate.to_json(),
-        "report": report.to_json(),
-    }
+def _verdict(holds: bool, witness: dict) -> dict:
+    return PropertyVerdict(Status.PASS if holds else Status.FAIL, witness).to_json()
 
 
-def _identity_blocks(sig: tuple, trace_inv: QFormInvariants, comp_inv: QFormInvariants) -> dict:
-    """The `signature_identity` and `k3_sum_identity` blocks, by key: the
-    trace form has twice the signature of lambda, and its sum with the
-    complement has the invariants of the K3 lattice."""
-    trace_sig = list(trace_inv.signature)
-    total, lattice = sum_invariants(trace_inv, comp_inv), k3_invariants()
-    checks = {
-        "signature_identity": (
-            trace_sig == [2 * sig[0], 2 * sig[1]],
-            {"lambda_signature": list(sig), "trace_form_signature": trace_sig},
-        ),
-        "k3_sum_identity": (total == lattice, {"sum": total.to_json(), "expected": lattice.to_json()}),
-    }
-    return {
-        key: PropertyVerdict(Status.PASS if holds else Status.FAIL, witness).to_json()
-        for key, (holds, witness) in checks.items()
-    }
+_UNRESOLVED = "unresolved (geometric step out of scope)"
 
 
-def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOutcome:
-    """Execute the full construction pipeline on one candidate."""
-    config = config or PipelineConfig()
-    telemetry: dict = {"stage_seconds": {}, "counters": {}}
-    started = time.monotonic()
-    counts_before = dict(COUNTERS)
+def _certificate(
+    candidate: WeilCandidate,
+    target: int | None,
+    lam: Poly | None,
+    complement: QSpace | None,
+    stage: Callable[[str], object],
+) -> dict:
+    """The certificate of a candidate, extended to degree `target` (None for
+    its own degree), with `cm_to_k3` given lambda and the complement where
+    they are not None.  `stage(name)` is called as each stage begins.
 
-    def mark(stage: str, t0: float) -> None:
-        telemetry["stage_seconds"][stage] = round(time.monotonic() - t0, 6)
-
-    def finish(status: RunStatus) -> RunOutcome:
-        telemetry["stage_seconds"]["total"] = round(time.monotonic() - started, 6)
-        telemetry["counters"] = {k: n - counts_before[k] for k, n in COUNTERS.items()}
-        return RunOutcome(status, cert, telemetry)
-
-    t0 = time.monotonic()
+    Mathematical failures are statuses and failed verdicts inside the
+    certificate; `run` raises on a failed verdict, `revalidate_certificate`
+    reports it."""
+    stage("check_all")
     report = check_all(candidate)
-    mark("check_all", t0)
-    cert = _base_certificate(candidate, report)
-
+    cert = {"schema_version": SCHEMA_VERSION, "input": candidate.to_json(), "report": report.to_json()}
     if report.failures:
-        cert["status"] = RunStatus.REJECTED.value
-        cert["failed_properties"] = report.failures
-        return finish(RunStatus.REJECTED)
+        cert.update(status=RunStatus.REJECTED.value, failed_properties=report.failures)
+        return cert
     if not report.admissible:
         # no failure, so some verdict is Unknown (slope analysis)
-        cert["status"] = RunStatus.UNKNOWN.value
-        cert["reason"] = "a property verdict is Unknown"
-        return finish(RunStatus.UNKNOWN)
+        cert.update(status=RunStatus.UNKNOWN.value, reason="a property verdict is Unknown")
+        return cert
 
-    t0 = time.monotonic()
+    stage("weil_field")
     cm = weil_field(report.Q)
-    mark("weil_field", t0)
     cert["field"] = cm.to_json()
 
+    stage("build_extension")
     two_d = candidate.L.degree()
-    target = config.max_extension_degree or two_d
+    target = target or two_d
     if target < two_d or target % cm.field.degree != 0:
         raise DomainError(
             f"extension target {target} incompatible with degree {two_d} "
             f"and field degree {cm.field.degree}"
         )
-    t0 = time.monotonic()
     ext = build_extension(cm, candidate.p, target)
-    mark("build_extension", t0)
     cert["extension"] = ext.to_json()
-
     if ext.kind == "unsupported":
-        cert["status"] = RunStatus.EXISTENCE_ONLY.value
-        cert["reason"] = ext.trace.get("reason", "construction regime unsupported")
-        cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
-        return finish(RunStatus.EXISTENCE_ONLY)
+        reason = ext.trace.get("reason", "construction regime unsupported")
+        cert.update(status=RunStatus.EXISTENCE_ONLY.value, reason=reason, base_change_exponent=_UNRESOLVED)
+        return cert
 
+    stage("completion_degree")
     # expected completion degree scales with the extension beyond L = Q**e
-    expected_h = (report.h // report.e) * ext.e
-    t0 = time.monotonic()
-    completion = completion_degree_check(ext, candidate.p, expected_h)
-    mark("completion_degree", t0)
+    completion = completion_degree_check(ext, candidate.p, (report.h // report.e) * ext.e)
     cert["completion_degree"] = completion.to_json()
     if completion.status is Status.UNKNOWN:
-        cert["status"] = RunStatus.UNKNOWN.value
-        cert["reason"] = "completion degree undecided"
-        return finish(RunStatus.UNKNOWN)
-    if completion.status is Status.FAIL:
-        raise ArithmeticError(f"completion degree check failed: {completion.witness}")
+        cert.update(status=RunStatus.UNKNOWN.value, reason="completion degree undecided")
+        return cert
 
     d = target // 2
     if d == 10:  # cm_to_k3's docstring says why no local condition is evaluated
         reason = "no scalar is constructed at d = 10 and no local condition is evaluated"
         cert["bayer"] = {"status": Status.UNKNOWN.value, "reason": reason}
-        cert["status"] = RunStatus.EXISTENCE_ONLY.value
-        cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
-        return finish(RunStatus.EXISTENCE_ONLY)
+        cert.update(status=RunStatus.EXISTENCE_ONLY.value, base_change_exponent=_UNRESOLVED)
+        return cert
 
-    t0 = time.monotonic()
-    result = cm_to_k3(ext, d)
-    mark("cm_to_k3", t0)
-
-    # find_lambda's construction gives lambda this signature; the
-    # signature_identity below fails unless the trace form has (2, 2d - 2),
-    # and revalidate_certificate replays signature_of
+    stage("cm_to_k3")
+    result = cm_to_k3(ext, d, lam, complement)
+    # lambda has this signature: by find_lambda's construction, or checked
+    # by cm_to_k3 with signature_of for a given lambda
     sig = (1, d - 1)
+    trace_inv, comp_inv = result.trace_invariants, result.complement_invariants
     cert["lambda"] = {"coefficients": result.lam.to_strs(), "signature": list(sig)}
     cert["trace_form"] = result.trace.to_json()
-    cert["trace_invariants"] = result.trace_invariants.to_json()
+    cert["trace_invariants"] = trace_inv.to_json()
 
-    t0 = time.monotonic()
-    cert["disc_identity"] = disc_identity_check(ext, result.trace_invariants.det).to_json()
-    mark("disc_identity", t0)
-    t0 = time.monotonic()
-    identities = _identity_blocks(sig, result.trace_invariants, result.complement_invariants)
-    mark("k3_sum_identity", t0)
-    cert["signature_identity"] = identities["signature_identity"]
-    cert["complement"] = {
-        "invariants": result.complement_invariants.to_json(),
-        "diagonal": result.complement.to_json()["diagonal"],
-    }
-    cert["k3_sum_identity"] = identities["k3_sum_identity"]
+    stage("disc_identity")
+    cert["disc_identity"] = disc_identity_check(ext, trace_inv.det).to_json()
+    stage("k3_sum_identity")
+    # the trace form has twice the signature of lambda, and its sum with the
+    # complement has the invariants of the K3 lattice
+    trace_sig = list(trace_inv.signature)
+    witness = {"lambda_signature": list(sig), "trace_form_signature": trace_sig}
+    cert["signature_identity"] = _verdict(trace_sig == [2 * sig[0], 2 * sig[1]], witness)
+    cert["complement"] = {"invariants": comp_inv.to_json(), "diagonal": result.complement.to_json()["diagonal"]}
+    total, lattice = sum_invariants(trace_inv, comp_inv), k3_invariants()
+    cert["k3_sum_identity"] = _verdict(total == lattice, {"sum": total.to_json(), "expected": lattice.to_json()})
     cert["bayer"] = {"status": Status.NOT_APPLICABLE.value, "reason": "d < 10"}
-    cert["base_change_exponent"] = "unresolved (geometric step out of scope)"
+    cert.update(base_change_exponent=_UNRESOLVED, status=RunStatus.CONSTRUCTED.value)
+    return cert
 
-    failed = [key for key in ("disc_identity", *identities) if cert[key]["status"] == Status.FAIL.value]
+
+_VERDICTS = ("completion_degree", "disc_identity", "signature_identity", "k3_sum_identity")
+
+
+def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOutcome:
+    """Execute the full construction pipeline on one candidate.
+
+    A failed verdict in the certificate would be a fault of the program, not
+    of the candidate, and raises ArithmeticError."""
+    config = config or PipelineConfig()
+    started = time.monotonic()
+    counts_before = dict(COUNTERS)
+    marks: list[tuple[str, float]] = []
+    cert = _certificate(
+        candidate, config.max_extension_degree, None, None, lambda name: marks.append((name, time.monotonic()))
+    )
+    ended = time.monotonic()
+    failed = [key for key in _VERDICTS if key in cert and cert[key]["status"] == Status.FAIL.value]
     if failed:
-        raise ArithmeticError(f"certificate identities failed: {failed}")
-    cert["status"] = RunStatus.CONSTRUCTED.value
-    return finish(RunStatus.CONSTRUCTED)
+        raise ArithmeticError(f"certificate verdicts failed: {failed}")
+    ends = [t for _, t in marks[1:]] + [ended]
+    stages = {name: round(end - t0, 6) for (name, t0), end in zip(marks, ends)}
+    telemetry = {
+        "stage_seconds": {**stages, "total": round(ended - started, 6)},
+        "counters": {k: n - counts_before[k] for k, n in COUNTERS.items()},
+    }
+    return RunOutcome(RunStatus(cert["status"]), cert, telemetry)
 
 
-def _leaf(obj: dict, key: str, field: str = "status", kind: type = object):
-    """obj[key][field], read through `json_field`."""
-    return json_field(json_field(obj, key, dict), field, kind)
+def _differences(recorded, derived, path: str = "") -> list[str]:
+    """Each key path where the recorded JSON value differs from the derived
+    one.  Values are compared as JSON text, so 4.0 differs from 4 and true
+    from 1; a list is one leaf."""
+    if json.dumps(recorded) == json.dumps(derived):
+        return []
+    if not (isinstance(recorded, dict) and isinstance(derived, dict)):
+        return [f"{path} changed on replay"]
+    problems = []
+    for key in [*derived, *(k for k in recorded if k not in derived)]:
+        sub = f"{path}.{key}" if path else str(key)
+        if key not in recorded:
+            problems.append(f"{sub} missing from the certificate")
+        elif key not in derived:
+            problems.append(f"{sub} not derived on replay")
+        else:
+            problems += _differences(recorded[key], derived[key], sub)
+    return problems or [f"key order of {path or 'the certificate'} changed on replay"]
 
 
-def _expected_status(report: WeilReport, cert: dict) -> str:
-    """The status `run` reaches with this report, reading the certificate's
-    extension kind, completion verdict and local block in `run`'s order."""
-    if report.failures:
-        return RunStatus.REJECTED.value
-    if not report.admissible:
-        return RunStatus.UNKNOWN.value
-    if _leaf(cert, "extension", "kind") == "unsupported":
-        return RunStatus.EXISTENCE_ONLY.value
-    if _leaf(cert, "completion_degree") == Status.UNKNOWN.value:
-        return RunStatus.UNKNOWN.value
-    if _leaf(cert, "bayer") == Status.UNKNOWN.value:
-        return RunStatus.EXISTENCE_ONLY.value
-    return RunStatus.CONSTRUCTED.value
+# the recorded key that a DomainError in a derivation stage comes from
+_RECORDED_KEY = {"check_all": "input", "build_extension": "extension", "cm_to_k3": "lambda"}
 
 
 def revalidate_certificate(cert: dict) -> list[str]:
-    """Re-run every embedded verdict from the certificate's own data.
+    """Derive the certificate again from its input with `run`'s own code and
+    list every key path where the recorded one differs (empty means the
+    certificate self-validates).
 
-    Returns the list of discrepancies (empty means the certificate
-    self-validates).  The status and an admissible report's `field` block
-    must be what `run` reaches from the replayed report; only a
-    `constructed` certificate carries more to replay, its real subfield
-    among it: that of the field block for e = 1, else the Eisenstein
-    search's.  Data outside its domain (a wrong JSON type, a zero
-    denominator, an invalid place, lambda outside `signature_of`'s domain)
-    is one discrepancy naming the part that cannot be replayed; the replay
-    stops there."""
-    problems: list[str] = []
-    part = "input"
+    The derivation takes from the certificate only its input, the extension
+    degree `field.field.degree * extension.e`, lambda and the complement
+    diagonal; `cm_to_k3` checks lambda's signature, and the K3 sum identity
+    checks the complement.  A failed verdict is a difference like any other.
+    A recorded value outside the derivation's domain (a wrong JSON type, a
+    zero denominator, a lambda that vanishes or has the wrong signature) is
+    one discrepancy naming the key it came from."""
+    stages = ["input"]
     try:
-        report = check_all(WeilCandidate.from_json(json_field(cert, "input", dict)))
-        part = "report"
-        recorded = _leaf(cert, "report", "properties", dict)
-        for name, verdict in report.to_json()["properties"].items():
-            if _leaf(recorded, name) != verdict["status"]:
-                problems.append(f"property {name} status changed on replay")
-        part = "field"
-        cm = weil_field(report.Q) if report.admissible else None
-        if cm is not None and cm.to_json() != json_field(cert, "field"):
-            problems.append("field data changed on replay")
-        part = "status"
-        status, expected = json_field(cert, "status"), _expected_status(report, cert)
-        if status != expected:
-            problems.append(f"status {status!r} does not replay: expected {expected!r}")
-        if status != expected or status != RunStatus.CONSTRUCTED.value:
-            return problems
-        for key in ("completion_degree", "disc_identity"):
-            if _leaf(cert, key) != Status.PASS.value:
-                problems.append(f"{key} status is not pass")
-        part = "lambda signature"
-        lam_json = json_field(cert, "lambda", dict)
-        lam = Poly.from_strs(json_field(lam_json, "coefficients", list))
-        real = _leaf(cert, "extension", "real_subfield", dict)
-        real_subfield = NumberField(
-            Poly.from_strs(json_field(real, "defining", list)),
-            json_field(real, "degree", int),
-            json_field(real, "real_embeddings", int),
-        )
-        sig = signature_of(lam, real_subfield)
-        if list(sig) != json_field(lam_json, "signature"):
-            problems.append("lambda signature changed on replay")
-        part = "real subfield"
-        e = _leaf(cert, "extension", "e", int)
-        PipelineConfig(cm.field.degree * e)  # bounds e before the search
-        replayed = cm.real_subfield if e == 1 else eisenstein_real_subfield(report.candidate.p, e)[0]
-        if replayed.to_json() != real:
-            problems.append("real subfield changed on replay")
-        part = "invariants"
-        trace_inv = QFormInvariants.from_json(json_field(cert, "trace_invariants"))
-        complement = json_field(cert, "complement", dict)
-        comp_inv = invariants(QSpace.from_json(complement))
-        if comp_inv != QFormInvariants.from_json(json_field(complement, "invariants")):
-            problems.append("complement invariants changed on replay")
-        part = "trace form"
-        replayed = invariants(diagonalize(GramMatrix.from_json(json_field(cert, "trace_form", dict))))
-        if replayed != trace_inv:
-            problems.append("trace form invariants changed on replay")
-        part = "identities"
-        for key, block in _identity_blocks(sig, replayed, comp_inv).items():
-            if block["status"] != Status.PASS.value:
-                problems.append(f"{key} fails on replay")
-            elif json_field(cert, key) != block:
-                problems.append(f"{key} changed on replay")
+        candidate = WeilCandidate.from_json(json_field(cert, "input", dict))
+        target = lam = complement = None
+        if "extension" in cert:
+            stages.append("field")
+            degree = json_field(json_field(json_field(cert, "field", dict), "field", dict), "degree", int)
+            stages.append("extension")
+            target = PipelineConfig(degree * json_field(cert["extension"], "e", int)).max_extension_degree
+        if "lambda" in cert:
+            stages.append("lambda")
+            lam = Poly.from_strs(json_field(json_field(cert, "lambda", dict), "coefficients", list))
+        if "complement" in cert:
+            stages.append("complement")
+            complement = QSpace.from_json(json_field(cert, "complement", dict))
+        derived = _certificate(candidate, target, lam, complement, stages.append)
     except DomainError as exc:
-        problems.append(f"{part} cannot be replayed: {exc}")
-    return problems
+        return [f"{_RECORDED_KEY.get(stages[-1], stages[-1])} cannot be replayed: {exc}"]
+    return _differences(cert, derived)

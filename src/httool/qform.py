@@ -385,9 +385,18 @@ def _construct_diagonal(inv: QFormInvariants) -> list[Fraction]:
     signs = tuple(sign for sign, count in ((1, r), (-1, s)) if count)
     if inv.dim == 2:
         return _construct_binary(inv, signs)
-    # dim >= 3: peel the first scalar z whose complement is admissible.  For
-    # dim >= 4 that is the unit +-1 opening the search, as the complement
-    # conditions hold whenever the remaining dimension is >= 3.
+    if inv.dim >= 4:
+        # peel +1 while r > 0, then -1.  The rest has dimension >= 3, so it
+        # is admissible when its Hasse set is even, det has sign (-1)**s and
+        # inf is in the set exactly when s(s-1)/2 is odd.  +1 leaves det,
+        # the set and s as they are.  -1 flips the sign of det, the set's
+        # parity stays (Hilbert reciprocity) and inf enters or leaves with
+        # (-1, -det)_inf = -1, i.e. when s is even, as s(s-1)/2 - (s-1)(s-2)/2
+        # = s - 1 is then odd.
+        unit = SquareClass(1 if r else -1, frozenset())
+        unary = QFormInvariants(1, (1, 0) if r else (0, 1), unit, frozenset())
+        return [unit.as_fraction()] + _construct_diagonal(complement_invariants(unary, inv))
+    # dim 3: peel the first scalar z whose binary complement is admissible
     for z in _scalar_candidates(_binary_pool(inv), signs):
         unary = QFormInvariants(1, (1, 0) if z.sign == 1 else (0, 1), z, frozenset())
         rest = complement_invariants(unary, inv)

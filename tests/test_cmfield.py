@@ -31,11 +31,14 @@ from httool.weilcheck import Status
 from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
 from test_helpers import (
+    bisection_signature_of,
     compose,
     fraction_determinant,
     is_irreducible,
     lagrange_interpolate,
     number_field,
+    peel_search_diagonal,
+    reduction_trace_gram,
     reference_disc_identity,
     resultant,
     sylvester_discriminant,
@@ -214,6 +217,37 @@ def test_extension_trace_forms_diagonalize_as_full_elimination(p, member):
         assert list(diagonalize(gram).diagonal) == full_elimination_diagonal(gram.entries), degree
 
 
+def _pool_extensions():
+    """The extension of every pool member to its own degree, and of every
+    quadratic member to 8, 10 and 12: the 502 runs of the benchmark pools."""
+    for pool in POOLS["pools"]:
+        for member in pool["members"]:
+            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            for degree in (cm.field.degree, 8, 10, 12) if cm.field.degree == 2 else (cm.field.degree,):
+                yield build_extension(cm, pool["p"], degree)
+
+
+def test_trace_forms_and_signatures_match_references_on_the_pools():
+    # the power-sum trace forms against reduction mod the defining
+    # polynomial, and Hermite's signature against Sturm bisection, for the
+    # scalars find_lambda gives at up to four signatures on each of the 502
+    # pool extensions
+    count = 0
+    for ext in _pool_extensions():
+        for target in _targets(ext.real_subfield.degree):
+            lam = find_lambda(ext.real_subfield, target)
+            assert trace_form(ext, lam).gram == reduction_trace_gram(ext, lam), (ext.absolute, target)
+            assert signature_of(lam, ext.real_subfield) == bisection_signature_of(lam, ext.real_subfield) == target
+            count += 1
+    assert count == 1910
+
+
+def test_complement_diagonals_match_the_peel_search_on_the_pools():
+    for ext in _pool_extensions():
+        result = cm_to_k3(ext, ext.degree // 2)
+        assert list(result.complement.diagonal) == peel_search_diagonal(result.complement_invariants)
+
+
 def absolute_by_resultants(P: Poly, f: Poly) -> Poly:
     """Res_X(P(X), f(z - X)), interpolated at 2e + 1 integer points and made
     monic: the polynomial of x + gamma."""
@@ -309,8 +343,11 @@ def test_signature_of_examples():
 
 def test_signature_of_rejects_vanishing():
     sqrt6 = number_field(Poly([F(-3, 2), 0, 1]))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="lambda vanishes"):
         signature_of(Poly([F(-3, 2), 0, 1]), sqrt6)
+    # (x - 1)(x - 2) read as a field: x - 1 makes the Hankel form degenerate
+    with pytest.raises(DomainError, match="lambda vanishes at a real embedding"):
+        signature_of(Poly([-1, 1]), NumberField(Poly([2, -3, 1]), 2, 2))
 
 
 @pytest.mark.parametrize("defining", [Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([1, 0, 0, 1])])

@@ -43,6 +43,7 @@ from httool.exactpoly import (
     reciprocal_transform,
     square_class,
     sturm_count,
+    trace_power_sums,
 )
 from test_helpers import (
     compose,
@@ -977,6 +978,9 @@ def test_power_sums_from_elementary_match_roots(roots, extra):
         for _ in range(n + extra):
             int_sums.append(_newton_step(int_elem, int_sums))
         assert all(type(s) is int for s in int_sums) and int_sums == sums
+    # the integer power sums of the scaled polynomial, over a^k
+    f = math.prod((Poly([-r, 1]) for r in roots), start=Poly([1]))
+    assert trace_power_sums(f, n + extra) == [F(n)] + sums
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ totient, factorization over Q by Yun's algorithm and Zassenhaus alone
 and over F_p by Yun's algorithm and Berlekamp,
 the disc identity by factoring, the CM field with every axiom proved
 again, determinants by Bareiss elimination, resultants and discriminants
-by Sylvester matrices, and small wrappers over the program's kernels that
-only tests call."""
+by Sylvester matrices, trace forms by reduction mod the defining
+polynomial, signatures by Sturm bisection, the complement's diagonal by
+the peel search, and small wrappers over the program's kernels that only
+tests call."""
 
 import math
 import operator
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.cmfield import CMData, NumberField, _compose_mod
+from httool.cmfield import CMData, NumberField
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -31,6 +33,17 @@ from httool.exactpoly import (
     reciprocal_transform,
     square_class,
     sturm_count,
+    trace_power_sums,
+)
+from httool.qform import (
+    ConstructionError,
+    GramMatrix,
+    QFormInvariants,
+    _binary_pool,
+    _construct_binary,
+    _scalar_candidates,
+    admissible,
+    complement_invariants,
 )
 
 
@@ -216,8 +229,86 @@ def verified_weil_field(Q: Poly) -> CMData:
     # gamma^{-1} = -(c_1 + c_2 gamma + ... + c_n gamma^{n-1}) / c_0
     conj = Poly(list(f.coeffs[1:])) * (-1 / f.constant())
     assert (Poly([0, 1]) * conj) % f == Poly([1]), "conjugation: inverse residue is wrong"
-    assert _compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
+    assert compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
     return CMData(NumberField(f, n, 0), NumberField(beta, half, half), beta, conj)
+
+
+def compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
+    """outer(inner) in Q[T]/(f), reduced after each Horner step."""
+    acc = Poly()
+    for c in reversed(outer.coeffs):
+        acc = (acc * inner) % f + Poly([c])
+    return acc % f
+
+
+def _power_traces(element: Poly, modulus: Poly, count: int) -> list[F]:
+    """Tr(element * T^m) in Q[T]/(modulus) for m = 0..count-1; each power
+    is one multiplication by T from the last."""
+    power_sums = trace_power_sums(modulus, modulus.degree() - 1)
+    traces = []
+    for _ in range(count):
+        traces.append(sum((c * power_sums[i] for i, c in enumerate(element.coeffs)), F(0)))
+        element = (element * Poly([0, 1])) % modulus
+    return traces
+
+
+def reduction_trace_gram(ext, lam: Poly) -> GramMatrix:
+    """The trace form's Gram by reduction mod the defining polynomial: for
+    e = 1 the Toeplitz t_|i-j| with lambda(beta) composed into Q[T]/(f),
+    beta = T + conj(T); for a compositum t[i+k] * U[j][l], U the unit form
+    built the same way."""
+    base = ext.base
+    f = base.field.defining
+    if ext.kind == "trivial":
+        n = f.degree()
+        t = _power_traces(compose_mod(lam, (Poly([0, 1]) + base.conj) % f, f), f, n)
+        return GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)])
+    P, e = ext.relative, ext.e
+    t = _power_traces(lam % P, P, 2 * e - 1)
+    u = _power_traces(Poly([1]), f, 2)
+    unit = [[u[abs(j - l)] for l in range(2)] for j in range(2)]
+    return GramMatrix.from_rows(
+        [[t[i + k] * unit[j][l] for k in range(e) for l in range(2)] for i in range(e) for j in range(2)]
+    )
+
+
+def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
+    """Signs of lambda at the real roots of the field's polynomial g: each
+    isolating interval is halved until lambda has no root in it, then
+    lambda is evaluated at its midpoint."""
+    g = field.defining
+    g_chain = SturmChain(g)
+    assert g_chain.count() == field.degree == field.real_embeddings
+    lam = lam % g
+    assert not lam.is_zero and len(_zz_gcd(lam.prim, g.prim)) == 1, "lambda vanishes at a root"
+    if lam.degree() == 0:
+        return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
+    lam_chain = SturmChain(lam)
+    positives = 0
+    for lo, hi in g_chain.isolate():
+        while lam(lo) == 0 or lam(hi) == 0 or lam_chain.count(lo, hi) != 0:
+            lo, hi = g_chain.halve(lo, hi)
+        if lam((lo + hi) / 2) > 0:
+            positives += 1
+    return positives, field.degree - positives
+
+
+def peel_search_diagonal(inv: QFormInvariants) -> list[F]:
+    """The diagonal realizing admissible invariants, peeling at every
+    dimension >= 3 the first scalar of the binary pool whose complement is
+    admissible, with the program's binary block."""
+    r, s = inv.signature
+    if inv.dim <= 1:
+        return [inv.det.as_fraction()] * inv.dim
+    signs = tuple(sign for sign, count in ((1, r), (-1, s)) if count)
+    if inv.dim == 2:
+        return _construct_binary(inv, signs)
+    for z in _scalar_candidates(_binary_pool(inv), signs):
+        unary = QFormInvariants(1, (1, 0) if z.sign == 1 else (0, 1), z, frozenset())
+        rest = complement_invariants(unary, inv)
+        if admissible(rest):
+            return [z.as_fraction()] + peel_search_diagonal(rest)
+    raise ConstructionError(f"no diagonal split found for {inv}")
 
 
 def fraction_determinant(matrix) -> F:

@@ -163,38 +163,133 @@ def test_tampered_certificate_is_detected():
 
 
 def _tampered(cert: dict, path: tuple, value) -> dict:
+    """A copy of cert with the value at path replaced; None deletes it."""
     cert = json.loads(json.dumps(cert))
     target = cert
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = value
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
     return cert
+
+
+@pytest.mark.parametrize(
+    "candidate, degree, path, value, problems",
+    [
+        pytest.param(QUARTIC, None, *case, id=name)
+        for name, *case in [
+            ("gram entry", ("trace_form", "gram", 0, 0), "5", ["trace_form.gram changed on replay"]),
+            (
+                "lambda x - 1",
+                ("lambda", "coefficients"),
+                ["-1", "1"],
+                [
+                    "trace_form.gram changed on replay",
+                    "trace_form.lambda changed on replay",
+                    "trace_invariants.hasse changed on replay",
+                    "k3_sum_identity.status changed on replay",
+                    "k3_sum_identity.witness.sum.hasse changed on replay",
+                ],
+            ),
+            ("lambda signature", ("lambda", "signature"), [2, 0], ["lambda.signature changed on replay"]),
+            (
+                "quartic absolute",
+                ("extension", "absolute"),
+                ["1", "0", "3", "0", "1"],
+                ["extension.absolute changed on replay"],
+            ),
+            (
+                "complement entry",
+                ("complement", "diagonal", 0),
+                "7",
+                [
+                    "complement.invariants.det changed on replay",
+                    "complement.invariants.hasse changed on replay",
+                    "k3_sum_identity.status changed on replay",
+                    "k3_sum_identity.witness.sum.det changed on replay",
+                    "k3_sum_identity.witness.sum.hasse changed on replay",
+                ],
+            ),
+            (
+                "completion expected",
+                ("completion_degree", "witness", "expected"),
+                4,
+                ["completion_degree.witness.expected changed on replay"],
+            ),
+            ("report h", ("report", "h"), 4, ["report.h changed on replay"]),
+            ("report Q", ("report", "Q"), ["1", "1"], ["report.Q changed on replay"]),
+            ("report admissible", ("report", "admissible"), False, ["report.admissible changed on replay"]),
+            ("bayer pass", ("bayer", "status"), "pass", ["bayer.status changed on replay"]),
+            ("base change", ("base_change_exponent",), "1", ["base_change_exponent changed on replay"]),
+            ("status", ("status",), "rejected", ["status changed on replay"]),
+            ("dim 4.0", ("trace_invariants", "dim"), 4.0, ["trace_invariants.dim changed on replay"]),
+            ("extra key", ("note",), "x", ["note not derived on replay"]),
+        ]
+    ]
+    + [
+        pytest.param(QUADRATIC, 8, *case, id=name)
+        for name, *case in [
+            ("relative", ("extension", "relative"), ["1", "1"], ["extension.relative changed on replay"]),
+            ("absolute", ("extension", "absolute"), ["1", "1"], ["extension.absolute changed on replay"]),
+            ("trace M", ("extension", "trace", "M"), 5, ["extension.trace.M changed on replay"]),
+            (
+                "defining disc",
+                ("disc_identity", "witness", "defining_disc"),
+                "7",
+                ["disc_identity.witness.defining_disc changed on replay"],
+            ),
+        ]
+    ],
+)
+def test_tamper_table(candidate, degree, path, value, problems):
+    # every leaf class of a constructed certificate is derived again, and
+    # compared as JSON text: 4.0 is not 4
+    cert = run(candidate, PipelineConfig(max_extension_degree=degree)).certificate
+    assert revalidate_certificate(cert) == []
+    assert revalidate_certificate(_tampered(cert, path, value)) == problems
+
+
+def test_reordered_keys_are_detected():
+    cert = run(QUARTIC).certificate
+    assert revalidate_certificate(dict(reversed(cert.items()))) == ["key order of the certificate changed on replay"]
+
+
+# The ids below keep the names these cases were given when revalidation
+# replayed the certificate part by part and worded its messages that way.
 
 
 @pytest.mark.parametrize(
     "path, value, problem",
     [
-        (("status",), "unknown", "status 'unknown' does not replay: expected 'constructed'"),
-        (
-            ("status",),
-            "existence_only",
-            "status 'existence_only' does not replay: expected 'constructed'",
-        ),
-        (("disc_identity", "status"), "fail", "disc_identity status is not pass"),
-        (("completion_degree", "status"), "fail", "completion_degree status is not pass"),
+        (("status",), "unknown", "status changed on replay"),
+        (("status",), "existence_only", "status changed on replay"),
+        (("disc_identity", "status"), "fail", "disc_identity.status changed on replay"),
+        (("completion_degree", "status"), "fail", "completion_degree.status changed on replay"),
         (("k3_sum_identity",), 5, "k3_sum_identity changed on replay"),
         (
             ("signature_identity", "witness", "lambda_signature"),
             [2, 0],
-            "signature_identity changed on replay",
+            "signature_identity.witness.lambda_signature changed on replay",
         ),
-        (
-            ("bayer", "status"),
-            "unknown",
-            "status 'constructed' does not replay: expected 'existence_only'",
-        ),
+        (("bayer", "status"), "unknown", "bayer.status changed on replay"),
         # x**2 - 3 keeps lambda = x at signature (1, 1)
-        (("extension", "real_subfield", "defining"), ["-3", "0", "1"], "real subfield changed on replay"),
+        (
+            ("extension", "real_subfield", "defining"),
+            ["-3", "0", "1"],
+            "extension.real_subfield.defining changed on replay",
+        ),
+    ],
+    ids=[
+        "path0-unknown-status 'unknown' does not replay: expected 'constructed'",
+        "path1-existence_only-status 'existence_only' does not replay: expected 'constructed'",
+        "path2-fail-disc_identity status is not pass",
+        "path3-fail-completion_degree status is not pass",
+        "path4-5-k3_sum_identity changed on replay",
+        "path5-value5-signature_identity changed on replay",
+        "path6-unknown-status 'constructed' does not replay: expected 'existence_only'",
+        "path7-value7-real subfield changed on replay",
     ],
 )
 def test_tampered_verdict_is_detected(path, value, problem):
@@ -206,31 +301,26 @@ def test_tampered_verdict_is_detected(path, value, problem):
 @pytest.mark.parametrize(
     "candidate, degree, path, value, problem",
     [
-        (
-            QUADRATIC,
-            20,
-            ("status",),
-            "constructed",
-            "status 'constructed' does not replay: expected 'existence_only'",
-        ),
-        (
-            QUADRATIC,
-            20,
-            ("bayer", "status"),
-            "not_applicable",
-            "status 'existence_only' does not replay: expected 'constructed'",
-        ),
-        (CYCLOTOMIC, None, ("status",), "unknown", "status 'unknown' does not replay: expected 'rejected'"),
+        (QUADRATIC, 20, ("status",), "constructed", "status changed on replay"),
+        (QUADRATIC, 20, ("bayer", "status"), "not_applicable", "bayer.status changed on replay"),
+        (CYCLOTOMIC, None, ("status",), "unknown", "status changed on replay"),
         # the field block of an existence_only certificate; once revalidated to []
-        (QUADRATIC, 20, ("field", "beta_minpoly"), ["7", "1"], "field data changed on replay"),
+        (QUADRATIC, 20, ("field", "beta_minpoly"), ["7", "1"], "field.beta_minpoly changed on replay"),
         # a compositum's real subfield is the Eisenstein search's; once revalidated to []
         (
             QUADRATIC,
             8,
             ("extension", "real_subfield", "defining"),
             ["388", "-400", "140", "-20", "1"],
-            "real subfield changed on replay",
+            "extension.real_subfield.defining changed on replay",
         ),
+    ],
+    ids=[
+        "candidate0-20-path0-constructed-status 'constructed' does not replay: expected 'existence_only'",
+        "candidate1-20-path1-not_applicable-status 'existence_only' does not replay: expected 'constructed'",
+        "candidate2-None-path2-unknown-status 'unknown' does not replay: expected 'rejected'",
+        "candidate3-20-path3-value3-field data changed on replay",
+        "candidate4-8-path4-value4-real subfield changed on replay",
     ],
 )
 def test_tampered_status_of_other_outcomes_is_detected(candidate, degree, path, value, problem):
@@ -244,95 +334,130 @@ def test_tampered_lambda_signature_is_detected_for_compositum():
     assert cert["extension"]["kind"] == "eisenstein_compositum"
     assert revalidate_certificate(cert) == []
     cert["lambda"]["signature"] = [2, 0]
-    assert "lambda signature changed on replay" in revalidate_certificate(cert)
-
-
-@pytest.mark.parametrize(
-    "path, value, message",
-    [
-        (
-            ("extension", "real_subfield", "real_embeddings"),
-            1,
-            "signatures require a totally real field",
-        ),
-        (("lambda", "coefficients"), ["0"], "lambda vanishes"),
-        # no real root: signature_of once counted over an empty isolation
-        (
-            ("extension", "real_subfield", "defining"),
-            ["1", "0", "1"],
-            "the field is not totally real of degree 2: 0 real roots",
-        ),
-    ],
-)
-def test_unreplayable_lambda_is_reported(path, value, message):
-    # a tamper that takes lambda out of signature_of's domain is reported as
-    # one discrepancy, not raised
-    cert = json.loads(json.dumps(run(QUARTIC).certificate))
-    target = cert
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    assert revalidate_certificate(cert) == [f"lambda signature cannot be replayed: {message}"]
-
-
-def test_lambda_vanishing_at_a_real_embedding_is_reported():
-    # the real subfield (x - 1)(x - 2) with lambda = x - 1: signature_of once
-    # halved the interval around the root 1 forever
-    cert = _tampered(run(QUARTIC).certificate, ("extension", "real_subfield", "defining"), ["2", "-3", "1"])
-    cert = _tampered(cert, ("lambda", "coefficients"), ["-1", "1"])
-    assert revalidate_certificate(cert) == [
-        "lambda signature cannot be replayed: lambda vanishes at a real embedding"
-    ]
-
-
-@pytest.mark.parametrize(
-    "path, value, part",
-    [
-        (("trace_invariants", "hasse"), ["4", "inf"], "invariants"),
-        (("trace_invariants", "dim"), 4.0, "invariants"),
-        (("trace_invariants", "det"), True, "invariants"),
-        (("input", "p"), 2.0, "input"),
-        (("complement", "diagonal"), [True] * 18, "invariants"),
-        (("trace_form", "gram"), [["1/0", "3", "0", "-9/2"]] + [["0"] * 4] * 3, "trace form"),
-        (("input", "L"), ["1", "0", "1/0", "0", "1"], "input"),
-        # an extension degree of 44 would start the Eisenstein search there
-        (("extension", "e"), 11, "real subfield"),
-    ],
-)
-def test_out_of_domain_certificate_data_is_reported(path, value, part):
-    # each of these once raised DomainError out of the verifier
-    cert = json.loads(json.dumps(run(QUARTIC).certificate))
-    target = cert
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    problems = revalidate_certificate(cert)
-    assert len(problems) == 1 and problems[0].startswith(f"{part} cannot be replayed: ")
+    assert revalidate_certificate(cert) == ["lambda.signature changed on replay"]
 
 
 @pytest.mark.parametrize(
     "path, value, problem",
     [
-        (("trace_form", "gram"), 5, "trace form cannot be replayed: 'gram' must be a list, got int"),
-        (("lambda",), None, "lambda signature cannot be replayed: missing key 'lambda'"),
-        (("complement",), "x", "invariants cannot be replayed: 'complement' must be a dict, got str"),
-        (("report",), None, "report cannot be replayed: missing key 'report'"),
+        # the real subfield is derived, not read: a tampered one is a
+        # difference, and lambda is checked in the derived field
+        (
+            ("extension", "real_subfield", "real_embeddings"),
+            1,
+            "extension.real_subfield.real_embeddings changed on replay",
+        ),
+        (("lambda", "coefficients"), ["0"], "lambda cannot be replayed: lambda vanishes"),
+        (
+            ("extension", "real_subfield", "defining"),
+            ["1", "0", "1"],
+            "extension.real_subfield.defining changed on replay",
+        ),
+        (
+            ("lambda", "coefficients"),
+            ["1"],
+            "lambda cannot be replayed: lambda has signature (2, 0), not (1, 1)",
+        ),
+    ],
+    ids=[
+        "path0-1-signatures require a totally real field",
+        "path1-value1-lambda vanishes",
+        "path2-value2-the field is not totally real of degree 2: 0 real roots",
+        "lambda of the wrong signature",
+    ],
+)
+def test_unreplayable_lambda_is_reported(path, value, problem):
+    # a tamper that takes lambda out of signature_of's domain is reported as
+    # one discrepancy, not raised
+    cert = _tampered(run(QUARTIC).certificate, path, value)
+    assert revalidate_certificate(cert) == [problem]
+
+
+def test_lambda_vanishing_at_a_real_embedding_is_reported():
+    # the real subfield (x - 1)(x - 2) with lambda = x - 1: signature_of once
+    # halved the interval around the root 1 forever.  The real subfield is
+    # derived now, where x - 1 has signature (1, 1), so the tampered
+    # subfield and everything that lambda changes are reported
+    cert = _tampered(run(QUARTIC).certificate, ("extension", "real_subfield", "defining"), ["2", "-3", "1"])
+    cert = _tampered(cert, ("lambda", "coefficients"), ["-1", "1"])
+    assert revalidate_certificate(cert) == [
+        "extension.real_subfield.defining changed on replay",
+        "trace_form.gram changed on replay",
+        "trace_form.lambda changed on replay",
+        "trace_invariants.hasse changed on replay",
+        "k3_sum_identity.status changed on replay",
+        "k3_sum_identity.witness.sum.hasse changed on replay",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("trace_invariants", "hasse"), ["4", "inf"], "trace_invariants.hasse changed on replay"),
+        (("trace_invariants", "dim"), 4.0, "trace_invariants.dim changed on replay"),
+        (("trace_invariants", "det"), True, "trace_invariants.det changed on replay"),
+        (("input", "p"), 2.0, "input cannot be replayed: p must be an integer, got 2.0"),
+        (
+            ("complement", "diagonal"),
+            [True] * 18,
+            "complement cannot be replayed: expected a rational string, got True",
+        ),
+        (
+            ("trace_form", "gram"),
+            [["1/0", "3", "0", "-9/2"]] + [["0"] * 4] * 3,
+            "trace_form.gram changed on replay",
+        ),
+        (
+            ("input", "L"),
+            ["1", "0", "1/0", "0", "1"],
+            "input cannot be replayed: invalid rational '1/0': Fraction(1, 0)",
+        ),
+        # an extension degree of 44 would start the Eisenstein search there
+        (
+            ("extension", "e"),
+            11,
+            "extension cannot be replayed: extension degree beyond 20 is outside desk limits",
+        ),
+    ],
+    ids=[
+        "path0-value0-invariants",
+        "path1-4.0-invariants",
+        "path2-True-invariants",
+        "path3-2.0-input",
+        "path4-value4-invariants",
+        "path5-value5-trace form",
+        "path6-value6-input",
+        "path7-11-real subfield",
+    ],
+)
+def test_out_of_domain_certificate_data_is_reported(path, value, problem):
+    # each of these once raised DomainError out of the verifier
+    assert revalidate_certificate(_tampered(run(QUARTIC).certificate, path, value)) == [problem]
+
+
+@pytest.mark.parametrize(
+    "path, value, problem",
+    [
+        (("trace_form", "gram"), 5, "trace_form.gram changed on replay"),
+        (("lambda",), None, "lambda missing from the certificate"),
+        (("complement",), "x", "complement cannot be replayed: 'complement' must be a dict, got str"),
+        (("report",), None, "report missing from the certificate"),
         (("input",), [], "input cannot be replayed: 'input' must be a dict, got list"),
         (("input", "L"), 5, "input cannot be replayed: 'L' must be a list, got int"),
+    ],
+    ids=[
+        "path0-5-trace form cannot be replayed: 'gram' must be a list, got int",
+        "path1-None-lambda signature cannot be replayed: missing key 'lambda'",
+        "path2-x-invariants cannot be replayed: 'complement' must be a dict, got str",
+        "path3-None-report cannot be replayed: missing key 'report'",
+        "path4-value4-input cannot be replayed: 'input' must be a dict, got list",
+        "path5-5-input cannot be replayed: 'L' must be a list, got int",
     ],
 )
 def test_malformed_certificate_structure_is_reported(path, value, problem):
     # each of these once raised TypeError or KeyError out of the verifier;
     # a value of None deletes the key
-    cert = json.loads(json.dumps(run(QUADRATIC).certificate))
-    target = cert
-    for key in path[:-1]:
-        target = target[key]
-    if value is None:
-        del target[path[-1]]
-    else:
-        target[path[-1]] = value
-    assert revalidate_certificate(cert) == [problem]
+    assert revalidate_certificate(_tampered(run(QUADRATIC).certificate, path, value)) == [problem]
 
 
 def test_telemetry_present_but_separate():

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from httool import _intfactor
-from httool.exactpoly import DomainError, square_class
+from httool.exactpoly import DomainError, SquareClass, square_class
 from httool.qform import (
     INF,
     GramMatrix,
@@ -34,7 +34,7 @@ from httool.qform import (
     k3_lattice,
     sum_invariants,
 )
-from test_helpers import fraction_determinant
+from test_helpers import fraction_determinant, peel_search_diagonal
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -527,6 +527,32 @@ def test_construct_matches_reference_scan(large, entries):
         assert invariants(construct_with_invariants(inv)) == inv
         return
     assert construct_with_invariants(inv).diagonal == expected
+
+
+@st.composite
+def admissible_invariants(draw):
+    """Invariants of dimension 4..20, admissible by construction: det of
+    sign (-1)**s over small primes and one large prime, a finite Hasse set
+    over 2, 3, 5, 7 and det's primes, inf in it when s(s-1)/2 is odd, and 2
+    toggled when the set is odd."""
+    dim = draw(st.integers(4, 20))
+    s = draw(st.integers(0, dim))
+    primes = frozenset(draw(st.sets(st.sampled_from((2, 3, 5, 7, 11, _LARGE_PRIMES[0])))))
+    hasse = set(draw(st.sets(st.sampled_from(sorted({2, 3, 5, 7} | primes)))))
+    if s * (s - 1) // 2 % 2:
+        hasse.add(INF)
+    if len(hasse) % 2:
+        hasse ^= {2}
+    return QFormInvariants(dim, (dim - s, s), SquareClass((-1) ** s, primes), frozenset(hasse))
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_invariants())
+def test_direct_peel_matches_the_peel_search(inv):
+    # above dimension 3 the search's first scalar, the unit +1 while r > 0
+    # and then -1, always has an admissible complement
+    assert admissible(inv)
+    assert list(construct_with_invariants(inv).diagonal) == peel_search_diagonal(inv)
 
 
 # ---------------------------------------------------------------------------
