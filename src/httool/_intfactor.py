@@ -104,6 +104,8 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if n == 1:
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p

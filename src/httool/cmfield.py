@@ -7,6 +7,7 @@ completion-degree certification and the CM-to-K3-lattice complement step.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -395,17 +396,58 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     return positives, n - positives
 
 
+def _last_true(holds: Callable[[int], bool]) -> int:
+    """The largest j >= 1 with holds(j), for a predicate that holds at 1 and
+    fails from some j on: doubling, then bisection."""
+    lo, hi = 1, 2
+    while holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
     """A totally real element of signature (r, s): negative at the s smallest
     real embeddings and positive at the other r.
 
     That pattern flips sign at most once, so lambda is the constant 1 (s = 0)
-    or -1 (r = 0), or else x - m with m the midpoint of the gap between the
-    isolating intervals (lo, hi] of the s-th and (s+1)-th roots.  Those
-    intervals are disjoint, so m lies between the two roots, and equals
-    neither: an irreducible defining polynomial of degree >= 2 has no rational
-    root.  So x - m is negative at the s smaller roots and positive at the
-    rest."""
+    or -1 (r = 0), or else x - m with m the simplest rational strictly
+    between the s-th and (s+1)-th real roots a < b of the defining
+    polynomial g: the one of least denominator, and among integers the one
+    of least absolute value.  So m, and with it the certificate, depends on
+    the field alone, not on how far any interval was refined.
+
+    Soundness.  `isolate_real_roots` runs one Sturm chain of g and returns
+    disjoint intervals (lo, hi], each holding exactly one root.  g is
+    irreducible of degree d >= 2 (the real subfield of the CM field, or an
+    Eisenstein polynomial), so its roots are simple and irrational and g
+    vanishes at no rational point.  It changes sign at each root and, being
+    monic, is positive above the largest, so in the gap (a, b) it has the
+    sign (-1)^(d - s).  A rational x then lies below the gap when x <= lo_a,
+    above it when x >= hi_b, in it when hi_a <= x <= lo_b, and, inside
+    either interval, in it exactly when g(x) has the gap's sign.  So x - m
+    is negative at the s smaller roots and positive at the rest.
+
+    The search is the Stern-Brocot descent (Graham-Knuth-Patashnik,
+    Concrete Mathematics, 4.5).  If 0 is in the gap, m = 0.  Otherwise
+    start from the neighbours p/q = k/1 and p'/q' = 1/0, k = max(0,
+    floor(lo_a)), when the gap lies above 0, and from -1/0 and k/1, k =
+    min(0, ceil(hi_b)), when it lies below: no integer between 0 and k is
+    in the gap.  The mediant (p + p')/(q + q') is m when it lies in the
+    gap, and otherwise replaces the neighbour on its side; a run of such
+    steps in one direction is taken as one batch.
+    Neighbours keep p'q - pq' = 1 and the gap between them:
+    - while one of them is +-1/0, the mediants are the integers, met in
+      order of absolute value, so the first integer in the gap is m;
+    - once q, q' >= 1, any u/v in the gap has uq - pv >= 1 and p'v - uq' >=
+      1, so v = q'(uq - pv) + q(p'v - uq') >= q + q', with equality only for
+      the mediant: the first mediant in the gap is its unique rational of
+      least denominator, and the gap holds no integer.
+    Every step raises q + q' (the integer, in the first phase), which the
+    gap bounds, so the descent ends.
+    """
     r, s = target
     if r < 0 or s < 0 or r + s != field.degree:
         raise DomainError("target signature incompatible with the field degree")
@@ -413,8 +455,35 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
         raise DomainError("lambda search requires a totally real field")
     if r == 0 or s == 0:
         return Poly([1 if r else -1])
-    intervals = isolate_real_roots(field.defining)
-    return Poly([-(intervals[s - 1][1] + intervals[s][0]) / 2, 1])
+    g = field.defining
+    (lo_a, hi_a), (lo_b, hi_b) = isolate_real_roots(g)[s - 1 : s + 1]
+    positive = (field.degree - s) % 2 == 0  # g's sign in the gap
+
+    def side(p: int, q: int) -> int:
+        """-1, 0 or 1 as p/q lies below, in or above the gap."""
+        x = Fraction(p, q)
+        if x <= lo_a:
+            return -1
+        if x >= hi_b:
+            return 1
+        if hi_a <= x <= lo_b or (g(x) > 0) == positive:
+            return 0
+        return -1 if x < hi_a else 1
+
+    if (start := side(0, 1)) == 0:
+        return Poly([0, 1])
+    if start < 0:
+        p0, q0, p1, q1 = max(0, math.floor(lo_a)), 1, 1, 0
+    else:
+        p0, q0, p1, q1 = -1, 0, min(0, math.ceil(hi_b)), 1
+    while (step := side(p0 + p1, q0 + q1)) != 0:
+        if step < 0:
+            j = _last_true(lambda j: side(p0 + j * p1, q0 + j * q1) < 0)
+            p0, q0 = p0 + j * p1, q0 + j * q1
+        else:
+            j = _last_true(lambda j: side(p1 + j * p0, q1 + j * q0) > 0)
+            p1, q1 = p1 + j * p0, q1 + j * q0
+    return Poly([Fraction(-(p0 + p1), q0 + q1), 1])
 
 
 # ---------------------------------------------------------------------------

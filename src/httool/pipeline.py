@@ -67,14 +67,15 @@ _UNRESOLVED = "unresolved (geometric step out of scope)"
 
 def _certificate(
     candidate: WeilCandidate,
-    target: int | None,
+    target: Callable[[int], int | None],
     lam: Poly | None,
     complement: QSpace | None,
     stage: Callable[[str], object],
 ) -> dict:
-    """The certificate of a candidate, extended to degree `target` (None for
-    its own degree), with `cm_to_k3` given lambda and the complement where
-    they are not None.  `stage(name)` is called as each stage begins.
+    """The certificate of a candidate, extended to degree `target(n)`, n the
+    degree of its CM field (None for its own degree), with `cm_to_k3` given
+    lambda and the complement where they are not None.  `stage(name)` is
+    called as each stage begins.
 
     Mathematical failures are statuses and failed verdicts inside the
     certificate; `run` raises on a failed verdict, `revalidate_certificate`
@@ -96,13 +97,13 @@ def _certificate(
 
     stage("build_extension")
     two_d = candidate.L.degree()
-    target = target or two_d
-    if target < two_d or target % cm.field.degree != 0:
+    degree = target(cm.field.degree) or two_d
+    if degree < two_d or degree % cm.field.degree != 0:
         raise DomainError(
-            f"extension target {target} incompatible with degree {two_d} "
+            f"extension target {degree} incompatible with degree {two_d} "
             f"and field degree {cm.field.degree}"
         )
-    ext = build_extension(cm, candidate.p, target)
+    ext = build_extension(cm, candidate.p, degree)
     cert["extension"] = ext.to_json()
     if ext.kind == "unsupported":
         reason = ext.trace.get("reason", "construction regime unsupported")
@@ -117,7 +118,7 @@ def _certificate(
         cert.update(status=RunStatus.UNKNOWN.value, reason="completion degree undecided")
         return cert
 
-    d = target // 2
+    d = degree // 2
     if d == 10:  # cm_to_k3's docstring says why no local condition is evaluated
         reason = "no scalar is constructed at d = 10 and no local condition is evaluated"
         cert["bayer"] = {"status": Status.UNKNOWN.value, "reason": reason}
@@ -163,7 +164,11 @@ def run(candidate: WeilCandidate, config: PipelineConfig | None = None) -> RunOu
     counts_before = dict(COUNTERS)
     marks: list[tuple[str, float]] = []
     cert = _certificate(
-        candidate, config.max_extension_degree, None, None, lambda name: marks.append((name, time.monotonic()))
+        candidate,
+        lambda _n: config.max_extension_degree,
+        None,
+        None,
+        lambda name: marks.append((name, time.monotonic())),
     )
     ended = time.monotonic()
     failed = [key for key in _VERDICTS if key in cert and cert[key]["status"] == Status.FAIL.value]
@@ -207,29 +212,34 @@ def revalidate_certificate(cert: dict) -> list[str]:
     list every key path where the recorded one differs (empty means the
     certificate self-validates).
 
-    The derivation takes from the certificate only its input, the extension
-    degree `field.field.degree * extension.e`, lambda and the complement
-    diagonal; `cm_to_k3` checks lambda's signature, and the K3 sum identity
-    checks the complement.  A failed verdict is a difference like any other.
-    A recorded value outside the derivation's domain (a wrong JSON type, a
-    zero denominator, a lambda that vanishes or has the wrong signature) is
-    one discrepancy naming the key it came from."""
+    The derivation takes from the certificate only its input, the relative
+    degree `extension.e` (the extension degree is the derived field degree
+    times e, so a tampered field degree is a difference), lambda and the
+    complement diagonal; `cm_to_k3` checks lambda's signature, and the K3
+    sum identity checks the complement.  A failed verdict is a difference
+    like any other.  A recorded value outside the derivation's domain (a
+    wrong JSON type, a zero denominator, a lambda that vanishes or has the
+    wrong signature) is one discrepancy naming the key it came from."""
     stages = ["input"]
     try:
         candidate = WeilCandidate.from_json(json_field(cert, "input", dict))
-        target = lam = complement = None
+        e = lam = complement = None
         if "extension" in cert:
-            stages.append("field")
-            degree = json_field(json_field(json_field(cert, "field", dict), "field", dict), "degree", int)
             stages.append("extension")
-            target = PipelineConfig(degree * json_field(cert["extension"], "e", int)).max_extension_degree
+            e = json_field(json_field(cert, "extension", dict), "e", int)
         if "lambda" in cert:
             stages.append("lambda")
             lam = Poly.from_strs(json_field(json_field(cert, "lambda", dict), "coefficients", list))
         if "complement" in cert:
             stages.append("complement")
             complement = QSpace.from_json(json_field(cert, "complement", dict))
-        derived = _certificate(candidate, target, lam, complement, stages.append)
+        derived = _certificate(
+            candidate,
+            lambda n: None if e is None else PipelineConfig(n * e).max_extension_degree,
+            lam,
+            complement,
+            stages.append,
+        )
     except DomainError as exc:
         return [f"{_RECORDED_KEY.get(stages[-1], stages[-1])} cannot be replayed: {exc}"]
     return _differences(cert, derived)

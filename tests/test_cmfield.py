@@ -1,10 +1,13 @@
 """CM fields, trace forms, extensions and the K3 complement step."""
 
 import json
+import math
 import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from httool.cmfield import (
     NumberField,
@@ -12,6 +15,7 @@ from httool.cmfield import (
     cm_to_k3,
     completion_degree_check,
     disc_identity_check,
+    eisenstein_real_subfield,
     find_lambda,
     signature_of,
     trace_form,
@@ -20,6 +24,7 @@ from httool.cmfield import (
 from httool.exactpoly import (
     DomainError,
     Poly,
+    SturmChain,
     cyclotomic_poly,
     rat_to_str,
     square_class,
@@ -377,6 +382,72 @@ def test_find_lambda_all_signatures_on_totally_real_cubic():
     for target in [(3, 0), (2, 1), (1, 2), (0, 3)]:
         lam = find_lambda(cubic, target)
         assert signature_of(lam, cubic) == target
+
+
+def assert_simplest_in_gap(field: NumberField, s: int) -> None:
+    """find_lambda's x - m for signature (d - s, s) has m in the gap between
+    the s-th and (s+1)-th roots, and, by brute force over the candidates
+    the isolating intervals leave, no rational of smaller denominator lies
+    in that gap, nor, when m is an integer, one of smaller |m|."""
+    lam = find_lambda(field, (field.degree - s, s))
+    assert lam.degree() == 1 and lam.leading() == 1
+    m = -lam.constant()
+    chain = SturmChain(field.defining)
+
+    def in_gap(x) -> bool:
+        return chain.count(None, F(x)) == s
+
+    assert in_gap(m), (field.defining, s, m)
+    intervals = chain.isolate()
+    lo, hi = intervals[s - 1][0], intervals[s][1]
+    for q in range(1, m.denominator):
+        assert not any(in_gap(F(p, q)) for p in range(math.floor(lo * q), math.ceil(hi * q) + 1)), (m, q)
+    if m.denominator == 1:
+        assert not any(in_gap(k) for k in range(1 - abs(m.numerator), abs(m.numerator))), m
+
+
+def test_find_lambda_is_the_simplest_rational_in_the_gap_on_the_pools_and_eisenstein():
+    # every signature with 0 < s < d, on the real subfield of each pool
+    # member and on the Eisenstein P of each e = 2..9 at p = 2 and 3
+    fields = {}
+    for pool in POOLS["pools"]:
+        for member in pool["members"]:
+            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            fields[cm.real_subfield.defining] = cm.real_subfield
+    for p in (2, 3):
+        for e in range(2, 10):
+            field = eisenstein_real_subfield(p, e)[0]
+            fields[field.defining] = field
+    count = 0
+    for field in fields.values():
+        for s in range(1, field.degree):
+            assert_simplest_in_gap(field, s)
+            count += 1
+    assert count == 906
+
+
+@st.composite
+def shifted_quadratic_products(draw):
+    """A product of one or two (q x - p)**2 - D, D not a square, so every
+    root (p +- sqrt D) / q is real and irrational, with distinct roots."""
+    g = Poly([1])
+    for q, p, D in draw(
+        st.lists(st.tuples(st.integers(1, 12), st.integers(-30, 30), st.integers(2, 60)), min_size=1, max_size=2)
+    ):
+        assume(math.isqrt(D) ** 2 != D)
+        g = g * Poly([p * p - D, -2 * p * q, q * q])
+    g = g.monic()
+    assume(sturm_count(g) == g.degree())
+    return NumberField(g, g.degree(), g.degree())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shifted_quadratic_products())
+def test_find_lambda_is_the_simplest_rational_in_random_gaps(field):
+    # find_lambda needs only a monic g whose roots are simple and
+    # irrational, which holds here although a product is reducible
+    for s in range(1, field.degree):
+        assert_simplest_in_gap(field, s)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,20 @@ def test_run_degree_14_compositum_constructs_and_revalidates():
     cert = outcome.certificate
     assert cert["extension"]["trace"]["primitive_shift"] == 1
     assert cert["disc_identity"]["status"] == "pass"
+    assert cert["lambda"]["coefficients"] == ["-13", "1"]
+    assert revalidate_certificate(cert) == []
+
+
+@pytest.mark.parametrize("degree, m", [(16, 15), (18, 17)])
+def test_run_degree_16_and_18_composita_construct_and_revalidate(degree, m):
+    # lambda = x - m, the simplest rational between the two largest roots;
+    # the midpoint of their isolating intervals, x - 126240777/8388608 at
+    # degree 16, gave trace-form pivots that Pollard rho did not factor
+    # within a minute
+    outcome = run(QUADRATIC, PipelineConfig(max_extension_degree=degree))
+    assert outcome.status is RunStatus.CONSTRUCTED
+    cert = outcome.certificate
+    assert cert["lambda"]["coefficients"] == [str(-m), "1"]
     assert revalidate_certificate(cert) == []
 
 
@@ -226,6 +240,8 @@ def _tampered(cert: dict, path: tuple, value) -> dict:
             ("status", ("status",), "rejected", ["status changed on replay"]),
             ("dim 4.0", ("trace_invariants", "dim"), 4.0, ["trace_invariants.dim changed on replay"]),
             ("extra key", ("note",), "x", ["note not derived on replay"]),
+            # the extension degree is the derived field degree times e
+            ("field degree", ("field", "field", "degree"), 6, ["field.field.degree changed on replay"]),
         ]
     ]
     + [
