@@ -118,7 +118,8 @@ def _cmd_lattice(args) -> int:
     gram = qform.k3_lattice()
     payload = {
         "schema_version": pipeline.SCHEMA_VERSION,
-        "gram": [[int(x) for x in row] for row in gram.entries],
+        # the lattice is integral: its Gram has den 1
+        "gram": [list(row) for row in gram.rows],
         # diagonalize uses congruences of determinant +-1 only, so the
         # product of its diagonal is det(gram)
         "determinant": int(math.prod(qform.diagonalize(gram).diagonal)),

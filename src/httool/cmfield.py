@@ -15,6 +15,9 @@ from .exactpoly import (
     DomainError,
     Poly,
     SquareClass,
+    _zz_add,
+    _zz_mul,
+    _zz_sub,
     discriminant,
     isolate_real_roots,
     rat_to_str,
@@ -153,21 +156,26 @@ class ExtensionData:
 
 def _absolute_defining(P: Poly, f: Poly) -> Poly:
     """Minimal polynomial over Q of x + gamma, where P(x) = 0 and gamma is a
-    root of f = T^2 + c1*T + c0.
+    root of the quadratic f, on integer lists.
 
-    Horner with gamma^2 = -c1*gamma - c0 gives P(Z - gamma) = A + B*gamma
-    over Q(gamma).  Its norm (A + B*gamma)(A + B*gamma') = A^2 - c1*A*B +
-    c0*B^2 is the characteristic polynomial of x + gamma, and that is
-    minimal: P has e real roots x_s and gamma is not real, so the 2e
+    With n0 + n1*T + n2*T^2 the primitive part of f, delta = n2*gamma is a
+    root of delta^2 + n1*delta + n0*n2.  Horner with that relation gives
+    P~(W - delta) = A + B*delta over Z[delta], for the integral P~(Y) =
+    n2^e * prim(P)(Y / n2), e = deg P, and its norm N(W) = A^2 - n1*A*B +
+    n0*n2*B^2.  As P~(n2*Z - delta) = n2^e * P(Z - gamma) / content(P),
+    N(n2*Z) * content(P)^2 / n2^(2e) is the norm of P(Z - gamma) over
+    Q(gamma): lead(P)^2 times the characteristic polynomial of x + gamma.
+    That is minimal: P has e real roots x_s and gamma is not real, so the 2e
     conjugates x_s + gamma_t are pairwise distinct (equal imaginary parts
     force the same gamma_t, then the same x_s) and x + gamma generates E."""
-    c0, c1, _ = f.coeffs
-    z = Poly([0, 1])
-    a, b = Poly(), Poly()
-    for c in reversed(P.coeffs):
-        # (a + b*gamma) * (Z - gamma) + c
-        a, b = a * z + b * c0 + Poly([c]), b * z - a + b * c1
-    return a * a - a * b * c1 + b * b * c0
+    n0, n1, n2 = f.prim
+    e, k = P.degree(), n0 * n2
+    a, b = [], []
+    for c in reversed([c * n2 ** (e - i) for i, c in enumerate(P.prim)]):
+        # (a + b*delta) * (W - delta) + c, with delta^2 = -n1*delta - k
+        a, b = _zz_add(_zz_add([0] + a, [k * y for y in b]), [c]), _zz_sub(_zz_add([0] + b, [n1 * y for y in b]), a)
+    norm = _zz_add(_zz_sub(_zz_mul(a, a), [n1 * x for x in _zz_mul(a, b)]), [k * x for x in _zz_mul(b, b)])
+    return Poly.from_ints([x * n2**i for i, x in enumerate(norm)], P.content**2 / n2 ** (2 * e))
 
 
 def eisenstein_real_subfield(p: int, e: int) -> tuple[NumberField, int, int]:
@@ -270,20 +278,22 @@ class TraceForm:
         return {"gram": self.gram.to_json(), "lambda": self.lam.to_strs()}
 
 
-def _reduced(lam: Poly, g: Poly) -> tuple[Fraction, ...]:
-    """The coefficients of lambda mod g, DomainError if lambda is 0 there."""
-    coeffs = (lam % g).coeffs
-    if not coeffs:
+def _reduced(lam: Poly, g: Poly) -> Poly:
+    """lambda mod g, DomainError if lambda is 0 there."""
+    r = lam % g
+    if r.is_zero:
         raise DomainError("lambda must be a nonzero element of the real subfield")
-    return coeffs
+    return r
 
 
-def _hankel_traces(coeffs: tuple[Fraction, ...], g: Poly, count: int) -> list[Fraction]:
-    """t_m = Tr(lambda * x^m) in Q[x]/(g) for m = 0..count-1, lambda =
-    sum_j l_j x^j with the given l_j: t_m = sum_j l_j p_(j+m), p_k the power
-    sums of the roots of monic g (integers when g is integral)."""
-    p = trace_power_sums(g, count + len(coeffs) - 2)
-    return [sum(c * p[j + m] for j, c in enumerate(coeffs)) for m in range(count)]
+def _hankel_traces(r: Poly, g: Poly, count: int) -> tuple[list[int], int]:
+    """t_m = Tr(lambda * x^m) in Q[x]/(g) for m = 0..count-1, as integers
+    over one denominator, for lambda = r = c * sum_j l_j x^j with c its
+    content and l_j its integer primitive part: t_m = c * sum_j l_j p_(j+m),
+    p_k the power sums of the roots of monic g over their one denominator."""
+    p, den = trace_power_sums(g, count + r.degree() - 1)
+    c = r.content
+    return [c.numerator * sum(l * p[j + m] for j, l in enumerate(r.prim)) for m in range(count)], c.denominator * den
 
 
 def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
@@ -295,15 +305,19 @@ def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
     that is t_|i-j| = Tr(lambda * gamma^|i-j|), one trace per distance.
     With lambda = sum_j l_j beta^j and beta^j = sum_i C(j, i) gamma^(j-2i),
     t_k = sum_j l_j sum_i C(j, i) p_|k+j-2i|, since Tr(gamma^-m) is the
-    power sum p_m of the roots of f."""
+    power sum p_m of the roots of f.  The l_j are lambda's content c times
+    integers, and the p_m integers over one denominator, so the t_k are
+    integers over c's denominator times that one."""
     f, n = cm.field.defining, cm.field.degree
-    coeffs = _reduced(lam, cm.beta_minpoly)
-    p = trace_power_sums(f, n + len(coeffs) - 2)
+    r = _reduced(lam, cm.beta_minpoly)
+    p, den = trace_power_sums(f, n + r.degree() - 1)
+    c = r.content
     t = [
-        sum(c * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, c in enumerate(coeffs))
+        c.numerator
+        * sum(l * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, l in enumerate(r.prim))
         for k in range(n)
     ]
-    return TraceForm(GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)]), lam)
+    return TraceForm(GramMatrix([[t[abs(i - j)] for j in range(n)] for i in range(n)], c.denominator * den), lam)
 
 
 def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
@@ -312,18 +326,20 @@ def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
     Traces multiply across the linearly disjoint factors and x is real, so
     the Gram is a Kronecker product: entry (2i+j, 2k+l) is t[i+k] * U[j][l]
     with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F.  As
-    conj(gamma) = 1/gamma, U = [[2, p_1], [p_1, 2]] with p_1 = Tr(gamma)."""
+    conj(gamma) = 1/gamma, U = [[2, p_1], [p_1, 2]] with p_1 = Tr(gamma),
+    power sums of f's roots over their one denominator, which with t's
+    denominator is the Gram's."""
     P = ext.relative
     e = P.degree()
-    t = _hankel_traces(_reduced(lam, P), P, 2 * e - 1)
-    p1 = trace_power_sums(ext.base.field.defining, 1)[1]
-    unit = ((2, p1), (p1, 2))
+    t, den = _hankel_traces(_reduced(lam, P), P, 2 * e - 1)
+    (p0, p1), unit_den = trace_power_sums(ext.base.field.defining, 1)
+    unit = ((p0, p1), (p1, p0))
     rows = [
         [t[i + k] * unit[j][l] for k in range(e) for l in range(2)]
         for i in range(e)
         for j in range(2)
     ]
-    return TraceForm(GramMatrix.from_rows(rows), lam)
+    return TraceForm(GramMatrix(rows, den * unit_den), lam)
 
 
 def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
@@ -383,13 +399,13 @@ def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
         raise DomainError("signatures require a totally real field")
     if (real_roots := sturm_count(g)) != field.degree or g.degree() != field.degree:
         raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
-    coeffs = (lam % g).coeffs
-    if not coeffs:
+    r = lam % g
+    if r.is_zero:
         raise DomainError("lambda vanishes")
     n = field.degree
-    t = _hankel_traces(coeffs, g, 2 * n - 1)
+    t, den = _hankel_traces(r, g, 2 * n - 1)
     try:
-        diagonal = diagonalize(GramMatrix.from_rows([[t[i + k] for k in range(n)] for i in range(n)])).diagonal
+        diagonal = diagonalize(GramMatrix([[t[i + k] for k in range(n)] for i in range(n)], den)).diagonal
     except DomainError:
         raise DomainError("lambda vanishes at a real embedding") from None
     positives = sum(1 for x in diagonal if x > 0)

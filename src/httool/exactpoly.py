@@ -177,14 +177,11 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise DomainError("negative polynomial power")
-        result = Poly([1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n <= 1:
+            return self if n else _make(Fraction(1), (1,))
+        # square-and-multiply from the top bit: f ** 1 is f, no product
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
@@ -1013,13 +1010,14 @@ def elementary_from_power_sums(p: list[Fraction], count: int) -> list[Fraction]:
     return e
 
 
-def trace_power_sums(f: Poly, count: int) -> list[Fraction]:
-    """p_0..p_count for the roots of monic f (p_0 = deg f).
+def trace_power_sums(f: Poly, count: int) -> tuple[list[int], int]:
+    """p_0..p_count for the roots of monic f (p_0 = deg f), as integers over
+    one denominator: p_k = sums[k] / den.
 
     f is its primitive part over a, the leading coefficient of that part, so
     a times its roots are the roots of a^(n-1) * prim(x / a), monic and
-    integral: Newton's identities give their power sums in integers, and
-    p_k is the k-th over a^k."""
+    integral: Newton's identities give their power sums s_k in integers, and
+    p_k = s_k / a^k = s_k * a^(count-k) / a^count."""
     if not f.is_monic():
         raise DomainError("trace power sums need a monic polynomial")
     n, a = f.degree(), f.prim[-1]
@@ -1027,4 +1025,4 @@ def trace_power_sums(f: Poly, count: int) -> list[Fraction]:
     sums: list[int] = []
     for _ in range(count):
         sums.append(_newton_step(elem, sums))
-    return [Fraction(n)] + [Fraction(p, a**k) for k, p in enumerate(sums, 1)]
+    return [n * a**count] + [s * a ** (count - k) for k, s in enumerate(sums, 1)], a**count

@@ -141,21 +141,31 @@ def is_square_in_Qp(r: Fraction, place) -> bool:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """A symmetric matrix over Q, stored as `Poly` is: an integer matrix
+    `rows` over one positive integer `den`, with gcd(den, all entries) = 1,
+    so equal matrices have equal pairs.  Any integer rows over any positive
+    den may be given; the pair is reduced here."""
+
+    rows: tuple[tuple[int, ...], ...]
+    den: int = 1
 
     def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
-            if len(row) != n:
-                raise DomainError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise DomainError("Gram matrix must be symmetric")
+        rows = tuple(map(tuple, self.rows))
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise DomainError("Gram matrix must be square")
+        if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+            raise DomainError("Gram matrix must be symmetric")
+        g = math.gcd(self.den, *itertools.chain.from_iterable(rows))
+        object.__setattr__(self, "rows", tuple(tuple(x // g for x in row) for row in rows) if g > 1 else rows)
+        object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_rows(rows) -> "GramMatrix":
-        return GramMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        """The matrix of integer or `Fraction` entries, over the lcm of their
+        denominators."""
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        return GramMatrix([[x.numerator * (den // x.denominator) for x in row] for row in rows], den)
 
     @staticmethod
     def from_json(obj) -> "GramMatrix":
@@ -165,7 +175,13 @@ class GramMatrix:
         return GramMatrix.from_rows([[rat_from_str(x) for x in row] for row in rows])
 
     def to_json(self) -> list[list[str]]:
-        return [[rat_to_str(x) for x in row] for row in self.entries]
+        """Each entry x / den in lowest terms, as `rat_to_str` writes it."""
+        return [[_reduced_str(x, self.den) for x in row] for row in self.rows]
+
+
+def _reduced_str(num: int, den: int) -> str:
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 @dataclass(frozen=True)
@@ -227,13 +243,12 @@ TRIVIAL_CLASS = SquareClass(1, frozenset())
 
 def diagonalize(gram: GramMatrix) -> QSpace:
     """A diagonal form congruent to the Gram matrix G, DomainError if G is
-    degenerate.  With den the lcm of G's denominators and D_k the pivots of
-    m = den * G (`symmetric_pivots`, fraction-free), the k-th entry is
+    degenerate.  With D_k the pivots of the integer matrix m = den * G
+    (`symmetric_pivots`, fraction-free), the k-th entry is
     D_k / (D_(k-1) * den): a ratio of leading minors of G, after congruences
     of determinant +-1 that repair zero pivots."""
-    den = math.lcm(*(x.denominator for row in gram.entries for x in row))
-    pivots = symmetric_pivots([[x.numerator * (den // x.denominator) for x in row] for row in gram.entries])
-    return QSpace(tuple(Fraction(p, prev * den) for prev, p in zip([1] + pivots, pivots)))
+    pivots = symmetric_pivots([list(row) for row in gram.rows])
+    return QSpace(tuple(Fraction(p, prev * gram.den) for prev, p in zip([1] + pivots, pivots)))
 
 
 def _ramified(x: SquareClass, y: SquareClass) -> set:
@@ -449,7 +464,7 @@ def k3_lattice() -> GramMatrix:
         for i, row in enumerate(block):
             out[offset + i][offset : offset + len(row)] = row
         offset += len(block)
-    return GramMatrix.from_rows(out)
+    return GramMatrix(out)
 
 
 @functools.cache

@@ -39,7 +39,7 @@ from httool.qform import (
     sum_invariants,
 )
 from httool.weilcheck import Status, WeilCandidate, base_extend, check_all, enumerate_candidates
-from test_helpers import fraction_determinant
+from test_helpers import fraction_determinant, gram_entries
 
 HALF = F(1, 2)
 
@@ -61,7 +61,7 @@ def criterion(number: int, description: str, budget_seconds: float):
 def test_criterion_01_k3_lattice_invariants():
     with criterion(1, "K3 lattice invariants (det -1, Hasse {2,inf}, signature (3,19))", 1.0):
         gram = k3_lattice()
-        assert fraction_determinant(gram.entries) == -1
+        assert fraction_determinant(gram_entries(gram)) == -1
         inv = invariants(diagonalize(gram))
         assert str(inv.det) == "-1"
         assert inv.sorted_hasse() == [2, INF]

@@ -5,19 +5,32 @@ and over F_p by Yun's algorithm and Berlekamp,
 the disc identity by factoring, the CM field with every axiom proved
 again, determinants by Bareiss elimination, resultants and discriminants
 by Sylvester matrices, trace forms by reduction mod the defining
-polynomial, signatures by Sturm bisection, the complement's diagonal by
-the peel search, and small wrappers over the program's kernels that only
-tests call."""
+polynomial and by `Fraction` power-sum traces, absolute polynomials by
+Horner over `Poly`, signatures by Sturm bisection, the complement's
+diagonal by the peel search, and small wrappers over the program's
+kernels that only tests call."""
 
+import json
 import math
 import operator
+import pathlib
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from httool import _gfp, _intfactor
-from httool.cmfield import CMData, NumberField
+from httool.cmfield import (
+    CMData,
+    NumberField,
+    _absolute_defining,
+    _hankel_traces,
+    build_extension,
+    find_lambda,
+    trace_form,
+    weil_field,
+)
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -30,11 +43,13 @@ from httool.exactpoly import (
     _zz_squarefree,
     _zz_sub,
     factor_with_unit,
+    rat_to_str,
     reciprocal_transform,
     square_class,
     sturm_count,
     trace_power_sums,
 )
+from httool.weilcheck import WeilCandidate, check_all
 from httool.qform import (
     ConstructionError,
     GramMatrix,
@@ -241,13 +256,24 @@ def compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
     return acc % f
 
 
+def power_sums(f: Poly, count: int) -> list[F]:
+    """`trace_power_sums` as one `Fraction` per power sum."""
+    sums, den = trace_power_sums(f, count)
+    return [F(x, den) for x in sums]
+
+
+def gram_entries(gram: GramMatrix) -> tuple[tuple[F, ...], ...]:
+    """The Gram's entries, one `Fraction` each."""
+    return tuple(tuple(F(x, gram.den) for x in row) for row in gram.rows)
+
+
 def _power_traces(element: Poly, modulus: Poly, count: int) -> list[F]:
     """Tr(element * T^m) in Q[T]/(modulus) for m = 0..count-1; each power
     is one multiplication by T from the last."""
-    power_sums = trace_power_sums(modulus, modulus.degree() - 1)
+    sums = power_sums(modulus, modulus.degree() - 1)
     traces = []
     for _ in range(count):
-        traces.append(sum((c * power_sums[i] for i, c in enumerate(element.coeffs)), F(0)))
+        traces.append(sum((c * sums[i] for i, c in enumerate(element.coeffs)), F(0)))
         element = (element * Poly([0, 1])) % modulus
     return traces
 
@@ -267,6 +293,48 @@ def reduction_trace_gram(ext, lam: Poly) -> GramMatrix:
     t = _power_traces(lam % P, P, 2 * e - 1)
     u = _power_traces(Poly([1]), f, 2)
     unit = [[u[abs(j - l)] for l in range(2)] for j in range(2)]
+    return GramMatrix.from_rows(
+        [[t[i + k] * unit[j][l] for k in range(e) for l in range(2)] for i in range(e) for j in range(2)]
+    )
+
+
+def poly_absolute_defining(P: Poly, f: Poly) -> Poly:
+    """`cmfield._absolute_defining` by Horner over `Poly`: P(Z - gamma) =
+    A + B*gamma with gamma^2 = -c1*gamma - c0, then the norm A^2 - c1*A*B +
+    c0*B^2."""
+    c0, c1, _ = f.coeffs
+    z = Poly([0, 1])
+    a, b = Poly(), Poly()
+    for c in reversed(P.coeffs):
+        a, b = a * z + b * c0 + Poly([c]), b * z - a + b * c1
+    return a * a - a * b * c1 + b * b * c0
+
+
+def fraction_hankel_traces(lam: Poly, g: Poly, count: int) -> list[F]:
+    """Tr(lambda * x^m) in Q[x]/(g) for m = 0..count-1, one `Fraction` per
+    trace: sum_j l_j p_(j+m) over lambda's rational coefficients l_j."""
+    coeffs = (lam % g).coeffs
+    p = power_sums(g, count + len(coeffs) - 2)
+    return [sum(c * p[j + m] for j, c in enumerate(coeffs)) for m in range(count)]
+
+
+def fraction_trace_gram(ext, lam: Poly) -> GramMatrix:
+    """The trace form's Gram with one `Fraction` per entry: for e = 1 the
+    Toeplitz t_|i-j|, t_k = sum_j l_j sum_i C(j, i) p_|k+j-2i|; for a
+    compositum t[i+k] * U[j][l] with U = [[2, p_1], [p_1, 2]]."""
+    f = ext.base.field.defining
+    if ext.kind == "trivial":
+        n, coeffs = f.degree(), (lam % ext.base.beta_minpoly).coeffs
+        p = power_sums(f, n + len(coeffs) - 2)
+        t = [
+            sum(c * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, c in enumerate(coeffs))
+            for k in range(n)
+        ]
+        return GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)])
+    e = ext.e
+    t = fraction_hankel_traces(lam, ext.relative, 2 * e - 1)
+    p1 = power_sums(f, 1)[1]
+    unit = ((2, p1), (p1, 2))
     return GramMatrix.from_rows(
         [[t[i + k] * unit[j][l] for k in range(e) for l in range(2)] for i in range(e) for j in range(2)]
     )
@@ -593,3 +661,104 @@ def test_fixed_space_counts_distinct_factors_and_multiplicity():
             assert _gfp.single_factor_multiplicity(f, p) == factors[0][1], (f, p)
             powers += factors[0][1] % p == 0
     assert powers >= 10
+
+
+# ---------------------------------------------------------------------------
+# the integer trace forms and absolute polynomials against their `Fraction`
+# and `Poly` references
+
+POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "pools.json").read_text())
+
+
+def _quadratic_composita():
+    """Each quadratic pool member extended to degrees 8 through 20."""
+    for pool in POOLS["pools"]:
+        if pool["degree"] == 2:
+            for member in pool["members"]:
+                cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+                for degree in range(8, 21, 2):
+                    yield build_extension(cm, pool["p"], degree)
+
+
+def test_absolute_defining_matches_horner_over_poly():
+    count = 0
+    for ext in _quadratic_composita():
+        assert ext.kind == "eisenstein_compositum"
+        assert _absolute_defining(ext.relative, ext.base.field.defining) == poly_absolute_defining(
+            ext.relative, ext.base.field.defining
+        ), ext.relative
+        count += 1
+    assert count == 84
+
+
+def _own_degree_extensions():
+    for pool in POOLS["pools"]:
+        for member in pool["members"]:
+            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            yield build_extension(cm, pool["p"], cm.field.degree)
+
+
+def test_trace_forms_match_the_fraction_builders():
+    # the Toeplitz form of every pool member at its own degree and the
+    # Kronecker form of every quadratic member at degrees 8 to 20, each with
+    # the scalar of signature (1, d - 1), and the Hankel traces of that
+    # scalar on the real subfield
+    count = 0
+    for ext in [*_own_degree_extensions(), *_quadratic_composita()]:
+        real = ext.real_subfield
+        lam = find_lambda(real, (1, real.degree - 1))
+        assert trace_form(ext, lam).gram == fraction_trace_gram(ext, lam), (ext.absolute, lam)
+        traces, den = _hankel_traces(lam % real.defining, real.defining, 2 * real.degree - 1)
+        assert [F(t, den) for t in traces] == fraction_hankel_traces(lam, real.defining, 2 * real.degree - 1)
+        count += 1
+    assert count == 466 + 84
+
+
+@st.composite
+def _symmetric_rational_rows(draw):
+    """Symmetric n x n rows, n <= 5, of pairs (value, the value written
+    unreduced as "num*k/den*k"): negative and zero entries, and denominators
+    that often share a factor with every numerator."""
+    entry = st.builds(
+        lambda num, den, k: (F(num, den), f"{num * k}/{den * k}"),
+        st.integers(-60, 60),
+        st.integers(1, 12),
+        st.integers(1, 3),
+    )
+    n = draw(st.integers(0, 5))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_rational_rows())
+def test_gram_matrix_json_round_trip(pairs):
+    values = [[v for v, _ in row] for row in pairs]
+    expected = [[rat_to_str(v) for v in row] for row in values]
+    gram = GramMatrix.from_rows(values)
+    assert gram.to_json() == expected
+    assert gram_entries(gram) == tuple(map(tuple, values))
+    assert GramMatrix.from_json({"gram": [[s for _, s in row] for row in pairs]}) == gram
+    assert math.gcd(gram.den, *(x for row in gram.rows for x in row)) == 1
+
+
+def test_gram_matrix_is_reduced_over_one_denominator():
+    gram = GramMatrix([[2, -6], [-6, 4]], 4)
+    assert (gram.rows, gram.den) == (((1, -3), (-3, 2)), 2)
+    assert gram.to_json() == [["1/2", "-3/2"], ["-3/2", "1"]]
+    assert GramMatrix.from_json({"gram": [["4/2", "-6/4"], ["-3/2", "2/2"]]}).to_json() == [["2", "-3/2"], ["-3/2", "1"]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1", "2"], ["3", "1"]],
+        [["1", "1/2"], ["1/3", "1"]],
+        [["1", "2"]],
+        [["1"], ["1", "2"]],
+        [["1", "0"], ["0"]],
+    ],
+)
+def test_gram_matrix_from_json_refuses_non_square_or_non_symmetric(rows):
+    with pytest.raises(DomainError):
+        GramMatrix.from_json({"gram": rows})

@@ -1,6 +1,8 @@
 """End-to-end pipeline runs, certificate reproducibility and self-validation."""
 
+import hashlib
 import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -495,3 +497,53 @@ def test_telemetry_present_but_separate():
     assert "stage_seconds" not in certificate_text
     assert "counters" not in certificate_text and "sturm_chain_builds" not in certificate_text
     assert "pollard_rho_splits" not in certificate_text and "hensel_lifts" not in certificate_text
+
+
+# ---------------------------------------------------------------------------
+# the pool certificates, pinned by one digest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+POOL_DIGEST = ROOT / "docs" / "golden" / "pool_certificates.json"
+
+
+def pool_runs():
+    """(candidate, extension degree) for every pool run: the pools of
+    `perfbench/pools.json` sorted by (p, a, 2d), their members in order,
+    each at its own degree and, for 2d = 2, also at 8, 10 and 12."""
+    pools = json.loads((ROOT / "perfbench" / "pools.json").read_text())["pools"]
+    for pool in sorted(pools, key=lambda e: (e["p"], e["a"], e["degree"])):
+        for member in pool["members"]:
+            candidate = WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])
+            for degree in (None, 8, 10, 12) if pool["degree"] == 2 else (None,):
+                yield candidate, degree
+
+
+def pool_digest() -> dict:
+    """One SHA-256 over the certificate, status and revalidation of every
+    pool run, each as sorted-key JSON."""
+    digest, runs = hashlib.sha256(), 0
+    for candidate, degree in pool_runs():
+        outcome = run(candidate, PipelineConfig(degree))
+        record = {"c": outcome.certificate, "s": outcome.status.value, "r": revalidate_certificate(outcome.certificate)}
+        digest.update(json.dumps(record, sort_keys=True).encode())
+        runs += 1
+    return {"runs": runs, "sha256": digest.hexdigest()}
+
+
+def test_pool_certificates_match_the_golden_digest():
+    # regenerate on purpose only: PYTHONPATH=src:. python -c "import json, tests.test_pipeline as t; print(json.dumps(t.pool_digest()))"
+    assert pool_digest() == json.loads(POOL_DIGEST.read_text())
+
+
+@pytest.mark.parametrize("candidate, degree", [(QUARTIC, None), (QUADRATIC, 8)], ids=["quartic", "extend8"])
+@pytest.mark.parametrize("tamper", ["asymmetric", "unreduced"])
+def test_tampered_gram_entry_is_one_discrepancy(candidate, degree, tamper):
+    # the recorded Gram is compared as text with the derived one, never
+    # parsed: an off-diagonal entry changed on one side of the diagonal, or
+    # an entry written unreduced (as "4/2" for 2), is one discrepancy
+    cert = run(candidate, PipelineConfig(degree)).certificate
+    x = F(cert["trace_form"]["gram"][0][1])
+    value = str(x + 1) if tamper == "asymmetric" else f"{2 * x.numerator}/{2 * x.denominator}"
+    assert revalidate_certificate(_tampered(cert, ("trace_form", "gram", 0, 1), value)) == [
+        "trace_form.gram changed on replay"
+    ]

@@ -34,7 +34,7 @@ from httool.qform import (
     k3_lattice,
     sum_invariants,
 )
-from test_helpers import fraction_determinant, peel_search_diagonal
+from test_helpers import fraction_determinant, gram_entries, peel_search_diagonal
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -259,13 +259,13 @@ def _random_unimodular(rng: random.Random, n: int):
 )
 def test_diagonalize_invariants_are_basis_independent(base):
     rng = random.Random(11)
-    n = len(base.entries)
+    n, entries = len(base.rows), gram_entries(base)
     expected = invariants(diagonalize(base))
     for _ in range(50):
         s = _random_unimodular(rng, n)
         rows = [
             [
-                sum(s[k][i] * base.entries[k][l] * s[l][j] for k in range(n) for l in range(n))
+                sum(s[k][i] * entries[k][l] * s[l][j] for k in range(n) for l in range(n))
                 for j in range(n)
             ]
             for i in range(n)
@@ -561,18 +561,18 @@ def test_direct_peel_matches_the_peel_search(inv):
 
 def test_k3_lattice_shape_and_determinant():
     gram = k3_lattice()
-    assert len(gram.entries) == 22
-    assert fraction_determinant(gram.entries) == -1
-    assert all(x == int(x) for row in gram.entries for x in row)
+    assert len(gram.rows) == 22
+    assert fraction_determinant(gram.rows) == -1
+    assert gram.den == 1
 
 
 def test_k3_block_structure():
     gram = k3_lattice()
     # two copies of the negated even unimodular rank-8 block, then 3 planes
     for offset in (16, 18, 20):
-        assert gram.entries[offset][offset + 1] == 1
-        assert gram.entries[offset][offset] == 0
-    sub8 = [row[:8] for row in gram.entries[:8]]
+        assert gram.rows[offset][offset + 1] == 1
+        assert gram.rows[offset][offset] == 0
+    sub8 = [row[:8] for row in gram.rows[:8]]
     assert fraction_determinant(sub8) == 1  # (-1)**8 * det(E8)
     assert all(sub8[i][i] == -2 for i in range(8))
 
