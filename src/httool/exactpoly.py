@@ -40,6 +40,13 @@ def rat_to_str(r: Fraction | int) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def _reduced_str(num: int, den: int) -> str:
+    """num / den for a positive den, written in lowest terms as `rat_to_str`
+    writes it, with one gcd and no `Fraction`."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def int_from_json(x, name: str) -> int:
     """A JSON integer; bools and floats are refused."""
     if type(x) is not int:  # bool is a subclass of int
@@ -226,7 +233,8 @@ class Poly:
     # -- serialization ---------------------------------------------------------
 
     def to_strs(self) -> list[str]:
-        return [rat_to_str(c) for c in self.coeffs]
+        num, den = self.content.numerator, self.content.denominator
+        return [_reduced_str(num * a, den) for a in self.prim]
 
     @staticmethod
     def from_strs(items) -> "Poly":

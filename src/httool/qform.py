@@ -17,7 +17,16 @@ For a diagonal <a_1, ..., a_n> the Hasse symbol at a place v is
 prod_{i<j} (a_i, a_j)_v.  By bilinearity of the Hilbert symbol this equals
 prod_{j>=2} (a_1...a_{j-1}, a_j)_v, so `invariants` pairs each running
 prefix class with the next entry instead of evaluating all n(n-1)/2 pairs
-(Cassels, Rational Quadratic Forms, ch. 4).
+(Cassels, Rational Quadratic Forms, ch. 4).  It does so once per block
+<a>^k of k equal entries: the block has determinant class a^(k mod 2) and
+Hasse symbol (a, a)_v^(k(k-1)/2) = (a, -1)_v^(k(k-1)/2), and the sum rule
+s(V + W) = s(V) s(W) (det V, det W) joins it to the prefix (Serre, A Course
+in Arithmetic, ch. IV).  A K3 complement <1^a, (-1)^b, z, x, delta x> is
+at most five blocks.
+
+Construction peels the whole unit block <1^a, (-1)^b> above dimension 3 in
+one step, with its invariants in closed form, then splits the admissible
+ternary rest by a scalar search and the binary rest by a second one.
 """
 
 from __future__ import annotations
@@ -25,12 +34,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
 from ._linalg import symmetric_pivots
-from .exactpoly import DomainError, SquareClass, int_from_json, json_field, rat_from_str, rat_to_str, square_class
+from .exactpoly import (
+    DomainError,
+    SquareClass,
+    _reduced_str,
+    int_from_json,
+    json_field,
+    rat_from_str,
+    rat_to_str,
+    square_class,
+)
 
 INF = math.inf
 
@@ -179,11 +198,6 @@ class GramMatrix:
         return [[_reduced_str(x, self.den) for x in row] for row in self.rows]
 
 
-def _reduced_str(num: int, den: int) -> str:
-    g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
-
-
 @dataclass(frozen=True)
 class QSpace:
     """A nondegenerate quadratic space over Q via a diagonal representative."""
@@ -239,6 +253,7 @@ class QFormInvariants:
 
 
 TRIVIAL_CLASS = SquareClass(1, frozenset())
+MINUS_ONE_CLASS = SquareClass(-1, frozenset())
 
 
 def diagonalize(gram: GramMatrix) -> QSpace:
@@ -253,22 +268,33 @@ def diagonalize(gram: GramMatrix) -> QSpace:
 
 def _ramified(x: SquareClass, y: SquareClass) -> set:
     """The places v with (x, y)_v = -1, among 2, infinity and the primes of
-    x and y (the symbol is 1 at every other place)."""
+    x and y (the symbol is 1 at every other place, and everywhere when x
+    or y is a square)."""
+    if x.is_trivial or y.is_trivial:
+        return set()
     a, b = x.sign * x.squarefree, y.sign * y.squarefree
     places = {2, INF} | x.primes | y.primes
     return {v for v in places if (hilbert_symbol(a, b, v) if v == INF else _hilbert_at(a, b, v)) == -1}
 
 
 def invariants(space: QSpace) -> QFormInvariants:
-    diag = space.diagonal
-    r = sum(1 for d in diag if d > 0)
+    """The invariant quadruple, one block <a>^k per group of k equal
+    entries a: determinant class a^(k mod 2), Hasse symbol
+    (a, a)^(k(k-1)/2) = (a, -1)^(k(k-1)/2), joined to the running prefix
+    by (det so far, a) when k is odd (an even block has square determinant)."""
+    counts = Counter(space.diagonal)
+    r = sum(k for a, k in counts.items() if a > 0)
     det = TRIVIAL_CLASS
     hasse: set = set()
-    for d in diag:
-        entry = square_class(d)
-        hasse ^= _ramified(det, entry)
-        det = det.times(entry)
-    return QFormInvariants(len(diag), (r, len(diag) - r), det, frozenset(hasse))
+    for a, k in counts.items():
+        entry = square_class(a)
+        if k * (k - 1) // 2 % 2:
+            hasse ^= _ramified(entry, MINUS_ONE_CLASS)
+        if k % 2:
+            hasse ^= _ramified(det, entry)
+            det = det.times(entry)
+    dim = len(space.diagonal)
+    return QFormInvariants(dim, (r, dim - r), det, frozenset(hasse))
 
 
 def equivalent(v: QSpace, w: QSpace) -> bool:
@@ -401,16 +427,29 @@ def _construct_diagonal(inv: QFormInvariants) -> list[Fraction]:
     if inv.dim == 2:
         return _construct_binary(inv, signs)
     if inv.dim >= 4:
-        # peel +1 while r > 0, then -1.  The rest has dimension >= 3, so it
-        # is admissible when its Hasse set is even, det has sign (-1)**s and
-        # inf is in the set exactly when s(s-1)/2 is odd.  +1 leaves det,
-        # the set and s as they are.  -1 flips the sign of det, the set's
-        # parity stays (Hilbert reciprocity) and inf enters or leaves with
-        # (-1, -det)_inf = -1, i.e. when s is even, as s(s-1)/2 - (s-1)(s-2)/2
-        # = s - 1 is then odd.
-        unit = SquareClass(1 if r else -1, frozenset())
-        unary = QFormInvariants(1, (1, 0) if r else (0, 1), unit, frozenset())
-        return [unit.as_fraction()] + _construct_diagonal(complement_invariants(unary, inv))
+        # peel the unit block <1^a, (-1)^b> of dimension dim - 3 in one step,
+        # a = min(r, dim - 3): the +1s first, then -1s.  Its invariants are
+        # (a + b, (a, b), (-1)^b, {2, inf} when b(b-1)/2 is odd), since
+        # (-1, -1)_v = -1 exactly at 2 and inf and a +1 pairs trivially.
+        # The rest X has dimension 3 and signature (r - a, s - b), both
+        # >= 0 (a = r gives s - b = 3), so it is admissible when its Hasse
+        # set is even, det X has sign (-1)**(s - b) and inf is in the set
+        # exactly when (s - b)(s - b - 1)/2 is odd.  The set is the sum of
+        # inv's, the block's and one symbol set, each even (Hilbert
+        # reciprocity); det X = det inv * (-1)^b, of sign (-1)**(s - b).
+        # Over R the sum law determines X's symbol at inf, and the real form
+        # of signature (r - a, s - b) satisfies it with inv's and the
+        # block's symbols, which are those of signatures (r, s) and (a, b).
+        a = min(r, inv.dim - 3)
+        b = inv.dim - 3 - a
+        units = QFormInvariants(
+            a + b,
+            (a, b),
+            MINUS_ONE_CLASS if b % 2 else TRIVIAL_CLASS,
+            frozenset({2, INF}) if b * (b - 1) // 2 % 2 else frozenset(),
+        )
+        rest = _construct_diagonal(complement_invariants(units, inv))
+        return [Fraction(1)] * a + [Fraction(-1)] * b + rest
     # dim 3: peel the first scalar z whose binary complement is admissible
     for z in _scalar_candidates(_binary_pool(inv), signs):
         unary = QFormInvariants(1, (1, 0) if z.sign == 1 else (0, 1), z, frozenset())
@@ -423,9 +462,10 @@ def _construct_diagonal(inv: QFormInvariants) -> list[Fraction]:
 def construct_with_invariants(inv: QFormInvariants) -> QSpace:
     """A diagonal space realizing an admissible invariant tuple exactly.
 
-    Deterministic: entries are peeled greedily and the final binary block is
-    found by an ordered search over squarefree scalars; the result is
-    round-trip verified before it is returned.
+    Deterministic: units +1, then -1, are peeled down to dimension 3, and
+    the last scalar and the final binary block are found by ordered searches
+    over squarefree scalars; the result is round-trip verified before it is
+    returned.
     """
     if not admissible(inv):
         raise DomainError(f"inadmissible invariants: {inv}")

@@ -408,7 +408,7 @@ def enumerate_candidates(
     d = two_d // 2
     den = p ** a
     bound = [two_d * den ** k for k in range(6 * d + 1)]
-    results: list[WeilCandidate] = []
+    results: list[tuple[list[int], WeilCandidate]] = []  # (den * L, candidate)
 
     def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
         ints = [den] + half_ints + half_ints[-2::-1] + [den]  # den * L, palindromic
@@ -430,7 +430,7 @@ def enumerate_candidates(
             return
         cand = WeilCandidate(L, p, a)
         if check_all(cand).admissible:
-            results.append(cand)
+            results.append((ints, cand))
 
     def descend(i: int, half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
         if i > d:
@@ -445,5 +445,6 @@ def enumerate_candidates(
             descend(i + 1, half_ints + [m], scaled_elem + [e_scaled], scaled_sums + [base - c * m])
 
     descend(1, [], [], [])
-    results.sort(key=lambda cand: cand.L.coeffs)
-    return results
+    # den * L sorts as L does: den > 0 is the same for every candidate
+    results.sort(key=lambda pair: pair[0])
+    return [cand for _ints, cand in results]

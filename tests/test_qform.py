@@ -370,6 +370,27 @@ def test_invariants_match_all_pairs_reference(diag):
     assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
 
 
+@st.composite
+def _diagonal_of_runs(draw):
+    """Runs of +1, -1 and one other small rational, in any order, each of a
+    length 0..10 (every class mod 4), in dimension 1..22; the other
+    rational may itself be +-1."""
+    other = draw(st.one_of(st.sampled_from((F(1), F(-1))), _SMOOTH_RATIONALS, _NONZERO_INTEGERS))
+    lengths = draw(st.lists(st.integers(0, 10), min_size=3, max_size=3).filter(lambda ks: 1 <= sum(ks) <= 22))
+    runs = draw(st.permutations(list(zip((F(1), F(-1), other), lengths))))
+    return [a for a, k in runs for _ in range(k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_diagonal_of_runs())
+@example([F(1)] * 15 + [F(-1)] * 2 + [F(3), F(-5), F(-15)])
+@example([F(-1)] * 3 + [F(6)] * 7)
+def test_invariants_of_repeated_entries_match_all_pairs_reference(diag):
+    # the block rule: <a>^k has determinant a^(k mod 2) and Hasse symbol
+    # (a, -1)^(k(k-1)/2)
+    assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
+
+
 # square factors in numerator and denominator, and a prime above 10**12 met
 # as P or P**2 (never split by Pollard rho)
 _WITH_LARGE_PRIME = st.builds(lambda r, e: r * F(10**12 + 39) ** e, _SMOOTH_RATIONALS, st.integers(-2, 2))
