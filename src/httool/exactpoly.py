@@ -74,6 +74,9 @@ def rat_from_str(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise DomainError(f"expected a rational string, got {s!r}")
+    # an ASCII integer, as most entries are, needs no parsing by Fraction
+    if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+        return Fraction(int(s))
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -419,73 +422,112 @@ def _zz_max_norm(f):
 
 
 def _hensel_step(m, f, g, h, s, t):
-    """One quadratic Hensel step: from a factorization mod m to one mod m**2.
-
-    Inputs satisfy f = g*h (mod m), s*g + t*h = 1 (mod m), lc(h) = 1.
-    """
-    mm = m * m
-    e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), mm)
+    """The factors of one Hensel step: from f = g*h (mod m0) to f = g1*h1
+    (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and lc(h) = 1."""
+    e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), m)
     q, r = _zz_divmod(_zz_mul(s, e), h)
-    q = _zz_trunc(q, mm)
-    r = _zz_trunc(r, mm)
-    u = _zz_add(_zz_mul(t, e), _zz_mul(q, g))
-    g1 = _zz_trunc(_zz_add(g, u), mm)
-    h1 = _zz_trunc(_zz_add(h, r), mm)
-    b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, g1), _zz_mul(t, h1)), [1]), mm)
+    q = _zz_trunc(q, m)
+    g1 = _zz_trunc(_zz_add(g, _zz_add(_zz_mul(t, e), _zz_mul(q, g))), m)
+    h1 = _zz_trunc(_zz_add(h, r), m)
+    return g1, h1
+
+
+def _bezout_step(m, g1, h1, s, t):
+    """The Bezout pair of one Hensel step: from s*g + t*h = 1 (mod m0) to
+    s1*g1 + t1*h1 = 1 (mod m), for the lifted g1, h1 of `_hensel_step`."""
+    b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, g1), _zz_mul(t, h1)), [1]), m)
     c, d = _zz_divmod(_zz_mul(s, b), h1)
-    c = _zz_trunc(c, mm)
-    d = _zz_trunc(d, mm)
+    c = _zz_trunc(c, m)
     u = _zz_add(_zz_mul(t, b), _zz_mul(c, g1))
-    s1 = _zz_trunc(_zz_sub(s, d), mm)
-    t1 = _zz_trunc(_zz_sub(t, u), mm)
-    return g1, h1, s1, t1
+    return _zz_trunc(_zz_sub(s, d), m), _zz_trunc(_zz_sub(t, u), m)
 
 
 def _hensel_lift(p, f, modular_factors, l):
-    """Lift monic pairwise-coprime factors of f mod p to factors mod p**l."""
+    """Lift monic pairwise-coprime factors of f mod p to monic factors mod
+    p**l, in the same order, each reduced into the symmetric residue system
+    mod p**l; their product is lc(f)**-1 * f mod p**l.
+
+    A node of the factor tree splits its factors into halves g (carrying
+    lc(f)) and h (monic) and lifts f = g*h by quadratic steps m -> m**2,
+    the last one capped at p**l; a step's factors are correct mod any m
+    between m0 and m0**2, and Hensel's lemma makes them unique there.  The
+    Bezout pair is lifted on every step but the node's last, after which
+    each half is lifted again from p by its own node."""
     r = len(modular_factors)
     lc = f[-1]
     pl = p ** l
     if r == 1:
-        inv = pow(lc % pl, -1, pl) if math.gcd(lc, pl) == 1 else None
-        if inv is None:
+        if math.gcd(lc, pl) != 1:
             raise ArithmeticError("leading coefficient not a unit mod p**l")
+        inv = pow(lc % pl, -1, pl)
         return [_zz_trunc([c * inv for c in f], pl)]
     k = r // 2
-    d = max(1, math.ceil(math.log2(l)))
     g = [lc % p]
     for fi in modular_factors[:k]:
-        g = [c % p for c in _zz_mul(g, fi)]
-        g = _gfp.trim(g)
+        g = _gfp.mul(g, fi, p)
     h = list(modular_factors[k])
     for fi in modular_factors[k + 1:]:
-        h = [c % p for c in _zz_mul(h, fi)]
-        h = _gfp.trim(h)
+        h = _gfp.mul(h, fi, p)
     s, t, one = _gfp.gcdex(g, h, p)
     if one != [1]:
         raise ArithmeticError("modular factors are not coprime")
     g, h = _zz_trunc(g, p), _zz_trunc(h, p)
     s, t = _zz_trunc(s, p), _zz_trunc(t, p)
     m = p
-    for _ in range(d):
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
+    while m < pl:
+        m = min(m * m, pl)
+        g, h = _hensel_step(m, f, g, h, s, t)
+        if m < pl:
+            s, t = _bezout_step(m, g, h, s, t)
     return _hensel_lift(p, g, modular_factors[:k], l) + _hensel_lift(p, h, modular_factors[k:], l)
 
 
+def _lift_bound(f):
+    """A bound on every coefficient of lc(f) * g / lc(g), for each proper
+    factor g of f in Z[x] (Mignotte, Math. Comp. 28, 1974).  See
+    `_zassenhaus` for the proof."""
+    n = len(f) - 1
+    lead = abs(f[-1])
+    sq = sum(a * a for a in f)
+    norm = math.isqrt(sq)
+    norm += norm * norm < sq
+    return lead * max(
+        math.comb(n - 2, j) * norm + (math.comb(n - 2, j - 1) * lead if j else 0) for j in range(n)
+    )
+
+
 def _zassenhaus(f, p, modular):
-    """Irreducible integer factors of a primitive squarefree f, lc(f) > 0 and
-    deg f >= 2, from the monic irreducible factors `modular` of f mod p, at a
-    prime p not dividing lc(f) that keeps f squarefree."""
+    """Irreducible integer factors of a primitive squarefree f, lc(f) = b > 0
+    and deg f = n >= 2, from the monic irreducible factors `modular` of f
+    mod p, sorted, at a prime p not dividing b that keeps f squarefree.
+
+    The factors are lifted to p**l, the least power above 2*B for B the
+    bound of `_lift_bound`.  A trial is the product of b' = lc of the
+    cofactor still to be split (b' | b) and a subset of the lifted factors,
+    reduced into the symmetric residue system mod p**l.  If a true factor
+    g of degree m < n has those modular factors, the trial is g* = b' * g /
+    lc(g) mod p**l, and g* is integral.  Its roots are among those of f, so
+    its Mahler measure M(g*) = |b'| * prod max(1, |root|) is at most M(f)
+    <= ||f||_2 (Landau), and coefficient j of g* is at most
+    C(m-1, j) * M(g*) + C(m-1, j-1) * |b'| (Knuth, TAOCP vol. 2, 4.6.2),
+    which for m - 1 <= n - 2 is at most B (the factor |b| >= 1 only widens
+    it).  So p**l > 2 * max |coefficient of g*|, and the trial is g*
+    itself, as is the product `rest` of b' and the other lifted factors.
+    A trial passes to the exact division when its primitive part's
+    constant divides the cofactor's and ||trial||_1 * ||rest||_1 <=
+    (isqrt(n + 1) + 1) * 2**n * ||f||_inf * b, which a true split meets:
+    ||g*||_1 <= 2**m * M(g*), and M(trial) * M(rest) = |b'| * M(cofactor)
+    <= b * M(f) <= b * sqrt(n + 1) * ||f||_inf.  At subsets of half the factors, only those holding the
+    first one are tried, as a subset and its complement are one split.
+    """
     n = len(f) - 1
     lead = f[-1]
     const = f[0]
-    a_norm = _zz_max_norm(f)
-    # Knuth-Cohen style Mignotte bound on factor coefficients
-    bound = (math.isqrt(n + 1) + 1) * (2 ** n) * a_norm * abs(lead)
+    bound = (math.isqrt(n + 1) + 1) * (2 ** n) * _zz_max_norm(f) * abs(lead)
+    lift_bound = _lift_bound(f)
     l = 1
     pl = p
-    while pl < 2 * bound + 1:
+    while pl < 2 * lift_bound + 1:
         pl *= p
         l += 1
     _intfactor.COUNTERS["hensel_lifts"] += 1
@@ -499,7 +541,10 @@ def _zassenhaus(f, p, modular):
     fc = const
     while 2 * size <= len(active):
         advanced = False
-        for combo in itertools.combinations(active, size):
+        combos = itertools.combinations(active, size)
+        if 2 * size == len(active):
+            combos = ((active[0], *c) for c in itertools.combinations(active[1:], size - 1))
+        for combo in combos:
             trial = [b]
             for i in combo:
                 trial = _zz_trunc(_zz_mul(trial, lifted[i]), pl)
@@ -563,17 +608,12 @@ def _good_prime(f, start: int = 3):
     return p, fp
 
 
-def _degree_counts(fp, p) -> dict[int, int]:
-    """k -> number of irreducible factors of degree k of a monic squarefree
-    f mod p, by distinct-degree factorization."""
-    return {k: (len(part) - 1) // k for k, part in _gfp.distinct_degree(fp, p)}
-
-
-def _degree_sums(counts: dict[int, int]) -> int:
-    """The degrees of the products of subsets of the factors, as a bit set."""
+def _degree_sums(parts: dict[int, list[int]]) -> int:
+    """The degrees of the products of subsets of the factors mod p whose
+    distinct-degree parts are `parts`, as a bit set."""
     sums = 1
-    for k, c in counts.items():
-        for _ in range(c):
+    for k, part in parts.items():
+        for _ in range((len(part) - 1) // k):
             sums |= sums << k
     return sums
 
@@ -592,28 +632,30 @@ def _split_parts(f):
     """Steps 1 and 2 of `factor_with_unit` on a primitive f with lc(f) > 0:
     (the squarefree part g of f, the n with Phi_n | g ascending, the
     cofactor h of g by those Phi_n, an odd prime p not dividing lc(g) that
-    keeps g squarefree, and k -> the number of factors of degree k of h
-    mod p)."""
+    keeps g squarefree, and k -> the product of the factors of degree k of
+    h mod p)."""
     p, gp = _reduction(f)
     g = f
     if not _gfp.is_squarefree(gp, p):
         g = _zz_squarefree(f)
         p, gp = _good_prime(g)
-    counts = _degree_counts(gp, p)
+    parts = dict(_gfp.distinct_degree(gp, p))
     h = g
     indices = []
     for n, phi, prim in _cyclotomic_table(len(g) - 1):
         if phi >= len(h) or n % p == 0:
             continue
         k = _multiplicative_order(p, n)
-        if counts.get(k, 0) * k < phi:
+        if len(parts.get(k, ())) <= phi:
             continue
         q, r = _zz_divmod(h, prim)
         if not r:
             h = q
             indices.append(n)
-            counts[k] -= phi // k
-    return g, indices, h, p, counts
+            parts[k] = _gfp.divmod_(parts[k], _gfp.from_coeffs(prim, p), p)[0]
+            if len(parts[k]) == 1:
+                del parts[k]
+    return g, indices, h, p, parts
 
 
 def _multiplicity(f, q) -> int:
@@ -629,32 +671,50 @@ def _multiplicity(f, q) -> int:
         return m
 
 
-def _factor_cofactor(h, p, counts):
+def _small_factors(f):
+    """The irreducible factors of a primitive f of degree at most 2 with
+    lc(f) > 0, a repeated one twice, by the rule of `factor_with_unit`."""
+    if len(f) < 3:
+        return [f] if len(f) == 2 else []
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    r = math.isqrt(disc) if disc >= 0 else -1
+    if r * r != disc:
+        return [f]
+    return [_zz_primitive([b - r, 2 * a]), _zz_primitive([b + r, 2 * a])]
+
+
+def _modular_factors(parts, p):
+    """The monic irreducible factors mod p, sorted as `_gfp.berlekamp`
+    sorts them, from the distinct-degree parts k -> product: a part of
+    degree k is one factor, and Berlekamp splits a part holding several."""
+    modular = []
+    for k, part in parts.items():
+        modular += _gfp.berlekamp(part, p) if len(part) > k + 1 else [part]
+    return sorted(modular, key=lambda fp: (len(fp), fp))
+
+
+def _factor_cofactor(h, p, parts):
     """Step 3 of `factor_with_unit`: the irreducible integer factors of a
     cofactor h from `_split_parts`."""
     if len(h) == 3:
-        c, b, a = h
-        disc = b * b - 4 * a * c
-        r = math.isqrt(disc) if disc >= 0 else -1
-        if r * r != disc:
-            return [h]
-        return [_zz_primitive([b - r, 2 * a]), _zz_primitive([b + r, 2 * a])]
+        return _small_factors(h)
     full = 1 | 1 << (len(h) - 1)
-    sums = _degree_sums(counts)
-    found = [(sum(counts.values()), p)]
+    sums = _degree_sums(parts)
+    found = [(p, parts)]
     while sums != full and len(found) < 3:
         p, hp = _good_prime(h, p + 2)
-        counts = _degree_counts(hp, p)
-        found.append((sum(counts.values()), p))
-        narrowed = sums & _degree_sums(counts)
+        parts = dict(_gfp.distinct_degree(hp, p))
+        found.append((p, parts))
+        narrowed = sums & _degree_sums(parts)
         if narrowed == sums:
             break
         sums = narrowed
     if sums == full:
         return [h]
-    p = min(found)[1]
-    modular = _gfp.berlekamp(_gfp.monic(_gfp.from_coeffs(h, p), p), p)
-    return _zassenhaus(h, p, modular)
+    # the prime with the fewest factors, the least of them on a tie
+    p, parts = min(found, key=lambda pp: sum((len(part) - 1) // k for k, part in pp[1].items()))
+    return _zassenhaus(h, p, _modular_factors(parts, p))
 
 
 def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
@@ -676,29 +736,41 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
        irreducibles of degree k = ord_n(p), so it is tried only if the
        distinct-degree factorization of g mod p has that many.
-    3. The cofactor.  A quadratic a*x**2 + b*x + c is irreducible exactly
-       when b**2 - 4ac is not a square r**2; otherwise its factors are the
-       primitive parts of 2a*x + b - r and 2a*x + b + r, whose product is
-       4a times it.  Of a cofactor of higher degree, a factor over Z
-       reduces mod such a prime to a product of factors mod p of the same
-       total degree, so its degree is a sum of theirs.  If those sums,
+    3. The cofactor.  A quadratic one is decided by the discriminant rule
+       below.  Of a cofactor of higher degree, a factor over Z reduces mod
+       such a prime to a product of factors mod p of the same total
+       degree, so its degree is a sum of theirs.  If those sums,
        intersected over up to three primes, leave only 0 and the full
-       degree, the cofactor is irreducible (Musser's degree-set test).  A prime that removes no sum ends the search: it
-       gives up an occasional proof for fewer reductions of cofactors that
-       no prime proves irreducible, reducible ones or x**4 - 10x**2 + 1.
-       Otherwise Berlekamp factors it mod the prime with the fewest
-       factors, and Hensel lifting and Zassenhaus recombination find the
-       factors over Z.
+       degree, the cofactor is irreducible (Musser's degree-set test).  A
+       prime that removes no sum ends the search: it gives up an
+       occasional proof for fewer reductions of cofactors that no prime
+       proves irreducible, reducible ones or x**4 - 10x**2 + 1.  Otherwise
+       the distinct-degree parts at the prime with the fewest factors give
+       the factors mod p: a part of degree k is one factor, and Berlekamp
+       splits a part holding several (at the first prime, each shed Phi_n
+       was divided out of its part mod p).  Hensel lifting to the power of
+       p that Mignotte's bound asks for (see `_zassenhaus`) and Zassenhaus
+       recombination find the factors over Z.
+
+    A primitive part of degree at most 2 skips steps 1 to 3: a linear one
+    is irreducible, and a quadratic a*x**2 + b*x + c is irreducible exactly
+    when b**2 - 4ac is not a square r**2; otherwise its factors are the
+    primitive parts of 2a*x + b - r and 2a*x + b + r, whose product is 4a
+    times it, one factor squared when r = 0.
     """
     if f.is_zero:
         raise DomainError("cannot factor the zero polynomial")
     _intfactor.COUNTERS["factor_with_unit_calls"] += 1
-    g, indices, h, p, counts = _split_parts(f.prim)
-    irreducibles = [cyclotomic_poly(n) for n in indices]
-    if len(h) > 1:
-        irreducibles += [Poly.from_ints(irr, 1) for irr in _factor_cofactor(h, p, counts)]
-    squarefree = len(g) == len(f.prim)
-    factors = [(q, 1 if squarefree else _multiplicity(f.prim, q.prim)) for q in irreducibles]
+    if len(f.prim) <= 3:
+        irreducibles = [Poly.from_ints(q, 1) for q in _small_factors(f.prim)]
+        factors = [(q, irreducibles.count(q)) for q in dict.fromkeys(irreducibles)]
+    else:
+        g, indices, h, p, parts = _split_parts(f.prim)
+        irreducibles = [cyclotomic_poly(n) for n in indices]
+        if len(h) > 1:
+            irreducibles += [Poly.from_ints(irr, 1) for irr in _factor_cofactor(h, p, parts)]
+        squarefree = len(g) == len(f.prim)
+        factors = [(q, 1 if squarefree else _multiplicity(f.prim, q.prim)) for q in irreducibles]
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
 

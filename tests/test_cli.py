@@ -28,6 +28,11 @@ QUARTIC_JSON = '{"L": ["1", "0", "1/2", "0", "1"], "p": 2, "a": 1}'
 CYCLOTOMIC_JSON = '{"L": ["1", "1", "1"], "p": 2, "a": 1}'
 QUADRATIC_JSON = '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}'
 PRODUCT_JSON = '{"L": ["1", "0", "7/4", "0", "1"], "p": 2, "a": 1}'
+# [1, -3/2, 1] times the q = 2 quartic members [1, -2, 5/2, -2, 1] and
+# [1, -1/2, 1, -1/2, 1]
+PRODUCT3_JSON = (
+    '{"L": ["1", "-4", "37/4", "-15", "157/8", "-85/4", "157/8", "-15", "37/4", "-4", "1"], "p": 2, "a": 1}'
+)
 
 
 def test_check_pass_exit_zero():
@@ -340,6 +345,14 @@ def test_golden_report_of_a_product():
     proc = run_cli(["check", "--pretty"], PRODUCT_JSON)
     assert proc.returncode == 1
     assert proc.stdout == (GOLDEN / "report_product.json").read_text()
+
+
+def test_golden_report_of_a_product_of_three():
+    # H factors by one Hensel lift and Zassenhaus recombination, and the
+    # power_structure witness names all three factors
+    proc = run_cli(["check", "--pretty"], PRODUCT3_JSON)
+    assert proc.returncode == 1
+    assert proc.stdout == (GOLDEN / "report_product3.json").read_text()
 
 
 def replay_certificate(args, candidate: str, golden: str):

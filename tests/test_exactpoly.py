@@ -27,9 +27,17 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _good_prime,
+    _hensel_lift,
+    _lift_bound,
+    _modular_factors,
     _newton_step,
     _zz_divmod,
+    _zz_mul,
     _zz_pdivmod,
+    _zz_squarefree,
+    _zz_sub,
+    _zz_trunc,
     cyclotomic_poly,
     discriminant,
     elementary_from_power_sums,
@@ -564,6 +572,121 @@ def test_degree_sets_prove_irreducibility():
     assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
 
 
+# the transforms H of pool members, whose products are the traffic of
+# check_all on products of members
+POOL_TRANSFORMS = [reciprocal_transform(m) for m in POOL_MEMBERS]
+pool_products = st.lists(st.sampled_from(POOL_TRANSFORMS), min_size=2, max_size=3, unique=True)
+
+
+def product(polys, scale=1) -> Poly:
+    f = Poly([scale])
+    for g in polys:
+        f = f * g
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool_products, nonzero_scales)
+def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
+    f = product(transforms, scale)
+    assert factor_with_unit(f) == reference_factor_with_unit(f)
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        [1, 1, 1],  # discriminant -3
+        [-2, 0, 1],  # 8, no square
+        [F(3, 2), -5, 7],  # 25 - 42, with a rational content
+        [-6, 1, 1],  # 25 = 5**2: (x + 3)(x - 2)
+        [-3, -1, 2],  # 25: (2x - 3)(x + 1)
+        [F(6, 5), F(-3, 5), F(-9, 5)],  # 9: -3/5 (3x - 2)(x + 1)
+        [4, 4, 1],  # 0: (x + 2)**2
+        [9, -12, 4],  # 0: (2x - 3)**2
+        [F(-9, 7), F(-12, 7), F(-4, 7)],  # 0: -1/7 (2x + 3)**2
+    ],
+)
+def test_factor_quadratics_by_discriminant_before_any_reduction(cs):
+    # a nonsquare, a square and a zero discriminant: no distinct-degree
+    # factorization, no lift, and the reference's factors
+    f = Poly(cs)
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert factors == reference_factor_with_unit(f)
+    assert lifts == 0 and ddf_calls(f) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
+    st.tuples(st.integers(-9, 9), st.integers(1, 9), st.integers(-9, 9), st.integers(1, 9)),
+    st.booleans(),
+    nonzero_scales,
+)
+def test_factor_degree_at_most_two_matches_reference(cs, roots, split, scale):
+    # any polynomial of degree at most 2, or (ax + b)(cx + d), a square when
+    # the two are proportional
+    b, a, d, c = roots
+    f = Poly([b, a]) * Poly([d, c]) * scale if split else Poly(cs) * scale
+    if f.is_zero:
+        return
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert factors == reference_factor_with_unit(f)
+    assert lifts == 0 and ddf_calls(f) == []
+
+
+def squarefree_mod_p(p: int):
+    return (
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=10)
+        .map(lambda cs: cs + [1])
+        .filter(lambda fp: _gfp.is_squarefree(fp, p))
+    )
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_berlekamp_on_distinct_degree_parts_matches_the_whole(p, data):
+    fp = data.draw(squarefree_mod_p(p))
+    parts = dict(_gfp.distinct_degree(fp, p))
+    assert _modular_factors(parts, p) == _gfp.berlekamp(fp, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_products, st.integers(1, 12))
+def test_hensel_lift_reaches_exactly_p_to_the_l(transforms, l):
+    f = _zz_squarefree(product(transforms).prim)
+    p, fp = _good_prime(f)
+    modular = _gfp.berlekamp(fp, p)
+    lifted = _hensel_lift(p, f, modular, l)
+    pl = p**l
+    for g, gp in zip(lifted, modular):
+        assert g[-1] == 1 and _zz_trunc(g, pl) == g
+        assert _gfp.from_coeffs(g, p) == gp
+    # lc(f) * the product is f mod p**l
+    lifted_product = [f[-1]]
+    for g in lifted:
+        lifted_product = _zz_mul(lifted_product, g)
+    assert _zz_trunc(_zz_sub(lifted_product, f), pl) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(pool_products, nonzero_scales)
+def test_lift_bound_covers_every_proper_factor(transforms, scale):
+    # each proper factor g of f over Z, a product of some of its irreducible
+    # factors, has lc(f) * g / lc(g) integral with every coefficient within
+    # the bound
+    f = product(transforms, scale)
+    bound = _lift_bound(f.prim)
+    lead = f.prim[-1]
+    irreducibles = [g for g, m in factor_with_unit(f)[1] for _ in range(m)]
+    for size in range(1, len(irreducibles)):
+        for subset in itertools.combinations(irreducibles, size):
+            g = product(subset).prim
+            scaled = [c * lead for c in g]
+            assert all(c % g[-1] == 0 for c in scaled)
+            assert max(abs(c // g[-1]) for c in scaled) <= bound
+
+
 def test_squarefree_decomposition_multiplicities():
     f = Poly([-1, 1]) ** 3 * Poly([1, 1]) * F(1, 2)
     unit, parts = squarefree_decomposition(f)
@@ -986,6 +1109,33 @@ def test_power_sums_from_elementary_match_roots(roots, extra):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def slow_rat_from_str(s: str):
+    """rat_from_str's general path: the value, or the DomainError message."""
+    try:
+        return F(s.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"invalid rational {s!r}: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(10**30), 10**30).map(str),
+        st.from_regex(r"\A[-+ ]?[0-9_/٣²]{0,5} ?\Z"),
+        st.sampled_from(["+7", " 7 ", "1_000", "٣", "-0", "7/1", "007", "", "-", "--1", "²", "1e3", "0x1"]),
+    )
+)
+def test_rat_from_str_integer_fast_path_agrees(s):
+    expected = slow_rat_from_str(s)
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            rat_from_str(s)
+        assert str(info.value) == expected
+    else:
+        value = rat_from_str(s)
+        assert type(value) is F and value == expected
 
 
 def test_rational_round_trip():
