@@ -6,6 +6,7 @@ completion-degree certification and the CM-to-K3-lattice complement step.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,10 +32,10 @@ from .qform import (
     GramMatrix,
     QFormInvariants,
     QSpace,
+    _pivot_diagonal,
     admissible,
     complement_invariants,
     construct_with_invariants,
-    diagonalize,
     invariants,
     k3_invariants,
 )
@@ -129,6 +130,13 @@ class ExtensionData:
     polynomial with all roots real.
     kind "unsupported": the construction regime is out of scope; only the
     reason is recorded.
+
+    `delta` (not in the certificate), in the real subfield E+ as a
+    polynomial in its generator x, is totally negative with E =
+    E+(sqrt(delta)): x^2 - 4 = beta^2 - 4 for kind "trivial", beta in
+    (-2, 2); disc(f) < 0 for the compositum, f the base field's quadratic,
+    which has no real root.  Either way sqrt(delta) = gamma - 1/gamma,
+    which conj (gamma -> 1/gamma) negates, so it is not in E+.
     """
 
     kind: str
@@ -138,6 +146,7 @@ class ExtensionData:
     relative: Poly | None
     absolute: Poly | None
     trace: dict
+    delta: Poly | None = None
 
     @property
     def degree(self) -> int:
@@ -192,6 +201,9 @@ def eisenstein_real_subfield(p: int, e: int) -> tuple[NumberField, int, int]:
     raise ArithmeticError("no Eisenstein polynomial with all-real roots found")
 
 
+_BETA_SQUARED_MINUS_4 = Poly([-4, 0, 1])
+
+
 def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     """Extend the CM field to absolute degree target_degree, keeping a unique
     place of negative valuation.
@@ -224,9 +236,11 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
             relative=None,
             absolute=base.field.defining,
             trace={"note": "extension of degree 1"},
+            delta=_BETA_SQUARED_MINUS_4,
         )
     if base.real_subfield.degree == 1:
         real, m, u = eisenstein_real_subfield(p, e)
+        f0, f1, _ = base.field.defining.coeffs
         return ExtensionData(
             kind="eisenstein_compositum",
             base=base,
@@ -235,6 +249,7 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
             relative=real.defining,
             absolute=_absolute_defining(real.defining, base.field.defining),
             trace={"M": m, "u": u, "primitive_shift": 1, "real_roots": e, "eisenstein_prime": p},
+            delta=Poly([f1 * f1 - 4 * f0]),
         )
     return ExtensionData(
         kind="unsupported",
@@ -277,13 +292,17 @@ class TraceForm:
     def to_json(self) -> dict:
         return {"gram": self.gram.to_json(), "lambda": self.lam.to_strs()}
 
-
-def _reduced(lam: Poly, g: Poly) -> Poly:
-    """lambda mod g, DomainError if lambda is 0 there."""
-    r = lam % g
-    if r.is_zero:
-        raise DomainError("lambda must be a nonzero element of the real subfield")
-    return r
+    @functools.cached_property
+    def diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonals of the blocks T(2 lambda) and T(-2 lambda delta),
+        each diagonalized on its own, joined.  det T(mu) = N(mu) * disc(g),
+        as T(mu) = V^t diag(mu(a)) V, V the Vandermonde matrix of the roots a
+        of g: a block is degenerate only where lambda or delta vanishes."""
+        rows, d, den = self.gram.rows, len(self.gram.rows) // 2, self.gram.den
+        try:
+            return _pivot_diagonal([row[:d] for row in rows[:d]], den) + _pivot_diagonal([row[d:] for row in rows[d:]], den)
+        except DomainError:
+            raise DomainError("lambda vanishes at a real embedding") from None
 
 
 def _hankel_traces(r: Poly, g: Poly, count: int) -> tuple[list[int], int]:
@@ -296,66 +315,40 @@ def _hankel_traces(r: Poly, g: Poly, count: int) -> tuple[list[int], int]:
     return [c.numerator * sum(l * p[j + m] for j, l in enumerate(r.prim)) for m in range(count)], c.denominator * den
 
 
-def trace_form_cm(cm: CMData, lam: Poly) -> TraceForm:
-    """Gram matrix of (x, y) -> Tr_{E/Q}(lambda * x * conj(y)) on the power
-    basis 1, gamma, ..., gamma^(n-1) of E = Q[T]/(f).
-
-    It is Toeplitz: conj(gamma) = 1/gamma makes entry (i, j) equal to
-    Tr(lambda * gamma^(i-j)), and conj is an automorphism fixing lambda, so
-    that is t_|i-j| = Tr(lambda * gamma^|i-j|), one trace per distance.
-    With lambda = sum_j l_j beta^j and beta^j = sum_i C(j, i) gamma^(j-2i),
-    t_k = sum_j l_j sum_i C(j, i) p_|k+j-2i|, since Tr(gamma^-m) is the
-    power sum p_m of the roots of f.  The l_j are lambda's content c times
-    integers, and the p_m integers over one denominator, so the t_k are
-    integers over c's denominator times that one."""
-    f, n = cm.field.defining, cm.field.degree
-    r = _reduced(lam, cm.beta_minpoly)
-    p, den = trace_power_sums(f, n + r.degree() - 1)
-    c = r.content
-    t = [
-        c.numerator
-        * sum(l * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, l in enumerate(r.prim))
-        for k in range(n)
-    ]
-    return TraceForm(GramMatrix([[t[abs(i - j)] for j in range(n)] for i in range(n)], c.denominator * den), lam)
-
-
-def trace_form_compositum(ext: ExtensionData, lam: Poly) -> TraceForm:
-    """Trace form on the tensor basis x^i * gamma^j of E = E0 * F.
-
-    Traces multiply across the linearly disjoint factors and x is real, so
-    the Gram is a Kronecker product: entry (2i+j, 2k+l) is t[i+k] * U[j][l]
-    with t[m] = Tr_{E0}(lambda * x^m) and U the unit trace form of F.  As
-    conj(gamma) = 1/gamma, U = [[2, p_1], [p_1, 2]] with p_1 = Tr(gamma),
-    power sums of f's roots over their one denominator, which with t's
-    denominator is the Gram's."""
-    P = ext.relative
-    e = P.degree()
-    t, den = _hankel_traces(_reduced(lam, P), P, 2 * e - 1)
-    (p0, p1), unit_den = trace_power_sums(ext.base.field.defining, 1)
-    unit = ((p0, p1), (p1, p0))
-    rows = [
-        [t[i + k] * unit[j][l] for k in range(e) for l in range(2)]
-        for i in range(e)
-        for j in range(2)
-    ]
-    return TraceForm(GramMatrix(rows, den * unit_den), lam)
-
-
 def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
-    if ext.kind == "trivial":
-        return trace_form_cm(ext.base, lam)
-    if ext.kind == "eisenstein_compositum":
-        return trace_form_compositum(ext, lam)
-    raise DomainError(f"no trace form for extension kind {ext.kind!r}")
+    """Gram matrix of q_lambda(u, v) = Tr_{E/Q}(lambda * u * conj(v)) on the
+    basis x^i, x^i * sqrt(delta), i < d, of E = E+(sqrt(delta)): E+ =
+    Q[x]/(g) the real subfield of degree d and delta = `ext.delta`.
+
+    conj fixes E+ and negates sqrt(delta).  So for u = u1 + u2 sqrt(delta)
+    and v = v1 + v2 sqrt(delta), lambda * u * conj(v) = lambda (u1 v1 -
+    delta u2 v2) + lambda (u2 v1 - u1 v2) sqrt(delta), and the cross terms
+    vanish under Tr_{E/E+}, as Tr_{E/E+}(sqrt(delta)) = 0: q_lambda =
+    T(2 lambda) + T(-2 lambda delta), orthogonal, where T(mu)(a, b) =
+    Tr_{E+/Q}(mu * a * b) is the Hankel form with entries Tr(mu x^(i+k)).
+    From t_m = Tr(lambda x^m), one `_hankel_traces` call, the first block
+    is 2 t_(i+k) and the second -2 s_(i+k), s_m = sum_j delta_j t_(m+j)
+    over delta's coefficients delta_j (delta = c * sum_j delta_j x^j, c its
+    content): integers over the traces' denominator times c's."""
+    g, delta = ext.real_subfield.defining, ext.delta
+    r = lam % g
+    if r.is_zero:
+        raise DomainError("lambda vanishes")
+    d, c = g.degree(), delta.content
+    t, den = _hankel_traces(r, g, 2 * d - 1 + delta.degree())
+    first = [2 * c.denominator * x for x in t]
+    second = [-2 * c.numerator * sum(x * t[m + j] for j, x in enumerate(delta.prim)) for m in range(2 * d - 1)]
+    zeros = [0] * d
+    rows = [first[i : i + d] + zeros for i in range(d)] + [zeros + second[i : i + d] for i in range(d)]
+    return TraceForm(GramMatrix(rows, den * c.denominator), lam)
 
 
 def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyVerdict:
     """det(q_lambda) = (-1)^d * disc(E) in square classes, for the
-    determinant class of the trace form q_lambda.  `diagonalize` reaches its
-    diagonal by congruences of determinant +-1, so the class is that of the
-    diagonal's product, which `invariants` already holds as `det`; no
-    determinant of the Gram matrix is computed here.  `ext.absolute` is set:
+    determinant class of the trace form q_lambda.  `TraceForm.diagonal`
+    reaches its diagonal by congruences of determinant +-1, so the class is
+    that of the diagonal's product, which `invariants` already holds as
+    `det`; no determinant of the Gram matrix is computed here.  `ext.absolute` is set:
     `pipeline.run` stops before this at kind `unsupported`.
 
     Any defining polynomial of E differs from an integral basis by a rational
@@ -386,30 +379,23 @@ def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyV
 # signatures of totally real elements
 
 
-def signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
-    """Exact counts of real embeddings where lambda is positive / negative.
+def signature_of(form: TraceForm, field: NumberField) -> tuple[int, int]:
+    """Exact counts of real embeddings of `field` where lambda is positive /
+    negative, for the trace form of lambda over a CM field with real
+    subfield `field`.
 
     One Sturm count checks that the defining polynomial g has deg g distinct
     real roots (a g read from a certificate may have fewer).  Then, by
-    Hermite's theorem, the Hankel form Tr(lambda * x * y) on Q[x]/(g), the
-    sum of lambda(a) * x(a) * y(a) over the roots a, has exactly this
-    signature, and it is degenerate exactly when lambda vanishes at a root."""
+    Hermite's theorem, T(2 lambda) = sum over the roots a of 2 lambda(a) *
+    x(a) * y(a) has the signature of lambda, so the first d entries of
+    `form.diagonal`, its pivots, have lambda's signs."""
     g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
     if (real_roots := sturm_count(g)) != field.degree or g.degree() != field.degree:
         raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
-    r = lam % g
-    if r.is_zero:
-        raise DomainError("lambda vanishes")
-    n = field.degree
-    t, den = _hankel_traces(r, g, 2 * n - 1)
-    try:
-        diagonal = diagonalize(GramMatrix([[t[i + k] for k in range(n)] for i in range(n)], den)).diagonal
-    except DomainError:
-        raise DomainError("lambda vanishes at a real embedding") from None
-    positives = sum(1 for x in diagonal if x > 0)
-    return positives, n - positives
+    positives = sum(1 for x in form.diagonal[: field.degree] if x > 0)
+    return positives, field.degree - positives
 
 
 def _last_true(holds: Callable[[int], bool]) -> int:
@@ -524,31 +510,32 @@ def cm_to_k3(
     Only what is not given is searched for.  A given lambda is checked with
     `signature_of` (DomainError unless its signature is (1, d-1)); a given
     complement is taken with its own invariants, and the K3 sum identity of
-    the certificate checks it.
+    the certificate checks it.  The trace form's invariants come from the
+    diagonal of its two blocks, each diagonalized on its own.
 
     d = 10 is refused: the paper gives no scalar there, and Bayer-Fluckiger's
     local conditions matter only at 2 and the primes dividing disc(g) or
-    N(beta^2 - 4), g the real subfield's polynomial.  At any other odd prime
-    where every place of the real subfield splits in E, N(beta^2 - 4) is a
-    local square, and so is delta = disc(E): it is N(beta^2 - 4) * disc(g)^2
-    (trivial extension) or disc(P)^2 * disc(f)^e * R^2, R rational
-    (compositum).  There <-1, delta>^perp is hyperbolic, so a table of those
-    primes could only read `pass`; `pipeline.run` records `unknown` instead.
+    N(delta), g the real subfield's polynomial and delta = `ext.delta`, with
+    E = E+(sqrt(delta)).  At any other odd prime where every place of the
+    real subfield splits in E, N(delta) is a local square, and so is disc(E):
+    by the blocks of `trace_form` at lambda = 1, det q_1 = 2^d disc(g) *
+    (-2)^d N(delta) disc(g), so (-1)^d det q_1, which is disc(E) up to
+    squares (`disc_identity_check`), is N(delta) up to squares.  There
+    <-1, disc(E)>^perp is hyperbolic, so a table of those primes could only
+    read `pass`; `pipeline.run` records `unknown` instead.
     """
     if d >= 10:
         raise DomainError(f"no scalar is constructed at d = {d}; cm_to_k3 needs d < 10")
     if ext.real_subfield is None or ext.real_subfield.degree != d:
         raise DomainError(f"the extension has no explicit real subfield of degree d = {d}")
     target = (1, d - 1)
-    if lam is None:
-        lam = find_lambda(ext.real_subfield, target)
-    elif (sig := signature_of(lam, ext.real_subfield)) != target:
+    form = trace_form(ext, find_lambda(ext.real_subfield, target) if lam is None else lam)
+    if lam is not None and (sig := signature_of(form, ext.real_subfield)) != target:
         raise DomainError(f"lambda has signature {sig}, not {target}")
-    form = trace_form(ext, lam)
-    q_inv = invariants(diagonalize(form.gram))
+    q_inv = invariants(QSpace(form.diagonal))
     if complement is not None:
-        return CMToK3Result(lam, form, q_inv, complement, invariants(complement))
+        return CMToK3Result(form.lam, form, q_inv, complement, invariants(complement))
     comp_inv = complement_invariants(q_inv, k3_invariants())
     if not admissible(comp_inv):
         raise ArithmeticError("complement invariants are inadmissible")
-    return CMToK3Result(lam, form, q_inv, construct_with_invariants(comp_inv), comp_inv)
+    return CMToK3Result(form.lam, form, q_inv, construct_with_invariants(comp_inv), comp_inv)

@@ -483,17 +483,15 @@ def _hensel_lift(p, f, modular_factors, l):
 
 
 def _lift_bound(f):
-    """A bound on every coefficient of lc(f) * g / lc(g), for each proper
-    factor g of f in Z[x] (Mignotte, Math. Comp. 28, 1974).  See
-    `_zassenhaus` for the proof."""
+    """A bound on every coefficient of b' * g / lc(g), for each proper
+    factor g of f in Z[x] and divisor b' of lc(f) (Mignotte, Math. Comp.
+    28, 1974).  See `_zassenhaus` for the proof."""
     n = len(f) - 1
     lead = abs(f[-1])
     sq = sum(a * a for a in f)
     norm = math.isqrt(sq)
     norm += norm * norm < sq
-    return lead * max(
-        math.comb(n - 2, j) * norm + (math.comb(n - 2, j - 1) * lead if j else 0) for j in range(n)
-    )
+    return max(math.comb(n - 2, j) * norm + (math.comb(n - 2, j - 1) * lead if j else 0) for j in range(n))
 
 
 def _zassenhaus(f, p, modular):
@@ -510,9 +508,10 @@ def _zassenhaus(f, p, modular):
     its Mahler measure M(g*) = |b'| * prod max(1, |root|) is at most M(f)
     <= ||f||_2 (Landau), and coefficient j of g* is at most
     C(m-1, j) * M(g*) + C(m-1, j-1) * |b'| (Knuth, TAOCP vol. 2, 4.6.2),
-    which for m - 1 <= n - 2 is at most B (the factor |b| >= 1 only widens
-    it).  So p**l > 2 * max |coefficient of g*|, and the trial is g*
-    itself, as is the product `rest` of b' and the other lifted factors.
+    which is at most B = max_j C(n-2, j) * ||f||_2 + C(n-2, j-1) * |b|, as
+    m - 1 <= n - 2 and |b'| <= |b|.  So p**l > 2 * max |coefficient of
+    g*|, and the trial is g* itself, as is the product `rest` of b' and the
+    other lifted factors.
     A trial passes to the exact division when its primitive part's
     constant divides the cofactor's and ||trial||_1 * ||rest||_1 <=
     (isqrt(n + 1) + 1) * 2**n * ||f||_inf * b, which a true split meets:

@@ -127,8 +127,9 @@ def _certificate(
 
     stage("cm_to_k3")
     result = cm_to_k3(ext, d, lam, complement)
-    # lambda has this signature: by find_lambda's construction, or checked
-    # by cm_to_k3 with signature_of for a given lambda
+    # lambda has this signature: by find_lambda's construction, or, for a
+    # given lambda, as signature_of reads it off the pivots of the trace
+    # form's block T(2 lambda) in cm_to_k3
     sig = (1, d - 1)
     trace_inv, comp_inv = result.trace_invariants, result.complement_invariants
     cert["lambda"] = {"coefficients": result.lam.to_strs(), "signature": list(sig)}

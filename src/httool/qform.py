@@ -256,14 +256,20 @@ TRIVIAL_CLASS = SquareClass(1, frozenset())
 MINUS_ONE_CLASS = SquareClass(-1, frozenset())
 
 
+def _pivot_diagonal(rows, den: int) -> tuple[Fraction, ...]:
+    """`diagonalize` on the symmetric integer rows m over den, which it
+    copies: the k-th entry is D_k / (D_(k-1) * den), D_k the pivots of m
+    (`symmetric_pivots`, fraction-free)."""
+    pivots = symmetric_pivots([list(row) for row in rows])
+    return tuple(Fraction(p, prev * den) for prev, p in zip([1] + pivots, pivots))
+
+
 def diagonalize(gram: GramMatrix) -> QSpace:
     """A diagonal form congruent to the Gram matrix G, DomainError if G is
-    degenerate.  With D_k the pivots of the integer matrix m = den * G
-    (`symmetric_pivots`, fraction-free), the k-th entry is
-    D_k / (D_(k-1) * den): a ratio of leading minors of G, after congruences
-    of determinant +-1 that repair zero pivots."""
-    pivots = symmetric_pivots([list(row) for row in gram.rows])
-    return QSpace(tuple(Fraction(p, prev * gram.den) for prev, p in zip([1] + pivots, pivots)))
+    degenerate.  Its entries are ratios of leading minors of G, after
+    congruences of determinant +-1 that repair zero pivots
+    (`_pivot_diagonal`)."""
+    return QSpace(_pivot_diagonal(gram.rows, gram.den))
 
 
 def _ramified(x: SquareClass, y: SquareClass) -> set:

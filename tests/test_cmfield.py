@@ -1,5 +1,6 @@
 """CM fields, trace forms, extensions and the K3 complement step."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -32,9 +33,10 @@ from httool.exactpoly import (
 )
 from httool.padicpoly import vp
 from httool.weilcheck import Status
-from httool.qform import diagonalize, invariants, k3_invariants, sum_invariants
+from httool.qform import QSpace, diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
 from test_helpers import (
+    basis_trace_gram,
     bisection_signature_of,
     compose,
     fraction_determinant,
@@ -43,7 +45,6 @@ from test_helpers import (
     lagrange_interpolate,
     number_field,
     peel_search_diagonal,
-    power_sums,
     reduction_trace_gram,
     reference_disc_identity,
     resultant,
@@ -131,20 +132,22 @@ def test_weil_field_on_census_never_fails():
 def test_trace_form_gaussian_unit():
     ext = trivial_ext(GAUSSIAN)
     form = trace_form(ext, Poly([1]))
-    assert gram_entries(form.gram) == ((2, 0), (0, 2))
+    # on 1, omega = gamma - 1/gamma = 2i: Tr(2i * -2i) = 8
+    assert gram_entries(form.gram) == ((2, 0), (0, 8))
 
 
 def test_trace_form_eisenstein_unit():
     ext = trivial_ext(EISENSTEIN_FIELD)
     form = trace_form(ext, Poly([1]))
-    assert gram_entries(form.gram) == ((2, -1), (-1, 2))
-    assert fraction_determinant(gram_entries(form.gram)) == 3
+    # beta = -1, delta = beta^2 - 4 = -3
+    assert gram_entries(form.gram) == ((2, 0), (0, 6))
+    assert fraction_determinant(gram_entries(form.gram)) == 12
 
 
 def test_trace_form_gaussian_negative():
     ext = trivial_ext(GAUSSIAN)
     form = trace_form(ext, Poly([-1]))
-    assert gram_entries(form.gram) == ((-2, 0), (0, -2))
+    assert gram_entries(form.gram) == ((-2, 0), (0, -8))
     assert invariants(diagonalize(form.gram)).signature == (0, 2)
 
 
@@ -156,34 +159,6 @@ def test_trace_form_rejects_zero_lambda():
 
 # ---------------------------------------------------------------------------
 # trace forms and absolute polynomials against their definitions
-
-
-def _trace(element: Poly, modulus: Poly) -> F:
-    sums = power_sums(modulus, modulus.degree() - 1)
-    return sum((c * sums[i] for i, c in enumerate((element % modulus).coeffs)), F(0))
-
-
-def trace_form_by_definition(ext, lam: Poly) -> list[list[F]]:
-    """The Gram matrix entry by entry, one product per entry: on the power
-    basis gamma^i of a CM field, Tr(lambda * gamma^i * conj(gamma)^j); on
-    the tensor basis x^i * gamma^j of a compositum E0 * F, the product
-    Tr_{E0}(lambda * x^(i+k)) * Tr_F(gamma^j * conj(gamma)^l)."""
-    f, conj = ext.base.field.defining, ext.base.conj
-    T = Poly([0, 1])  # gamma in Q[T]/(f), and x in Q[T]/(P)
-    if ext.kind == "trivial":
-        n = f.degree()
-        lam_in_field = compose(lam, T + conj) % f
-        return [[_trace(lam_in_field * T**i * conj**j, f) for j in range(n)] for i in range(n)]
-    P, e = ext.relative, ext.e
-    return [
-        [
-            _trace(lam * T ** (i + k), P) * _trace(T**j * conj**l, f)
-            for k in range(e)
-            for l in range(2)
-        ]
-        for i in range(e)
-        for j in range(2)
-    ]
 
 
 def _composita():
@@ -204,7 +179,7 @@ def test_trace_forms_match_their_definition():
     for ext in extensions:
         for target in _targets(ext.real_subfield.degree):
             lam = find_lambda(ext.real_subfield, target)
-            expected = trace_form_by_definition(ext, lam)
+            expected = [list(row) for row in gram_entries(basis_trace_gram(ext, lam))]
             form = trace_form(ext, lam)
             assert [list(row) for row in gram_entries(form.gram)] == expected, (ext.absolute, target)
             assert list(diagonalize(form.gram).diagonal) == full_elimination_diagonal(expected)
@@ -234,16 +209,20 @@ def _pool_extensions():
 
 
 def test_trace_forms_and_signatures_match_references_on_the_pools():
-    # the power-sum trace forms against reduction mod the defining
-    # polynomial, and Hermite's signature against Sturm bisection, for the
-    # scalars find_lambda gives at up to four signatures on each of the 502
-    # pool extensions
+    # the power-sum trace forms against reduction mod the absolute
+    # polynomial on the same basis, their invariants against those of the
+    # form on the power or tensor basis, and Hermite's signature against
+    # Sturm bisection, for the scalars find_lambda gives at up to four
+    # signatures on each of the 502 pool extensions
     count = 0
     for ext in _pool_extensions():
         for target in _targets(ext.real_subfield.degree):
             lam = find_lambda(ext.real_subfield, target)
-            assert trace_form(ext, lam).gram == reduction_trace_gram(ext, lam), (ext.absolute, target)
-            assert signature_of(lam, ext.real_subfield) == bisection_signature_of(lam, ext.real_subfield) == target
+            form = trace_form(ext, lam)
+            assert form.gram == basis_trace_gram(ext, lam), (ext.absolute, target)
+            old_basis = invariants(diagonalize(reduction_trace_gram(ext, lam)))
+            assert invariants(QSpace(form.diagonal)) == old_basis, (ext.absolute, target)
+            assert signature_of(form, ext.real_subfield) == bisection_signature_of(lam, ext.real_subfield) == target
             count += 1
     assert count == 1910
 
@@ -293,9 +272,9 @@ def test_signature_identity_on_fixtures(defining):
     d = ext.real_subfield.degree
     for target in [(d, 0), (d - 1, 1) if d > 1 else (d, 0), (1, d - 1)]:
         lam = find_lambda(ext.real_subfield, target)
-        r, s = signature_of(lam, ext.real_subfield)
-        assert (r, s) == target
         form = trace_form(ext, lam)
+        r, s = signature_of(form, ext.real_subfield)
+        assert (r, s) == target
         assert invariants(diagonalize(form.gram)).signature == (2 * r, 2 * s)
 
 
@@ -339,21 +318,29 @@ def test_disc_identity_value_eisenstein():
 # signatures and lambda search
 
 
+def hermite_signature(lam: Poly, field: NumberField) -> tuple[int, int]:
+    """`signature_of` on the trace form of lambda over field(sqrt(-1)): the
+    Gaussian field's extension with `field` put in as its real subfield and
+    delta = -1."""
+    ext = dataclasses.replace(trivial_ext(GAUSSIAN), real_subfield=field, delta=Poly([-1]))
+    return signature_of(trace_form(ext, lam), field)
+
+
 def test_signature_of_examples():
     sqrt6 = number_field(Poly([F(-3, 2), 0, 1]))
-    assert signature_of(Poly([0, 1]), sqrt6) == (1, 1)
-    assert signature_of(Poly([1]), sqrt6) == (2, 0)
+    assert hermite_signature(Poly([0, 1]), sqrt6) == (1, 1)
+    assert hermite_signature(Poly([1]), sqrt6) == (2, 0)
     rational = number_field(Poly([0, 1]))
-    assert signature_of(Poly([-5]), rational) == (0, 1)
+    assert hermite_signature(Poly([-5]), rational) == (0, 1)
 
 
 def test_signature_of_rejects_vanishing():
     sqrt6 = number_field(Poly([F(-3, 2), 0, 1]))
     with pytest.raises(DomainError, match="lambda vanishes"):
-        signature_of(Poly([F(-3, 2), 0, 1]), sqrt6)
+        hermite_signature(Poly([F(-3, 2), 0, 1]), sqrt6)
     # (x - 1)(x - 2) read as a field: x - 1 makes the Hankel form degenerate
     with pytest.raises(DomainError, match="lambda vanishes at a real embedding"):
-        signature_of(Poly([-1, 1]), NumberField(Poly([2, -3, 1]), 2, 2))
+        hermite_signature(Poly([-1, 1]), NumberField(Poly([2, -3, 1]), 2, 2))
 
 
 @pytest.mark.parametrize("defining", [Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([1, 0, 0, 1])])
@@ -364,7 +351,7 @@ def test_signature_of_rejects_a_claimed_real_field_without_its_real_roots(defini
     field = NumberField(defining, 2, 2)
     for lam in (Poly([1]), Poly([0, 1])):
         with pytest.raises(DomainError, match="not totally real"):
-            signature_of(lam, field)
+            hermite_signature(lam, field)
 
 
 def test_find_lambda_examples():
@@ -382,7 +369,7 @@ def test_find_lambda_all_signatures_on_totally_real_cubic():
     assert cubic.real_embeddings == 3
     for target in [(3, 0), (2, 1), (1, 2), (0, 3)]:
         lam = find_lambda(cubic, target)
-        assert signature_of(lam, cubic) == target
+        assert hermite_signature(lam, cubic) == target
 
 
 def assert_simplest_in_gap(field: NumberField, s: int) -> None:
@@ -555,7 +542,7 @@ def test_cm_to_k3_gaussian_chain():
 def test_cm_to_k3_quartic():
     ext = trivial_ext(WEIL_QUARTIC)
     result = cm_to_k3(ext, 2)
-    assert signature_of(result.lam, ext.real_subfield) == (1, 1)
+    assert signature_of(result.trace, ext.real_subfield) == (1, 1)
     assert result.complement_invariants.dim == 18
     assert sum_invariants(result.trace_invariants, invariants(result.complement)) == k3_invariants()
 

@@ -5,7 +5,8 @@ and over F_p by Yun's algorithm and Berlekamp,
 the disc identity by factoring, the CM field with every axiom proved
 again, determinants by Bareiss elimination, resultants and discriminants
 by Sylvester matrices, trace forms by reduction mod the defining
-polynomial and by `Fraction` power-sum traces, absolute polynomials by
+polynomial (on the basis of the program's blocks and on the power or
+tensor basis) and by `Fraction` power-sum traces, absolute polynomials by
 Horner over `Poly`, signatures by Sturm bisection, the complement's
 diagonal by the peel search, and small wrappers over the program's
 kernels that only tests call."""
@@ -298,6 +299,60 @@ def reduction_trace_gram(ext, lam: Poly) -> GramMatrix:
     )
 
 
+def inverse_mod(a: Poly, m: Poly) -> Poly:
+    """a^-1 in Q[T]/(m), by the extended Euclidean algorithm: each pair
+    (r, s) keeps s * a = r mod m."""
+    r0, r1, s0, s1 = m, a % m, Poly(), Poly([1])
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    assert r0.degree() == 0, "a is not invertible mod m"
+    return (s0 * (1 / r0.constant())) % m
+
+
+def basis_trace_gram(ext, lam: Poly) -> GramMatrix:
+    """The trace form's Gram on the basis x^i, x^i * omega of E, omega =
+    gamma - 1/gamma, by reduction mod the absolute polynomial A, each entry
+    Tr_{E/Q}(lambda * b_i * conj(b_j)) with conj the substitution of
+    conj(T) for T.  In Q[T]/(A): for e = 1, gamma = T and x = beta = T +
+    1/T; for a compositum, T = x + gamma, and gamma is the common root -a/b
+    of f(X) and P(T - X) = a + b*X mod f(X) (Horner, X^2 = -f_1 X - f_0),
+    and x = T - gamma.  In both, conj(T) = T - gamma + 1/gamma."""
+    A, f = ext.absolute, ext.base.field.defining
+    T = Poly([0, 1])
+    if ext.e == 1:
+        gamma = T
+    else:
+        f0, f1, _ = f.coeffs
+        a, b = Poly(), Poly()
+        for c in reversed(ext.relative.coeffs):
+            # (a + b X)(T - X) + c
+            a, b = (a * T + b * f0 + Poly([c])) % A, (b * T - a + b * f1) % A
+        gamma = (-a * inverse_mod(b, A)) % A
+    gamma_inv = inverse_mod(gamma, A)
+    x = (gamma + gamma_inv) % A if ext.e == 1 else (T - gamma) % A
+    omega = (gamma - gamma_inv) % A
+    conj_T = (T - gamma + gamma_inv) % A
+    d = ext.real_subfield.degree
+
+    def basis(x, omega):
+        powers = [Poly([1])]
+        for _ in range(d - 1):
+            powers.append((powers[-1] * x) % A)
+        return powers + [(b * omega) % A for b in powers]
+
+    lam_in_field = compose_mod(lam, x, A)
+    left = [(lam_in_field * b) % A for b in basis(x, omega)]
+    # conj(b_j), with conj(x) and conj(omega) by substitution
+    right = basis(compose_mod(x, conj_T, A), compose_mod(omega, conj_T, A))
+    sums, den = trace_power_sums(A, 2 * A.degree() - 2)
+
+    def trace(w: Poly) -> F:
+        return w.content * F(sum(c * sums[k] for k, c in enumerate(w.prim)), den)
+
+    return GramMatrix.from_rows([[trace(u * v) for v in right] for u in left])
+
+
 def poly_absolute_defining(P: Poly, f: Poly) -> Poly:
     """`cmfield._absolute_defining` by Horner over `Poly`: P(Z - gamma) =
     A + B*gamma with gamma^2 = -c1*gamma - c0, then the norm A^2 - c1*A*B +
@@ -319,25 +374,15 @@ def fraction_hankel_traces(lam: Poly, g: Poly, count: int) -> list[F]:
 
 
 def fraction_trace_gram(ext, lam: Poly) -> GramMatrix:
-    """The trace form's Gram with one `Fraction` per entry: for e = 1 the
-    Toeplitz t_|i-j|, t_k = sum_j l_j sum_i C(j, i) p_|k+j-2i|; for a
-    compositum t[i+k] * U[j][l] with U = [[2, p_1], [p_1, 2]]."""
-    f = ext.base.field.defining
-    if ext.kind == "trivial":
-        n, coeffs = f.degree(), (lam % ext.base.beta_minpoly).coeffs
-        p = power_sums(f, n + len(coeffs) - 2)
-        t = [
-            sum(c * sum(math.comb(j, i) * p[abs(k + j - 2 * i)] for i in range(j + 1)) for j, c in enumerate(coeffs))
-            for k in range(n)
-        ]
-        return GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)])
-    e = ext.e
-    t = fraction_hankel_traces(lam, ext.relative, 2 * e - 1)
-    p1 = power_sums(f, 1)[1]
-    unit = ((2, p1), (p1, 2))
-    return GramMatrix.from_rows(
-        [[t[i + k] * unit[j][l] for k in range(e) for l in range(2)] for i in range(e) for j in range(2)]
-    )
+    """The trace form's Gram with one `Fraction` per entry: the blocks
+    2 t_(i+k) and -2 sum_j delta_j t_(i+k+j), t_m = Tr(lambda * x^m) and
+    delta_j the rational coefficients of `ext.delta`."""
+    d, delta = ext.real_subfield.degree, ext.delta.coeffs
+    t = fraction_hankel_traces(lam, ext.real_subfield.defining, 2 * d + len(delta) - 2)
+    zeros = [F(0)] * d
+    first = [[2 * t[i + k] for k in range(d)] + zeros for i in range(d)]
+    second = [zeros + [-2 * sum(c * t[i + k + j] for j, c in enumerate(delta)) for k in range(d)] for i in range(d)]
+    return GramMatrix.from_rows(first + second)
 
 
 def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
@@ -699,8 +744,8 @@ def _own_degree_extensions():
 
 
 def test_trace_forms_match_the_fraction_builders():
-    # the Toeplitz form of every pool member at its own degree and the
-    # Kronecker form of every quadratic member at degrees 8 to 20, each with
+    # the trace form of every pool member at its own degree and of every
+    # quadratic member at degrees 8 to 20, each with
     # the scalar of signature (1, d - 1), and the Hankel traces of that
     # scalar on the real subfield
     count = 0
@@ -708,8 +753,8 @@ def test_trace_forms_match_the_fraction_builders():
         real = ext.real_subfield
         lam = find_lambda(real, (1, real.degree - 1))
         assert trace_form(ext, lam).gram == fraction_trace_gram(ext, lam), (ext.absolute, lam)
-        traces, den = _hankel_traces(lam % real.defining, real.defining, 2 * real.degree - 1)
-        assert [F(t, den) for t in traces] == fraction_hankel_traces(lam, real.defining, 2 * real.degree - 1)
+        traces, den = _hankel_traces(lam % real.defining, real.defining, 2 * real.degree + 1)
+        assert [F(t, den) for t in traces] == fraction_hankel_traces(lam, real.defining, 2 * real.degree + 1)
         count += 1
     assert count == 466 + 84
 
