@@ -114,7 +114,11 @@ class Poly:
         g = math.gcd(*ints[:n])
         if ints[n - 1] < 0:
             g = -g
-        return _make(Fraction(scale * g), tuple(a // g for a in ints[:n]))
+        if g == 1:  # a Fraction scale is then the content itself
+            content, prim = scale, tuple(ints[:n])
+        else:
+            content, prim = scale * g, tuple(a // g for a in ints[:n])
+        return _make(content if isinstance(content, Fraction) else Fraction(content), prim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -136,9 +140,6 @@ class Poly:
         if self.is_zero:
             raise DomainError("the zero polynomial has no leading coefficient")
         return self.content * self.prim[-1]
-
-    def constant(self) -> Fraction:
-        return self.content * self.prim[0] if self.prim else Fraction(0)
 
     def coefficient(self, i: int) -> Fraction:
         return self.content * self.prim[i] if 0 <= i < len(self.prim) else Fraction(0)
@@ -225,10 +226,6 @@ class Poly:
         if self.is_zero:
             raise DomainError("the zero polynomial cannot be made monic")
         return _make(Fraction(1, self.prim[-1]), self.prim)
-
-    def reverse(self) -> "Poly":
-        """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
-        return Poly.from_ints(self.prim[::-1], self.content)
 
     def is_monic(self) -> bool:
         return bool(self.prim) and self.leading() == 1
@@ -637,7 +634,9 @@ def _split_parts(f):
     g = f
     if not _gfp.is_squarefree(gp, p):
         g = _zz_squarefree(f)
-        p, gp = _good_prime(g)
+        # a squarefree f failed at p and every smaller odd prime divides
+        # lc(f), so its search starts past p
+        p, gp = _good_prime(g, p + 2 if len(g) == len(f) else 3)
     parts = dict(_gfp.distinct_degree(gp, p))
     h = g
     indices = []
@@ -808,7 +807,7 @@ class SturmChain:
         self.squarefree = Poly.from_ints(g, 1)
         self.chain = chain
 
-    def _variations(self, point: Fraction | None, positive: bool) -> int:
+    def _variations(self, point: int | Fraction | None, positive: bool) -> int:
         if point is None:
             # sign at +-infinity: the leading coefficient's, flipped at
             # -infinity for odd degree (len(h) even)
@@ -818,15 +817,16 @@ class SturmChain:
             values = [_zz_eval_scaled(h, num, den) for h in self.chain]
         return _sign_variations(values)
 
-    def count(self, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+    def count(self, lo: int | Fraction | None = None, hi: int | Fraction | None = None) -> int:
         """Number of distinct real roots in the half-open interval (lo, hi];
-        `None` endpoints mean -infinity / +infinity."""
+        endpoints are ints or Fractions (both have `numerator` and
+        `denominator`), and `None` means -infinity / +infinity."""
         return self._variations(lo, False) - self._variations(hi, True)
 
-    def halve(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-        """The half of (lo, hi] holding the root, for an interval known to
-        isolate exactly one root."""
-        mid = (lo + hi) / 2
+    def halve(self, lo: int | Fraction, hi: int | Fraction) -> tuple[int | Fraction, int | Fraction]:
+        """The half of (lo, hi] holding the root, for an interval with int or
+        Fraction endpoints known to isolate exactly one root."""
+        mid = Fraction(lo + hi, 2)
         if self.count(lo, mid) == 1:
             return lo, mid
         return mid, hi

@@ -10,7 +10,6 @@ reciprocal roots of negative valuation sit on the negative-slope segments.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,16 +24,6 @@ def _int_vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def vp(r: Fraction, p: int) -> int | float:
-    """The p-adic valuation of a rational; vp(0) is +infinity."""
-    if not _intfactor.is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    r = Fraction(r)
-    if r == 0:
-        return math.inf
-    return _int_vp(r.numerator, p) - _int_vp(r.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -55,9 +44,11 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
     v_p(c_i) = v_p(content) + v_p(prim[i])."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no Newton polygon")
-    if f.constant() == 0:
+    if not f.prim[0]:
         raise DomainError("the constant term must be nonzero")
-    base = vp(f.content, p)
+    if not _intfactor.is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    base = _int_vp(f.content.numerator, p) - _int_vp(f.content.denominator, p)
     points = [(i, base + _int_vp(c, p)) for i, c in enumerate(f.prim) if c]
     hull: list[tuple[int, int]] = []
     for pt in points:

@@ -33,6 +33,7 @@ from .exactpoly import (
     _cyclotomic_table,
     _newton_step,
     _zz_divmod,
+    _zz_eval_scaled,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -56,7 +57,7 @@ class WeilCandidate:
             raise DomainError(f"{self.p} is not prime")
         if self.a < 1:
             raise DomainError("the exponent a must be positive")
-        if self.L.constant() != 1:
+        if not self.L.prim or self.L.content.numerator * self.L.prim[0] != self.L.content.denominator:
             raise DomainError("candidates must have constant term 1")
         if self.L.degree() < 2 or self.L.degree() % 2 != 0:
             raise DomainError("candidates must have even degree >= 2")
@@ -103,19 +104,20 @@ _PASS = PropertyVerdict(Status.PASS, {})
 
 def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
     """All complex roots on the unit circle, certified by Sturm counts on the
-    transform H with L(T) = T**d * H(T + 1/T) (roots land in [-2, 2])."""
-    L = c.L
-    two_d = L.degree()
-    rev = L.reverse()
-    if rev == -L:
+    transform H with L(T) = T**d * H(T + 1/T) (roots land in [-2, 2]).
+
+    L = content * prim with prim[0] != 0, so L is self-inversive (its reverse
+    is L) iff prim is a palindrome, and its reverse is -L iff prim reversed
+    is -prim."""
+    prim = c.L.prim
+    rev = prim[::-1]
+    if rev == tuple(-a for a in prim):
         return PropertyVerdict(
             Status.FAIL,
             {"reason": "odd reciprocal symmetry forces L(1) = 0", "root_of_unity": 1},
         )
-    if rev != L:
-        defect = next(
-            i for i in range(two_d + 1) if L.coefficient(i) != L.coefficient(two_d - i)
-        )
+    if rev != prim:
+        defect = next(i for i, (a, b) in enumerate(zip(prim, rev)) if a != b)
         return PropertyVerdict(
             Status.FAIL,
             {"reason": "not self-inversive", "coefficient_index": defect},
@@ -124,7 +126,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
     hs = chain.squarefree
     deg = hs.degree()
     real_total = chain.count()
-    in_range = chain.count(Fraction(-2), Fraction(2)) + (1 if hs(Fraction(-2)) == 0 else 0)
+    in_range = chain.count(-2, 2) + (1 if _zz_eval_scaled(hs.prim, -2, 1) == 0 else 0)
     if real_total == deg == in_range:
         return _PASS
     witness: dict = {
@@ -238,7 +240,7 @@ def check_power_structure(
             None,
         )
     base, e = factors[0]
-    q_poly = base * (1 / base.constant())
+    q_poly = Poly.from_ints(base.prim, Fraction(base.content.denominator, base.content.numerator * base.prim[0]))
     if q_poly ** e != c.L:
         raise ArithmeticError("factorization reconstruction failed")
     q_polygon = polygon if e == 1 else newton_polygon(q_poly, c.p)
@@ -313,7 +315,8 @@ def check_all(c: WeilCandidate) -> WeilReport:
     unit L.content."""
     L = c.L
     unit_circle = check_unit_circle(c)
-    if unit_circle.status is Status.PASS and L(Fraction(1)) * L(Fraction(-1)):
+    # L(1) and L(-1) are content times these sums
+    if unit_circle.status is Status.PASS and sum(L.prim) and sum(L.prim[::2]) - sum(L.prim[1::2]):
         lifted = [(reciprocal_lift(h), m) for h, m in factor_with_unit(c.transform)[1]]
         factored = L.content, sorted(lifted, key=lambda fm: (fm[0].degree(), fm[0].prim))
     else:
@@ -408,6 +411,7 @@ def enumerate_candidates(
     d = two_d // 2
     den = p ** a
     bound = [two_d * den ** k for k in range(6 * d + 1)]
+    scale = Fraction(1, den)
     results: list[tuple[list[int], WeilCandidate]] = []  # (den * L, candidate)
 
     def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
@@ -423,7 +427,7 @@ def enumerate_candidates(
             sums.append(s)
         if any(not _zz_divmod(ints, prim)[1] for _n, _phi, prim in _cyclotomic_table(two_d)):
             return
-        L = Poly.from_ints(ints, Fraction(1, den))
+        L = Poly.from_ints(ints, scale)
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:

@@ -355,6 +355,14 @@ def test_golden_report_of_a_product_of_three():
     assert proc.stdout == (GOLDEN / "report_product3.json").read_text()
 
 
+def test_golden_report_not_self_inversive():
+    # L's coefficients at T and T**3 differ: the unit-circle witness names
+    # index 1, and L is factored on its own
+    proc = run_cli(["check", "--pretty"], '{"L": ["1","2","1","1","1"], "p": 2, "a": 1}')
+    assert proc.returncode == 1
+    assert proc.stdout == (GOLDEN / "report_not_self_inversive.json").read_text()
+
+
 def replay_certificate(args, candidate: str, golden: str):
     proc = run_cli(["construct", *args, "--pretty"], candidate)
     produced = json.loads(proc.stdout)

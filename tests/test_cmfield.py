@@ -31,7 +31,6 @@ from httool.exactpoly import (
     square_class,
     sturm_count,
 )
-from httool.padicpoly import vp
 from httool.weilcheck import Status
 from httool.qform import QSpace, diagonalize, invariants, k3_invariants, sum_invariants
 from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
@@ -50,6 +49,7 @@ from test_helpers import (
     resultant,
     sylvester_discriminant,
     verified_weil_field,
+    vp,
 )
 from test_qform import full_elimination_diagonal
 
@@ -379,7 +379,7 @@ def assert_simplest_in_gap(field: NumberField, s: int) -> None:
     in that gap, nor, when m is an integer, one of smaller |m|."""
     lam = find_lambda(field, (field.degree - s, s))
     assert lam.degree() == 1 and lam.leading() == 1
-    m = -lam.constant()
+    m = -lam.coefficient(0)
     chain = SturmChain(field.defining)
 
     def in_gap(x) -> bool:
@@ -455,7 +455,7 @@ def test_build_extension_eisenstein_example():
     assert ext.relative == Poly([55, -15, 1])  # (X-5)(X-10) + 5
     assert ext.trace["M"] == 1 and ext.trace["u"] == 1
     assert sturm_count(ext.relative) == 2
-    assert vp(ext.relative.constant(), 5) == 1
+    assert vp(ext.relative.coefficient(0), 5) == 1
 
 
 def test_build_extension_invariants_on_every_call():
@@ -471,7 +471,7 @@ def test_build_extension_invariants_on_every_call():
             ext = build_extension(cm, p, 2 * e)
             P = ext.relative
             assert P.is_monic()
-            assert vp(P.constant(), p) == 1
+            assert vp(P.coefficient(0), p) == 1
             assert all(vp(c, p) >= 1 for c in P.coeffs[:-1])
             assert sturm_count(P) == e
             assert ext.trace["primitive_shift"] == 1

@@ -8,8 +8,9 @@ by Sylvester matrices, trace forms by reduction mod the defining
 polynomial (on the basis of the program's blocks and on the power or
 tensor basis) and by `Fraction` power-sum traces, absolute polynomials by
 Horner over `Poly`, signatures by Sturm bisection, the complement's
-diagonal by the peel search, and small wrappers over the program's
-kernels that only tests call."""
+diagonal by the peel search, the `Poly` forms the program once used
+(reversal, rational valuations, the unit-circle prechecks), and small
+wrappers over the program's kernels that only tests call."""
 
 import json
 import math
@@ -50,6 +51,7 @@ from httool.exactpoly import (
     sturm_count,
     trace_power_sums,
 )
+from httool.padicpoly import _int_vp
 from httool.weilcheck import WeilCandidate, check_all
 from httool.qform import (
     ConstructionError,
@@ -232,7 +234,7 @@ def verified_weil_field(Q: Poly) -> CMData:
     f = Q.monic()
     n = f.degree()
     assert n % 2 == 0, "degree: expected even degree"
-    assert f.reverse() == f, "self_inversive: coefficients are not palindromic"
+    assert reverse(f) == f, "self_inversive: coefficients are not palindromic"
     assert f(F(1)) != 0 and f(F(-1)) != 0, "unit_roots: +-1 must not be roots"
     assert is_irreducible(f), "irreducible: defining polynomial factors over Q"
     assert sturm_count(f) == 0, "totally_imaginary: the field has a real embedding"
@@ -243,7 +245,7 @@ def verified_weil_field(Q: Poly) -> CMData:
     in_range = beta_chain.count(F(-2), F(2))
     assert in_range == half and beta(F(-2)) != 0, "unit_circle: some root lies off the unit circle"
     # gamma^{-1} = -(c_1 + c_2 gamma + ... + c_n gamma^{n-1}) / c_0
-    conj = Poly(list(f.coeffs[1:])) * (-1 / f.constant())
+    conj = Poly(list(f.coeffs[1:])) * (-1 / f.coefficient(0))
     assert (Poly([0, 1]) * conj) % f == Poly([1]), "conjugation: inverse residue is wrong"
     assert compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
     return CMData(NumberField(f, n, 0), NumberField(beta, half, half), beta, conj)
@@ -307,7 +309,7 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
         q, r = divmod(r0, r1)
         r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
     assert r0.degree() == 0, "a is not invertible mod m"
-    return (s0 * (1 / r0.constant())) % m
+    return (s0 * (1 / r0.coefficient(0))) % m
 
 
 def basis_trace_gram(ext, lam: Poly) -> GramMatrix:
@@ -395,7 +397,7 @@ def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     lam = lam % g
     assert not lam.is_zero and len(_zz_gcd(lam.prim, g.prim)) == 1, "lambda vanishes at a root"
     if lam.degree() == 0:
-        return (field.degree, 0) if lam.constant() > 0 else (0, field.degree)
+        return (field.degree, 0) if lam.coefficient(0) > 0 else (0, field.degree)
     lam_chain = SturmChain(lam)
     positives = 0
     for lo, hi in g_chain.isolate():
@@ -462,6 +464,38 @@ def cyclotomic_factors(f: Poly) -> list[int]:
     """The n of each Phi_n that `factor_with_unit` divides out of f's
     squarefree part, ascending."""
     return _split_parts(f.prim)[1]
+
+
+def reverse(f: Poly) -> Poly:
+    """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
+    return Poly.from_ints(f.prim[::-1], f.content)
+
+
+def vp(r: F, p: int) -> int | float:
+    """The p-adic valuation of a rational; vp(0) is +infinity."""
+    if not _intfactor.is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    r = F(r)
+    if r == 0:
+        return math.inf
+    return _int_vp(r.numerator, p) - _int_vp(r.denominator, p)
+
+
+def unit_circle_prechecks(L: Poly) -> tuple[dict | None, bool]:
+    """The unit-circle verdict's symmetry witness (None when L is
+    self-inversive) and whether L(1) * L(-1) != 0, from `reverse` and
+    `Fraction` values, as `check_unit_circle` and `check_all` once decided
+    them on `Poly` forms."""
+    two_d = L.degree()
+    rev = reverse(L)
+    if rev == -L:
+        witness = {"reason": "odd reciprocal symmetry forces L(1) = 0", "root_of_unity": 1}
+    elif rev != L:
+        defect = next(i for i in range(two_d + 1) if L.coefficient(i) != L.coefficient(two_d - i))
+        witness = {"reason": "not self-inversive", "coefficient_index": defect}
+    else:
+        witness = None
+    return witness, L(F(1)) * L(F(-1)) != 0
 
 
 def slopes_with_multiplicity(polygon) -> list[F]:

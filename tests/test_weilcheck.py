@@ -15,7 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from httool.exactpoly import DomainError, Poly, cyclotomic_poly, factor_with_unit, reciprocal_transform
+from httool.exactpoly import (
+    DomainError,
+    Poly,
+    SturmChain,
+    cyclotomic_poly,
+    factor_with_unit,
+    reciprocal_lift,
+    reciprocal_transform,
+)
 from httool import weilcheck
 from httool.padicpoly import SlopeOutcome, newton_polygon
 from httool.weilcheck import (
@@ -31,7 +39,7 @@ from httool.weilcheck import (
     enumerate_candidates,
     reciprocal_root_power_sums,
 )
-from test_helpers import slopes_with_multiplicity, squarefree_part
+from test_helpers import slopes_with_multiplicity, squarefree_part, unit_circle_prechecks
 
 HALF = F(1, 2)
 WEIL_QUADRATIC = Poly([1, -HALF, 1])
@@ -115,7 +123,7 @@ def test_unit_circle_against_numeric_oracle_seeded():
         else:
             coeffs = [F(1)] + half + [F(rng.randint(-3, 3), 2) for _ in range(d - 1)] + [F(1)]
         L = Poly(coeffs)
-        if L.degree() != two_d or L.constant() != 1:
+        if L.degree() != two_d or L.coefficient(0) != 1:
             continue
         candidate = WeilCandidate(L, 2, 1)
         expected = all_roots_on_unit_circle(L)
@@ -397,7 +405,7 @@ def weil_products(draw):
             L = L * member ** draw(st.integers(1, 2))
     extra = draw(st.sampled_from([None, OFF_CIRCLE, Poly([1, 3, 2])] + CYCLOTOMIC_FACTORS))
     if extra is not None:
-        L = L * (extra * (1 / extra.constant()))
+        L = L * (extra * (1 / extra.coefficient(0)))
     assume(L.degree() <= 24)
     return WeilCandidate(L, p, a)
 
@@ -435,3 +443,90 @@ def test_product_is_factored_through_its_quadratic_transform():
         report = check_all(WeilCandidate(L, 2, 1))
     assert degrees == [2]
     assert report.power_structure.witness["factors"] == [[["2", "-1", "2"], 1], [["2", "1", "2"], 1]]
+
+
+# ---------------------------------------------------------------------------
+# the integer prechecks against the Poly forms they replace
+
+
+@st.composite
+def symmetric_candidates(draw):
+    """L with constant term 1 of even degree 2..12 and coefficients over
+    p**k: palindromic, anti-palindromic (leading -1, so negative content),
+    or palindromic with one coefficient moved; times (1 - T)**2, (1 + T)**2
+    or 1, which keep a palindrome and put a root at 1 or -1."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    den = p ** draw(st.integers(0, 2))
+    extra = draw(st.sampled_from((None, cyclotomic_poly(1) ** 2, cyclotomic_poly(2) ** 2)))
+    two_d = draw(st.sampled_from((2, 4, 6, 8, 10, 12) if extra is None else (2, 4, 6, 8, 10)))
+    d = two_d // 2
+    half = [F(draw(st.integers(-3 * den, 3 * den)), den) for _ in range(d)]
+    kind = draw(st.sampled_from(("palindromic", "anti-palindromic", "near-palindromic")))
+    if kind == "anti-palindromic":
+        coeffs = [F(1)] + half[:-1] + [F(0)] + [-c for c in reversed(half[:-1])] + [F(-1)]
+    else:
+        coeffs = [F(1)] + half + list(reversed(half[:-1])) + [F(1)]
+        if kind == "near-palindromic":
+            coeffs[draw(st.integers(1, two_d - 1))] += F(draw(st.sampled_from((-1, 1))), den)
+    L = Poly(coeffs)
+    if extra is not None:
+        L = L * extra
+    return WeilCandidate(L, p, 1)
+
+
+def factored_degree(c: WeilCandidate) -> int:
+    """The degree of the one polynomial `check_all` factors: d through the
+    transform H, 2d on L itself."""
+    degrees = []
+    original = weilcheck.factor_with_unit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weilcheck, "factor_with_unit", lambda f: degrees.append(f.degree()) or original(f))
+        check_all(c)
+    assert len(degrees) == 1
+    return degrees[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_candidates())
+def test_integer_prechecks_match_poly_forms(c):
+    # the symmetry witness against L's reverse, and the choice of factoring
+    # H against Fraction values L(1) * L(-1) != 0
+    witness, nonzero_at_units = unit_circle_prechecks(c.L)
+    verdict = check_unit_circle(c)
+    if witness is None:
+        assert verdict.witness.get("reason") in (None, "a root lies off the unit circle")
+    else:
+        assert verdict.status is Status.FAIL and verdict.witness == witness
+    through_transform = verdict.status is Status.PASS and nonzero_at_units
+    assert factored_degree(c) == (c.L.degree() // 2 if through_transform else c.L.degree())
+
+
+# H with roots exactly at -2 and 2: L has roots at -1 and 1, on the circle
+ROOTS_AT_THE_ENDS = [
+    Poly([4, -4, -1, 1]),  # (x - 2)(x + 2)(x - 1)
+    Poly([-4, 0, 3, 1]),  # (x + 2)**2 (x - 1)
+    Poly([-4, 0, 1]),  # (x - 2)(x + 2)
+    Poly([4, 4, 1]),  # (x + 2)**2
+]
+
+
+def test_sturm_counts_at_int_endpoints_equal_fraction_endpoints():
+    transforms = [reciprocal_transform(m) for members in MEMBERS.values() for m in members]
+    for H in transforms + ROOTS_AT_THE_ENDS:
+        chain = SturmChain(H)
+        for lo, hi in ((-2, 2), (-2, None), (None, 2), (0, 2), (-2, 0)):
+            as_fractions = [None if x is None else F(x) for x in (lo, hi)]
+            assert chain.count(lo, hi) == chain.count(*as_fractions), (H, lo, hi)
+    # (x + 2)**2 (x - 1) has one root, 1, in (-2, 2]
+    chain = SturmChain(ROOTS_AT_THE_ENDS[1])
+    assert chain.halve(-2, 2) == chain.halve(F(-2), F(2)) == (0, 2)
+
+
+@pytest.mark.parametrize("H", ROOTS_AT_THE_ENDS)
+def test_unit_circle_counts_a_root_at_minus_two_in_range(H):
+    # the range [-2, 2] is closed at both ends: the count over (-2, 2]
+    # takes in a root at 2, and H(-2) = 0 adds the root at -2
+    L = reciprocal_lift(H)
+    assert check_unit_circle(WeilCandidate(L, 2, 1)).status is Status.PASS
+    off = check_unit_circle(WeilCandidate(L * Poly([1, 3, 1]), 2, 1))
+    assert off.witness["real_roots_in_range"] == SturmChain(H).squarefree.degree()
