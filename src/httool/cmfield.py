@@ -12,6 +12,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._linalg import symmetric_pivots
 from .exactpoly import (
     DomainError,
     Poly,
@@ -32,12 +33,12 @@ from .qform import (
     GramMatrix,
     QFormInvariants,
     QSpace,
-    _pivot_diagonal,
     admissible,
     complement_invariants,
     construct_with_invariants,
     invariants,
     k3_invariants,
+    pivot_invariants,
 )
 from .weilcheck import PropertyVerdict, Status
 
@@ -293,14 +294,15 @@ class TraceForm:
         return {"gram": self.gram.to_json(), "lambda": self.lam.to_strs()}
 
     @functools.cached_property
-    def diagonal(self) -> tuple[Fraction, ...]:
-        """The diagonals of the blocks T(2 lambda) and T(-2 lambda delta),
-        each diagonalized on its own, joined.  det T(mu) = N(mu) * disc(g),
-        as T(mu) = V^t diag(mu(a)) V, V the Vandermonde matrix of the roots a
-        of g: a block is degenerate only where lambda or delta vanishes."""
-        rows, d, den = self.gram.rows, len(self.gram.rows) // 2, self.gram.den
+    def pivots(self) -> tuple[list[int], list[int]]:
+        """The pivots (`symmetric_pivots`) of the integer blocks T(2 lambda)
+        and T(-2 lambda delta) of the Gram matrix, over `gram.den`, each
+        eliminated on its own.  det T(mu) = N(mu) * disc(g), as T(mu) =
+        V^t diag(mu(a)) V, V the Vandermonde matrix of the roots a of g: a
+        block is degenerate only where lambda or delta vanishes."""
+        rows, d = self.gram.rows, len(self.gram.rows) // 2
         try:
-            return _pivot_diagonal([row[:d] for row in rows[:d]], den) + _pivot_diagonal([row[d:] for row in rows[d:]], den)
+            return symmetric_pivots([list(row[:d]) for row in rows[:d]]), symmetric_pivots([list(row[d:]) for row in rows[d:]])
         except DomainError:
             raise DomainError("lambda vanishes at a real embedding") from None
 
@@ -345,10 +347,11 @@ def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
 
 def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyVerdict:
     """det(q_lambda) = (-1)^d * disc(E) in square classes, for the
-    determinant class of the trace form q_lambda.  `TraceForm.diagonal`
-    reaches its diagonal by congruences of determinant +-1, so the class is
-    that of the diagonal's product, which `invariants` already holds as
-    `det`; no determinant of the Gram matrix is computed here.  `ext.absolute` is set:
+    determinant class of the trace form q_lambda.  `TraceForm.pivots`
+    eliminates each block by congruences of determinant +-1, so the class is
+    that of the blocks' last pivots over den, which `pivot_invariants`
+    already holds as `det`; no determinant of the Gram matrix is computed
+    here.  `ext.absolute` is set:
     `pipeline.run` stops before this at kind `unsupported`.
 
     Any defining polynomial of E differs from an integral basis by a rational
@@ -387,14 +390,15 @@ def signature_of(form: TraceForm, field: NumberField) -> tuple[int, int]:
     One Sturm count checks that the defining polynomial g has deg g distinct
     real roots (a g read from a certificate may have fewer).  Then, by
     Hermite's theorem, T(2 lambda) = sum over the roots a of 2 lambda(a) *
-    x(a) * y(a) has the signature of lambda, so the first d entries of
-    `form.diagonal`, its pivots, have lambda's signs."""
+    x(a) * y(a) has the signature of lambda, and its pivot diagonal has
+    entries D_k / (D_(k-1) den), D_k its pivots (`TraceForm.pivots`): lambda
+    is positive at as many embeddings as there are k with D_k D_(k-1) > 0."""
     g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
     if (real_roots := sturm_count(g)) != field.degree or g.degree() != field.degree:
         raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
-    positives = sum(1 for x in form.diagonal[: field.degree] if x > 0)
+    positives = sum(1 for prev, x in zip((1, *form.pivots[0]), form.pivots[0]) if prev * x > 0)
     return positives, field.degree - positives
 
 
@@ -511,7 +515,7 @@ def cm_to_k3(
     `signature_of` (DomainError unless its signature is (1, d-1)); a given
     complement is taken with its own invariants, and the K3 sum identity of
     the certificate checks it.  The trace form's invariants come from the
-    diagonal of its two blocks, each diagonalized on its own.
+    pivots of its two blocks, each eliminated on its own (`pivot_invariants`).
 
     d = 10 is refused: the paper gives no scalar there, and Bayer-Fluckiger's
     local conditions matter only at 2 and the primes dividing disc(g) or
@@ -532,7 +536,7 @@ def cm_to_k3(
     form = trace_form(ext, find_lambda(ext.real_subfield, target) if lam is None else lam)
     if lam is not None and (sig := signature_of(form, ext.real_subfield)) != target:
         raise DomainError(f"lambda has signature {sig}, not {target}")
-    q_inv = invariants(QSpace(form.diagonal))
+    q_inv = pivot_invariants(form.pivots, form.gram.den)
     if complement is not None:
         return CMToK3Result(form.lam, form, q_inv, complement, invariants(complement))
     comp_inv = complement_invariants(q_inv, k3_invariants())

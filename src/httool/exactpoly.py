@@ -1040,16 +1040,16 @@ class SquareClass:
         return str(self.sign * self.squarefree)
 
 
-def square_class(r: Fraction) -> SquareClass:
-    """The square class of a nonzero rational, from one factorization."""
-    r = Fraction(r)
+def square_class(r: Fraction, den: int = 1) -> SquareClass:
+    """The square class of the nonzero rational r / den, for r an int or a
+    `Fraction` and den a positive integer coprime to it, from one
+    factorization."""
     if r == 0:
         raise DomainError("0 has no square class")
-    sign = 1 if r > 0 else -1
     # numerator and denominator are coprime and factored apart: their product
     # could hide two large primes from the primality test
-    factors = _intfactor.factorize(abs(r.numerator)) | _intfactor.factorize(r.denominator)
-    return SquareClass(sign, frozenset(p for p, e in factors.items() if e % 2))
+    factors = _intfactor.factorize(abs(r.numerator)) | _intfactor.factorize(r.denominator * den)
+    return SquareClass(1 if r > 0 else -1, frozenset(p for p, e in factors.items() if e % 2))
 
 
 # ---------------------------------------------------------------------------

@@ -256,20 +256,13 @@ TRIVIAL_CLASS = SquareClass(1, frozenset())
 MINUS_ONE_CLASS = SquareClass(-1, frozenset())
 
 
-def _pivot_diagonal(rows, den: int) -> tuple[Fraction, ...]:
-    """`diagonalize` on the symmetric integer rows m over den, which it
-    copies: the k-th entry is D_k / (D_(k-1) * den), D_k the pivots of m
-    (`symmetric_pivots`, fraction-free)."""
-    pivots = symmetric_pivots([list(row) for row in rows])
-    return tuple(Fraction(p, prev * den) for prev, p in zip([1] + pivots, pivots))
-
-
 def diagonalize(gram: GramMatrix) -> QSpace:
-    """A diagonal form congruent to the Gram matrix G, DomainError if G is
-    degenerate.  Its entries are ratios of leading minors of G, after
-    congruences of determinant +-1 that repair zero pivots
-    (`_pivot_diagonal`)."""
-    return QSpace(_pivot_diagonal(gram.rows, gram.den))
+    """A diagonal form congruent to the Gram matrix G = m / den, DomainError
+    if G is degenerate: the k-th entry is D_k / (D_(k-1) * den), D_k the
+    pivots of m (`symmetric_pivots`, fraction-free), leading minors after
+    congruences of determinant +-1 that repair zero pivots."""
+    pivots = symmetric_pivots([list(row) for row in gram.rows])
+    return QSpace(tuple(Fraction(p, prev * gram.den) for prev, p in zip([1] + pivots, pivots)))
 
 
 def _ramified(x: SquareClass, y: SquareClass) -> set:
@@ -288,12 +281,12 @@ def invariants(space: QSpace) -> QFormInvariants:
     entries a: determinant class a^(k mod 2), Hasse symbol
     (a, a)^(k(k-1)/2) = (a, -1)^(k(k-1)/2), joined to the running prefix
     by (det so far, a) when k is odd (an even block has square determinant)."""
-    counts = Counter(space.diagonal)
-    r = sum(k for a, k in counts.items() if a > 0)
+    counts = Counter((a.numerator, a.denominator) for a in space.diagonal)
+    r = sum(k for (n, _), k in counts.items() if n > 0)
     det = TRIVIAL_CLASS
     hasse: set = set()
-    for a, k in counts.items():
-        entry = square_class(a)
+    for (n, m), k in counts.items():
+        entry = square_class(n, m)
         if k * (k - 1) // 2 % 2:
             hasse ^= _ramified(entry, MINUS_ONE_CLASS)
         if k % 2:
@@ -301,6 +294,48 @@ def invariants(space: QSpace) -> QFormInvariants:
             det = det.times(entry)
     dim = len(space.diagonal)
     return QFormInvariants(dim, (r, dim - r), det, frozenset(hasse))
+
+
+def pivot_invariants(blocks, den: int) -> QFormInvariants:
+    """The invariants of the orthogonal sum of the forms M / den, one per
+    list of pivots D_1, ..., D_n of a symmetric integer matrix M
+    (`symmetric_pivots`).  Entry k of the pivot diagonal (`diagonalize`)
+    is in the square class of c_k = D_k D_(k-1) den.  The Hasse symbol at v
+    is prod_(j>=2) (c_1 ... c_(j-1), c_j)_v: (-1)^(s(s-1)/2) at infinity,
+    for s negative c_k, and at a prime v read off the valuation parity and
+    unit residue (mod v, or 8) of prefix and entry.
+
+    Only the places of S = {2, inf} | primes(den) | primes(D_n of each
+    block) are evaluated, so only den and each D_n are factored.  Proof that
+    no odd prime p outside S is in the Hasse set: `symmetric_pivots` applies
+    only congruences of determinant +-1, so D_n = det M, a unit at p, and M
+    is unimodular over Z_p.  Such a form has a vector of unit norm (a unit
+    diagonal entry m_ii, or else a unit m_ij and then m_ii + 2 m_ij + m_jj
+    is a unit, p being odd), whose orthogonal complement is again
+    unimodular; so M is congruent over Z_p to a diagonal of p-adic units.
+    Scaling by 1/den, a unit at p, keeps them units, and (u, u')_p = 1 for
+    units at odd p (Serre, A Course in Arithmetic, ch. III, Thm. 1).  The
+    Hasse symbol is an invariant of the space, so its value on the pivot
+    diagonal is 1 at p as well; and p, dividing no D_n nor den, is not in
+    the determinant class either."""
+    c = [x * prev * den for pivots in blocks for prev, x in zip((1, *pivots), pivots)]
+    s = sum(1 for x in c if x < 0)
+    den_primes = _intfactor.factorize(den)
+    # the prime exponents of prod D_n * den^dim, den^dim up to squares
+    exponents = Counter(den_primes if len(c) % 2 else {})
+    for pivots in blocks:
+        exponents.update(_intfactor.factorize(abs(pivots[-1])))
+    hasse = {INF} if s * (s - 1) // 2 % 2 else set()
+    for v in {2} | den_primes.keys() | exponents.keys():
+        modulus, parity, unit, symbol = 8 if v == 2 else v, 0, 1, 1
+        for x in c:
+            e, u = _split_unit(x, v)
+            symbol *= _hilbert_at(v**parity * unit, v ** (e % 2) * (u % modulus), v)
+            parity, unit = (parity + e) % 2, unit * u % modulus
+        if symbol == -1:
+            hasse.add(v)
+    det = SquareClass(-1 if s % 2 else 1, frozenset(p for p, e in exponents.items() if e % 2))
+    return QFormInvariants(len(c), (len(c) - s, s), det, frozenset(hasse))
 
 
 def equivalent(v: QSpace, w: QSpace) -> bool:

@@ -32,7 +32,7 @@ from httool.exactpoly import (
     sturm_count,
 )
 from httool.weilcheck import Status
-from httool.qform import QSpace, diagonalize, invariants, k3_invariants, sum_invariants
+from httool.qform import diagonalize, invariants, k3_invariants, pivot_invariants, sum_invariants
 from httool.weilcheck import WeilCandidate, check_all, enumerate_candidates
 from test_helpers import (
     basis_trace_gram,
@@ -46,6 +46,7 @@ from test_helpers import (
     peel_search_diagonal,
     reduction_trace_gram,
     reference_disc_identity,
+    reference_trace_invariants,
     resultant,
     sylvester_discriminant,
     verified_weil_field,
@@ -221,10 +222,22 @@ def test_trace_forms_and_signatures_match_references_on_the_pools():
             form = trace_form(ext, lam)
             assert form.gram == basis_trace_gram(ext, lam), (ext.absolute, target)
             old_basis = invariants(diagonalize(reduction_trace_gram(ext, lam)))
-            assert invariants(QSpace(form.diagonal)) == old_basis, (ext.absolute, target)
+            new = pivot_invariants(form.pivots, form.gram.den)
+            assert new == reference_trace_invariants(form) == old_basis, (ext.absolute, target)
             assert signature_of(form, ext.real_subfield) == bisection_signature_of(lam, ext.real_subfield) == target
             count += 1
     assert count == 1910
+
+
+def test_trace_invariants_from_pivots_match_the_reference_to_degree_18():
+    # [1, -1/2, 1] at 8..18: at 18 an inner pivot of each block carries a
+    # 27-digit prime, which the reference factors and pivot_invariants never
+    # meets
+    cm = weil_field(WEIL_QUADRATIC)
+    for degree in range(8, 20, 2):
+        ext = build_extension(cm, 2, degree)
+        form = trace_form(ext, find_lambda(ext.real_subfield, (1, degree // 2 - 1)))
+        assert pivot_invariants(form.pivots, form.gram.den) == reference_trace_invariants(form), degree
 
 
 def test_complement_diagonals_match_the_peel_search_on_the_pools():

@@ -57,11 +57,14 @@ from httool.qform import (
     ConstructionError,
     GramMatrix,
     QFormInvariants,
+    QSpace,
     _binary_pool,
     _construct_binary,
     _scalar_candidates,
     admissible,
     complement_invariants,
+    diagonalize,
+    invariants,
 )
 
 
@@ -268,6 +271,21 @@ def power_sums(f: Poly, count: int) -> list[F]:
 def gram_entries(gram: GramMatrix) -> tuple[tuple[F, ...], ...]:
     """The Gram's entries, one `Fraction` each."""
     return tuple(tuple(F(x, gram.den) for x in row) for row in gram.rows)
+
+
+def reference_block_invariants(blocks, den: int) -> QFormInvariants:
+    """The invariants of the orthogonal sum of the symmetric integer blocks
+    over den by the path that factors every pivot: `invariants` of their
+    joined pivot diagonals (`diagonalize`), each entry D_k / (D_(k-1) den)
+    taken to its square class."""
+    return invariants(QSpace(sum((diagonalize(GramMatrix(block, den)).diagonal for block in blocks), ())))
+
+
+def reference_trace_invariants(form) -> QFormInvariants:
+    """`reference_block_invariants` of the trace form's two blocks,
+    T(2 lambda) and T(-2 lambda delta)."""
+    rows, d = form.gram.rows, len(form.gram.rows) // 2
+    return reference_block_invariants([[row[:d] for row in rows[:d]], [row[d:] for row in rows[d:]]], form.gram.den)
 
 
 def _power_traces(element: Poly, modulus: Poly, count: int) -> list[F]:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -562,4 +564,26 @@ def test_tampered_gram_entry_is_one_discrepancy(candidate, degree, tamper):
     assert gram[0][len(gram) // 2] == "0"
     assert revalidate_certificate(_tampered(cert, ("trace_form", "gram", 0, column), value)) == [
         "trace_form.gram changed on replay"
+    ]
+
+
+def test_degree_18_certificate_revalidates_in_a_fresh_process(tmp_path):
+    # the run leaves its factorizations in the process's factor cache; each
+    # revalidation runs in a new interpreter without them, as a user's would
+    cert = run(QUADRATIC, PipelineConfig(18)).certificate
+    assert cert["status"] == "constructed"
+    tampered = _tampered(cert, ("complement", "diagonal", 0), "3")  # was "1"
+    script = "import json, sys; from httool.pipeline import revalidate_certificate as r; print(json.dumps(r(json.load(open(sys.argv[1])))))"
+    found = []
+    for name, certificate in (("cert.json", cert), ("tampered.json", tampered)):
+        (tmp_path / name).write_text(json.dumps(certificate))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / name)], capture_output=True, text=True, check=True)
+        found.append(json.loads(proc.stdout))
+    assert found[0] == []
+    assert found[1] == [
+        "complement.invariants.det changed on replay",
+        "complement.invariants.hasse changed on replay",
+        "k3_sum_identity.status changed on replay",
+        "k3_sum_identity.witness.sum.det changed on replay",
+        "k3_sum_identity.witness.sum.hasse changed on replay",
     ]

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from httool import _intfactor
+from httool._linalg import symmetric_pivots
 from httool.exactpoly import DomainError, SquareClass, square_class
 from httool.qform import (
     INF,
@@ -32,9 +33,10 @@ from httool.qform import (
     is_square_in_Qp,
     k3_invariants,
     k3_lattice,
+    pivot_invariants,
     sum_invariants,
 )
-from test_helpers import fraction_determinant, gram_entries, peel_search_diagonal
+from test_helpers import fraction_determinant, gram_entries, peel_search_diagonal, reference_block_invariants
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -389,6 +391,59 @@ def test_invariants_of_repeated_entries_match_all_pairs_reference(diag):
     # the block rule: <a>^k has determinant a^(k mod 2) and Hasse symbol
     # (a, -1)^(k(k-1)/2)
     assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
+
+
+# ints next to `Fraction`s, with entries of one class but unequal value
+_CLASS_TWINS = st.sampled_from((1, F(1), -1, F(-1), 2, F(2), 8, F(1, 2), F(8, 9), -3, F(-3), -27, F(-1, 3), 5, F(5, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(_CLASS_TWINS, _NONZERO_INTEGERS.map(int), _SMOOTH_RATIONALS), st.integers(1, 4)), min_size=1, max_size=6))
+@example([(2, 1), (8, 1), (F(2), 2)])
+@example([(F(1, 2), 3), (2, 1), (-3, 2), (-27, 1), (F(-3), 1)])
+def test_invariants_group_ints_and_fractions_by_value(runs):
+    # runs of equal entries, the same value possibly as int and `Fraction`
+    # in different runs: grouping on (numerator, denominator) pairs must
+    # agree with the all-pairs reference
+    diag = [a for a, k in runs for _ in range(k)]
+    assert invariants(QSpace(tuple(diag))) == reference_invariants(diag)
+
+
+@st.composite
+def _integer_blocks(draw):
+    """One or two symmetric integer blocks of dimension 1..6 over a den that
+    may share primes with the entries.  Zero entries are frequent, so zero
+    leading minors force the swap and border repairs of `symmetric_pivots`,
+    and multiples of 3 and 5 let a prime divide an inner pivot and not the
+    determinant."""
+    den = draw(st.sampled_from((1, 2, 3, 4, 6, 9, 12, 15, 45, 50, 98)) | st.integers(1, 400))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, 3, -3, 5, 6, 9, -10, 15, 25, 27)) | st.integers(-40, 40)
+    blocks = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 6))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(entry)
+        blocks.append(rows)
+    return blocks, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_blocks())
+@example(([[[1, 0], [0, 1]]], 3))  # the Hasse place 3 comes from den alone
+@example(([[[3, 0], [0, 3]]], 1))  # ... from the determinant alone
+@example(([[[3, 1], [1, 0]]], 1))  # 3 divides the inner pivot 3, not the determinant -1
+@example(([[[0, 1], [1, 0]], [[0, 3, 0], [3, 0, 1], [0, 1, 5]]], 6))  # border repair, then a swap
+def test_pivot_invariants_match_the_pivot_diagonal_reference(case):
+    blocks, den = case
+    try:
+        expected = reference_block_invariants(blocks, den)
+    except DomainError:
+        with pytest.raises(DomainError):
+            [symmetric_pivots([list(row) for row in block]) for block in blocks]
+        return
+    assert pivot_invariants([symmetric_pivots([list(row) for row in block]) for block in blocks], den) == expected
 
 
 # square factors in numerator and denominator, and a prime above 10**12 met
