@@ -139,8 +139,9 @@ def hilbert_symbol(a: Fraction, b: Fraction, place) -> int:
     return _hilbert_at(a.numerator * a.denominator, b.numerator * b.denominator, place)
 
 
-def is_square_in_Qp(r: Fraction, place) -> bool:
-    r = Fraction(r)
+def is_square_in_Qp(r: Fraction | int, place) -> bool:
+    """Whether the nonzero rational r, an int or a `Fraction` (read through
+    its numerator and denominator), is a square in Q_place."""
     if r == 0:
         raise DomainError("0 is not in the unit group")
     place = _checked_place(place)
@@ -393,7 +394,7 @@ def admissible(inv: QFormInvariants) -> bool:
     if inv.dim == 2:
         # A binary form of determinant d has Hasse symbol (x, -d); a place
         # where -d is a square cannot be ramified.
-        minus_det = -inv.det.as_fraction()
+        minus_det = -inv.det.sign * inv.det.squarefree
         return all(not is_square_in_Qp(minus_det, v) for v in inv.hasse)
     return True
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _chebyshev_v,
     _cyclotomic_table,
     _newton_step,
     _zz_divmod,
@@ -64,7 +66,8 @@ class WeilCandidate:
 
     @functools.cached_property
     def transform(self) -> Poly:
-        """H = `reciprocal_transform(L)`, built once for `check_all`."""
+        """H = `reciprocal_transform(L)`, built once for `check_all`; the
+        enumerator sets it to the H its cyclotomic screen divided."""
         return reciprocal_transform(self.L)
 
     @property
@@ -374,6 +377,23 @@ def base_extend(c: WeilCandidate, n: int) -> WeilCandidate:
 # the desk-scale enumerator
 
 
+@functools.cache
+def _census_tables(d: int):
+    """The tables of `enumerate_candidates` at half degree d: for each level
+    i = 1..d, the coefficients of y**(d-i) in V_(d-j)(2 + y) and in
+    V_(d-j)(-2 + y) for j = 0..i-1 (V_j from `_chebyshev_v`), that is
+    V_(d-j)^(k)(+-2) / k! for k = d - i; and psi_n = `reciprocal_transform`
+    (Phi_n), monic, for every n >= 3 with phi(n) <= 2d."""
+    vs = _chebyshev_v(d)
+
+    def taylor(j: int, k: int, x: int) -> int:
+        return sum(math.comb(l, k) * v * x ** (l - k) for l, v in enumerate(vs[j]) if l >= k)
+
+    ends = tuple(tuple(tuple(taylor(d - j, d - i, x) for j in range(i)) for x in (2, -2)) for i in range(1, d + 1))
+    cyclotomics = (Poly.from_ints(prim, 1) for n, _phi, prim in _cyclotomic_table(2 * d) if n >= 3)
+    return ends, tuple(reciprocal_transform(phi).prim for phi in cyclotomics)
+
+
 def enumerate_candidates(
     p: int,
     a: int,
@@ -387,20 +407,52 @@ def enumerate_candidates(
 
     Search space: palindromic L with constant term 1 and coefficients
     c_i = m_i / den, den = p**a, bounded by |c_i| <= binom(2d, i), as roots
-    on the unit circle force.  Those roots also force |s_k| <= 2d for every
-    power sum s_k = sum gamma**k.  The search runs on integers: with
+    on the unit circle force.  Level i of the descent picks m_i, i = 1..d.
+    Three prunes bound it, and each drops only what `check_all` rejects.
+
+    Power sums.  Roots on the unit circle force |s_k| <= 2d for every power
+    sum s_k = sum gamma**k.  The search runs on integers: with
     E_i = e_i * den**i = (-1)**i m_i den**(i-1) and S_k = s_k * den**k,
     Newton's identity reads S_i = base - c*m_i with c = i * den**(i-1) and
     base the part of the recurrence without e_i, so level i tries only
-    ceil((base - B)/c) <= m_i <= floor((base + B)/c), B = 2d * den**i,
-    inside the binomial box.  The descent thus bounds
-    S_1..S_d; a complete L continues the recurrence over its mirrored
-    coefficients from k = d + 1 up to 6d, where off-circle roots make the
-    sums grow geometrically, under the same bound.  Then L is dropped when a
-    Phi_n with phi(n) <= 2d (no other fits) divides it: a root of unity among
-    its reciprocal roots fails constraint (2) in `check_all`.  Each survivor
-    (also of the optional value filters, which carry no semantics of their
-    own) goes through `check_all` once.  Output is sorted by coefficients.
+    ceil((base - B)/c) <= m_i <= floor((base + B)/c), B = 2d * den**i.
+    The descent thus bounds S_1..S_d; a complete L continues the recurrence
+    over its mirrored coefficients from k = d + 1 up to 6d, where
+    off-circle roots make the sums grow geometrically, under the same bound.
+
+    Signs at +-2 (Budan-Fourier).  L(T) = T**d * H(T + 1/T), and
+    G = den * H = den*V_d + sum_(i<d) m_i*V_(d-i) + m_d is an integer
+    polynomial of degree d with leading coefficient den > 0 (V_j from
+    `_chebyshev_v`; the middle coefficient m_d counts once, not as
+    V_0 = 2).  An admissible L has every gamma on the unit circle and
+    gamma != +-1 (constraint (2)), so all d roots gamma + 1/gamma of G are
+    real and lie in the open interval (-2, 2).  Then so do the d - k roots
+    of each derivative G^(k): a root of G^(k) of multiplicity r is one of
+    multiplicity r - 1 of G^(k+1), and by Rolle one more lies strictly
+    between any two consecutive distinct roots, d - k - 1 in all.  G^(k)
+    leads with a positive coefficient and has no root in [2, oo) or in
+    (-oo, -2], so G^(k)(2) > 0 and (-1)**(d-k) * G^(k)(-2) > 0, strictly.
+    This is the all-derivatives case of Budan-Fourier: the sign variations
+    of G, G', .., G^(d) number d at -2 and 0 at 2, V(-2) - V(2) = d.
+    When level i picks m_i, every coefficient of G of degree >= k = d - i
+    is fixed, and V_(d-i) is monic of degree k (V_0 replaced by 1 at
+    i = d), so G^(k) / k! = F + m_i with F the integer part already
+    chosen.  Both conditions are linear in m_i: m_i > -F(2), and
+    m_i > -F(-2) for even i or m_i < -F(-2) for odd i.
+
+    Cyclotomic screen on H.  At i = d (k = 0) the signs say L(1) = H(2) > 0
+    and L(-1) = (-1)**d * H(-2) > 0, so neither Phi_1 nor Phi_2 divides L.
+    For n >= 3, Phi_n divides L exactly when psi_n =
+    `reciprocal_transform(Phi_n)`, the minimal polynomial of 2cos(2 pi/n),
+    of degree phi(n)/2 <= d, divides H (if it does, L is Phi_n times the
+    `reciprocal_lift` of the quotient; if Phi_n divides L, H vanishes at
+    zeta_n + 1/zeta_n).  L is dropped when one does, as a root of unity
+    among its reciprocal roots fails constraint (2).
+
+    Each survivor (also of the optional value filters, which carry no
+    semantics of their own) goes through `check_all` once, with the H the
+    screen divided as its `transform`.  Output is sorted by
+    coefficients.
     """
     if two_d % 2 != 0 or two_d < 2:
         raise DomainError("degree must be even and >= 2")
@@ -412,9 +464,11 @@ def enumerate_candidates(
     den = p ** a
     bound = [two_d * den ** k for k in range(6 * d + 1)]
     scale = Fraction(1, den)
+    ends, psis = _census_tables(d)
     results: list[tuple[list[int], WeilCandidate]] = []  # (den * L, candidate)
 
-    def finalize(half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
+    def finalize(chosen: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
+        half_ints = chosen[1:]
         ints = [den] + half_ints + half_ints[-2::-1] + [den]  # den * L, palindromic
         # E_k joins just before the first step to read it: most leaves stop early
         elem, sums = list(scaled_elem), list(scaled_sums)
@@ -425,30 +479,40 @@ def enumerate_candidates(
             if abs(s) > bound[k]:
                 return
             sums.append(s)
-        if any(not _zz_divmod(ints, prim)[1] for _n, _phi, prim in _cyclotomic_table(two_d)):
-            return
         L = Poly.from_ints(ints, scale)
+        H = reciprocal_transform(L)
+        if any(not _zz_divmod(H.prim, psi)[1] for psi in psis):
+            return
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return
         if value_at_minus_one_not is not None and L(Fraction(-1)) == value_at_minus_one_not:
             return
         cand = WeilCandidate(L, p, a)
+        object.__setattr__(cand, "transform", H)  # the value `transform` would cache
         if check_all(cand).admissible:
             results.append((ints, cand))
 
-    def descend(i: int, half_ints: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
+    def descend(i: int, chosen: list[int], scaled_elem: list[int], scaled_sums: list[int]) -> None:
+        # chosen = [den, m_1, .., m_(i-1)]
         if i > d:
-            finalize(half_ints, scaled_elem, scaled_sums)
+            finalize(chosen, scaled_elem, scaled_sums)
             return
         base = _newton_step(scaled_elem, scaled_sums)
         den_pow = den ** (i - 1)
         c = i * den_pow
         limit = math.comb(two_d, i) * den
-        for m in range(max(-limit, -((bound[i] - base) // c)), min(limit, (base + bound[i]) // c) + 1):
+        at_two, at_minus_two = (sum(map(operator.mul, chosen, row)) for row in ends[i - 1])
+        lo = max(-limit, -((bound[i] - base) // c), 1 - at_two)
+        hi = min(limit, (base + bound[i]) // c)
+        if i % 2:
+            hi = min(hi, -at_minus_two - 1)
+        else:
+            lo = max(lo, 1 - at_minus_two)
+        for m in range(lo, hi + 1):
             e_scaled = (m if i % 2 == 0 else -m) * den_pow
-            descend(i + 1, half_ints + [m], scaled_elem + [e_scaled], scaled_sums + [base - c * m])
+            descend(i + 1, chosen + [m], scaled_elem + [e_scaled], scaled_sums + [base - c * m])
 
-    descend(1, [], [], [])
+    descend(1, [den], [], [])
     # den * L sorts as L does: den > 0 is the same for every candidate
     results.sort(key=lambda pair: pair[0])
     return [cand for _ints, cand in results]

@@ -9,7 +9,8 @@ polynomial (on the basis of the program's blocks and on the power or
 tensor basis) and by `Fraction` power-sum traces, absolute polynomials by
 Horner over `Poly`, signatures by Sturm bisection, the complement's
 diagonal by the peel search, the `Poly` forms the program once used
-(reversal, rational valuations, the unit-circle prechecks), and small
+(reversal, rational valuations, the unit-circle prechecks), the census
+by the power-sum descent alone, and small
 wrappers over the program's kernels that only tests call."""
 
 import json
@@ -37,9 +38,12 @@ from httool.exactpoly import (
     DomainError,
     Poly,
     SturmChain,
+    _cyclotomic_table,
+    _newton_step,
     _split_parts,
     _zassenhaus,
     _zz_derivative,
+    _zz_divmod,
     _zz_exact_quotient,
     _zz_gcd,
     _zz_squarefree,
@@ -514,6 +518,55 @@ def unit_circle_prechecks(L: Poly) -> tuple[dict | None, bool]:
     else:
         witness = None
     return witness, L(F(1)) * L(F(-1)) != 0
+
+
+def reference_census(
+    p: int, a: int, two_d: int, value_at_one: F | None = None, value_at_minus_one_not: F | None = None
+) -> list[WeilCandidate]:
+    """The census as `enumerate_candidates` once searched it: the integer
+    power-sum window inside the binomial box at each level, the power-sum
+    continuation to 6d at each leaf, the screen dividing den * L by every
+    Phi_n with phi(n) <= 2d, and `check_all` on each survivor of the value
+    filters; no signs at +-2 and no screen on H."""
+    d, den = two_d // 2, p**a
+    bound = [two_d * den**k for k in range(6 * d + 1)]
+    found = []
+
+    def finalize(half_ints, elem, sums):
+        ints = [den] + half_ints + half_ints[-2::-1] + [den]
+        elem, sums = list(elem), list(sums)
+        for k in range(d + 1, 6 * d + 1):
+            if k <= two_d:
+                elem.append((ints[k] if k % 2 == 0 else -ints[k]) * den ** (k - 1))
+            s = _newton_step(elem, sums)
+            if abs(s) > bound[k]:
+                return
+            sums.append(s)
+        if any(not _zz_divmod(ints, prim)[1] for _n, _phi, prim in _cyclotomic_table(two_d)):
+            return
+        L = Poly.from_ints(ints, F(1, den))
+        if value_at_one is not None and L(F(1)) != value_at_one:
+            return
+        if value_at_minus_one_not is not None and L(F(-1)) == value_at_minus_one_not:
+            return
+        candidate = WeilCandidate(L, p, a)
+        if check_all(candidate).admissible:
+            found.append((ints, candidate))
+
+    def descend(i, half_ints, elem, sums):
+        if i > d:
+            finalize(half_ints, elem, sums)
+            return
+        base = _newton_step(elem, sums)
+        c = i * den ** (i - 1)
+        limit = math.comb(two_d, i) * den
+        for m in range(max(-limit, -((bound[i] - base) // c)), min(limit, (base + bound[i]) // c) + 1):
+            e_scaled = (m if i % 2 == 0 else -m) * den ** (i - 1)
+            descend(i + 1, half_ints + [m], elem + [e_scaled], sums + [base - c * m])
+
+    descend(1, [], [], [])
+    found.sort(key=lambda pair: pair[0])
+    return [candidate for _ints, candidate in found]
 
 
 def slopes_with_multiplicity(polygon) -> list[F]:

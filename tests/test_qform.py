@@ -140,6 +140,13 @@ def test_is_square_in_qp():
     assert not is_square_in_Qp(F(1, 3), 3)  # odd valuation from the denominator
     assert not is_square_in_Qp(F(1, 2), 3)  # 1/2 = 2 mod 3, a non-residue
     assert is_square_in_Qp(F(17, 4), 2)
+    # an int is read as a Fraction is, through numerator and denominator
+    for r in (4, 3, 17, 5, -1, -7, 12):
+        for place in (2, 3, 5, 7, INF):
+            assert is_square_in_Qp(r, place) == is_square_in_Qp(F(r), place)
+    for zero in (0, F(0)):
+        with pytest.raises(DomainError):
+            is_square_in_Qp(zero, 3)
 
 
 @pytest.mark.parametrize("place", [0, 1, 4, -3, 2.5, -math.inf, math.nan])

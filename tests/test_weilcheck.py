@@ -39,7 +39,7 @@ from httool.weilcheck import (
     enumerate_candidates,
     reciprocal_root_power_sums,
 )
-from test_helpers import slopes_with_multiplicity, squarefree_part, unit_circle_prechecks
+from test_helpers import reference_census, slopes_with_multiplicity, squarefree_part, unit_circle_prechecks
 
 HALF = F(1, 2)
 WEIL_QUADRATIC = Poly([1, -HALF, 1])
@@ -366,6 +366,74 @@ def test_census_value_filters():
     assert any(c.L(F(1)) != target for c in base)
     excluded = enumerate_candidates(2, 1, 2, value_at_minus_one_not=base[0].L(F(-1)))
     assert all(c.L(F(-1)) != base[0].L(F(-1)) for c in excluded)
+
+
+def test_census_degree10_pin():
+    # the acceptance census over the trace polynomial at the desk bound 10;
+    # the listing was pinned from the search without the signs at +-2
+    found = enumerate_candidates(2, 1, 10, desk_bound=10)
+    assert len(found) == 546
+    listing = json.dumps([c.L.to_strs() for c in found]).encode()
+    assert hashlib.sha256(listing).hexdigest() == "6a12453c13a35bd285d2a918997e7c29c04abff0e4b3a571b2eed6ac751c549e"
+
+
+CENSUS_JOBS = [(2, 1, 4), (3, 1, 4), (2, 2, 4), (5, 1, 4), (2, 1, 6), (3, 1, 6), (2, 1, 8)]
+Q3_QUARTIC = reference_census(3, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "p, a, two_d, filters",
+    [pytest.param(p, a, two_d, {}, id=f"q{p ** a}-deg{two_d}") for p, a, two_d in CENSUS_JOBS]
+    + [
+        pytest.param(3, 1, 4, {"value_at_one": Q3_QUARTIC[0].L(F(1))}, id="q3-deg4-value_at_one"),
+        pytest.param(3, 1, 4, {"value_at_minus_one_not": Q3_QUARTIC[0].L(F(-1))}, id="q3-deg4-value_at_minus_one_not"),
+    ],
+)
+def test_census_matches_the_power_sum_descent(p, a, two_d, filters):
+    # the signs at +-2 and the screen on H drop only what check_all rejects
+    expected = [c.L for c in reference_census(p, a, two_d, **filters)]
+    assert [c.L for c in enumerate_candidates(p, a, two_d, **filters)] == expected
+    assert expected
+
+
+def _endpoint_signs(L: Poly) -> list[tuple[int, int]]:
+    """(sign of G^(k)(2), sign of (-1)**(d-k) * G^(k)(-2)) for k = 0..d, G a
+    positive multiple of H = reciprocal_transform(L)."""
+    H = reciprocal_transform(L)
+    assert H.content > 0
+    g, d, signs = list(H.prim), H.degree(), []
+    for k in range(d + 1):
+        at_two, at_minus_two = (sum(c * x**j for j, c in enumerate(g)) for x in (2, -2))
+        signs.append(((at_two > 0) - (at_two < 0), (-1) ** (d - k) * ((at_minus_two > 0) - (at_minus_two < 0))))
+        g = [j * c for j, c in enumerate(g)][1:]
+    return signs
+
+
+def test_pool_members_meet_the_budan_fourier_signs():
+    # every root of H in (-2, 2), so every root of each derivative too
+    for members in MEMBERS.values():
+        for L in members:
+            assert set(_endpoint_signs(L)) == {(1, 1)}, L.to_strs()
+
+
+@pytest.mark.parametrize("p, a, two_d", CENSUS_JOBS[:5], ids=[f"q{p ** a}-deg{two_d}" for p, a, two_d in CENSUS_JOBS[:5]])
+def test_census_hands_check_all_only_screened_leaves(monkeypatch, p, a, two_d):
+    # what reaches check_all has H already built, meets the signs at +-2 for
+    # every k strictly and has no cyclotomic factor
+    seen = []
+
+    def recording_check_all(c):
+        seen.append((c, vars(c).get("transform")))
+        return check_all(c)
+
+    monkeypatch.setattr(weilcheck, "check_all", recording_check_all)
+    found = enumerate_candidates(p, a, two_d)
+    assert len(seen) >= len(found) > 0
+    cyclotomics = [cyclotomic_poly(n) for n in range(1, 2 * two_d * two_d + 1) if cyclotomic_poly(n).degree() <= two_d]
+    for c, seeded in seen:
+        assert seeded == reciprocal_transform(c.L)
+        assert set(_endpoint_signs(c.L)) == {(1, 1)}, c.L.to_strs()
+        assert not any((c.L % phi).is_zero for phi in cyclotomics), c.L.to_strs()
 
 
 # ---------------------------------------------------------------------------
