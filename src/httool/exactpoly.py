@@ -410,14 +410,6 @@ def _zz_squarefree(f):
 # Hensel lifting and Zassenhaus factorization over Z
 
 
-def _zz_l1(f):
-    return sum(abs(a) for a in f)
-
-
-def _zz_max_norm(f):
-    return max(abs(a) for a in f) if f else 0
-
-
 def _hensel_step(m, f, g, h, s, t):
     """The factors of one Hensel step: from f = g*h (mod m0) to f = g1*h1
     (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and lc(h) = 1."""
@@ -507,19 +499,19 @@ def _zassenhaus(f, p, modular):
     C(m-1, j) * M(g*) + C(m-1, j-1) * |b'| (Knuth, TAOCP vol. 2, 4.6.2),
     which is at most B = max_j C(n-2, j) * ||f||_2 + C(n-2, j-1) * |b|, as
     m - 1 <= n - 2 and |b'| <= |b|.  So p**l > 2 * max |coefficient of
-    g*|, and the trial is g* itself, as is the product `rest` of b' and the
-    other lifted factors.
-    A trial passes to the exact division when its primitive part's
-    constant divides the cofactor's and ||trial||_1 * ||rest||_1 <=
-    (isqrt(n + 1) + 1) * 2**n * ||f||_inf * b, which a true split meets:
-    ||g*||_1 <= 2**m * M(g*), and M(trial) * M(rest) = |b'| * M(cofactor)
-    <= b * M(f) <= b * sqrt(n + 1) * ||f||_inf.  At subsets of half the factors, only those holding the
-    first one are tried, as a subset and its complement are one split.
+    g*|, and the trial is g* itself.
+    A trial whose primitive part's constant divides the cofactor's goes to
+    the exact division, and a primitive part dividing the cofactor exactly
+    is a factor of it.  Subsets are tried in order of size, and a factor
+    over Z with a proper factor would have been found through the smaller
+    subset of that factor first, so each factor found is irreducible.  At
+    subsets of half the factors, only those holding the first one are
+    tried, as a subset and its complement are one split.
+    Every factor has a positive leading coefficient: the cofactor is
+    primitive with lc b' > 0, the lifts are monic and p**l > 2B >= 2b', so
+    the trial's leading coefficient is b' itself; the last cofactor is
+    the quotient of two such polynomials.
     """
-    n = len(f) - 1
-    lead = f[-1]
-    const = f[0]
-    bound = (math.isqrt(n + 1) + 1) * (2 ** n) * _zz_max_norm(f) * abs(lead)
     lift_bound = _lift_bound(f)
     l = 1
     pl = p
@@ -533,51 +525,35 @@ def _zassenhaus(f, p, modular):
     factors = []
     size = 1
     current = list(f)
-    b = lead
-    fc = const
     while 2 * size <= len(active):
         advanced = False
         combos = itertools.combinations(active, size)
         if 2 * size == len(active):
             combos = ((active[0], *c) for c in itertools.combinations(active[1:], size - 1))
         for combo in combos:
-            trial = [b]
+            trial = [current[-1]]
             for i in combo:
                 trial = _zz_trunc(_zz_mul(trial, lifted[i]), pl)
-            trial_prim = _zz_primitive(trial)
-            tc = trial_prim[0] if trial_prim else 0
-            if tc and fc % tc != 0:
+            trial = _zz_primitive(trial)
+            if trial[0] and current[0] % trial[0]:
                 continue
-            rest = [b]
-            for i in active:
-                if i not in combo:
-                    rest = _zz_trunc(_zz_mul(rest, lifted[i]), pl)
-            if _zz_l1(trial) * _zz_l1(rest) <= bound:
-                # Gauss: a primitive factor leaves an integral quotient, so a
-                # non-integral step or a remainder means no factor
-                try:
-                    q, r = _zz_divmod(current, trial_prim)
-                except ArithmeticError:
-                    continue
-                if r:
-                    continue
-                factors.append(trial_prim)
-                current = _zz_primitive(q)
-                active = [i for i in active if i not in combo]
-                b = current[-1] if current else 1
-                fc = current[0] if current else 1
-                advanced = True
-                break
+            # Gauss: a primitive factor leaves an integral quotient, so a
+            # non-integral step or a remainder means no factor
+            try:
+                q, r = _zz_divmod(current, trial)
+            except ArithmeticError:
+                continue
+            if r:
+                continue
+            factors.append(trial)
+            current = _zz_primitive(q)
+            active = [i for i in active if i not in combo]
+            advanced = True
+            break
         if not advanced:
             size += 1
-    if current and len(current) > 1:
-        factors.append(_zz_primitive(current))
-    out = []
-    for g in factors:
-        if g[-1] < 0:
-            g = [-c for c in g]
-        out.append(g)
-    return out
+    factors.append(current)
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -1069,15 +1045,6 @@ def _newton_step(elem: list, sums: list):
         tail = k * elem[k - 1]
         acc += tail if k % 2 else -tail
     return acc
-
-
-def power_sums_from_elementary(elem: list[Fraction], count: int) -> list[Fraction]:
-    """p_1..p_count from elementary symmetric values e_1..e_k (e_i = 0 beyond)."""
-    e = [Fraction(c) for c in elem]
-    p: list[Fraction] = []
-    for _ in range(count):
-        p.append(Fraction(_newton_step(e, p)))
-    return p
 
 
 def elementary_from_power_sums(p: list[Fraction], count: int) -> list[Fraction]:

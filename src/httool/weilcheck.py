@@ -40,10 +40,10 @@ from .exactpoly import (
     factor_with_unit,
     is_cyclotomic,
     json_field,
-    power_sums_from_elementary,
     rat_to_str,
     reciprocal_lift,
     reciprocal_transform,
+    trace_power_sums,
 )
 from .padicpoly import NewtonPolygon, SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
 
@@ -69,10 +69,6 @@ class WeilCandidate:
         """H = `reciprocal_transform(L)`, built once for `check_all`; the
         enumerator sets it to the H its cyclotomic screen divided."""
         return reciprocal_transform(self.L)
-
-    @property
-    def q(self) -> int:
-        return self.p ** self.a
 
     def to_json(self) -> dict:
         return {"L": self.L.to_strs(), "p": self.p, "a": self.a}
@@ -186,39 +182,29 @@ def check_newton_shape(
 ) -> tuple[PropertyVerdict, int | None, int | None]:
     """Polygon vertices exactly (0,0), (h,-a), (2d-h,-a), (2d,0) with
     1 <= h <= d <= 10 (the h = d case collapses the flat middle); `polygon`
-    is `newton_polygon(c.L, c.p)`."""
+    is `newton_polygon(c.L, c.p)`.
+
+    The polygon has a vertex at x = 0 and one at x = 2d, so h, the x of the
+    second vertex, is at least 1.  The required shape has four vertices
+    when h < d and three, with h = d, otherwise, so a match has
+    1 <= h <= d."""
     a = c.a
     two_d = c.L.degree()
     d = two_d // 2
-    verts = list(polygon.vertices)
-    witness = {"vertices": [[i, str(v)] for i, v in verts]}
-    h = None
-    if (
-        len(verts) == 3
-        and verts[0] == (0, 0)
-        and verts[1] == (d, -a)
-        and verts[2] == (two_d, 0)
-    ):
-        h = d
-    elif (
-        len(verts) == 4
-        and verts[0] == (0, 0)
-        and verts[3] == (two_d, 0)
-        and verts[1][1] == -a
-        and verts[2][1] == -a
-        and verts[1][0] + verts[2][0] == two_d
-    ):
-        h = verts[1][0]
-    if h is None:
-        witness["reason"] = "polygon shape mismatch"
-        return PropertyVerdict(Status.FAIL, witness), None, d
-    if not 1 <= h <= d:
-        witness["reason"] = f"height {h} outside [1, {d}]"
-        return PropertyVerdict(Status.FAIL, witness), None, d
-    if d > 10:
-        witness["reason"] = f"half degree {d} exceeds 10"
-        return PropertyVerdict(Status.FAIL, witness), h, d
-    return _PASS, h, d
+    verts = polygon.vertices
+    h = verts[1][0]
+    if h < d:
+        expected = ((0, 0), (h, -a), (two_d - h, -a), (two_d, 0))
+    else:
+        expected = ((0, 0), (d, -a), (two_d, 0))
+    if verts != expected:
+        h, reason = None, "polygon shape mismatch"
+    elif d > 10:
+        reason = f"half degree {d} exceeds 10"
+    else:
+        return _PASS, h, d
+    witness = {"vertices": [[i, str(v)] for i, v in verts], "reason": reason}
+    return PropertyVerdict(Status.FAIL, witness), h, d
 
 
 def check_power_structure(
@@ -348,28 +334,23 @@ def check_all(c: WeilCandidate) -> WeilReport:
 # base extension
 
 
-def reciprocal_root_power_sums(L: Poly, count: int) -> list[Fraction]:
-    """s_k = sum gamma_i**k for k = 1..count, from L = prod (1 - gamma_i T)."""
-    elem = [(-1) ** i * c for i, c in enumerate(L.coeffs)][1:]
-    return power_sums_from_elementary(elem, count)
-
-
 def base_extend(c: WeilCandidate, n: int) -> WeilCandidate:
     """The candidate with reciprocal roots gamma_i**n over q**n.
 
-    Computed exactly through power sums (Newton's identities in both
-    directions); properties (1), (3), (4) transfer, and (2) cannot break
-    because powers of non-roots-of-unity are not roots of unity.
+    The gamma_i are the roots of T**2d * L(1/T), monic as L(0) = 1, so its
+    integer power sums (`trace_power_sums`) give s_n, s_2n, ..., s_2dn and
+    Newton's identities the new coefficients; properties (1), (3), (4)
+    transfer, and (2) cannot break because powers of non-roots-of-unity
+    are not roots of unity.
     """
     if n < 1:
         raise DomainError("extension degree must be positive")
     if n == 1:
         return c
     two_d = c.L.degree()
-    sums = reciprocal_root_power_sums(c.L, two_d * n)
-    new_sums = [sums[k * n - 1] for k in range(1, two_d + 1)]
-    elem = elementary_from_power_sums(new_sums, two_d)
-    coeffs = [Fraction(1)] + [(-1) ** k * elem[k - 1] for k in range(1, two_d + 1)]
+    sums, den = trace_power_sums(Poly.from_ints(c.L.prim[::-1], c.L.content), two_d * n)
+    elem = elementary_from_power_sums([Fraction(sums[k * n], den) for k in range(1, two_d + 1)], two_d)
+    coeffs = [Fraction(1)] + [(-1) ** k * e for k, e in enumerate(elem, 1)]
     return WeilCandidate(Poly(coeffs), c.p, c.a * n)
 
 

@@ -11,10 +11,12 @@ Zassenhaus reference in `test_helpers`, which has none of the shortcuts.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import math
 import pathlib
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -44,7 +46,6 @@ from httool.exactpoly import (
     factor_with_unit,
     is_cyclotomic,
     isolate_real_roots,
-    power_sums_from_elementary,
     rat_from_str,
     rat_to_str,
     reciprocal_lift,
@@ -573,6 +574,35 @@ def test_degree_sets_prove_irreducibility():
     assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
 
 
+# the Swinnerton-Dyer polynomials of sqrt 2 + sqrt 3 and sqrt 2 + sqrt 3 +
+# sqrt 5, which split into factors of degree <= 2 mod every prime, and 40
+# seeded products of 3 to 5 distinct q = 2 pool members up to degree 30:
+# each product is lifted and recombined
+def _factor_stress_set() -> list[Poly]:
+    q2 = [Poly([F(c) for c in m]) for pool in POOLS["pools"] if pool["p"] == 2 for m in pool["members"]]
+    rng = random.Random(30)
+    polys = [Poly([1, 0, -10, 0, 1]), Poly([576, 0, -960, 0, 352, 0, -40, 0, 1])]
+    while len(polys) < 42:
+        picks = rng.sample(q2, rng.randint(3, 5))
+        if sum(m.degree() for m in picks) <= 30:
+            polys.append(math.prod(picks, start=Poly([1])))
+    return polys
+
+
+def test_factor_stress_set_pin():
+    # SHA-256 of every factorization of the stress set, pinned before the
+    # norm pre-test left Zassenhaus recombination; the recombination with
+    # it (the reference) agrees factor for factor
+    stress = _factor_stress_set()
+    results = []
+    for f in stress:
+        unit, factors = factor_with_unit(f)
+        results.append([str(unit), [[g.to_strs(), m] for g, m in factors]])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == "71282c843a4c68684f6a90c03b9ea96aa549b269d59e122c7fa9c66d37d9eb65"
+    assert all(factor_with_unit(f) == reference_factor_with_unit(f) for f in stress)
+
+
 # the transforms H of pool members, whose products are the traffic of
 # check_all on products of members
 POOL_TRANSFORMS = [reciprocal_transform(m) for m in POOL_MEMBERS]
@@ -1085,16 +1115,18 @@ _ROOTS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(_ROOTS, st.integers(0, 8))
-def test_power_sums_from_elementary_match_roots(roots, extra):
+def test_newton_step_power_sums_match_roots(roots, extra):
     n = len(roots)
     elem = [
         sum((math.prod(c, start=F(1)) for c in itertools.combinations(roots, k)), F(0))
         for k in range(1, n + 1)
     ]
-    sums = power_sums_from_elementary(elem, n + extra)
+    sums: list = []
+    for _ in range(n + extra):
+        sums.append(_newton_step(elem, sums))
     assert sums == [sum((r**k for r in roots), F(0)) for k in range(1, n + extra + 1)]
-    assert all(type(s) is F for s in sums)
-    assert elementary_from_power_sums(sums, n) == elem
+    back = elementary_from_power_sums(sums, n)
+    assert back == elem and all(type(e) is F for e in back)
     # the step is exact on ints as well: integer roots give integer sums
     if all(r.denominator == 1 for r in roots):
         int_elem = [int(e) for e in elem]

@@ -1,7 +1,9 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
 totient, factorization over Q by Yun's algorithm and Zassenhaus alone
-and over F_p by Yun's algorithm and Berlekamp,
+(recombining behind the norm pre-test) and over F_p by Yun's algorithm
+and Berlekamp, base extension by `Fraction` power sums, the Newton-shape
+verdict by its two-branch rule,
 the disc identity by factoring, the CM field with every axiom proved
 again, determinants by Bareiss elimination, resultants and discriminants
 by Sylvester matrices, trace forms by reduction mod the defining
@@ -13,6 +15,7 @@ diagonal by the peel search, the `Poly` forms the program once used
 by the power-sum descent alone, and small
 wrappers over the program's kernels that only tests call."""
 
+import itertools
 import json
 import math
 import operator
@@ -40,14 +43,19 @@ from httool.exactpoly import (
     SturmChain,
     _cyclotomic_table,
     _newton_step,
+    _hensel_lift,
+    _lift_bound,
     _split_parts,
-    _zassenhaus,
     _zz_derivative,
     _zz_divmod,
     _zz_exact_quotient,
     _zz_gcd,
+    _zz_mul,
+    _zz_primitive,
     _zz_squarefree,
     _zz_sub,
+    _zz_trunc,
+    elementary_from_power_sums,
     factor_with_unit,
     rat_to_str,
     reciprocal_transform,
@@ -56,7 +64,7 @@ from httool.exactpoly import (
     trace_power_sums,
 )
 from httool.padicpoly import _int_vp
-from httool.weilcheck import WeilCandidate, check_all
+from httool.weilcheck import _PASS, PropertyVerdict, Status, WeilCandidate, check_all
 from httool.qform import (
     ConstructionError,
     GramMatrix,
@@ -146,16 +154,113 @@ def _zz_yun(f) -> list[tuple[list[int], int]]:
     return parts
 
 
+def _reference_zassenhaus(f, p, modular):
+    """Zassenhaus recombination with the norm pre-test: the lifted factors
+    of the program's `_hensel_lift`, and a trial goes to the exact division
+    only when its primitive part's constant divides the cofactor's and
+    ||trial||_1 * ||rest||_1 <= (isqrt(n + 1) + 1) * 2**n * ||f||_inf * b,
+    rest the product of b and the other lifted factors, which a true split
+    meets (||g*||_1 <= 2**m * M(g*), and M(trial) * M(rest) = |b'| *
+    M(cofactor) <= b * sqrt(n + 1) * ||f||_inf)."""
+    n = len(f) - 1
+    bound = (math.isqrt(n + 1) + 1) * 2**n * max(abs(a) for a in f) * f[-1]
+    l, pl = 1, p
+    while pl < 2 * _lift_bound(f) + 1:
+        pl *= p
+        l += 1
+    lifted = _hensel_lift(p, f, modular, l)
+    active = list(range(len(lifted)))
+    factors = []
+    size = 1
+    current = list(f)
+    while 2 * size <= len(active):
+        advanced = False
+        combos = itertools.combinations(active, size)
+        if 2 * size == len(active):
+            combos = ((active[0], *c) for c in itertools.combinations(active[1:], size - 1))
+        for combo in combos:
+            trial, rest = [current[-1]], [current[-1]]
+            for i in active:
+                if i in combo:
+                    trial = _zz_trunc(_zz_mul(trial, lifted[i]), pl)
+                else:
+                    rest = _zz_trunc(_zz_mul(rest, lifted[i]), pl)
+            trial_prim = _zz_primitive(trial)
+            if trial_prim[0] and current[0] % trial_prim[0]:
+                continue
+            if sum(map(abs, trial)) * sum(map(abs, rest)) > bound:
+                continue
+            try:
+                q, r = _zz_divmod(current, trial_prim)
+            except ArithmeticError:
+                continue
+            if r:
+                continue
+            factors.append(trial_prim)
+            current = _zz_primitive(q)
+            active = [i for i in active if i not in combo]
+            advanced = True
+            break
+        if not advanced:
+            size += 1
+    factors.append(current)
+    return [[-c for c in g] if g[-1] < 0 else g for g in factors]
+
+
 def reference_factor_with_unit(f: Poly):
     """`factor_with_unit` with no shortcut: Yun's algorithm, then Berlekamp,
-    Hensel lifting and Zassenhaus recombination on every squarefree part
-    of degree 2 or more, cyclotomic or not."""
+    Hensel lifting and Zassenhaus recombination with the norm pre-test
+    (`_reference_zassenhaus`) on every squarefree part of degree 2 or
+    more, cyclotomic or not."""
     factors = []
     for g, mult in _zz_yun(f.prim):
-        irreducibles = [g] if len(g) == 2 else _zassenhaus(g, *_reference_factoring_prime(g))
+        irreducibles = [g] if len(g) == 2 else _reference_zassenhaus(g, *_reference_factoring_prime(g))
         factors.extend((Poly.from_ints(irr, 1), mult) for irr in irreducibles)
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
+
+
+def reference_base_extend(c: WeilCandidate, n: int) -> WeilCandidate:
+    """The base extension by `Fraction` power sums of the reciprocal roots,
+    s_k = sum gamma_i**k from the coefficients of L = prod (1 - gamma_i T)
+    by Newton's identities, and back from s_n, s_2n, ..., s_2dn."""
+    two_d = c.L.degree()
+    elem = [(-1) ** i * x for i, x in enumerate(c.L.coeffs)][1:]
+    sums: list[F] = []
+    for _ in range(two_d * n):
+        sums.append(F(_newton_step(elem, sums)))
+    new_elem = elementary_from_power_sums([sums[k * n - 1] for k in range(1, two_d + 1)], two_d)
+    return WeilCandidate(Poly([F(1)] + [(-1) ** k * e for k, e in enumerate(new_elem, 1)]), c.p, c.a * n)
+
+
+def reference_newton_shape(c: WeilCandidate, polygon) -> tuple[PropertyVerdict, int | None, int | None]:
+    """The Newton-shape verdict by two branches, three vertices with h = d or
+    four with a flat middle of height -a, then a test that h is in [1, d]."""
+    a, two_d = c.a, c.L.degree()
+    d = two_d // 2
+    verts = list(polygon.vertices)
+    witness = {"vertices": [[i, str(v)] for i, v in verts]}
+    h = None
+    if len(verts) == 3 and verts[0] == (0, 0) and verts[1] == (d, -a) and verts[2] == (two_d, 0):
+        h = d
+    elif (
+        len(verts) == 4
+        and verts[0] == (0, 0)
+        and verts[3] == (two_d, 0)
+        and verts[1][1] == verts[2][1] == -a
+        and verts[1][0] + verts[2][0] == two_d
+    ):
+        h = verts[1][0]
+    if h is None:
+        witness["reason"] = "polygon shape mismatch"
+        return PropertyVerdict(Status.FAIL, witness), None, d
+    if not 1 <= h <= d:
+        witness["reason"] = f"height {h} outside [1, {d}]"
+        return PropertyVerdict(Status.FAIL, witness), None, d
+    if d > 10:
+        witness["reason"] = f"half degree {d} exceeds 10"
+        return PropertyVerdict(Status.FAIL, witness), h, d
+    return _PASS, h, d
 
 
 def bareiss_determinant(matrix: list[list[int]]) -> int:

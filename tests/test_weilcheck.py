@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from httool.exactpoly import (
@@ -23,9 +23,10 @@ from httool.exactpoly import (
     factor_with_unit,
     reciprocal_lift,
     reciprocal_transform,
+    trace_power_sums,
 )
 from httool import weilcheck
-from httool.padicpoly import SlopeOutcome, newton_polygon
+from httool.padicpoly import NewtonPolygon, SlopeOutcome, newton_polygon
 from httool.weilcheck import (
     Status,
     WeilCandidate,
@@ -37,9 +38,15 @@ from httool.weilcheck import (
     check_power_structure,
     check_unit_circle,
     enumerate_candidates,
-    reciprocal_root_power_sums,
 )
-from test_helpers import reference_census, slopes_with_multiplicity, squarefree_part, unit_circle_prechecks
+from test_helpers import (
+    reference_base_extend,
+    reference_census,
+    reference_newton_shape,
+    slopes_with_multiplicity,
+    squarefree_part,
+    unit_circle_prechecks,
+)
 
 HALF = F(1, 2)
 WEIL_QUADRATIC = Poly([1, -HALF, 1])
@@ -254,10 +261,83 @@ def test_base_extend_rejects_zero():
 
 
 def test_power_sums_match_roots():
-    # L = (1 - T/2)(1 - 2T) has reciprocal roots 1/2 and 2
+    # L = (1 - T/2)(1 - 2T) has reciprocal roots 1/2 and 2, the roots of
+    # T**2 * L(1/T), which is monic as L(0) = 1
     L = Poly([1, -HALF]) * Poly([1, -2])
-    sums = reciprocal_root_power_sums(L, 4)
-    assert sums == [F(5, 2), F(17, 4), F(65, 8), F(257, 16)]
+    reversed_L = Poly.from_ints(L.prim[::-1], L.content)
+    assert reversed_L == Poly([1, F(-5, 2), 1]) and reversed_L.is_monic()
+    sums, den = trace_power_sums(reversed_L, 4)
+    assert [F(s, den) for s in sums] == [2, F(5, 2), F(17, 4), F(65, 8), F(257, 16)]
+
+
+def test_base_extend_pool_pin():
+    # every pool member at n = 2..5: SHA-256 of the extended candidates,
+    # pinned while base extension ran on Fraction power sums, and the
+    # Fraction route itself (the reference) gives the same candidates
+    extended = []
+    for pool in POOLS["pools"]:
+        for member in pool["members"]:
+            c = WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])
+            for n in range(2, 6):
+                e = base_extend(c, n)
+                assert e == reference_base_extend(c, n)
+                extended.append(e.to_json())
+    digest = hashlib.sha256(json.dumps(extended).encode()).hexdigest()
+    assert digest == "44c545389faec8dfe2524c3ae7f4a093272751577d3fa7bf93400da973af88c0"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=2, max_size=6).filter(
+        lambda cs: len(cs) % 2 == 0 and cs[-1] != 0
+    ),
+    st.integers(2, 6),
+)
+def test_base_extend_matches_reference_off_the_pool(coeffs, n):
+    # any L with L(0) = 1 and even degree, palindromic or not, Weil or not:
+    # the integer route is exact for all of them.  Every pool member is
+    # palindromic, equal to T**2d * L(1/T), so only such L show that the
+    # reversal is taken
+    c = WeilCandidate(Poly([1, *coeffs]), 3, 1)
+    assert base_extend(c, n) == reference_base_extend(c, n)
+
+
+@st.composite
+def newton_vertex_tuples(draw):
+    """(a, 2d, vertices) with 2 to 5 vertices at strictly increasing x from
+    0 to 2d, as every Newton polygon of a candidate has them: the required
+    shape at any h (h > d included) or a near miss, with one x or height
+    off, asymmetric, or d > 10."""
+    d = draw(st.integers(1, 13))
+    a = draw(st.integers(1, 3))
+    two_d = 2 * d
+    count = draw(st.integers(2, min(5, two_d + 1)))
+    xs = [0, *sorted(draw(st.sets(st.integers(1, two_d - 1), min_size=count - 2, max_size=count - 2))), two_d]
+    if count == 4 and draw(st.booleans()) and xs[1] < d:
+        xs[2] = two_d - xs[1]  # symmetric, the required x pattern
+    if count == 3 and draw(st.booleans()):
+        xs[1] = d
+    heights = st.sampled_from([-a, -a, -a, 0, 1, -a - 1])
+    ys = [draw(st.sampled_from([0, 0, 0, -1])), *(draw(heights) for _ in xs[2:]), draw(st.sampled_from([0, 0, 0, 1]))]
+    return a, two_d, tuple(zip(xs, ys))
+
+
+@settings(max_examples=400, deadline=None)
+@given(newton_vertex_tuples())
+@example((1, 4, ((0, 0), (2, -1), (4, 0))))  # h = d
+@example((1, 4, ((0, 0), (1, -1), (3, -1), (4, 0))))  # h = 1 < d
+@example((1, 4, ((0, 0), (3, -1), (4, 0))))  # h = 3 > d
+@example((2, 6, ((0, 0), (1, -2), (4, -2), (6, 0))))  # asymmetric
+@example((1, 4, ((0, 0), (1, -2), (3, -1), (4, 0))))  # a wrong height
+@example((1, 22, ((0, 0), (5, -1), (17, -1), (22, 0))))  # d = 11
+@example((2, 4, ((0, 0), (4, 0))))  # two vertices
+def test_newton_shape_matches_two_branch_rule(shape):
+    a, two_d, vertices = shape
+    c = WeilCandidate(Poly([1] + [0] * (two_d - 1) + [1]), 2, a)
+    polygon = NewtonPolygon(prime=2, vertices=vertices, segments=())
+    verdict, h, d = check_newton_shape(c, polygon)
+    expected, expected_h, expected_d = reference_newton_shape(c, polygon)
+    assert (verdict.status, h, d, verdict.witness) == (expected.status, expected_h, expected_d, expected.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +429,16 @@ def test_census_q2_degree8_count():
     assert len(found) == 200
     listing = json.dumps([c.L.to_strs() for c in found]).encode()
     assert hashlib.sha256(listing).hexdigest() == "a5a1ac601f8be150a515d3fd1ea0e929c78336242e5a0d999d9590222c04faea"
+
+
+def test_census_lists_admissible_candidates_only():
+    # at q = 4 and degree 4, [1, -2, 9/4, -2, 1] survives the search but its
+    # power structure is unknown (no residual polynomial decides the slope
+    # factor), so the census, a list of admissible candidates, leaves it out
+    c = WeilCandidate(Poly.from_strs(["1", "-2", "9/4", "-2", "1"]), 2, 2)
+    report = check_all(c)
+    assert report.power_structure.status is Status.UNKNOWN and not report.admissible
+    assert c.L not in [found.L for found in enumerate_candidates(2, 2, 4)]
 
 
 def test_census_rejects_bad_degrees():
