@@ -17,11 +17,11 @@ from .exactpoly import (
     DomainError,
     Poly,
     SquareClass,
+    SturmChain,
     _zz_add,
     _zz_mul,
     _zz_sub,
     discriminant,
-    isolate_real_roots,
     rat_to_str,
     reciprocal_transform,
     square_class,
@@ -388,7 +388,8 @@ def signature_of(form: TraceForm, field: NumberField) -> tuple[int, int]:
     subfield `field`.
 
     One Sturm count checks that the defining polynomial g has deg g distinct
-    real roots (a g read from a certificate may have fewer).  Then, by
+    real roots.  The real subfield that `build_extension` derives has them;
+    the check guards a caller passing a `NumberField` of its own.  Then, by
     Hermite's theorem, T(2 lambda) = sum over the roots a of 2 lambda(a) *
     x(a) * y(a) has the signature of lambda, and its pivot diagonal has
     entries D_k / (D_(k-1) den), D_k its pivots (`TraceForm.pivots`): lambda
@@ -423,27 +424,22 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
     between the s-th and (s+1)-th real roots a < b of the defining
     polynomial g: the one of least denominator, and among integers the one
     of least absolute value.  So m, and with it the certificate, depends on
-    the field alone, not on how far any interval was refined.
+    the field alone.
 
-    Soundness.  `isolate_real_roots` runs one Sturm chain of g and returns
-    disjoint intervals (lo, hi], each holding exactly one root.  g is
-    irreducible of degree d >= 2 (the real subfield of the CM field, or an
-    Eisenstein polynomial), so its roots are simple and irrational and g
-    vanishes at no rational point.  It changes sign at each root and, being
-    monic, is positive above the largest, so in the gap (a, b) it has the
-    sign (-1)^(d - s).  A rational x then lies below the gap when x <= lo_a,
-    above it when x >= hi_b, in it when hi_a <= x <= lo_b, and, inside
-    either interval, in it exactly when g(x) has the gap's sign.  So x - m
-    is negative at the s smaller roots and positive at the rest.
+    Soundness.  g is squarefree with no rational root; irreducible of
+    degree d >= 2 is enough (the real subfield of the CM field, or an
+    Eisenstein polynomial).  So no rational x is a root, and the number of
+    roots in (-inf, x], one count on g's Sturm chain, is s exactly when x
+    lies in the gap (a, b), less than s below it and more than s above it.
+    So x - m is negative at the s smaller roots and positive at the rest.
 
     The search is the Stern-Brocot descent (Graham-Knuth-Patashnik,
     Concrete Mathematics, 4.5).  If 0 is in the gap, m = 0.  Otherwise
-    start from the neighbours p/q = k/1 and p'/q' = 1/0, k = max(0,
-    floor(lo_a)), when the gap lies above 0, and from -1/0 and k/1, k =
-    min(0, ceil(hi_b)), when it lies below: no integer between 0 and k is
-    in the gap.  The mediant (p + p')/(q + q') is m when it lies in the
-    gap, and otherwise replaces the neighbour on its side; a run of such
-    steps in one direction is taken as one batch.
+    start from the neighbours p/q = 0/1 and p'/q' = 1/0 when the gap lies
+    above 0, and from -1/0 and 0/1 when it lies below.  The mediant (p +
+    p')/(q + q') is m when it lies in the gap, and otherwise replaces the
+    neighbour on its side; a run of such steps in one direction is taken as
+    one batch.
     Neighbours keep p'q - pq' = 1 and the gap between them:
     - while one of them is +-1/0, the mediants are the integers, met in
       order of absolute value, so the first integer in the gap is m;
@@ -461,27 +457,16 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
         raise DomainError("lambda search requires a totally real field")
     if r == 0 or s == 0:
         return Poly([1 if r else -1])
-    g = field.defining
-    (lo_a, hi_a), (lo_b, hi_b) = isolate_real_roots(g)[s - 1 : s + 1]
-    positive = (field.degree - s) % 2 == 0  # g's sign in the gap
+    chain = SturmChain(field.defining)
 
     def side(p: int, q: int) -> int:
         """-1, 0 or 1 as p/q lies below, in or above the gap."""
-        x = Fraction(p, q)
-        if x <= lo_a:
-            return -1
-        if x >= hi_b:
-            return 1
-        if hi_a <= x <= lo_b or (g(x) > 0) == positive:
-            return 0
-        return -1 if x < hi_a else 1
+        below = chain.count(None, Fraction(p, q))
+        return (below > s) - (below < s)
 
     if (start := side(0, 1)) == 0:
         return Poly([0, 1])
-    if start < 0:
-        p0, q0, p1, q1 = max(0, math.floor(lo_a)), 1, 1, 0
-    else:
-        p0, q0, p1, q1 = -1, 0, min(0, math.ceil(hi_b)), 1
+    p0, q0, p1, q1 = (0, 1, 1, 0) if start < 0 else (-1, 0, 0, 1)
     while (step := side(p0 + p1, q0 + q1)) != 0:
         if step < 0:
             j = _last_true(lambda j: side(p0 + j * p1, q0 + j * q1) < 0)
@@ -498,7 +483,6 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
 
 @dataclass(frozen=True)
 class CMToK3Result:
-    lam: Poly
     trace: TraceForm
     trace_invariants: QFormInvariants
     complement: QSpace
@@ -538,8 +522,8 @@ def cm_to_k3(
         raise DomainError(f"lambda has signature {sig}, not {target}")
     q_inv = pivot_invariants(form.pivots, form.gram.den)
     if complement is not None:
-        return CMToK3Result(form.lam, form, q_inv, complement, invariants(complement))
+        return CMToK3Result(form, q_inv, complement, invariants(complement))
     comp_inv = complement_invariants(q_inv, k3_invariants())
     if not admissible(comp_inv):
         raise ArithmeticError("complement invariants are inadmissible")
-    return CMToK3Result(form.lam, form, q_inv, construct_with_invariants(comp_inv), comp_inv)
+    return CMToK3Result(form, q_inv, construct_with_invariants(comp_inv), comp_inv)

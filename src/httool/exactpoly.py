@@ -807,29 +807,6 @@ class SturmChain:
             return lo, mid
         return mid, hi
 
-    def isolate(self) -> list[tuple[Fraction, Fraction]]:
-        """Disjoint rational intervals (lo, hi], one per distinct real root,
-        in increasing order."""
-        total = self.count()
-        if total == 0:
-            return []
-        b = cauchy_bound(self.squarefree)
-        stack = [(-b, b, total)]
-        found: list[tuple[Fraction, Fraction]] = []
-        while stack:
-            lo, hi, k = stack.pop()
-            if k == 1:
-                found.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            left = self.count(lo, mid)
-            if left:
-                stack.append((lo, mid, left))
-            if k - left:
-                stack.append((mid, hi, k - left))
-        found.sort()
-        return found
-
 
 def sturm_count(f: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots of f in the half-open interval (lo, hi].
@@ -845,10 +822,28 @@ def cauchy_bound(f: Poly) -> Fraction:
     return 1 + Fraction(max(abs(a) for a in f.prim), f.prim[-1])
 
 
-def isolate_real_roots(f: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (lo, hi], one per distinct real root,
-    in increasing order."""
-    return SturmChain(f).isolate()
+def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint rational intervals (lo, hi], one per distinct real root of
+    the chain's polynomial, in increasing order."""
+    total = chain.count()
+    if total == 0:
+        return []
+    b = cauchy_bound(chain.squarefree)
+    stack = [(-b, b, total)]
+    found: list[tuple[Fraction, Fraction]] = []
+    while stack:
+        lo, hi, k = stack.pop()
+        if k == 1:
+            found.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        left = chain.count(lo, mid)
+        if left:
+            stack.append((lo, mid, left))
+        if k - left:
+            stack.append((mid, hi, k - left))
+    found.sort()
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def _certificate(
     # form's block T(2 lambda) in cm_to_k3
     sig = (1, d - 1)
     trace_inv, comp_inv = result.trace_invariants, result.complement_invariants
-    cert["lambda"] = {"coefficients": result.lam.to_strs(), "signature": list(sig)}
+    cert["lambda"] = {"coefficients": result.trace.lam.to_strs(), "signature": list(sig)}
     cert["trace_form"] = result.trace.to_json()
     cert["trace_invariants"] = trace_inv.to_json()
 

@@ -39,6 +39,7 @@ from .exactpoly import (
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
+    isolate_real_roots,
     json_field,
     rat_to_str,
     reciprocal_lift,
@@ -134,7 +135,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
         "real_roots": real_total,
         "real_roots_in_range": in_range,
     }
-    for lo, hi in chain.isolate():
+    for lo, hi in isolate_real_roots(chain):
         # refine until the interval clears the boundary (roots at +-2 are in range)
         for _ in range(64):
             if hi <= -2 or lo >= 2 or (-2 <= lo and hi <= 2):

@@ -1,6 +1,7 @@
 """CM fields, trace forms, extensions and the K3 complement step."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -27,6 +28,7 @@ from httool.exactpoly import (
     Poly,
     SturmChain,
     cyclotomic_poly,
+    isolate_real_roots,
     rat_to_str,
     square_class,
     sturm_count,
@@ -46,6 +48,7 @@ from test_helpers import (
     peel_search_diagonal,
     reduction_trace_gram,
     reference_disc_identity,
+    reference_find_lambda,
     reference_trace_invariants,
     resultant,
     sylvester_discriminant,
@@ -399,12 +402,18 @@ def assert_simplest_in_gap(field: NumberField, s: int) -> None:
         return chain.count(None, F(x)) == s
 
     assert in_gap(m), (field.defining, s, m)
-    intervals = chain.isolate()
+    intervals = isolate_real_roots(chain)
     lo, hi = intervals[s - 1][0], intervals[s][1]
     for q in range(1, m.denominator):
         assert not any(in_gap(F(p, q)) for p in range(math.floor(lo * q), math.ceil(hi * q) + 1)), (m, q)
     if m.denominator == 1:
         assert not any(in_gap(k) for k in range(1 - abs(m.numerator), abs(m.numerator))), m
+
+
+def assert_find_lambda_matches_the_interval_search(field: NumberField) -> None:
+    for s in range(field.degree + 1):
+        target = (field.degree - s, s)
+        assert find_lambda(field, target) == reference_find_lambda(field, target), (field.defining, s)
 
 
 def test_find_lambda_is_the_simplest_rational_in_the_gap_on_the_pools_and_eisenstein():
@@ -446,9 +455,44 @@ def shifted_quadratic_products(draw):
 @given(shifted_quadratic_products())
 def test_find_lambda_is_the_simplest_rational_in_random_gaps(field):
     # find_lambda needs only a monic g whose roots are simple and
-    # irrational, which holds here although a product is reducible
+    # irrational, which holds here although a product is reducible; at
+    # every s it gives the scalar of the interval search
     for s in range(1, field.degree):
         assert_simplest_in_gap(field, s)
+    assert_find_lambda_matches_the_interval_search(field)
+
+
+def _lambda_fields():
+    """The real subfield of every pool member, and of each quadratic
+    member's composita of degree 8, 10, ..., 18."""
+    for pool in POOLS["pools"]:
+        for member in pool["members"]:
+            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            yield cm.real_subfield
+            if cm.field.degree == 2:
+                for degree in range(8, 20, 2):
+                    yield build_extension(cm, pool["p"], degree).real_subfield
+
+
+def test_find_lambda_digest_over_the_pools_and_their_composita():
+    # every signature (d - s, s), s = 0..d, on each field of _lambda_fields:
+    # the scalars, and with them the certificates, are pinned as they were
+    # when the descent placed its probes by isolating intervals
+    lams = [
+        find_lambda(field, (field.degree - s, s)).to_strs()
+        for field in _lambda_fields()
+        for s in range(field.degree + 1)
+    ]
+    assert len(lams) == 2306
+    digest = hashlib.sha256(json.dumps(lams).encode()).hexdigest()
+    assert digest == "dcbc053959dba1ea354cc2bd28d3ad37e634c5e1cf598d7b26ce6c4e5636ac6d"
+
+
+def test_find_lambda_matches_the_interval_search_on_eisenstein_fields():
+    # every e = 2..9 at p = 2, 3 and 5, as build_extension takes them
+    for p in (2, 3, 5):
+        for e in range(2, 10):
+            assert_find_lambda_matches_the_interval_search(eisenstein_real_subfield(p, e)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +585,7 @@ def test_completion_degree_compositum():
 def test_cm_to_k3_gaussian_chain():
     ext = trivial_ext(GAUSSIAN)
     result = cm_to_k3(ext, 1)
-    assert result.lam == Poly([1])
+    assert result.trace.lam == Poly([1])
     assert result.trace_invariants == invariants(diagonalize(trace_form(ext, Poly([1])).gram))
     comp_inv = result.complement_invariants
     assert comp_inv.dim == 20

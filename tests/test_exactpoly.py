@@ -858,8 +858,7 @@ def test_sturm_chain_matches_sturm_count_and_exact_roots(roots, complex_pair, po
                 continue
             exact = sum(1 for r in distinct if (lo is None or lo < r) and (hi is None or r <= hi))
             assert chain.count(lo, hi) == sturm_count(f, lo, hi) == exact, (lo, hi)
-    intervals = chain.isolate()
-    assert intervals == isolate_real_roots(f)
+    intervals = isolate_real_roots(chain)
     assert len(intervals) == len(distinct)
     for (lo, hi), r in zip(intervals, distinct):
         assert lo < r <= hi
@@ -922,7 +921,7 @@ def assert_chain_matches_fraction_chain(f: Poly, points) -> None:
 
 def test_isolate_real_roots_brackets():
     f = Poly([0, -1, 0, 1])  # roots -1, 0, 1
-    intervals = isolate_real_roots(f)
+    intervals = isolate_real_roots(SturmChain(f))
     assert len(intervals) == 3
     for (lo, hi), root in zip(intervals, (F(-1), F(0), F(1))):
         assert lo < root <= hi

@@ -9,7 +9,8 @@ again, determinants by Bareiss elimination, resultants and discriminants
 by Sylvester matrices, trace forms by reduction mod the defining
 polynomial (on the basis of the program's blocks and on the power or
 tensor basis) and by `Fraction` power-sum traces, absolute polynomials by
-Horner over `Poly`, signatures by Sturm bisection, the complement's
+Horner over `Poly`, signatures by Sturm bisection, the scalar lambda by
+root isolation and the sign of g, the complement's
 diagonal by the peel search, the `Poly` forms the program once used
 (reversal, rational valuations, the unit-circle prechecks), the census
 by the power-sum descent alone, and small
@@ -32,6 +33,7 @@ from httool.cmfield import (
     NumberField,
     _absolute_defining,
     _hankel_traces,
+    _last_true,
     build_extension,
     find_lambda,
     trace_form,
@@ -57,6 +59,7 @@ from httool.exactpoly import (
     _zz_trunc,
     elementary_from_power_sums,
     factor_with_unit,
+    isolate_real_roots,
     rat_to_str,
     reciprocal_transform,
     square_class,
@@ -527,12 +530,51 @@ def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
         return (field.degree, 0) if lam.coefficient(0) > 0 else (0, field.degree)
     lam_chain = SturmChain(lam)
     positives = 0
-    for lo, hi in g_chain.isolate():
+    for lo, hi in isolate_real_roots(g_chain):
         while lam(lo) == 0 or lam(hi) == 0 or lam_chain.count(lo, hi) != 0:
             lo, hi = g_chain.halve(lo, hi)
         if lam((lo + hi) / 2) > 0:
             positives += 1
     return positives, field.degree - positives
+
+
+def reference_find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
+    """find_lambda's scalar by isolating intervals: the Stern-Brocot descent
+    of `find_lambda`, started from floor(lo_a) or ceil(hi_b), with each
+    probe placed below, in or above the gap (a, b) between the s-th and
+    (s+1)-th roots by the intervals (lo, hi] around a and b and, inside
+    either interval, by the sign of g, which is (-1)^(d - s) in the gap."""
+    r, s = target
+    if r == 0 or s == 0:
+        return Poly([1 if r else -1])
+    g = field.defining
+    (lo_a, hi_a), (lo_b, hi_b) = isolate_real_roots(SturmChain(g))[s - 1 : s + 1]
+    positive = (field.degree - s) % 2 == 0
+
+    def side(p: int, q: int) -> int:
+        x = F(p, q)
+        if x <= lo_a:
+            return -1
+        if x >= hi_b:
+            return 1
+        if hi_a <= x <= lo_b or (g(x) > 0) == positive:
+            return 0
+        return -1 if x < hi_a else 1
+
+    if (start := side(0, 1)) == 0:
+        return Poly([0, 1])
+    if start < 0:
+        p0, q0, p1, q1 = max(0, math.floor(lo_a)), 1, 1, 0
+    else:
+        p0, q0, p1, q1 = -1, 0, min(0, math.ceil(hi_b)), 1
+    while (step := side(p0 + p1, q0 + q1)) != 0:
+        if step < 0:
+            j = _last_true(lambda j: side(p0 + j * p1, q0 + j * q1) < 0)
+            p0, q0 = p0 + j * p1, q0 + j * q1
+        else:
+            j = _last_true(lambda j: side(p1 + j * p0, q1 + j * q0) > 0)
+            p1, q1 = p1 + j * p0, q1 + j * q0
+    return Poly([F(-(p0 + p1), q0 + q1), 1])
 
 
 def peel_search_diagonal(inv: QFormInvariants) -> list[F]:
