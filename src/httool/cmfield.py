@@ -69,14 +69,13 @@ class NumberField:
 class CMData:
     field: NumberField
     real_subfield: NumberField
-    beta_minpoly: Poly
     conj: Poly  # complex conjugation as a polynomial residue (gamma -> 1/gamma)
 
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
             "real_subfield": self.real_subfield.to_json(),
-            "beta_minpoly": self.beta_minpoly.to_strs(),
+            "beta_minpoly": self.real_subfield.defining.to_strs(),
             "conj": self.conj.to_strs(),
         }
 
@@ -107,13 +106,10 @@ def weil_field(Q: Poly) -> CMData:
     """
     f = Q.monic()
     n = f.degree()
-    beta = reciprocal_transform(f)
-    conj = -Poly(list(f.coeffs[1:]))
     return CMData(
         field=NumberField(f, n, 0),
-        real_subfield=NumberField(beta, n // 2, n // 2),
-        beta_minpoly=beta,
-        conj=conj,
+        real_subfield=NumberField(reciprocal_transform(f), n // 2, n // 2),
+        conj=Poly.from_ints(f.prim[1:], -f.content),
     )
 
 

@@ -580,16 +580,6 @@ def _good_prime(f, start: int = 3):
     return p, fp
 
 
-def _degree_sums(parts: dict[int, list[int]]) -> int:
-    """The degrees of the products of subsets of the factors mod p whose
-    distinct-degree parts are `parts`, as a bit set."""
-    sums = 1
-    for k, part in parts.items():
-        for _ in range((len(part) - 1) // k):
-            sums |= sums << k
-    return sums
-
-
 @functools.cache
 def _multiplicative_order(p: int, n: int) -> int:
     """The order of p in (Z/n)^x, for p prime to n."""
@@ -670,24 +660,12 @@ def _modular_factors(parts, p):
 
 def _factor_cofactor(h, p, parts):
     """Step 3 of `factor_with_unit`: the irreducible integer factors of a
-    cofactor h from `_split_parts`."""
+    cofactor h from `_split_parts`, whose distinct-degree parts mod p are
+    `parts`."""
     if len(h) == 3:
         return _small_factors(h)
-    full = 1 | 1 << (len(h) - 1)
-    sums = _degree_sums(parts)
-    found = [(p, parts)]
-    while sums != full and len(found) < 3:
-        p, hp = _good_prime(h, p + 2)
-        parts = dict(_gfp.distinct_degree(hp, p))
-        found.append((p, parts))
-        narrowed = sums & _degree_sums(parts)
-        if narrowed == sums:
-            break
-        sums = narrowed
-    if sums == full:
+    if list(parts) == [len(h) - 1]:
         return [h]
-    # the prime with the fewest factors, the least of them on a tie
-    p, parts = min(found, key=lambda pp: sum((len(part) - 1) // k for k, part in pp[1].items()))
     return _zassenhaus(h, p, _modular_factors(parts, p))
 
 
@@ -710,21 +688,16 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
        irreducibles of degree k = ord_n(p), so it is tried only if the
        distinct-degree factorization of g mod p has that many.
-    3. The cofactor.  A quadratic one is decided by the discriminant rule
-       below.  Of a cofactor of higher degree, a factor over Z reduces mod
-       such a prime to a product of factors mod p of the same total
-       degree, so its degree is a sum of theirs.  If those sums,
-       intersected over up to three primes, leave only 0 and the full
-       degree, the cofactor is irreducible (Musser's degree-set test).  A
-       prime that removes no sum ends the search: it gives up an
-       occasional proof for fewer reductions of cofactors that no prime
-       proves irreducible, reducible ones or x**4 - 10x**2 + 1.  Otherwise
-       the distinct-degree parts at the prime with the fewest factors give
-       the factors mod p: a part of degree k is one factor, and Berlekamp
-       splits a part holding several (at the first prime, each shed Phi_n
-       was divided out of its part mod p).  Hensel lifting to the power of
-       p that Mignotte's bound asks for (see `_zassenhaus`) and Zassenhaus
-       recombination find the factors over Z.
+    3. The cofactor h, at the same prime p.  A quadratic one is decided by
+       the discriminant rule below.  Of a cofactor of higher degree, a
+       factor over Z reduces mod p to a product of factors mod p of the
+       same degree, p not dividing lc(h).  So h is irreducible when h mod
+       p is, that is when its distinct-degree factorization is one part of
+       degree deg h.  Otherwise those parts give the factors mod p: each
+       shed Phi_n was divided out of its part, a part of degree k is one
+       factor, and Berlekamp splits a part holding several.  Hensel lifting
+       to the power of p that Mignotte's bound asks for (see `_zassenhaus`)
+       and Zassenhaus recombination find the factors over Z.
 
     A primitive part of degree at most 2 skips steps 1 to 3: a linear one
     is irreducible, and a quadratic a*x**2 + b*x + c is irreducible exactly

@@ -78,7 +78,7 @@ def test_weil_field_quartic():
     cm = weil_field(WEIL_QUARTIC)
     assert cm.field.degree == 4
     assert cm.field.real_embeddings == 0
-    assert cm.beta_minpoly == Poly([F(-3, 2), 0, 1])  # the field Q(sqrt 6)
+    assert cm.real_subfield.defining == Poly([F(-3, 2), 0, 1])  # the field Q(sqrt 6)
     assert cm.real_subfield.degree == 2
     assert cm.real_subfield.real_embeddings == 2
 
@@ -86,7 +86,7 @@ def test_weil_field_quartic():
 def test_weil_field_quadratic():
     cm = weil_field(WEIL_QUADRATIC)
     assert cm.field.degree == 2
-    assert cm.beta_minpoly == Poly([-HALF, 1])
+    assert cm.real_subfield.defining == Poly([-HALF, 1])
     assert cm.real_subfield.degree == 1
 
 
@@ -103,7 +103,10 @@ def test_weil_field_matches_verified_reference():
     assert len(fields) == 466
     fields += [cyclotomic_poly(n) for n in range(3, 26)]
     for Q in fields:
-        assert weil_field(Q) == verified_weil_field(Q)
+        cm = weil_field(Q)
+        assert cm == verified_weil_field(Q)
+        # the integer form of conj is the negated tail of f over Q
+        assert cm.conj == -Poly(list(cm.field.defining.coeffs[1:]))
     # the reference rejects real roots and a reducible Q, which check_all
     # rejects before weil_field is reached
     with pytest.raises(AssertionError, match="totally_imaginary"):

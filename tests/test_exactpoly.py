@@ -12,11 +12,13 @@ Zassenhaus reference in `test_helpers`, which has none of the shortcuts.
 
 import functools
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import pathlib
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httool import _gfp, _intfactor
+from httool import _gfp, _intfactor, weilcheck
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -490,20 +492,19 @@ def test_factor_pool_members_match_reference():
 )
 def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     # the shape of census candidates: a member or its square times roots of
-    # unity, factored with at most one distinct-degree factorization per prime
+    # unity, factored with one distinct-degree factorization above degree 2
     f = with_cyclotomics(member ** power, cyclotomics)
     assert_matches_reference(f)
-    primes = [p for p, _degree in ddf_calls(f)]
-    assert len(set(primes)) == len(primes) <= 3
+    assert len(ddf_calls(f)) == (f.degree() > 2)
 
 
 @pytest.mark.parametrize("cyclotomics", [[(5, 2)], [(3, 2), (4, 1)]])
 def test_non_squarefree_input_factors_its_squarefree_part_once(cyclotomics):
-    # one distinct-degree factorization of the degree-8 squarefree part and
-    # one more proving Q irreducible; splitting the square apart first would
-    # run one per part
+    # one distinct-degree factorization, of the degree-8 squarefree part,
+    # whose parts also decide Q; splitting the square apart first would run
+    # one per part
     calls = ddf_calls(with_cyclotomics(Poly([1, 0, F(1, 2), 0, 1]), cyclotomics))
-    assert len(calls) == 2 and calls[0][1] == 8
+    assert len(calls) == 1 and calls[0][1] == 8
 
 
 @settings(max_examples=60, deadline=None)
@@ -550,8 +551,8 @@ SQUAREFREE = [-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11]
 )
 def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
     # the minimal polynomial of sqrt(a) + sqrt(b) has Galois group C2 x C2, so
-    # it splits into factors of degree <= 2 mod every prime: the degree sets
-    # never prove it irreducible, and Berlekamp and Zassenhaus must
+    # it splits into factors of degree <= 2 mod every prime: it is never
+    # irreducible mod p, and Berlekamp and Zassenhaus must decide it
     if a == b:
         return
     h = Poly([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
@@ -562,13 +563,21 @@ def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
     assert lifts >= 1
 
 
-def test_degree_sets_prove_irreducibility():
-    # x**n - 2 is Eisenstein at 2; for these n the degrees of its factors
-    # mod at most three primes leave no proper factor degree, so nothing is
-    # lifted
-    for n in (2, 3, 4, 6, 8, 9, 12):
-        f = Poly([-2] + [0] * (n - 1) + [1])
-        assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 0)
+def test_irreducible_mod_p_proves_irreducibility():
+    # x**n - c is Eisenstein at the prime c, so irreducible; it is lifted
+    # exactly when it is reducible mod the one prime of its distinct-degree
+    # factorization (x**n - 2 always is for these n, x**4 - 3 and x**3 - 5
+    # are not)
+    lifted = []
+    for c, n in itertools.product((2, 3, 5), range(3, 13)):
+        f = Poly([-c] + [0] * (n - 1) + [1])
+        ((p, _degree),) = ddf_calls(f)
+        irreducible_mod_p = len(_gfp.berlekamp(_gfp.from_coeffs(f.prim, p), p)) == 1
+        factors, lifts = lifts_during(lambda: factor_with_unit(f))
+        assert factors == (1, [(f, 1)])
+        assert lifts == (0 if irreducible_mod_p else 1)
+        lifted.append(lifts)
+    assert 0 in lifted and 1 in lifted
     # x**4 - 10x**2 + 1 = minpoly(sqrt 2 + sqrt 3) needs a lift to be proved
     f = Poly([1, 0, -10, 0, 1])
     assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
@@ -603,6 +612,44 @@ def test_factor_stress_set_pin():
     assert all(factor_with_unit(f) == reference_factor_with_unit(f) for f in stress)
 
 
+def _load_workloads():
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_factorizations_of_benchmark_traffic_pin(monkeypatch):
+    # SHA-256 of factor_with_unit on every input that check_all gives it in
+    # 40 passes of the `check` workload at each of seeds 0-4, in the six
+    # census jobs and in the q=2 degree-8 census (2,174 calls), pinned
+    # while the cofactors were still factored at up to three primes
+    workloads = _load_workloads()
+    calls = []
+
+    def record(f):
+        result = factor_with_unit(f)
+        calls.append([f.to_strs(), str(result[0]), [[g.to_strs(), m] for g, m in result[1]]])
+        return result
+
+    monkeypatch.setattr(weilcheck, "factor_with_unit", record)
+    pools = workloads.load_pools()
+    for seed in range(5):
+        check = workloads.Check(seed, pools)
+        for _ in range(40):
+            for op in check.next_pass():
+                op.primary()
+    for op in workloads.Census(0, pools).next_pass():
+        op.primary()
+    weilcheck.enumerate_candidates(2, 1, 8)
+    assert len(calls) == 2174
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "f866fb41fa61539a3e27122513911e935979dd027d2ff362b384dffada1ca4a7"
+
+
 # the transforms H of pool members, whose products are the traffic of
 # check_all on products of members
 POOL_TRANSFORMS = [reciprocal_transform(m) for m in POOL_MEMBERS]
@@ -621,6 +668,23 @@ def product(polys, scale=1) -> Poly:
 def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
     f = product(transforms, scale)
     assert factor_with_unit(f) == reference_factor_with_unit(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(POOL_TRANSFORMS),
+        pool_products.map(product),
+        st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES), st.integers(1, 3)), min_size=1, max_size=3).map(
+            lambda cs: with_cyclotomics(Poly([1]), cs)
+        ),
+        st.sampled_from(_factor_stress_set()),
+    )
+)
+def test_one_distinct_degree_factorization_per_factoring(f):
+    # every step above degree 2 reads the distinct-degree parts at the one
+    # prime that keeps the squarefree part squarefree
+    assert len(ddf_calls(f)) == (len(f.prim) > 3)
 
 
 @pytest.mark.parametrize(

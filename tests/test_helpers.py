@@ -363,7 +363,7 @@ def verified_weil_field(Q: Poly) -> CMData:
     conj = Poly(list(f.coeffs[1:])) * (-1 / f.coefficient(0))
     assert (Poly([0, 1]) * conj) % f == Poly([1]), "conjugation: inverse residue is wrong"
     assert compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
-    return CMData(NumberField(f, n, 0), NumberField(beta, half, half), beta, conj)
+    return CMData(NumberField(f, n, 0), NumberField(beta, half, half), conj)
 
 
 def compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
