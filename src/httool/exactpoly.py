@@ -410,65 +410,56 @@ def _zz_squarefree(f):
 # Hensel lifting and Zassenhaus factorization over Z
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """The factors of one Hensel step: from f = g*h (mod m0) to f = g1*h1
-    (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and lc(h) = 1."""
-    e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), m)
-    q, r = _zz_divmod(_zz_mul(s, e), h)
-    q = _zz_trunc(q, m)
-    g1 = _zz_trunc(_zz_add(g, _zz_add(_zz_mul(t, e), _zz_mul(q, g))), m)
-    h1 = _zz_trunc(_zz_add(h, r), m)
-    return g1, h1
-
-
-def _bezout_step(m, g1, h1, s, t):
-    """The Bezout pair of one Hensel step: from s*g + t*h = 1 (mod m0) to
-    s1*g1 + t1*h1 = 1 (mod m), for the lifted g1, h1 of `_hensel_step`."""
-    b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, g1), _zz_mul(t, h1)), [1]), m)
-    c, d = _zz_divmod(_zz_mul(s, b), h1)
-    c = _zz_trunc(c, m)
-    u = _zz_add(_zz_mul(t, b), _zz_mul(c, g1))
-    return _zz_trunc(_zz_sub(s, d), m), _zz_trunc(_zz_sub(t, u), m)
-
-
 def _hensel_lift(p, f, modular_factors, l):
-    """Lift monic pairwise-coprime factors of f mod p to monic factors mod
-    p**l, in the same order, each reduced into the symmetric residue system
-    mod p**l; their product is lc(f)**-1 * f mod p**l.
+    """Lift monic pairwise-coprime factors f_1, ..., f_r of f mod p to monic
+    factors F_i mod p**l, in the same order, each reduced into the
+    symmetric residue system mod p**l; their product is lc(f)**-1 * f mod
+    p**l.  Raises ArithmeticError when p | lc(f) or two f_i share a factor.
 
-    A node of the factor tree splits its factors into halves g (carrying
-    lc(f)) and h (monic) and lifts f = g*h by quadratic steps m -> m**2,
-    the last one capped at p**l; a step's factors are correct mod any m
-    between m0 and m0**2, and Hensel's lemma makes them unique there.  The
-    Bezout pair is lifted on every step but the node's last, after which
-    each half is lifted again from p by its own node."""
-    r = len(modular_factors)
-    lc = f[-1]
+    All factors are lifted at once by linear steps p**k -> p**(k+1)
+    (Zassenhaus, J. Number Theory 1, 1969).  Let fm = lc(f)**-1 * f mod
+    p**l, n = deg f and P_i = prod_(j != i) f_j.  Over F_p, sigma_i =
+    P_i**-1 mod f_i is the first Bezout coefficient of (P_i mod f_i, f_i),
+    found once (for r = 2 the one pair s*f_1 + t*f_2 = 1 gives sigma_1 = t
+    and sigma_2 = s).  Step k starts from monic F_i = f_i mod p in
+    [0, p**k) with prod F_i = fm mod p**k, so fm - prod F_i is p**k times
+    an integer polynomial of degree < n, both being monic of degree n; e is
+    that polynomial mod p.  Each F_i gains p**k * c_i, c_i = sigma_i * e
+    mod f_i.  As sum_i c_i * P_i has degree < n and is e mod every f_i
+    (f_i | P_j for j != i), it is e, and prod (F_i + p**k * c_i) = fm mod
+    p**(k+1); the F_i stay monic, as deg c_i < deg f_i.  The lift is
+    unique (Hensel's lemma): monic G_i = F_i + p**k * d_i, deg d_i < deg
+    f_i, with the same product mod p**(k+1) have sum_i d_i * P_i = 0 mod p,
+    so f_i | d_i and d_i = 0 mod p.  Any correct lift of the f_i, such as
+    a factor tree's, thus gives the same list."""
     pl = p ** l
-    if r == 1:
-        if math.gcd(lc, pl) != 1:
-            raise ArithmeticError("leading coefficient not a unit mod p**l")
-        inv = pow(lc % pl, -1, pl)
-        return [_zz_trunc([c * inv for c in f], pl)]
-    k = r // 2
-    g = [lc % p]
-    for fi in modular_factors[:k]:
-        g = _gfp.mul(g, fi, p)
-    h = list(modular_factors[k])
-    for fi in modular_factors[k + 1:]:
-        h = _gfp.mul(h, fi, p)
-    s, t, one = _gfp.gcdex(g, h, p)
-    if one != [1]:
+    if f[-1] % p == 0:
+        raise ArithmeticError("leading coefficient not a unit mod p**l")
+    inv = pow(f[-1], -1, pl)
+    fm = [c * inv % pl for c in f]
+    r = len(modular_factors)
+    if r == 2:
+        s, t, one = _gfp.gcdex(*modular_factors, p)
+        bezout = [(t, one), (s, one)]
+    else:
+        whole = [1]
+        for fi in modular_factors:
+            whole = _gfp.mul(whole, fi, p)
+        bezout = [
+            _gfp.gcdex(_gfp.rem(_gfp.divmod_(whole, fi, p)[0], fi, p), fi, p)[::2] for fi in modular_factors
+        ]
+    if any(one != [1] for _, one in bezout):
         raise ArithmeticError("modular factors are not coprime")
-    g, h = _zz_trunc(g, p), _zz_trunc(h, p)
-    s, t = _zz_trunc(s, p), _zz_trunc(t, p)
+    lifts = [list(fi) for fi in modular_factors]
     m = p
-    while m < pl:
-        m = min(m * m, pl)
-        g, h = _hensel_step(m, f, g, h, s, t)
-        if m < pl:
-            s, t = _bezout_step(m, g, h, s, t)
-    return _hensel_lift(p, g, modular_factors[:k], l) + _hensel_lift(p, h, modular_factors[k:], l)
+    for _ in range(l - 1):
+        prod = functools.reduce(_zz_mul, lifts)
+        e = _gfp.trim([(a - b) // m % p for a, b in zip(fm, prod)])
+        for g, fi, (sigma, _) in zip(lifts, modular_factors, bezout):
+            for j, c in enumerate(_gfp.rem(_gfp.mul(sigma, e, p), fi, p)):
+                g[j] += m * c
+        m *= p
+    return [_zz_trunc(g, pl) for g in lifts]
 
 
 def _lift_bound(f):
@@ -488,7 +479,7 @@ def _zassenhaus(f, p, modular):
     and deg f = n >= 2, from the monic irreducible factors `modular` of f
     mod p, sorted, at a prime p not dividing b that keeps f squarefree.
 
-    The factors are lifted to p**l, the least power above 2*B for B the
+    All are lifted at once to p**l, the least power above 2*B for B the
     bound of `_lift_bound`.  A trial is the product of b' = lc of the
     cofactor still to be split (b' | b) and a subset of the lifted factors,
     reduced into the symmetric residue system mod p**l.  If a true factor
@@ -695,9 +686,9 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        p is, that is when its distinct-degree factorization is one part of
        degree deg h.  Otherwise those parts give the factors mod p: each
        shed Phi_n was divided out of its part, a part of degree k is one
-       factor, and Berlekamp splits a part holding several.  Hensel lifting
-       to the power of p that Mignotte's bound asks for (see `_zassenhaus`)
-       and Zassenhaus recombination find the factors over Z.
+       factor, and Berlekamp splits a part holding several.  Lifting them
+       all at once to the power of p that Mignotte's bound asks for (see
+       `_zassenhaus`) and Zassenhaus recombination find the factors over Z.
 
     A primitive part of degree at most 2 skips steps 1 to 3: a linear one
     is irreducible, and a quadratic a*x**2 + b*x + c is irreducible exactly

@@ -33,6 +33,11 @@ PRODUCT_JSON = '{"L": ["1", "0", "7/4", "0", "1"], "p": 2, "a": 1}'
 PRODUCT3_JSON = (
     '{"L": ["1", "-4", "37/4", "-15", "157/8", "-85/4", "157/8", "-15", "37/4", "-4", "1"], "p": 2, "a": 1}'
 )
+# the product of three q = 3 sextic members
+PRODUCT_SEXTICS3_JSON = (
+    '{"L": ["1","-8","305/9","-901/9","2071/9","-11743/27","18830/27","-8699/9","10538/9","-33679/27",'
+    '"10538/9","-8699/9","18830/27","-11743/27","2071/9","-901/9","305/9","-8","1"], "p": 3, "a": 1}'
+)
 
 
 def test_check_pass_exit_zero():
@@ -353,6 +358,16 @@ def test_golden_report_of_a_product_of_three():
     proc = run_cli(["check", "--pretty"], PRODUCT3_JSON)
     assert proc.returncode == 1
     assert proc.stdout == (GOLDEN / "report_product3.json").read_text()
+
+
+def test_golden_report_of_a_product_of_three_sextics():
+    # three q = 3 sextic members: H of degree 9 has four factors mod 5,
+    # lifted together to 5**8, the shape of the `check` workload's tail
+    proc = run_cli(["check", "--pretty"], PRODUCT_SEXTICS3_JSON)
+    assert proc.returncode == 1
+    assert proc.stdout == (GOLDEN / "report_product_sextics3.json").read_text()
+    factors = json.loads(proc.stdout)["properties"]["power_structure"]["witness"]["factors"]
+    assert [len(g) for g, _ in factors] == [7, 7, 7]
 
 
 def test_golden_report_not_self_inversive():

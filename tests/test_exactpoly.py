@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from httool import _gfp, _intfactor, weilcheck
+from httool import _gfp, _intfactor, exactpoly, weilcheck
 from httool.exactpoly import (
     DomainError,
     Poly,
@@ -65,6 +65,7 @@ from test_helpers import (
     is_irreducible,
     poly_gcd,
     reference_factor_with_unit,
+    reference_hensel_lift,
     resultant,
     reverse,
     squarefree_decomposition,
@@ -762,6 +763,70 @@ def test_hensel_lift_reaches_exactly_p_to_the_l(transforms, l):
     for g in lifted:
         lifted_product = _zz_mul(lifted_product, g)
     assert _zz_trunc(_zz_sub(lifted_product, f), pl) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(POOL_TRANSFORMS), min_size=1, max_size=4, unique=True),
+    st.integers(2, 30),
+    st.integers(1, 12),
+    st.randoms(use_true_random=False),
+)
+def test_hensel_lift_matches_the_factor_tree(transforms, scale, l, rng):
+    # scale * the squarefree part of 1 to 4 pool transforms (up to 12
+    # factors mod p), at every prime 3..29 not dividing lc(f) that keeps f
+    # squarefree, with the modular factors in any order: the linear
+    # multifactor lift returns the quadratic factor tree's list
+    f = [scale * c for c in _zz_squarefree(product(transforms).prim)]
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+        fp = _gfp.from_coeffs(f, p)
+        if f[-1] % p == 0 or not _gfp.is_squarefree(fp, p):
+            continue
+        modular = _gfp.berlekamp(_gfp.monic(fp, p), p)
+        rng.shuffle(modular)
+        assert _hensel_lift(p, f, modular, l) == reference_hensel_lift(p, f, modular, l)
+
+
+@pytest.mark.parametrize(
+    "p, f, modular",
+    [
+        (3, [1, 2, 1], [[1, 1], [1, 1]]),  # (x + 1)**2: a repeated factor
+        (5, [2, 5, 4, 1], [[1, 1], [2, 1], [1, 1]]),  # (x + 1)**2 (x + 2), r = 3
+        (3, [1, 0, 3], [[1, 1], [2, 1]]),  # 3 | lc
+        (5, [1, 1, 5], [[1, 0, 1]]),  # 5 | lc, one factor
+    ],
+)
+def test_hensel_lift_rejects_shared_factors_and_a_nonunit_leading_coefficient(p, f, modular):
+    with pytest.raises(ArithmeticError):
+        _hensel_lift(p, f, modular, 4)
+
+
+def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
+    # SHA-256 of (p, f, modular factors, l, lifts) for every top-level
+    # Hensel lift made by 40 passes of the `check` workload at each of
+    # seeds 0-4 and by the six census jobs (829 lifts), pinned while the
+    # lift was still a binary tree of quadratic steps
+    workloads = _load_workloads()
+    calls = []
+    inner = exactpoly._hensel_lift
+
+    def record(p, f, modular, l):
+        lifted = inner(p, f, modular, l)
+        calls.append([p, list(f), [list(fp) for fp in modular], l, lifted])
+        return lifted
+
+    monkeypatch.setattr(exactpoly, "_hensel_lift", record)
+    pools = workloads.load_pools()
+    for seed in range(5):
+        check = workloads.Check(seed, pools)
+        for _ in range(40):
+            for op in check.next_pass():
+                op.primary()
+    for op in workloads.Census(0, pools).next_pass():
+        op.primary()
+    assert len(calls) == 829
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "df7e555d4496bda6fda5a169e57e13a426c7546706d2123e95bd3a549c839c30"
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
-totient, factorization over Q by Yun's algorithm and Zassenhaus alone
+totient, Hensel lifting by a binary tree of quadratic steps,
+factorization over Q by Yun's algorithm and Zassenhaus alone
 (recombining behind the norm pre-test) and over F_p by Yun's algorithm
 and Berlekamp, base extension by `Fraction` power sums, the Newton-shape
 verdict by its two-branch rule,
@@ -48,6 +49,7 @@ from httool.exactpoly import (
     _hensel_lift,
     _lift_bound,
     _split_parts,
+    _zz_add,
     _zz_derivative,
     _zz_divmod,
     _zz_exact_quotient,
@@ -155,6 +157,64 @@ def _zz_yun(f) -> list[tuple[list[int], int]]:
         z = _zz_sub(y, _zz_derivative(w))
         i += 1
     return parts
+
+
+def _reference_hensel_step(m, f, g, h, s, t):
+    """The factors of one quadratic Hensel step: from f = g*h (mod m0) to
+    f = g1*h1 (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and
+    lc(h) = 1."""
+    e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), m)
+    q, r = _zz_divmod(_zz_mul(s, e), h)
+    q = _zz_trunc(q, m)
+    g1 = _zz_trunc(_zz_add(g, _zz_add(_zz_mul(t, e), _zz_mul(q, g))), m)
+    h1 = _zz_trunc(_zz_add(h, r), m)
+    return g1, h1
+
+
+def _reference_bezout_step(m, g1, h1, s, t):
+    """The Bezout pair of one quadratic Hensel step: from s*g + t*h = 1
+    (mod m0) to s1*g1 + t1*h1 = 1 (mod m), for the lifted g1, h1."""
+    b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, g1), _zz_mul(t, h1)), [1]), m)
+    c, d = _zz_divmod(_zz_mul(s, b), h1)
+    c = _zz_trunc(c, m)
+    u = _zz_add(_zz_mul(t, b), _zz_mul(c, g1))
+    return _zz_trunc(_zz_sub(s, d), m), _zz_trunc(_zz_sub(t, u), m)
+
+
+def reference_hensel_lift(p, f, modular_factors, l):
+    """The program's `_hensel_lift` contract by a binary factor tree
+    (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 15): a node splits
+    its factors into halves g (carrying lc(f)) and h (monic) and lifts
+    f = g*h by quadratic steps m -> m**2, the last one capped at p**l,
+    lifting the Bezout pair on every step but the last; each half is then
+    lifted again from p by its own node."""
+    r = len(modular_factors)
+    lc = f[-1]
+    pl = p**l
+    if r == 1:
+        if math.gcd(lc, pl) != 1:
+            raise ArithmeticError("leading coefficient not a unit mod p**l")
+        inv = pow(lc % pl, -1, pl)
+        return [_zz_trunc([c * inv for c in f], pl)]
+    k = r // 2
+    g = [lc % p]
+    for fi in modular_factors[:k]:
+        g = _gfp.mul(g, fi, p)
+    h = list(modular_factors[k])
+    for fi in modular_factors[k + 1 :]:
+        h = _gfp.mul(h, fi, p)
+    s, t, one = _gfp.gcdex(g, h, p)
+    if one != [1]:
+        raise ArithmeticError("modular factors are not coprime")
+    g, h = _zz_trunc(g, p), _zz_trunc(h, p)
+    s, t = _zz_trunc(s, p), _zz_trunc(t, p)
+    m = p
+    while m < pl:
+        m = min(m * m, pl)
+        g, h = _reference_hensel_step(m, f, g, h, s, t)
+        if m < pl:
+            s, t = _reference_bezout_step(m, g, h, s, t)
+    return reference_hensel_lift(p, g, modular_factors[:k], l) + reference_hensel_lift(p, h, modular_factors[k:], l)
 
 
 def _reference_zassenhaus(f, p, modular):
