@@ -571,48 +571,6 @@ def _good_prime(f, start: int = 3):
     return p, fp
 
 
-@functools.cache
-def _multiplicative_order(p: int, n: int) -> int:
-    """The order of p in (Z/n)^x, for p prime to n."""
-    k, x = 1, p % n
-    while x != 1 % n:
-        x = x * p % n
-        k += 1
-    return k
-
-
-def _split_parts(f):
-    """Steps 1 and 2 of `factor_with_unit` on a primitive f with lc(f) > 0:
-    (the squarefree part g of f, the n with Phi_n | g ascending, the
-    cofactor h of g by those Phi_n, an odd prime p not dividing lc(g) that
-    keeps g squarefree, and k -> the product of the factors of degree k of
-    h mod p)."""
-    p, gp = _reduction(f)
-    g = f
-    if not _gfp.is_squarefree(gp, p):
-        g = _zz_squarefree(f)
-        # a squarefree f failed at p and every smaller odd prime divides
-        # lc(f), so its search starts past p
-        p, gp = _good_prime(g, p + 2 if len(g) == len(f) else 3)
-    parts = dict(_gfp.distinct_degree(gp, p))
-    h = g
-    indices = []
-    for n, phi, prim in _cyclotomic_table(len(g) - 1):
-        if phi >= len(h) or n % p == 0:
-            continue
-        k = _multiplicative_order(p, n)
-        if len(parts.get(k, ())) <= phi:
-            continue
-        q, r = _zz_divmod(h, prim)
-        if not r:
-            h = q
-            indices.append(n)
-            parts[k] = _gfp.divmod_(parts[k], _gfp.from_coeffs(prim, p), p)[0]
-            if len(parts[k]) == 1:
-                del parts[k]
-    return g, indices, h, p, parts
-
-
 def _multiplicity(f, q) -> int:
     """The largest m with q**m | f, for primitive f and q with q | f."""
     m = 0
@@ -649,17 +607,6 @@ def _modular_factors(parts, p):
     return sorted(modular, key=lambda fp: (len(fp), fp))
 
 
-def _factor_cofactor(h, p, parts):
-    """Step 3 of `factor_with_unit`: the irreducible integer factors of a
-    cofactor h from `_split_parts`, whose distinct-degree parts mod p are
-    `parts`."""
-    if len(h) == 3:
-        return _small_factors(h)
-    if list(parts) == [len(h) - 1]:
-        return [h]
-    return _zassenhaus(h, p, _modular_factors(parts, p))
-
-
 def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
     positive leading coefficient; ordered by degree then coefficients.
@@ -668,29 +615,25 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        prime p not dividing lc(f), it is squarefree, as a square factor
        q**2 would reduce to one of the same degree, p not dividing lc(q);
        then g = f.  Otherwise g = f / gcd(f, f'), whose irreducible factors
-       are those of f, each once.  Steps 2 and 3 factor g alone.  The
+       are those of f, each once, and p is the first odd prime not dividing
+       lc(g) that keeps g squarefree.  Step 2 factors g alone.  The
        multiplicity of an irreducible factor q of g in f is the number of
        times it divides f exactly: by Gauss's lemma a primitive q dividing
        the primitive f leaves an integral quotient.
-    2. Cyclotomic factors.  g sheds, by exact division, every Phi_n
-       dividing it with phi(n) <= deg g; each is irreducible.  With p a
-       prime keeping g squarefree, a Phi_n with p | n is skipped: mod p it
-       is a power of Phi_(n/p**a) with exponent phi(p**a) >= 2, so it cannot
-       divide g mod p.  Otherwise Phi_n mod p is a product of phi(n)/k
-       irreducibles of degree k = ord_n(p), so it is tried only if the
-       distinct-degree factorization of g mod p has that many.
-    3. The cofactor h, at the same prime p.  A quadratic one is decided by
-       the discriminant rule below.  Of a cofactor of higher degree, a
-       factor over Z reduces mod p to a product of factors mod p of the
-       same degree, p not dividing lc(h).  So h is irreducible when h mod
-       p is, that is when its distinct-degree factorization is one part of
-       degree deg h.  Otherwise those parts give the factors mod p: each
-       shed Phi_n was divided out of its part, a part of degree k is one
-       factor, and Berlekamp splits a part holding several.  Lifting them
-       all at once to the power of p that Mignotte's bound asks for (see
-       `_zassenhaus`) and Zassenhaus recombination find the factors over Z.
+    2. g at the one prime p.  A quadratic g is decided by the discriminant
+       rule below.  Of a g of higher degree, a factor over Z reduces mod p
+       to a product of factors mod p of the same degree, p not dividing
+       lc(g).  So g is irreducible when g mod p is, that is when its
+       distinct-degree factorization is one part of degree deg g.
+       Otherwise those parts give the factors mod p: a part of degree k is
+       one factor, and Berlekamp splits a part holding several.  Lifting
+       them all at once to the power of p that Mignotte's bound asks for
+       (see `_zassenhaus`) and Zassenhaus recombination find the factors
+       over Z, a cyclotomic Phi_n like any other.  On its main path
+       `check_all` factors the transform H, whose roots are all real, and
+       no Phi_n with n >= 3 divides it, as such a Phi_n has no real root.
 
-    A primitive part of degree at most 2 skips steps 1 to 3: a linear one
+    A primitive part of degree at most 2 skips steps 1 and 2: a linear one
     is irreducible, and a quadratic a*x**2 + b*x + c is irreducible exactly
     when b**2 - 4ac is not a square r**2; otherwise its factors are the
     primitive parts of 2a*x + b - r and 2a*x + b + r, whose product is 4a
@@ -703,12 +646,22 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
         irreducibles = [Poly.from_ints(q, 1) for q in _small_factors(f.prim)]
         factors = [(q, irreducibles.count(q)) for q in dict.fromkeys(irreducibles)]
     else:
-        g, indices, h, p, parts = _split_parts(f.prim)
-        irreducibles = [cyclotomic_poly(n) for n in indices]
-        if len(h) > 1:
-            irreducibles += [Poly.from_ints(irr, 1) for irr in _factor_cofactor(h, p, parts)]
+        g = f.prim
+        p, gp = _reduction(g)
+        if not _gfp.is_squarefree(gp, p):
+            g = _zz_squarefree(g)
+            # a squarefree f failed at p and every smaller odd prime divides
+            # lc(f), so its search starts past p
+            p, gp = _good_prime(g, p + 2 if len(g) == len(f.prim) else 3)
+        parts = dict(_gfp.distinct_degree(gp, p))
+        if len(g) == 3:
+            irreducibles = _small_factors(g)
+        elif list(parts) == [len(g) - 1]:
+            irreducibles = [g]
+        else:
+            irreducibles = _zassenhaus(g, p, _modular_factors(parts, p))
         squarefree = len(g) == len(f.prim)
-        factors = [(q, 1 if squarefree else _multiplicity(f.prim, q.prim)) for q in irreducibles]
+        factors = [(Poly.from_ints(q, 1), 1 if squarefree else _multiplicity(f.prim, q)) for q in irreducibles]
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
 
@@ -826,8 +779,8 @@ def cyclotomic_poly(n: int) -> Poly:
 
 
 @functools.cache
-def _cyclotomic_table(max_degree: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(n, phi(n), Phi_n's coefficients) for every n with phi(n) <= max_degree,
+def _cyclotomic_table(max_degree: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(n, Phi_n's coefficients) for every n with phi(n) <= max_degree,
     ascending n.  As phi(n) >= sqrt(n/2), those n are at most
     2 * max_degree**2; a sieve gives phi below that bound."""
     bound = 2 * max_degree * max_degree
@@ -836,7 +789,7 @@ def _cyclotomic_table(max_degree: int) -> tuple[tuple[int, int, tuple[int, ...]]
         if phi[k] == k:
             for m in range(k, bound + 1, k):
                 phi[m] -= phi[m] // k
-    return tuple((n, phi[n], cyclotomic_poly(n).prim) for n in range(1, bound + 1) if phi[n] <= max_degree)
+    return tuple((n, cyclotomic_poly(n).prim) for n in range(1, bound + 1) if phi[n] <= max_degree)
 
 
 def is_cyclotomic(f: Poly) -> int | None:
@@ -844,7 +797,7 @@ def is_cyclotomic(f: Poly) -> int | None:
     deg = f.degree()
     if deg < 1 or f.content != 1:
         return None
-    return next((n for n, _phi, prim in _cyclotomic_table(deg) if prim == f.prim), None)
+    return next((n for n, prim in _cyclotomic_table(deg) if prim == f.prim), None)
 
 
 # ---------------------------------------------------------------------------

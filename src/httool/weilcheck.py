@@ -372,7 +372,7 @@ def _census_tables(d: int):
         return sum(math.comb(l, k) * v * x ** (l - k) for l, v in enumerate(vs[j]) if l >= k)
 
     ends = tuple(tuple(tuple(taylor(d - j, d - i, x) for j in range(i)) for x in (2, -2)) for i in range(1, d + 1))
-    cyclotomics = (Poly.from_ints(prim, 1) for n, _phi, prim in _cyclotomic_table(2 * d) if n >= 3)
+    cyclotomics = (Poly.from_ints(prim, 1) for n, prim in _cyclotomic_table(2 * d) if n >= 3)
     return ends, tuple(reciprocal_transform(phi).prim for phi in cyclotomics)
 
 

@@ -58,7 +58,6 @@ from httool.exactpoly import (
 )
 from test_helpers import (
     compose,
-    cyclotomic_factors,
     derivative,
     euler_phi,
     factor_over_Q,
@@ -452,13 +451,16 @@ def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
 
 
 def assert_matches_reference(f: Poly):
-    """factor_with_unit equals the reference, and cyclotomic_factors lists
-    exactly the cyclotomic factors it finds."""
+    """factor_with_unit equals the reference; its factors."""
     unit, factors = factor_with_unit(f)
     assert (unit, factors) == reference_factor_with_unit(f)
-    found = sorted(is_cyclotomic(g) for g, _m in factors if is_cyclotomic(g) is not None)
-    assert cyclotomic_factors(f) == found
     return factors
+
+
+def cyclotomic_indices(factors) -> dict[int, int]:
+    """n -> multiplicity of each Phi_n among the factors, read by
+    is_cyclotomic."""
+    return {is_cyclotomic(g): m for g, m in factors if is_cyclotomic(g) is not None}
 
 
 @settings(max_examples=60, deadline=None)
@@ -469,15 +471,15 @@ def assert_matches_reference(f: Poly):
     nonzero_scales,
 )
 def test_factor_cyclotomic_products_by_division(cyclotomics, scale):
-    # products of Phi_n, repeated ones included: each factor is found by
-    # trial division, so no Hensel lift runs
+    # products of Phi_n, repeated ones included: every factor is a Phi_n,
+    # with the summed multiplicity
     f = with_cyclotomics(Poly([scale]), cyclotomics)
-    assert lifts_during(lambda: factor_with_unit(f))[1] == 0
     expected: dict = {}
     for n, m in cyclotomics:
         expected[n] = expected.get(n, 0) + m
-    assert len(assert_matches_reference(f)) == len(expected)
-    assert cyclotomic_factors(f) == sorted(expected)
+    factors = assert_matches_reference(f)
+    assert len(factors) == len(expected)
+    assert cyclotomic_indices(factors) == expected
 
 
 def test_factor_pool_members_match_reference():
@@ -495,7 +497,7 @@ def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     # the shape of census candidates: a member or its square times roots of
     # unity, factored with one distinct-degree factorization above degree 2
     f = with_cyclotomics(member ** power, cyclotomics)
-    assert_matches_reference(f)
+    assert sorted(cyclotomic_indices(assert_matches_reference(f))) == sorted({n for n, _m in cyclotomics})
     assert len(ddf_calls(f)) == (f.degree() > 2)
 
 
@@ -531,14 +533,12 @@ def test_factor_square_factors_match_reference(parts, scale):
     st.lists(st.tuples(st.sampled_from(CYCLOTOMIC_INDICES[:12]), st.integers(1, 2)), max_size=2),
 )
 def test_factor_quadratic_cofactor_by_discriminant(abc, split, cyclotomics):
-    # a x**2 + b x + c, or (a x + b)(x + c) when split: its discriminant
-    # decides it, with no Hensel lift and the reference's factors
+    # a x**2 + b x + c, or (a x + b)(x + c) when split, times up to two
+    # Phi_n: the reference's factors
     a, b, c = abc
     h = Poly([b, a]) * Poly([c, 1]) if split else Poly([c, b, a])
     f = with_cyclotomics(h, cyclotomics)
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
-    assert factors == reference_factor_with_unit(f)
-    assert lifts == 0
+    assert factor_with_unit(f) == reference_factor_with_unit(f)
 
 
 SQUAREFREE = [-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11]
@@ -804,8 +804,8 @@ def test_hensel_lift_rejects_shared_factors_and_a_nonunit_leading_coefficient(p,
 def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
     # SHA-256 of (p, f, modular factors, l, lifts) for every top-level
     # Hensel lift made by 40 passes of the `check` workload at each of
-    # seeds 0-4 and by the six census jobs (829 lifts), pinned while the
-    # lift was still a binary tree of quadratic steps
+    # seeds 0-4 and by the six census jobs (907 lifts), pinned after
+    # cyclotomic factors began to be lifted like any other factor
     workloads = _load_workloads()
     calls = []
     inner = exactpoly._hensel_lift
@@ -824,9 +824,9 @@ def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
                 op.primary()
     for op in workloads.Census(0, pools).next_pass():
         op.primary()
-    assert len(calls) == 829
+    assert len(calls) == 907
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
-    assert digest == "df7e555d4496bda6fda5a169e57e13a426c7546706d2123e95bd3a549c839c30"
+    assert digest == "847255f09665b38a959f7a1993c999faa7d02c4888bb829a97ac9c739882b896"
 
 
 @settings(max_examples=40, deadline=None)

@@ -48,7 +48,6 @@ from httool.exactpoly import (
     _newton_step,
     _hensel_lift,
     _lift_bound,
-    _split_parts,
     _zz_add,
     _zz_derivative,
     _zz_divmod,
@@ -689,12 +688,6 @@ def squarefree_decomposition(f: Poly):
     return f.content, [(Poly.from_ints(h, 1), mult) for h, mult in _zz_yun(f.prim)]
 
 
-def cyclotomic_factors(f: Poly) -> list[int]:
-    """The n of each Phi_n that `factor_with_unit` divides out of f's
-    squarefree part, ascending."""
-    return _split_parts(f.prim)[1]
-
-
 def reverse(f: Poly) -> Poly:
     """T**deg * f(1/T); trailing zero coefficients of f drop the degree."""
     return Poly.from_ints(f.prim[::-1], f.content)
@@ -749,7 +742,7 @@ def reference_census(
             if abs(s) > bound[k]:
                 return
             sums.append(s)
-        if any(not _zz_divmod(ints, prim)[1] for _n, _phi, prim in _cyclotomic_table(two_d)):
+        if any(not _zz_divmod(ints, prim)[1] for _n, prim in _cyclotomic_table(two_d)):
             return
         L = Poly.from_ints(ints, F(1, den))
         if value_at_one is not None and L(F(1)) != value_at_one:

@@ -10,7 +10,8 @@ resolved to the definition it reaches:
   that a `from ... import` in the file binds to it;
 - `m.name`, with `m` bound to a module of the package by an import, reaches
   `name` in that module, so `_gfp.f` and `exactpoly.f` are told apart;
-- `x.name` on anything else reaches every method called `name`.
+- `x.name` on anything else reaches every method called `name`, except
+  `args.name` in `cli`, an option read from argparse's Namespace.
 
 A definition's uses inside its own body (recursion) do not count.  Words in
 comments, docstrings and other strings do not count either.  Dunder methods
@@ -141,7 +142,8 @@ class _Uses(ast.NodeVisitor):
 
     def visit_Attribute(self, node):
         target = self._resolve(node)
-        if isinstance(node.ctx, ast.Load):
+        namespace = self.module == "httool.cli" and isinstance(node.value, ast.Name) and node.value.id == "args"
+        if isinstance(node.ctx, ast.Load) and not namespace:
             if target is None:
                 for method in self.methods.get(node.attr, ()):
                     self._use(method)
