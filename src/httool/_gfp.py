@@ -175,8 +175,6 @@ def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
                 rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-        if r == len(rows):
-            break
     basis = []
     free_cols = [c for c in range(n) if c not in pivots]
     for free in free_cols:
@@ -232,13 +230,12 @@ def single_factor_multiplicity(f: list[int], p: int) -> int:
 
 
 def berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Factor a monic squarefree f over F_p into monic irreducibles, sorted."""
-    if degree(f) <= 1:
-        return [list(f)]
+    """Factor a monic squarefree f over F_p into monic irreducibles, sorted.
+
+    Each fixed vector v (v**p = v mod f) splits a factor h into the gcd(h,
+    v - s), s in F_p, with nothing left over: h divides v**p - v =
+    prod_s (v - s), whose factors are pairwise coprime."""
     basis = fixed_space(f, p)
-    r = len(basis)
-    if r == 1:
-        return [list(f)]
     factors = [list(f)]
     for vec in basis:
         v = trim(list(vec))
@@ -246,22 +243,15 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
             continue
         next_factors = []
         for h in factors:
-            if degree(h) <= 1:
-                next_factors.append(h)
-                continue
-            pieces = []
             remaining = h
             for s in range(p):
                 if degree(remaining) < 1:
                     break
                 g = gcd(remaining, sub(v, [s], p), p)
-                if 0 < degree(g) <= degree(remaining):
-                    pieces.append(g)
+                if degree(g) > 0:
+                    next_factors.append(g)
                     remaining = divmod_(remaining, g, p)[0]
-            if degree(remaining) > 0:
-                pieces.append(monic(remaining, p))
-            next_factors.extend(pieces if pieces else [h])
         factors = next_factors
-        if len(factors) == r:
+        if len(factors) == len(basis):
             break
     return sorted(factors, key=lambda g: (degree(g), g))

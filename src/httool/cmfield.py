@@ -49,9 +49,14 @@ from .weilcheck import PropertyVerdict, Status
 
 @dataclass(frozen=True)
 class NumberField:
+    """Q[T]/(defining), of the degree of `defining`."""
+
     defining: Poly  # monic irreducible
-    degree: int
     real_embeddings: int
+
+    @property
+    def degree(self) -> int:
+        return self.defining.degree()
 
     def to_json(self) -> dict:
         return {
@@ -105,10 +110,9 @@ def weil_field(Q: Poly) -> CMData:
       gamma^(n-1)).
     """
     f = Q.monic()
-    n = f.degree()
     return CMData(
-        field=NumberField(f, n, 0),
-        real_subfield=NumberField(reciprocal_transform(f), n // 2, n // 2),
+        field=NumberField(f, 0),
+        real_subfield=NumberField(reciprocal_transform(f), f.degree() // 2),
         conj=Poly.from_ints(f.prim[1:], -f.content),
     )
 
@@ -119,12 +123,13 @@ def weil_field(Q: Poly) -> CMData:
 
 @dataclass(frozen=True)
 class ExtensionData:
-    """A CM extension E of the base field with [E : base] = e.
+    """A CM extension E of the base field with [E : base] = e, of degree 2d
+    over Q for d the degree of its real subfield E+.
 
     kind "trivial": E equals the base field.
     kind "eisenstein_compositum": the base is imaginary quadratic and E is
-    the compositum with the totally real field cut out by an Eisenstein
-    polynomial with all roots real.
+    the compositum with E+, cut out by an Eisenstein polynomial with all
+    roots real, which the certificate also records as "relative".
     kind "unsupported": the construction regime is out of scope; only the
     reason is recorded.
 
@@ -137,24 +142,18 @@ class ExtensionData:
     """
 
     kind: str
-    base: CMData
     e: int
     real_subfield: NumberField | None
-    relative: Poly | None
     absolute: Poly | None
     trace: dict
     delta: Poly | None = None
-
-    @property
-    def degree(self) -> int:
-        return self.base.field.degree * self.e
 
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "e": self.e,
             "real_subfield": self.real_subfield.to_json() if self.real_subfield else None,
-            "relative": self.relative.to_strs() if self.relative else None,
+            "relative": self.real_subfield.defining.to_strs() if self.kind == "eisenstein_compositum" else None,
             "absolute": self.absolute.to_strs() if self.absolute else None,
             "trace": self.trace,
         }
@@ -194,7 +193,7 @@ def eisenstein_real_subfield(p: int, e: int) -> tuple[NumberField, int, int]:
                 P = P * Poly([-p * m * i, 1])
             P = P + Poly([p * u])
             if sturm_count(P) == e:
-                return NumberField(P, e, e), m, u
+                return NumberField(P, e), m, u
     raise ArithmeticError("no Eisenstein polynomial with all-real roots found")
 
 
@@ -227,10 +226,8 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     if e == 1:
         return ExtensionData(
             kind="trivial",
-            base=base,
             e=1,
             real_subfield=base.real_subfield,
-            relative=None,
             absolute=base.field.defining,
             trace={"note": "extension of degree 1"},
             delta=_BETA_SQUARED_MINUS_4,
@@ -240,20 +237,16 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
         f0, f1, _ = base.field.defining.coeffs
         return ExtensionData(
             kind="eisenstein_compositum",
-            base=base,
             e=e,
             real_subfield=real,
-            relative=real.defining,
             absolute=_absolute_defining(real.defining, base.field.defining),
             trace={"M": m, "u": u, "primitive_shift": 1, "real_roots": e, "eisenstein_prime": p},
             delta=Poly([f1 * f1 - 4 * f0]),
         )
     return ExtensionData(
         kind="unsupported",
-        base=base,
         e=e,
         real_subfield=None,
-        relative=None,
         absolute=None,
         trace={"reason": "general totally real base fields are not supported"},
     )
@@ -342,13 +335,13 @@ def trace_form(ext: ExtensionData, lam: Poly) -> TraceForm:
 
 
 def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyVerdict:
-    """det(q_lambda) = (-1)^d * disc(E) in square classes, for the
-    determinant class of the trace form q_lambda.  `TraceForm.pivots`
-    eliminates each block by congruences of determinant +-1, so the class is
-    that of the blocks' last pivots over den, which `pivot_invariants`
-    already holds as `det`; no determinant of the Gram matrix is computed
-    here.  `ext.absolute` is set:
-    `pipeline.run` stops before this at kind `unsupported`.
+    """det(q_lambda) = (-1)^d * disc(E) in square classes, d the degree of
+    E+, for the determinant class of the trace form q_lambda.
+    `TraceForm.pivots` eliminates each block by congruences of determinant
+    +-1, so the class is that of the blocks' last pivots over den, which
+    `pivot_invariants` already holds as `det`; no determinant of the Gram
+    matrix is computed here.  `ext.absolute` and `ext.real_subfield` are
+    set: `pipeline.run` stops before this at kind `unsupported`.
 
     Any defining polynomial of E differs from an integral basis by a rational
     change of basis, so its discriminant lies in the same square class as the
@@ -360,9 +353,8 @@ def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyV
     without factoring anything.  Then the expected class is det_class; only
     a failure factors (-1)^d * disc for its class, the witness.
     """
-    d = ext.degree // 2
     disc = discriminant(ext.absolute)
-    signed_disc = (-1) ** d * disc
+    signed_disc = (-1) ** ext.real_subfield.degree * disc
     ratio = signed_disc * det_class.sign * det_class.squarefree
     holds = ratio > 0 and all(math.isqrt(n) ** 2 == n for n in (ratio.numerator, ratio.denominator))
     expected = det_class if holds else square_class(signed_disc)
@@ -390,10 +382,9 @@ def signature_of(form: TraceForm, field: NumberField) -> tuple[int, int]:
     x(a) * y(a) has the signature of lambda, and its pivot diagonal has
     entries D_k / (D_(k-1) den), D_k its pivots (`TraceForm.pivots`): lambda
     is positive at as many embeddings as there are k with D_k D_(k-1) > 0."""
-    g = field.defining
     if field.real_embeddings != field.degree:
         raise DomainError("signatures require a totally real field")
-    if (real_roots := sturm_count(g)) != field.degree or g.degree() != field.degree:
+    if (real_roots := sturm_count(field.defining)) != field.degree:
         raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
     positives = sum(1 for prev, x in zip((1, *form.pivots[0]), form.pivots[0]) if prev * x > 0)
     return positives, field.degree - positives
@@ -485,11 +476,10 @@ class CMToK3Result:
     complement_invariants: QFormInvariants
 
 
-def cm_to_k3(
-    ext: ExtensionData, d: int, lam: Poly | None = None, complement: QSpace | None = None
-) -> CMToK3Result:
+def cm_to_k3(ext: ExtensionData, lam: Poly | None = None, complement: QSpace | None = None) -> CMToK3Result:
     """Realize the trace form inside the rational K3 lattice: a scalar of
-    signature (1, d-1), its trace form and an explicit orthogonal complement.
+    signature (1, d-1), its trace form and an explicit orthogonal complement,
+    d the degree of the real subfield of `ext` (of a kind not `unsupported`).
 
     Only what is not given is searched for.  A given lambda is checked with
     `signature_of` (DomainError unless its signature is (1, d-1)); a given
@@ -508,10 +498,8 @@ def cm_to_k3(
     <-1, disc(E)>^perp is hyperbolic, so a table of those primes could only
     read `pass`; `pipeline.run` records `unknown` instead.
     """
-    if d >= 10:
+    if (d := ext.real_subfield.degree) >= 10:
         raise DomainError(f"no scalar is constructed at d = {d}; cm_to_k3 needs d < 10")
-    if ext.real_subfield is None or ext.real_subfield.degree != d:
-        raise DomainError(f"the extension has no explicit real subfield of degree d = {d}")
     target = (1, d - 1)
     form = trace_form(ext, find_lambda(ext.real_subfield, target) if lam is None else lam)
     if lam is not None and (sig := signature_of(form, ext.real_subfield)) != target:

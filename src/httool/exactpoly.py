@@ -620,7 +620,7 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        multiplicity of an irreducible factor q of g in f is the number of
        times it divides f exactly: by Gauss's lemma a primitive q dividing
        the primitive f leaves an integral quotient.
-    2. g at the one prime p.  A quadratic g is decided by the discriminant
+    2. g at the one prime p.  A g of degree at most 2 is decided by the
        rule below.  Of a g of higher degree, a factor over Z reduces mod p
        to a product of factors mod p of the same degree, p not dividing
        lc(g).  So g is irreducible when g mod p is, that is when its
@@ -653,10 +653,9 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
             # a squarefree f failed at p and every smaller odd prime divides
             # lc(f), so its search starts past p
             p, gp = _good_prime(g, p + 2 if len(g) == len(f.prim) else 3)
-        parts = dict(_gfp.distinct_degree(gp, p))
-        if len(g) == 3:
+        if len(g) <= 3:
             irreducibles = _small_factors(g)
-        elif list(parts) == [len(g) - 1]:
+        elif list(parts := dict(_gfp.distinct_degree(gp, p))) == [len(g) - 1]:
             irreducibles = [g]
         else:
             irreducibles = _zassenhaus(g, p, _modular_factors(parts, p))

@@ -126,7 +126,7 @@ def _certificate(
         return cert
 
     stage("cm_to_k3")
-    result = cm_to_k3(ext, d, lam, complement)
+    result = cm_to_k3(ext, lam, complement)
     # lambda has this signature: by find_lambda's construction, or, for a
     # given lambda, as signature_of reads it off the pivots of the trace
     # form's block T(2 lambda) in cm_to_k3

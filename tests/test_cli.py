@@ -99,6 +99,8 @@ def test_enumerate_desk_bound_respected():
         (["enumerate", "--q", "6", "--degree", "2"], "6 is not a prime power"),
         (["enumerate", "--q", "0", "--degree", "2"], "0 is not a prime power"),
         (["enumerate", "--q", "-4", "--degree", "2"], "-4 is not a prime power"),
+        # the quartic's field has degree 4, which 6 is no multiple of
+        (["construct", "--max-extension-degree", "6"], "extension target 6 incompatible with degree 4 and field degree 4"),
     ],
 )
 def test_domain_error_exit_three_with_one_line(args, message, tmp_path, capsys):
@@ -271,6 +273,13 @@ def test_construct_existence_only_exit_zero():
     assert json.loads(proc.stdout)["status"] == "existence_only"
 
 
+def test_construct_refuses_an_extension_target_below_2d_exit_three():
+    # L = Q**2, Q = 1 - T/2 + T**2, has degree 4 over a quadratic field
+    proc = run_cli(["construct", "--max-extension-degree", "2"], '{"L":["1","-1","9/4","-1","1"],"p":2,"a":2}')
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "httool: extension target 2 incompatible with degree 4 and field degree 2\n"
+
+
 def test_construct_unknown_exit_two():
     # base extension of 1 - T/2 + T^2 by n = 2: the slope verdict is the
     # designated proper-power Unknown, so the run cannot certify
@@ -396,3 +405,9 @@ def test_golden_certificate_modulo_telemetry():
 
 def test_golden_extension_certificate_modulo_telemetry():
     replay_certificate(["--max-extension-degree", "8"], QUADRATIC_JSON, "certificate_extend8.json")
+
+
+def test_golden_unsupported_certificate_modulo_telemetry():
+    # the quartic's real subfield is Q(sqrt 6), not Q: no extension to
+    # degree 8 is built, and extension.relative and absolute are null
+    replay_certificate(["--max-extension-degree", "8"], QUARTIC_JSON, "certificate_unsupported.json")

@@ -444,6 +444,11 @@ def ddf_calls(f: Poly) -> list[tuple[int, int]]:
     return calls
 
 
+def squarefree_degree(f: Poly) -> int:
+    """The degree of the squarefree part of f."""
+    return len(_zz_squarefree(f.prim)) - 1
+
+
 def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
     for n, m in cyclotomics:
         f = f * cyclotomic_poly(n) ** m
@@ -495,10 +500,23 @@ def test_factor_pool_members_match_reference():
 )
 def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     # the shape of census candidates: a member or its square times roots of
-    # unity, factored with one distinct-degree factorization above degree 2
+    # unity, factored with one distinct-degree factorization when the
+    # squarefree part has degree above 2
     f = with_cyclotomics(member ** power, cyclotomics)
     assert sorted(cyclotomic_indices(assert_matches_reference(f))) == sorted({n for n, _m in cyclotomics})
-    assert len(ddf_calls(f)) == (f.degree() > 2)
+    assert len(ddf_calls(f)) == (squarefree_degree(f) > 2)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [cyclotomic_poly(3) ** 2, next(m for m in POOL_MEMBERS if m.degree() == 2) ** 2, cyclotomic_poly(1) ** 3],
+    ids=["Phi_3 squared", "quadratic member squared", "Phi_1 cubed"],
+)
+def test_squarefree_part_of_degree_at_most_two_runs_no_distinct_degree_factorization(f):
+    # f has degree at least 3, but its squarefree part is decided by the
+    # rule for degree at most 2
+    assert ddf_calls(f) == []
+    assert_matches_reference(f)
 
 
 @pytest.mark.parametrize("cyclotomics", [[(5, 2)], [(3, 2), (4, 1)]])
@@ -683,9 +701,10 @@ def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
     )
 )
 def test_one_distinct_degree_factorization_per_factoring(f):
-    # every step above degree 2 reads the distinct-degree parts at the one
-    # prime that keeps the squarefree part squarefree
-    assert len(ddf_calls(f)) == (len(f.prim) > 3)
+    # a squarefree part above degree 2 is decided by its distinct-degree
+    # parts at the one prime that keeps it squarefree, a smaller one without
+    # them
+    assert len(ddf_calls(f)) == (squarefree_degree(f) > 2)
 
 
 @pytest.mark.parametrize(

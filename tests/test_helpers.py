@@ -384,7 +384,7 @@ def reference_disc_identity(ext, det_class) -> tuple[bool, str]:
     """Whether det_class is the class of (-1)^d * disc(E), and the expected
     class, both from a factorization of that discriminant, which comes from
     the Sylvester resultant."""
-    expected = square_class((-1) ** (ext.degree // 2) * sylvester_discriminant(ext.absolute))
+    expected = square_class((-1) ** (ext.absolute.degree() // 2) * sylvester_discriminant(ext.absolute))
     return det_class == expected, str(expected)
 
 
@@ -422,7 +422,7 @@ def verified_weil_field(Q: Poly) -> CMData:
     conj = Poly(list(f.coeffs[1:])) * (-1 / f.coefficient(0))
     assert (Poly([0, 1]) * conj) % f == Poly([1]), "conjugation: inverse residue is wrong"
     assert compose_mod(conj, conj, f) == Poly([0, 1]), "conjugation: not an involution"
-    return CMData(NumberField(f, n, 0), NumberField(beta, half, half), conj)
+    return CMData(NumberField(f, 0), NumberField(beta, half), conj)
 
 
 def compose_mod(outer: Poly, inner: Poly, f: Poly) -> Poly:
@@ -470,18 +470,17 @@ def _power_traces(element: Poly, modulus: Poly, count: int) -> list[F]:
     return traces
 
 
-def reduction_trace_gram(ext, lam: Poly) -> GramMatrix:
-    """The trace form's Gram by reduction mod the defining polynomial: for
-    e = 1 the Toeplitz t_|i-j| with lambda(beta) composed into Q[T]/(f),
-    beta = T + conj(T); for a compositum t[i+k] * U[j][l], U the unit form
-    built the same way."""
-    base = ext.base
+def reduction_trace_gram(base, ext, lam: Poly) -> GramMatrix:
+    """The trace form's Gram by reduction mod the defining polynomial, for
+    ext built over the CM field base: for e = 1 the Toeplitz t_|i-j| with
+    lambda(beta) composed into Q[T]/(f), beta = T + conj(T); for a
+    compositum t[i+k] * U[j][l], U the unit form built the same way."""
     f = base.field.defining
     if ext.kind == "trivial":
         n = f.degree()
         t = _power_traces(compose_mod(lam, (Poly([0, 1]) + base.conj) % f, f), f, n)
         return GramMatrix.from_rows([[t[abs(i - j)] for j in range(n)] for i in range(n)])
-    P, e = ext.relative, ext.e
+    P, e = ext.real_subfield.defining, ext.e
     t = _power_traces(lam % P, P, 2 * e - 1)
     u = _power_traces(Poly([1]), f, 2)
     unit = [[u[abs(j - l)] for l in range(2)] for j in range(2)]
@@ -501,22 +500,23 @@ def inverse_mod(a: Poly, m: Poly) -> Poly:
     return (s0 * (1 / r0.coefficient(0))) % m
 
 
-def basis_trace_gram(ext, lam: Poly) -> GramMatrix:
+def basis_trace_gram(base, ext, lam: Poly) -> GramMatrix:
     """The trace form's Gram on the basis x^i, x^i * omega of E, omega =
-    gamma - 1/gamma, by reduction mod the absolute polynomial A, each entry
-    Tr_{E/Q}(lambda * b_i * conj(b_j)) with conj the substitution of
-    conj(T) for T.  In Q[T]/(A): for e = 1, gamma = T and x = beta = T +
-    1/T; for a compositum, T = x + gamma, and gamma is the common root -a/b
-    of f(X) and P(T - X) = a + b*X mod f(X) (Horner, X^2 = -f_1 X - f_0),
-    and x = T - gamma.  In both, conj(T) = T - gamma + 1/gamma."""
-    A, f = ext.absolute, ext.base.field.defining
+    gamma - 1/gamma, for ext built over the CM field base, by reduction mod
+    the absolute polynomial A, each entry Tr_{E/Q}(lambda * b_i *
+    conj(b_j)) with conj the substitution of conj(T) for T.  In Q[T]/(A):
+    for e = 1, gamma = T and x = beta = T + 1/T; for a compositum, T = x +
+    gamma, and gamma is the common root -a/b of f(X) and P(T - X) = a + b*X
+    mod f(X), P the real subfield's polynomial (Horner, X^2 = -f_1 X -
+    f_0), and x = T - gamma.  In both, conj(T) = T - gamma + 1/gamma."""
+    A, f = ext.absolute, base.field.defining
     T = Poly([0, 1])
     if ext.e == 1:
         gamma = T
     else:
         f0, f1, _ = f.coeffs
         a, b = Poly(), Poly()
-        for c in reversed(ext.relative.coeffs):
+        for c in reversed(ext.real_subfield.defining.coeffs):
             # (a + b X)(T - X) + c
             a, b = (a * T + b * f0 + Poly([c])) % A, (b * T - a + b * f1) % A
         gamma = (-a * inverse_mod(b, A)) % A
@@ -668,7 +668,7 @@ def fraction_determinant(matrix) -> F:
 def number_field(f: Poly) -> NumberField:
     """The field Q[T]/(f) of a monic irreducible f."""
     assert f.is_monic() and is_irreducible(f)
-    return NumberField(f, f.degree(), sturm_count(f))
+    return NumberField(f, sturm_count(f))
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -1021,22 +1021,22 @@ POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _quadratic_composita():
-    """Each quadratic pool member extended to degrees 8 through 20."""
+    """(cm, ext): each quadratic pool member extended to degrees 8 through
+    20."""
     for pool in POOLS["pools"]:
         if pool["degree"] == 2:
             for member in pool["members"]:
                 cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
                 for degree in range(8, 21, 2):
-                    yield build_extension(cm, pool["p"], degree)
+                    yield cm, build_extension(cm, pool["p"], degree)
 
 
 def test_absolute_defining_matches_horner_over_poly():
     count = 0
-    for ext in _quadratic_composita():
+    for cm, ext in _quadratic_composita():
         assert ext.kind == "eisenstein_compositum"
-        assert _absolute_defining(ext.relative, ext.base.field.defining) == poly_absolute_defining(
-            ext.relative, ext.base.field.defining
-        ), ext.relative
+        P, f = ext.real_subfield.defining, cm.field.defining
+        assert _absolute_defining(P, f) == poly_absolute_defining(P, f), P
         count += 1
     assert count == 84
 
@@ -1054,7 +1054,7 @@ def test_trace_forms_match_the_fraction_builders():
     # the scalar of signature (1, d - 1), and the Hankel traces of that
     # scalar on the real subfield
     count = 0
-    for ext in [*_own_degree_extensions(), *_quadratic_composita()]:
+    for ext in [*_own_degree_extensions(), *(ext for _cm, ext in _quadratic_composita())]:
         real = ext.real_subfield
         lam = find_lambda(real, (1, real.degree - 1))
         assert trace_form(ext, lam).gram == fraction_trace_gram(ext, lam), (ext.absolute, lam)

@@ -17,6 +17,8 @@ HALF = F(1, 2)
 QUARTIC = WeilCandidate(Poly([1, 0, HALF, 0, 1]), 2, 1)
 QUADRATIC = WeilCandidate(Poly([1, -HALF, 1]), 2, 1)
 CYCLOTOMIC = WeilCandidate(Poly([1, 1, 1]), 2, 1)
+# L = Q**2 for Q = 1 - T/2 + T**2 at q = 4: degree 4 over a quadratic CM field
+SQUARE = WeilCandidate(Poly([1, -1, F(9, 4), -1, 1]), 2, 2)
 
 
 def test_run_quartic_constructed():
@@ -141,6 +143,16 @@ def test_run_odd_extension_degree():
     assert outcome.status is RunStatus.CONSTRUCTED
     assert outcome.certificate["lambda"]["signature"] == [1, 2]
     assert outcome.certificate["k3_sum_identity"]["status"] == "pass"
+
+
+def test_extension_target_below_2d_cannot_be_replayed():
+    # e = 1 over the quadratic field of L = Q**2 asks for degree 2 < 4
+    cert = run(SQUARE).certificate
+    assert cert["extension"]["e"] == 2 and revalidate_certificate(cert) == []
+    cert["extension"]["e"] = 1
+    assert revalidate_certificate(cert) == [
+        "extension cannot be replayed: extension target 2 incompatible with degree 4 and field degree 2"
+    ]
 
 
 def test_config_validation():
