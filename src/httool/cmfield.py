@@ -23,7 +23,6 @@ from .exactpoly import (
     _zz_sub,
     discriminant,
     rat_to_str,
-    reciprocal_transform,
     square_class,
     sturm_count,
     trace_power_sums,
@@ -58,6 +57,11 @@ class NumberField:
     def degree(self) -> int:
         return self.defining.degree()
 
+    @functools.cached_property
+    def chain(self) -> SturmChain:
+        """The Sturm chain of `defining`, for `find_lambda`; `weil_field` sets it."""
+        return SturmChain(self.defining)
+
     def to_json(self) -> dict:
         return {
             "defining": self.defining.to_strs(),
@@ -85,12 +89,13 @@ class CMData:
         }
 
 
-def weil_field(Q: Poly) -> CMData:
+def weil_field(Q: Poly, chain: SturmChain) -> CMData:
     """The CM field E = Q[T]/(f), f = Q.monic(), generated by a reciprocal
     root gamma of Q, with its totally real subfield Q(beta), beta =
     gamma + 1/gamma, and complex conjugation gamma -> 1/gamma.
 
-    Q is the `Q` of a report whose five verdicts pass: `pipeline.run` and
+    Q is the `Q` of a report whose five verdicts pass, and `chain` is the
+    `WeilCandidate.chain` of its L = Q^e: `pipeline.run` and
     `revalidate_certificate` derive the certificate through one function,
     which calls this only on an admissible report.  So nothing is checked
     here; each fact the construction uses holds for that Q:
@@ -102,19 +107,18 @@ def weil_field(Q: Poly) -> CMData:
       1/gamma, so f has constant term 1 and is palindromic.
     - beta = 2 Re(gamma) then takes n/2 distinct real values in (-2, 2),
       as the pair {gamma, 1/gamma} is the root set of T^2 - beta*T + 1.
-      Its minimal polynomial is the H with f(T) = T^(n/2) * H(T + 1/T),
-      `reciprocal_transform(f)` (a factor of H would give one of f), and
-      Q(beta) is totally real of degree n/2.
+      Its minimal polynomial is the H with f(T) = T^(n/2) * H(T + 1/T) (a
+      factor of H would give one of f); the transform of L is a multiple of
+      H^e, so H is `chain.squarefree` made monic, and Q(beta), totally real
+      of degree n/2, keeps `chain`, which counted its n/2 real roots.
     - gamma -> 1/gamma is complex conjugation in every embedding, an
       involution; as c_0 = 1, 1/gamma = -(c_1 + c_2 gamma + ... +
       gamma^(n-1)).
     """
     f = Q.monic()
-    return CMData(
-        field=NumberField(f, 0),
-        real_subfield=NumberField(reciprocal_transform(f), f.degree() // 2),
-        conj=Poly.from_ints(f.prim[1:], -f.content),
-    )
+    real = NumberField(chain.squarefree.monic(), f.degree() // 2)
+    object.__setattr__(real, "chain", chain)  # the value `chain` would cache
+    return CMData(field=NumberField(f, 0), real_subfield=real, conj=Poly.from_ints(f.prim[1:], -f.content))
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +374,18 @@ def disc_identity_check(ext: ExtensionData, det_class: SquareClass) -> PropertyV
 # signatures of totally real elements
 
 
-def signature_of(form: TraceForm, field: NumberField) -> tuple[int, int]:
-    """Exact counts of real embeddings of `field` where lambda is positive /
-    negative, for the trace form of lambda over a CM field with real
-    subfield `field`.
+def signature_of(form: TraceForm) -> tuple[int, int]:
+    """Exact counts of the real embeddings of the real subfield E+ where
+    lambda is positive / negative, for the trace form of lambda over a CM
+    field whose E+, of degree d, `build_extension` derived: a Sturm chain
+    proved it totally real (`weil_field`, `eisenstein_real_subfield`).
 
-    One Sturm count checks that the defining polynomial g has deg g distinct
-    real roots.  The real subfield that `build_extension` derives has them;
-    the check guards a caller passing a `NumberField` of its own.  Then, by
-    Hermite's theorem, T(2 lambda) = sum over the roots a of 2 lambda(a) *
-    x(a) * y(a) has the signature of lambda, and its pivot diagonal has
-    entries D_k / (D_(k-1) den), D_k its pivots (`TraceForm.pivots`): lambda
-    is positive at as many embeddings as there are k with D_k D_(k-1) > 0."""
-    if field.real_embeddings != field.degree:
-        raise DomainError("signatures require a totally real field")
-    if (real_roots := sturm_count(field.defining)) != field.degree:
-        raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
+    By Hermite's theorem, T(2 lambda) = sum over the roots a of 2 lambda(a)
+    * x(a) * y(a) has the signature of lambda; its pivot diagonal has entries
+    D_k / (D_(k-1) den), D_k its d pivots (`TraceForm.pivots`), so lambda is
+    positive at as many embeddings as there are k with D_k D_(k-1) > 0."""
     positives = sum(1 for prev, x in zip((1, *form.pivots[0]), form.pivots[0]) if prev * x > 0)
-    return positives, field.degree - positives
+    return positives, len(form.pivots[0]) - positives
 
 
 def _last_true(holds: Callable[[int], bool]) -> int:
@@ -413,12 +411,12 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
     of least absolute value.  So m, and with it the certificate, depends on
     the field alone.
 
-    Soundness.  g is squarefree with no rational root; irreducible of
-    degree d >= 2 is enough (the real subfield of the CM field, or an
-    Eisenstein polynomial).  So no rational x is a root, and the number of
-    roots in (-inf, x], one count on g's Sturm chain, is s exactly when x
-    lies in the gap (a, b), less than s below it and more than s above it.
-    So x - m is negative at the s smaller roots and positive at the rest.
+    Soundness.  `field.chain` counts d distinct real roots of g, or else
+    the field is refused; irreducible of degree d >= 2 (the real subfield,
+    or an Eisenstein polynomial), g has no rational root.  So the number of
+    roots in (-inf, x], one count on the chain, is s exactly when x lies in
+    the gap (a, b), less than s below it and more than s above it.  So x -
+    m is negative at the s smaller roots and positive at the rest.
 
     The search is the Stern-Brocot descent (Graham-Knuth-Patashnik,
     Concrete Mathematics, 4.5).  If 0 is in the gap, m = 0.  Otherwise
@@ -440,15 +438,14 @@ def find_lambda(field: NumberField, target: tuple[int, int]) -> Poly:
     r, s = target
     if r < 0 or s < 0 or r + s != field.degree:
         raise DomainError("target signature incompatible with the field degree")
-    if field.real_embeddings != field.degree:
-        raise DomainError("lambda search requires a totally real field")
+    if (real_roots := field.chain.count()) != field.degree:
+        raise DomainError(f"the field is not totally real of degree {field.degree}: {real_roots} real roots")
     if r == 0 or s == 0:
         return Poly([1 if r else -1])
-    chain = SturmChain(field.defining)
 
     def side(p: int, q: int) -> int:
         """-1, 0 or 1 as p/q lies below, in or above the gap."""
-        below = chain.count(None, Fraction(p, q))
+        below = field.chain.count(None, Fraction(p, q))
         return (below > s) - (below < s)
 
     if (start := side(0, 1)) == 0:
@@ -502,7 +499,7 @@ def cm_to_k3(ext: ExtensionData, lam: Poly | None = None, complement: QSpace | N
         raise DomainError(f"no scalar is constructed at d = {d}; cm_to_k3 needs d < 10")
     target = (1, d - 1)
     form = trace_form(ext, find_lambda(ext.real_subfield, target) if lam is None else lam)
-    if lam is not None and (sig := signature_of(form, ext.real_subfield)) != target:
+    if lam is not None and (sig := signature_of(form)) != target:
         raise DomainError(f"lambda has signature {sig}, not {target}")
     q_inv = pivot_invariants(form.pivots, form.gram.den)
     if complement is not None:

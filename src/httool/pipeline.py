@@ -92,7 +92,7 @@ def _certificate(
         return cert
 
     stage("weil_field")
-    cm = weil_field(report.Q)
+    cm = weil_field(report.Q, candidate.chain)
     cert["field"] = cm.to_json()
 
     stage("build_extension")

@@ -71,6 +71,11 @@ class WeilCandidate:
         enumerator sets it to the H its cyclotomic screen divided."""
         return reciprocal_transform(self.L)
 
+    @functools.cached_property
+    def chain(self) -> SturmChain:
+        """The Sturm chain of `transform`; `weil_field` reuses it."""
+        return SturmChain(self.transform)
+
     def to_json(self) -> dict:
         return {"L": self.L.to_strs(), "p": self.p, "a": self.a}
 
@@ -122,7 +127,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
             Status.FAIL,
             {"reason": "not self-inversive", "coefficient_index": defect},
         )
-    chain = SturmChain(c.transform)
+    chain = c.chain
     hs = chain.squarefree
     deg = hs.degree()
     real_total = chain.count()

@@ -221,7 +221,7 @@ def test_criterion_08_trace_form_identities():
             Poly([1, 0, HALF, 0, 1]),
         ]
         for defining in fixtures:
-            cm = weil_field(defining)
+            cm = weil_field(defining, WeilCandidate(defining, 2, 1).chain)
             ext = build_extension(cm, 2, cm.field.degree)
             det_class = invariants(diagonalize(trace_form(ext, Poly([1])).gram)).det
             assert disc_identity_check(ext, det_class).status is Status.PASS
@@ -229,7 +229,7 @@ def test_criterion_08_trace_form_identities():
             for target in {(d, 0), (1, d - 1)}:
                 lam = find_lambda(ext.real_subfield, target)
                 form = trace_form(ext, lam)
-                r, s = signature_of(form, ext.real_subfield)
+                r, s = signature_of(form)
                 assert (r, s) == target
                 assert invariants(diagonalize(form.gram)).signature == (2 * r, 2 * s)
 

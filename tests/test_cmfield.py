@@ -44,6 +44,7 @@ from test_helpers import (
     gram_entries,
     is_irreducible,
     lagrange_interpolate,
+    member_field,
     number_field,
     peel_search_diagonal,
     reduction_trace_gram,
@@ -54,6 +55,7 @@ from test_helpers import (
     sylvester_discriminant,
     verified_weil_field,
     vp,
+    weil_field_of,
 )
 from test_qform import full_elimination_diagonal
 
@@ -66,7 +68,7 @@ POOLS = json.loads((pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def trivial_ext(defining: Poly):
-    cm = weil_field(defining)
+    cm = weil_field_of(defining)
     return build_extension(cm, 2, cm.field.degree)
 
 
@@ -75,7 +77,7 @@ def trivial_ext(defining: Poly):
 
 
 def test_weil_field_quartic():
-    cm = weil_field(WEIL_QUARTIC)
+    cm = weil_field_of(WEIL_QUARTIC)
     assert cm.field.degree == 4
     assert cm.field.real_embeddings == 0
     assert cm.real_subfield.defining == Poly([F(-3, 2), 0, 1])  # the field Q(sqrt 6)
@@ -84,7 +86,7 @@ def test_weil_field_quartic():
 
 
 def test_weil_field_quadratic():
-    cm = weil_field(WEIL_QUADRATIC)
+    cm = weil_field_of(WEIL_QUADRATIC)
     assert cm.field.degree == 2
     assert cm.real_subfield.defining == Poly([-HALF, 1])
     assert cm.real_subfield.degree == 1
@@ -103,7 +105,7 @@ def test_weil_field_matches_verified_reference():
     assert len(fields) == 466
     fields += [cyclotomic_poly(n) for n in range(3, 26)]
     for Q in fields:
-        cm = weil_field(Q)
+        cm = weil_field_of(Q)
         assert cm == verified_weil_field(Q)
         # the integer form of conj is the negated tail of f over Q
         assert cm.conj == -Poly(list(cm.field.defining.coeffs[1:]))
@@ -115,8 +117,21 @@ def test_weil_field_matches_verified_reference():
         verified_weil_field(Poly([1, 1, 2, 1, 1]))
 
 
+def test_weil_field_reads_the_real_subfield_off_the_chain_of_a_power():
+    # for L = Q**e the chain of L's transform, H(Q)**e, runs on prim(H(Q)):
+    # weil_field gives the field it gives for e = 1, and the real subfield's
+    # chain has the integer members of a chain built on its own polynomial
+    for Q in (WEIL_QUADRATIC, WEIL_QUARTIC, cyclotomic_poly(7), cyclotomic_poly(15)):
+        for e in (1, 2, 3):
+            candidate = WeilCandidate(Q**e, 2, 1)
+            cm = weil_field(Q, candidate.chain)
+            assert cm == weil_field_of(Q) == verified_weil_field(Q), (Q, e)
+            assert cm.real_subfield.chain is candidate.chain
+            assert cm.real_subfield.chain.chain == SturmChain(cm.real_subfield.defining).chain
+
+
 def test_weil_field_conjugation_is_inverse():
-    cm = weil_field(WEIL_QUARTIC)
+    cm = weil_field_of(WEIL_QUARTIC)
     f = cm.field.defining
     product = (Poly([0, 1]) * cm.conj) % f
     assert product == Poly([1])
@@ -127,7 +142,7 @@ def test_weil_field_on_census_never_fails():
         for candidate in enumerate_candidates(2, 1, two_d):
             report = check_all(candidate)
             assert report.admissible
-            cm = weil_field(report.Q)
+            cm = weil_field(report.Q, candidate.chain)
             assert cm.field.degree == report.Q.degree()
             assert cm.real_subfield.degree * 2 == cm.field.degree
 
@@ -171,7 +186,7 @@ def test_trace_form_rejects_zero_lambda():
 def _composita():
     """(cm, ext): the two quadratic fixtures extended at p = 2, 3 to e = 2..6."""
     for base in (GAUSSIAN, EISENSTEIN_FIELD):
-        cm = weil_field(base)
+        cm = weil_field_of(base)
         for p in (2, 3):
             for e in range(2, 7):
                 yield cm, build_extension(cm, p, 2 * e)
@@ -182,7 +197,7 @@ def _targets(d: int):
 
 
 def test_trace_forms_match_their_definition():
-    fields = [weil_field(defining) for defining in FIXTURES]
+    fields = [weil_field_of(defining) for defining in FIXTURES]
     extensions = [(cm, build_extension(cm, 2, cm.field.degree)) for cm in fields] + list(_composita())
     assert sum(ext.kind == "eisenstein_compositum" for _cm, ext in extensions) == 20
     for cm, ext in extensions:
@@ -201,7 +216,7 @@ def test_trace_forms_match_their_definition():
 def test_extension_trace_forms_diagonalize_as_full_elimination(p, member):
     # the trace forms of Eisenstein composita, as `construct` builds them at
     # --max-extension-degree 8, 10 and 12
-    cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), p, 1)).Q)
+    cm = member_field(member, p, 1)
     for degree in (8, 10, 12):
         gram = cm_to_k3(build_extension(cm, p, degree)).trace.gram
         assert list(diagonalize(gram).diagonal) == full_elimination_diagonal(gram_entries(gram)), degree
@@ -213,7 +228,7 @@ def _pool_extensions():
     pools."""
     for pool in POOLS["pools"]:
         for member in pool["members"]:
-            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            cm = member_field(member, pool["p"], pool["a"])
             for degree in (cm.field.degree, 8, 10, 12) if cm.field.degree == 2 else (cm.field.degree,):
                 yield cm, build_extension(cm, pool["p"], degree)
 
@@ -233,7 +248,7 @@ def test_trace_forms_and_signatures_match_references_on_the_pools():
             old_basis = invariants(diagonalize(reduction_trace_gram(cm, ext, lam)))
             new = pivot_invariants(form.pivots, form.gram.den)
             assert new == reference_trace_invariants(form) == old_basis, (ext.absolute, target)
-            assert signature_of(form, ext.real_subfield) == bisection_signature_of(lam, ext.real_subfield) == target
+            assert signature_of(form) == bisection_signature_of(lam, ext.real_subfield) == target
             count += 1
     assert count == 1910
 
@@ -242,7 +257,7 @@ def test_trace_invariants_from_pivots_match_the_reference_to_degree_18():
     # [1, -1/2, 1] at 8..18: at 18 an inner pivot of each block carries a
     # 27-digit prime, which the reference factors and pivot_invariants never
     # meets
-    cm = weil_field(WEIL_QUADRATIC)
+    cm = weil_field_of(WEIL_QUADRATIC)
     for degree in range(8, 20, 2):
         ext = build_extension(cm, 2, degree)
         form = trace_form(ext, find_lambda(ext.real_subfield, (1, degree // 2 - 1)))
@@ -295,7 +310,7 @@ def test_signature_identity_on_fixtures(defining):
     for target in [(d, 0), (d - 1, 1) if d > 1 else (d, 0), (1, d - 1)]:
         lam = find_lambda(ext.real_subfield, target)
         form = trace_form(ext, lam)
-        r, s = signature_of(form, ext.real_subfield)
+        r, s = signature_of(form)
         assert (r, s) == target
         assert invariants(diagonalize(form.gram)).signature == (2 * r, 2 * s)
 
@@ -345,7 +360,7 @@ def hermite_signature(lam: Poly, field: NumberField) -> tuple[int, int]:
     Gaussian field's extension with `field` put in as its real subfield and
     delta = -1."""
     ext = dataclasses.replace(trivial_ext(GAUSSIAN), real_subfield=field, delta=Poly([-1]))
-    return signature_of(trace_form(ext, lam), field)
+    return signature_of(trace_form(ext, lam))
 
 
 def test_signature_of_examples():
@@ -365,17 +380,6 @@ def test_signature_of_rejects_vanishing():
         hermite_signature(Poly([-1, 1]), NumberField(Poly([2, -3, 1]), 2))
 
 
-@pytest.mark.parametrize("defining", [Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([1, 0, 0, 1])])
-def test_signature_of_rejects_a_claimed_real_field_without_its_real_roots(defining):
-    # x**2 + 1, (x - 1)**2 and x**3 + 1 (one real root) claimed to be
-    # totally real: the claim is checked against the Sturm count, for a
-    # constant lambda too
-    field = NumberField(defining, defining.degree())
-    for lam in (Poly([1]), Poly([0, 1])):
-        with pytest.raises(DomainError, match="not totally real"):
-            hermite_signature(lam, field)
-
-
 def test_find_lambda_examples():
     sqrt6 = number_field(Poly([F(-3, 2), 0, 1]))
     assert find_lambda(sqrt6, (1, 1)) == Poly([0, 1])
@@ -383,6 +387,18 @@ def test_find_lambda_examples():
     assert find_lambda(rational, (1, 0)) == Poly([1])
     sqrt2 = number_field(Poly([-2, 0, 1]))
     assert find_lambda(sqrt2, (1, 1)) == Poly([0, 1])
+
+
+@pytest.mark.parametrize("defining", [Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([1, 0, 0, 1])])
+def test_find_lambda_rejects_a_claimed_real_field_without_its_real_roots(defining):
+    # x**2 + 1, (x - 1)**2 and x**3 + 1 (one real root) claimed to be
+    # totally real: the field's Sturm chain refutes the claim, for the
+    # constant lambda of signature (d, 0) too.  x**2 + 1 at (1, 1) once sent
+    # the descent on forever, looking for a gap between real roots
+    field = NumberField(defining, defining.degree())
+    for target in ((field.degree, 0), (1, field.degree - 1)):
+        with pytest.raises(DomainError, match="not totally real"):
+            find_lambda(field, target)
 
 
 def test_find_lambda_all_signatures_on_totally_real_cubic():
@@ -428,7 +444,7 @@ def test_find_lambda_is_the_simplest_rational_in_the_gap_on_the_pools_and_eisens
     fields = {}
     for pool in POOLS["pools"]:
         for member in pool["members"]:
-            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            cm = member_field(member, pool["p"], pool["a"])
             fields[cm.real_subfield.defining] = cm.real_subfield
     for p in (2, 3):
         for e in range(2, 10):
@@ -473,7 +489,7 @@ def _lambda_fields():
     member's composita of degree 8, 10, ..., 18."""
     for pool in POOLS["pools"]:
         for member in pool["members"]:
-            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            cm = member_field(member, pool["p"], pool["a"])
             yield cm.real_subfield
             if cm.field.degree == 2:
                 for degree in range(8, 20, 2):
@@ -512,7 +528,7 @@ def test_build_extension_trivial():
 
 
 def test_build_extension_eisenstein_example():
-    cm = weil_field(GAUSSIAN)
+    cm = weil_field_of(GAUSSIAN)
     ext = build_extension(cm, 5, 4)
     assert ext.kind == "eisenstein_compositum"
     P = ext.real_subfield.defining
@@ -530,7 +546,7 @@ def test_build_extension_invariants_on_every_call():
     ]
     assert len(quadratics) == 12
     for p, L in quadratics:
-        cm = weil_field(L)
+        cm = weil_field_of(L)
         for e in range(2, 11):
             ext = build_extension(cm, p, 2 * e)
             P = ext.real_subfield.defining
@@ -545,14 +561,14 @@ def test_build_extension_invariants_on_every_call():
 
 
 def test_build_extension_unsupported_regime():
-    cm = weil_field(WEIL_QUARTIC)  # real subfield Q(sqrt6), degree 2
+    cm = weil_field_of(WEIL_QUARTIC)  # real subfield Q(sqrt6), degree 2
     ext = build_extension(cm, 2, 8)
     assert ext.kind == "unsupported"
     assert "reason" in ext.trace
 
 
 def test_build_extension_rejects_non_integral():
-    cm = weil_field(WEIL_QUARTIC)
+    cm = weil_field_of(WEIL_QUARTIC)
     with pytest.raises(DomainError):
         build_extension(cm, 2, 6)
 
@@ -580,7 +596,7 @@ def test_completion_degree_mismatch():
 
 
 def test_completion_degree_compositum():
-    cm = weil_field(WEIL_QUADRATIC)
+    cm = weil_field_of(WEIL_QUADRATIC)
     ext = build_extension(cm, 2, 4)
     assert completion_degree_check(ext, 2, 2).status is Status.PASS
 
@@ -606,7 +622,7 @@ def test_cm_to_k3_gaussian_chain():
 def test_cm_to_k3_quartic():
     ext = trivial_ext(WEIL_QUARTIC)
     result = cm_to_k3(ext)
-    assert signature_of(result.trace, ext.real_subfield) == (1, 1)
+    assert signature_of(result.trace) == (1, 1)
     assert result.complement_invariants.dim == 18
     assert sum_invariants(result.trace_invariants, invariants(result.complement)) == k3_invariants()
 

@@ -401,6 +401,19 @@ def is_irreducible(f: Poly) -> bool:
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == f.degree()
 
 
+def weil_field_of(Q: Poly) -> CMData:
+    """`weil_field` of an admissible Q, given the chain of its own transform:
+    the chain `check_all` builds for L = Q."""
+    return weil_field(Q, SturmChain(reciprocal_transform(Q)))
+
+
+def member_field(member: list[str], p: int, a: int) -> CMData:
+    """The CM field of a pool member as `pipeline.run` builds it: from the
+    report's Q and the chain that `check_all` built on the candidate."""
+    candidate = WeilCandidate(Poly.from_strs(member), p, a)
+    return weil_field(check_all(candidate).Q, candidate.chain)
+
+
 def verified_weil_field(Q: Poly) -> CMData:
     """`weil_field` with each CM axiom proved again from Q alone; a failed
     assertion names the axiom."""
@@ -1026,7 +1039,7 @@ def _quadratic_composita():
     for pool in POOLS["pools"]:
         if pool["degree"] == 2:
             for member in pool["members"]:
-                cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+                cm = member_field(member, pool["p"], pool["a"])
                 for degree in range(8, 21, 2):
                     yield cm, build_extension(cm, pool["p"], degree)
 
@@ -1044,7 +1057,7 @@ def test_absolute_defining_matches_horner_over_poly():
 def _own_degree_extensions():
     for pool in POOLS["pools"]:
         for member in pool["members"]:
-            cm = weil_field(check_all(WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])).Q)
+            cm = member_field(member, pool["p"], pool["a"])
             yield build_extension(cm, pool["p"], cm.field.degree)
 
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, certificate reproducibility and self-validation."""
 
+import collections
 import hashlib
 import json
 import pathlib
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from httool.exactpoly import DomainError, Poly
+from httool.exactpoly import DomainError, Poly, SturmChain
 from httool.pipeline import PipelineConfig, RunStatus, revalidate_certificate, run
 from httool.weilcheck import WeilCandidate, check_all
 
@@ -392,9 +393,9 @@ def test_tampered_lambda_signature_is_detected_for_compositum():
         ),
     ],
     ids=[
-        "path0-1-signatures require a totally real field",
+        "path0-1-real_embeddings changed on replay",
         "path1-value1-lambda vanishes",
-        "path2-value2-the field is not totally real of degree 2: 0 real roots",
+        "path2-value2-defining changed on replay",
         "lambda of the wrong signature",
     ],
 )
@@ -493,7 +494,8 @@ def test_malformed_certificate_structure_is_reported(path, value, problem):
 
 
 def test_telemetry_present_but_separate():
-    outcome = run(QUARTIC)
+    # a fresh candidate: QUARTIC keeps the Sturm chain an earlier run built
+    outcome = run(WeilCandidate(QUARTIC.L, QUARTIC.p, QUARTIC.a))
     assert outcome.status is RunStatus.CONSTRUCTED
     stages = outcome.telemetry["stage_seconds"]
     assert {"total", "k3_sum_identity"} <= stages.keys()
@@ -504,7 +506,9 @@ def test_telemetry_present_but_separate():
     # Galois group C2 x C2, reducible mod every prime, so factoring it
     # directly lifts once)
     assert counters["hensel_lifts"] == 0
-    assert counters["sturm_chain_builds"] > 0
+    # one chain, on H: weil_field hands it to the real subfield Q(sqrt 6),
+    # where find_lambda reads it
+    assert counters["sturm_chain_builds"] == 1
     assert counters["pollard_rho_splits"] >= 0
     assert "telemetry" not in outcome.certificate
     certificate_text = json.dumps(outcome.certificate)
@@ -555,6 +559,38 @@ def test_pool_certificates_match_the_golden_digest():
     # a change of basis may move the Gram; nothing else may move with it
     assert digest["sha256_without_gram"] == golden["sha256_without_gram"]
     assert digest == golden
+
+
+def test_each_derivation_builds_one_sturm_chain_per_polynomial(monkeypatch):
+    # every pool run and the [1, -1/2, 1] ladder at 8..18, each on a fresh
+    # candidate: a run, then its revalidation, builds the chain of a
+    # polynomial at most once.  The real subfield takes check_all's chain on
+    # H, and signature_of counts nothing, so a run at its own degree builds
+    # one chain and its revalidation no other.  The one exception is a
+    # compositum's Eisenstein P in a run: the search counts its real roots,
+    # and find_lambda builds its chain again
+    built = []
+    build = SturmChain.__init__
+
+    def recording_build(self, f):
+        build(self, f)
+        built.append(self.squarefree)
+
+    monkeypatch.setattr(SturmChain, "__init__", recording_build)
+    runs = [*pool_runs(), *((QUADRATIC, degree) for degree in range(8, 20, 2))]
+    for candidate, degree in runs:
+        built.clear()
+        outcome = run(WeilCandidate(candidate.L, candidate.p, candidate.a), PipelineConfig(degree))
+        in_run = collections.Counter(built)
+        extension = outcome.certificate["extension"]
+        eisenstein = extension["relative"] and Poly.from_strs(extension["relative"])
+        assert all(n == 1 or (n == 2 and f == eisenstein) for f, n in in_run.items()), (candidate.L, degree)
+        built.clear()
+        assert revalidate_certificate(outcome.certificate) == []
+        assert len(built) == len(set(built)) and set(built) <= set(in_run), (candidate.L, degree)
+        if degree is None:
+            assert len(in_run) == 1 and len(built) == 1, candidate.L
+    assert len(runs) == 502 + 6
 
 
 @pytest.mark.parametrize("candidate, degree", [(QUARTIC, None), (QUADRATIC, 8)], ids=["quartic", "extend8"])

@@ -478,6 +478,11 @@ def test_admissible_examples():
     assert admissible(ok)
     assert not admissible(QFormInvariants(3, (3, 0), square_class(F(-1)), frozenset()))
     assert not admissible(QFormInvariants(2, (2, 0), square_class(F(-1)), frozenset()))
+    # an odd number of ramified places breaks Hilbert reciprocity
+    assert not admissible(QFormInvariants(3, (3, 0), square_class(F(1)), frozenset({2})))
+    # the zero space has trivial determinant and no ramified place
+    assert admissible(QFormInvariants(0, (0, 0), square_class(F(1)), frozenset()))
+    assert not admissible(QFormInvariants(0, (0, 0), square_class(F(2)), frozenset()))
 
 
 def test_admissible_binary_special_case():
