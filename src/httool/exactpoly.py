@@ -597,6 +597,32 @@ def _small_factors(f):
     return [_zz_primitive([b - r, 2 * a]), _zz_primitive([b + r, 2 * a])]
 
 
+def _cubic_factors(g, p, gp):
+    """The irreducible factors of a squarefree primitive cubic g, lc(g) = b
+    > 0, at a prime p not dividing b that keeps g squarefree, gp = g mod p
+    made monic.  Each root x of gp, a simple one, is lifted by Newton steps
+    m -> m**2 until m > 2 * (b + max |g_i|), past twice Cauchy's bound on
+    |b * root|.  A rational root r/s (s | b) reduces to such a root, whose
+    unique lift to Z_p is r/s itself, so k = b * r/s is the symmetric
+    residue of b * x mod m; g is reducible exactly when it has one."""
+    b = g[-1]
+    bound = 2 * (b + max(map(abs, g)))
+    dg = _zz_derivative(g)
+    for root in range(p):
+        if (((root + gp[2]) * root + gp[1]) * root + gp[0]) % p:
+            continue
+        x, m = root, p
+        while m <= bound:
+            m *= m
+            x = (x - _zz_eval_scaled(g, x, 1) * pow(_zz_eval_scaled(dg, x, 1), -1, m)) % m
+        k = b * x % m
+        k -= m if 2 * k > m else 0
+        if _zz_eval_scaled(g, k, b) == 0:
+            linear = _zz_primitive([-k, b])
+            return [linear] + _small_factors(_zz_exact_quotient(g, linear))
+    return [g]
+
+
 def _modular_factors(parts, p):
     """The monic irreducible factors mod p, sorted as `_gfp.berlekamp`
     sorts them, from the distinct-degree parts k -> product: a part of
@@ -621,9 +647,11 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        times it divides f exactly: by Gauss's lemma a primitive q dividing
        the primitive f leaves an integral quotient.
     2. g at the one prime p.  A g of degree at most 2 is decided by the
-       rule below.  Of a g of higher degree, a factor over Z reduces mod p
-       to a product of factors mod p of the same degree, p not dividing
-       lc(g).  So g is irreducible when g mod p is, that is when its
+       rule below, and a cubic by its rational roots (`_cubic_factors`):
+       their images among the roots of g mod p, lifted by Newton steps.
+       Of a g of degree 4 or more, a factor over Z reduces mod p to a
+       product of factors mod p of the same degree, p not dividing lc(g).
+       So g is irreducible when g mod p is, that is when its
        distinct-degree factorization is one part of degree deg g.
        Otherwise those parts give the factors mod p: a part of degree k is
        one factor, and Berlekamp splits a part holding several.  Lifting
@@ -655,6 +683,8 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
             p, gp = _good_prime(g, p + 2 if len(g) == len(f.prim) else 3)
         if len(g) <= 3:
             irreducibles = _small_factors(g)
+        elif len(g) == 4:
+            irreducibles = _cubic_factors(g, p, gp)
         elif list(parts := dict(_gfp.distinct_degree(gp, p))) == [len(g) - 1]:
             irreducibles = [g]
         else:

@@ -501,10 +501,10 @@ def test_factor_pool_members_match_reference():
 def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     # the shape of census candidates: a member or its square times roots of
     # unity, factored with one distinct-degree factorization when the
-    # squarefree part has degree above 2
+    # squarefree part has degree above 3
     f = with_cyclotomics(member ** power, cyclotomics)
     assert sorted(cyclotomic_indices(assert_matches_reference(f))) == sorted({n for n, _m in cyclotomics})
-    assert len(ddf_calls(f)) == (squarefree_degree(f) > 2)
+    assert len(ddf_calls(f)) == (squarefree_degree(f) > 3)
 
 
 @pytest.mark.parametrize(
@@ -583,12 +583,17 @@ def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
 
 
 def test_irreducible_mod_p_proves_irreducibility():
-    # x**n - c is Eisenstein at the prime c, so irreducible; it is lifted
-    # exactly when it is reducible mod the one prime of its distinct-degree
-    # factorization (x**n - 2 always is for these n, x**4 - 3 and x**3 - 5
-    # are not)
+    # x**n - c is Eisenstein at the prime c, so irreducible.  A cubic one
+    # has no rational root, found with no distinct-degree factorization and
+    # no lift; one of degree n >= 4 is lifted exactly when it is reducible
+    # mod the one prime of its distinct-degree factorization (x**n - 2
+    # always is for these n, x**4 - 3 is not)
     lifted = []
-    for c, n in itertools.product((2, 3, 5), range(3, 13)):
+    for c in (2, 3, 5):
+        f = Poly([-c, 0, 0, 1])
+        assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 0)
+        assert ddf_calls(f) == []
+    for c, n in itertools.product((2, 3, 5), range(4, 13)):
         f = Poly([-c] + [0] * (n - 1) + [1])
         ((p, _degree),) = ddf_calls(f)
         irreducible_mod_p = len(_gfp.berlekamp(_gfp.from_coeffs(f.prim, p), p)) == 1
@@ -600,6 +605,61 @@ def test_irreducible_mod_p_proves_irreducibility():
     # x**4 - 10x**2 + 1 = minpoly(sqrt 2 + sqrt 3) needs a lift to be proved
     f = Poly([1, 0, -10, 0, 1])
     assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
+
+
+coefficients = st.integers(-10**12, 10**12)
+linear_factors = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).map(lambda ba: Poly(list(ba)))
+
+
+def eisenstein_cubic(ell, a, b, c, d):
+    """(ell a + 1) x**3 + ell (b x**2 + c x + ell d + 1), irreducible by
+    Eisenstein at the prime ell."""
+    return Poly([ell * (ell * d + 1), ell * c, ell * b, ell * a + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.builds(eisenstein_cubic, st.sampled_from([2, 3, 5, 7]), *[coefficients] * 4),
+        st.builds(
+            lambda linear, c, b, a: linear * Poly([c, b, a]), linear_factors, coefficients, coefficients, coefficients
+        ).filter(lambda f: f.degree() == 3),
+        st.lists(linear_factors, min_size=3, max_size=3).map(lambda fs: math.prod(fs, start=Poly([1]))),
+    ),
+    nonzero_scales,
+)
+def test_cubics_are_decided_by_their_rational_roots(f, scale):
+    # irreducible cubics, cubics with a rational root and products of three
+    # linear factors, repeated ones included: the reference's factors, with
+    # no distinct-degree factorization and no lift
+    f = f * scale
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert factors == reference_factor_with_unit(f)
+    assert lifts == 0 and ddf_calls(f) == []
+
+
+# every odd prime below 1000 divides the leading coefficient, so the first
+# prime that does not is 1009
+ODD_PRIMORIAL_1000 = math.prod(p for p in range(3, 1000, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "f, irreducible",
+    [
+        # (lc x - 1)(x**2 - x - 1)
+        (Poly([-1, ODD_PRIMORIAL_1000]) * Poly([-1, -1, 1]), False),
+        # lc x**3 + 8: three roots mod 1009, none of them rational, as
+        # (x/2)**3 = -1/lc and lc > 1 is squarefree
+        (Poly([8, 0, 0, ODD_PRIMORIAL_1000]), True),
+    ],
+    ids=["reducible", "irreducible"],
+)
+def test_cubic_with_a_leading_coefficient_divisible_by_every_small_odd_prime(f, irreducible):
+    assert exactpoly._reduction(f.prim)[0] == 1009
+    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert factors == reference_factor_with_unit(f)
+    assert (len(factors[1]) == 1) == irreducible
+    assert lifts == 0 and ddf_calls(f) == []
 
 
 # the Swinnerton-Dyer polynomials of sqrt 2 + sqrt 3 and sqrt 2 + sqrt 3 +
@@ -701,10 +761,10 @@ def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
     )
 )
 def test_one_distinct_degree_factorization_per_factoring(f):
-    # a squarefree part above degree 2 is decided by its distinct-degree
+    # a squarefree part above degree 3 is decided by its distinct-degree
     # parts at the one prime that keeps it squarefree, a smaller one without
     # them
-    assert len(ddf_calls(f)) == (squarefree_degree(f) > 2)
+    assert len(ddf_calls(f)) == (squarefree_degree(f) > 3)
 
 
 @pytest.mark.parametrize(
@@ -823,8 +883,9 @@ def test_hensel_lift_rejects_shared_factors_and_a_nonunit_leading_coefficient(p,
 def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
     # SHA-256 of (p, f, modular factors, l, lifts) for every top-level
     # Hensel lift made by 40 passes of the `check` workload at each of
-    # seeds 0-4 and by the six census jobs (907 lifts), pinned after
-    # cyclotomic factors began to be lifted like any other factor
+    # seeds 0-4 and by the six census jobs (508 lifts, all from `check`),
+    # pinned when cubics began to be decided by their rational roots: the
+    # earlier recording of 907 lifts with its 399 lifts of cubics removed
     workloads = _load_workloads()
     calls = []
     inner = exactpoly._hensel_lift
@@ -843,9 +904,9 @@ def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
                 op.primary()
     for op in workloads.Census(0, pools).next_pass():
         op.primary()
-    assert len(calls) == 907
+    assert len(calls) == 508
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
-    assert digest == "847255f09665b38a959f7a1993c999faa7d02c4888bb829a97ac9c739882b896"
+    assert digest == "40fe30bcb6659ac970dfa65eec8df1a0516d9c8275b58dc045f38048d4fbd4fd"
 
 
 @settings(max_examples=40, deadline=None)

@@ -479,10 +479,10 @@ def test_out_of_domain_certificate_data_is_reported(path, value, problem):
         (("input", "L"), 5, "input cannot be replayed: 'L' must be a list, got int"),
     ],
     ids=[
-        "path0-5-trace form cannot be replayed: 'gram' must be a list, got int",
-        "path1-None-lambda signature cannot be replayed: missing key 'lambda'",
-        "path2-x-invariants cannot be replayed: 'complement' must be a dict, got str",
-        "path3-None-report cannot be replayed: missing key 'report'",
+        "path0-5-trace_form.gram changed on replay",
+        "path1-None-lambda missing from the certificate",
+        "path2-x-complement cannot be replayed: 'complement' must be a dict, got str",
+        "path3-None-report missing from the certificate",
         "path4-value4-input cannot be replayed: 'input' must be a dict, got list",
         "path5-5-input cannot be replayed: 'L' must be a list, got int",
     ],
