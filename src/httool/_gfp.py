@@ -3,11 +3,10 @@
 Polynomials are lists of ints reduced into [0, p), ascending degree, with no
 trailing zeros (the zero polynomial is the empty list).  The primes in play
 are small, so Berlekamp's algorithm with a deterministic splitting loop is
-both simple and fast, and avoids randomized Cantor-Zassenhaus.  Where only
-the degrees of the factors matter, distinct-degree factorization gives them
-without splitting, and where only their number matters, the dimension of
-Berlekamp's fixed space gives it.  Products and remainders reduce mod p once,
-at the end.
+both simple and fast, and avoids randomized Cantor-Zassenhaus.  It is the one
+factorization: one fixed vector proves f irreducible, and more split it.
+Where only the number of factors matters, the dimension of Berlekamp's fixed
+space gives it.  Products and remainders reduce mod p once, at the end.
 """
 
 from __future__ import annotations
@@ -130,32 +129,6 @@ def is_squarefree(f: list[int], p: int) -> bool:
     return degree(gcd(f, d, p)) == 0
 
 
-def distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
-    """Distinct-degree factorization of a monic squarefree f over F_p:
-    (k, monic product of the irreducible factors of degree k) for each k that
-    occurs, ascending.
-
-    After step k, h = x**(p**k) mod rest, and gcd(rest, h - x) is the product
-    of the factors of degree k, those of lower degree being gone from rest.
-    Once deg rest < 2(k + 1), rest is irreducible or 1.
-    """
-    out = []
-    rest = f
-    h = [0, 1]
-    k = 0
-    while 2 * (k + 1) <= degree(rest):
-        k += 1
-        h = pow_mod(h, p, rest, p)
-        g = gcd(rest, sub(h, [0, 1], p), p)
-        if degree(g) > 0:
-            out.append((k, g))
-            rest = divmod_(rest, g, p)[0]
-            h = rem(h, rest, p)
-    if degree(rest) > 0:
-        out.append((degree(rest), rest))
-    return out
-
-
 def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
     """Basis of the right nullspace of `matrix` over F_p (row reduction)."""
     rows = [row[:] for row in matrix]
@@ -232,25 +205,25 @@ def single_factor_multiplicity(f: list[int], p: int) -> int:
 def berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Factor a monic squarefree f over F_p into monic irreducibles, sorted.
 
-    Each fixed vector v (v**p = v mod f) splits a factor h into the gcd(h,
-    v - s), s in F_p, with nothing left over: h divides v**p - v =
-    prod_s (v - s), whose factors are pairwise coprime."""
+    A fixed vector v (v**p = v mod f) is a constant s in F_p mod each
+    irreducible factor phi of f, as F_p[x]/(phi) is a field.  So gcd(h,
+    v - s) is the product of the factors of h on which v is s.  A factor h
+    is split at each such s in ascending order, and what is left once v is
+    constant mod it, which one remainder shows, is kept whole."""
     basis = fixed_space(f, p)
     factors = [list(f)]
     for vec in basis:
-        v = trim(list(vec))
-        if degree(v) < 1:
-            continue
+        v = trim(vec)
         next_factors = []
         for h in factors:
-            remaining = h
-            for s in range(p):
-                if degree(remaining) < 1:
-                    break
-                g = gcd(remaining, sub(v, [s], p), p)
-                if degree(g) > 0:
-                    next_factors.append(g)
-                    remaining = divmod_(remaining, g, p)[0]
+            s = 0
+            while degree(rem(v, h, p)) > 0:
+                while degree(g := gcd(h, sub(v, [s], p), p)) < 1:
+                    s += 1
+                next_factors.append(g)
+                h = divmod_(h, g, p)[0]
+                s += 1
+            next_factors.append(h)
         factors = next_factors
         if len(factors) == len(basis):
             break

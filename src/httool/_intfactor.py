@@ -100,6 +100,15 @@ def _large_factors(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out.items())
 
 
+def _split_unit(n: int, p: int) -> tuple[int, int]:
+    """n = p**v * u for a nonzero integer n, with p not dividing u."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
     if n < 1:

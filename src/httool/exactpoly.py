@@ -623,16 +623,6 @@ def _cubic_factors(g, p, gp):
     return [g]
 
 
-def _modular_factors(parts, p):
-    """The monic irreducible factors mod p, sorted as `_gfp.berlekamp`
-    sorts them, from the distinct-degree parts k -> product: a part of
-    degree k is one factor, and Berlekamp splits a part holding several."""
-    modular = []
-    for k, part in parts.items():
-        modular += _gfp.berlekamp(part, p) if len(part) > k + 1 else [part]
-    return sorted(modular, key=lambda fp: (len(fp), fp))
-
-
 def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
     positive leading coefficient; ordered by degree then coefficients.
@@ -651,11 +641,9 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
        their images among the roots of g mod p, lifted by Newton steps.
        Of a g of degree 4 or more, a factor over Z reduces mod p to a
        product of factors mod p of the same degree, p not dividing lc(g).
-       So g is irreducible when g mod p is, that is when its
-       distinct-degree factorization is one part of degree deg g.
-       Otherwise those parts give the factors mod p: a part of degree k is
-       one factor, and Berlekamp splits a part holding several.  Lifting
-       them all at once to the power of p that Mignotte's bound asks for
+       So g is irreducible when g mod p is, that is when Berlekamp's
+       algorithm returns one factor mod p.  Otherwise lifting those factors
+       all at once to the power of p that Mignotte's bound asks for
        (see `_zassenhaus`) and Zassenhaus recombination find the factors
        over Z, a cyclotomic Phi_n like any other.  On its main path
        `check_all` factors the transform H, whose roots are all real, and
@@ -685,10 +673,10 @@ def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
             irreducibles = _small_factors(g)
         elif len(g) == 4:
             irreducibles = _cubic_factors(g, p, gp)
-        elif list(parts := dict(_gfp.distinct_degree(gp, p))) == [len(g) - 1]:
+        elif len(modular := _gfp.berlekamp(gp, p)) == 1:
             irreducibles = [g]
         else:
-            irreducibles = _zassenhaus(g, p, _modular_factors(parts, p))
+            irreducibles = _zassenhaus(g, p, modular)
         squarefree = len(g) == len(f.prim)
         factors = [(Poly.from_ints(q, 1), 1 if squarefree else _multiplicity(f.prim, q)) for q in irreducibles]
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))

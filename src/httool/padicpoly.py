@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _gfp, _intfactor
+from ._intfactor import _split_unit
 from .exactpoly import DomainError, Poly, rat_to_str
-
-
-def _int_vp(n: int, p: int) -> int:
-    """The p-adic valuation of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -48,8 +40,8 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
         raise DomainError("the constant term must be nonzero")
     if not _intfactor.is_prime(p):
         raise DomainError(f"{p} is not prime")
-    base = _int_vp(f.content.numerator, p) - _int_vp(f.content.denominator, p)
-    points = [(i, base + _int_vp(c, p)) for i, c in enumerate(f.prim) if c]
+    base = _split_unit(f.content.numerator, p)[0] - _split_unit(f.content.denominator, p)[0]
+    points = [(i, base + _split_unit(c, p)[0]) for i, c in enumerate(f.prim) if c]
     hull: list[tuple[int, int]] = []
     for pt in points:
         while len(hull) >= 2:

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
+from ._intfactor import _split_unit
 from ._linalg import symmetric_pivots
 from .exactpoly import (
     DomainError,
@@ -83,15 +84,6 @@ def _legendre(a: int, p: int) -> int:
         raise DomainError("legendre symbol of a multiple of p")
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else 1
-
-
-def _split_unit(n: int, p: int) -> tuple[int, int]:
-    """n = p**v * u for a nonzero integer n, with p not dividing u."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
 
 
 def _hilbert_at(a: int, b: int, p: int) -> int:
@@ -399,7 +391,7 @@ def admissible(inv: QFormInvariants) -> bool:
     return True
 
 
-_POOL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_POOL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
 class ConstructionError(ArithmeticError):
@@ -419,7 +411,7 @@ def _scalar_candidates(pool: list[int], allowed_signs: tuple[int, ...]):
 def _binary_pool(inv: QFormInvariants) -> list[int]:
     primes = {2} | inv.det.primes
     primes.update(int(v) for v in inv.hasse if v != INF)
-    primes.update(_POOL_PRIMES[:8])
+    primes.update(_POOL_PRIMES)
     return sorted(primes)
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _intfactor
+from ._intfactor import _split_unit
 from .exactpoly import (
     DomainError,
     Poly,
@@ -171,9 +172,7 @@ def check_l_integrality(c: WeilCandidate) -> PropertyVerdict:
     """Every coefficient denominator is a power of p.  As gcd(prim) = 1,
     that holds iff it does for the content; else, with D the prime-to-p part
     of its denominator, the witness is the first i with D not dividing prim[i]."""
-    den = c.L.content.denominator
-    while den % c.p == 0:
-        den //= c.p
+    den = _split_unit(c.L.content.denominator, c.p)[1]
     if den == 1:
         return _PASS
     i = next(i for i, a in enumerate(c.L.prim) if a % den)

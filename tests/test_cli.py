@@ -27,17 +27,6 @@ def run_cli(args, stdin: str | None = None):
 QUARTIC_JSON = '{"L": ["1", "0", "1/2", "0", "1"], "p": 2, "a": 1}'
 CYCLOTOMIC_JSON = '{"L": ["1", "1", "1"], "p": 2, "a": 1}'
 QUADRATIC_JSON = '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}'
-PRODUCT_JSON = '{"L": ["1", "0", "7/4", "0", "1"], "p": 2, "a": 1}'
-# [1, -3/2, 1] times the q = 2 quartic members [1, -2, 5/2, -2, 1] and
-# [1, -1/2, 1, -1/2, 1]
-PRODUCT3_JSON = (
-    '{"L": ["1", "-4", "37/4", "-15", "157/8", "-85/4", "157/8", "-15", "37/4", "-4", "1"], "p": 2, "a": 1}'
-)
-# the product of three q = 3 sextic members
-PRODUCT_SEXTICS3_JSON = (
-    '{"L": ["1","-8","305/9","-901/9","2071/9","-11743/27","18830/27","-8699/9","10538/9","-33679/27",'
-    '"10538/9","-8699/9","18830/27","-11743/27","2071/9","-901/9","305/9","-8","1"], "p": 3, "a": 1}'
-)
 
 
 def test_check_pass_exit_zero():
@@ -348,43 +337,20 @@ def test_golden_lattice():
     assert proc.stdout == (GOLDEN / "lattice.json").read_text()
 
 
-def test_golden_report():
-    proc = run_cli(["check", "--pretty"], QUARTIC_JSON)
-    assert proc.stdout == (GOLDEN / "report_quartic.json").read_text()
-
-
-def test_golden_report_of_a_product():
-    # (1 - T/2 + T**2)(1 + T/2 + T**2): check_all factors it through H,
-    # and the power_structure witness names both factors
-    proc = run_cli(["check", "--pretty"], PRODUCT_JSON)
-    assert proc.returncode == 1
-    assert proc.stdout == (GOLDEN / "report_product.json").read_text()
-
-
-def test_golden_report_of_a_product_of_three():
-    # H factors by one Hensel lift and Zassenhaus recombination, and the
-    # power_structure witness names all three factors
-    proc = run_cli(["check", "--pretty"], PRODUCT3_JSON)
-    assert proc.returncode == 1
-    assert proc.stdout == (GOLDEN / "report_product3.json").read_text()
-
-
-def test_golden_report_of_a_product_of_three_sextics():
-    # three q = 3 sextic members: H of degree 9 has four factors mod 5,
-    # lifted together to 5**8, the shape of the `check` workload's tail
-    proc = run_cli(["check", "--pretty"], PRODUCT_SEXTICS3_JSON)
-    assert proc.returncode == 1
-    assert proc.stdout == (GOLDEN / "report_product_sextics3.json").read_text()
-    factors = json.loads(proc.stdout)["properties"]["power_structure"]["witness"]["factors"]
-    assert [len(g) for g, _ in factors] == [7, 7, 7]
-
-
-def test_golden_report_not_self_inversive():
-    # L's coefficients at T and T**3 differ: the unit-circle witness names
-    # index 1, and L is factored on its own
-    proc = run_cli(["check", "--pretty"], '{"L": ["1","2","1","1","1"], "p": 2, "a": 1}')
-    assert proc.returncode == 1
-    assert proc.stdout == (GOLDEN / "report_not_self_inversive.json").read_text()
+@pytest.mark.parametrize("golden", sorted(GOLDEN.glob("report_*.json")), ids=lambda path: path.name)
+def test_golden_check_report(golden):
+    # `check --pretty` on each golden report's own candidate: the same
+    # bytes, and exit 0 exactly when it is admissible
+    expected = golden.read_text()
+    report = json.loads(expected)
+    proc = run_cli(["check", "--pretty"], json.dumps(report["candidate"]))
+    assert proc.stdout == expected
+    assert proc.returncode == (0 if report["admissible"] else 1)
+    if golden.name == "report_product_sextics3.json":
+        # three q = 3 sextic members: H of degree 9 has four factors mod 5,
+        # lifted together to 5**8, and three factors over Z
+        factors = report["properties"]["power_structure"]["witness"]["factors"]
+        assert [len(g) for g, _ in factors] == [7, 7, 7]
 
 
 def replay_certificate(args, candidate: str, golden: str):

@@ -34,7 +34,6 @@ from httool.exactpoly import (
     _good_prime,
     _hensel_lift,
     _lift_bound,
-    _modular_factors,
     _newton_step,
     _zz_divmod,
     _zz_mul,
@@ -57,6 +56,7 @@ from httool.exactpoly import (
     trace_power_sums,
 )
 from test_helpers import (
+    brute_force_irreducible,
     compose,
     derivative,
     euler_phi,
@@ -426,21 +426,21 @@ def lifts_during(call):
     return result, _intfactor.COUNTERS["hensel_lifts"] - before
 
 
-def ddf_calls(f: Poly) -> list[tuple[int, int]]:
-    """(p, degree) of each distinct-degree factorization that
-    factor_with_unit(f) runs, in order."""
+def berlekamp_calls(f: Poly) -> list[tuple[int, int]]:
+    """(p, degree) of each modular factorization by Berlekamp's algorithm
+    that factor_with_unit(f) runs, in order."""
     calls = []
-    inner = _gfp.distinct_degree
+    inner = _gfp.berlekamp
 
     def record(fp, p):
         calls.append((p, len(fp) - 1))
         return inner(fp, p)
 
-    _gfp.distinct_degree = record
+    _gfp.berlekamp = record
     try:
         factor_with_unit(f)
     finally:
-        _gfp.distinct_degree = inner
+        _gfp.berlekamp = inner
     return calls
 
 
@@ -500,11 +500,11 @@ def test_factor_pool_members_match_reference():
 )
 def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     # the shape of census candidates: a member or its square times roots of
-    # unity, factored with one distinct-degree factorization when the
-    # squarefree part has degree above 3
+    # unity, factored with one modular factorization when the squarefree
+    # part has degree above 3
     f = with_cyclotomics(member ** power, cyclotomics)
     assert sorted(cyclotomic_indices(assert_matches_reference(f))) == sorted({n for n, _m in cyclotomics})
-    assert len(ddf_calls(f)) == (squarefree_degree(f) > 3)
+    assert len(berlekamp_calls(f)) == (squarefree_degree(f) > 3)
 
 
 @pytest.mark.parametrize(
@@ -512,19 +512,19 @@ def test_factor_pool_members_with_cyclotomics(member, power, cyclotomics):
     [cyclotomic_poly(3) ** 2, next(m for m in POOL_MEMBERS if m.degree() == 2) ** 2, cyclotomic_poly(1) ** 3],
     ids=["Phi_3 squared", "quadratic member squared", "Phi_1 cubed"],
 )
-def test_squarefree_part_of_degree_at_most_two_runs_no_distinct_degree_factorization(f):
+def test_squarefree_degree_at_most_2_runs_no_berlekamp(f):
     # f has degree at least 3, but its squarefree part is decided by the
     # rule for degree at most 2
-    assert ddf_calls(f) == []
+    assert berlekamp_calls(f) == []
     assert_matches_reference(f)
 
 
 @pytest.mark.parametrize("cyclotomics", [[(5, 2)], [(3, 2), (4, 1)]])
 def test_non_squarefree_input_factors_its_squarefree_part_once(cyclotomics):
-    # one distinct-degree factorization, of the degree-8 squarefree part,
-    # whose parts also decide Q; splitting the square apart first would run
-    # one per part
-    calls = ddf_calls(with_cyclotomics(Poly([1, 0, F(1, 2), 0, 1]), cyclotomics))
+    # one modular factorization, of the degree-8 squarefree part, whose
+    # factors also decide Q; splitting the square apart first would run one
+    # per part
+    calls = berlekamp_calls(with_cyclotomics(Poly([1, 0, F(1, 2), 0, 1]), cyclotomics))
     assert len(calls) == 1 and calls[0][1] == 8
 
 
@@ -584,18 +584,18 @@ def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
 
 def test_irreducible_mod_p_proves_irreducibility():
     # x**n - c is Eisenstein at the prime c, so irreducible.  A cubic one
-    # has no rational root, found with no distinct-degree factorization and
-    # no lift; one of degree n >= 4 is lifted exactly when it is reducible
-    # mod the one prime of its distinct-degree factorization (x**n - 2
-    # always is for these n, x**4 - 3 is not)
+    # has no rational root, found with no modular factorization and no
+    # lift; one of degree n >= 4 is lifted exactly when it is reducible mod
+    # the one prime of its modular factorization (x**n - 2 always is for
+    # these n, x**4 - 3 is not)
     lifted = []
     for c in (2, 3, 5):
         f = Poly([-c, 0, 0, 1])
         assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 0)
-        assert ddf_calls(f) == []
+        assert berlekamp_calls(f) == []
     for c, n in itertools.product((2, 3, 5), range(4, 13)):
         f = Poly([-c] + [0] * (n - 1) + [1])
-        ((p, _degree),) = ddf_calls(f)
+        ((p, _degree),) = berlekamp_calls(f)
         irreducible_mod_p = len(_gfp.berlekamp(_gfp.from_coeffs(f.prim, p), p)) == 1
         factors, lifts = lifts_during(lambda: factor_with_unit(f))
         assert factors == (1, [(f, 1)])
@@ -631,11 +631,11 @@ def eisenstein_cubic(ell, a, b, c, d):
 def test_cubics_are_decided_by_their_rational_roots(f, scale):
     # irreducible cubics, cubics with a rational root and products of three
     # linear factors, repeated ones included: the reference's factors, with
-    # no distinct-degree factorization and no lift
+    # no modular factorization and no lift
     f = f * scale
     factors, lifts = lifts_during(lambda: factor_with_unit(f))
     assert factors == reference_factor_with_unit(f)
-    assert lifts == 0 and ddf_calls(f) == []
+    assert lifts == 0 and berlekamp_calls(f) == []
 
 
 # every odd prime below 1000 divides the leading coefficient, so the first
@@ -659,7 +659,7 @@ def test_cubic_with_a_leading_coefficient_divisible_by_every_small_odd_prime(f, 
     factors, lifts = lifts_during(lambda: factor_with_unit(f))
     assert factors == reference_factor_with_unit(f)
     assert (len(factors[1]) == 1) == irreducible
-    assert lifts == 0 and ddf_calls(f) == []
+    assert lifts == 0 and berlekamp_calls(f) == []
 
 
 # the Swinnerton-Dyer polynomials of sqrt 2 + sqrt 3 and sqrt 2 + sqrt 3 +
@@ -760,11 +760,10 @@ def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
         st.sampled_from(_factor_stress_set()),
     )
 )
-def test_one_distinct_degree_factorization_per_factoring(f):
-    # a squarefree part above degree 3 is decided by its distinct-degree
-    # parts at the one prime that keeps it squarefree, a smaller one without
-    # them
-    assert len(ddf_calls(f)) == (squarefree_degree(f) > 3)
+def test_one_modular_factorization_per_factoring(f):
+    # a squarefree part above degree 3 is decided by its factors mod the
+    # one prime that keeps it squarefree, a smaller one without them
+    assert len(berlekamp_calls(f)) == (squarefree_degree(f) > 3)
 
 
 @pytest.mark.parametrize(
@@ -782,12 +781,12 @@ def test_one_distinct_degree_factorization_per_factoring(f):
     ],
 )
 def test_factor_quadratics_by_discriminant_before_any_reduction(cs):
-    # a nonsquare, a square and a zero discriminant: no distinct-degree
+    # a nonsquare, a square and a zero discriminant: no modular
     # factorization, no lift, and the reference's factors
     f = Poly(cs)
     factors, lifts = lifts_during(lambda: factor_with_unit(f))
     assert factors == reference_factor_with_unit(f)
-    assert lifts == 0 and ddf_calls(f) == []
+    assert lifts == 0 and berlekamp_calls(f) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -806,24 +805,25 @@ def test_factor_degree_at_most_two_matches_reference(cs, roots, split, scale):
         return
     factors, lifts = lifts_during(lambda: factor_with_unit(f))
     assert factors == reference_factor_with_unit(f)
-    assert lifts == 0 and ddf_calls(f) == []
-
-
-def squarefree_mod_p(p: int):
-    return (
-        st.lists(st.integers(0, p - 1), min_size=1, max_size=10)
-        .map(lambda cs: cs + [1])
-        .filter(lambda fp: _gfp.is_squarefree(fp, p))
-    )
+    assert lifts == 0 and berlekamp_calls(f) == []
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_berlekamp_on_distinct_degree_parts_matches_the_whole(p, data):
-    fp = data.draw(squarefree_mod_p(p))
-    parts = dict(_gfp.distinct_degree(fp, p))
-    assert _modular_factors(parts, p) == _gfp.berlekamp(fp, p)
+def test_berlekamp_factors_into_sorted_monic_irreducibles(p, data):
+    # a squarefree monic f of degree at most 7: the product of the factors
+    # is f, each is monic and irreducible by trial division, and they are
+    # ordered by degree, then coefficients
+    fp = data.draw(
+        st.lists(st.integers(0, p - 1), min_size=1, max_size=7)
+        .map(lambda cs: cs + [1])
+        .filter(lambda fp: _gfp.is_squarefree(fp, p))
+    )
+    factors = _gfp.berlekamp(fp, p)
+    assert functools.reduce(lambda a, g: _gfp.mul(a, g, p), factors, [1]) == fp
+    assert all(g[-1] == 1 and brute_force_irreducible(g, p) for g in factors)
+    assert factors == sorted(factors, key=lambda g: (len(g), g))
 
 
 @settings(max_examples=40, deadline=None)

@@ -67,7 +67,6 @@ from httool.exactpoly import (
     sturm_count,
     trace_power_sums,
 )
-from httool.padicpoly import _int_vp
 from httool.weilcheck import _PASS, PropertyVerdict, Status, WeilCandidate, check_all
 from httool.qform import (
     ConstructionError,
@@ -713,7 +712,7 @@ def vp(r: F, p: int) -> int | float:
     r = F(r)
     if r == 0:
         return math.inf
-    return _int_vp(r.numerator, p) - _int_vp(r.denominator, p)
+    return _intfactor._split_unit(r.numerator, p)[0] - _intfactor._split_unit(r.denominator, p)[0]
 
 
 def unit_circle_prechecks(L: Poly) -> tuple[dict | None, bool]:
