@@ -60,8 +60,12 @@ def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=indent, sort_keys=False)
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"httool: cannot write output: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     else:
         print(text)
 

@@ -1,34 +1,29 @@
 """p-adic valuations, Newton polygons and slope-based irreducibility verdicts.
 
 Polygon convention, fixed once for the whole package: for f with f(0) != 0 we
-take the lower convex hull of the points (i, v_p(c_i)).  Writing
-f = f(0) * prod (1 - gamma T), a segment of slope s carries exactly
-`length` reciprocal roots gamma with v_p(gamma) = s.  In particular the
-reciprocal roots of negative valuation sit on the negative-slope segments.
+take the lower convex hull of the points (i, v_p(c_i)).  Its vertices are the
+polygon's only data; a segment is a pair of consecutive vertices, and its
+slope is the rise over the run between them.  Writing
+f = f(0) * prod (1 - gamma T), a segment of slope s and run l carries exactly
+l reciprocal roots gamma with v_p(gamma) = s.  In particular the reciprocal
+roots of negative valuation sit on the negative-slope segments.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _gfp, _intfactor
 from ._intfactor import _split_unit
-from .exactpoly import DomainError, Poly, rat_to_str
-
-
-@dataclass(frozen=True)
-class Segment:
-    slope: Fraction
-    length: int  # horizontal lattice length
+from .exactpoly import DomainError, Poly, _reduced_str
 
 
 @dataclass(frozen=True)
 class NewtonPolygon:
     prime: int
     vertices: tuple[tuple[int, int], ...]
-    segments: tuple[Segment, ...]
 
 
 def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
@@ -52,39 +47,7 @@ def newton_polygon(f: Poly, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    segments = tuple(
-        Segment(Fraction(b[1] - a[1], b[0] - a[0]), b[0] - a[0])
-        for a, b in zip(hull, hull[1:])
-    )
-    return NewtonPolygon(prime=p, vertices=tuple(hull), segments=segments)
-
-
-def reduce_mod_p(coeffs, p: int) -> list[int]:
-    """The images in F_p of p-integral rationals, as a polynomial over F_p."""
-    return _gfp.trim([c.numerator * pow(c.denominator, -1, p) % p for c in coeffs])
-
-
-def residual_polynomial(f: Poly, polygon: NewtonPolygon, segment: Segment) -> list[int]:
-    """The residual (associated) polynomial of a segment of `polygon`, the
-    Newton polygon of f, over F_p.
-
-    For a segment of slope u/n in lowest terms running from vertex (i0, v0)
-    over horizontal length l = k*n, the residual has degree k and encodes the
-    first-order splitting of the slope factor over Q_p.  Its j-th coefficient
-    is c_(i0 + j*n) / p**(v0 + j*u) mod p: every point lies on or above the
-    segment, so this is p-integral and nonzero exactly on the segment.
-    """
-    p = polygon.prime
-    if segment not in polygon.segments:
-        raise DomainError("segment does not belong to the Newton polygon of f")
-    i0, v0 = polygon.vertices[polygon.segments.index(segment)]
-    n = segment.slope.denominator
-    u = segment.slope.numerator
-    if segment.length % n != 0:
-        raise ArithmeticError("segment length incompatible with slope denominator")
-    k = segment.length // n
-    scaled = [f.coefficient(i0 + j * n) / Fraction(p) ** (v0 + j * u) for j in range(k + 1)]
-    return reduce_mod_p(scaled, p)
+    return NewtonPolygon(prime=p, vertices=tuple(hull))
 
 
 class SlopeOutcome(enum.Enum):
@@ -115,56 +78,47 @@ def negative_part_verdict(f: Poly, polygon: NewtonPolygon) -> tuple[SlopeVerdict
     this order and yields UNKNOWN rather than a guess.
     """
     p = polygon.prime
-    negative = [seg for seg in polygon.segments if seg.slope < 0]
-    negative_degree = sum(seg.length for seg in negative)
-    if not negative:
-        return (
-            SlopeVerdict(SlopeOutcome.NO_NEGATIVE_SLOPE, "the Newton polygon has no negative slope"),
-            0,
+    vertices = polygon.vertices
+    # slopes rise along the hull, so the negative segments lead it and end
+    # at the first vertex of least valuation
+    low = min(range(len(vertices)), key=lambda i: vertices[i][1])
+    if low == 0:
+        outcome, reason = SlopeOutcome.NO_NEGATIVE_SLOPE, "the Newton polygon has no negative slope"
+    elif low >= 2:
+        slopes = ", ".join(
+            _reduced_str(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(vertices[:low], vertices[1 : low + 1])
         )
-    if len(negative) >= 2:
-        slopes = ", ".join(rat_to_str(s.slope) for s in negative)
-        return (
-            SlopeVerdict(
-                SlopeOutcome.REDUCIBLE,
-                f"distinct negative slopes ({slopes}) force coprime factors over Q_p",
-            ),
-            negative_degree,
-        )
-    seg = negative[0]
-    n = seg.slope.denominator
-    if seg.length == n:
-        return (
-            SlopeVerdict(
-                SlopeOutcome.IRREDUCIBLE,
-                f"single negative segment of slope {rat_to_str(seg.slope)} with no interior lattice point",
-            ),
-            negative_degree,
-        )
-    residual = _gfp.monic(residual_polynomial(f, polygon, seg), p)
-    distinct = len(_gfp.fixed_space(residual, p))
-    if distinct >= 2:
-        return (
-            SlopeVerdict(
-                SlopeOutcome.REDUCIBLE,
-                f"residual polynomial splits into {distinct} distinct irreducible factors over F_{p}",
-            ),
-            negative_degree,
-        )
-    mult = _gfp.single_factor_multiplicity(residual, p)
-    if mult == 1:
-        return (
-            SlopeVerdict(
-                SlopeOutcome.IRREDUCIBLE,
-                f"single negative segment with irreducible residual polynomial over F_{p}",
-            ),
-            negative_degree,
-        )
-    return (
-        SlopeVerdict(
-            SlopeOutcome.UNKNOWN,
-            f"residual polynomial is a proper power (multiplicity {mult}) of one irreducible; "
-            "first-order slope data cannot decide",
-        ),
-        negative_degree,
-    )
+        outcome = SlopeOutcome.REDUCIBLE
+        reason = f"distinct negative slopes ({slopes}) force coprime factors over Q_p"
+    else:
+        # one segment from (0, y0) to (x1, y1) of slope u/n in lowest terms,
+        # with k = x1/n lattice steps
+        (_, y0), (x1, y1) = vertices[0], vertices[1]
+        rise = y1 - y0
+        k = math.gcd(x1, rise)
+        if k == 1:
+            outcome = SlopeOutcome.IRREDUCIBLE
+            reason = f"single negative segment of slope {_reduced_str(rise, x1)} with no interior lattice point"
+        else:
+            # The residual (associated) polynomial of the segment has j-th
+            # coefficient c_(j*n) / p**(v_p(c_0) + j*u) mod p.  With
+            # c = content * prim, that is prim[j*n] / p**(v_p(prim[0]) + j*u)
+            # times one p-unit, which `monic` removes; every point lies on or
+            # above the segment, so the division is exact.
+            n, u = x1 // k, rise // k
+            e0 = _split_unit(f.prim[0], p)[0]
+            residual = _gfp.monic([f.prim[j * n] // p ** (e0 + j * u) % p for j in range(k + 1)], p)
+            distinct = len(_gfp.fixed_space(residual, p))
+            if distinct >= 2:
+                outcome = SlopeOutcome.REDUCIBLE
+                reason = f"residual polynomial splits into {distinct} distinct irreducible factors over F_{p}"
+            elif (mult := _gfp.single_factor_multiplicity(residual, p)) == 1:
+                outcome = SlopeOutcome.IRREDUCIBLE
+                reason = f"single negative segment with irreducible residual polynomial over F_{p}"
+            else:
+                outcome = SlopeOutcome.UNKNOWN
+                reason = (
+                    f"residual polynomial is a proper power (multiplicity {mult}) of one irreducible; "
+                    "first-order slope data cannot decide"
+                )
+    return SlopeVerdict(outcome, reason), vertices[low][0]

@@ -58,6 +58,21 @@ def test_internal_error_exit_four_without_traceback(monkeypatch, tmp_path, capsy
     )
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_output_exit_three(where, tmp_path, capsys):
+    # the verdict was reached, but the file cannot be opened: an input
+    # error, not a fault in httool
+    source = tmp_path / "candidate.json"
+    source.write_text(QUARTIC_JSON)
+    output = tmp_path / "absent" / "report.json" if where == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--input", str(source), "--output", str(output)])
+    assert exc.value.code == cli.EXIT_USAGE == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("httool: cannot write output: ") and captured.err.count("\n") == 1
+
+
 def test_malformed_json_exit_three_with_position():
     proc = run_cli(["check"], '{"L": [1,')
     assert proc.returncode == 3

@@ -67,6 +67,7 @@ from httool.exactpoly import (
     sturm_count,
     trace_power_sums,
 )
+from httool.padicpoly import SlopeOutcome, SlopeVerdict
 from httool.weilcheck import _PASS, PropertyVerdict, Status, WeilCandidate, check_all
 from httool.qform import (
     ConstructionError,
@@ -781,8 +782,71 @@ def reference_census(
     return [candidate for _ints, candidate in found]
 
 
+def segments_of(polygon) -> list[tuple[F, int]]:
+    """(slope, run) of each pair of consecutive vertices of a Newton polygon."""
+    vertices = polygon.vertices
+    return [(F(y1 - y0, x1 - x0), x1 - x0) for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]
+
+
 def slopes_with_multiplicity(polygon) -> list[F]:
-    return [seg.slope for seg in polygon.segments for _ in range(seg.length)]
+    return [slope for slope, run in segments_of(polygon) for _ in range(run)]
+
+
+def reference_negative_part_verdict(f: Poly, p: int) -> tuple[tuple[tuple[int, int], ...], SlopeVerdict, int]:
+    """The Newton polygon's vertices, the slope verdict and the negative
+    degree of f at p, as `padicpoly` once computed them: the hull of the
+    valuations of the rational coefficients, its segments with `Fraction`
+    slopes, and the residual of the one negative segment by `Fraction`
+    division, reduced mod p."""
+    hull: list[tuple[int, int]] = []
+    for pt in [(i, vp(c, p)) for i, c in enumerate(f.coeffs) if c]:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x2) >= (pt[1] - y2) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    negative = [(F(b[1] - a[1], b[0] - a[0]), b[0] - a[0]) for a, b in zip(hull, hull[1:]) if b[1] < a[1]]
+    negative_degree = sum(length for _slope, length in negative)
+    if not negative:
+        verdict = SlopeVerdict(SlopeOutcome.NO_NEGATIVE_SLOPE, "the Newton polygon has no negative slope")
+        return tuple(hull), verdict, 0
+    if len(negative) >= 2:
+        slopes = ", ".join(rat_to_str(slope) for slope, _length in negative)
+        verdict = SlopeVerdict(
+            SlopeOutcome.REDUCIBLE, f"distinct negative slopes ({slopes}) force coprime factors over Q_p"
+        )
+        return tuple(hull), verdict, negative_degree
+    (slope, length), (i0, v0) = negative[0], hull[0]
+    n, u = slope.denominator, slope.numerator
+    if length == n:
+        verdict = SlopeVerdict(
+            SlopeOutcome.IRREDUCIBLE,
+            f"single negative segment of slope {rat_to_str(slope)} with no interior lattice point",
+        )
+        return tuple(hull), verdict, negative_degree
+    scaled = [f.coefficient(i0 + j * n) / F(p) ** (v0 + j * u) for j in range(length // n + 1)]
+    residual = _gfp.monic(_gfp.trim([c.numerator * pow(c.denominator, -1, p) % p for c in scaled]), p)
+    distinct = len(_gfp.fixed_space(residual, p))
+    if distinct >= 2:
+        verdict = SlopeVerdict(
+            SlopeOutcome.REDUCIBLE,
+            f"residual polynomial splits into {distinct} distinct irreducible factors over F_{p}",
+        )
+        return tuple(hull), verdict, negative_degree
+    mult = _gfp.single_factor_multiplicity(residual, p)
+    if mult == 1:
+        verdict = SlopeVerdict(
+            SlopeOutcome.IRREDUCIBLE, f"single negative segment with irreducible residual polynomial over F_{p}"
+        )
+        return tuple(hull), verdict, negative_degree
+    verdict = SlopeVerdict(
+        SlopeOutcome.UNKNOWN,
+        f"residual polynomial is a proper power (multiplicity {mult}) of one irreducible; "
+        "first-order slope data cannot decide",
+    )
+    return tuple(hull), verdict, negative_degree
 
 
 def gfp_add(f: list[int], g: list[int], p: int) -> list[int]:

@@ -561,6 +561,16 @@ def test_pool_certificates_match_the_golden_digest():
     assert digest == golden
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "docs" / "golden").glob("certificate_*.json")), ids=lambda path: path.stem)
+def test_golden_certificate_revalidates(path):
+    # each golden certificate derives again to itself, and a copy with
+    # extension.absolute changed names that key alone
+    cert = json.loads(path.read_text())["certificate"]
+    assert revalidate_certificate(cert) == []
+    cert["extension"]["absolute"] = ["1", "1"]
+    assert revalidate_certificate(cert) == ["extension.absolute changed on replay"]
+
+
 def test_each_derivation_builds_one_sturm_chain_per_polynomial(monkeypatch):
     # every pool run and the [1, -1/2, 1] ladder at 8..18, each on a fresh
     # candidate: a run, then its revalidation, builds the chain of a

@@ -334,7 +334,7 @@ def newton_vertex_tuples(draw):
 def test_newton_shape_matches_two_branch_rule(shape):
     a, two_d, vertices = shape
     c = WeilCandidate(Poly([1] + [0] * (two_d - 1) + [1]), 2, a)
-    polygon = NewtonPolygon(prime=2, vertices=vertices, segments=())
+    polygon = NewtonPolygon(prime=2, vertices=vertices)
     verdict, h, d = check_newton_shape(c, polygon)
     expected, expected_h, expected_d = reference_newton_shape(c, polygon)
     assert (verdict.status, h, d, verdict.witness) == (expected.status, expected_h, expected_d, expected.witness)
