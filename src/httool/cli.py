@@ -106,7 +106,7 @@ def _cmd_enumerate(args) -> int:
         value_at_minus_one_not=not_at_minus_one,
     )
     payload = {
-        "schema_version": pipeline.SCHEMA_VERSION,
+        "schema_version": weilcheck.SCHEMA_VERSION,
         "q": args.q,
         "p": p,
         "a": a,
@@ -121,7 +121,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_lattice(args) -> int:
     gram = qform.k3_lattice()
     payload = {
-        "schema_version": pipeline.SCHEMA_VERSION,
+        "schema_version": weilcheck.SCHEMA_VERSION,
         # the lattice is integral: its Gram has den 1
         "gram": [list(row) for row in gram.rows],
         # diagonalize uses congruences of determinant +-1 only, so the

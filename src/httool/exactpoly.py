@@ -733,27 +733,10 @@ class SturmChain:
         `denominator`), and `None` means -infinity / +infinity."""
         return self._variations(lo, False) - self._variations(hi, True)
 
-    def halve(self, lo: int | Fraction, hi: int | Fraction) -> tuple[int | Fraction, int | Fraction]:
-        """The half of (lo, hi] holding the root, for an interval with int or
-        Fraction endpoints known to isolate exactly one root."""
-        mid = Fraction(lo + hi, 2)
-        if self.count(lo, mid) == 1:
-            return lo, mid
-        return mid, hi
 
-
-def sturm_count(f: Poly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of f in the half-open interval (lo, hi].
-
-    `None` endpoints mean -infinity / +infinity.  Repeated roots are counted
-    once (the computation runs on the squarefree part).
-    """
-    return SturmChain(f).count(lo, hi)
-
-
-def cauchy_bound(f: Poly) -> Fraction:
-    """B with every real root of f in (-B, B)."""
-    return 1 + Fraction(max(abs(a) for a in f.prim), f.prim[-1])
+def sturm_count(f: Poly) -> int:
+    """Number of distinct real roots of f; repeated roots count once."""
+    return SturmChain(f).count()
 
 
 def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
@@ -762,7 +745,8 @@ def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
     total = chain.count()
     if total == 0:
         return []
-    b = cauchy_bound(chain.squarefree)
+    g = chain.squarefree.prim
+    b = 1 + Fraction(max(map(abs, g)), g[-1])  # Cauchy: every root in (-b, b)
     stack = [(-b, b, total)]
     found: list[tuple[Fraction, Fraction]] = []
     while stack:
@@ -772,11 +756,11 @@ def isolate_real_roots(chain: SturmChain) -> list[tuple[Fraction, Fraction]]:
             continue
         mid = (lo + hi) / 2
         left = chain.count(lo, mid)
-        if left:
-            stack.append((lo, mid, left))
+        # the left half goes on last, so it is split first
         if k - left:
             stack.append((mid, hi, k - left))
-    found.sort()
+        if left:
+            stack.append((lo, mid, left))
     return found
 
 

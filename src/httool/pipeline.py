@@ -15,13 +15,12 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
+from . import weilcheck
 from ._intfactor import COUNTERS
 from .cmfield import build_extension, cm_to_k3, completion_degree_check, disc_identity_check, weil_field
 from .exactpoly import DomainError, Poly, json_field
 from .qform import QSpace, k3_invariants, sum_invariants
 from .weilcheck import PropertyVerdict, Status, WeilCandidate, check_all
-
-SCHEMA_VERSION = 1
 
 
 class RunStatus(enum.Enum):
@@ -51,7 +50,7 @@ class RunOutcome:
 
     def to_json(self) -> dict:
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": weilcheck.SCHEMA_VERSION,
             "status": self.status.value,
             "certificate": self.certificate,
             "telemetry": self.telemetry,
@@ -82,7 +81,7 @@ def _certificate(
     reports it."""
     stage("check_all")
     report = check_all(candidate)
-    cert = {"schema_version": SCHEMA_VERSION, "input": candidate.to_json(), "report": report.to_json()}
+    cert = {"schema_version": weilcheck.SCHEMA_VERSION, "input": candidate.to_json(), "report": report.to_json()}
     if report.failures:
         cert.update(status=RunStatus.REJECTED.value, failed_properties=report.failures)
         return cert

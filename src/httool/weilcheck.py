@@ -49,6 +49,9 @@ from .exactpoly import (
 )
 from .padicpoly import NewtonPolygon, SlopeOutcome, SlopeVerdict, negative_part_verdict, newton_polygon
 
+# the version of every JSON document httool writes
+SCHEMA_VERSION = 1
+
 
 @dataclass(frozen=True)
 class WeilCandidate:
@@ -131,22 +134,25 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
     chain = c.chain
     hs = chain.squarefree
     deg = hs.degree()
-    real_total = chain.count()
-    in_range = chain.count(-2, 2) + (1 if _zz_eval_scaled(hs.prim, -2, 1) == 0 else 0)
-    if real_total == deg == in_range:
+    ends = [x for x in (-2, 2) if _zz_eval_scaled(hs.prim, x, 1) == 0]
+    in_range = chain.count(-2, 2) + (-2 in ends)
+    if in_range == deg:
         return _PASS
     witness: dict = {
         "reason": "a root lies off the unit circle",
         "transform_degree": deg,
-        "real_roots": real_total,
+        "real_roots": chain.count(),
         "real_roots_in_range": in_range,
     }
     for lo, hi in isolate_real_roots(chain):
-        # refine until the interval clears the boundary (roots at +-2 are in range)
-        for _ in range(64):
-            if hi <= -2 or lo >= 2 or (-2 <= lo and hi <= 2):
-                break
-            lo, hi = chain.halve(lo, hi)
+        if any(lo < x <= hi for x in ends):
+            continue  # it isolates a root at -2 or 2, on the circle
+        # A point +-2 inside is no root: H(+-2) is a nonzero integer, so the
+        # root r has |r -+ 2| >= 1/(lc * (2 + b)**(deg - 1)), b the Cauchy
+        # bound, and (-b, b] needs at most log2(2b * lc * (2 + b)**(deg - 1)) halvings.
+        while lo < -2 < hi or lo < 2 < hi:
+            mid = Fraction(lo + hi, 2)
+            lo, hi = (lo, mid) if chain.count(lo, mid) else (mid, hi)
         if hi <= -2 or lo >= 2:
             witness["offending_interval"] = [rat_to_str(lo), rat_to_str(hi)]
             break
@@ -283,7 +289,7 @@ class WeilReport:
 
     def to_json(self) -> dict:
         out = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "candidate": self.candidate.to_json(),
             "properties": {name: v.to_json() for name, v in self.properties.items()},
             "admissible": self.admissible,

@@ -249,6 +249,31 @@ def test_readme_cli_examples_exit_zero(monkeypatch, capsys):
         json.loads(capsys.readouterr().out)
 
 
+def schema_versions(doc) -> list:
+    """Every `schema_version` in a JSON document, at any depth."""
+    if isinstance(doc, dict):
+        own = [doc["schema_version"]] if "schema_version" in doc else []
+        return own + [x for v in doc.values() for x in schema_versions(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in schema_versions(v)]
+    return []
+
+
+def test_every_document_writes_the_one_schema_version(monkeypatch, capsys):
+    # the report, the run outcome, its certificate and the certificate's
+    # report block, the census and the lattice all follow the one constant
+    monkeypatch.setattr(weilcheck, "SCHEMA_VERSION", 2)
+    for args, stdin, documents in (
+        (["check"], QUARTIC_JSON, 1),
+        (["construct"], QUARTIC_JSON, 3),
+        (["enumerate", "--q", "2", "--degree", "2"], None, 1),
+        (["lattice"], None, 1),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        assert exit_code(args) == cli.EXIT_OK, args
+        assert schema_versions(json.loads(capsys.readouterr().out)) == [2] * documents, args
+
+
 def test_extend_matches_example():
     proc = run_cli(["extend", "--n", "2"], '{"L": ["1", "-1/2", "1"], "p": 2, "a": 1}')
     assert proc.returncode == 0

@@ -61,6 +61,7 @@ from test_helpers import (
     derivative,
     euler_phi,
     factor_over_Q,
+    halve,
     is_irreducible,
     poly_gcd,
     reference_factor_with_unit,
@@ -1007,7 +1008,7 @@ def test_sturm_half_open_window():
     mpmath.mp.dps = 50
     root = mpmath.sqrt(mpmath.mpf(3) / 2)
     assert root < 2 and -root > -2
-    assert sturm_count(Poly([F(-3, 2), 0, 1]), F(-2), F(2)) == 2
+    assert SturmChain(Poly([F(-3, 2), 0, 1])).count(F(-2), F(2)) == 2
 
 
 def test_sturm_no_real_roots():
@@ -1015,11 +1016,11 @@ def test_sturm_no_real_roots():
 
 
 def test_sturm_endpoint_is_half_open():
-    f = Poly([-1, 1]) * Poly([-2, 1])  # roots 1, 2
-    assert sturm_count(f, F(1), F(2)) == 1
-    assert sturm_count(f, F(0), F(2)) == 2
-    assert sturm_count(f, F(0), F(1)) == 1
-    assert sturm_count(f, F(2), F(3)) == 0
+    chain = SturmChain(Poly([-1, 1]) * Poly([-2, 1]))  # roots 1, 2
+    assert chain.count(F(1), F(2)) == 1
+    assert chain.count(F(0), F(2)) == 2
+    assert chain.count(F(0), F(1)) == 1
+    assert chain.count(F(2), F(3)) == 0
 
 
 def test_sturm_handles_repeated_roots_via_squarefree_part():
@@ -1066,12 +1067,13 @@ def test_sturm_chain_matches_sturm_count_and_exact_roots(roots, complex_pair, po
             if lo is not None and hi is not None and lo >= hi:
                 continue
             exact = sum(1 for r in distinct if (lo is None or lo < r) and (hi is None or r <= hi))
-            assert chain.count(lo, hi) == sturm_count(f, lo, hi) == exact, (lo, hi)
+            assert chain.count(lo, hi) == exact, (lo, hi)
+    assert sturm_count(f) == len(distinct)
     intervals = isolate_real_roots(chain)
     assert len(intervals) == len(distinct)
     for (lo, hi), r in zip(intervals, distinct):
         assert lo < r <= hi
-        half_lo, half_hi = chain.halve(lo, hi)
+        half_lo, half_hi = halve(chain, lo, hi)
         assert half_lo < r <= half_hi and half_hi - half_lo == (hi - lo) / 2
 
 

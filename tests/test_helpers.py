@@ -589,6 +589,13 @@ def fraction_trace_gram(ext, lam: Poly) -> GramMatrix:
     return GramMatrix.from_rows(first + second)
 
 
+def halve(chain: SturmChain, lo, hi):
+    """The half of (lo, hi] holding the root, for int or Fraction endpoints
+    of an interval that isolates one root of the chain's polynomial."""
+    mid = F(lo + hi, 2)
+    return (lo, mid) if chain.count(lo, mid) else (mid, hi)
+
+
 def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     """Signs of lambda at the real roots of the field's polynomial g: each
     isolating interval is halved until lambda has no root in it, then
@@ -604,7 +611,7 @@ def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     positives = 0
     for lo, hi in isolate_real_roots(g_chain):
         while lam(lo) == 0 or lam(hi) == 0 or lam_chain.count(lo, hi) != 0:
-            lo, hi = g_chain.halve(lo, hi)
+            lo, hi = halve(g_chain, lo, hi)
         if lam((lo + hi) / 2) > 0:
             positives += 1
     return positives, field.degree - positives

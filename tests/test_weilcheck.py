@@ -39,7 +39,9 @@ from httool.weilcheck import (
     check_unit_circle,
     enumerate_candidates,
 )
+from test_exactpoly import _load_workloads
 from test_helpers import (
+    halve,
     reference_base_extend,
     reference_census,
     reference_newton_shape,
@@ -677,7 +679,7 @@ def test_sturm_counts_at_int_endpoints_equal_fraction_endpoints():
             assert chain.count(lo, hi) == chain.count(*as_fractions), (H, lo, hi)
     # (x + 2)**2 (x - 1) has one root, 1, in (-2, 2]
     chain = SturmChain(ROOTS_AT_THE_ENDS[1])
-    assert chain.halve(-2, 2) == chain.halve(F(-2), F(2)) == (0, 2)
+    assert halve(chain, -2, 2) == halve(chain, F(-2), F(2)) == (0, 2)
 
 
 @pytest.mark.parametrize("H", ROOTS_AT_THE_ENDS)
@@ -688,3 +690,102 @@ def test_unit_circle_counts_a_root_at_minus_two_in_range(H):
     assert check_unit_circle(WeilCandidate(L, 2, 1)).status is Status.PASS
     off = check_unit_circle(WeilCandidate(L * Poly([1, 3, 1]), 2, 1))
     assert off.witness["real_roots_in_range"] == SturmChain(H).squarefree.degree()
+
+
+# H = (x + 2)(x**2 - 5x + 3): the root -2 is on the circle, (5 + sqrt(13))/2
+# is off it
+ROOT_AT_MINUS_TWO_AND_OFF = Poly([1, -3, -4, 0, -4, -3, 1])
+# H = (x + 2)(x**2 + x + 1): the one real root is -2
+ROOT_AT_MINUS_TWO_ONLY = Poly([1, 3, 6, 8, 6, 3, 1])
+
+
+def test_unit_circle_witness_skips_the_root_at_minus_two():
+    off = check_unit_circle(WeilCandidate(ROOT_AT_MINUS_TWO_AND_OFF, 2, 1))
+    assert off.witness["offending_interval"] == ["4", "8"]
+    only = check_unit_circle(WeilCandidate(ROOT_AT_MINUS_TWO_ONLY, 2, 1))
+    assert only.status is Status.FAIL
+    assert only.witness["real_roots"] == only.witness["real_roots_in_range"] == 1
+    assert "offending_interval" not in only.witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 6), max_size=3), st.sampled_from([-2, 2]), st.integers(0, 2))
+@example([3, -5], -2, 1)  # ROOT_AT_MINUS_TWO_AND_OFF
+@example([1, 1], -2, 1)  # ROOT_AT_MINUS_TWO_ONLY
+def test_unit_circle_interval_isolates_a_root_off_the_range(cs, end, k):
+    # H = g * (x - end)**k with g monic: the interval is present exactly
+    # when a real root of H lies outside [-2, 2], and then it holds exactly
+    # one root of H, the least of those (the numeric roots of g's
+    # squarefree part, at 60 digits, decide which are real and off the range)
+    g = Poly([*cs, 1])
+    H = g * Poly([-end, 1]) ** k
+    assume(H.degree() >= 1)
+    witness = check_unit_circle(WeilCandidate(reciprocal_lift(H), 2, 1)).witness
+    roots = numeric_roots(squarefree_part(g), 60) if g.degree() else []
+    off = [r.real for r in roots if abs(mpmath.im(r)) < 1e-30 and abs(r.real) > 2 + 1e-30]
+    assert ("offending_interval" in witness) == bool(off), (H, witness)
+    if off:
+        lo, hi = (F(x) for x in witness["offending_interval"])
+        assert hi <= -2 or lo >= 2
+        assert SturmChain(H).count(lo, hi) == 1
+        lo_x, hi_x = (mpmath.mpf(x.numerator) / x.denominator for x in (lo, hi))
+        assert lo_x < min(off) <= hi_x, (H, witness)
+
+
+def test_unit_circle_witness_evaluates_a_root_at_two_once(monkeypatch):
+    # a `check` perturbation whose H has the one real root 2: the witness
+    # skips the interval around it instead of halving it towards 2
+    c = WeilCandidate(Poly([1, 1, -HALF, -3, -HALF, 1, 1]), 2, 1)
+    assert c.chain.count() == 1 and c.transform(F(2)) == 0
+    calls = []
+    count = SturmChain.count
+    monkeypatch.setattr(SturmChain, "count", lambda self, *ends: calls.append(ends) or count(self, *ends))
+    verdict = check_unit_circle(c)
+    assert verdict.witness == {
+        "reason": "a root lies off the unit circle",
+        "transform_degree": 3,
+        "real_roots": 1,
+        "real_roots_in_range": 1,
+    }
+    assert len(calls) <= 3
+
+
+def test_unit_circle_verdicts_of_benchmark_traffic_pin(monkeypatch):
+    # SHA-256 of (L, p, a, verdict) for every unit-circle verdict made by 40
+    # passes of the `check` workload at each of seeds 0-4, one `census`
+    # pass, the q=2 degree-8 census and one seed-0 pass each of `construct`
+    # and `extend`, revalidations included (2,252 calls, 126 of them `fail`
+    # and 71 with an interval), pinned while the witness bisected with a
+    # step cap
+    workloads = _load_workloads()
+    calls = []
+    original = weilcheck.check_unit_circle
+
+    def record(c):
+        verdict = original(c)
+        calls.append([c.L.to_strs(), c.p, c.a, verdict.to_json()])
+        return verdict
+
+    monkeypatch.setattr(weilcheck, "check_unit_circle", record)
+    pools = workloads.load_pools()
+
+    def run(ops):
+        for op in ops:
+            result = op.primary()
+            if op.verify is not None:
+                op.verify(result)
+
+    for seed in range(5):
+        check = workloads.Check(seed, pools)
+        for _ in range(40):
+            run(check.next_pass())
+    run(workloads.Census(0, pools).next_pass())
+    enumerate_candidates(2, 1, 8)
+    run(workloads.Construct(0, pools).next_pass())
+    run(workloads.Extend(0, pools).next_pass())
+    verdicts = [call[3] for call in calls]
+    assert len(calls) == 2252
+    assert sum(v["status"] == "fail" for v in verdicts) == 126
+    assert sum("offending_interval" in v["witness"] for v in verdicts) == 71
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "912606dfba2d7c8b8cca065ed6213c6a51dee07def667e48b3bb15a5f6552544"
