@@ -191,11 +191,9 @@ def eisenstein_real_subfield(p: int, e: int) -> tuple[NumberField, int, int]:
     """(Q[X]/(P), M, u) for the first P = prod (X - p*M*i) + p*u, M = 1..256
     and u = 1, -1, with e distinct real roots (Sturm)."""
     for m in range(1, 257):
+        product = functools.reduce(_zz_mul, ([-p * m * i, 1] for i in range(1, e + 1)))
         for u in (1, -1):
-            P = Poly([1])
-            for i in range(1, e + 1):
-                P = P * Poly([-p * m * i, 1])
-            P = P + Poly([p * u])
+            P = Poly.from_ints([product[0] + p * u, *product[1:]], 1)
             if sturm_count(P) == e:
                 return NumberField(P, e), m, u
     raise ArithmeticError("no Eisenstein polynomial with all-real roots found")

@@ -237,11 +237,14 @@ class QFormInvariants:
         signature = json_field(obj, "signature", list)
         if len(signature) != 2:
             raise DomainError(f"'signature' must be a pair, got {signature!r}")
+        places = [place_from_json(v) for v in json_field(obj, "hasse", list)]
+        if len(set(places)) < len(places):
+            raise DomainError("'hasse' repeats a place")
         return QFormInvariants(
             dim=json_field(obj, "dim", int),
             signature=tuple(int_from_json(x, "signature") for x in signature),
             det=square_class(rat_from_str(json_field(obj, "det"))),
-            hasse=frozenset(place_from_json(v) for v in json_field(obj, "hasse", list)),
+            hasse=frozenset(places),
         )
 
 
@@ -398,30 +401,28 @@ class ConstructionError(ArithmeticError):
     pass
 
 
-def _scalar_candidates(pool: list[int], allowed_signs: tuple[int, ...]):
-    """Deterministic stream of the square classes of squarefree scalars built
-    from a prime pool."""
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            primes = frozenset(combo)
+def _scalar_candidates(pool: list[int], allowed_signs: tuple[int, ...], required=frozenset()):
+    """The square classes of the squarefree scalars over a prime pool that hold
+    the `required` primes of the pool, by size, then in combination order."""
+    rest = [p for p in pool if p not in required]
+    for size in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, size):
+            primes = required | frozenset(combo)
             for sign in allowed_signs:
                 yield SquareClass(sign, primes)
 
 
 def _binary_pool(inv: QFormInvariants) -> list[int]:
-    primes = {2} | inv.det.primes
-    primes.update(int(v) for v in inv.hasse if v != INF)
-    primes.update(_POOL_PRIMES)
-    return sorted(primes)
+    return sorted({*_POOL_PRIMES, *inv.det.primes, *(inv.hasse - {INF})})
 
 
-def _binary_scalars(pool: list[int], signs: tuple[int, ...]):
-    """The pool's scalars, then each of them times one auxiliary prime q
-    outside the pool, q ascending."""
-    yield from _scalar_candidates(pool, signs)
+def _binary_scalars(pool: list[int], signs: tuple[int, ...], required=frozenset()):
+    """The pool's scalars holding the required primes, then each of them
+    times one auxiliary prime q outside the pool, q ascending."""
+    yield from _scalar_candidates(pool, signs, required)
     for q in itertools.count(3, 2):
         if q not in pool and _intfactor.is_prime(q):
-            for c in _scalar_candidates(pool, signs):
+            for c in _scalar_candidates(pool, signs, required):
                 yield SquareClass(c.sign, c.primes | {q})
 
 
@@ -439,15 +440,21 @@ def _construct_binary(inv: QFormInvariants, signs: tuple[int, ...]) -> list[Frac
     suffices: the proof of Serre, A Course in Arithmetic, ch. III, Thm. 4,
     gives an x = a*q with a a signed product of those primes and q a prime
     outside any given finite set (Dirichlet), so the search ends.
+
+    The scan holds only the x whose primes contain R, the finite Hasse places
+    other than 2 and delta's primes, in the full scan's order.  An x without
+    a prime of R has symbol 1 there, so it never fits; R lies in the pool,
+    so no auxiliary prime supplies one.  Sorted subsets of equal size compare,
+    in combination order, by the least element of their symmetric difference,
+    which adding R to both leaves unchanged.
     """
     minus_delta = -inv.det.sign * inv.det.squarefree
-    finite = inv.hasse - {INF}
-    for c in _binary_scalars(_binary_pool(inv), signs):
-        places = {2} | c.primes | inv.det.primes
+    required = inv.hasse - {INF, 2} - inv.det.primes
+    for c in _binary_scalars(_binary_pool(inv), signs, required):
         x = c.sign * c.squarefree
         # lazy: the test stops at the first place whose symbol disagrees with inv
-        wrong = ((_hilbert_at(x, minus_delta, p) == -1) != (p in inv.hasse) for p in places)
-        if finite <= places and not any(wrong):
+        wrong = ((_hilbert_at(x, minus_delta, p) == -1) != (p in inv.hasse) for p in {2} | c.primes | inv.det.primes)
+        if not any(wrong):
             return [Fraction(x), inv.det.as_fraction() * x]
 
 

@@ -128,6 +128,18 @@ def test_qform_construct_rejects_invalid_hasse_place(place, tmp_path, capsys):
     assert capsys.readouterr().err == f"httool: {place} is not a valid place\n"
 
 
+@pytest.mark.parametrize("hasse", [[2, "2"], ["inf", "3", "inf"]])
+def test_qform_construct_rejects_a_repeated_hasse_place(hasse, tmp_path, capsys):
+    # the Hasse set names each place once: a repeat was once merged, which
+    # changed the set's parity and answered "not admissible"
+    source = tmp_path / "invariants.json"
+    source.write_text(json.dumps({"dim": 3, "signature": [3, 0], "det": "1", "hasse": hasse}))
+    assert cli.main(["qform", "construct", "--input", str(source)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("httool: ") and "repeats" in captured.err
+
+
 @pytest.mark.parametrize(
     "action, payload",
     [
@@ -411,6 +423,11 @@ def test_golden_certificate_modulo_telemetry():
 
 def test_golden_extension_certificate_modulo_telemetry():
     replay_certificate(["--max-extension-degree", "8"], QUADRATIC_JSON, "certificate_extend8.json")
+
+
+def test_golden_extension14_certificate_modulo_telemetry():
+    # the longest binary-block scan of the degree ladder 8..18
+    replay_certificate(["--max-extension-degree", "14"], QUADRATIC_JSON, "certificate_extend14.json")
 
 
 def test_golden_unsupported_certificate_modulo_telemetry():

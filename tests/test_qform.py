@@ -2,6 +2,7 @@
 diagonalization, invariants, additivity, complements, constructive
 realization and the K3 lattice."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -13,16 +14,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from httool import _intfactor
+from httool import _intfactor, cmfield, pipeline, qform
 from httool._linalg import symmetric_pivots
-from httool.exactpoly import DomainError, SquareClass, square_class
+from httool.exactpoly import DomainError, Poly, SquareClass, square_class
 from httool.qform import (
     INF,
     GramMatrix,
     ConstructionError,
     QFormInvariants,
     QSpace,
+    _binary_scalars,
     _ramified,
+    _scalar_candidates,
     admissible,
     complement_invariants,
     construct_with_invariants,
@@ -36,6 +39,8 @@ from httool.qform import (
     pivot_invariants,
     sum_invariants,
 )
+from httool.weilcheck import WeilCandidate
+from test_exactpoly import _load_workloads
 from test_helpers import fraction_determinant, gram_entries, peel_search_diagonal, reference_block_invariants
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
@@ -641,6 +646,101 @@ def test_direct_peel_matches_the_peel_search(inv):
     # and then -1, always has an admissible complement
     assert admissible(inv)
     assert list(construct_with_invariants(inv).diagonal) == peel_search_diagonal(inv)
+
+
+@st.composite
+def pools_with_required(draw):
+    """A sorted pool of distinct primes and a subset of it."""
+    pool = sorted(draw(st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)), max_size=7)))
+    return pool, frozenset(draw(st.sets(st.sampled_from(pool)))) if pool else frozenset()
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools_with_required(), st.sampled_from([(1,), (-1,), (1, -1)]))
+def test_scan_with_required_primes_is_the_filtered_full_scan(pool_required, signs):
+    # the same scalars in the same order as the full scan filtered to those
+    # holding every required prime, in the pool phase and, over a prefix,
+    # with the auxiliary primes as well
+    pool, required = pool_required
+    full = [c for c in _scalar_candidates(pool, signs) if required <= c.primes]
+    assert list(_scalar_candidates(pool, signs, required)) == full
+    prefix = len(full) * 3
+    filtered = (c for c in _binary_scalars(pool, signs) if required <= c.primes)
+    assert list(itertools.islice(_binary_scalars(pool, signs, required), prefix)) == list(
+        itertools.islice(filtered, prefix)
+    )
+
+
+QUADRATIC = WeilCandidate(Poly([1, F(-1, 2), 1]), 2, 1)
+
+
+def run_complement_traffic() -> list[dict]:
+    """One seed-0 `extend` pass and 50 seed-0 `construct` passes, each op
+    verified, then `pipeline.run` of [1, -1/2, 1] at p = 2 to extension
+    degree 8, 10, ..., 18; the certificates of the `extend` runs and of the
+    six runs to degree 8..18, in that order."""
+    workloads = _load_workloads()
+    pools = workloads.load_pools()
+    certificates = []
+
+    def run(ops, keep):
+        for op in ops:
+            result = op.primary()
+            if keep:
+                certificates.append(result.certificate)
+            op.verify(result)
+
+    run(workloads.Extend(0, pools).next_pass(), True)
+    construct = workloads.Construct(0, pools)
+    for _ in range(50):
+        run(construct.next_pass(), False)
+    for degree in range(8, 20, 2):
+        certificates.append(pipeline.run(QUADRATIC, pipeline.PipelineConfig(max_extension_degree=degree)).certificate)
+    return certificates
+
+
+def test_complements_of_benchmark_traffic_pin(monkeypatch):
+    # SHA-256 of (invariants, space) for every complement that cm_to_k3
+    # constructs in the traffic of `run_complement_traffic` (192 calls), and
+    # of its 42 certificates, pinned while the binary block scanned every
+    # scalar of the pool
+    calls = []
+    original = cmfield.construct_with_invariants
+
+    def record(inv):
+        space = original(inv)
+        calls.append([inv.to_json(), space.to_json()])
+        return space
+
+    monkeypatch.setattr(cmfield, "construct_with_invariants", record)
+    certificates = run_complement_traffic()
+    assert len(calls) == 192
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "54d645c65411450bfd273276ffbd584c8d63477f3fddfd52c6af9152d267def1"
+    assert len(certificates) == 42
+    digest = hashlib.sha256(json.dumps(certificates).encode()).hexdigest()
+    assert digest == "900b7d6d5e531d22034ec440239a08c3026cd45773cdb1bf586a6d2f7914dec9"
+
+
+def test_binary_scan_pulls_only_scalars_with_the_required_primes(monkeypatch):
+    # the binary block's scan yields only scalars holding its finite Hasse
+    # places outside 2 and det's primes: 355 pulls over the complement
+    # traffic (8,731 when it scanned every scalar), and 7 for the run to
+    # degree 14 (4,089)
+    pulls = []
+    original = qform._binary_scalars
+
+    def counted(*args):
+        for c in original(*args):
+            pulls.append(c)
+            yield c
+
+    monkeypatch.setattr(qform, "_binary_scalars", counted)
+    run_complement_traffic()
+    assert len(pulls) == 355
+    pulls.clear()
+    pipeline.run(QUADRATIC, pipeline.PipelineConfig(max_extension_degree=14))
+    assert len(pulls) == 7
 
 
 # ---------------------------------------------------------------------------
