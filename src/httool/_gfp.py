@@ -6,7 +6,8 @@ are small, so Berlekamp's algorithm with a deterministic splitting loop is
 both simple and fast, and avoids randomized Cantor-Zassenhaus.  It is the one
 factorization: one fixed vector proves f irreducible, and more split it.
 Where only the number of factors matters, the dimension of Berlekamp's fixed
-space gives it.  Products and remainders reduce mod p once, at the end.
+space gives it.  One Gauss-Jordan routine serves that space and `inverse`.
+Products and remainders reduce mod p once, at the end.
 """
 
 from __future__ import annotations
@@ -88,36 +89,6 @@ def gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
-def gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
-    """Return (s, t, h) with s*f + t*g = h = monic gcd(f, g)."""
-    r0, r1 = list(f), list(g)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = divmod_(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, mul(q, s1, p), p)
-        t0, t1 = t1, sub(t0, mul(q, t1, p), p)
-    if not r0:
-        return [], [], []
-    inv = pow(r0[-1], -1, p)
-    return scalar_mul(inv, s0, p), scalar_mul(inv, t0, p), monic(r0, p)
-
-
-def pow_mod(f: list[int], e: int, modulus: list[int], p: int) -> list[int]:
-    """f**e mod modulus for e >= 0, squaring from the low bit; the first
-    power taken into the result is not multiplied by 1."""
-    result = None
-    base = rem(f, modulus, p)
-    while e > 0:
-        if e & 1:
-            result = base if result is None else rem(mul(result, base, p), modulus, p)
-        e >>= 1
-        if e:
-            base = rem(mul(base, base, p), modulus, p)
-    return [1] if result is None else result
-
-
 def derivative(f: list[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
@@ -129,34 +100,50 @@ def is_squarefree(f: list[int], p: int) -> bool:
     return degree(gcd(f, d, p)) == 0
 
 
-def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace of `matrix` over F_p (row reduction)."""
-    rows = [row[:] for row in matrix]
-    n = len(rows[0]) if rows else 0
+def _row_reduce(rows: list[list[int]], p: int) -> list[int]:
+    """Bring `rows` to reduced row echelon form over F_p in place and return
+    the pivot columns.  Rows below the pivots found are zero left of the
+    column searched, so row operations start at that column."""
     pivots: list[int] = []
-    r = 0
-    for col in range(n):
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = pow(rows[r][col], -1, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                factor = rows[i][col]
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[r])]
+        pivot = [v * inv % p for v in rows[r][col:]]
+        rows[r][col:] = pivot
+        for i, row in enumerate(rows):
+            if i != r and (factor := row[col] % p):
+                row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], pivot)]
         pivots.append(col)
-        r += 1
+    return pivots
+
+
+def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right nullspace of `matrix` over F_p, by free column."""
+    rows = [row[:] for row in matrix]
+    pivots = _row_reduce(rows, p)
+    n = len(rows[0]) if rows else 0
     basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for free in free_cols:
+    for free in (c for c in range(n) if c not in pivots):
         vec = [0] * n
         vec[free] = 1
-        for row_idx, col in enumerate(pivots):
-            vec[col] = (-rows[row_idx][free]) % p
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[free] % p
         basis.append(vec)
     return basis
+
+
+def inverse(matrix: list[list[int]], p: int) -> list[list[int]] | None:
+    """The inverse of a square matrix over F_p, or None when it is singular:
+    [A | I] row-reduces to [I | A**-1] exactly when A is invertible."""
+    n = len(matrix)
+    rows = [[a % p for a in row] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    if _row_reduce(rows, p) != list(range(n)):
+        return None
+    return [row[n:] for row in rows]
 
 
 def fixed_space(f: list[int], p: int) -> list[list[int]]:
@@ -173,17 +160,31 @@ def fixed_space(f: list[int], p: int) -> list[list[int]]:
     determined by its residue mod phi, which is fixed by Frobenius in the
     field F_p[x]/(phi) and hence lies in F_p.  So the fixed points of that
     factor are the p constants, a space of dimension 1.
+
+    Row i of the Frobenius matrix Q is x**(i*p) mod f.  For p < 16, each
+    power of x is the one before shifted up one place, with c * x**n
+    replaced by c * (x**n - f), as f is monic: (n - 1) * p cheap steps.
+    At larger p, row i is row i - 1 times x**p mod f, found by squaring
+    and shifting.
+    The fixed space is the nullspace of Q^T - I.
     """
     n = degree(f)
-    # Row i of Q holds x**(i*p) mod f; the fixed space is the left fixed
-    # space of Q, i.e. the nullspace of (Q^T - I).
-    frob_rows = []
-    xp = pow_mod([0, 1], p, f, p)
-    current = [1]
-    for _ in range(n):
-        row = current + [0] * (n - len(current))
-        frob_rows.append(row[:n])
-        current = rem(mul(current, xp, p), f, p)
+    power = [1] + [0] * (n - 1)
+    frob_rows = [power]
+    if p < 16:
+        low = f[:n]
+        for _ in range(n - 1):
+            for _ in range(p):
+                top = power[-1]
+                power = [(a - top * b) % p for a, b in zip([0] + power, low)]
+            frob_rows.append(power)
+    else:
+        xp = [1]
+        for bit in bin(p)[2:]:
+            xp = rem([0] * int(bit) + mul(xp, xp, p), f, p)
+        for _ in range(n - 1):
+            power = (rem(mul(power, xp, p), f, p) + [0] * n)[:n]
+            frob_rows.append(power)
     mt = [[(frob_rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     return _nullspace_mod_p(mt, p)
 

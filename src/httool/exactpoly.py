@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -418,46 +419,44 @@ def _hensel_lift(p, f, modular_factors, l):
 
     All factors are lifted at once by linear steps p**k -> p**(k+1)
     (Zassenhaus, J. Number Theory 1, 1969).  Let fm = lc(f)**-1 * f mod
-    p**l, n = deg f and P_i = prod_(j != i) f_j.  Over F_p, sigma_i =
-    P_i**-1 mod f_i is the first Bezout coefficient of (P_i mod f_i, f_i),
-    found once (for r = 2 the one pair s*f_1 + t*f_2 = 1 gives sigma_1 = t
-    and sigma_2 = s).  Step k starts from monic F_i = f_i mod p in
-    [0, p**k) with prod F_i = fm mod p**k, so fm - prod F_i is p**k times
-    an integer polynomial of degree < n, both being monic of degree n; e is
-    that polynomial mod p.  Each F_i gains p**k * c_i, c_i = sigma_i * e
-    mod f_i.  As sum_i c_i * P_i has degree < n and is e mod every f_i
-    (f_i | P_j for j != i), it is e, and prod (F_i + p**k * c_i) = fm mod
-    p**(k+1); the F_i stay monic, as deg c_i < deg f_i.  The lift is
-    unique (Hensel's lemma): monic G_i = F_i + p**k * d_i, deg d_i < deg
-    f_i, with the same product mod p**(k+1) have sum_i d_i * P_i = 0 mod p,
-    so f_i | d_i and d_i = 0 mod p.  Any correct lift of the f_i, such as
-    a factor tree's, thus gives the same list."""
+    p**l, n = deg f and P_i = prod_(j != i) f_j.  The F_p-linear map A:
+    (c_1, ..., c_r) -> sum_i c_i * P_i, deg c_i < deg f_i, has the x**j *
+    P_i as the columns of its n x n matrix, inverted once.  By the CRT, A
+    is invertible iff the f_i are pairwise coprime: then sum_i c_i * P_i =
+    0 gives f_i | c_i, so c_i = 0; and a factor of two f_i divides every
+    P_i.  Step k starts from monic F_i = f_i mod p in [0, p**k) with
+    prod F_i = fm mod p**k, so fm - prod F_i is p**k times an integer
+    polynomial of degree < n, both being monic of degree n; e is that
+    polynomial mod p.  Each F_i gains p**k * c_i, (c_i) = A**-1 e.  As
+    sum_i c_i * P_i = e, prod (F_i + p**k * c_i) = fm mod p**(k+1); the
+    F_i stay monic, as deg c_i < deg f_i.  The lift is unique (Hensel's
+    lemma): monic G_i = F_i + p**k * d_i, deg d_i < deg f_i, with the
+    same product mod p**(k+1) have sum_i d_i * P_i = 0 mod p, so f_i |
+    d_i and d_i = 0 mod p.  Any correct lift of the f_i, such as a factor
+    tree's or one by Bezout coefficients, thus gives the same list."""
     pl = p ** l
     if f[-1] % p == 0:
         raise ArithmeticError("leading coefficient not a unit mod p**l")
     inv = pow(f[-1], -1, pl)
     fm = [c * inv % pl for c in f]
-    r = len(modular_factors)
-    if r == 2:
-        s, t, one = _gfp.gcdex(*modular_factors, p)
-        bezout = [(t, one), (s, one)]
-    else:
-        whole = [1]
-        for fi in modular_factors:
-            whole = _gfp.mul(whole, fi, p)
-        bezout = [
-            _gfp.gcdex(_gfp.rem(_gfp.divmod_(whole, fi, p)[0], fi, p), fi, p)[::2] for fi in modular_factors
-        ]
-    if any(one != [1] for _, one in bezout):
+    n = len(f) - 1
+    whole = functools.reduce(functools.partial(_gfp.mul, p=p), modular_factors)
+    columns = []
+    for fi in modular_factors:
+        cofactor = _gfp.divmod_(whole, fi, p)[0]
+        columns += [([0] * j + cofactor + [0] * n)[:n] for j in range(len(fi) - 1)]
+    solve = _gfp.inverse(list(zip(*columns)), p)
+    if solve is None:
         raise ArithmeticError("modular factors are not coprime")
     lifts = [list(fi) for fi in modular_factors]
+    # the rows of A**-1 follow A's columns: the coefficient of x**j in c_i
+    targets = [(g, j) for g in lifts for j in range(len(g) - 1)]
     m = p
     for _ in range(l - 1):
         prod = functools.reduce(_zz_mul, lifts)
-        e = _gfp.trim([(a - b) // m % p for a, b in zip(fm, prod)])
-        for g, fi, (sigma, _) in zip(lifts, modular_factors, bezout):
-            for j, c in enumerate(_gfp.rem(_gfp.mul(sigma, e, p), fi, p)):
-                g[j] += m * c
+        e = [(a - b) // m % p for a, b in zip(fm, prod)]
+        for (g, j), row in zip(targets, solve):
+            g[j] += m * (sum(map(operator.mul, row, e)) % p)
         m *= p
     return [_zz_trunc(g, pl) for g in lifts]
 

@@ -910,6 +910,34 @@ def test_hensel_lifts_of_benchmark_traffic_pin(monkeypatch):
     assert digest == "40fe30bcb6659ac970dfa65eec8df1a0516d9c8275b58dc045f38048d4fbd4fd"
 
 
+def test_fixed_spaces_of_benchmark_traffic_pin(monkeypatch):
+    # SHA-256 of (p, f, basis) for every Berlekamp fixed space, from
+    # `berlekamp` and from the slope residuals of `padicpoly`, on the
+    # traffic of the Hensel-lift pin (651 calls), pinned while the
+    # Frobenius rows were still built by repeated squaring
+    workloads = _load_workloads()
+    calls = []
+    inner = _gfp.fixed_space
+
+    def record(f, p):
+        basis = inner(f, p)
+        calls.append([p, list(f), basis])
+        return basis
+
+    monkeypatch.setattr(_gfp, "fixed_space", record)
+    pools = workloads.load_pools()
+    for seed in range(5):
+        check = workloads.Check(seed, pools)
+        for _ in range(40):
+            for op in check.next_pass():
+                op.primary()
+    for op in workloads.Census(0, pools).next_pass():
+        op.primary()
+    assert len(calls) == 651
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "43e8ff94852afefa37d3cb2f0ef34fde9a804af0208e951de3c4ac5e9b786f3e"
+
+
 @settings(max_examples=40, deadline=None)
 @given(pool_products, nonzero_scales)
 def test_lift_bound_covers_every_proper_factor(transforms, scale):

@@ -1,12 +1,15 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
-totient, Hensel lifting by a binary tree of quadratic steps,
+totient, Hensel lifting by a binary tree of quadratic steps (with the
+extended Euclidean algorithm over F_p for its Bezout pairs), Berlekamp's
+fixed space with its Frobenius rows by products,
 factorization over Q by Yun's algorithm and Zassenhaus alone
 (recombining behind the norm pre-test) and over F_p by Yun's algorithm
 and Berlekamp, base extension by `Fraction` power sums, the Newton-shape
 verdict by its two-branch rule,
 the disc identity by factoring, the CM field with every axiom proved
-again, determinants by Bareiss elimination, resultants and discriminants
+again, determinants by Bareiss elimination (and over F_p by cofactor
+expansion), resultants and discriminants
 by Sylvester matrices, trace forms by reduction mod the defining
 polynomial (on the basis of the program's blocks and on the power or
 tensor basis) and by `Fraction` power-sum traces, absolute polynomials by
@@ -158,6 +161,24 @@ def _zz_yun(f) -> list[tuple[list[int], int]]:
     return parts
 
 
+def gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], list[int]]:
+    """Return (s, t, h) with s*f + t*g = h = monic gcd(f, g) over F_p, by the
+    extended Euclidean algorithm: the Bezout pair of each node of
+    `reference_hensel_lift`."""
+    r0, r1 = list(f), list(g)
+    s0, s1 = [1], []
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _gfp.divmod_(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gfp.sub(s0, _gfp.mul(q, s1, p), p)
+        t0, t1 = t1, _gfp.sub(t0, _gfp.mul(q, t1, p), p)
+    if not r0:
+        return [], [], []
+    inv = pow(r0[-1], -1, p)
+    return _gfp.scalar_mul(inv, s0, p), _gfp.scalar_mul(inv, t0, p), _gfp.monic(r0, p)
+
+
 def _reference_hensel_step(m, f, g, h, s, t):
     """The factors of one quadratic Hensel step: from f = g*h (mod m0) to
     f = g1*h1 (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and
@@ -202,7 +223,7 @@ def reference_hensel_lift(p, f, modular_factors, l):
     h = list(modular_factors[k])
     for fi in modular_factors[k + 1 :]:
         h = _gfp.mul(h, fi, p)
-    s, t, one = _gfp.gcdex(g, h, p)
+    s, t, one = gcdex(g, h, p)
     if one != [1]:
         raise ArithmeticError("modular factors are not coprime")
     g, h = _zz_trunc(g, p), _zz_trunc(h, p)
@@ -1001,7 +1022,7 @@ def test_gfp_gcdex_identity():
     p = 7
     f = _gfp.from_coeffs([1, 2, 3, 1], p)
     g = _gfp.from_coeffs([4, 0, 1], p)
-    s, t, h = _gfp.gcdex(f, g, p)
+    s, t, h = gcdex(f, g, p)
     lhs = gfp_add(_gfp.mul(s, f, p), _gfp.mul(t, g, p), p)
     assert lhs == h
 
@@ -1094,6 +1115,58 @@ def test_fixed_space_counts_distinct_factors_and_multiplicity():
             assert _gfp.single_factor_multiplicity(f, p) == factors[0][1], (f, p)
             powers += factors[0][1] % p == 0
     assert powers >= 10
+
+
+def determinant_mod_p(matrix: list[list[int]], p: int) -> int:
+    """The determinant over F_p by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    minors = ([row[:j] + row[j + 1 :] for row in matrix[1:]] for j in range(len(matrix)))
+    return sum((-1) ** j * a * determinant_mod_p(minor, p) for j, (a, minor) in enumerate(zip(matrix[0], minors))) % p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 5), st.data())
+def test_gfp_inverse_against_the_determinant(p, n, data):
+    # an invertible matrix times its inverse is the identity mod p, and a
+    # singular one has no inverse; the input is left as it was
+    matrix = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    copy = [row[:] for row in matrix]
+    inverse = _gfp.inverse(matrix, p)
+    assert matrix == copy
+    if determinant_mod_p(matrix, p) == 0:
+        assert inverse is None
+    else:
+        product = [[sum(a * b for a, b in zip(row, column)) % p for column in zip(*inverse)] for row in matrix]
+        assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def reference_fixed_space(f: list[int], p: int) -> list[list[int]]:
+    """`_gfp.fixed_space` with the Frobenius rows built by products: x**p mod
+    f by repeated squaring, then each row x**(i*p) mod f the one before
+    times x**p, reduced mod f."""
+    n = _gfp.degree(f)
+    xp, base, e = [1], _gfp.rem([0, 1], f, p), p
+    while e:
+        if e & 1:
+            xp = _gfp.rem(_gfp.mul(xp, base, p), f, p)
+        base = _gfp.rem(_gfp.mul(base, base, p), f, p)
+        e >>= 1
+    rows, current = [], [1]
+    for _ in range(n):
+        rows.append((current + [0] * n)[:n])
+        current = _gfp.rem(_gfp.mul(current, xp, p), f, p)
+    return _gfp._nullspace_mod_p([[(rows[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((3, 5, 7, 11, 13, 17, 31, 1_000_003)), st.integers(1, 10), st.data())
+def test_fixed_space_matches_the_frobenius_rows_by_products(p, n, data):
+    # the rows by shifting (p < 16) and by squaring and shifting (p >= 16,
+    # where p shifts per row would take time linear in p) are the rows by
+    # products, so the basis is the same, vector for vector
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    assert _gfp.fixed_space(f, p) == reference_fixed_space(f, p)
 
 
 # ---------------------------------------------------------------------------
