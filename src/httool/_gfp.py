@@ -161,30 +161,20 @@ def fixed_space(f: list[int], p: int) -> list[list[int]]:
     field F_p[x]/(phi) and hence lies in F_p.  So the fixed points of that
     factor are the p constants, a space of dimension 1.
 
-    Row i of the Frobenius matrix Q is x**(i*p) mod f.  For p < 16, each
-    power of x is the one before shifted up one place, with c * x**n
-    replaced by c * (x**n - f), as f is monic: (n - 1) * p cheap steps.
-    At larger p, row i is row i - 1 times x**p mod f, found by squaring
-    and shifting.
-    The fixed space is the nullspace of Q^T - I.
+    Row i of the Frobenius matrix Q is x**(i*p) mod f: row i - 1 times
+    x**p mod f, which takes one square and at most one shift per bit of p,
+    so the work grows with log p.  The fixed space is the nullspace of
+    Q^T - I.
     """
     n = degree(f)
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = rem([0] * int(bit) + mul(xp, xp, p), f, p)
     power = [1] + [0] * (n - 1)
     frob_rows = [power]
-    if p < 16:
-        low = f[:n]
-        for _ in range(n - 1):
-            for _ in range(p):
-                top = power[-1]
-                power = [(a - top * b) % p for a, b in zip([0] + power, low)]
-            frob_rows.append(power)
-    else:
-        xp = [1]
-        for bit in bin(p)[2:]:
-            xp = rem([0] * int(bit) + mul(xp, xp, p), f, p)
-        for _ in range(n - 1):
-            power = (rem(mul(power, xp, p), f, p) + [0] * n)[:n]
-            frob_rows.append(power)
+    for _ in range(n - 1):
+        power = (rem(mul(power, xp, p), f, p) + [0] * n)[:n]
+        frob_rows.append(power)
     mt = [[(frob_rows[j][i] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
     return _nullspace_mod_p(mt, p)
 

@@ -1162,9 +1162,9 @@ def reference_fixed_space(f: list[int], p: int) -> list[list[int]]:
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((3, 5, 7, 11, 13, 17, 31, 1_000_003)), st.integers(1, 10), st.data())
 def test_fixed_space_matches_the_frobenius_rows_by_products(p, n, data):
-    # the rows by shifting (p < 16) and by squaring and shifting (p >= 16,
-    # where p shifts per row would take time linear in p) are the rows by
-    # products, so the basis is the same, vector for vector
+    # x**p mod f by squaring from the high bit of p, one shift for each set
+    # bit, gives the rows of the low-bit-first reference, so the basis is
+    # the same, vector for vector
     f = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
     assert _gfp.fixed_space(f, p) == reference_fixed_space(f, p)
 
