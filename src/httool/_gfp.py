@@ -7,7 +7,9 @@ both simple and fast, and avoids randomized Cantor-Zassenhaus.  It is the one
 factorization: one fixed vector proves f irreducible, and more split it.
 Where only the number of factors matters, the dimension of Berlekamp's fixed
 space gives it.  One Gauss-Jordan routine serves that space and `inverse`.
-Products and remainders reduce mod p once, at the end.
+The product is the package's one integer convolution, `_convolve`, which
+takes lists of any integers; products and remainders reduce mod p once, at
+the end.
 """
 
 from __future__ import annotations
@@ -19,25 +21,11 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
-def from_coeffs(coeffs, p: int) -> list[int]:
-    return trim([int(c) % p for c in coeffs])
-
-
 def degree(f: list[int]) -> int:
     return len(f) - 1
 
 
-def sub(f: list[int], g: list[int], p: int) -> list[int]:
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out[i] = (a - b) % p
-    return trim(out)
-
-
-def mul(f: list[int], g: list[int], p: int) -> list[int]:
+def _convolve(f: list[int], g: list[int]) -> list[int]:
     if not f or not g:
         return []
     out = [0] * (len(f) + len(g) - 1)
@@ -45,12 +33,11 @@ def mul(f: list[int], g: list[int], p: int) -> list[int]:
         if a:
             for j, b in enumerate(g):
                 out[i + j] += a * b
-    return trim([c % p for c in out])
+    return trim(out)
 
 
-def scalar_mul(c: int, f: list[int], p: int) -> list[int]:
-    c %= p
-    return trim([c * a % p for a in f])
+def mul(f: list[int], g: list[int], p: int) -> list[int]:
+    return trim([c % p for c in _convolve(f, g)])
 
 
 def divmod_(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -79,7 +66,8 @@ def rem(f: list[int], g: list[int], p: int) -> list[int]:
 def monic(f: list[int], p: int) -> list[int]:
     if not f:
         return []
-    return scalar_mul(pow(f[-1], -1, p), f, p)
+    inv = pow(f[-1], -1, p)
+    return [inv * a % p for a in f]
 
 
 def gcd(f: list[int], g: list[int], p: int) -> list[int]:
@@ -209,7 +197,7 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         for h in factors:
             s = 0
             while degree(rem(v, h, p)) > 0:
-                while degree(g := gcd(h, sub(v, [s], p), p)) < 1:
+                while degree(g := gcd(h, trim([(v[0] - s) % p, *v[1:]]), p)) < 1:
                     s += 1
                 next_factors.append(g)
                 h = divmod_(h, g, p)[0]

@@ -14,6 +14,7 @@ import math
 import sys
 
 from . import pipeline, qform, weilcheck
+from ._intfactor import is_prime
 from .exactpoly import DomainError, json_field, rat_from_str
 from .pipeline import PipelineConfig, RunStatus
 from .qform import GramMatrix, QFormInvariants, QSpace
@@ -82,15 +83,18 @@ def _cmd_check(args) -> int:
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    from ._intfactor import factorize
-
-    if q < 2:
-        raise DomainError(f"{q} is not a prime power")
-    factors = factorize(q)
-    if len(factors) != 1:
-        raise DomainError(f"{q} is not a prime power")
-    [(p, a)] = factors.items()
-    return p, a
+    """(p, a) with q = p**a and p prime, without factoring q: for each a up
+    to the bit length of q, the integer a-th root r of q by bisection, kept
+    when r**a = q and r is prime."""
+    bits = q.bit_length()
+    for a in range(1, bits + 1):
+        lo, hi = 1 << ((bits - 1) // a), 1 << (bits // a + 1)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid**a <= q else (lo, mid - 1)
+        if lo**a == q and is_prime(lo):
+            return lo, a
+    raise DomainError(f"{q} is not a prime power")
 
 
 def _cmd_enumerate(args) -> int:

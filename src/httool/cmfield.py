@@ -258,7 +258,20 @@ def completion_degree_check(ext: ExtensionData, p: int, expected_h: int) -> Prop
     """Certify that the completion at the distinguished place has degree
     expected_h over Q_p, through the negative part of the Newton polygon of
     the absolute defining polynomial (`pipeline.run` stops before this at
-    kind `unsupported`, the only kind without one)."""
+    kind `unsupported`, the only kind without one).
+
+    It always passes for the expected_h = (h / e_L) * ext.e of `pipeline.run`
+    (L = Q^e_L admissible, negative part of run h).  Kind "trivial": the
+    absolute polynomial is a rational multiple of Q, with Q's residual and
+    polygon moved vertically, so its verdict is the `irreducible` that
+    `check_all` passed, of negative degree h / e_L.  Kind
+    "eisenstein_compositum": the base is Q[T]/(T^2 + c*T + 1), v_p(c) = -a_Q
+    < 0, so h / e_L = 1 and its roots rho have valuations +-a_Q.  P is
+    Eisenstein of degree e = ext.e >= 2, so its roots x have valuation 1/e <
+    a_Q, and x + rho has 1/e where v(rho) = a_Q, -a_Q elsewhere: e reciprocal
+    roots of valuation -1/e, one negative segment of run e and slope -1/e,
+    with no interior lattice point.
+    """
     verdict, negative_degree = negative_part_verdict(ext.absolute, newton_polygon(ext.absolute, p))
     witness = {
         "expected": expected_h,

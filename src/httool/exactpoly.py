@@ -264,15 +264,7 @@ def _zz_derivative(f):
     return [i * a for i, a in enumerate(f) if i > 0]
 
 
-def _zz_mul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _gfp.trim(out)
+_zz_mul = _gfp._convolve
 
 
 def _zz_add(f, g):
@@ -556,7 +548,7 @@ def _reduction(f, start: int = 3):
     p = start
     while not (_intfactor.is_prime(p) and f[-1] % p):
         p += 2
-    return p, _gfp.monic(_gfp.from_coeffs(f, p), p)
+    return p, _gfp.monic(_gfp.trim([c % p for c in f]), p)
 
 
 def _good_prime(f, start: int = 3):

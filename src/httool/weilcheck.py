@@ -159,11 +159,9 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
     return PropertyVerdict(Status.FAIL, witness)
 
 
-def check_no_root_of_unity(
-    c: WeilCandidate, factored: tuple[Fraction, list[tuple[Poly, int]]]
-) -> PropertyVerdict:
+def check_no_root_of_unity(factored: tuple[Fraction, list[tuple[Poly, int]]]) -> PropertyVerdict:
     """No irreducible factor of L is a cyclotomic polynomial; `factored` is
-    `factor_with_unit(c.L)`."""
+    `factor_with_unit(L)`."""
     for factor, _mult in factored[1]:
         n = is_cyclotomic(factor)
         if n is not None:
@@ -321,7 +319,7 @@ def check_all(c: WeilCandidate) -> WeilReport:
         factored = L.content, sorted(lifted, key=lambda fm: (fm[0].degree(), fm[0].prim))
     else:
         factored = factor_with_unit(L)
-    no_rou = check_no_root_of_unity(c, factored)
+    no_rou = check_no_root_of_unity(factored)
     integrality = check_l_integrality(c)
     polygon = newton_polygon(c.L, c.p)
     shape, h, d = check_newton_shape(c, polygon)

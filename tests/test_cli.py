@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from httool import cli, weilcheck
+from httool import _intfactor, cli, weilcheck
 
 GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -116,6 +116,18 @@ def test_domain_error_exit_three_with_one_line(args, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"httool: {message}\n"
+
+
+def test_enumerate_refuses_a_composite_q_without_factoring_it(monkeypatch, capsys):
+    # the product of the primes 10000000000000012363 and 30000000000000000797
+    # once kept enumerate in Pollard rho for over 30 s
+    def no_rho(n):
+        raise AssertionError("q was factored")
+
+    monkeypatch.setattr(_intfactor, "_pollard_rho", no_rho)
+    q = "300000000000000378860000000000009853311"
+    assert cli.main(["enumerate", "--q", q, "--degree", "2"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"httool: {q} is not a prime power\n"
 
 
 @pytest.mark.parametrize("place", ["1", "4"])

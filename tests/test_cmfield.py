@@ -601,6 +601,30 @@ def test_completion_degree_compositum():
     assert completion_degree_check(ext, 2, 2).status is Status.PASS
 
 
+def test_completion_degree_of_every_quadratic_compositum_is_decided():
+    # completion_degree_check's proof: the absolute polynomial of an
+    # Eisenstein compositum of degree 2e has one negative segment, of run e
+    # and slope -1/e, so it passes with no residual polynomial; here for
+    # the 12 quadratic pool members at every degree 4..18
+    count = 0
+    for pool in POOLS["pools"]:
+        if pool["degree"] != 2:
+            continue
+        for member in pool["members"]:
+            candidate = WeilCandidate(Poly.from_strs(member), pool["p"], pool["a"])
+            report = check_all(candidate)
+            cm = weil_field(report.Q, candidate.chain)
+            for degree in range(4, 20, 2):
+                ext = build_extension(cm, pool["p"], degree)
+                # the expected degree as pipeline.run computes it
+                verdict = completion_degree_check(ext, pool["p"], (report.h // report.e) * ext.e)
+                assert ext.kind == "eisenstein_compositum" and verdict.status is Status.PASS, (member, degree)
+                assert verdict.witness["negative_degree"] == verdict.witness["expected"] == ext.e == degree // 2
+                assert "no interior lattice point" in verdict.witness["slope_verdict"]["reason"]
+                count += 1
+    assert count == 96
+
+
 # ---------------------------------------------------------------------------
 # cm_to_k3
 

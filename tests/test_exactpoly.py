@@ -597,7 +597,7 @@ def test_irreducible_mod_p_proves_irreducibility():
     for c, n in itertools.product((2, 3, 5), range(4, 13)):
         f = Poly([-c] + [0] * (n - 1) + [1])
         ((p, _degree),) = berlekamp_calls(f)
-        irreducible_mod_p = len(_gfp.berlekamp(_gfp.from_coeffs(f.prim, p), p)) == 1
+        irreducible_mod_p = len(_gfp.berlekamp(_gfp.trim([x % p for x in f.prim]), p)) == 1
         factors, lifts = lifts_during(lambda: factor_with_unit(f))
         assert factors == (1, [(f, 1)])
         assert lifts == (0 if irreducible_mod_p else 1)
@@ -837,7 +837,7 @@ def test_hensel_lift_reaches_exactly_p_to_the_l(transforms, l):
     pl = p**l
     for g, gp in zip(lifted, modular):
         assert g[-1] == 1 and _zz_trunc(g, pl) == g
-        assert _gfp.from_coeffs(g, p) == gp
+        assert _gfp.trim([c % p for c in g]) == gp
     # lc(f) * the product is f mod p**l
     lifted_product = [f[-1]]
     for g in lifted:
@@ -859,7 +859,7 @@ def test_hensel_lift_matches_the_factor_tree(transforms, scale, l, rng):
     # multifactor lift returns the quadratic factor tree's list
     f = [scale * c for c in _zz_squarefree(product(transforms).prim)]
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
-        fp = _gfp.from_coeffs(f, p)
+        fp = _gfp.trim([c % p for c in f])
         if f[-1] % p == 0 or not _gfp.is_squarefree(fp, p):
             continue
         modular = _gfp.berlekamp(_gfp.monic(fp, p), p)

@@ -123,7 +123,7 @@ def _reference_factoring_prime(f):
     p = 3
     while len(found) < 3:
         if _intfactor.is_prime(p) and f[-1] % p != 0:
-            fp = _gfp.from_coeffs(f, p)
+            fp = _gfp.trim([c % p for c in f])
             if _gfp.is_squarefree(fp, p):
                 factors = _gfp.berlekamp(_gfp.monic(fp, p), p)
                 found.append((p, factors))
@@ -171,12 +171,12 @@ def gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int], lis
     while r1:
         q, r = _gfp.divmod_(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gfp.sub(s0, _gfp.mul(q, s1, p), p)
-        t0, t1 = t1, _gfp.sub(t0, _gfp.mul(q, t1, p), p)
+        s0, s1 = s1, _gfp.trim([c % p for c in _zz_sub(s0, _gfp.mul(q, s1, p))])
+        t0, t1 = t1, _gfp.trim([c % p for c in _zz_sub(t0, _gfp.mul(q, t1, p))])
     if not r0:
         return [], [], []
     inv = pow(r0[-1], -1, p)
-    return _gfp.scalar_mul(inv, s0, p), _gfp.scalar_mul(inv, t0, p), _gfp.monic(r0, p)
+    return [inv * c % p for c in s0], [inv * c % p for c in t0], _gfp.monic(r0, p)
 
 
 def _reference_hensel_step(m, f, g, h, s, t):
@@ -1011,8 +1011,8 @@ def test_squarefree_part():
 
 def test_gfp_divmod_and_gcd():
     p = 5
-    f = _gfp.from_coeffs([1, 0, 4, 3], p)
-    g = _gfp.from_coeffs([2, 1], p)
+    f = _gfp.trim([c % p for c in [1, 0, 4, 3]])
+    g = _gfp.trim([c % p for c in [2, 1]])
     q, r = _gfp.divmod_(f, g, p)
     assert gfp_add(_gfp.mul(q, g, p), r, p) == f
     assert _gfp.degree(r) < _gfp.degree(g)
@@ -1020,8 +1020,8 @@ def test_gfp_divmod_and_gcd():
 
 def test_gfp_gcdex_identity():
     p = 7
-    f = _gfp.from_coeffs([1, 2, 3, 1], p)
-    g = _gfp.from_coeffs([4, 0, 1], p)
+    f = _gfp.trim([c % p for c in [1, 2, 3, 1]])
+    g = _gfp.trim([c % p for c in [4, 0, 1]])
     s, t, h = gcdex(f, g, p)
     lhs = gfp_add(_gfp.mul(s, f, p), _gfp.mul(t, g, p), p)
     assert lhs == h

@@ -149,12 +149,12 @@ def test_unit_circle_against_numeric_oracle_seeded():
 
 def test_no_root_of_unity_examples():
     L = Poly([1, 1, 1])
-    fail = check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L))
+    fail = check_no_root_of_unity(factor_with_unit(L))
     assert fail.status is Status.FAIL and fail.witness["cyclotomic_index"] == 3
     L = WEIL_QUADRATIC
-    assert check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L)).status is Status.PASS
+    assert check_no_root_of_unity(factor_with_unit(L)).status is Status.PASS
     L = WEIL_QUARTIC
-    assert check_no_root_of_unity(WeilCandidate(L, 2, 1), factor_with_unit(L)).status is Status.PASS
+    assert check_no_root_of_unity(factor_with_unit(L)).status is Status.PASS
 
 
 def test_integrality_examples():
