@@ -204,7 +204,8 @@ _BETA_SQUARED_MINUS_4 = Poly([-4, 0, 1])
 
 def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     """Extend the CM field to absolute degree target_degree, keeping a unique
-    place of negative valuation.
+    place of negative valuation; the caller checks that target_degree is a
+    multiple of the field's degree (`pipeline.run` raises otherwise).
 
     Supported regimes: e = 1 (trivial) and imaginary quadratic base (an
     Eisenstein polynomial P = prod (X - p*M*i) + p*u, u in {1,-1}, with M
@@ -219,12 +220,7 @@ def build_extension(base: CMData, p: int, target_degree: int) -> ExtensionData:
     x + gamma (`_absolute_defining`), so the certificate's primitive shift
     is always 1.
     """
-    n = base.field.degree
-    if target_degree % n != 0 or target_degree < n:
-        raise DomainError(
-            f"target degree {target_degree} is not a multiple of the base degree {n}"
-        )
-    e = target_degree // n
+    e = target_degree // base.field.degree
     if e == 1:
         return ExtensionData(
             kind="trivial",

@@ -7,8 +7,9 @@ path.  `Poly` is the type at every public boundary.  It stores a rational
 degree with positive leading coefficient, and every operation on it runs on
 `prim` through the integer-list kernels below: `+ - *`, pseudo-division
 and evaluation, Hensel lifting and Zassenhaus recombination, Sturm sign
-evaluations, and gcds, Sturm chains and discriminants, all three read off
-one remainder sequence.
+evaluations, and gcds, Sturm chains, squarefree parts and discriminants,
+all read off one remainder sequence.  A `SturmChain` holds the squarefree
+part that it counts on, and `factor_with_unit` factors that same part.
 
 A square class in Q^x / (Q^x)^2 is stored as a sign and the set of primes of
 odd valuation.  `square_class` factors its rational once; products of
@@ -391,14 +392,6 @@ def _zz_gcd(f, g):
     return a
 
 
-def _zz_squarefree(f):
-    """The squarefree part of a primitive f with positive leading
-    coefficient, itself primitive with positive leading coefficient."""
-    if len(f) < 2:
-        return [1]
-    return _zz_exact_quotient(f, _zz_gcd(f, _zz_derivative(f)))
-
-
 # ---------------------------------------------------------------------------
 # Hensel lifting and Zassenhaus factorization over Z
 
@@ -542,24 +535,18 @@ def _zassenhaus(f, p, modular):
 # factorization over Q
 
 
-def _reduction(f, start: int = 3):
-    """The least odd prime p >= start not dividing lc(f), and f mod p made
-    monic; f mod p keeps the degree of f."""
-    p = start
-    while not (_intfactor.is_prime(p) and f[-1] % p):
+def _good_prime(f):
+    """The least odd prime p not dividing lc(f) at which f stays squarefree,
+    and f mod p made monic; f mod p keeps the degree of f."""
+    p = 3
+    while True:
+        if _intfactor.is_prime(p) and f[-1] % p:
+            fp = _gfp.monic(_gfp.trim([c % p for c in f]), p)
+            if _gfp.is_squarefree(fp, p):
+                return p, fp
+            if p > 10_000:
+                raise ArithmeticError("no suitable factoring prime found")
         p += 2
-    return p, _gfp.monic(_gfp.trim([c % p for c in f]), p)
-
-
-def _good_prime(f, start: int = 3):
-    """The least odd prime p >= start not dividing lc(f) at which f stays
-    squarefree, and f mod p made monic."""
-    p, fp = _reduction(f, start)
-    while not _gfp.is_squarefree(fp, p):
-        if p > 10_000:
-            raise ArithmeticError("no suitable factoring prime found")
-        p, fp = _reduction(f, p + 2)
-    return p, fp
 
 
 def _multiplicity(f, q) -> int:
@@ -576,8 +563,8 @@ def _multiplicity(f, q) -> int:
 
 
 def _small_factors(f):
-    """The irreducible factors of a primitive f of degree at most 2 with
-    lc(f) > 0, a repeated one twice, by the rule of `factor_with_unit`."""
+    """The irreducible factors of a squarefree primitive f of degree at most
+    2 with lc(f) > 0, by the rule of `factor_with_unit`."""
     if len(f) < 3:
         return [f] if len(f) == 2 else []
     c, b, a = f
@@ -614,62 +601,49 @@ def _cubic_factors(g, p, gp):
     return [g]
 
 
-def factor_with_unit(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
-    """f = unit * prod g_i**m_i with g_i irreducible, primitive integral,
-    positive leading coefficient; ordered by degree then coefficients.
+def factor_with_unit(chain: SturmChain) -> tuple[Fraction, list[tuple[Poly, int]]]:
+    """f = unit * prod g_i**m_i for f = `chain.poly`, with g_i irreducible,
+    primitive integral, positive leading coefficient; ordered by degree then
+    coefficients.
 
-    1. The squarefree part g.  If f stays squarefree mod the first odd
-       prime p not dividing lc(f), it is squarefree, as a square factor
-       q**2 would reduce to one of the same degree, p not dividing lc(q);
-       then g = f.  Otherwise g = f / gcd(f, f'), whose irreducible factors
-       are those of f, each once, and p is the first odd prime not dividing
-       lc(g) that keeps g squarefree.  Step 2 factors g alone.  The
-       multiplicity of an irreducible factor q of g in f is the number of
-       times it divides f exactly: by Gauss's lemma a primitive q dividing
-       the primitive f leaves an integral quotient.
-    2. g at the one prime p.  A g of degree at most 2 is decided by the
-       rule below, and a cubic by its rational roots (`_cubic_factors`):
-       their images among the roots of g mod p, lifted by Newton steps.
-       Of a g of degree 4 or more, a factor over Z reduces mod p to a
-       product of factors mod p of the same degree, p not dividing lc(g).
-       So g is irreducible when g mod p is, that is when Berlekamp's
-       algorithm returns one factor mod p.  Otherwise lifting those factors
-       all at once to the power of p that Mignotte's bound asks for
-       (see `_zassenhaus`) and Zassenhaus recombination find the factors
-       over Z, a cyclotomic Phi_n like any other.  On its main path
-       `check_all` factors the transform H, whose roots are all real, and
-       no Phi_n with n >= 3 divides it, as such a Phi_n has no real root.
+    1. The squarefree part g is the chain's, whose irreducible factors are
+       those of f, each once.  The multiplicity of such a factor q in f is 1
+       when g = f, and otherwise the number of times q divides f exactly:
+       by Gauss's lemma a primitive q dividing the primitive f leaves an
+       integral quotient.
+    2. g at one prime p, the first odd prime not dividing lc(g) that keeps
+       g squarefree.  A cubic is decided by its rational roots
+       (`_cubic_factors`): their images among the roots of g mod p, lifted
+       by Newton steps.  Of a g of degree 4 or more, a factor over Z
+       reduces mod p to a product of factors mod p of the same degree, p
+       not dividing lc(g).  So g is irreducible when g mod p is, that is
+       when Berlekamp's algorithm returns one factor mod p.  Otherwise
+       lifting those factors all at once to the power of p that Mignotte's
+       bound asks for (see `_zassenhaus`) and Zassenhaus recombination find
+       the factors over Z, a cyclotomic Phi_n like any other.  On its main
+       path `check_all` factors the transform H, whose roots are all real,
+       and no Phi_n with n >= 3 divides it, as such a Phi_n has no real
+       root.
 
-    A primitive part of degree at most 2 skips steps 1 and 2: a linear one
-    is irreducible, and a quadratic a*x**2 + b*x + c is irreducible exactly
-    when b**2 - 4ac is not a square r**2; otherwise its factors are the
-    primitive parts of 2a*x + b - r and 2a*x + b + r, whose product is 4a
-    times it, one factor squared when r = 0.
+    A g of degree at most 2 needs no prime: a linear one is irreducible, and
+    a quadratic a*x**2 + b*x + c is irreducible exactly when b**2 - 4ac is
+    not a square r**2; otherwise its factors are the primitive parts of
+    2a*x + b - r and 2a*x + b + r, whose product is 4a times it.
     """
-    if f.is_zero:
-        raise DomainError("cannot factor the zero polynomial")
     _intfactor.COUNTERS["factor_with_unit_calls"] += 1
-    if len(f.prim) <= 3:
-        irreducibles = [Poly.from_ints(q, 1) for q in _small_factors(f.prim)]
-        factors = [(q, irreducibles.count(q)) for q in dict.fromkeys(irreducibles)]
+    f, g = chain.poly, chain.squarefree.prim
+    if len(g) <= 3:
+        irreducibles = _small_factors(g)
     else:
-        g = f.prim
-        p, gp = _reduction(g)
-        if not _gfp.is_squarefree(gp, p):
-            g = _zz_squarefree(g)
-            # a squarefree f failed at p and every smaller odd prime divides
-            # lc(f), so its search starts past p
-            p, gp = _good_prime(g, p + 2 if len(g) == len(f.prim) else 3)
-        if len(g) <= 3:
-            irreducibles = _small_factors(g)
-        elif len(g) == 4:
+        p, gp = _good_prime(g)
+        if len(g) == 4:
             irreducibles = _cubic_factors(g, p, gp)
         elif len(modular := _gfp.berlekamp(gp, p)) == 1:
             irreducibles = [g]
         else:
             irreducibles = _zassenhaus(g, p, modular)
-        squarefree = len(g) == len(f.prim)
-        factors = [(Poly.from_ints(q, 1), 1 if squarefree else _multiplicity(f.prim, q)) for q in irreducibles]
+    squarefree = len(g) == len(f.prim)
+    factors = [(Poly.from_ints(q, 1), 1 if squarefree else _multiplicity(f.prim, q)) for q in irreducibles]
     factors.sort(key=lambda fm: (fm[0].degree(), fm[0].prim))
     return f.content, factors
 
@@ -684,17 +658,19 @@ def _sign_variations(values) -> int:
 
 
 class SturmChain:
-    """The Sturm chain of a nonzero f, built once and queried many times.
+    """The Sturm chain of a nonzero f = `poly`, built once and queried many
+    times, and the package's one squarefree decomposition over Z.
 
     The chain runs on `squarefree`, the squarefree part g of f made
     primitive with positive leading coefficient, so repeated roots are
-    counted once.  It is the remainder sequence of (g, g'), with integer
-    members that are positive multiples of the classical chain's, so every
-    sign and count is the classical one.  That of (f, f') is the chain when
-    it ends in a constant; else its last member is gcd(f, f').
+    counted once; `factor_with_unit` factors the same g.  It is the
+    remainder sequence of (g, g'), with integer members that are positive
+    multiples of the classical chain's, so every sign and count is the
+    classical one.  That of (f, f') is the chain when it ends in a constant;
+    else its last member is gcd(f, f'), and g = f / gcd(f, f').
     """
 
-    __slots__ = ("squarefree", "chain")
+    __slots__ = ("poly", "squarefree", "chain")
 
     def __init__(self, f: Poly):
         if f.is_zero:
@@ -705,6 +681,7 @@ class SturmChain:
         if chain and len(chain[-1]) > 1:
             g = _zz_exact_quotient(g, _zz_gcd(chain[-1], []))
             chain = _zz_remainder_sequence(g, _zz_derivative(g))[0]
+        self.poly = f
         self.squarefree = Poly.from_ints(g, 1)
         self.chain = chain
 

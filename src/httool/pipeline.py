@@ -105,8 +105,7 @@ def _certificate(
     ext = build_extension(cm, candidate.p, degree)
     cert["extension"] = ext.to_json()
     if ext.kind == "unsupported":
-        reason = ext.trace.get("reason", "construction regime unsupported")
-        cert.update(status=RunStatus.EXISTENCE_ONLY.value, reason=reason, base_change_exponent=_UNRESOLVED)
+        cert.update(status=RunStatus.EXISTENCE_ONLY.value, reason=ext.trace["reason"], base_change_exponent=_UNRESOLVED)
         return cert
 
     stage("completion_degree")

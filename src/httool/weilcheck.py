@@ -161,7 +161,7 @@ def check_unit_circle(c: WeilCandidate) -> PropertyVerdict:
 
 def check_no_root_of_unity(factored: tuple[Fraction, list[tuple[Poly, int]]]) -> PropertyVerdict:
     """No irreducible factor of L is a cyclotomic polynomial; `factored` is
-    `factor_with_unit(L)`."""
+    `factor_with_unit(SturmChain(L))`."""
     for factor, _mult in factored[1]:
         n = is_cyclotomic(factor)
         if n is not None:
@@ -221,8 +221,8 @@ def check_power_structure(
 ) -> tuple[PropertyVerdict, Poly | None, int | None, SlopeVerdict | None]:
     """L = Q**e with Q irreducible over Q, and the negative-slope part of Q
     over Q_p irreducible (three-valued; Unknown propagates); `factored` is
-    `factor_with_unit(c.L)` and `polygon` is `newton_polygon(c.L, c.p)`,
-    which is Q's own polygon when e = 1."""
+    `factor_with_unit(SturmChain(c.L))` and `polygon` is
+    `newton_polygon(c.L, c.p)`, from which Q's own polygon is read."""
     _unit, factors = factored
     if len(factors) != 1:
         return (
@@ -241,7 +241,9 @@ def check_power_structure(
     q_poly = Poly.from_ints(base.prim, Fraction(base.content.denominator, base.content.numerator * base.prim[0]))
     if q_poly ** e != c.L:
         raise ArithmeticError("factorization reconstruction failed")
-    q_polygon = polygon if e == 1 else newton_polygon(q_poly, c.p)
+    # L = Q**e and both have constant term 1, so NP(L) is the Minkowski sum
+    # of e copies of NP(Q): L's vertices are e times Q's
+    q_polygon = NewtonPolygon(c.p, tuple((x // e, y // e) for x, y in polygon.vertices))
     slope, negative_degree = negative_part_verdict(q_poly, q_polygon)
     if slope.value is SlopeOutcome.IRREDUCIBLE:
         verdict = _PASS
@@ -315,10 +317,10 @@ def check_all(c: WeilCandidate) -> WeilReport:
     unit_circle = check_unit_circle(c)
     # L(1) and L(-1) are content times these sums
     if unit_circle.status is Status.PASS and sum(L.prim) and sum(L.prim[::2]) - sum(L.prim[1::2]):
-        lifted = [(reciprocal_lift(h), m) for h, m in factor_with_unit(c.transform)[1]]
+        lifted = [(reciprocal_lift(h), m) for h, m in factor_with_unit(c.chain)[1]]
         factored = L.content, sorted(lifted, key=lambda fm: (fm[0].degree(), fm[0].prim))
     else:
-        factored = factor_with_unit(L)
+        factored = factor_with_unit(SturmChain(L))
     no_rou = check_no_root_of_unity(factored)
     integrality = check_l_integrality(c)
     polygon = newton_polygon(c.L, c.p)

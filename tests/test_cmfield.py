@@ -567,12 +567,6 @@ def test_build_extension_unsupported_regime():
     assert "reason" in ext.trace
 
 
-def test_build_extension_rejects_non_integral():
-    cm = weil_field_of(WEIL_QUARTIC)
-    with pytest.raises(DomainError):
-        build_extension(cm, 2, 6)
-
-
 # ---------------------------------------------------------------------------
 # completion degrees
 

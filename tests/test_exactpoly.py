@@ -38,7 +38,6 @@ from httool.exactpoly import (
     _zz_divmod,
     _zz_mul,
     _zz_pdivmod,
-    _zz_squarefree,
     _zz_sub,
     _zz_trunc,
     cyclotomic_poly,
@@ -383,7 +382,7 @@ def test_factor_constructed_square():
 
 def test_factor_unit_reconstruction():
     f = Poly([F(3, 4), 0, F(-3, 2)]) * Poly([1, 2, 1])
-    unit, factors = factor_with_unit(f)
+    unit, factors = factor_with_unit(SturmChain(f))
     product = Poly([unit])
     for g, m in factors:
         product = product * g ** m
@@ -429,7 +428,7 @@ def lifts_during(call):
 
 def berlekamp_calls(f: Poly) -> list[tuple[int, int]]:
     """(p, degree) of each modular factorization by Berlekamp's algorithm
-    that factor_with_unit(f) runs, in order."""
+    that factor_with_unit(SturmChain(f)) runs, in order."""
     calls = []
     inner = _gfp.berlekamp
 
@@ -439,7 +438,7 @@ def berlekamp_calls(f: Poly) -> list[tuple[int, int]]:
 
     _gfp.berlekamp = record
     try:
-        factor_with_unit(f)
+        factor_with_unit(SturmChain(f))
     finally:
         _gfp.berlekamp = inner
     return calls
@@ -447,7 +446,7 @@ def berlekamp_calls(f: Poly) -> list[tuple[int, int]]:
 
 def squarefree_degree(f: Poly) -> int:
     """The degree of the squarefree part of f."""
-    return len(_zz_squarefree(f.prim)) - 1
+    return SturmChain(f).squarefree.degree()
 
 
 def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
@@ -458,7 +457,7 @@ def with_cyclotomics(f: Poly, cyclotomics) -> Poly:
 
 def assert_matches_reference(f: Poly):
     """factor_with_unit equals the reference; its factors."""
-    unit, factors = factor_with_unit(f)
+    unit, factors = factor_with_unit(SturmChain(f))
     assert (unit, factors) == reference_factor_with_unit(f)
     return factors
 
@@ -557,7 +556,7 @@ def test_factor_quadratic_cofactor_by_discriminant(abc, split, cyclotomics):
     a, b, c = abc
     h = Poly([b, a]) * Poly([c, 1]) if split else Poly([c, b, a])
     f = with_cyclotomics(h, cyclotomics)
-    assert factor_with_unit(f) == reference_factor_with_unit(f)
+    assert factor_with_unit(SturmChain(f)) == reference_factor_with_unit(f)
 
 
 SQUAREFREE = [-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 11]
@@ -577,7 +576,7 @@ def test_factor_biquadratic_cofactor_falls_back(a, b, cyclotomics):
         return
     h = Poly([(a - b) ** 2, 0, -2 * (a + b), 0, 1])
     f = with_cyclotomics(h, cyclotomics)
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert (h, 1) in factors[1]
     assert factors == reference_factor_with_unit(f)
     assert lifts >= 1
@@ -592,20 +591,20 @@ def test_irreducible_mod_p_proves_irreducibility():
     lifted = []
     for c in (2, 3, 5):
         f = Poly([-c, 0, 0, 1])
-        assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 0)
+        assert lifts_during(lambda: factor_with_unit(SturmChain(f))) == ((1, [(f, 1)]), 0)
         assert berlekamp_calls(f) == []
     for c, n in itertools.product((2, 3, 5), range(4, 13)):
         f = Poly([-c] + [0] * (n - 1) + [1])
         ((p, _degree),) = berlekamp_calls(f)
         irreducible_mod_p = len(_gfp.berlekamp(_gfp.trim([x % p for x in f.prim]), p)) == 1
-        factors, lifts = lifts_during(lambda: factor_with_unit(f))
+        factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
         assert factors == (1, [(f, 1)])
         assert lifts == (0 if irreducible_mod_p else 1)
         lifted.append(lifts)
     assert 0 in lifted and 1 in lifted
     # x**4 - 10x**2 + 1 = minpoly(sqrt 2 + sqrt 3) needs a lift to be proved
     f = Poly([1, 0, -10, 0, 1])
-    assert lifts_during(lambda: factor_with_unit(f)) == ((1, [(f, 1)]), 1)
+    assert lifts_during(lambda: factor_with_unit(SturmChain(f))) == ((1, [(f, 1)]), 1)
 
 
 coefficients = st.integers(-10**12, 10**12)
@@ -634,7 +633,7 @@ def test_cubics_are_decided_by_their_rational_roots(f, scale):
     # linear factors, repeated ones included: the reference's factors, with
     # no modular factorization and no lift
     f = f * scale
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert factors == reference_factor_with_unit(f)
     assert lifts == 0 and berlekamp_calls(f) == []
 
@@ -656,8 +655,8 @@ ODD_PRIMORIAL_1000 = math.prod(p for p in range(3, 1000, 2) if all(p % d for d i
     ids=["reducible", "irreducible"],
 )
 def test_cubic_with_a_leading_coefficient_divisible_by_every_small_odd_prime(f, irreducible):
-    assert exactpoly._reduction(f.prim)[0] == 1009
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    assert _good_prime(f.prim)[0] == 1009
+    factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert factors == reference_factor_with_unit(f)
     assert (len(factors[1]) == 1) == irreducible
     assert lifts == 0 and berlekamp_calls(f) == []
@@ -685,11 +684,11 @@ def test_factor_stress_set_pin():
     stress = _factor_stress_set()
     results = []
     for f in stress:
-        unit, factors = factor_with_unit(f)
+        unit, factors = factor_with_unit(SturmChain(f))
         results.append([str(unit), [[g.to_strs(), m] for g, m in factors]])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
     assert digest == "71282c843a4c68684f6a90c03b9ea96aa549b269d59e122c7fa9c66d37d9eb65"
-    assert all(factor_with_unit(f) == reference_factor_with_unit(f) for f in stress)
+    assert all(factor_with_unit(SturmChain(f)) == reference_factor_with_unit(f) for f in stress)
 
 
 def _load_workloads():
@@ -702,6 +701,38 @@ def _load_workloads():
     return module
 
 
+def test_factor_with_unit_runs_no_remainder_sequence_on_benchmark_traffic(monkeypatch):
+    # the squarefree part comes off the Sturm chain that check_all hands
+    # over, so the remainder sequences of seed-0 census and check traffic
+    # all run outside factor_with_unit
+    workloads = _load_workloads()
+    inside = [False]
+    counts = {True: 0, False: 0}
+    factor, sequence = weilcheck.factor_with_unit, exactpoly._zz_remainder_sequence
+
+    def record_factor(chain):
+        inside[0] = True
+        try:
+            return factor(chain)
+        finally:
+            inside[0] = False
+
+    def record_sequence(f, g):
+        counts[inside[0]] += 1
+        return sequence(f, g)
+
+    monkeypatch.setattr(weilcheck, "factor_with_unit", record_factor)
+    monkeypatch.setattr(exactpoly, "_zz_remainder_sequence", record_sequence)
+    pools = workloads.load_pools()
+    for op in workloads.Census(0, pools).next_pass():
+        op.primary()
+    check = workloads.Check(0, pools)
+    for _ in range(300):
+        for op in check.next_pass():
+            op.primary()
+    assert counts[True] == 0 and counts[False] > 0
+
+
 def test_factorizations_of_benchmark_traffic_pin(monkeypatch):
     # SHA-256 of factor_with_unit on every input that check_all gives it in
     # 40 passes of the `check` workload at each of seeds 0-4, in the six
@@ -710,9 +741,9 @@ def test_factorizations_of_benchmark_traffic_pin(monkeypatch):
     workloads = _load_workloads()
     calls = []
 
-    def record(f):
-        result = factor_with_unit(f)
-        calls.append([f.to_strs(), str(result[0]), [[g.to_strs(), m] for g, m in result[1]]])
+    def record(chain):
+        result = factor_with_unit(chain)
+        calls.append([chain.poly.to_strs(), str(result[0]), [[g.to_strs(), m] for g, m in result[1]]])
         return result
 
     monkeypatch.setattr(weilcheck, "factor_with_unit", record)
@@ -747,7 +778,7 @@ def product(polys, scale=1) -> Poly:
 @given(pool_products, nonzero_scales)
 def test_factor_products_of_pool_transforms_match_reference(transforms, scale):
     f = product(transforms, scale)
-    assert factor_with_unit(f) == reference_factor_with_unit(f)
+    assert factor_with_unit(SturmChain(f)) == reference_factor_with_unit(f)
 
 
 @settings(max_examples=80, deadline=None)
@@ -785,7 +816,7 @@ def test_factor_quadratics_by_discriminant_before_any_reduction(cs):
     # a nonsquare, a square and a zero discriminant: no modular
     # factorization, no lift, and the reference's factors
     f = Poly(cs)
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert factors == reference_factor_with_unit(f)
     assert lifts == 0 and berlekamp_calls(f) == []
 
@@ -804,7 +835,7 @@ def test_factor_degree_at_most_two_matches_reference(cs, roots, split, scale):
     f = Poly([b, a]) * Poly([d, c]) * scale if split else Poly(cs) * scale
     if f.is_zero:
         return
-    factors, lifts = lifts_during(lambda: factor_with_unit(f))
+    factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert factors == reference_factor_with_unit(f)
     assert lifts == 0 and berlekamp_calls(f) == []
 
@@ -830,7 +861,7 @@ def test_berlekamp_factors_into_sorted_monic_irreducibles(p, data):
 @settings(max_examples=40, deadline=None)
 @given(pool_products, st.integers(1, 12))
 def test_hensel_lift_reaches_exactly_p_to_the_l(transforms, l):
-    f = _zz_squarefree(product(transforms).prim)
+    f = list(SturmChain(product(transforms)).squarefree.prim)
     p, fp = _good_prime(f)
     modular = _gfp.berlekamp(fp, p)
     lifted = _hensel_lift(p, f, modular, l)
@@ -857,7 +888,7 @@ def test_hensel_lift_matches_the_factor_tree(transforms, scale, l, rng):
     # factors mod p), at every prime 3..29 not dividing lc(f) that keeps f
     # squarefree, with the modular factors in any order: the linear
     # multifactor lift returns the quadratic factor tree's list
-    f = [scale * c for c in _zz_squarefree(product(transforms).prim)]
+    f = [scale * c for c in SturmChain(product(transforms)).squarefree.prim]
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
         fp = _gfp.trim([c % p for c in f])
         if f[-1] % p == 0 or not _gfp.is_squarefree(fp, p):
@@ -947,7 +978,7 @@ def test_lift_bound_covers_every_proper_factor(transforms, scale):
     f = product(transforms, scale)
     bound = _lift_bound(f.prim)
     lead = f.prim[-1]
-    irreducibles = [g for g, m in factor_with_unit(f)[1] for _ in range(m)]
+    irreducibles = [g for g, m in factor_with_unit(SturmChain(f))[1] for _ in range(m)]
     for size in range(1, len(irreducibles)):
         for subset in itertools.combinations(irreducibles, size):
             g = product(subset).prim
@@ -995,7 +1026,7 @@ def test_squarefree_decomposition_matches_fraction_yun(factors, cyclotomics, sca
     assert product == f
     assert poly_gcd(f, derivative(f)) == fraction_gcd(f, derivative(f))
     # factor_with_unit refines the decomposition multiplicity by multiplicity
-    f_unit, irreducibles = factor_with_unit(f)
+    f_unit, irreducibles = factor_with_unit(SturmChain(f))
     assert f_unit == unit
     for g, m in parts:
         refined = Poly([1])

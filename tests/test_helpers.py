@@ -58,7 +58,6 @@ from httool.exactpoly import (
     _zz_gcd,
     _zz_mul,
     _zz_primitive,
-    _zz_squarefree,
     _zz_sub,
     _zz_trunc,
     elementary_from_power_sums,
@@ -412,7 +411,7 @@ def reference_disc_identity(ext, det_class) -> tuple[bool, str]:
 def factor_over_Q(f: Poly) -> list[tuple[Poly, int]]:
     """Irreducible factorization over Q; factors are primitive integral with
     positive leading coefficient, ordered by degree then coefficients."""
-    return factor_with_unit(f)[1]
+    return factor_with_unit(SturmChain(f))[1]
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -719,7 +718,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def squarefree_part(f: Poly) -> Poly:
-    return Poly.from_ints(_zz_squarefree(f.prim), 1).monic()
+    return SturmChain(f).squarefree.monic()
 
 
 def squarefree_decomposition(f: Poly):

@@ -146,6 +146,23 @@ def test_run_odd_extension_degree():
     assert outcome.certificate["k3_sum_identity"]["status"] == "pass"
 
 
+def test_direct_path_builds_one_chain_for_h_and_one_for_l():
+    # L = (1 + 2T)**2 (2 + T)**2 / 4 is self-inversive and off the circle,
+    # so check_all factors L itself: the unit-circle check builds H's chain
+    # and factor_with_unit factors the squarefree part of L's chain
+    outcome = run(WeilCandidate(Poly.from_strs(["1", "5", "33/4", "5", "1"]), 2, 1))
+    assert outcome.status is RunStatus.REJECTED
+    counters = outcome.telemetry["counters"]
+    assert counters["factor_with_unit_calls"] == 1 and counters["sturm_chain_builds"] == 2
+
+
+def test_run_rejects_an_extension_target_off_the_field_degree():
+    # the quartic's field has degree 4, which 6 is no multiple of; run checks
+    # the degree before build_extension is called
+    with pytest.raises(DomainError, match="extension target 6 incompatible with degree 4 and field degree 4"):
+        run(QUARTIC, PipelineConfig(max_extension_degree=6))
+
+
 def test_extension_target_below_2d_cannot_be_replayed():
     # e = 1 over the quadratic field of L = Q**2 asks for degree 2 < 4
     cert = run(SQUARE).certificate

@@ -149,12 +149,12 @@ def test_unit_circle_against_numeric_oracle_seeded():
 
 def test_no_root_of_unity_examples():
     L = Poly([1, 1, 1])
-    fail = check_no_root_of_unity(factor_with_unit(L))
+    fail = check_no_root_of_unity(factor_with_unit(SturmChain(L)))
     assert fail.status is Status.FAIL and fail.witness["cyclotomic_index"] == 3
     L = WEIL_QUADRATIC
-    assert check_no_root_of_unity(factor_with_unit(L)).status is Status.PASS
+    assert check_no_root_of_unity(factor_with_unit(SturmChain(L))).status is Status.PASS
     L = WEIL_QUARTIC
-    assert check_no_root_of_unity(factor_with_unit(L)).status is Status.PASS
+    assert check_no_root_of_unity(factor_with_unit(SturmChain(L))).status is Status.PASS
 
 
 def test_integrality_examples():
@@ -184,21 +184,55 @@ def test_newton_shape_four_vertices():
 def test_power_structure_examples():
     L = WEIL_QUADRATIC
     verdict, q_poly, e, slope = check_power_structure(
-        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+        WeilCandidate(L, 2, 1), factor_with_unit(SturmChain(L)), newton_polygon(L, 2)
     )
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 1
     L = WEIL_QUADRATIC**2
     verdict, q_poly, e, slope = check_power_structure(
-        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+        WeilCandidate(L, 2, 1), factor_with_unit(SturmChain(L)), newton_polygon(L, 2)
     )
     assert verdict.status is Status.PASS and q_poly == WEIL_QUADRATIC and e == 2
     assert slope.value is SlopeOutcome.IRREDUCIBLE
     L = Poly([1, 0, 1, 0, 1])
     verdict, q_poly, e, slope = check_power_structure(
-        WeilCandidate(L, 2, 1), factor_with_unit(L), newton_polygon(L, 2)
+        WeilCandidate(L, 2, 1), factor_with_unit(SturmChain(L)), newton_polygon(L, 2)
     )
     assert verdict.status is Status.FAIL
     assert "factors" in verdict.witness
+
+
+@st.composite
+def q_with_constant_term_one(draw):
+    """p and Q = 1 + c_1 T + ... + c_n T**n of even degree n <= 6, each c_i
+    zero or a small integer times p**k, -3 <= k <= 3."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.sampled_from((2, 4, 6)))
+    coefficients = [F(1)]
+    for i in range(1, n + 1):
+        unit = draw(st.integers(-6, 6).filter(lambda u: u != 0) if i == n else st.integers(-6, 6))
+        coefficients.append(unit * F(p) ** draw(st.integers(-3, 3)))
+    return p, Poly(coefficients)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q_with_constant_term_one(), st.sampled_from((2, 3)))
+def test_q_polygon_is_read_off_the_polygon_of_l(pq, e):
+    # check_power_structure hands the slope verdict Q's polygon, read off
+    # L = Q**e's as its vertices divided by e: it is newton_polygon(Q, p)
+    p, Q = pq
+    L = Q**e
+    factored = L.content, [(Poly.from_ints(Q.prim, 1), e)]
+    seen = []
+    original = weilcheck.negative_part_verdict
+
+    def record(q, polygon):
+        seen.append((q, polygon))
+        return original(q, polygon)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weilcheck, "negative_part_verdict", record)
+        check_power_structure(WeilCandidate(L, p, 1), factored, newton_polygon(L, p))
+    assert seen == [(Q, newton_polygon(Q, p))]
 
 
 def test_power_square_polygon_shape_at_a1_vs_a2():
@@ -573,7 +607,7 @@ def weil_products(draw):
 @settings(max_examples=150, deadline=None)
 @given(weil_products())
 def test_check_all_factorization_matches_factor_with_unit(c):
-    assert factored_by_check_all(c) == factor_with_unit(c.L)
+    assert factored_by_check_all(c) == factor_with_unit(SturmChain(c.L))
 
 
 @pytest.mark.parametrize(
@@ -590,7 +624,7 @@ def test_check_all_factorization_matches_factor_with_unit(c):
     ],
 )
 def test_check_all_factorization_examples(L):
-    assert factored_by_check_all(WeilCandidate(L, 2, 1)) == factor_with_unit(L)
+    assert factored_by_check_all(WeilCandidate(L, 2, 1)) == factor_with_unit(SturmChain(L))
 
 
 def test_product_is_factored_through_its_quadratic_transform():
@@ -599,7 +633,7 @@ def test_product_is_factored_through_its_quadratic_transform():
     degrees = []
     original = weilcheck.factor_with_unit
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weilcheck, "factor_with_unit", lambda f: degrees.append(f.degree()) or original(f))
+        mp.setattr(weilcheck, "factor_with_unit", lambda chain: degrees.append(chain.poly.degree()) or original(chain))
         report = check_all(WeilCandidate(L, 2, 1))
     assert degrees == [2]
     assert report.power_structure.witness["factors"] == [[["2", "-1", "2"], 1], [["2", "1", "2"], 1]]
@@ -640,7 +674,7 @@ def factored_degree(c: WeilCandidate) -> int:
     degrees = []
     original = weilcheck.factor_with_unit
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weilcheck, "factor_with_unit", lambda f: degrees.append(f.degree()) or original(f))
+        mp.setattr(weilcheck, "factor_with_unit", lambda chain: degrees.append(chain.poly.degree()) or original(chain))
         check_all(c)
     assert len(degrees) == 1
     return degrees[0]
