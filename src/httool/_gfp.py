@@ -6,10 +6,10 @@ are small, so Berlekamp's algorithm with a deterministic splitting loop is
 both simple and fast, and avoids randomized Cantor-Zassenhaus.  It is the one
 factorization: one fixed vector proves f irreducible, and more split it.
 Where only the number of factors matters, the dimension of Berlekamp's fixed
-space gives it.  One Gauss-Jordan routine serves that space and `inverse`.
-The product is the package's one integer convolution, `_convolve`, which
-takes lists of any integers; products and remainders reduce mod p once, at
-the end.
+space gives it, by Gauss-Jordan elimination; an inverse mod f comes from the
+extended Euclidean algorithm.  The product is the package's one integer
+convolution, `_convolve`, which takes lists of any integers; products and
+remainders reduce mod p once, at the end.
 """
 
 from __future__ import annotations
@@ -77,23 +77,34 @@ def gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return monic(a, p)
 
 
+def inverse_mod(a: list[int], f: list[int], p: int) -> list[int] | None:
+    """s with a * s = 1 mod f, deg s < deg f, for deg f >= 1, or None when
+    gcd(a, f) != 1, by the extended Euclidean algorithm: r = s * a mod f."""
+    r0, r1 = list(f), rem(a, f, p)
+    s0, s1 = [], [1]
+    while r1:
+        q, r = divmod_(r0, r1, p)
+        r0, r1 = r1, r
+        # deg s0 < deg s1 <= deg(q * s1) <= deg f: zip reads all of both
+        s0, s1 = s1, trim([(x - y) % p for x, y in zip(s0 + [0] * len(f), mul(q, s1, p))])
+    if len(r0) != 1:
+        return None
+    inv = pow(r0[0], -1, p)
+    return [inv * c % p for c in s0]
+
+
 def derivative(f: list[int], p: int) -> list[int]:
     return trim([i * c % p for i, c in enumerate(f)][1:])
 
 
-def is_squarefree(f: list[int], p: int) -> bool:
-    d = derivative(f, p)
-    if not d:
-        return degree(f) <= 0
-    return degree(gcd(f, d, p)) == 0
-
-
-def _row_reduce(rows: list[list[int]], p: int) -> list[int]:
-    """Bring `rows` to reduced row echelon form over F_p in place and return
-    the pivot columns.  Rows below the pivots found are zero left of the
-    column searched, so row operations start at that column."""
+def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right nullspace of `matrix` over F_p, by free column, from
+    its reduced row echelon form; rows below the pivots found are zero left
+    of the column searched, so row operations start at that column."""
+    rows = [row[:] for row in matrix]
+    n = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
+    for col in range(n):
         r = len(pivots)
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] % p), None)
         if pivot_row is None:
@@ -106,14 +117,6 @@ def _row_reduce(rows: list[list[int]], p: int) -> list[int]:
             if i != r and (factor := row[col] % p):
                 row[col:] = [(a - factor * b) % p for a, b in zip(row[col:], pivot)]
         pivots.append(col)
-    return pivots
-
-
-def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace of `matrix` over F_p, by free column."""
-    rows = [row[:] for row in matrix]
-    pivots = _row_reduce(rows, p)
-    n = len(rows[0]) if rows else 0
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         vec = [0] * n
@@ -122,16 +125,6 @@ def _nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
             vec[col] = -row[free] % p
         basis.append(vec)
     return basis
-
-
-def inverse(matrix: list[list[int]], p: int) -> list[list[int]] | None:
-    """The inverse of a square matrix over F_p, or None when it is singular:
-    [A | I] row-reduces to [I | A**-1] exactly when A is invertible."""
-    n = len(matrix)
-    rows = [[a % p for a in row] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    if _row_reduce(rows, p) != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
 
 
 def fixed_space(f: list[int], p: int) -> list[list[int]]:

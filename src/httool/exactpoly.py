@@ -396,6 +396,28 @@ def _zz_gcd(f, g):
 # Hensel lifting and Zassenhaus factorization over Z
 
 
+def _hensel_corrections(p, modular_factors, n):
+    """The rows of A**-1 for `_hensel_lift`'s map A: (c_i) -> sum_i c_i * P_i,
+    a row per coefficient x**j of each c_i in turn, a column per x**k, k <
+    n.  A**-1 e = (e * s_i mod f_i)_i with s_i = P_i**-1 mod f_i (partial
+    fractions): as f_i | P_j for j != i, sum_i c_i * P_i = e mod each f_i,
+    so mod their product, and both sides have degree < n.  Column k of
+    block i is column k - 1 shifted along the monic f_i.  Some s_i is
+    missing iff two f_i share a factor, which then divides every P_i: A is
+    singular, and ArithmeticError is raised."""
+    whole = functools.reduce(functools.partial(_gfp.mul, p=p), modular_factors)
+    rows = []
+    for fi in modular_factors:
+        if (s := _gfp.inverse_mod(_gfp.divmod_(whole, fi, p)[0], fi, p)) is None:
+            raise ArithmeticError("modular factors are not coprime")
+        columns = [(s + [0] * len(fi))[: len(fi) - 1]]
+        for _ in range(n - 1):
+            top = columns[-1][-1]
+            columns.append([(a - top * b) % p for a, b in zip([0, *columns[-1][:-1]], fi)])
+        rows += map(list, zip(*columns))
+    return rows
+
+
 def _hensel_lift(p, f, modular_factors, l):
     """Lift monic pairwise-coprime factors f_1, ..., f_r of f mod p to monic
     factors F_i mod p**l, in the same order, each reduced into the
@@ -404,15 +426,12 @@ def _hensel_lift(p, f, modular_factors, l):
 
     All factors are lifted at once by linear steps p**k -> p**(k+1)
     (Zassenhaus, J. Number Theory 1, 1969).  Let fm = lc(f)**-1 * f mod
-    p**l, n = deg f and P_i = prod_(j != i) f_j.  The F_p-linear map A:
-    (c_1, ..., c_r) -> sum_i c_i * P_i, deg c_i < deg f_i, has the x**j *
-    P_i as the columns of its n x n matrix, inverted once.  By the CRT, A
-    is invertible iff the f_i are pairwise coprime: then sum_i c_i * P_i =
-    0 gives f_i | c_i, so c_i = 0; and a factor of two f_i divides every
-    P_i.  Step k starts from monic F_i = f_i mod p in [0, p**k) with
-    prod F_i = fm mod p**k, so fm - prod F_i is p**k times an integer
-    polynomial of degree < n, both being monic of degree n; e is that
-    polynomial mod p.  Each F_i gains p**k * c_i, (c_i) = A**-1 e.  As
+    p**l, n = deg f and P_i = prod_(j != i) f_j.  Step k starts from monic
+    F_i = f_i mod p in [0, p**k) with prod F_i = fm mod p**k, so fm - prod
+    F_i is p**k times an integer polynomial of degree < n, both being monic
+    of degree n; e is that polynomial mod p.  Each F_i gains p**k * c_i,
+    (c_i) = A**-1 e for the F_p-linear map A: (c_1, ..., c_r) -> sum_i c_i
+    * P_i, deg c_i < deg f_i, inverted once (`_hensel_corrections`).  As
     sum_i c_i * P_i = e, prod (F_i + p**k * c_i) = fm mod p**(k+1); the
     F_i stay monic, as deg c_i < deg f_i.  The lift is unique (Hensel's
     lemma): monic G_i = F_i + p**k * d_i, deg d_i < deg f_i, with the
@@ -424,17 +443,8 @@ def _hensel_lift(p, f, modular_factors, l):
         raise ArithmeticError("leading coefficient not a unit mod p**l")
     inv = pow(f[-1], -1, pl)
     fm = [c * inv % pl for c in f]
-    n = len(f) - 1
-    whole = functools.reduce(functools.partial(_gfp.mul, p=p), modular_factors)
-    columns = []
-    for fi in modular_factors:
-        cofactor = _gfp.divmod_(whole, fi, p)[0]
-        columns += [([0] * j + cofactor + [0] * n)[:n] for j in range(len(fi) - 1)]
-    solve = _gfp.inverse(list(zip(*columns)), p)
-    if solve is None:
-        raise ArithmeticError("modular factors are not coprime")
+    solve = _hensel_corrections(p, modular_factors, len(f) - 1)
     lifts = [list(fi) for fi in modular_factors]
-    # the rows of A**-1 follow A's columns: the coefficient of x**j in c_i
     targets = [(g, j) for g in lifts for j in range(len(g) - 1)]
     m = p
     for _ in range(l - 1):
@@ -535,18 +545,22 @@ def _zassenhaus(f, p, modular):
 # factorization over Q
 
 
-def _good_prime(f):
-    """The least odd prime p not dividing lc(f) at which f stays squarefree,
-    and f mod p made monic; f mod p keeps the degree of f."""
-    p = 3
-    while True:
-        if _intfactor.is_prime(p) and f[-1] % p:
-            fp = _gfp.monic(_gfp.trim([c % p for c in f]), p)
-            if _gfp.is_squarefree(fp, p):
-                return p, fp
+def _good_prime(chain):
+    """The least odd prime p not dividing lc(g) * disc(g), g the chain's
+    squarefree part, and g mod p made monic: the least odd prime not dividing
+    lc(g) that keeps g squarefree, as disc(g mod p) = disc(g) mod p for such p
+    (disc is a polynomial in the coefficients).  So ArithmeticError needs every
+    odd prime below 10,000 to divide lc(g) * disc(g), and the first prime above
+    10,000 not dividing lc(g) to divide disc(g): |lc(g) * disc(g)| >= the
+    product of the 1,228 odd primes below 10,000, about 10**4297."""
+    g = chain.squarefree.prim
+    disc = _sequence_discriminant(chain.chain, chain.contents)
+    for p in itertools.count(3, 2):
+        if _intfactor.is_prime(p) and g[-1] % p:
+            if disc % p:
+                return p, _gfp.monic(_gfp.trim([c % p for c in g]), p)
             if p > 10_000:
                 raise ArithmeticError("no suitable factoring prime found")
-        p += 2
 
 
 def _multiplicity(f, q) -> int:
@@ -611,19 +625,19 @@ def factor_with_unit(chain: SturmChain) -> tuple[Fraction, list[tuple[Poly, int]
        when g = f, and otherwise the number of times q divides f exactly:
        by Gauss's lemma a primitive q dividing the primitive f leaves an
        integral quotient.
-    2. g at one prime p, the first odd prime not dividing lc(g) that keeps
-       g squarefree.  A cubic is decided by its rational roots
-       (`_cubic_factors`): their images among the roots of g mod p, lifted
-       by Newton steps.  Of a g of degree 4 or more, a factor over Z
-       reduces mod p to a product of factors mod p of the same degree, p
-       not dividing lc(g).  So g is irreducible when g mod p is, that is
-       when Berlekamp's algorithm returns one factor mod p.  Otherwise
-       lifting those factors all at once to the power of p that Mignotte's
-       bound asks for (see `_zassenhaus`) and Zassenhaus recombination find
-       the factors over Z, a cyclotomic Phi_n like any other.  On its main
-       path `check_all` factors the transform H, whose roots are all real,
-       and no Phi_n with n >= 3 divides it, as such a Phi_n has no real
-       root.
+    2. g at one prime p, the least odd prime not dividing lc(g) * disc(g), the
+       first not dividing lc(g) that keeps g squarefree (`_good_prime`).  A
+       cubic is decided by its rational roots (`_cubic_factors`): their images
+       among the roots of g mod p, lifted by Newton steps.  Of a g of degree 4
+       or more, a factor over Z reduces mod p to a product of factors mod p of
+       the same degree, p not dividing lc(g).  So g is irreducible when g mod
+       p is, that is when Berlekamp's algorithm returns one factor mod p.
+       Otherwise lifting those factors all at once to the power of p that
+       Mignotte's bound asks for (see `_zassenhaus`) and Zassenhaus
+       recombination find the factors over Z, a cyclotomic Phi_n like any
+       other.  On its main path `check_all` factors the transform H, whose
+       roots are all real, and no Phi_n with n >= 3 divides it, as such a
+       Phi_n has no real root.
 
     A g of degree at most 2 needs no prime: a linear one is irreducible, and
     a quadratic a*x**2 + b*x + c is irreducible exactly when b**2 - 4ac is
@@ -635,7 +649,7 @@ def factor_with_unit(chain: SturmChain) -> tuple[Fraction, list[tuple[Poly, int]
     if len(g) <= 3:
         irreducibles = _small_factors(g)
     else:
-        p, gp = _good_prime(g)
+        p, gp = _good_prime(chain)
         if len(g) == 4:
             irreducibles = _cubic_factors(g, p, gp)
         elif len(modular := _gfp.berlekamp(gp, p)) == 1:
@@ -667,23 +681,24 @@ class SturmChain:
     remainder sequence of (g, g'), with integer members that are positive
     multiples of the classical chain's, so every sign and count is the
     classical one.  That of (f, f') is the chain when it ends in a constant;
-    else its last member is gcd(f, f'), and g = f / gcd(f, f').
+    else its last member is gcd(f, f'), and g = f / gcd(f, f').  The
+    `contents` of the sequence give disc(g) and so g's factoring prime.
     """
 
-    __slots__ = ("poly", "squarefree", "chain")
+    __slots__ = ("poly", "squarefree", "chain", "contents")
 
     def __init__(self, f: Poly):
         if f.is_zero:
             raise DomainError("the zero polynomial has no root count")
         _intfactor.COUNTERS["sturm_chain_builds"] += 1
         g = list(f.prim)
-        chain = _zz_remainder_sequence(g, _zz_derivative(g))[0] if len(g) > 1 else []
+        chain, contents = _zz_remainder_sequence(g, _zz_derivative(g)) if len(g) > 1 else ([], [])
         if chain and len(chain[-1]) > 1:
             g = _zz_exact_quotient(g, _zz_gcd(chain[-1], []))
-            chain = _zz_remainder_sequence(g, _zz_derivative(g))[0]
+            chain, contents = _zz_remainder_sequence(g, _zz_derivative(g))
         self.poly = f
         self.squarefree = Poly.from_ints(g, 1)
-        self.chain = chain
+        self.chain, self.contents = chain, contents
 
     def _variations(self, point: int | Fraction | None, positive: bool) -> int:
         if point is None:
@@ -774,37 +789,39 @@ def is_cyclotomic(f: Poly) -> int | None:
 
 
 def discriminant(f: Poly) -> Fraction:
-    """disc(f) = (-1)**(n(n-1)/2) * Res(f, f') / lc(f) for n = deg f >= 1,
-    with Res(a, b) = lc(a)**deg(b) * prod b(alpha) over the roots alpha of a
-    (the Sylvester determinant), read off the remainder sequence of (p, p'),
-    p = f.prim and f = c*p:
-
-    - Res(f, f') = c**(2n-1) * Res(p, p'), so disc(f) = c**(2n-2) * disc(p).
-    - Take consecutive members a, b, s of degrees m > k > l, a = q*b + r
-      over Q.  Res(a, b) = (-1)**(m*k) * Res(b, a) = (-1)**(m*k) * lc(b)**m
-      * prod r(beta) over the roots beta of b, as a(beta) = r(beta); that is
-      (-1)**(m*k) * lc(b)**(m-l) * Res(b, r).
-    - `_zz_pdivmod`'s remainder is |lc(b)|**(m-k+1) * r, and s is it negated
-      and divided by its content c > 0, so r = -c * s / |lc(b)|**(m-k+1).
-      As Res(b, t*s) = t**k * Res(b, s) for a rational t, each step gives
-      Res(a, b) = (-1)**(m*k) * lc(b)**(m-l) * (-c)**k / |lc(b)|**(k*(m-k+1))
-      * Res(b, s).
-    - The last member s is a constant, and Res(b, s) = s**deg(b); or else it
-      divides the member before, so p and p' share a root and disc(f) = 0.
-    """
-    n = f.degree()
-    if n < 1:
+    """disc(f) = c**(2n-2) * disc(p) for f = c*p, p = f.prim and n = deg f >=
+    1, as Res(f, f') = c**(2n-1) * Res(p, p') (`_sequence_discriminant`)."""
+    if (n := f.degree()) < 1:
         raise DomainError("discriminant needs degree >= 1")
-    seq, contents = _zz_remainder_sequence(f.prim, _zz_derivative(f.prim))
+    return f.content ** (2 * n - 2) * _sequence_discriminant(*_zz_remainder_sequence(f.prim, _zz_derivative(f.prim)))
+
+
+def _sequence_discriminant(seq, contents) -> int:
+    """disc(p) = (-1)**(n(n-1)/2) * Res(p, p') / lc(p), n = deg p >= 1, for
+    the primitive p = seq[0], lc(p) > 0, from the remainder sequence `seq`
+    of (p, p') and its `contents`, with Res(a, b) = lc(a)**deg(b) * prod
+    b(alpha) over the roots alpha of a (the Sylvester determinant).
+
+    - Consecutive members a, b, s of degrees m > k > l, a = q*b + r over Q,
+      have Res(a, b) = (-1)**(m*k) * Res(b, a) = (-1)**(m*k) * lc(b)**m * prod
+      r(beta) over the roots beta of b, as a(beta) = r(beta); that is
+      (-1)**(m*k) * lc(b)**(m-l) * Res(b, r).  `_zz_pdivmod`'s remainder is
+      |lc(b)|**(m-k+1) * r, and s is it negated and divided by its content
+      c > 0; as Res(b, t*s) = t**k * Res(b, s) for a rational t, Res(a, b) =
+      (-1)**(m*k) * lc(b)**(m-l) * (-c)**k / |lc(b)|**(k*(m-k+1)) * Res(b, s).
+    - The last member s is a constant, and Res(b, s) = s**deg(b); or else it
+      divides the member before, so p and p' share a root and disc(p) = 0.
+      disc(p) is an integer, so the denominator divides the product exactly.
+    """
     if len(seq[-1]) > 1:
-        return Fraction(0)
-    num, den = seq[-1][0] ** (len(seq[-2]) - 1), f.prim[-1]
+        return 0
+    n = len(seq[0]) - 1
+    num, den = seq[-1][0] ** (len(seq[-2]) - 1), seq[0][-1]
     for a, b, s, c in zip(seq, seq[1:], seq[2:], contents):
         m, k, l = len(a) - 1, len(b) - 1, len(s) - 1
         num *= (-1) ** (m * k) * b[-1] ** (m - l) * (-c) ** k
         den *= abs(b[-1]) ** (k * (m - k + 1))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * f.content ** (2 * n - 2) * Fraction(num, den)
+    return (-1) ** (n * (n - 1) // 2) * num // den
 
 
 @functools.cache

@@ -32,6 +32,7 @@ from httool.exactpoly import (
     Poly,
     SturmChain,
     _good_prime,
+    _hensel_corrections,
     _hensel_lift,
     _lift_bound,
     _newton_step,
@@ -60,10 +61,13 @@ from test_helpers import (
     derivative,
     euler_phi,
     factor_over_Q,
+    gfp_is_squarefree,
     halve,
     is_irreducible,
     poly_gcd,
     reference_factor_with_unit,
+    reference_good_prime,
+    reference_hensel_corrections,
     reference_hensel_lift,
     resultant,
     reverse,
@@ -655,11 +659,48 @@ ODD_PRIMORIAL_1000 = math.prod(p for p in range(3, 1000, 2) if all(p % d for d i
     ids=["reducible", "irreducible"],
 )
 def test_cubic_with_a_leading_coefficient_divisible_by_every_small_odd_prime(f, irreducible):
-    assert _good_prime(f.prim)[0] == 1009
+    assert _good_prime(SturmChain(f))[0] == 1009
     factors, lifts = lifts_during(lambda: factor_with_unit(SturmChain(f)))
     assert factors == reference_factor_with_unit(f)
     assert (len(factors[1]) == 1) == irreducible
     assert lifts == 0 and berlekamp_calls(f) == []
+
+
+@st.composite
+def _hard_prime_inputs(draw):
+    """f of degree 3 to 10 whose squarefree part g shuts out small primes:
+    f = a**2 * b, not squarefree; lc(f) divisible by 105; or f = (x -
+    r)**2 * h + 105 * k with 105 prime to lc(h) and deg k < deg f, so that
+    3, 5 and 7 divide disc(g) when g = f."""
+    coeffs = st.integers(-30, 30)
+    kind = draw(st.sampled_from(("square", "lead", "double_root")))
+    if kind == "square":
+        a = draw(st.lists(coeffs, min_size=2, max_size=4).filter(lambda cs: cs[-1]))
+        low = max(1, 4 - 2 * (len(a) - 1))
+        b = draw(st.lists(coeffs, min_size=low, max_size=13 - 2 * len(a)).filter(lambda cs: cs[-1]))
+        return Poly(a) * Poly(a) * Poly(b)
+    n = draw(st.integers(3, 10))
+    if kind == "lead":
+        return Poly(draw(st.lists(coeffs, min_size=n, max_size=n)) + [105 * draw(st.integers(1, 4))])
+    r = draw(st.integers(0, 104))
+    h = draw(st.lists(coeffs, min_size=n - 2, max_size=n - 2)) + [draw(st.sampled_from((1, 2, 4, 11, 13)))]
+    k = draw(st.lists(coeffs, min_size=n, max_size=n))
+    return Poly([-r, 1]) ** 2 * Poly(h) + Poly(k) * Poly([105])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hard_prime_inputs())
+def test_good_prime_is_the_gcd_search_prime(f):
+    # the prime from the chain's discriminant is the least odd prime at
+    # which an F_p gcd finds g squarefree, with the same g mod p, and the
+    # least odd prime not dividing lc(g) * disc(g) by Sylvester's matrix
+    chain = SturmChain(f)
+    g = chain.squarefree
+    p, gp = _good_prime(chain)
+    assert (p, gp) == reference_good_prime(list(g.prim))
+    lead_disc = g.prim[-1] * sylvester_discriminant(g)
+    assert lead_disc.denominator == 1 and lead_disc != 0
+    assert p == next(q for q in itertools.count(3, 2) if _intfactor.is_prime(q) and lead_disc.numerator % q)
 
 
 # the Swinnerton-Dyer polynomials of sqrt 2 + sqrt 3 and sqrt 2 + sqrt 3 +
@@ -850,7 +891,7 @@ def test_berlekamp_factors_into_sorted_monic_irreducibles(p, data):
     fp = data.draw(
         st.lists(st.integers(0, p - 1), min_size=1, max_size=7)
         .map(lambda cs: cs + [1])
-        .filter(lambda fp: _gfp.is_squarefree(fp, p))
+        .filter(lambda fp: gfp_is_squarefree(fp, p))
     )
     factors = _gfp.berlekamp(fp, p)
     assert functools.reduce(lambda a, g: _gfp.mul(a, g, p), factors, [1]) == fp
@@ -861,8 +902,9 @@ def test_berlekamp_factors_into_sorted_monic_irreducibles(p, data):
 @settings(max_examples=40, deadline=None)
 @given(pool_products, st.integers(1, 12))
 def test_hensel_lift_reaches_exactly_p_to_the_l(transforms, l):
-    f = list(SturmChain(product(transforms)).squarefree.prim)
-    p, fp = _good_prime(f)
+    chain = SturmChain(product(transforms))
+    f = list(chain.squarefree.prim)
+    p, fp = _good_prime(chain)
     modular = _gfp.berlekamp(fp, p)
     lifted = _hensel_lift(p, f, modular, l)
     pl = p**l
@@ -891,11 +933,33 @@ def test_hensel_lift_matches_the_factor_tree(transforms, scale, l, rng):
     f = [scale * c for c in SturmChain(product(transforms)).squarefree.prim]
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
         fp = _gfp.trim([c % p for c in f])
-        if f[-1] % p == 0 or not _gfp.is_squarefree(fp, p):
+        if f[-1] % p == 0 or not gfp_is_squarefree(fp, p):
             continue
         modular = _gfp.berlekamp(_gfp.monic(fp, p), p)
         rng.shuffle(modular)
         assert _hensel_lift(p, f, modular, l) == reference_hensel_lift(p, f, modular, l)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(POOL_TRANSFORMS), min_size=1, max_size=4, unique=True),
+    st.randoms(use_true_random=False),
+)
+def test_hensel_corrections_are_the_inverse_of_the_lift_map(transforms, rng):
+    # the squarefree part of 1 to 4 pool transforms, at every prime 3..29
+    # not dividing lc(f) that keeps f squarefree, with the modular factors
+    # in any order: the partial-fraction blocks are A**-1 by Gauss-Jordan
+    f = SturmChain(product(transforms)).squarefree.prim
+    n = len(f) - 1
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29):
+        fp = _gfp.trim([c % p for c in f])
+        if f[-1] % p == 0 or not gfp_is_squarefree(fp, p):
+            continue
+        modular = _gfp.berlekamp(_gfp.monic(fp, p), p)
+        rng.shuffle(modular)
+        expected = reference_hensel_corrections(p, modular, n)
+        assert expected is not None
+        assert _hensel_corrections(p, modular, n) == expected
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Integer factorization and F_p polynomial helpers, and the references
 other test modules use: Lagrange interpolation, composition, Euler's
-totient, Hensel lifting by a binary tree of quadratic steps (with the
-extended Euclidean algorithm over F_p for its Bezout pairs), Berlekamp's
+totient, the factoring prime by an F_p gcd of f and f' at each prime
+tried, Hensel lifting by a binary tree of quadratic steps (with the
+extended Euclidean algorithm over F_p for its Bezout pairs) and its
+correction map by Gauss-Jordan inversion over F_p, Berlekamp's
 fixed space with its Frobenius rows by products,
 factorization over Q by Yun's algorithm and Zassenhaus alone
 (recombining behind the norm pre-test) and over F_p by Yun's algorithm
@@ -114,6 +116,63 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def gfp_is_squarefree(f: list[int], p: int) -> bool:
+    """Whether f is squarefree over F_p, by gcd(f, f') = 1."""
+    d = _gfp.derivative(f, p)
+    if not d:
+        return _gfp.degree(f) <= 0
+    return _gfp.degree(_gfp.gcd(f, d, p)) == 0
+
+
+def reference_good_prime(f):
+    """The least odd prime p not dividing lc(f) at which f stays squarefree,
+    by an F_p gcd of f and f' at each prime tried, and f mod p made monic:
+    the reference of `_good_prime`, which reads the prime off disc(f)."""
+    p = 3
+    while True:
+        if _intfactor.is_prime(p) and f[-1] % p:
+            fp = _gfp.monic(_gfp.trim([c % p for c in f]), p)
+            if gfp_is_squarefree(fp, p):
+                return p, fp
+            if p > 10_000:
+                raise ArithmeticError("no suitable factoring prime found")
+        p += 2
+
+
+def gfp_inverse(matrix: list[list[int]], p: int) -> list[list[int]] | None:
+    """The inverse of a square matrix over F_p, or None when it is singular,
+    by Gauss-Jordan elimination: [A | I] row-reduces to [I | A**-1] exactly
+    when A is invertible.  Once the k columns before it are reduced, column
+    k is zero in rows k and below exactly when it is a combination of them."""
+    n = len(matrix)
+    rows = [[a % p for a in row] + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_row is None:
+            return None
+        rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+        inv = pow(rows[k][k], -1, p)
+        rows[k] = [v * inv % p for v in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and (factor := row[k]):
+                rows[i] = [(a - factor * b) % p for a, b in zip(row, rows[k])]
+    return [row[n:] for row in rows]
+
+
+def reference_hensel_corrections(p, modular_factors, n):
+    """A**-1 for `_hensel_lift`'s map A: (c_1, ..., c_r) -> sum_i c_i *
+    prod_(j != i) f_j, by Gauss-Jordan inversion of its matrix, whose
+    columns are the x**j * prod_(j != i) f_j; None when A is singular."""
+    whole = [1]
+    for fi in modular_factors:
+        whole = _gfp.mul(whole, fi, p)
+    columns = []
+    for fi in modular_factors:
+        cofactor = _gfp.divmod_(whole, fi, p)[0]
+        columns += [([0] * j + cofactor + [0] * n)[:n] for j in range(len(fi) - 1)]
+    return gfp_inverse([list(row) for row in zip(*columns)], p)
+
+
 def _reference_factoring_prime(f):
     """Among the first three odd primes p that keep f squarefree and its
     degree, stopping early at one where f has at most two factors, the one
@@ -123,7 +182,7 @@ def _reference_factoring_prime(f):
     while len(found) < 3:
         if _intfactor.is_prime(p) and f[-1] % p != 0:
             fp = _gfp.trim([c % p for c in f])
-            if _gfp.is_squarefree(fp, p):
+            if gfp_is_squarefree(fp, p):
                 factors = _gfp.berlekamp(_gfp.monic(fp, p), p)
                 found.append((p, factors))
                 if len(factors) <= 2:
@@ -1047,7 +1106,7 @@ def test_berlekamp_against_brute_force():
                 coeffs.append(value % p)
                 value //= p
             f = _gfp.trim(coeffs + [1])
-            if _gfp.degree(f) != 3 or not _gfp.is_squarefree(f, p):
+            if _gfp.degree(f) != 3 or not gfp_is_squarefree(f, p):
                 continue
             factors = _gfp.berlekamp(f, p)
             product = [1]
@@ -1131,13 +1190,32 @@ def test_gfp_inverse_against_the_determinant(p, n, data):
     # singular one has no inverse; the input is left as it was
     matrix = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=n, max_size=n))
     copy = [row[:] for row in matrix]
-    inverse = _gfp.inverse(matrix, p)
+    inverse = gfp_inverse(matrix, p)
     assert matrix == copy
     if determinant_mod_p(matrix, p) == 0:
         assert inverse is None
     else:
         product = [[sum(a * b for a, b in zip(row, column)) % p for column in zip(*inverse)] for row in matrix]
         assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.data())
+def test_gfp_inverse_mod_against_brute_force(p, n, data):
+    # a monic f of degree n and any a of degree below 2n: the inverse of a
+    # mod f is the one s of degree < n with a * s = 1 mod f, found among all
+    # p**n of them, and there is none exactly when gcd(a, f) != 1
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    a = _gfp.trim(data.draw(st.lists(st.integers(0, p - 1), max_size=2 * n)))
+    found = [
+        s
+        for s in (_gfp.trim(list(cs)) for cs in itertools.product(range(p), repeat=n))
+        if _gfp.rem(_gfp.mul(a, s, p), f, p) == [1]
+    ]
+    s = _gfp.inverse_mod(a, f, p)
+    assert (s is None) == (_gfp.gcd(a, f, p) != [1]) == (found == [])
+    if s is not None:
+        assert [s] == found
 
 
 def reference_fixed_space(f: list[int], p: int) -> list[list[int]]:
