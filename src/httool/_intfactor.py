@@ -20,10 +20,12 @@ _SMALL_PRIMES = (
     71, 73, 79, 83, 89, 97,
 )
 
-# The first 13 prime bases decide primality for every n below
-# 3.317 * 10**24 (Sorenson-Webster 2017); the first 12 only below
-# 3.18 * 10**23.  Beyond that range the test is a strong compositeness filter.
+# The first 13 prime bases decide primality for every n below PSI_13, the
+# least strong pseudoprime to all of them (Sorenson-Webster 2017); the first
+# 12 only below 3.18 * 10**23.  Beyond that range the test is a strong
+# compositeness filter, so a prime given as input must lie below PSI_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 # Process-wide tallies of costly steps, the polynomial layer's included;
 # `pipeline.run` reports their growth over one run as telemetry counters.

@@ -5,11 +5,12 @@ Everything here is pure and deterministic; no floating point enters any code
 path.  `Poly` is the type at every public boundary.  It stores a rational
 `content` times `prim`, a primitive integer coefficient tuple in ascending
 degree with positive leading coefficient, and every operation on it runs on
-`prim` through the integer-list kernels below: `+ - *`, pseudo-division
-and evaluation, Hensel lifting and Zassenhaus recombination, Sturm sign
-evaluations, and gcds, Sturm chains, squarefree parts and discriminants,
-all read off one remainder sequence.  A `SturmChain` holds the squarefree
-part that it counts on, and `factor_with_unit` factors that same part.
+`prim` through the integer-list kernels below: `+ - *`, pseudo-division,
+which also gives every exact quotient, and evaluation, Hensel lifting and
+Zassenhaus recombination, Sturm sign evaluations, and gcds, Sturm chains,
+squarefree parts and discriminants, all read off one remainder sequence.
+A `SturmChain` holds the squarefree part that it counts on, and
+`factor_with_unit` factors that same part.
 
 A square class in Q^x / (Q^x)^2 is stored as a sign and the set of primes of
 odd valuation.  `square_class` factors its rational once; products of
@@ -255,10 +256,11 @@ def _make(content: Fraction, prim: tuple[int, ...]) -> Poly:
 # integer coefficient lists (ascending, no trailing zeros)
 
 def _zz_primitive(f):
+    """f's primitive part with a positive leading coefficient, as `Poly.prim`."""
     c = math.gcd(*f)
-    if c == 0:
-        return []
-    return [a // c for a in f]
+    if f and f[-1] < 0:
+        c = -c
+    return [a // c for a in f] if c else []
 
 
 def _zz_derivative(f):
@@ -304,41 +306,10 @@ def _zz_eval_scaled(f, num, den):
     return acc
 
 
-def _zz_divmod(f, g):
-    """Integer long division f = q*g + r with deg r < deg g.
-
-    Raises ArithmeticError at the first quotient coefficient that is not an
-    integer; that never happens when g is monic, or when g is primitive and
-    divides f over Q (Gauss's lemma).
-    """
-    dg = len(g) - 1
-    lead = g[-1]
-    rem = list(f)
-    if len(rem) <= dg:
-        return [], rem
-    quo = [0] * (len(rem) - dg)
-    for shift in range(len(rem) - 1 - dg, -1, -1):
-        c, frac = divmod(rem[shift + dg], lead)
-        if frac:
-            raise ArithmeticError("non-integral quotient in integer division")
-        quo[shift] = c
-        if c:
-            for i, b in enumerate(g):
-                rem[shift + i] -= c * b
-    return quo, _gfp.trim(rem[:dg])
-
-
-def _zz_exact_quotient(f, g):
-    """f / g for a g known to divide f in Z[x]."""
-    q, r = _zz_divmod(f, g)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
 def _zz_pdivmod(f, g):
     """Pseudo-division: (quo, rem) with |lc(g)|**k * f = quo*g + rem, where
-    k = deg f - deg g + 1 and deg rem < deg g, for deg f >= deg g.
+    k = deg f - deg g + 1 and deg rem < deg g, for deg f >= deg g; for deg f
+    < deg g it is ([], f).
 
     The quotient entry at shift s carries |lc(g)|**s, and rem is a positive
     multiple of the remainder over Q.
@@ -365,6 +336,16 @@ def _zz_pdivmod(f, g):
     return quo, _gfp.trim(rem[:dg])
 
 
+def _zz_quotient(f, g):
+    """f / g when the nonzero g divides f in Z[x], else None.  By
+    `_zz_pdivmod`, |lc(g)|**k * f = quo*g + rem, k = len(quo): g divides f
+    over Q exactly when rem = 0, and then f / g = quo / |lc(g)|**k is
+    integral exactly when |lc(g)|**k divides every entry of quo."""
+    quo, rem = _zz_pdivmod(f, g)
+    scale = abs(g[-1]) ** len(quo)
+    return None if rem or any(c % scale for c in quo) else [c // scale for c in quo]
+
+
 def _zz_remainder_sequence(f, g):
     """The members f, g, s_2, ... of the remainder sequence of f and a
     nonzero g in Z[x], s_(i+1) = -prem(s_(i-1), s_i) / c_i with prem from
@@ -380,16 +361,6 @@ def _zz_remainder_sequence(f, g):
         contents.append(c)
         seq.append([-a // c for a in r])
     return seq, contents
-
-
-def _zz_gcd(f, g):
-    """Primitive gcd in Z[x] with positive leading coefficient: the last
-    member of the remainder sequence, made so; gcd(f, 0) is f's primitive
-    part and gcd(0, 0) is []."""
-    a = _zz_primitive(_zz_remainder_sequence(f, g)[0][-1] if g else f)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +493,12 @@ def _zassenhaus(f, p, modular):
             trial = _zz_primitive(trial)
             if trial[0] and current[0] % trial[0]:
                 continue
-            # Gauss: a primitive factor leaves an integral quotient, so a
-            # non-integral step or a remainder means no factor
-            try:
-                q, r = _zz_divmod(current, trial)
-            except ArithmeticError:
-                continue
-            if r:
+            # Gauss: a primitive factor leaves an integral quotient, itself
+            # primitive with lc > 0, so no quotient in Z[x] means no factor
+            if (q := _zz_quotient(current, trial)) is None:
                 continue
             factors.append(trial)
-            current = _zz_primitive(q)
+            current = q
             active = [i for i in active if i not in combo]
             advanced = True
             break
@@ -566,14 +533,9 @@ def _good_prime(chain):
 def _multiplicity(f, q) -> int:
     """The largest m with q**m | f, for primitive f and q with q | f."""
     m = 0
-    try:
-        while True:
-            f, r = _zz_divmod(f, q)
-            if r:
-                return m
-            m += 1
-    except ArithmeticError:
-        return m
+    while (f := _zz_quotient(f, q)) is not None:
+        m += 1
+    return m
 
 
 def _small_factors(f):
@@ -601,7 +563,7 @@ def _cubic_factors(g, p, gp):
     bound = 2 * (b + max(map(abs, g)))
     dg = _zz_derivative(g)
     for root in range(p):
-        if (((root + gp[2]) * root + gp[1]) * root + gp[0]) % p:
+        if _zz_eval_scaled(gp, root, 1) % p:
             continue
         x, m = root, p
         while m <= bound:
@@ -610,8 +572,10 @@ def _cubic_factors(g, p, gp):
         k = b * x % m
         k -= m if 2 * k > m else 0
         if _zz_eval_scaled(g, k, b) == 0:
+            # linear divides g over Q and is primitive, so in Z[x] (Gauss):
+            # the quotient is never None, and its lc b / lc(linear) is > 0
             linear = _zz_primitive([-k, b])
-            return [linear] + _small_factors(_zz_exact_quotient(g, linear))
+            return [linear] + _small_factors(_zz_quotient(g, linear))
     return [g]
 
 
@@ -694,7 +658,9 @@ class SturmChain:
         g = list(f.prim)
         chain, contents = _zz_remainder_sequence(g, _zz_derivative(g)) if len(g) > 1 else ([], [])
         if chain and len(chain[-1]) > 1:
-            g = _zz_exact_quotient(g, _zz_gcd(chain[-1], []))
+            # chain[-1] is gcd(g, g') up to a constant; its primitive part
+            # divides g over Q, so in Z[x] (Gauss): the quotient is never None
+            g = _zz_quotient(g, _zz_primitive(chain[-1]))
             chain, contents = _zz_remainder_sequence(g, _zz_derivative(g))
         self.poly = f
         self.squarefree = Poly.from_ints(g, 1)

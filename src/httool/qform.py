@@ -71,7 +71,9 @@ def place_from_json(s) -> Place:
         return INF
     if isinstance(s, str) and s.isdecimal():
         s = int(s)
-    return _checked_place(int_from_json(s, "place"))
+    if (place := _checked_place(int_from_json(s, "place"))) >= _intfactor.PSI_13:
+        raise DomainError(f"{place} is beyond the proven primality range")
+    return place
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .exactpoly import (
     _chebyshev_v,
     _cyclotomic_table,
     _newton_step,
-    _zz_divmod,
     _zz_eval_scaled,
+    _zz_pdivmod,
     elementary_from_power_sums,
     factor_with_unit,
     is_cyclotomic,
@@ -62,6 +62,8 @@ class WeilCandidate:
     def __post_init__(self):
         if not _intfactor.is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
+        if self.p >= _intfactor.PSI_13:
+            raise DomainError(f"{self.p} is beyond the proven primality range")
         if self.a < 1:
             raise DomainError("the exponent a must be positive")
         if not self.L.prim or self.L.content.numerator * self.L.prim[0] != self.L.content.denominator:
@@ -452,6 +454,8 @@ def enumerate_candidates(
         raise DomainError(f"degree {two_d} exceeds the desk bound {desk_bound}")
     if not _intfactor.is_prime(p) or a < 1:
         raise DomainError("invalid prime power")
+    if p >= _intfactor.PSI_13:
+        raise DomainError(f"{p} is beyond the proven primality range")
     d = two_d // 2
     den = p ** a
     bound = [two_d * den ** k for k in range(6 * d + 1)]
@@ -473,7 +477,8 @@ def enumerate_candidates(
             sums.append(s)
         L = Poly.from_ints(ints, scale)
         H = reciprocal_transform(L)
-        if any(not _zz_divmod(H.prim, psi)[1] for psi in psis):
+        # each psi_n is monic, so `_zz_pdivmod` scales nothing
+        if any(not _zz_pdivmod(H.prim, psi)[1] for psi in psis):
             return
         if value_at_one is not None and L(Fraction(1)) != value_at_one:
             return

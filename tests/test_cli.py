@@ -140,6 +140,42 @@ def test_qform_construct_rejects_invalid_hasse_place(place, tmp_path, capsys):
     assert capsys.readouterr().err == f"httool: {place} is not a valid place\n"
 
 
+PSI_13 = 3317044064679887385961981  # 1287836182261 * 2575672364521
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check"], ["construct"], ["extend", "--n", "2"], ["enumerate", "--q", str(PSI_13), "--degree", "2"]],
+    ids=["check", "construct", "extend", "enumerate"],
+)
+def test_prime_beyond_the_proven_range_exit_three(args, monkeypatch, tmp_path, capsys):
+    # the composite psi_13 passes all 13 Miller-Rabin bases: it was once
+    # taken for a prime, and check called its candidate admissible
+    source = tmp_path / "candidate.json"
+    source.write_text(json.dumps({"L": ["1", f"1/{PSI_13}", "1"], "p": PSI_13, "a": 1}))
+    if args[0] != "enumerate":
+        args = [*args, "--input", str(source)]
+    else:
+        # refused before the search, whose range grows with p
+        def no_search(d):
+            raise AssertionError("the census search started")
+
+        monkeypatch.setattr(weilcheck, "_census_tables", no_search)
+    assert cli.main(args) == cli.EXIT_USAGE == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"httool: {PSI_13} is beyond the proven primality range\n"
+
+
+def test_qform_construct_refuses_a_hasse_place_beyond_the_proven_range(tmp_path, capsys):
+    source = tmp_path / "invariants.json"
+    source.write_text(json.dumps({"dim": 3, "signature": [3, 0], "det": "1", "hasse": ["2", str(PSI_13)]}))
+    assert cli.main(["qform", "construct", "--input", str(source)]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"httool: {PSI_13} is beyond the proven primality range\n"
+
+
 @pytest.mark.parametrize("hasse", [[2, "2"], ["inf", "3", "inf"]])
 def test_qform_construct_rejects_a_repeated_hasse_place(hasse, tmp_path, capsys):
     # the Hasse set names each place once: a repeat was once merged, which

@@ -36,9 +36,10 @@ from httool.exactpoly import (
     _hensel_lift,
     _lift_bound,
     _newton_step,
-    _zz_divmod,
     _zz_mul,
     _zz_pdivmod,
+    _zz_primitive,
+    _zz_quotient,
     _zz_sub,
     _zz_trunc,
     cyclotomic_poly,
@@ -1101,21 +1102,43 @@ def test_squarefree_decomposition_matches_fraction_yun(factors, cyclotomics, sca
     assert {m for _, m in irreducibles} == {m for _, m in parts}
 
 
-def test_zz_divmod_integer_long_division():
-    # monic divisor: always integral, with the remainder of the division over Q
+def test_zz_quotient_integer_cases():
+    # monic divisor: the quotient when it divides, None when a remainder is left
     f, g = [5, -3, 0, 2, 7], [1, -2, 1]
-    q, r = _zz_divmod(f, g)
-    expected_q, expected_r = divmod(Poly(f), Poly(g))
-    assert (Poly(q), Poly(r)) == (expected_q, expected_r)
+    assert _zz_quotient(_zz_mul(f, g), g) == f
+    assert _zz_quotient(f, g) is None
     # a primitive non-monic factor divides exactly (Gauss's lemma)
-    assert _zz_divmod([-3, -1, 2], [-3, 2]) == ([1, 1], [])
+    assert _zz_quotient([-3, -1, 2], [-3, 2]) == [1, 1]
     # non-monic divisor whose quotient is not integral: x**2 + 1 by 2x + 1,
     # and (2x + 1)(x + 1) by 4x + 2 (a divisor over Q, not over Z)
-    with pytest.raises(ArithmeticError):
-        _zz_divmod([1, 0, 1], [1, 2])
-    with pytest.raises(ArithmeticError):
-        _zz_divmod([1, 3, 2], [2, 4])
-    assert _zz_divmod([1, 2], [0, 0, 3]) == ([], [1, 2])
+    assert _zz_quotient([1, 0, 1], [1, 2]) is None
+    assert _zz_quotient([1, 3, 2], [2, 4]) is None
+    # a non-primitive divisor of a multiple of it, and a negative leading one
+    assert _zz_quotient([2, 6, 4], [2, 4]) == [1, 1]
+    assert _zz_quotient([1, 3, 2], [-1, -1]) == [-1, -2]
+    # deg f < deg g: only the zero polynomial is divisible
+    assert _zz_quotient([1, 2], [0, 0, 3]) is None
+    assert _zz_quotient([], [0, 0, 3]) == []
+
+
+def test_zz_primitive_leads_positive_as_poly_prim():
+    assert _zz_primitive([4, -6]) == _zz_primitive([-4, 6]) == [-2, 3] == list(Poly([-4, 6]).prim)
+    assert _zz_primitive([0, -5]) == [0, 1] and _zz_primitive([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-30, 30), max_size=7),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda g: g[-1] != 0),
+    st.lists(st.integers(-6, 6), max_size=4),
+)
+def test_zz_quotient_matches_fraction_long_division(f, g, h):
+    # f arbitrary, or a multiple of g by an integer h: g may be
+    # non-primitive, and deg f < deg g is drawn too
+    for dividend in (_gfp.trim(list(f)), _zz_mul(_gfp.trim(list(h)), g)):
+        quo, rem = ref_divmod([F(c) for c in dividend], [F(c) for c in g])
+        divides = not rem and all(c.denominator == 1 for c in quo)
+        assert _zz_quotient(dividend, g) == ([int(c) for c in quo] if divides else None)
 
 
 # ---------------------------------------------------------------------------

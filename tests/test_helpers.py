@@ -55,11 +55,11 @@ from httool.exactpoly import (
     _lift_bound,
     _zz_add,
     _zz_derivative,
-    _zz_divmod,
-    _zz_exact_quotient,
-    _zz_gcd,
     _zz_mul,
+    _zz_pdivmod,
     _zz_primitive,
+    _zz_quotient,
+    _zz_remainder_sequence,
     _zz_sub,
     _zz_trunc,
     elementary_from_power_sums,
@@ -191,6 +191,13 @@ def _reference_factoring_prime(f):
     return min(found, key=lambda pf: (len(pf[1]), pf[0]))
 
 
+def zz_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd in Z[x] with positive leading coefficient: the last
+    member of the program's remainder sequence, made so; gcd(f, 0) is f's
+    primitive part and gcd(0, 0) is []."""
+    return _zz_primitive(_zz_remainder_sequence(f, g)[0][-1] if g else f)
+
+
 def _zz_yun(f) -> list[tuple[list[int], int]]:
     """Yun's algorithm on a primitive f with positive leading coefficient:
     the nonconstant g_i with f = prod g_i**i, ascending i.
@@ -203,17 +210,17 @@ def _zz_yun(f) -> list[tuple[list[int], int]]:
     if len(f) < 2:
         return parts
     d = _zz_derivative(f)
-    g = _zz_gcd(f, d)
-    w = _zz_exact_quotient(f, g)
-    y = _zz_exact_quotient(d, g)
+    g = zz_gcd(f, d)
+    w = _zz_quotient(f, g)
+    y = _zz_quotient(d, g)
     z = _zz_sub(y, _zz_derivative(w))
     i = 1
     while len(w) > 1:
-        h = _zz_gcd(w, z)
+        h = zz_gcd(w, z)
         if len(h) > 1:
             parts.append((h, i))
-        w = _zz_exact_quotient(w, h)
-        y = _zz_exact_quotient(z, h)
+        w = _zz_quotient(w, h)
+        y = _zz_quotient(z, h)
         z = _zz_sub(y, _zz_derivative(w))
         i += 1
     return parts
@@ -242,7 +249,7 @@ def _reference_hensel_step(m, f, g, h, s, t):
     f = g1*h1 (mod m), for m0 | m | m0**2, s*g + t*h = 1 (mod m0) and
     lc(h) = 1."""
     e = _zz_trunc(_zz_sub(f, _zz_mul(g, h)), m)
-    q, r = _zz_divmod(_zz_mul(s, e), h)
+    q, r = _zz_pdivmod(_zz_mul(s, e), h)
     q = _zz_trunc(q, m)
     g1 = _zz_trunc(_zz_add(g, _zz_add(_zz_mul(t, e), _zz_mul(q, g))), m)
     h1 = _zz_trunc(_zz_add(h, r), m)
@@ -253,7 +260,7 @@ def _reference_bezout_step(m, g1, h1, s, t):
     """The Bezout pair of one quadratic Hensel step: from s*g + t*h = 1
     (mod m0) to s1*g1 + t1*h1 = 1 (mod m), for the lifted g1, h1."""
     b = _zz_trunc(_zz_sub(_zz_add(_zz_mul(s, g1), _zz_mul(t, h1)), [1]), m)
-    c, d = _zz_divmod(_zz_mul(s, b), h1)
+    c, d = _zz_pdivmod(_zz_mul(s, b), h1)
     c = _zz_trunc(c, m)
     u = _zz_add(_zz_mul(t, b), _zz_mul(c, g1))
     return _zz_trunc(_zz_sub(s, d), m), _zz_trunc(_zz_sub(t, u), m)
@@ -331,11 +338,7 @@ def _reference_zassenhaus(f, p, modular):
                 continue
             if sum(map(abs, trial)) * sum(map(abs, rest)) > bound:
                 continue
-            try:
-                q, r = _zz_divmod(current, trial_prim)
-            except ArithmeticError:
-                continue
-            if r:
+            if (q := _zz_quotient(current, trial_prim)) is None:
                 continue
             factors.append(trial_prim)
             current = _zz_primitive(q)
@@ -683,7 +686,7 @@ def bisection_signature_of(lam: Poly, field: NumberField) -> tuple[int, int]:
     g_chain = SturmChain(g)
     assert g_chain.count() == field.degree == field.real_embeddings
     lam = lam % g
-    assert not lam.is_zero and len(_zz_gcd(lam.prim, g.prim)) == 1, "lambda vanishes at a root"
+    assert not lam.is_zero and len(zz_gcd(lam.prim, g.prim)) == 1, "lambda vanishes at a root"
     if lam.degree() == 0:
         return (field.degree, 0) if lam.coefficient(0) > 0 else (0, field.degree)
     lam_chain = SturmChain(lam)
@@ -772,7 +775,7 @@ def number_field(f: Poly) -> NumberField:
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over Q (gcd with 0 is the monic normalization of the other)."""
-    h = _zz_gcd(f.prim, g.prim)
+    h = zz_gcd(f.prim, g.prim)
     return Poly.from_ints(h, 1).monic() if h else Poly()
 
 
@@ -841,7 +844,7 @@ def reference_census(
             if abs(s) > bound[k]:
                 return
             sums.append(s)
-        if any(not _zz_divmod(ints, prim)[1] for _n, prim in _cyclotomic_table(two_d)):
+        if any(not _zz_pdivmod(ints, prim)[1] for _n, prim in _cyclotomic_table(two_d)):
             return
         L = Poly.from_ints(ints, F(1, den))
         if value_at_one is not None and L(F(1)) != value_at_one:
@@ -1016,6 +1019,16 @@ def test_is_prime_carmichael_and_strong_pseudoprimes():
     assert not _intfactor.is_prime(318665857834031151167461)
     assert _intfactor.factorize(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
     assert _intfactor.is_prime(2**61 - 1)
+    # psi_13, the least strong pseudoprime to every prime base 2..41: is_prime
+    # proves nothing from it on, so the input guard refuses it and the primes
+    # above it, and accepts the largest prime below it
+    psi13 = 1287836182261 * 2575672364521
+    assert psi13 == _intfactor.PSI_13 and _intfactor.is_prime(psi13)
+    for p in (psi13, psi13 + 142):
+        with pytest.raises(DomainError, match=f"^{p} is beyond the proven primality range$"):
+            WeilCandidate(Poly([1, F(1, p), 1]), p, 1)
+    below = psi13 - 168
+    assert WeilCandidate(Poly([1, F(1, below), 1]), below, 1).p == below
 
 
 def test_factorize_round_trip():

@@ -447,6 +447,12 @@ def test_lambda_vanishing_at_a_real_embedding_is_reported():
             11,
             "extension cannot be replayed: extension degree beyond 20 is outside desk limits",
         ),
+        # psi_13, a strong pseudoprime to every Miller-Rabin base used
+        (
+            ("input", "p"),
+            3317044064679887385961981,
+            "input cannot be replayed: 3317044064679887385961981 is beyond the proven primality range",
+        ),
     ],
     ids=[
         "path0-value0-invariants",
@@ -457,6 +463,7 @@ def test_lambda_vanishing_at_a_real_embedding_is_reported():
         "path5-value5-trace form",
         "path6-value6-input",
         "path7-11-real subfield",
+        "psi13-input",
     ],
 )
 def test_out_of_domain_certificate_data_is_reported(path, value, problem):
